@@ -1,27 +1,30 @@
-"""Q-VEC — columnar vectorized operators vs the row engine.
+"""Q-VEC — the two fold kernels, and where they cross.
 
-The columnar engine exists for one reason: a Computer pooling the
-snapshot of a large contributor swarm spends its budget in
-scan + filter + group-by, and the tuple-at-a-time row engine pays
-Python interpreter overhead per row per aggregate.  This bench pools
-the rows of >= 1,600 simulated contributors and runs the same
-GroupByQuery through ``evaluate_group_by`` and
-``evaluate_group_by_columnar``, reporting per-row cost side by side.
+``repro.query.fold.fold_partition`` folds a partition with the row walk
+below ``VECTOR_FOLD_MIN_ROWS`` rows and with the vectorized column-block
+kernel at or above it.  Both produce the same bytes (the differential
+harness in ``tests/differential/`` proves it end to end), so the choice
+is purely a cost question — and this bench is where the constant comes
+from.
 
-Because the engines are held to *bit-identity* (the differential
-harness in ``tests/differential/``), the speedup is free: every
-partial state serializes to the same bytes, so envelope sizes,
-latency draws, and fingerprints are unchanged.
+It times both kernels directly over 4 … 4,096 rows for the two query
+shapes the repo's benchmark runs (the 3-aggregate demo query and the
+8-aggregate heavy query, each over three grouping sets, folded without
+a WHERE clause exactly as a Computer folds them — the filter ran at the
+contributor), prints the cost ratio per size and the interpolated
+crossover, and **fails if the committed constant is more than a factor
+of two away from the measured crossover of either shape**.
 
-Acceptance bar: >= 10x lower per-row cost on the full
-scan + filter + group-by pipeline at >= 1,600 contributors.
+The merge table records what the row ``merge_partials`` costs at the
+partial counts the system produces (2 and 40), the baseline a
+size-selected vectorized merge would have to beat (DESIGN.md,
+"Vectorized execution", keeps the one measurement in its favour).
 """
 
 from __future__ import annotations
 
 import json
-import random
-import statistics
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,174 +33,153 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _tables import print_table
 
-from repro.query.aggregates import AggregateSpec
+from repro.data.health import generate_health_rows
 from repro.query.columnar import evaluate_group_by_columnar
-from repro.query.expressions import AndExpr, ColumnRef, CompareExpr, Literal
-from repro.query.groupby import GroupByQuery, evaluate_group_by
+from repro.query.fold import VECTOR_FOLD_MIN_ROWS
+from repro.query.groupby import GroupByQuery, evaluate_group_by, merge_partials
+from repro.query.sql import parse_query
 
-ROWS_PER_CONTRIBUTOR = 64
+SIZES = [2**k for k in range(2, 13)]  # 4 … 4,096
 
-#: WHERE age > 40 AND bmi < 35 — selects roughly half the snapshot.
-WHERE = AndExpr(
-    (
-        CompareExpr(">", ColumnRef("age"), Literal(40.0)),
-        CompareExpr("<", ColumnRef("bmi"), Literal(35.0)),
-    )
-)
-
-#: Query shapes from lean to the full aggregate surface; the pipeline
-#: shape (filter + grouping sets + every aggregate function) is the
-#: acceptance row.
-SHAPES = [
-    (
-        "lean: count+avg, no filter",
-        GroupByQuery(
-            (("region",), ()),
-            (
-                AggregateSpec("count"),
-                AggregateSpec("avg", "age", alias="m"),
-            ),
-        ),
+#: The two query shapes of ``benchmarks/perf/workloads.py``.
+SQL = {
+    "demo (3 aggregates)": (
+        "SELECT count(*), avg(age), avg(bmi) FROM health WHERE age > 65 "
+        "GROUP BY GROUPING SETS ((region), (sex), ())"
     ),
-    (
-        "filtered: count+sum+min+max",
-        GroupByQuery(
-            (("region",), ()),
-            (
-                AggregateSpec("count"),
-                AggregateSpec("sum", "bmi", alias="s"),
-                AggregateSpec("min", "age", alias="lo"),
-                AggregateSpec("max", "age", alias="hi"),
-            ),
-            where=WHERE,
-        ),
+    "heavy (8 aggregates)": (
+        "SELECT count(*), sum(bmi), avg(bmi), min(age), max(age), "
+        "var(bmi), std(bmi), hist(age, 0, 110, 11) FROM health "
+        "WHERE age > 40 AND bmi < 35 "
+        "GROUP BY GROUPING SETS ((region), (sex), ())"
     ),
-    (
-        "full pipeline: filter + 9 aggregates",
-        GroupByQuery(
-            (("region",), ()),
-            (
-                AggregateSpec("count"),
-                AggregateSpec("sum", "bmi", alias="s"),
-                AggregateSpec("avg", "age", alias="m"),
-                AggregateSpec("min", "age", alias="lo"),
-                AggregateSpec("max", "age", alias="hi"),
-                AggregateSpec("var", "glucose", alias="v"),
-                AggregateSpec("std", "glucose", alias="sd"),
-                AggregateSpec("distinct", "region", alias="d"),
-                AggregateSpec("hist", "bmi", alias="h", params=(10.0, 40.0, 6)),
-            ),
-            where=WHERE,
-        ),
-    ),
-]
+}
 
 
-def _snapshot(n_contributors: int, seed: int = 7) -> list[dict]:
-    """The pooled rows of ``n_contributors`` simulated contributors."""
-    rng = random.Random(seed)
-    return [
-        {
-            "region": rng.choice(("idf", "paca", "bretagne", "normandie")),
-            "age": float(rng.randint(18, 95)),
-            "bmi": rng.uniform(15.0, 45.0),
-            "glucose": rng.uniform(60.0, 200.0),
-        }
-        for _ in range(n_contributors * ROWS_PER_CONTRIBUTOR)
-    ]
+def _computer_query(sql: str) -> GroupByQuery:
+    """What a Computer folds: grouping sets + aggregates, no filter."""
+    query = parse_query(sql).query
+    return GroupByQuery(query.grouping_sets, query.aggregates)
+
+
+SHAPES = {label: _computer_query(sql) for label, sql in SQL.items()}
+ROWS = generate_health_rows(SIZES[-1], seed=7)
 
 
 def _dumps(partial) -> str:
     return json.dumps(partial.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _median_seconds(fn, query, rows, repeats: int = 5) -> float:
-    fn(query, rows[:1000])  # warm caches and code paths
-    times = []
-    for _ in range(repeats):
+def _best_seconds(call, samples: int = 7, sample_seconds: float = 0.004) -> float:
+    """Best-of-``samples`` seconds per call, each sample long enough
+    (≥ ``sample_seconds``) for the clock to resolve a µs-scale call."""
+    call()  # warm code paths and caches
+    started = time.perf_counter()
+    call()
+    once = max(time.perf_counter() - started, 1e-7)
+    loops = max(1, int(sample_seconds / once))
+    best = math.inf
+    for _ in range(samples):
         started = time.perf_counter()
-        fn(query, rows)
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
+        for _ in range(loops):
+            call()
+        best = min(best, (time.perf_counter() - started) / loops)
+    return best
 
 
-def test_qvec_per_row_cost(benchmark):
-    """>= 10x lower per-row cost on the full pipeline at 1,600 contributors."""
-    n_contributors = 1600
-    rows = _snapshot(n_contributors)
-    table = []
-    speedups = {}
-    for label, query in SHAPES:
-        assert _dumps(evaluate_group_by_columnar(query, rows)) == _dumps(
-            evaluate_group_by(query, rows)
-        ), f"engines diverge on {label!r}"
-        row_s = _median_seconds(evaluate_group_by, query, rows)
-        col_s = _median_seconds(evaluate_group_by_columnar, query, rows)
-        speedups[label] = row_s / col_s
-        table.append(
+def _crossover(sizes: list[int], ratios: list[float]) -> float:
+    """Partition size where row/vector cost crosses 1, interpolated in
+    log-log space between the two bracketing sizes."""
+    for (lo, r_lo), (hi, r_hi) in zip(
+        zip(sizes, ratios), zip(sizes[1:], ratios[1:])
+    ):
+        if r_lo < 1.0 <= r_hi:
+            t = -math.log(r_lo) / (math.log(r_hi) - math.log(r_lo))
+            return math.exp(math.log(lo) + t * (math.log(hi) - math.log(lo)))
+    raise AssertionError(f"no crossover within {sizes[0]}…{sizes[-1]} rows")
+
+
+def test_qvec_kernel_crossover(benchmark):
+    """The committed threshold sits within 2x of the measured crossover."""
+    crossovers = {}
+    for label, query in SHAPES.items():
+        table, ratios = [], []
+        for size in SIZES:
+            rows = ROWS[:size]
+            assert _dumps(evaluate_group_by_columnar(query, rows)) == _dumps(
+                evaluate_group_by(query, rows)
+            ), f"kernels diverge on {label!r} at {size} rows"
+            row_s = _best_seconds(lambda: evaluate_group_by(query, rows))
+            vec_s = _best_seconds(lambda: evaluate_group_by_columnar(query, rows))
+            ratios.append(row_s / vec_s)
+            table.append(
+                [
+                    size,
+                    f"{row_s * 1e6:.0f}",
+                    f"{vec_s * 1e6:.0f}",
+                    f"{row_s / vec_s:.2f}",
+                    "vector" if size >= VECTOR_FOLD_MIN_ROWS else "row",
+                ]
+            )
+        crossovers[label] = _crossover(SIZES, ratios)
+        print_table(
+            f"Q-VEC: fold cost per call, {label} x 3 grouping sets",
+            ["rows", "row µs", "vector µs", "row/vector", "fold_partition runs"],
+            table,
+        )
+    print_table(
+        "Q-VEC: kernel crossover vs the committed threshold",
+        ["query shape", "crossover (rows)", "VECTOR_FOLD_MIN_ROWS", "within 2x"],
+        [
             [
                 label,
-                len(rows),
-                f"{row_s / len(rows) * 1e9:.0f}",
-                f"{col_s / len(rows) * 1e9:.0f}",
-                f"{row_s / col_s:.1f}x",
-                "yes",
+                f"{crossover:.0f}",
+                VECTOR_FOLD_MIN_ROWS,
+                "yes"
+                if crossover / 2 <= VECTOR_FOLD_MIN_ROWS <= crossover * 2
+                else "NO",
             ]
+            for label, crossover in crossovers.items()
+        ],
+    )
+    for label, crossover in crossovers.items():
+        assert crossover / 2 <= VECTOR_FOLD_MIN_ROWS <= crossover * 2, (
+            f"VECTOR_FOLD_MIN_ROWS={VECTOR_FOLD_MIN_ROWS} is more than 2x "
+            f"from the measured crossover ({crossover:.0f} rows) of {label}"
         )
-    print_table(
-        "Q-VEC: per-row operator cost, row vs columnar "
-        f"[{n_contributors} contributors x {ROWS_PER_CONTRIBUTOR} rows, seed 7]",
-        ["query shape", "rows", "row ns/row", "columnar ns/row",
-         "speedup", "bit-identical"],
-        table,
-    )
-    full = speedups["full pipeline: filter + 9 aggregates"]
-    assert full >= 10.0, f"full-pipeline speedup {full:.1f}x below the 10x bar"
-    # even the lean shape must clearly win
-    assert all(s > 3.0 for s in speedups.values())
 
-    lean_query = SHAPES[0][1]
+    heavy = SHAPES["heavy (8 aggregates)"]
     benchmark.pedantic(
-        lambda: evaluate_group_by_columnar(lean_query, rows),
-        rounds=3,
-        iterations=1,
+        lambda: evaluate_group_by_columnar(heavy, ROWS), rounds=3, iterations=1
     )
 
 
-def test_qvec_contributor_scaling(benchmark):
-    """The columnar advantage holds (and grows) with swarm size."""
-    query = SHAPES[2][1]
+def test_qvec_row_merge_baseline(benchmark):
+    """Row ``merge_partials`` at the partial counts the system produces."""
     table = []
-    speedups = []
-    for n_contributors in (100, 400, 1600):
-        rows = _snapshot(n_contributors)
-        row_s = _median_seconds(evaluate_group_by, query, rows, repeats=3)
-        col_s = _median_seconds(
-            evaluate_group_by_columnar, query, rows, repeats=3
-        )
-        speedups.append(row_s / col_s)
-        table.append(
-            [
-                n_contributors,
-                len(rows),
-                f"{row_s / len(rows) * 1e9:.0f}",
-                f"{col_s / len(rows) * 1e9:.0f}",
-                f"{row_s / col_s:.1f}x",
+    for label, query in SHAPES.items():
+        for n_partials in (2, 40):
+            share = len(ROWS) // n_partials
+            partials = [
+                evaluate_group_by(query, ROWS[i * share:(i + 1) * share])
+                for i in range(n_partials)
             ]
-        )
+            merged = merge_partials(query, partials)
+            seconds = _best_seconds(lambda: merge_partials(query, partials))
+            table.append(
+                [
+                    label,
+                    n_partials,
+                    sum(len(per_set) for per_set in merged.groups),
+                    f"{seconds * 1e6:.0f}",
+                ]
+            )
     print_table(
-        "Q-VEC: full-pipeline per-row cost vs swarm size",
-        ["contributors", "rows", "row ns/row", "columnar ns/row", "speedup"],
+        "Q-VEC: row merge_partials cost per merge",
+        ["query shape", "partials", "merged groups", "merge µs"],
         table,
     )
-    # row-engine per-row cost is flat; columnar amortizes its fixed
-    # batch setup, so the advantage must not shrink with scale
-    assert speedups[-1] >= speedups[0] * 0.8
-    assert speedups[-1] >= 10.0
 
-    small = _snapshot(100)
-    benchmark.pedantic(
-        lambda: evaluate_group_by_columnar(query, small),
-        rounds=3,
-        iterations=1,
-    )
+    demo = SHAPES["demo (3 aggregates)"]
+    two = [evaluate_group_by(demo, ROWS[:64]), evaluate_group_by(demo, ROWS[64:128])]
+    benchmark.pedantic(lambda: merge_partials(demo, two), rounds=3, iterations=10)

@@ -127,8 +127,6 @@ class RunSpec:
     detector: bool = False
     #: generation-fenced takeover (split-brain-safe reprovisioning)
     fencing: bool = False
-    #: operator engine: ``"row"`` or ``"columnar"`` (bit-identical)
-    engine: str = "row"
 
     def to_dict(self) -> dict[str, Any]:
         data = {
@@ -170,7 +168,6 @@ class RunSpec:
             ),
             "detector": self.detector,
             "fencing": self.fencing,
-            "engine": self.engine,
         }
         return data
 
@@ -222,7 +219,6 @@ class RunSpec:
             ),
             detector=bool(data.get("detector", False)),
             fencing=bool(data.get("fencing", False)),
-            engine=str(data.get("engine", "row")),
         )
 
 
@@ -322,7 +318,6 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         ),
         optimizer=spec.optimizer,
         substrate=substrate,
-        engine=spec.engine,
     )
     result = scenario.run_compiled(compiled)
     reference = scenario.centralized_result(compiled.spec)
@@ -380,7 +375,6 @@ class CampaignConfig:
     outage_spec: OutageSpec | None = None
     detector: bool = False
     fencing: bool = False
-    engine: str = "row"
     shrink: bool = True
     shrink_budget: int = 24
 
@@ -424,7 +418,6 @@ class CampaignConfig:
             outage_spec=self.outage_spec,
             detector=self.detector,
             fencing=self.fencing,
-            engine=self.engine,
         )
 
 

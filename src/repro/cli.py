@@ -142,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--target-success", type=float, default=0.99)
     plan.add_argument("--strategy", choices=("overcollection", "backup"),
                       default="overcollection")
-    plan.add_argument("--engine", choices=("row", "columnar"), default="row",
-                      help="operator engine (bit-identical results)")
     plan.add_argument("--contributors", type=int, default=20)
 
     run = sub.add_parser("run", help="execute a query on a synthetic swarm")
@@ -173,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fencing", action="store_true",
                      help="generation-numbered fencing tokens on takeover so "
                           "a resurfacing predecessor cannot split-brain a cell")
-    run.add_argument("--engine", choices=("row", "columnar"), default="row",
-                     help="operator engine (bit-identical results)")
     run.add_argument("--strategy", choices=("overcollection", "backup"),
                      default="overcollection")
     run.add_argument("--seed", type=int, default=0)
@@ -225,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the profile's contributor count")
     explain.add_argument("--processors", type=int, default=None,
                          help="override the profile's processor count")
-    explain.add_argument("--engine", choices=("row", "columnar"),
-                         default="row",
-                         help="operator engine (bit-identical results)")
     explain.add_argument("--pinned", action="store_true",
                          help="score the caller-pinned plan instead of "
                               "running the cost-based optimizer")
@@ -296,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workload-max-concurrent", type=int, default=8,
                        metavar="K",
                        help="admission cap of the chaos workload")
-    chaos.add_argument("--engine", choices=("row", "columnar"),
-                       default="row",
-                       help="operator engine for every run")
     chaos.add_argument("--replay", metavar="PATH", default=None,
                        help="replay one repro artifact instead of sweeping")
     chaos.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -335,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-query reliable transport and recovery")
     workload.add_argument("--standbys", type=int, default=0,
                           help="extra devices leased per reliable query")
-    workload.add_argument("--engine", choices=("row", "columnar"),
-                          default="row",
-                          help="operator engine for every query")
     workload.add_argument("--seed", type=int, default=0)
     workload.add_argument("--per-query", action="store_true",
                           help="print the per-query lifecycle table")
@@ -395,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--check-invariants", action="store_true",
                             help="run the full invariant suite on every "
                                  "window (soak mode)")
-    continuous.add_argument("--engine", choices=("row", "columnar"),
-                            default="row",
-                            help="operator engine for every window")
     continuous.add_argument("--seed", type=int, default=0)
     continuous.add_argument("--per-window", action="store_true",
                             help="print the per-window lineage table")
@@ -460,7 +444,6 @@ def _compile_from_args(
         resiliency=resiliency,
         optimizer=optimizer,
         substrate=substrate,
-        engine=getattr(args, "engine", None),
     )
 
 
@@ -685,7 +668,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         outage_spec=outage_spec,
         detector=args.detector,
         fencing=args.fencing,
-        engine=args.engine,
         shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget,
     )
@@ -733,7 +715,6 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
         queue_capacity=2 * args.workload_max_concurrent,
         seed=args.seed,
         reliability=args.reliability,
-        engine=args.engine,
     )
     config = WorkloadChaosConfig(
         n_contributors=args.contributors,
@@ -797,7 +778,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         collection_window=args.collection_window,
         deadline=args.deadline,
         reliability=args.reliability,
-        engine=args.engine,
         sql=args.sql,
     )
     telemetry = Telemetry()
@@ -885,7 +865,6 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
         deadline=args.deadline,
         reliability=args.reliability,
         incremental=not args.full_recollection,
-        engine=args.engine,
         seed=args.seed,
         sql=args.sql,
     )

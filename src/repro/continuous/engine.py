@@ -530,7 +530,6 @@ class ContinuousEngine:
             # unchanged pool, every window re-derives the same builder
             # per contributor — the substrate of incremental maintenance
             placement_key=f"{self.spec.name}{self.spec.seed}",
-            engine=self.spec.engine,
         )
 
     def _launch(self, record: WindowRecord) -> None:

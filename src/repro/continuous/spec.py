@@ -65,8 +65,6 @@ class StandingQuerySpec:
         incremental: ship delta stamps for unchanged contributions
             (see :mod:`repro.core.runtime.incremental`); off = full
             recollection every window.
-        engine: operator engine every window executes under — ``"row"``
-            or ``"columnar"``; both produce byte-identical windows.
         seed: master seed for window seeds and the default churn model.
         sql: the grouping-sets aggregate every window computes.
     """
@@ -86,7 +84,6 @@ class StandingQuerySpec:
     deadline: float = 12.0
     reliability: bool = False
     incremental: bool = True
-    engine: str = "row"
     seed: int = 0
     sql: str = (
         "SELECT count(*), avg(age) FROM health "
@@ -115,8 +112,6 @@ class StandingQuerySpec:
             )
         if self.strategy not in ("overcollection", "backup"):
             raise ValueError("strategy must be overcollection or backup")
-        if self.engine not in ("row", "columnar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
     @property
     def freshness_horizon(self) -> float:

@@ -61,12 +61,6 @@ class QuerySpec:
         kmeans_k: number of clusters (``kmeans`` only).
         feature_columns: numeric columns clustered (``kmeans`` only).
         heartbeats: heartbeat count before the deadline (``kmeans``).
-        engine: operator implementation the runtimes execute —
-            ``"row"`` (dict-walking, the legacy default) or
-            ``"columnar"`` (numpy column blocks,
-            :mod:`repro.query.columnar`).  Both produce byte-identical
-            reports; the knob trades per-row interpretation overhead
-            for vectorized batches.
         placement_key: the identifier hashed into the secure routing
             and assignment digests; defaults to ``query_id``.  A
             standing query passes one key for every window so that —
@@ -85,14 +79,11 @@ class QuerySpec:
     kmeans_k: int = 3
     feature_columns: tuple[str, ...] = ()
     heartbeats: int = 5
-    engine: str = "row"
     placement_key: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("aggregate", "kmeans"):
             raise ValueError(f"unknown query kind {self.kind!r}")
-        if self.engine not in ("row", "columnar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.snapshot_cardinality <= 0:
             raise ValueError("snapshot_cardinality must be positive")
         if self.kind == "aggregate" and self.group_by is None:
@@ -320,7 +311,6 @@ class EdgeletPlanner:
             query_id=spec.query_id,
             metadata={
                 "kind": spec.kind,
-                "engine": spec.engine,
                 "strategy": "overcollection",
                 "overcollection": config.to_dict(),
                 "column_groups": [list(group) for group in column_groups],
@@ -431,7 +421,6 @@ class EdgeletPlanner:
             query_id=spec.query_id,
             metadata={
                 "kind": spec.kind,
-                "engine": spec.engine,
                 "strategy": "backup",
                 "backup_replicas": replicas,
                 "overcollection": OvercollectionConfig(

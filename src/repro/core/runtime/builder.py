@@ -18,7 +18,6 @@ from repro.core.runtime.context import ExecutionContext
 from repro.crypto.merkle import MerkleTree
 from repro.devices.edgelet import Edgelet
 from repro.network.messages import MessageKind
-from repro.query.columnar import ColumnBatch
 
 __all__ = ["BuilderRuntime", "commit_snapshot", "ship_partition"]
 
@@ -46,21 +45,11 @@ def ship_partition(
     changes sealed-envelope sizes and thereby latency draws — legacy
     runs must make byte-identical draws.
     """
-    batch = (
-        ColumnBatch.from_rows(rows, ctx.collected_columns)
-        if ctx.engine == "columnar"
-        else None
-    )
     for consumer in consumers:
         group = consumer.params.get("column_group") or ctx.collected_columns
-        if batch is not None:
-            # column-block projection; rows materialize only at the
-            # envelope boundary, value-identical to the dict walk
-            projected = batch.project(group).to_rows()
-        else:
-            projected = [
-                {column: row.get(column) for column in group} for row in rows
-            ]
+        projected = [
+            {column: row.get(column) for column in group} for row in rows
+        ]
         target = ctx.device_of(consumer)
         payload = {
             "op_id": consumer.op_id,

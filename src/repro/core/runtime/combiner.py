@@ -21,7 +21,6 @@ from repro.core.runtime.report import ExecutionError, KMeansOutcome
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, merge_knowledge
 from repro.network.messages import MessageKind
-from repro.query.columnar import merge_partials_columnar
 from repro.query.groupby import (
     GroupByQuery,
     GroupingSetsResult,
@@ -48,20 +47,12 @@ class CombinerState:
         n_groups: int,
         query: GroupByQuery | None,
         extrapolate: bool,
-        engine: str = "row",
     ):
         self.name = name
         self.config = config
         self.n_groups = n_groups
         self.query = query
         self.extrapolate = extrapolate
-        # "columnar" merges partials as column blocks (bit-identical
-        # results); the stored partials stay row-format PartialGroups
-        # either way — the dedup/fencing invariants introspect them
-        self.engine = engine
-        self._merge = (
-            merge_partials_columnar if engine == "columnar" else merge_partials
-        )
         self.partials: dict[tuple[int, int], PartialGroups] = {}
         self.knowledges: dict[int, CentroidKnowledge] = {}
         self.group_tallies = [PartitionTally(config) for _ in range(n_groups)]
@@ -144,7 +135,7 @@ class CombinerState:
                     for i in aggregate_indices_per_group[group_index]
                 ),
             )
-            merged = self._merge(
+            merged = merge_partials(
                 group_query,
                 (
                     self.partials[(p, g)]
@@ -189,7 +180,7 @@ class CombinerState:
                     for i in aggregate_indices_per_group[group_index]
                 ),
             )
-            merged = self._merge(
+            merged = merge_partials(
                 group_query,
                 (
                     self.partials[(p, g)]
@@ -302,7 +293,6 @@ class CombinerRuntime:
                 n_groups=len(ctx.column_groups),
                 query=ctx.query,
                 extrapolate=ctx.extrapolate_lost,
-                engine=ctx.engine,
             )
         self.stats_partials: dict[str, dict[int, PartialGroups]] = {
             name: {} for name in COMBINER_NAMES
@@ -485,10 +475,7 @@ class CombinerRuntime:
             partials = self.stats_partials[name]
             if not partials:
                 continue
-            merged = (
-                merge_partials_columnar if ctx.engine == "columnar"
-                else merge_partials
-            )(
+            merged = merge_partials(
                 ctx.stats_query,
                 (partials[key] for key in sorted(partials)),
             )

@@ -22,8 +22,8 @@ from repro.core.runtime.context import ExecutionContext
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, KMeansComputerState
 from repro.network.messages import MessageKind
-from repro.query.columnar import evaluate_group_by_columnar
-from repro.query.groupby import GroupByQuery, evaluate_group_by
+from repro.query.fold import fold_partition
+from repro.query.groupby import GroupByQuery
 
 __all__ = ["ComputerRuntime"]
 
@@ -108,14 +108,7 @@ class ComputerRuntime:
             aggregates=tuple(ctx.query.aggregates[i] for i in indices),
         )
         with ctx.prof_aggregate:
-            if ctx.engine == "columnar":
-                # vectorized fold over column blocks; the resulting
-                # PartialGroups is bit-identical to the row walk, so
-                # the sealed payload bytes (and the latency draws they
-                # feed) do not move
-                partial = evaluate_group_by_columnar(sub_query, rows)
-            else:
-                partial = evaluate_group_by(sub_query, rows)
+            partial = fold_partition(sub_query, rows)
         ctx.audit(device, computer.op_id, "partial", len(rows))
         latency = device.compute_latency(float(len(rows)))
         payload = {
@@ -303,7 +296,7 @@ class ComputerRuntime:
             point = np.asarray(features, dtype=float)
             distances = np.sum((centroids - point) ** 2, axis=1)
             labeled.append(dict(row, cluster=int(np.argmin(distances))))
-        partial = evaluate_group_by(ctx.stats_query, labeled)
+        partial = fold_partition(ctx.stats_query, labeled)
         ctx.audit(device, computer.op_id, "cluster_stats", len(labeled))
         latency = device.compute_latency(float(max(len(labeled), 1)))
 

@@ -161,10 +161,6 @@ class ExecutionContext:
 
         metadata = plan.metadata
         self.kind: str = metadata["kind"]
-        # operator engine: "row" (legacy dict walks) or "columnar"
-        # (numpy column blocks); absent in plans built before the knob
-        # existed, which therefore replay on the row engine
-        self.engine: str = metadata.get("engine") or "row"
         self.config = OvercollectionConfig.from_dict(metadata["overcollection"])
         self.column_groups: list[list[str]] = [
             list(group) for group in metadata["column_groups"]

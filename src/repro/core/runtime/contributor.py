@@ -14,7 +14,6 @@ from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.incremental import STAMP_BYTES
 from repro.core.runtime.report import ExecutionError
 from repro.network.messages import MessageKind
-from repro.query.columnar import scan_filter_project
 
 __all__ = ["ContributorRuntime"]
 
@@ -63,16 +62,7 @@ class ContributorRuntime:
         def fire() -> None:
             if not ctx.network.is_online(device.device_id):
                 return  # owner kept the device offline; no contribution
-            if ctx.engine == "columnar":
-                # vectorized scan/filter/project inside the TEE; rows
-                # materialize only here, at the envelope boundary, and
-                # are value-identical to the row engine's select
-                where = ctx.query.where if ctx.query is not None else None
-                rows = scan_filter_project(
-                    device.contribute(), where, ctx.collected_columns
-                )
-            else:
-                rows = device.contribute(predicate, ctx.collected_columns)
+            rows = device.contribute(predicate, ctx.collected_columns)
             if not rows:
                 return
             cache = ctx.contribution_cache

@@ -37,7 +37,8 @@ from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.report import ExecutionError
 from repro.devices.edgelet import Edgelet
 from repro.network.messages import MessageKind
-from repro.query.groupby import GroupByQuery, evaluate_group_by
+from repro.query.fold import fold_partition
+from repro.query.groupby import GroupByQuery
 
 __all__ = [
     "StrategyRuntime",
@@ -340,7 +341,7 @@ class BackupStrategy(StrategyRuntime):
             aggregates=tuple(ctx.query.aggregates[i] for i in indices),
         )
         with ctx.prof_aggregate:
-            partial = evaluate_group_by(sub_query, rows)
+            partial = fold_partition(sub_query, rows)
         # a replica's rank is its intrinsic promotion token: rank-N
         # takeover fires at generation N, so a legitimate duplicate fire
         # (lost "shipped" marker) is distinguishable from true

@@ -22,7 +22,7 @@ ExplainReport` audit trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.planner import (
@@ -205,7 +205,6 @@ def compile_query(
     substrate: SubstrateProfile | None = None,
     weights: CostWeights | None = None,
     placement_key: str | None = None,
-    engine: str | None = None,
     table: str = "health",
 ) -> CompiledQuery:
     """Compile any query form into an executable :class:`CompiledQuery`.
@@ -228,9 +227,6 @@ def compile_query(
             (enables advisory scoring of the pinned candidate).
         weights: cost-model weights (cost mode).
         placement_key: sticky-placement key forwarded to the spec.
-        engine: ``"row"`` or ``"columnar"`` operator engine forwarded
-            to the spec (``None`` keeps the spec's own engine, or the
-            row default).
         table: logical table name when ``source`` is a bare
             :class:`GroupByQuery`.
     """
@@ -249,8 +245,6 @@ def compile_query(
                 f"query_id {query_id!r} conflicts with the spec's "
                 f"{spec.query_id!r}"
             )
-        if engine is not None and engine != spec.engine:
-            spec = replace(spec, engine=engine)
         logical = _logical_for_spec(spec)
         traces: tuple = ()
     else:
@@ -274,7 +268,6 @@ def compile_query(
                 kmeans_k=cluster.k,
                 feature_columns=cluster.feature_columns,
                 heartbeats=cluster.heartbeats,
-                engine=engine or "row",
                 placement_key=placement_key,
             )
         else:
@@ -283,7 +276,6 @@ def compile_query(
                 kind="aggregate",
                 snapshot_cardinality=snapshot_cardinality,
                 group_by=logical.to_group_by(),
-                engine=engine or "row",
                 placement_key=placement_key,
             )
 

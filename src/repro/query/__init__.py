@@ -14,6 +14,9 @@ query needs:
   mergeable partial states (the algebraic core of Overcollection);
 * :mod:`repro.query.groupby` — GROUP BY and GROUPING SETS evaluation on
   top of the aggregates;
+* :mod:`repro.query.fold` — the fold entry point the role runtimes
+  call; picks the row kernel or the vectorized one
+  (:mod:`repro.query.columnar`) by partition size;
 * :mod:`repro.query.sql` — a small SQL dialect parser covering the demo
   queries (SELECT ... WHERE ... GROUP BY GROUPING SETS (...));
 * :mod:`repro.query.engine` — a centralized reference engine used for

@@ -1,42 +1,43 @@
-"""Columnar vectorized operator engine (``engine="columnar"``).
+"""The vectorized fold kernel: group-by/aggregate over numpy column blocks.
 
-The row engine walks Python dicts one row at a time; this module carries
-the same operators — scan, filter, project, group-by/aggregate, and an
-equi-join — over numpy-backed column blocks.  The contract is strict
-*bit-identity* with the row engine: every sealed payload a columnar run
-produces (contribution rows, partition projections, partial-state
-dicts) must serialize to the same bytes the row engine would have
-produced, because envelope sizes feed latency draws and the
+The row kernel (:func:`repro.query.groupby.evaluate_group_by`) walks
+Python dicts one row at a time; :func:`evaluate_group_by_columnar`
+computes the same fold over numpy-backed column blocks and is the
+cheaper of the two from a few dozen rows up.  Callers never choose:
+:func:`repro.query.fold.fold_partition` selects the kernel by partition
+size.  The contract is strict *bit-identity* with the row kernel: the
+:class:`~repro.query.groupby.PartialGroups` it returns must serialize
+to the same bytes, because envelope sizes feed latency draws and the
 ``report_fingerprint`` discipline hashes result values verbatim.
 
 The design choices below exist to honour that contract:
 
 * A :class:`ColumnBatch` holds **object-dtype** blocks retaining the
-  original Python values; float64 views are derived for compute only,
-  so materialized rows and JSON/Merkle bytes are exactly what the row
-  engine emits.
+  original Python values; float64 views are derived for compute only.
 * Per-group sums use ``np.add.at`` — the unbuffered ufunc applies
   updates sequentially in row order, which is bitwise-identical to the
-  row engine's ``total += float(value)`` fold (numpy's pairwise
+  row kernel's ``total += float(value)`` fold (numpy's pairwise
   ``np.sum``/``reduceat`` is not, and is therefore never used here).
 * Comparisons take the float64 fast path only when it is exact (no
   integers beyond 2**53 on either side); otherwise they fall back to
   element-wise Python semantics, matching ``repro.query.expressions``.
 * ``-0.0`` and NaN inputs route min/max folding through a sequential
   fallback, because ``np.minimum``/``np.maximum`` resolve sign-of-zero
-  ties and NaN propagation differently from the row engine's
+  ties and NaN propagation differently from the row kernel's
   first-wins ``<`` comparisons.
 
+Scan/filter/project, partition projection and partial merging have no
+vectorized form here: each was measured slower than its row form at
+every size the system produces (DESIGN.md, "Vectorized execution").
+
 Layering: numpy usage within ``repro.query`` is confined to this
-module (enforced by ``tools/check_layering.py``); orchestration layers
-select the engine through ``QuerySpec.engine``, never by importing
-this module directly.
+module, and only :mod:`repro.query.fold` imports it (both enforced by
+``tools/check_layering.py``).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -56,16 +57,16 @@ from repro.query.expressions import (
     OrExpr,
 )
 from repro.query.groupby import GroupByQuery, PartialGroups, _encode_group_key
+# benchmarks/perf/adapter.py (frozen) wraps ``merge_partials_columnar`` by
+# module attribute, so the name stays until a benchmark PR drops that target
+from repro.query.groupby import merge_partials as merge_partials_columnar
 from repro.query.sketches import _hash64
 
 __all__ = [
     "ColumnBatch",
-    "ColumnarGroups",
     "predicate_mask",
-    "scan_filter_project",
     "evaluate_group_by_columnar",
     "merge_partials_columnar",
-    "hash_join",
 ]
 
 Row = dict[str, Any]
@@ -114,26 +115,13 @@ class ColumnBatch:
         self._numeric: dict[str, np.ndarray] = {}
         self._compare_safe: dict[str, bool] = {}
 
-    def __len__(self) -> int:
-        return self.length
-
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[Row], columns: Sequence[str] | None = None
-    ) -> "ColumnBatch":
+    def from_rows(cls, rows: Sequence[Row], columns: Sequence[str]) -> "ColumnBatch":
         """Build a batch from row dicts (the scan operator).
 
-        ``columns`` fixes the block set and ordering; when omitted, the
-        union of row keys in first-appearance order is used.  Missing
-        values become ``None``, matching ``row.get``.
+        ``columns`` fixes the block set and ordering.  Missing values
+        become ``None``, matching ``row.get``.
         """
-        if columns is None:
-            seen: dict[str, None] = {}
-            for row in rows:
-                for name in row:
-                    if name not in seen:
-                        seen[name] = None
-            columns = list(seen)
         n = len(rows)
         data = {
             name: np.fromiter(
@@ -143,13 +131,8 @@ class ColumnBatch:
         }
         return cls(columns, data, n)
 
-    @classmethod
-    def from_relation(cls, relation: Any) -> "ColumnBatch":
-        """Scan a :class:`repro.query.relation.Relation` into a batch."""
-        return cls.from_rows(list(relation), relation.schema.column_names)
-
     def to_rows(self) -> list[Row]:
-        """Materialize row dicts (the envelope-boundary operation)."""
+        """Materialize row dicts (what a row-wise predicate fallback reads)."""
         arrays = [self._data[name] for name in self.columns]
         names = self.columns
         return [dict(zip(names, values)) for values in zip(*arrays)] if arrays else [
@@ -220,16 +203,6 @@ class ColumnBatch:
         """Rows where ``mask`` is True (the vectorized filter)."""
         data = {name: self._data[name][mask] for name in self._data}
         return ColumnBatch(self.columns, data, int(np.count_nonzero(mask)))
-
-    def project(self, columns: Sequence[str]) -> "ColumnBatch":
-        """Projection onto ``columns`` (absent columns become None)."""
-        data = {name: self.column(name) for name in columns}
-        return ColumnBatch(columns, data, self.length)
-
-    def take(self, indices: np.ndarray) -> "ColumnBatch":
-        """Gather rows by position (join building block)."""
-        data = {name: self._data[name][indices] for name in self._data}
-        return ColumnBatch(self.columns, data, len(indices))
 
 
 # -- vectorized predicates --------------------------------------------------
@@ -371,32 +344,6 @@ def predicate_mask(expr: Expression, batch: ColumnBatch) -> np.ndarray:
     if isinstance(expr, InExpr):
         return _in_mask(expr, batch)
     return _rowwise_mask(expr, batch)
-
-
-def scan_filter_project(
-    rows: Sequence[Row],
-    where: Expression | None,
-    columns: Sequence[str] | None,
-) -> list[Row]:
-    """The contributor's TEE-side pipeline, vectorized.
-
-    Value-identical to ``datastore.select(predicate, columns)``: rows
-    matching ``where`` (all rows when None), projected onto ``columns``
-    with absent columns as ``None``.
-    """
-    if columns is None:
-        batch = ColumnBatch.from_rows(rows)
-    else:
-        needed = list(columns)
-        if where is not None:
-            present = set(needed)
-            needed += [c for c in sorted(where.columns()) if c not in present]
-        batch = ColumnBatch.from_rows(rows, needed)
-    if where is not None:
-        batch = batch.filter(predicate_mask(where, batch))
-    if columns is not None:
-        batch = batch.project(columns)
-    return batch.to_rows()
 
 
 # -- vectorized group-by / aggregation --------------------------------------
@@ -738,301 +685,34 @@ class _AggColumn:
             state.buckets = self.buckets[group].tolist()
         return state
 
-    @classmethod
-    def from_states(
-        cls, spec: AggregateSpec, states: list[AggregateState]
-    ) -> "_AggColumn | None":
-        """Column blocks from row states; None when shapes surprise us."""
-        n_groups = len(states)
-        column = cls(spec, n_groups)
-        for group, state in enumerate(states):
-            column.counts[group] = state.count
-            column.totals[group] = state.total
-            column.total_sqs[group] = state.total_sq
-            column.minima[group] = state.minimum
-            column.maxima[group] = state.maximum
-            if spec.function == "distinct":
-                if state.registers is None or len(state.registers) != (
-                    1 << DISTINCT_PRECISION
-                ):
-                    return None
-                column.registers[group] = state.registers
-            elif state.registers is not None:
-                return None
-            if spec.function == "hist":
-                if state.buckets is None or len(state.buckets) != int(
-                    spec.params[2]
-                ):
-                    return None
-                column.buckets[group] = state.buckets
-            elif state.buckets is not None:
-                return None
-        return column
-
-    def merged_with(
-        self, other: "_AggColumn", left_index: np.ndarray, right_index: np.ndarray,
-        n_groups: int,
-    ) -> "_AggColumn":
-        """Merge two aligned columns (``merge_states`` vectorized).
-
-        ``left_index``/``right_index`` map each output group to its
-        source group, with -1 for "absent on that side".  Absent-on-one
-        -side groups are value-copies; present-on-both groups combine
-        exactly as ``AggregateState().merge(a).merge(b)`` does —
-        including the leading ``0.0 +`` on the running sums.
-        """
-        merged = _AggColumn(self.spec, n_groups)
-        left_has = left_index >= 0
-        right_has = right_index >= 0
-        both = left_has & right_has
-        left_only = left_has & ~right_has
-        right_only = right_has & ~left_has
-
-        def gather_int(array: np.ndarray, index: np.ndarray) -> np.ndarray:
-            return array[np.clip(index, 0, None)]
-
-        merged.counts[left_only] = gather_int(self.counts, left_index)[left_only]
-        merged.counts[right_only] = gather_int(other.counts, right_index)[right_only]
-        merged.counts[both] = (
-            gather_int(self.counts, left_index)[both]
-            + gather_int(other.counts, right_index)[both]
-        )
-        for field in ("totals", "total_sqs"):
-            mine = gather_int(getattr(self, field), left_index)
-            theirs = gather_int(getattr(other, field), right_index)
-            out = getattr(merged, field)
-            out[left_only] = mine[left_only]
-            out[right_only] = theirs[right_only]
-            out[both] = (0.0 + mine[both]) + theirs[both]
-
-        for group in range(n_groups):
-            li = int(left_index[group])
-            ri = int(right_index[group])
-            a_min = self.minima[li] if li >= 0 else None
-            b_min = other.minima[ri] if ri >= 0 else None
-            if a_min is None:
-                merged.minima[group] = b_min
-            elif b_min is None:
-                merged.minima[group] = a_min
-            else:
-                merged.minima[group] = b_min if b_min < a_min else a_min
-            a_max = self.maxima[li] if li >= 0 else None
-            b_max = other.maxima[ri] if ri >= 0 else None
-            if a_max is None:
-                merged.maxima[group] = b_max
-            elif b_max is None:
-                merged.maxima[group] = a_max
-            else:
-                merged.maxima[group] = b_max if b_max > a_max else a_max
-
-        if merged.registers is not None:
-            mine = self.registers[np.clip(left_index, 0, None)]
-            theirs = other.registers[np.clip(right_index, 0, None)]
-            mine[~left_has] = 0
-            theirs[~right_has] = 0
-            merged.registers = np.maximum(mine, theirs)
-        if merged.buckets is not None:
-            mine = self.buckets[np.clip(left_index, 0, None)]
-            theirs = other.buckets[np.clip(right_index, 0, None)]
-            mine[~left_has] = 0
-            theirs[~right_has] = 0
-            merged.buckets = mine + theirs
-        return merged
-
-
-class ColumnarGroups:
-    """Column-block grouped partial states (the Computer/Combiner unit).
-
-    Per grouping set: the encoded group keys (first-appearance order)
-    and one :class:`_AggColumn` per aggregate.  Round-trips losslessly
-    to/from :class:`~repro.query.groupby.PartialGroups`, so the wire
-    format — and therefore every sealed-envelope byte — is unchanged.
-    """
-
-    def __init__(
-        self,
-        query: GroupByQuery,
-        keys_per_set: list[list[str]],
-        columns_per_set: list[list[_AggColumn]],
-    ):
-        self.query = query
-        self.keys_per_set = keys_per_set
-        self.columns_per_set = columns_per_set
-
-    @classmethod
-    def from_batch(cls, query: GroupByQuery, batch: ColumnBatch) -> "ColumnarGroups":
-        """Vectorized fold of an (already filtered) batch."""
-        factorized: dict[str, tuple[np.ndarray, list[Any]]] = {}
-        keys_per_set: list[list[str]] = []
-        columns_per_set: list[list[_AggColumn]] = []
-        for grouping_set in query.grouping_sets:
-            codes, keys = _group_codes(batch, grouping_set, factorized)
-            if batch.length == 0:
-                keys, codes = [], codes[:0]
-            n_groups = len(keys)
-            columns = [_AggColumn(spec, n_groups) for spec in query.aggregates]
-            if n_groups:
-                index = _SegmentIndex.build(codes, n_groups)
-                for column in columns:
-                    column.fold(batch, codes, n_groups, index)
-            keys_per_set.append(keys)
-            columns_per_set.append(columns)
-        return cls(query, keys_per_set, columns_per_set)
-
-    @classmethod
-    def from_partials(
-        cls, query: GroupByQuery, partial: PartialGroups
-    ) -> "ColumnarGroups | None":
-        """Column blocks from a row-format partial.
-
-        Returns ``None`` when a state's shape contradicts the query's
-        specs (callers then fall back to the row merge).
-        """
-        keys_per_set: list[list[str]] = []
-        columns_per_set: list[list[_AggColumn]] = []
-        for per_set in partial.groups:
-            keys = list(per_set)
-            states_by_agg: list[list[AggregateState]] = [
-                [per_set[key][agg_index] for key in keys]
-                for agg_index in range(len(query.aggregates))
-            ]
-            columns = []
-            for spec, states in zip(query.aggregates, states_by_agg):
-                column = _AggColumn.from_states(spec, states)
-                if column is None:
-                    return None
-                columns.append(column)
-            keys_per_set.append(keys)
-            columns_per_set.append(columns)
-        return cls(query, keys_per_set, columns_per_set)
-
-    def to_partials(self) -> PartialGroups:
-        """Materialize the row wire format (lazy, at the envelope)."""
-        partial = PartialGroups(
-            n_sets=len(self.query.grouping_sets),
-            n_aggs=len(self.query.aggregates),
-        )
-        for set_index, keys in enumerate(self.keys_per_set):
-            columns = self.columns_per_set[set_index]
-            bucket = partial.groups[set_index]
-            for group, key in enumerate(keys):
-                bucket[key] = [column.state(group) for column in columns]
-        return partial
-
-    def merge(self, other: "ColumnarGroups") -> "ColumnarGroups":
-        """Combine two partials — the Combiner's merge, vectorized."""
-        keys_per_set: list[list[str]] = []
-        columns_per_set: list[list[_AggColumn]] = []
-        for set_index, left_keys in enumerate(self.keys_per_set):
-            right_keys = other.keys_per_set[set_index]
-            merged_keys = list(left_keys)
-            position = {key: i for i, key in enumerate(merged_keys)}
-            for key in right_keys:
-                if key not in position:
-                    position[key] = len(merged_keys)
-                    merged_keys.append(key)
-            n_groups = len(merged_keys)
-            left_index = np.full(n_groups, -1, dtype=np.int64)
-            right_index = np.full(n_groups, -1, dtype=np.int64)
-            for i, key in enumerate(left_keys):
-                left_index[position[key]] = i
-            for i, key in enumerate(right_keys):
-                right_index[position[key]] = i
-            columns = [
-                mine.merged_with(theirs, left_index, right_index, n_groups)
-                for mine, theirs in zip(
-                    self.columns_per_set[set_index],
-                    other.columns_per_set[set_index],
-                )
-            ]
-            keys_per_set.append(merged_keys)
-            columns_per_set.append(columns)
-        return ColumnarGroups(self.query, keys_per_set, columns_per_set)
-
 
 def evaluate_group_by_columnar(
-    query: GroupByQuery, rows: Sequence[Row] | ColumnBatch
+    query: GroupByQuery, rows: Sequence[Row]
 ) -> PartialGroups:
-    """Columnar twin of :func:`repro.query.groupby.evaluate_group_by`.
+    """Vectorized twin of :func:`repro.query.groupby.evaluate_group_by`.
 
-    Accepts row dicts (scanned into a batch) or an existing batch;
-    returns a bit-identical :class:`PartialGroups`.
+    Scans the row dicts into a batch, applies ``query.where``, folds
+    every grouping set, and returns a bit-identical
+    :class:`PartialGroups` (groups in first-appearance order).
     """
-    if isinstance(rows, ColumnBatch):
-        batch = rows
-    else:
-        batch = ColumnBatch.from_rows(rows, query.input_columns())
+    batch = ColumnBatch.from_rows(rows, query.input_columns())
     if query.where is not None:
         batch = batch.filter(predicate_mask(query.where, batch))
-    return ColumnarGroups.from_batch(query, batch).to_partials()
+    partial = PartialGroups(
+        n_sets=len(query.grouping_sets), n_aggs=len(query.aggregates)
+    )
+    if batch.length == 0:
+        return partial
+    factorized: dict[str, tuple[np.ndarray, list[Any]]] = {}
+    for set_index, grouping_set in enumerate(query.grouping_sets):
+        codes, keys = _group_codes(batch, grouping_set, factorized)
+        n_groups = len(keys)
+        index = _SegmentIndex.build(codes, n_groups)
+        columns = [_AggColumn(spec, n_groups) for spec in query.aggregates]
+        for column in columns:
+            column.fold(batch, codes, n_groups, index)
+        bucket = partial.groups[set_index]
+        for group, key in enumerate(keys):
+            bucket[key] = [column.state(group) for column in columns]
+    return partial
 
-
-def merge_partials_columnar(
-    query: GroupByQuery, partials: Iterable[PartialGroups]
-) -> PartialGroups:
-    """Columnar twin of :func:`repro.query.groupby.merge_partials`.
-
-    Falls back to the row merge when a partial's state shapes don't
-    match the query (never the case for engine-produced partials).
-    """
-    from repro.query.groupby import merge_partials
-
-    partials = list(partials)
-    merged: ColumnarGroups | None = None
-    for index, partial in enumerate(partials):
-        block = ColumnarGroups.from_partials(query, partial)
-        if block is None:
-            return merge_partials(query, partials)
-        merged = block if merged is None else merged.merge(block)
-    if merged is None:
-        return PartialGroups(
-            n_sets=len(query.grouping_sets), n_aggs=len(query.aggregates)
-        )
-    return merged.to_partials()
-
-
-# -- equi-join ---------------------------------------------------------------
-
-
-def hash_join(
-    left: ColumnBatch, right: ColumnBatch, on: Sequence[str]
-) -> ColumnBatch:
-    """Vectorized inner equi-join on the ``on`` columns.
-
-    Matching follows Python equality (``5`` joins ``5.0``); rows with a
-    ``None`` key value never join (SQL NULL semantics).  Output order
-    is left-row order, matches in right-row order; output columns are
-    the left columns followed by the right's non-key, non-duplicate
-    columns — exactly :meth:`repro.query.relation.Relation.join`.
-    """
-    on = list(on)
-    table: dict[tuple, list[int]] = {}
-    right_blocks = [right.column(name) for name in on]
-    right_nulls = [right.null_mask(name) for name in on]
-    for index in range(right.length):
-        if any(null[index] for null in right_nulls):
-            continue
-        key = tuple(block[index] for block in right_blocks)
-        table.setdefault(key, []).append(index)
-    left_blocks = [left.column(name) for name in on]
-    left_nulls = [left.null_mask(name) for name in on]
-    left_take: list[int] = []
-    right_take: list[int] = []
-    for index in range(left.length):
-        if any(null[index] for null in left_nulls):
-            continue
-        matches = table.get(tuple(block[index] for block in left_blocks))
-        if not matches:
-            continue
-        left_take.extend([index] * len(matches))
-        right_take.extend(matches)
-    left_idx = np.array(left_take, dtype=np.int64)
-    right_idx = np.array(right_take, dtype=np.int64)
-    columns = list(left.columns)
-    data = {name: left.column(name)[left_idx] for name in left.columns}
-    for name in right.columns:
-        if name in on or name in data:
-            continue
-        columns.append(name)
-        data[name] = right.column(name)[right_idx]
-    return ColumnBatch(columns, data, len(left_idx))

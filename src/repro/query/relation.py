@@ -111,9 +111,7 @@ class Relation:
         value never join (SQL NULL semantics).  Output order is this
         relation's row order, matches in ``other``'s row order; the
         joined schema is this relation's columns followed by the
-        other's non-key, non-duplicate columns.  The columnar engine's
-        :func:`repro.query.columnar.hash_join` is differential-tested
-        against this reference.
+        other's non-key, non-duplicate columns.
         """
         on = list(on)
         if not on:

@@ -327,7 +327,6 @@ class WorkloadEngine:
                 target_success=self.spec.target_success,
                 strategy=strategy,
             ),
-            engine=self.spec.engine,
         )
 
     def _launch(self, record: QueryRecord) -> None:

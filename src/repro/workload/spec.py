@@ -73,9 +73,6 @@ class WorkloadSpec:
         deadline: per-query deadline.
         reliability: run every query over its own ACK/retransmission
             transport plus the recovery watchdogs.
-        engine: operator engine every query executes under — ``"row"``
-            (tuple-at-a-time walk) or ``"columnar"`` (vectorized column
-            blocks); both produce byte-identical reports.
         sql: the grouping-sets aggregate every query computes (kept
             identical across queries so serial-equivalence comparisons
             isolate *scheduling* effects, not query mix).
@@ -96,7 +93,6 @@ class WorkloadSpec:
     collection_window: float = 5.0
     deadline: float = 12.0
     reliability: bool = False
-    engine: str = "row"
     sql: str = (
         "SELECT count(*), avg(age) FROM health "
         "GROUP BY GROUPING SETS ((region), ())"
@@ -123,8 +119,6 @@ class WorkloadSpec:
             raise ValueError("collection_window and deadline must be positive")
         if self.deadline <= self.collection_window:
             raise ValueError("deadline must exceed the collection window")
-        if self.engine not in ("row", "columnar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
     def arrivals(self) -> list[QueryArrival]:
         """Expand into the deterministic arrival sequence.

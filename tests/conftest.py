@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.planner import (
@@ -14,6 +16,7 @@ from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
+from repro.query import fold
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import GroupByQuery
 from repro.query.relation import Relation
@@ -74,64 +77,26 @@ def planner() -> EdgeletPlanner:
     )
 
 
-@pytest.fixture(params=["row", "columnar"])
-def both_engines(request) -> str:
-    """Parametrizes a test over both operator engines.
+#: Test-only override of the fold-kernel selection: the partition size
+#: at which :func:`repro.query.fold.fold_partition` switches kernels.
+#: ``row`` never reaches it, ``vector`` always does, ``auto`` is the
+#: committed constant.  There is no user-facing switch.
+FOLD_KERNEL_THRESHOLDS = {
+    "row": sys.maxsize,
+    "vector": 0,
+    "auto": fold.VECTOR_FOLD_MIN_ROWS,
+}
 
-    Any test taking this fixture runs twice — once per engine — so
-    engine-conditional code paths get identical coverage.
+
+@pytest.fixture(params=list(FOLD_KERNEL_THRESHOLDS))
+def fold_kernel(request, monkeypatch) -> str:
+    """Parametrizes a test over the three fold-kernel legs.
+
+    Any test taking this fixture runs three times — forced row kernel,
+    forced vectorized kernel, size-selected — and every fingerprint it
+    computes must come out byte-identical in all three.
     """
+    monkeypatch.setattr(
+        fold, "VECTOR_FOLD_MIN_ROWS", FOLD_KERNEL_THRESHOLDS[request.param]
+    )
     return request.param
-
-
-@pytest.fixture
-def fingerprint_pair():
-    """Run one seeded scenario under both engines; return both
-    report fingerprints.
-
-    The scenario tag must be pinned explicitly: device identities (and
-    the keys, hash placements, and jitter streams derived from them)
-    are a function of ``(scenario_tag, seed)``, and the auto-numbered
-    tag would give the second run a *different* swarm.
-    """
-    from repro.manager.scenario import Scenario, ScenarioConfig
-    from repro.plan.compile import compile_query
-    from repro.telemetry import Telemetry
-    from repro.workload.fingerprint import report_fingerprint
-
-    def pair(
-        sql: str,
-        *,
-        seed: int = 3,
-        tag: str = "diffpair",
-        n_contributors: int = 20,
-        n_processors: int = 24,
-        n_rows: int = 80,
-        cardinality: int = 60,
-        secure_channels: bool = True,
-        **compile_kwargs,
-    ) -> tuple[str, str]:
-        def run(engine: str) -> str:
-            config = ScenarioConfig(
-                n_contributors=n_contributors,
-                n_processors=n_processors,
-                rows=generate_health_rows(n_rows, seed=seed),
-                schema=HEALTH_SCHEMA,
-                device_mix=(1.0, 0.0, 0.0),
-                seed=seed,
-                secure_channels=secure_channels,
-                scenario_tag=f"{tag}{seed}",
-            )
-            scenario = Scenario(config, telemetry=Telemetry())
-            compiled = compile_query(
-                sql,
-                query_id=f"{tag}-q",
-                snapshot_cardinality=cardinality,
-                engine=engine,
-                **compile_kwargs,
-            )
-            return report_fingerprint(scenario.run_compiled(compiled).report)
-
-        return run("row"), run("columnar")
-
-    return pair

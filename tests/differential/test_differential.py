@@ -1,5 +1,9 @@
-"""Differential harness: the columnar engine must be *byte-identical*
-to the row engine on full executions.
+"""Differential harness: full executions must be *byte-identical*
+whichever kernel :func:`repro.query.fold.fold_partition` runs.
+
+Every case executes three times — row kernel forced, vectorized kernel
+forced, size-selected (the committed threshold) — by overriding the
+threshold constant, a test-only hook (``tests/conftest.py``).
 
 Equality is asserted on canonical fingerprints — SHA-256 over the
 canonical JSON of an :class:`ExecutionReport` (results, traces,
@@ -8,10 +12,10 @@ lineage.  A fingerprint match therefore proves not just equal result
 rows but equal float bit patterns, equal envelope payload bytes, and
 equal latency draws end to end.
 
-Both runs of each pair pin the same ``scenario_tag``: device
-identities (keys, hash placements, jitter streams) are a function of
-``(scenario_tag, seed)``, and the auto-numbered tag would hand the
-second run a different swarm.
+All legs of a case pin the same ``scenario_tag``: device identities
+(keys, hash placements, jitter streams) are a function of
+``(scenario_tag, seed)``, and the auto-numbered tag would hand each
+leg a different swarm.
 """
 
 from __future__ import annotations
@@ -19,9 +23,18 @@ from __future__ import annotations
 import pytest
 
 from repro.continuous import ContinuousEngine, StandingQuerySpec
+from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.devices.churn import ChurnSpec
+from repro.plan.builder import scan
+from repro.query import fold
 from repro.telemetry import Telemetry
 from repro.workload import WorkloadEngine, WorkloadSpec
+from repro.workload.fingerprint import report_fingerprint
+from tests.differential.harness import (
+    assert_identical_under_every_kernel,
+    scenario_fingerprint,
+    scenario_report,
+)
 
 #: Five seeded scenarios spanning the operator surface: plain
 #: aggregates, WHERE filters, every aggregate function, grouping
@@ -64,38 +77,108 @@ SCENARIOS = [
 
 
 class TestScenarioDifferential:
-    """Fixed-seed single-query scenarios, row vs columnar."""
+    """Fixed-seed single-query scenarios under every fold kernel."""
 
     @pytest.mark.parametrize("sql, seed", SCENARIOS)
     def test_report_fingerprints_are_byte_identical(
-        self, fingerprint_pair, sql, seed
+        self, monkeypatch, sql, seed
     ):
-        row_fp, columnar_fp = fingerprint_pair(sql, seed=seed, tag="dif")
-        assert row_fp == columnar_fp
+        assert_identical_under_every_kernel(
+            monkeypatch, lambda: scenario_fingerprint(sql, seed=seed, tag="dif")
+        )
 
     @pytest.mark.parametrize("strategy", ["overcollection", "backup"])
-    def test_both_strategies_agree_across_engines(
-        self, fingerprint_pair, strategy
-    ):
-        from repro.core.planner import ResiliencyParameters
-
+    def test_both_strategies_agree_across_kernels(self, monkeypatch, strategy):
+        """Backup Computers (rank 0 and takeover replicas alike) fold in
+        ``StrategyRuntime._fire_computer``, a site the old engine knob
+        never reached."""
         sql = (
             "SELECT count(*), avg(age), distinct(region) FROM health "
             "WHERE age > 50 GROUP BY GROUPING SETS ((region), ())"
         )
-        row_fp, columnar_fp = fingerprint_pair(
-            sql,
-            seed=5,
-            tag=f"dif-{strategy}",
-            resiliency=ResiliencyParameters(fault_rate=0.1, strategy=strategy),
+        assert_identical_under_every_kernel(
+            monkeypatch,
+            lambda: scenario_fingerprint(
+                sql,
+                seed=5,
+                tag=f"dif-{strategy}",
+                resiliency=ResiliencyParameters(
+                    fault_rate=0.1, strategy=strategy
+                ),
+            ),
         )
-        assert row_fp == columnar_fp
+
+    @pytest.mark.parametrize(
+        "max_raw, expected_kernel", [(6, "row"), (200, "vector")]
+    )
+    def test_partitions_on_both_sides_of_the_threshold(
+        self, monkeypatch, max_raw, expected_kernel
+    ):
+        """A few-rows-per-Computer run and a one-big-partition run: the
+        size-selected leg takes a different branch in each."""
+        sql = (
+            "SELECT count(*), avg(age), var(bmi) FROM health "
+            "GROUP BY GROUPING SETS ((region), (smoker), ())"
+        )
+        used: set[str] = set()
+
+        def spy(name: str) -> None:
+            kernel = getattr(fold, name)
+
+            def spied(query, rows):
+                used.add(name)
+                return kernel(query, rows)
+
+            monkeypatch.setattr(fold, name, spied)
+
+        spy("evaluate_group_by")
+        spy("evaluate_group_by_columnar")
+
+        def run() -> str:
+            used.clear()
+            return scenario_fingerprint(
+                sql,
+                seed=19,
+                tag=f"dif-raw{max_raw}",
+                n_rows=200,
+                cardinality=160,
+                privacy=PrivacyParameters(max_raw_per_edgelet=max_raw),
+            )
+
+        assert_identical_under_every_kernel(monkeypatch, run)
+        # the last leg run is the size-selected one
+        assert used == {
+            "row": {"evaluate_group_by"},
+            "vector": {"evaluate_group_by_columnar"},
+        }[expected_kernel]
+
+    def test_kmeans_cluster_statistics_agree_across_kernels(self, monkeypatch):
+        """Demo query (ii): the per-cluster Group By each Computer folds
+        after the final centroids arrive — the other site the old
+        engine knob never reached."""
+        query = (
+            scan("health")
+            .cluster(k=2, features=("bmi", "systolic_bp", "glucose"), heartbeats=3)
+            .aggregate(("count", None), ("avg", "age"), ("max", "dependency_level"))
+        )
+
+        def run() -> str:
+            report = scenario_report(
+                query,
+                seed=6,
+                tag="dif-km",
+                privacy=PrivacyParameters(max_raw_per_edgelet=30),
+            )
+            assert report.kmeans.cluster_stats is not None
+            return report_fingerprint(report)
+
+        assert_identical_under_every_kernel(monkeypatch, run)
 
 
 class TestWorkloadDifferential:
-    """25 concurrent queries over one shared swarm, row vs columnar."""
+    """25 concurrent queries over one shared swarm, every fold kernel."""
 
-    def _fingerprints(self, engine: str) -> dict[str, str]:
+    def _fingerprints(self) -> dict[str, str]:
         spec = WorkloadSpec(
             n_queries=25,
             arrival_process="closed",
@@ -103,7 +186,6 @@ class TestWorkloadDifferential:
             max_concurrent=25,
             queue_capacity=0,
             seed=21,
-            engine=engine,
             sql=(
                 "SELECT count(*), avg(age), hist(bmi, 10, 40, 6) "
                 "FROM health GROUP BY GROUPING SETS ((region), ())"
@@ -116,19 +198,18 @@ class TestWorkloadDifferential:
         assert len(fingerprints) == 25, "every arrival must complete"
         return fingerprints
 
-    def test_per_query_fingerprints_are_byte_identical(self):
-        assert self._fingerprints("row") == self._fingerprints("columnar")
+    def test_per_query_fingerprints_are_byte_identical(self, monkeypatch):
+        assert_identical_under_every_kernel(monkeypatch, self._fingerprints)
 
 
 class TestContinuousDifferential:
-    """A 20-window standing query under churn, row vs columnar."""
+    """A 20-window standing query under churn, every fold kernel."""
 
-    def _fingerprints(self, engine: str) -> dict[str, str]:
+    def _fingerprints(self) -> dict[str, str]:
         spec = StandingQuerySpec(
             name="difsoak",
             max_windows=20,
             seed=9,
-            engine=engine,
             snapshot_cardinality=96,
         )
         churn = ChurnSpec(
@@ -147,5 +228,5 @@ class TestContinuousDifferential:
         assert len(fingerprints) >= 18, "churn soak must complete windows"
         return fingerprints
 
-    def test_window_lineage_fingerprints_are_byte_identical(self):
-        assert self._fingerprints("row") == self._fingerprints("columnar")
+    def test_window_lineage_fingerprints_are_byte_identical(self, monkeypatch):
+        assert_identical_under_every_kernel(monkeypatch, self._fingerprints)

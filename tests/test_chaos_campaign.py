@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.chaos import (
     CampaignConfig,
     ReproArtifact,
@@ -114,6 +116,23 @@ class TestRunDeterminism:
             del data[field]
         legacy = RunSpec.from_dict(json.loads(json.dumps(data)))
         assert _result_fingerprint(run_single(legacy)) == _result_fingerprint(
+            run_single(spec)
+        )
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_artifact_with_the_removed_engine_key_replays_identically(
+        self, engine
+    ):
+        # artifacts written while RunSpec carried an ``engine`` field:
+        # the key is ignored on load, never written back, and the replay
+        # is the same run (the two engines were byte-identical)
+        spec = RunSpec(seed=21, tag="engine-art", message_loss=0.2)
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert "engine" not in data
+        data["engine"] = engine
+        old = RunSpec.from_dict(data)
+        assert "engine" not in old.to_dict()
+        assert _result_fingerprint(run_single(old)) == _result_fingerprint(
             run_single(spec)
         )
 

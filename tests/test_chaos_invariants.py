@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.chaos.invariants import (
     RunRecord,
     check_crowd_liability,
@@ -223,42 +225,44 @@ class TestOnRealRuns:
         assert check_combiner_dedup(record) is None
 
 
-class TestColumnarEngineLegs:
-    """The chaos surface re-run under the columnar operator engine.
+#: the legs that used to run under ``engine="columnar"`` only
+vector_kernel = pytest.mark.parametrize("fold_kernel", ["vector"], indirect=True)
+
+
+class TestFoldKernelLegs:
+    """The chaos surface re-run under each fold kernel.
 
     Resilience machinery (dedup, takeover, corruption drops, churn)
-    must behave identically whichever engine folds the tuples — the
-    engine changes *how* partials are computed, never *what* ships.
+    must behave identically whichever kernel folds the tuples — the
+    kernel changes *how* partials are computed, never *what* ships.
     """
 
-    def test_benign_runs_hold_every_invariant(self, both_engines):
+    def test_benign_runs_hold_every_invariant(self, fold_kernel):
         from repro.chaos.campaign import RunSpec, run_single
 
         for strategy in ("overcollection", "backup"):
             outcome = run_single(
-                RunSpec(
-                    seed=3,
-                    tag=f"inv-{strategy}",
-                    strategy=strategy,
-                    engine=both_engines,
-                )
+                RunSpec(seed=3, tag=f"inv-{strategy}", strategy=strategy)
             )
             assert outcome.result.report.success
             assert outcome.violations == []
 
-    def test_columnar_run_matches_row_run_bit_for_bit(self):
+    def test_run_is_bit_for_bit_identical_under_every_kernel(self, monkeypatch):
         from repro.chaos.campaign import RunSpec, run_single
         from repro.workload.fingerprint import report_fingerprint
-
-        row = run_single(RunSpec(seed=6, tag="inv-eng"))
-        columnar = run_single(
-            RunSpec(seed=6, tag="inv-eng", engine="columnar")
-        )
-        assert report_fingerprint(columnar.result.report) == (
-            report_fingerprint(row.result.report)
+        from tests.differential.harness import (
+            assert_identical_under_every_kernel,
         )
 
-    def test_seeded_campaign_under_columnar(self):
+        assert_identical_under_every_kernel(
+            monkeypatch,
+            lambda: report_fingerprint(
+                run_single(RunSpec(seed=6, tag="inv-eng")).result.report
+            ),
+        )
+
+    @vector_kernel
+    def test_seeded_campaign_under_the_vector_kernel(self, fold_kernel):
         from repro.chaos.campaign import CampaignConfig, run_campaign
         from repro.telemetry import Telemetry
 
@@ -267,14 +271,13 @@ class TestColumnarEngineLegs:
             runs=4,
             strategies=("overcollection", "backup"),
             crash_probabilities=(0.0, 0.002),
-            engine="columnar",
         )
         result = run_campaign(config, telemetry=Telemetry())
         assert len(result.outcomes) == 4
-        assert all(o.spec.engine == "columnar" for o in result.outcomes)
         assert result.ok
 
-    def test_eight_window_churn_soak_under_columnar(self):
+    @vector_kernel
+    def test_eight_window_churn_soak_under_the_vector_kernel(self, fold_kernel):
         from repro.chaos.continuous import ContinuousChaosConfig, run_soak
         from repro.continuous import StandingQuerySpec
         from repro.devices.churn import ChurnSpec
@@ -284,7 +287,6 @@ class TestColumnarEngineLegs:
             name="colsoak",
             max_windows=8,
             seed=23,
-            engine="columnar",
             snapshot_cardinality=96,
         )
         config = ContinuousChaosConfig(
@@ -298,9 +300,10 @@ class TestColumnarEngineLegs:
         assert len(outcome.windows) == 8
         assert outcome.violations == []
 
-    def test_corruption_drop_telemetry_still_fires(self):
-        """Tampered sealed envelopes are rejected and *counted* when the
-        columnar engine materializes the partition rows."""
+    @vector_kernel
+    def test_corruption_drop_telemetry_still_fires(self, fold_kernel):
+        """Tampered sealed envelopes are rejected and *counted* before
+        any kernel sees the partition rows."""
         from repro.chaos.campaign import RunSpec, run_single
         from repro.network.faults import FaultSpec
 
@@ -309,7 +312,6 @@ class TestColumnarEngineLegs:
                 seed=8,
                 tag="inv-corrupt",
                 secure_channels=True,
-                engine="columnar",
                 fault_specs=(
                     FaultSpec(kinds=("partition",), corrupt_probability=1.0),
                 ),

@@ -29,6 +29,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--strategy", "quorum"])
 
+    @pytest.mark.parametrize(
+        "command", ["plan", "run", "explain", "workload", "continuous", "chaos"]
+    )
+    def test_engine_flag_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "row"])
+
 
 class TestCommands:
     def test_resiliency_table(self, capsys):

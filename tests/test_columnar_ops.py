@@ -1,15 +1,14 @@
-"""Operator-level equivalence of the columnar engine vs the row engine.
+"""Operator-level equivalence of the vectorized fold kernel vs the row kernel.
 
-Hypothesis drives both engines with adversarial inputs — nulls, mixed
+Hypothesis drives both kernels with adversarial inputs — nulls, mixed
 types, signed zeros, NaN, integers past 2**53, huge float magnitudes,
 empty batches — and asserts *serialized* equality: the JSON encoding
 of a partial state is what rides a sealed envelope, so two states are
 interchangeable only if their JSON bytes match (float bit patterns
 included).
 
-The merge-algebra block mirrors ``test_property_aggregates.py``: the
-columnar merge must behave like the same commutative monoid element as
-the row merge, because combiners receive partials in arbitrary order.
+The boundary block drives :func:`repro.query.fold.fold_partition` — the
+one kernel-selection site — one row either side of its threshold.
 """
 
 from __future__ import annotations
@@ -22,23 +21,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.query.aggregates import AggregateSpec
+from repro.query import fold
 from repro.query.columnar import (
     ColumnBatch,
     evaluate_group_by_columnar,
-    hash_join,
-    merge_partials_columnar,
     predicate_mask,
-    scan_filter_project,
 )
+from repro.query.fold import VECTOR_FOLD_MIN_ROWS, fold_partition
 from repro.query.groupby import (
     GroupByQuery,
     PartialGroups,
     evaluate_group_by,
-    finalize_partials,
     merge_partials,
 )
-from repro.query.relation import Relation
-from repro.query.schema import Column, ColumnType, Schema
 
 from tests.differential.strategies import (
     COLUMNS,
@@ -75,21 +70,6 @@ class TestPredicateEquivalence:
         batch = ColumnBatch.from_rows(data, sorted(set(COLUMNS) | expr.columns()))
         mask = predicate_mask(expr, batch)
         assert mask.tolist() == [bool(expr.evaluate(row)) for row in data]
-
-    @PROPERTY_SETTINGS
-    @given(data=rows(), expr=equality_predicates())
-    def test_scan_filter_project_matches_row_select(self, data, expr):
-        columns = list(COLUMNS[:2])
-        vectorized = scan_filter_project(data, expr, columns)
-        reference = [
-            {name: row.get(name) for name in columns}
-            for row in data
-            if expr.evaluate(row)
-        ]
-        assert vectorized == reference
-        for got, want in zip(vectorized, reference):
-            for name in columns:
-                assert type(got[name]) is type(want[name])
 
 
 class TestGroupByEquivalence:
@@ -176,9 +156,9 @@ class TestSummationOrder:
         )
 
 
-class TestMergeAlgebra:
-    """Columnar merges mirror the row monoid (cf.
-    ``test_property_aggregates.py``)."""
+class TestMergeAcrossKernels:
+    """A combiner merges whatever partials arrive; which kernel folded
+    them must not show in the merged bytes."""
 
     QUERY = GroupByQuery(
         (("a",), ()),
@@ -193,7 +173,7 @@ class TestMergeAlgebra:
         ),
     )
 
-    def _partials(self, seed: int, engine_eval) -> list[PartialGroups]:
+    def _partials(self, seed: int, kernel) -> list[PartialGroups]:
         rng = random.Random(seed)
         partials = []
         for _ in range(rng.randint(1, 5)):
@@ -205,127 +185,55 @@ class TestMergeAlgebra:
                 }
                 for _ in range(rng.randint(0, 30))
             ]
-            partials.append(engine_eval(self.QUERY, data))
+            partials.append(kernel(self.QUERY, data))
         return partials
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_columnar_merge_matches_row_merge(self, seed):
+    def test_vector_folded_partials_merge_like_row_folded(self, seed):
         row_merge = merge_partials(
             self.QUERY, self._partials(seed, evaluate_group_by)
         )
-        columnar_merge = merge_partials_columnar(
+        vector_merge = merge_partials(
             self.QUERY, self._partials(seed, evaluate_group_by_columnar)
         )
-        assert _dumps(columnar_merge) == _dumps(row_merge)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_merge_order_insensitive_after_finalize(self, seed):
-        """Shuffle invariance holds exactly for counts/min/max/distinct
-        /hist and to round-off for float sums — the same contract the
-        row monoid gives (cf. test_merge_partials_shuffle_invariant).
-        The byte-identity contract is engine-vs-engine at equal order,
-        not order-vs-order."""
-        partials = self._partials(seed, evaluate_group_by_columnar)
-        shuffled = list(partials)
-        random.Random(seed + 1).shuffle(shuffled)
-        forward = finalize_partials(
-            self.QUERY, merge_partials_columnar(self.QUERY, partials)
-        )
-        backward = finalize_partials(
-            self.QUERY, merge_partials_columnar(self.QUERY, shuffled)
-        )
-        # row-engine merges of the same two orders bracket the same drift
-        row_backward = finalize_partials(
-            self.QUERY,
-            merge_partials(
-                self.QUERY,
-                [
-                    PartialGroups.from_dict(p.to_dict())
-                    for p in shuffled
-                ],
-            ),
-        )
-        assert backward == row_backward
-        for fwd_rows, bwd_rows in zip(
-            forward.per_set_rows, backward.per_set_rows
-        ):
-            keyed = {
-                row.get("a"): row for row in bwd_rows
-            }
-            for row in fwd_rows:
-                other = keyed[row.get("a")]
-                for name, value in row.items():
-                    if isinstance(value, float):
-                        assert value == pytest.approx(
-                            other[name], rel=1e-9, abs=1e-9
-                        )
-                    else:
-                        assert value == other[name]
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_cross_engine_partials_merge_identically(self, seed):
-        """A combiner may merge partials produced by either engine
-        (mixed fleets mid-rollout): row-produced states fed to the
-        columnar merge must land on the same bytes."""
-        row_parts = self._partials(seed, evaluate_group_by)
-        assert _dumps(
-            merge_partials_columnar(self.QUERY, row_parts)
-        ) == _dumps(merge_partials(self.QUERY, row_parts))
+        assert _dumps(vector_merge) == _dumps(row_merge)
 
 
-class TestHashJoin:
-    SCHEMA_L = Schema.of(
-        Column("k", ColumnType.INT),
-        Column("a", ColumnType.FLOAT),
-    )
-    SCHEMA_R = Schema.of(
-        Column("k", ColumnType.INT),
-        Column("b", ColumnType.TEXT),
+class TestKernelSelectionBoundary:
+    """``fold_partition`` one row below, at, and one row above the
+    threshold: the kernel changes, the bytes do not."""
+
+    SIZES = (
+        VECTOR_FOLD_MIN_ROWS - 1,
+        VECTOR_FOLD_MIN_ROWS,
+        VECTOR_FOLD_MIN_ROWS + 1,
     )
 
-    def _relations(self, seed: int) -> tuple[Relation, Relation]:
-        rng = random.Random(seed)
-        left = [
-            {
-                "k": None if rng.random() < 0.2 else rng.randint(0, 6),
-                "a": rng.uniform(-5, 5),
-            }
-            for _ in range(rng.randint(0, 25))
-        ]
-        right = [
-            {
-                "k": None if rng.random() < 0.2 else rng.randint(0, 6),
-                "b": rng.choice("uvw"),
-            }
-            for _ in range(rng.randint(0, 25))
-        ]
-        return Relation(self.SCHEMA_L, left), Relation(self.SCHEMA_R, right)
+    @PROPERTY_SETTINGS
+    @given(
+        data=rows(
+            cells=numeric_scalars,
+            min_size=VECTOR_FOLD_MIN_ROWS + 1,
+            max_size=VECTOR_FOLD_MIN_ROWS + 1,
+        ),
+        query=group_by_queries(with_where=True),
+    )
+    def test_partial_bytes_equal_across_the_threshold(self, data, query):
+        for size in self.SIZES:
+            partition = data[:size]
+            assert _dumps(fold_partition(query, partition)) == _dumps(
+                evaluate_group_by(query, partition)
+            )
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_relation_join(self, seed):
-        left, right = self._relations(seed)
-        reference = left.join(right, on=["k"]).rows
-        vectorized = hash_join(
-            ColumnBatch.from_relation(left),
-            ColumnBatch.from_relation(right),
-            on=["k"],
-        ).to_rows()
-        # Relation.join conforms rows to schema order; compare values
-        assert [
-            {name: row.get(name) for name in ("k", "a", "b")}
-            for row in vectorized
-        ] == [
-            {name: row.get(name) for name in ("k", "a", "b")}
-            for row in reference
-        ]
-
-    def test_none_keys_never_join(self):
-        left = Relation(self.SCHEMA_L, [{"k": None, "a": 1.0}])
-        right = Relation(self.SCHEMA_R, [{"k": None, "b": "u"}])
-        assert len(left.join(right, on=["k"])) == 0
-        joined = hash_join(
-            ColumnBatch.from_relation(left),
-            ColumnBatch.from_relation(right),
-            on=["k"],
+    def test_selection_is_by_partition_size_alone(self, monkeypatch):
+        used = []
+        monkeypatch.setattr(
+            fold, "evaluate_group_by", lambda q, r: used.append("row")
         )
-        assert joined.length == 0
+        monkeypatch.setattr(
+            fold, "evaluate_group_by_columnar", lambda q, r: used.append("vector")
+        )
+        query = GroupByQuery.single([], [AggregateSpec("count")])
+        for size in self.SIZES:
+            fold_partition(query, [{"x": 1}] * size)
+        assert used == ["row", "vector", "vector"]

@@ -1,5 +1,5 @@
 """compile_query parity: pinned mode must be byte-identical to the
-legacy hand-assembled path, across every execution engine."""
+legacy hand-assembled path, under every fold kernel."""
 
 from __future__ import annotations
 
@@ -20,6 +20,10 @@ from repro.plan.substrate import SUBSTRATE_PROFILES
 from repro.query.sql import parse_query
 from repro.telemetry import Telemetry
 from repro.workload.fingerprint import report_fingerprint
+from tests.differential.harness import (
+    assert_identical_under_every_kernel,
+    scenario_fingerprint,
+)
 
 SQL = (
     "SELECT count(*), avg(age), avg(bmi) FROM health WHERE age > 65 "
@@ -27,15 +31,12 @@ SQL = (
 )
 
 
-def hand_spec(
-    query_id: str = "par-q", cardinality: int = 60, engine: str = "row"
-) -> QuerySpec:
+def hand_spec(query_id: str = "par-q", cardinality: int = 60) -> QuerySpec:
     return QuerySpec(
         query_id=query_id,
         kind="aggregate",
         snapshot_cardinality=cardinality,
         group_by=parse_query(SQL).query,
-        engine=engine,
     )
 
 
@@ -43,6 +44,18 @@ class TestSpecParity:
     def test_compiled_spec_equals_hand_assembled(self):
         compiled = compile_query(SQL, query_id="par-q", snapshot_cardinality=60)
         assert compiled.spec == hand_spec()
+
+    def test_the_engine_option_is_gone(self):
+        with pytest.raises(TypeError):
+            QuerySpec(
+                query_id="par-q", kind="aggregate", snapshot_cardinality=60,
+                group_by=parse_query(SQL).query, engine="row",
+            )
+        with pytest.raises(TypeError):
+            compile_query(
+                SQL, query_id="par-q", snapshot_cardinality=60,
+                engine="columnar",
+            )
 
     def test_builder_spec_equals_hand_assembled(self):
         compiled = compile_query(
@@ -160,26 +173,26 @@ class TestExecutionFingerprintParity:
         return Scenario(config, telemetry=Telemetry())
 
     @pytest.mark.parametrize("strategy", ["overcollection", "backup"])
-    def test_sql_compile_matches_hand_assembly(self, strategy, both_engines):
+    def test_sql_compile_matches_hand_assembly(self, strategy, fold_kernel):
         privacy = PrivacyParameters(max_raw_per_edgelet=20)
         resiliency = ResiliencyParameters(fault_rate=0.1, strategy=strategy)
 
         legacy = self._scenario(strategy).run_query(
-            hand_spec(engine=both_engines),
-            privacy=privacy, resiliency=resiliency,
+            hand_spec(), privacy=privacy, resiliency=resiliency,
         )
         compiled = compile_query(
             SQL, query_id="par-q", snapshot_cardinality=60,
-            privacy=privacy, resiliency=resiliency, engine=both_engines,
+            privacy=privacy, resiliency=resiliency,
         )
         piped = self._scenario(strategy).run_compiled(compiled)
         assert report_fingerprint(piped.report) == report_fingerprint(
             legacy.report
         )
 
-    def test_engines_agree_on_the_parity_scenario(self, fingerprint_pair):
-        row_fp, columnar_fp = fingerprint_pair(SQL, tag="par-x")
-        assert row_fp == columnar_fp
+    def test_fold_kernels_agree_on_the_parity_scenario(self, monkeypatch):
+        assert_identical_under_every_kernel(
+            monkeypatch, lambda: scenario_fingerprint(SQL, seed=3, tag="par-x")
+        )
 
     def test_kmeans_compile_matches_hand_assembly(self):
         privacy = PrivacyParameters(max_raw_per_edgelet=20)
@@ -212,13 +225,6 @@ class TestChaosCostMode:
         legacy = dict(RunSpec(seed=1, tag="t").to_dict())
         legacy.pop("optimizer")
         assert RunSpec.from_dict(legacy).optimizer == "pinned"
-
-    def test_run_spec_round_trips_the_engine_field(self):
-        spec = RunSpec(seed=1, tag="t", engine="columnar")
-        assert RunSpec.from_dict(spec.to_dict()).engine == "columnar"
-        legacy = dict(RunSpec(seed=1, tag="t").to_dict())
-        legacy.pop("engine")  # pre-engine artifacts default to row
-        assert RunSpec.from_dict(legacy).engine == "row"
 
     def test_cost_mode_passes_the_invariant_suite(self):
         spec = RunSpec(

@@ -158,3 +158,37 @@ class TestVerticalPartitioning:
         relation = Relation(SCHEMA, _rows(3))
         (values,) = relation.split_columns([["value"]])
         assert all(set(row) == {"value"} for row in values)
+
+
+class TestJoin:
+    RIGHT = Schema.of(
+        Column("id", ColumnType.INT),
+        Column("label", ColumnType.TEXT),
+    )
+
+    def test_inner_join_keeps_left_order_and_appends_extra_columns(self):
+        left = Relation(SCHEMA, _rows(4))
+        right = Relation(
+            self.RIGHT,
+            [
+                {"id": 2, "label": "b"},
+                {"id": 0, "label": "a"},
+                {"id": 2, "label": "c"},
+                {"id": 9, "label": "z"},
+            ],
+        )
+        joined = left.join(right, on=["id"])
+        assert joined.schema.column_names == ["id", "region", "value", "label"]
+        assert [(row["id"], row["label"]) for row in joined] == [
+            (0, "a"), (2, "b"), (2, "c"),
+        ]
+
+    def test_none_keys_never_join(self):
+        left = Relation(SCHEMA, [{"id": None, "region": "idf", "value": 1.0}])
+        right = Relation(self.RIGHT, [{"id": None, "label": "u"}])
+        assert len(left.join(right, on=["id"])) == 0
+
+    def test_join_needs_a_key(self):
+        relation = Relation(SCHEMA, _rows(1))
+        with pytest.raises(SchemaError):
+            relation.join(relation, on=[])

@@ -61,25 +61,25 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     # the manager orchestrates one query at a time; the workload
     # engine multiplexes *on top of* it and chaos probes both from
     # above, so neither may leak back down into the manager
-    "repro.manager": (
-        "repro.workload", "repro.chaos", "repro.continuous",
-        "repro.query.columnar",
-    ),
+    "repro.manager": ("repro.workload", "repro.chaos", "repro.continuous"),
     # chaos.workload/chaos.continuous import the engines, never the reverse
-    "repro.workload": (
-        "repro.chaos", "repro.continuous", "repro.query.columnar",
-    ),
+    "repro.workload": ("repro.chaos", "repro.continuous"),
     # continuous layers on workload (admission, fingerprints) but the
     # verification muscle stays above it: chaos imports continuous only
-    "repro.continuous": ("repro.chaos", "repro.query.columnar"),
-    # the columnar engine is an execution detail selected through the
-    # QuerySpec.engine knob; orchestration layers thread the knob and
-    # must never call vectorized operators directly
-    "repro.chaos": ("repro.query.columnar",),
+    "repro.continuous": ("repro.chaos",),
+}
+
+#: module -> the one module allowed to import it.  The vectorized fold
+#: kernel is reached only through the fold entry point, which picks a
+#: kernel by partition size: nothing under repro.core, repro.plan,
+#: repro.manager, repro.workload, repro.continuous, repro.chaos or
+#: repro.cli may call it (or select it) directly.
+SOLE_IMPORTER: dict[str, str] = {
+    "repro.query.columnar": "repro.query.fold",
 }
 
 #: Within the query layer, numpy stays confined to the columnar module:
-#: the row engine is the pure-Python reference the differential harness
+#: the row kernel is the pure-Python reference the differential harness
 #: trusts, so no other query module may grow a numpy dependency.
 NUMPY_ALLOWED_PREFIX = "repro.query.columnar"
 NUMPY_CONFINED_PREFIX = "repro.query"
@@ -129,13 +129,17 @@ def check(root: Path) -> list[str]:
             for banned in targets
         )
         numpy_banned = _numpy_confined(module)
-        if not bans and not numpy_banned:
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for imported in imported_modules(tree, module):
             for banned in bans:
                 if imported == banned or imported.startswith(banned + "."):
                     violations.append(f"{module} -> {imported}  ({path})")
+            importer = SOLE_IMPORTER.get(imported)
+            if importer is not None and module != importer:
+                violations.append(
+                    f"{module} -> {imported}  ({path})  "
+                    f"[only {importer} may import it]"
+                )
             if numpy_banned and (
                 imported == "numpy" or imported.startswith("numpy.")
             ):
@@ -164,9 +168,9 @@ def main() -> int:
         "layering ok: substrate never imports plan/manager/chaos/workload/"
         "continuous, plan never imports the engines above it, manager "
         "never imports workload/chaos/continuous, continuous never "
-        "imports chaos, orchestration never imports the columnar engine, "
-        "and numpy stays confined to repro.query.columnar within the "
-        "query layer"
+        "imports chaos, only repro.query.fold imports "
+        "repro.query.columnar, and numpy stays confined to "
+        "repro.query.columnar within the query layer"
     )
     return 0
 
