@@ -4,11 +4,17 @@ The demo attests scalability by attaching "a configurable number of
 simulated edgelets" (thousands of Data Contributors).  This bench sweeps
 the swarm size and reports wall-clock, virtual completion time, and
 message counts; the expected shape is linear growth in messages and
-per-contributor work, with a constant-size combination phase.
+per-contributor work, with a constant-size combination phase.  The sweep
+ends at 8,000 contributors, the DomYcile population the paper cites, and
+also holds the simulator itself to linear host time: bringing a swarm up
+(keys, contact graph, plan) must not cost more per device as it grows.
 """
 
 from __future__ import annotations
 
+import math
+import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -17,6 +23,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _scenarios import aggregate_spec, fast_scenario_config, run_once
 from _tables import print_table
+
+from repro.crypto import primitives
 
 
 def _execute(n_contributors: int, seed: int = 33):
@@ -34,11 +42,13 @@ def _execute(n_contributors: int, seed: int = 33):
 
 
 def test_qscale_contributor_sweep(benchmark):
-    """Messages scale linearly with contributors; combination is flat."""
+    """Messages and host time scale linearly; combination is flat."""
     rows = []
     per_contributor = []
-    for n in (100, 400, 1600):
+    wall_clock = []
+    for n in (100, 400, 1600, 8000):
         result, elapsed = _execute(n)
+        wall_clock.append((n, elapsed))
         report = result.report
         sent = report.network_stats["sent"]
         final_size = len(report.result.all_rows()) if report.result else 0
@@ -60,10 +70,19 @@ def test_qscale_contributor_sweep(benchmark):
          "messages/contributor", "virtual completion", "result rows"],
         rows,
     )
+    slope = statistics.linear_regression(
+        [math.log(n) for n, _ in wall_clock],
+        [math.log(elapsed) for _, elapsed in wall_clock],
+    ).slope
+    print(f"host wall-clock log-log slope over the sweep: {slope:.2f}")
     assert all(row[1] for row in rows)
     # near-linear: per-contributor message cost stays within 3x across
-    # a 16x swarm-size range
+    # an 80x swarm-size range
     assert max(per_contributor) / min(per_contributor) < 3.0
+    # linear bring-up: one stored link per device pair, or a whole-plan
+    # acyclicity check per dataflow edge, bends the curve towards 2 well
+    # before the 8,000 step (32 million links there)
+    assert slope <= 1.15
     # combination output is aggregate-sized, not data-sized
     assert all(row[6] < 30 for row in rows)
 
@@ -100,4 +119,48 @@ def test_qscale_crypto_overhead(benchmark):
 
     benchmark.pedantic(
         lambda: _execute(50), rounds=3, iterations=1
+    )
+
+
+def test_qscale_fixed_base_exponentiation(benchmark):
+    """One key pair per device: ``g^x`` by table lookup vs builtin ``pow``."""
+    rng = random.Random(1)
+    rows = []
+    speedups = []
+    # private keys and signing nonces, signature responses, whole group
+    for bits in (384, 640, primitives.GROUP_ORDER.bit_length()):
+        exponents = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(60)]
+        started = time.perf_counter()
+        expected = [
+            pow(primitives.GROUP_GENERATOR, e, primitives.GROUP_PRIME)
+            for e in exponents
+        ]
+        builtin = (time.perf_counter() - started) / len(exponents)
+        primitives._generator_power(exponents[0])  # rows built outside the clock
+        table = math.inf
+        for _ in range(3):
+            started = time.perf_counter()
+            got = [primitives._generator_power(e) for e in exponents]
+            table = min(table, (time.perf_counter() - started) / len(exponents))
+        assert got == expected
+        entries = -(-bits // primitives._WINDOW_BITS) << primitives._WINDOW_BITS
+        speedups.append(builtin / table)
+        rows.append([
+            bits, f"{builtin * 1e6:.0f}", f"{table * 1e6:.0f}",
+            f"{builtin / table:.1f}x", entries,
+            f"{entries * sys.getsizeof(primitives.GROUP_PRIME) / 1e6:.1f}",
+        ])
+    print_table(
+        f"Q-SCALE: g^x mod p, fixed-base table (w = {primitives._WINDOW_BITS}) "
+        "vs builtin pow",
+        ["exponent bits", "pow (us)", "table (us)", "speed-up",
+         "table entries", "~MB"],
+        rows,
+    )
+    # the window width's provenance (DESIGN.md, "Crypto substrate"): a
+    # drift below 3x means the constant needs re-measuring here
+    assert min(speedups) >= 3.0
+
+    benchmark.pedantic(
+        lambda: primitives.generate_keypair(b"qscale"), rounds=20, iterations=1
     )

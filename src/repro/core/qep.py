@@ -102,18 +102,39 @@ class QueryExecutionPlan:
         return self.add_operator(operator)
 
     def connect(self, producer: Operator | str, consumer: Operator | str) -> None:
-        """Add a dataflow edge producer → consumer."""
+        """Add a dataflow edge producer → consumer.
+
+        An edge that would close a cycle is refused and the plan is left
+        unchanged.  Every edge enters through here, so the graph was
+        acyclic before the call; the new edge can therefore close a cycle
+        only through itself — when the producer is the consumer, or is
+        already downstream of it.  That is all that is checked: a walk
+        from the consumer towards the querier, not the whole plan.
+        """
         producer_id = producer.op_id if isinstance(producer, Operator) else producer
         consumer_id = consumer.op_id if isinstance(consumer, Operator) else consumer
         for op_id in (producer_id, consumer_id):
             if op_id not in self._graph:
                 raise PlanStructureError(f"unknown operator {op_id!r}")
-        self._graph.add_edge(producer_id, consumer_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer_id, consumer_id)
+        if self._reaches(consumer_id, producer_id):
             raise PlanStructureError(
                 f"edge {producer_id} -> {consumer_id} would create a cycle"
             )
+        self._graph.add_edge(producer_id, consumer_id)
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """Whether ``target`` is ``source`` or downstream of it."""
+        seen = {source}
+        stack = [source]
+        while stack:
+            op_id = stack.pop()
+            if op_id == target:
+                return True
+            for successor in self._graph.successors(op_id):
+                if successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+        return False
 
     # -- queries ----------------------------------------------------------------
 

@@ -292,29 +292,22 @@ class Scenario:
             device.datastore.insert_many(rows)
 
     def _build_network(self) -> OpportunisticNetwork:
-        topology = ContactGraph.fully_connected([])
+        # Star topology through the querier's venue infrastructure would
+        # be unrealistic; devices are pairwise reachable by default.  Each
+        # joins the contact graph's implicit clique with its own radio's
+        # link, and a pair talks at the worse of its two links.
+        topology = ContactGraph()
+        for device_id, device in self.devices.items():
+            topology.add_device(device_id, device.profile.link)
         network_config = NetworkConfig(
             allow_relay=True,
             buffer_timeout=self.config.deadline,
             global_loss_probability=self.config.message_loss,
         )
-        network = OpportunisticNetwork(
+        return OpportunisticNetwork(
             self.simulator, topology, network_config, seed=self.config.seed,
             telemetry=self.telemetry,
         )
-        # Star topology through the querier's venue infrastructure would
-        # be unrealistic; attach devices pairwise-reachable by default
-        # (links are added lazily as a clique over participants).
-        ids = list(self.devices)
-        for device_id in ids:
-            topology.add_device(device_id)
-        for i, a in enumerate(ids):
-            quality = self.devices[a].profile.link
-            for b in ids[i + 1:]:
-                other = self.devices[b].profile.link
-                worse = quality if quality.base_latency >= other.base_latency else other
-                topology.add_link(a, b, worse)
-        return network
 
     # -- dynamic membership (standing-query churn) -----------------------------
 
@@ -339,19 +332,7 @@ class Scenario:
         )
         self.devices[device_id] = device
         self.authority.register_device(device.tee)
-        topology = self.network.topology
-        topology.add_device(device_id)
-        for other_id, other in self.devices.items():
-            if other_id == device_id:
-                continue
-            quality = device.profile.link
-            other_quality = other.profile.link
-            worse = (
-                quality
-                if quality.base_latency >= other_quality.base_latency
-                else other_quality
-            )
-            topology.add_link(device_id, other_id, worse)
+        self.network.topology.add_device(device_id, device.profile.link)
         return device
 
     def spawn_contributor(self, index: int) -> Edgelet:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.primitives import (
+    GROUP_GENERATOR,
     GROUP_ORDER,
     GROUP_PRIME,
     AuthenticationError,
@@ -23,6 +24,68 @@ from repro.crypto.primitives import (
     sign,
     verify,
 )
+from repro.crypto.primitives import _WINDOW_BITS, _generator_power
+
+# (seed, public key, message, signature commitment, signature response),
+# computed with builtin ``pow`` at the commit before the fixed-base table.
+PINNED_VECTORS = [
+    (
+        b"edgelet-pin-1",
+        int(
+            "7d7a28c65a208c86d54ee44fe64ca7fdb5f291980ad3eba72dcd6e00094ae030"
+            "0aead2c61f77d1a7d0ebd6980f7050ec212f09184e87ac3745a2f44316cc480f"
+            "a7ae32f72b7ed15acd66582fce75c88c83a8cbbe4b0c3114b9a936316e870a3b"
+            "3b462e2e69955676eb35ad80c581dc86f665eafc77e1c5a90c4e0db5cf06182c"
+            "73d411a95e1050fbf6ac5a1dd0720699f97b0172bf8edb9ea89e06b79c1d3a00"
+            "41c25b0f146975c33a77c7ccc7c0e121884eda6a0b74e73913351ecf14f506c5",
+            16,
+        ),
+        b"pinned message edgelet-pin-1",
+        int(
+            "474aa1307cc947630f7d6c045e881bdb33f43c96740d3f781c6df1d3dcadbe6e"
+            "c63b1192e797ba09b443cb4f385b68dffc46dafb60dbcc92ea82740131f58029"
+            "c20a2688215497733d7f5e1e62d4973b180a99c36905d0cc116120d9bc5c6aa6"
+            "47c1cd24919f7a4d2045a3a51b290b1c0503d7e775827074262bb6c381aca91e"
+            "935d76d14672768b15cf1d2cac0a9cac5675cd3f54fc153f352f22b0bee77ecd"
+            "9b4249372d1ebb27b2da54bd44db30b431b3d0259cdf9e058b21dd3c2d9b20e1",
+            16,
+        ),
+        int(
+            "d1668a9c220f7512dd1a30fa1bea3b43bcffb7fea94b3172861da427195da027"
+            "61f60bab541d0185bae16e7f9e14ac2235fef43609e3b1257e90ed1b1ea1ac5d"
+            "1128bb9cc07b5a437b91a937126fbd8",
+            16,
+        ),
+    ),
+    (
+        b"edgelet-pin-2",
+        int(
+            "6b8dbd7db6721aa9bc2ebaf8e5319e15dfa7bc24ff9f237891d9d5b810957028"
+            "e28dbe4a2ae1889619a10106b0d7567b642323797de737a649b68de593d32f5f"
+            "b7f851ac22c4b3e42bade03c9f418840692aaabbfb7b560834ec93d267026103"
+            "0232d3feb1299a535000e28a59961bcb97800a0073f146d982850b5d5c27ffcb"
+            "545824164afcaa91f010d44e2bf8ea654fca3f8ad903b447ef5a5095a8343c81"
+            "bce828875cea6437aa57c61fefd062fe9d0e0a11503b0b313ebf12b131176719",
+            16,
+        ),
+        b"pinned message edgelet-pin-2",
+        int(
+            "e13442a765fae56893cd1359d0f94d20456229f665aca54785c5f515692b04b6"
+            "26f6c42f1634c516871e72661259bb07fef1ac5fd5845ca229cef264ca374c4f"
+            "23ec97fcd538f6d99fc6df63bf88400701ebd1baeb432787f16ce645593fbcdb"
+            "69090dee314b676b7fd2169b66a410d42b9ae401ea4edefae4a8e734612db9ef"
+            "fd437e8d3ae302d1e8d2f953c99ea02932880fc0f31af6327baf831a9ce63638"
+            "5ff34adfbbbf0bf759feb75099baa5b5fb9d7ab2da376e4789355d0ae07c3be2",
+            16,
+        ),
+        int(
+            "1e274dc0b0ae03f5e6edeb7cac28392c3934a1f2192ec639b632e425167d1e40"
+            "197d7721da4276203ff9d7185e687365321da843ab7aa3267e6c766bebcd0161"
+            "145c32dfd126c8738bd5fe1d4a1a4b2e",
+            16,
+        ),
+    ),
+]
 
 
 class TestHashing:
@@ -155,6 +218,66 @@ class TestKeyPairs:
         fingerprint = generate_keypair(b"seed").fingerprint()
         assert len(fingerprint) == 16
         int(fingerprint, 16)
+
+
+class TestFixedBaseTable:
+    """``g^x`` by table lookup is the integer builtin ``pow`` returns."""
+
+    @staticmethod
+    def _reference(exponent: int) -> int:
+        return pow(GROUP_GENERATOR, exponent, GROUP_PRIME)
+
+    def test_window_boundaries(self):
+        top = (1 << _WINDOW_BITS) - 1
+        exponents = {0, 1, GROUP_ORDER - 1, GROUP_ORDER, GROUP_PRIME - 2}
+        # every digit value in each of the first rows, alone and with
+        # the neighbouring windows saturated or empty
+        for row in range(4):
+            shift = _WINDOW_BITS * row
+            for digit in range(top + 1):
+                exponents.add(digit << shift)
+                exponents.add((digit << shift) | ((1 << shift) - 1))
+                exponents.add((digit << shift) | (1 << (shift + _WINDOW_BITS)))
+        # either side of window boundaries up to full width (every
+        # eighth: the reference costs milliseconds per exponent)
+        for boundary in range(
+            _WINDOW_BITS, GROUP_PRIME.bit_length(), 8 * _WINDOW_BITS
+        ):
+            exponents.update(
+                {(1 << boundary) - 1, 1 << boundary, (1 << boundary) + 1}
+            )
+        for exponent in sorted(exponents):
+            assert _generator_power(exponent) == self._reference(exponent)
+
+    @given(st.integers(min_value=0, max_value=GROUP_PRIME))
+    @settings(max_examples=60, deadline=None)
+    def test_full_width_exponents(self, exponent):
+        assert _generator_power(exponent) == self._reference(exponent)
+
+    @given(st.integers(min_value=0, max_value=(1 << 384) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_key_sized_exponents(self, exponent):
+        assert _generator_power(exponent) == self._reference(exponent)
+
+    @given(st.binary(min_size=1, max_size=32))
+    @settings(max_examples=20, deadline=None)
+    def test_public_key_is_generator_to_the_private(self, seed):
+        keypair = generate_keypair(seed)
+        assert keypair.public == self._reference(keypair.private)
+
+    def test_unseeded_keypair_is_consistent(self):
+        keypair = generate_keypair()
+        assert keypair.public == self._reference(keypair.private)
+
+    @pytest.mark.parametrize(
+        "seed, public, message, commitment, response", PINNED_VECTORS
+    )
+    def test_pinned_vectors(self, seed, public, message, commitment, response):
+        keypair = generate_keypair(seed)
+        assert keypair.public == public
+        assert sign(keypair, message) == (commitment, response)
+        assert verify(public, message, (commitment, response))
+        assert not verify(public, message + b"!", (commitment, response))
 
 
 class TestDiffieHellman:

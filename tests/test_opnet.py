@@ -91,6 +91,26 @@ class TestDelivery:
         sim.run()
         assert net.stats.no_route == 1
 
+    def test_self_send_has_no_route(self):
+        # Pinned, not endorsed: an operator reprovisioned onto the
+        # device hosting its producer cannot message it (DESIGN.md,
+        # "Network substrate").  Recorded robustness runs replay bit for
+        # bit only while this holds.
+        sim, topo, net = _network()
+        topo.add_device("a", LinkQuality())
+        topo.add_device("b", LinkQuality())
+        received = []
+        net.attach("a", received.append)
+        net.attach("b", lambda m: None)
+        message = _msg("a", "a")
+        net.send(message)
+        sim.run()
+        assert received == []
+        assert net.stats.no_route == 1
+        assert [(r.message_id, r.outcome) for r in net.receipts] == [
+            (message.message_id, "no_route")
+        ]
+
 
 class TestLoss:
     def test_lossy_link_drops_some(self):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.qep import (
     Operator,
@@ -55,6 +58,78 @@ class TestConstruction:
 
     def test_len_counts_operators(self):
         assert len(_minimal_plan()) == 5
+
+
+def _chain(length: int) -> QueryExecutionPlan:
+    plan = QueryExecutionPlan("q")
+    for i in range(length):
+        plan.new_operator(OperatorRole.COMPUTER, op_id=f"n{i}")
+    for i in range(length - 1):
+        plan.connect(f"n{i}", f"n{i + 1}")
+    return plan
+
+
+class TestCycleCheck:
+    """``connect`` looks only downstream of the consumer; the reference
+    is the whole-graph check it used to run after every edge."""
+
+    def test_self_loop_rejected(self):
+        plan = _chain(2)
+        with pytest.raises(PlanStructureError):
+            plan.connect("n0", "n0")
+        assert plan.edges() == [("n0", "n1")]
+
+    def test_long_back_edge_rejected(self):
+        plan = _chain(6)
+        plan.connect("n1", "n4")  # a shortcut forward is fine
+        before = plan.edges()
+        with pytest.raises(PlanStructureError):
+            plan.connect("n5", "n0")
+        assert plan.edges() == before
+
+    def test_duplicate_edge_accepted_once(self):
+        plan = _chain(3)
+        plan.connect("n0", "n1")
+        assert plan.edges() == [("n0", "n1"), ("n1", "n2")]
+
+    def test_diamond_is_not_a_cycle(self):
+        plan = _chain(3)
+        plan.new_operator(OperatorRole.COMPUTER, op_id="side")
+        plan.connect("n0", "side")
+        plan.connect("side", "n2")
+        assert ("side", "n2") in plan.edges()
+
+    def test_from_dict_refuses_a_cyclic_edge_list(self):
+        data = _chain(3).to_dict()
+        data["edges"].append(["n2", "n0"])
+        with pytest.raises(PlanStructureError):
+            QueryExecutionPlan.from_dict(data)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_the_edges_that_close_a_cycle(self, insertions):
+        plan = QueryExecutionPlan("q")
+        reference = nx.DiGraph()
+        for i in range(8):
+            plan.new_operator(OperatorRole.COMPUTER, op_id=f"n{i}")
+            reference.add_node(f"n{i}")
+        for producer, consumer in ((f"n{a}", f"n{b}") for a, b in insertions):
+            before = plan.edges()
+            reference.add_edge(producer, consumer)
+            if nx.is_directed_acyclic_graph(reference):
+                plan.connect(producer, consumer)
+                assert plan.edges() == sorted(reference.edges)
+            else:
+                reference.remove_edge(producer, consumer)
+                with pytest.raises(PlanStructureError):
+                    plan.connect(producer, consumer)
+                assert plan.edges() == before
+        rebuilt = QueryExecutionPlan.from_dict(plan.to_dict())
+        assert rebuilt.edges() == plan.edges()
 
 
 class TestQueries:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameters
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.data.polling import POLLING_SCHEMA, generate_polling_rows
+from repro.devices.profiles import PC_SGX
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.manager.trace import format_trace, phase_timeline
 from repro.manager.verification import verify_against_centralized
+from repro.network.topology import LinkQuality
 from repro.query.relation import Relation
 from repro.query.sql import parse_query
 
@@ -89,6 +94,35 @@ class TestScenarioConstruction:
         # with a 1/3 duty cycle, not every contribution gets out
         total = result.report.result.rows_for(())[0]["count"]
         assert total < len(config.rows)
+
+    def test_pair_quality_does_not_depend_on_when_a_device_joined(self, monkeypatch):
+        # two device classes whose radios tie on base_latency: the bulk
+        # build used to keep the earlier-listed device's link, a spawn
+        # the newcomer's
+        lossy = replace(
+            PC_SGX, name="lossy",
+            link=LinkQuality(base_latency=1.0, loss_probability=0.2),
+        )
+        jittery = replace(
+            PC_SGX, name="jittery",
+            link=LinkQuality(base_latency=1.0, latency_jitter=0.6, bandwidth=9e9),
+        )
+        draws = itertools.cycle([jittery, lossy])
+        monkeypatch.setattr(
+            Scenario, "_pick_profile", lambda self, rng=None: next(draws)
+        )
+        scenario = Scenario(_config(n_contributors=4, n_processors=2))
+        spawned = [scenario.spawn_contributor(4), scenario.spawn_processor(2)]
+        swarm = [*scenario.contributors, *scenario.processors]
+        assert {d.profile.name for d in spawned} == {"lossy", "jittery"}
+        topology = scenario.network.topology
+        for a, b in itertools.permutations(swarm, 2):
+            expected = (
+                jittery.link
+                if a.profile is jittery and b.profile is jittery
+                else lossy.link
+            )
+            assert topology.quality(a.device_id, b.device_id) is expected
 
     def test_caregiver_config_validation(self):
         with pytest.raises(ValueError):

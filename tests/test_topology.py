@@ -106,6 +106,100 @@ class TestContactGraph:
         assert graph.degree_histogram() == {2: 1, 1: 2}
 
 
+class TestImplicitClique:
+    """Devices that join with their own link form a mesh nobody stores."""
+
+    FAST = LinkQuality(base_latency=0.05, loss_probability=0.01)
+    SLOW = LinkQuality(base_latency=5.0, loss_probability=0.10)
+
+    def test_members_are_linked_whenever_they_joined(self):
+        graph = ContactGraph()
+        graph.add_device("a", self.FAST)
+        graph.add_device("b", self.SLOW)
+        assert graph.quality("a", "b") is self.SLOW
+        graph.add_device("c", self.FAST)  # a late joiner
+        assert graph.quality("c", "a") is self.FAST
+        assert graph.quality("b", "c") is self.SLOW
+        assert graph.neighbors("c") == ["a", "b"]
+        assert graph.degree_histogram() == {2: 3}
+
+    def test_plain_registration_does_not_join(self):
+        graph = ContactGraph()
+        graph.add_device("a", self.FAST)
+        graph.add_device("b", self.FAST)
+        graph.add_device("x")
+        assert graph.quality("a", "x") is None
+        assert graph.neighbors("x") == []
+        assert not graph.is_connected()
+        graph.add_device("a")  # what OpportunisticNetwork.attach does
+        assert graph.quality("a", "b") is self.FAST
+
+    def test_first_join_wins(self):
+        graph = ContactGraph()
+        graph.add_device("a", self.FAST)
+        graph.add_device("b", self.FAST)
+        graph.add_device("a", self.SLOW)
+        assert graph.quality("a", "b") is self.FAST
+
+    def test_tie_break_is_symmetric_and_ignores_join_order(self):
+        # same base_latency: the parent picked whichever device was
+        # listed first (bulk build) or spawned last
+        lossy = LinkQuality(base_latency=1.0, loss_probability=0.2)
+        jittery = LinkQuality(base_latency=1.0, latency_jitter=0.6)
+        narrow = LinkQuality(base_latency=1.0, bandwidth=1_000.0)
+        plain = LinkQuality(base_latency=1.0)
+        ranked = [lossy, jittery, narrow, plain]  # worst first
+        for i, worse in enumerate(ranked):
+            for better in ranked[i + 1:]:
+                for first, second in ((worse, better), (better, worse)):
+                    graph = ContactGraph()
+                    graph.add_device("a", first)
+                    graph.add_device("b", second)
+                    assert graph.quality("a", "b") is worse
+                    assert graph.quality("b", "a") is worse
+
+    def test_explicit_link_takes_precedence(self):
+        wired = LinkQuality(base_latency=0.001)
+        graph = ContactGraph.fully_connected(["a", "b", "c"], self.SLOW)
+        graph.add_link("a", "b", wired)
+        assert graph.quality("a", "b") is wired
+        assert graph.quality("a", "c") is self.SLOW
+        assert graph.degree_histogram() == {2: 3}
+        graph.remove_link("a", "b")
+        assert graph.quality("a", "b") is None
+
+    def test_removed_pair_stays_cut_and_relays(self):
+        graph = ContactGraph.fully_connected(["a", "b", "c", "d"])
+        graph.remove_link("a", "b")
+        assert graph.quality("a", "b") is None
+        assert graph.quality("b", "a") is None
+        assert graph.neighbors("a") == ["c", "d"]
+        path = graph.path("a", "b")
+        assert path[0] == "a" and path[-1] == "b" and len(path) == 3
+        assert graph.degree_histogram() == {2: 2, 3: 2}
+        graph.add_device("e", LinkQuality())  # a newcomer links to both
+        assert graph.quality("a", "b") is None
+        assert graph.quality("e", "a") is not None
+        assert graph.is_connected()
+
+    def test_sparse_node_reaches_the_mesh_through_its_link(self):
+        graph = ContactGraph.fully_connected(["a", "b", "c"])
+        graph.add_link("x", "a")
+        assert graph.path("x", "c") == ["x", "a", "c"]
+        assert graph.path("c", "x") == ["c", "a", "x"]
+        assert graph.is_connected()
+
+    def test_no_link_to_self(self):
+        # OpportunisticNetwork._route turns this pair of answers into
+        # "no route" for a device messaging itself
+        graph = ContactGraph.fully_connected(["a", "b"])
+        graph.add_link("x", "a")
+        for device in ("a", "x"):
+            assert graph.quality(device, device) is None
+            assert graph.path(device, device) == [device]
+            assert device not in graph.neighbors(device)
+
+
 class TestGenerators:
     def test_fully_connected(self):
         ids = [f"d{i}" for i in range(5)]
