@@ -23,10 +23,10 @@ import numpy as np
 from _tables import print_table
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
 from repro.core.liability import measure_liability
 from repro.core.planner import EdgeletPlanner, PrivacyParameters, QuerySpec
 from repro.core.qep import OperatorRole
+from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -80,15 +80,16 @@ def _run_with_copies(loss: float, copies: int, seed: int):
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [p.device_id for p in processors], exclusive=False)
     plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-    executor = EdgeletExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=50.0, secure_channels=False,
         contribution_copies=copies, seed=seed,
+        strategy=OvercollectionStrategy(),
     )
     report = executor.run()
     # measure the collection stage directly: unique rows that reached
     # the snapshot builders (deduplicated), independent of later losses
-    collected = sum(len(bucket) for bucket in executor._builder_rows.values())
+    collected = sum(len(bucket) for bucket in executor.builder_rows.values())
     return collected / len(rows), report.network_stats.get("sent", 0)
 
 

@@ -151,9 +151,9 @@ def test_qgen_backup_takeover_chain(benchmark):
 
 
 def _run_backup_execution(kill_primary: bool, seed: int = 3):
-    """One BackupExecutor run; returns (success, takeovers, last freeze t)."""
+    """One Backup-strategy run; returns (success, takeovers, last freeze t)."""
     from repro.core.assignment import assign_operators
-    from repro.core.backup_execution import BackupExecutor
+    from repro.core.runtime import BackupStrategy, ExecutionCoordinator
     from repro.core.qep import OperatorRole
     from repro.data.health import generate_health_rows
     from repro.devices.edgelet import Edgelet
@@ -202,10 +202,10 @@ def _run_backup_execution(kill_primary: bool, seed: int = 3):
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [p.device_id for p in processors], exclusive=False)
     plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-    executor = BackupExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=80.0, secure_channels=False,
-        takeover_timeout=10.0,
+        strategy=BackupStrategy(takeover_timeout=10.0),
     )
     if kill_primary:
         victim = plan.operator("builder[0]").assigned_to

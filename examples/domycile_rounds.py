@@ -16,7 +16,6 @@ Run with:  python examples/domycile_rounds.py
 """
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -24,6 +23,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
+from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
 from repro.data import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import HOME_BOX, PC_SGX
@@ -92,10 +92,11 @@ def main() -> None:
           f"(presumed fault rate 0.40, target 99%)")
 
     ledger = AuditLedger()
-    executor = EdgeletExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=400.0, deadline=550.0, secure_channels=False,
         contribution_copies=2, audit_ledger=ledger,
+        strategy=OvercollectionStrategy(),
     )
     schedule.install(simulator, network)
     report = executor.run()

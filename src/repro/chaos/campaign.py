@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.network.faults import FaultSpec
-from repro.chaos.invariants import RunRecord, Violation, check_all
+from repro.chaos.invariants import (
+    RunRecord,
+    Violation,
+    check_all,
+    no_fault_observed,
+)
 from repro.chaos.shrink import (
     failure_plan_from_events,
     shrink_failure_plan,
@@ -239,26 +244,11 @@ class RunOutcome:
 
 def _is_clean(spec: RunSpec, result: Any) -> bool:
     """Whether the run experienced no failure or fault of any kind."""
-    if spec.message_loss > 0:
-        return False
-    if result.failure_events:
-        return False
-    if result.fault_injector is not None and result.fault_injector.decisions:
-        return False
-    stats = result.report.network_stats or {}
-    loss_keys = (
-        "lost",
-        "dropped_timeout",
-        "no_route",
-        "to_dead_device",
-        "fault_dropped",
-        "fault_corrupted",
-        "fault_duplicated",
-        "fault_delayed",
-        "partitioned",
-        "gray_lost",
+    return spec.message_loss <= 0 and no_fault_observed(
+        result.failure_events,
+        result.fault_injector,
+        result.report.network_stats or {},
     )
-    return all(not stats.get(key, 0) for key in loss_keys)
 
 
 def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:

@@ -33,15 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.chaos.invariants import RunRecord, Violation, check_all
+from repro.chaos.invariants import (
+    RunRecord,
+    Violation,
+    check_all,
+    no_fault_observed,
+)
 from repro.continuous.engine import (
     COMPLETED,
     ContinuousEngine,
     ContinuousResult,
 )
 from repro.continuous.spec import StandingQuerySpec
-from repro.core.liability import measure_liability
-from repro.core.privacy import measure_exposure
 from repro.devices.churn import ChurnSpec
 from repro.network.failures import FailurePlan
 from repro.network.faults import FaultSpec
@@ -149,31 +152,6 @@ class SoakOutcome:
         return rows
 
 
-@dataclass
-class _WindowRunResult:
-    """Adapter giving one window the shape the
-    :class:`~repro.chaos.invariants.RunRecord` checks expect of a
-    :class:`~repro.manager.scenario.ScenarioResult`."""
-
-    report: Any
-    plan: Any
-    executor: Any
-    exposure: Any
-    liability: Any
-    failure_events: list[Any]
-    fault_injector: Any
-    transport: Any = None
-
-
-def _collect_failure_events(engine: ContinuousEngine) -> list[Any]:
-    events = list(engine.scripted_events)
-    events.extend(engine.outage_events)
-    if engine.injector is not None:
-        events.extend(engine.injector.events)
-    events.sort(key=lambda e: e.time)
-    return events
-
-
 def _window_reference(engine: ContinuousEngine, rows: list[dict[str, Any]]):
     """The centralized oracle over *this window's* frozen snapshot."""
     oracle = CentralizedEngine()
@@ -219,22 +197,8 @@ def run_soak(
         message_loss=config.message_loss,
     )
     result = engine.run()
-    failure_events = _collect_failure_events(engine)
+    failure_events = engine.scenario.failure_events()
     fault_injector = engine.scenario.network.faults
-    network_stats = engine.scenario.network.stats.as_dict()
-    loss_keys = (
-        "lost",
-        "dropped_timeout",
-        "no_route",
-        "to_dead_device",
-        "departed",
-        "fault_dropped",
-        "fault_corrupted",
-        "fault_duplicated",
-        "fault_delayed",
-        "partitioned",
-        "gray_lost",
-    )
     any_churn_events = any(
         w.churn is not None and w.churn.any_events for w in result.windows
     )
@@ -245,9 +209,11 @@ def run_soak(
     clean = (
         not config.any_chaos
         and not any_churn_events
-        and not failure_events
-        and not (fault_injector is not None and fault_injector.decisions)
-        and all(not network_stats.get(key, 0) for key in loss_keys)
+        and no_fault_observed(
+            failure_events,
+            fault_injector,
+            engine.scenario.network.stats.as_dict(),
+        )
     )
     windows: list[WindowOutcome] = []
     for record in result.windows:
@@ -260,21 +226,9 @@ def run_soak(
                 )
             )
             continue
-        run_result = _WindowRunResult(
-            report=record.report,
-            plan=record.plan,
-            executor=record.executor,
-            exposure=measure_exposure(record.plan),
-            liability=measure_liability(
-                record.plan, tuples_per_device=record.report.tuples_per_device
-            ),
-            failure_events=failure_events,
-            fault_injector=fault_injector,
-            transport=record.transport,
-        )
         violations = check_all(
             RunRecord(
-                result=run_result,
+                result=record.result.judged(failure_events, fault_injector),
                 reference=_window_reference(engine, record.rows),
                 strategy=spec.strategy,
                 clean=clean,

@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.validity import compare_results
+from repro.network.opnet import LOSS_COUNTERS
 
 __all__ = [
     "Violation",
     "RunRecord",
+    "no_fault_observed",
     "check_resiliency",
     "check_validity",
     "check_crowd_liability",
@@ -80,6 +82,18 @@ class RunRecord:
     clean: bool = False
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5
+
+
+def no_fault_observed(
+    failure_events: list[Any], fault_injector: Any, network_stats: dict[str, Any]
+) -> bool:
+    """The post hoc half of every driver's *clean* verdict: no failure
+    event fired, no message fault was decided, no loss counter moved."""
+    return (
+        not failure_events
+        and not (fault_injector is not None and fault_injector.decisions)
+        and not any(network_stats.get(key, 0) for key in LOSS_COUNTERS)
+    )
 
 
 def _network_losses(report: Any) -> dict[str, float]:

@@ -30,10 +30,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.network.faults import FaultSpec
-from repro.chaos.invariants import RunRecord, Violation, check_all
+from repro.chaos.invariants import (
+    RunRecord,
+    Violation,
+    check_all,
+    no_fault_observed,
+)
 from repro.chaos.shrink import failure_plan_from_events, shrink_failure_plan
-from repro.core.liability import measure_liability
-from repro.core.privacy import measure_exposure
 from repro.network.failures import FailurePlan
 from repro.plan.compile import compile_query
 from repro.workload.engine import COMPLETED, WorkloadEngine, WorkloadResult
@@ -135,30 +138,6 @@ class WorkloadChaosOutcome:
         return rows
 
 
-@dataclass
-class _QueryRunResult:
-    """Adapter giving one workload query the shape
-    :class:`~repro.chaos.invariants.RunRecord` checks expect of a
-    :class:`~repro.manager.scenario.ScenarioResult`."""
-
-    report: Any
-    plan: Any
-    executor: Any
-    exposure: Any
-    liability: Any
-    failure_events: list[Any]
-    fault_injector: Any
-    transport: Any = None
-
-
-def _collect_failure_events(engine: WorkloadEngine) -> list[Any]:
-    events = list(engine.scripted_events)
-    if engine.injector is not None:
-        events.extend(engine.injector.events)
-    events.sort(key=lambda e: e.time)
-    return events
-
-
 def run_workload(
     spec: WorkloadSpec,
     config: WorkloadChaosConfig | None = None,
@@ -201,28 +180,16 @@ def run_workload(
         message_loss=config.message_loss,
     )
     result = engine.run()
-    failure_events = _collect_failure_events(engine)
+    failure_events = engine.scenario.failure_events()
     fault_injector = engine.scenario.network.faults
     # clean is a *post hoc* verdict, like the campaign's: the shared
     # opportunistic network is lossy by design, so any loss anywhere in
     # the workload demotes every query to the tolerance-bound checks
     # (network stats are substrate-wide, not per query)
-    network_stats = engine.scenario.network.stats.as_dict()
-    loss_keys = (
-        "lost",
-        "dropped_timeout",
-        "no_route",
-        "to_dead_device",
-        "fault_dropped",
-        "fault_corrupted",
-        "fault_duplicated",
-        "fault_delayed",
-    )
-    clean = (
-        not config.any_chaos
-        and not failure_events
-        and not (fault_injector is not None and fault_injector.decisions)
-        and all(not network_stats.get(key, 0) for key in loss_keys)
+    clean = not config.any_chaos and no_fault_observed(
+        failure_events,
+        fault_injector,
+        engine.scenario.network.stats.as_dict(),
     )
     oracle = compile_query(
         spec.sql,
@@ -236,21 +203,9 @@ def run_workload(
         if record.outcome != COMPLETED:
             queries.append(QueryOutcome(query_id=query_id, outcome=record.outcome))
             continue
-        run_result = _QueryRunResult(
-            report=record.report,
-            plan=record.plan,
-            executor=record.executor,
-            exposure=measure_exposure(record.plan),
-            liability=measure_liability(
-                record.plan, tuples_per_device=record.report.tuples_per_device
-            ),
-            failure_events=failure_events,
-            fault_injector=fault_injector,
-            transport=record.transport,
-        )
         violations = check_all(
             RunRecord(
-                result=run_result,
+                result=record.result.judged(failure_events, fault_injector),
                 reference=reference,
                 strategy=record.arrival.strategy,
                 clean=clean,

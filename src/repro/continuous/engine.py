@@ -40,10 +40,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
-from repro.core.runtime import (
-    ContributionCache,
-    ExecutionCoordinator,
-)
+from repro.core.runtime import ContributionCache
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnModel, ChurnSpec, WindowChurn
 from repro.manager.admission import (
@@ -52,7 +49,6 @@ from repro.manager.admission import (
     DeviceLeaseRegistry,
 )
 from repro.manager.scenario import Scenario, ScenarioConfig
-from repro.network.failures import FailureInjector
 from repro.network.mux import QueryMux
 from repro.plan.compile import CompiledQuery, compile_query
 from repro.plan.logical import LogicalPlan
@@ -98,9 +94,9 @@ class WindowRecord:
     standbys: list[str] = field(default_factory=list)
     lease_flags: list[str] = field(default_factory=list)
     report: Any = None
-    plan: Any = None
-    executor: Any = None
-    transport: Any = None
+    #: the launched execution
+    #: (:class:`~repro.manager.scenario.ScenarioResult`)
+    result: Any = None
     # per-window accounting (filled at the next window boundary)
     coverage: float | None = None
     incremental: dict[str, int] = field(default_factory=dict)
@@ -238,7 +234,7 @@ class ContinuousEngine:
             raise ValueError("rows_per_contributor must be positive")
         self.telemetry = telemetry
         self.spec = spec
-        self.standby_count = standby_count
+        self.standby_count = standby_count if spec.reliability else 0
         self.rows_per_contributor = rows_per_contributor
         rows = generate_health_rows(
             rows_per_contributor * n_contributors, seed=spec.seed
@@ -252,7 +248,6 @@ class ContinuousEngine:
             rows_per_device=(rows_per_contributor, rows_per_contributor),
             collection_window=spec.collection_window,
             deadline=spec.deadline,
-            secure_channels=False,
             crash_probability=crash_probability,
             disconnect_probability=disconnect_probability,
             disconnect_duration=disconnect_duration,
@@ -297,9 +292,6 @@ class ContinuousEngine:
         self.scheduler = WindowScheduler(
             self.scenario.simulator, spec, self._on_window
         )
-        self.injector: FailureInjector | None = None
-        self.scripted_events: list[Any] = []
-        self.outage_events: list[Any] = []
         self._windows: list[WindowRecord] = []
         self._last_executed: WindowRecord | None = None
         self._bytes_mark = 0
@@ -324,46 +316,14 @@ class ContinuousEngine:
         self._g_population.set(
             len(self.contributor_ids) + len(self.processor_pool)
         )
-        self._install_chaos(start)
+        self.scenario.install_chaos(
+            until=start
+            + (self.spec.max_windows - 1) * self.spec.cadence
+            + 3 * self.spec.deadline
+        )
         self.scheduler.arm(start)
         sim.run()
         return self._finalize(start)
-
-    def _install_chaos(self, start: float) -> None:
-        config = self.scenario_config
-        if config.fault_specs:
-            from repro.network.faults import MessageFaultInjector
-
-            self.scenario.network.install_faults(
-                MessageFaultInjector(config.fault_specs, seed=config.seed + 3)
-            )
-        if config.failure_plan is not None:
-            self.scripted_events = config.failure_plan.apply(
-                self.scenario.simulator, self.scenario.network
-            )
-        if config.outage_plan is not None and not config.outage_plan.is_empty():
-            # the returned log is live — it fills as the scheduled
-            # outage events fire during the run, so hold the reference
-            # and let readers merge it only after the run drains
-            self.outage_events = config.outage_plan.apply(
-                self.scenario.simulator, self.scenario.network
-            )
-        if config.crash_probability > 0 or config.disconnect_probability > 0:
-            horizon = (
-                start
-                + (self.spec.max_windows - 1) * self.spec.cadence
-                + 3 * self.spec.deadline
-            )
-            self.injector = FailureInjector(
-                self.scenario.simulator,
-                self.scenario.network,
-                device_ids=list(self.processor_pool),
-                crash_probability=config.crash_probability,
-                disconnect_probability=config.disconnect_probability,
-                disconnect_duration=config.disconnect_duration,
-                seed=config.seed + 1,
-            )
-            self.injector.start(until=horizon)
 
     # -- churn application ----------------------------------------------------
 
@@ -537,25 +497,25 @@ class ContinuousEngine:
         window_id = record.window_id
         compiled = self.compile_window(window_id)
         plan = compiled.build_qep(contributor_ids=record.eligible)
-        n_processors = sum(
-            1 for op in plan.operators() if op.role.is_data_processor
+        lease = self.registry.lease_plan(
+            window_id, plan, self.processor_pool, self.standby_count
         )
-        free = self.registry.free(self.processor_pool)
-        if len(free) < n_processors:
+        if lease is None:
             record.outcome = SKIPPED
             record.finished_at = sim.now
             self.admission.abort(window_id)
             self._roll_accounting(None)
             return
-        extra = (
-            min(self.standby_count, len(free) - n_processors)
-            if self.spec.reliability
-            else 0
+        record.leased, record.standbys = lease
+        record.result = self.scenario.launch(
+            compiled,
+            plan,
+            processor_ids=record.leased,
+            standbys=record.standbys,
+            network=self.mux.endpoint(window_id),
+            seed=self.spec.window_seed(record.index),
+            contribution_cache=self.cache,
         )
-        taken = self.registry.lease(window_id, free[: n_processors + extra])
-        record.leased = taken[:n_processors]
-        record.standbys = taken[n_processors:]
-        self.scenario.assign_query(plan, record.leased)
 
         # snapshot the oracle rows *after* assignment: this is the data
         # the window's contributors will actually read at fire time —
@@ -570,42 +530,9 @@ class ContinuousEngine:
             for row in self.scenario.devices[device_id].contribute(predicate)
         ]
 
-        endpoint = self.mux.endpoint(window_id)
-        transport = None
-        recovery = None
-        window_seed = self.spec.window_seed(record.index)
-        if self.spec.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                endpoint, seed=window_seed + 4, telemetry=self.telemetry
-            )
-            recovery = RecoveryConfig(
-                phase_deadline=self.scenario_config.phase_deadline
-            )
-        executor = ExecutionCoordinator(
-            simulator=sim,
-            strategy=compiled.strategy_runtime(),
-            network=endpoint,
-            devices=self.scenario.devices,
-            plan=plan,
-            collection_window=self.spec.collection_window,
-            deadline=self.spec.deadline,
-            secure_channels=False,
-            telemetry=self.telemetry,
-            seed=window_seed,
-            transport=transport,
-            recovery=recovery,
-            standby_devices=record.standbys,
-            contribution_cache=self.cache,
-        )
-        record.plan = plan
-        record.executor = executor
-        record.transport = transport
         record.outcome = "running"
         self._roll_accounting(record)
-        horizon = executor.start()
+        horizon = record.result.executor.start()
         sim.schedule_at(
             horizon,
             lambda: self._on_complete(record),
@@ -614,19 +541,18 @@ class ContinuousEngine:
 
     def _on_complete(self, record: WindowRecord) -> None:
         sim = self.scenario.simulator
-        report = record.executor.finish()
+        report = self.scenario.conclude(record.result)
         self.mux.detach_query(record.window_id)
         self.registry.release(record.window_id)
         record.report = report
         record.finished_at = sim.now
         record.outcome = COMPLETED
-        collected = _collected_tuples(record.executor)
+        collected = _collected_tuples(record.result.executor)
         expected = len(record.rows)
         record.coverage = (
             min(1.0, collected / expected) if expected else 0.0
         )
         self._h_coverage.observe(record.coverage)
-        self.scenario.record_query_metrics(report, record.executor.start_time)
         self.admission.complete(record.window_id)
 
     # -- wrap-up --------------------------------------------------------------

@@ -17,9 +17,7 @@ privacy- and resiliency-aware planner (:mod:`repro.core.planner`),
 assigned to concrete edgelets by hashing public keys
 (:mod:`repro.core.assignment`), and executed over the opportunistic
 network by the per-role runtimes of :mod:`repro.core.runtime`
-(coordinated by :class:`repro.core.runtime.ExecutionCoordinator`; the
-legacy :mod:`repro.core.execution` module remains as a deprecated
-shim).
+(coordinated by :class:`repro.core.runtime.ExecutionCoordinator`).
 """
 
 from repro.core.advisor import QueryProperties, StrategyRecommendation, recommend_strategy
@@ -50,17 +48,12 @@ from repro.core.runtime import (
     ExecutionReport,
     OvercollectionStrategy,
     StrategyRuntime,
-    infer_strategy,
 )
-from repro.core.backup_execution import BackupExecutor
-from repro.core.execution import EdgeletExecutor
 
 __all__ = [
     "BackupChain",
     "BackupConfig",
-    "BackupExecutor",
     "BackupStrategy",
-    "EdgeletExecutor",
     "ExecutionCoordinator",
     "EnergyModel",
     "EdgeletPlanner",
@@ -88,7 +81,6 @@ __all__ = [
     "contributor_builder",
     "estimate_plan_cost",
     "gini_coefficient",
-    "infer_strategy",
     "measure_exposure",
     "measure_execution_cost",
     "measure_liability",

@@ -1,8 +1,7 @@
 """Per-role operator runtimes and the execution coordinator.
 
-The legacy ``EdgeletExecutor`` god-class is decomposed into one small
-runtime per :class:`repro.core.qep.OperatorRole` plus a pluggable
-resiliency strategy:
+One small runtime per :class:`repro.core.qep.OperatorRole` plus a
+pluggable resiliency strategy:
 
 ========================  ==============================================
 module                    owns
@@ -18,9 +17,6 @@ module                    owns
 :mod:`.incremental`       cross-window contribution cache (delta stamps)
 :mod:`.coordinator`       routing, dedup, phase timers, run horizon
 ========================  ==============================================
-
-``repro.core.execution`` and ``repro.core.backup_execution`` remain as
-deprecated thin shims over :class:`ExecutionCoordinator`.
 """
 
 from repro.core.runtime.builder import BuilderRuntime, commit_snapshot, ship_partition
@@ -28,7 +24,7 @@ from repro.core.runtime.combiner import CombinerRuntime, CombinerState, stitch_g
 from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.contributor import ContributorRuntime
-from repro.core.runtime.coordinator import ExecutionCoordinator, infer_strategy
+from repro.core.runtime.coordinator import ExecutionCoordinator
 from repro.core.runtime.incremental import STAMP_BYTES, ContributionCache
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryConfig, RecoveryRuntime
@@ -59,7 +55,6 @@ __all__ = [
     "STAMP_BYTES",
     "StrategyRuntime",
     "commit_snapshot",
-    "infer_strategy",
     "ship_partition",
     "stitch_groups",
 ]

@@ -24,49 +24,18 @@ from repro.core.runtime.contributor import ContributorRuntime
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryConfig, RecoveryRuntime
 from repro.core.runtime.report import ExecutionError, ExecutionReport
-from repro.core.runtime.strategy import (
-    BackupStrategy,
-    OvercollectionStrategy,
-    StrategyRuntime,
-)
+from repro.core.runtime.strategy import StrategyRuntime
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge
 from repro.network.messages import Message, MessageKind
 from repro.network.opnet import OpportunisticNetwork
 from repro.network.simulator import Simulator
 
-__all__ = ["ExecutionCoordinator", "infer_strategy"]
-
-
-def infer_strategy(
-    plan: QueryExecutionPlan, takeover_timeout: float = 5.0
-) -> StrategyRuntime:
-    """Pick the strategy a plan's metadata asks for.
-
-    Backup mechanics apply only to aggregate plans planned with
-    ``strategy="backup"``; everything else (including K-Means, which
-    keeps its heartbeat cadence) runs under Overcollection.
-
-    .. deprecated::
-        Thin shim kept for callers holding only a finished QEP.  The
-        canonical decision now lives on
-        :meth:`repro.plan.compile.CompiledQuery.strategy_runtime`;
-        compile through :func:`repro.plan.compile_query` instead of
-        inferring from plan metadata after the fact.
-    """
-    metadata = plan.metadata
-    if metadata.get("strategy") == "backup" and metadata.get("kind") == "aggregate":
-        return BackupStrategy(takeover_timeout=takeover_timeout)
-    return OvercollectionStrategy()
+__all__ = ["ExecutionCoordinator"]
 
 
 class ExecutionCoordinator:
     """Executes one query plan across the simulated edgelet swarm.
-
-    Accepts the same arguments as the legacy ``EdgeletExecutor`` plus
-    ``strategy`` (a :class:`StrategyRuntime`; inferred from the plan
-    metadata when omitted) and ``takeover_timeout`` (used only by an
-    inferred :class:`BackupStrategy`).
 
     Args:
         simulator: the discrete-event clock shared with the network.
@@ -91,9 +60,9 @@ class ExecutionCoordinator:
             phase spans, counters, and profiles into; defaults to the
             simulator's instance.
         seed: randomness for contribution jitter.
-        strategy: resiliency policy; ``None`` infers from the plan.
-        takeover_timeout: replica stagger for an inferred backup
-            strategy.
+        strategy: the resiliency policy (required; a compiled query
+            names it via
+            :meth:`repro.plan.compile.CompiledQuery.strategy_runtime`).
         transport: optional reliability overlay
             (:class:`repro.network.reliable.ReliableTransport`); when
             provided, every handler attach and every shipped payload
@@ -120,8 +89,8 @@ class ExecutionCoordinator:
         audit_ledger: Any = None,
         telemetry: Any = None,
         seed: int = 0,
-        strategy: StrategyRuntime | None = None,
-        takeover_timeout: float = 5.0,
+        *,
+        strategy: StrategyRuntime,
         transport: Any = None,
         recovery: RecoveryConfig | None = None,
         standby_devices: list[str] | None = None,
@@ -155,8 +124,6 @@ class ExecutionCoordinator:
         self.querier = QuerierRuntime(self.ctx)
         self.builder.index()
         self.computer.index()
-        if strategy is None:
-            strategy = infer_strategy(plan, takeover_timeout=takeover_timeout)
         self.strategy = strategy
         self.strategy.bind(self.ctx, self.builder, self.computer)
         self.recovery: RecoveryRuntime | None = None

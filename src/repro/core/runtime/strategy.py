@@ -133,11 +133,11 @@ class BackupStrategy(StrategyRuntime):
     ) -> None:
         super().bind(ctx, builder, computer)
         if ctx.plan.metadata.get("strategy") != "backup":
-            raise ExecutionError("BackupExecutor requires a backup-strategy plan")
+            raise ExecutionError("BackupStrategy requires a backup-strategy plan")
         if ctx.kind != "aggregate":
             raise ExecutionError(
-                "BackupExecutor supports aggregate queries (use the "
-                "heartbeat-based Overcollection executor for iterative ML)"
+                "BackupStrategy supports aggregate queries (use the "
+                "heartbeat-based OvercollectionStrategy for iterative ML)"
             )
         self._index_replicas()
 

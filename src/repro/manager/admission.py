@@ -168,6 +168,23 @@ class DeviceLeaseRegistry:
             held.append(device_id)
         return devices
 
+    def lease_plan(
+        self, query_id: str, plan: Any, pool: Iterable[str], standby_count: int
+    ) -> tuple[list[str], list[str]] | None:
+        """Lease one free device per data-processor operator of ``plan``
+        plus up to ``standby_count`` spares, drawn in pool order.
+
+        Returns ``(role devices, standbys)``, or ``None`` — nothing
+        leased — when the pool cannot cover the roles.
+        """
+        n_roles = sum(1 for op in plan.operators() if op.role.is_data_processor)
+        free = self.free(pool)
+        if len(free) < n_roles:
+            return None
+        extra = min(standby_count, len(free) - n_roles)
+        taken = self.lease(query_id, free[: n_roles + extra])
+        return taken[:n_roles], taken[n_roles:]
+
     def release(self, query_id: str) -> list[str]:
         """Return every device the query holds to the free pool."""
         now = self._clock()

@@ -7,6 +7,7 @@ demonstration flow: configure, plan, execute, observe, verify.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -15,22 +16,28 @@ from typing import Any
 from repro.core.assignment import assign_operators
 from repro.core.liability import LiabilityReport, measure_liability
 from repro.core.planner import (
-    EdgeletPlanner,
     PrivacyParameters,
     QuerySpec,
     ResiliencyParameters,
 )
 from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.qep import OperatorRole, QueryExecutionPlan
-from repro.core.runtime import ExecutionCoordinator, ExecutionReport
+from repro.core.runtime import (
+    ExecutionCoordinator,
+    ExecutionReport,
+    RecoveryConfig,
+)
 from repro.devices.attestation import AttestationAuthority, AttestationError
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import DeviceProfile, HOME_BOX, PC_SGX, SMARTPHONE
 from repro.devices.tee import SealedGlassObserver
 from repro.data.generators import distribute_rows_to_devices
 from repro.network.failures import FailureInjector
+from repro.network.faults import MessageFaultInjector
 from repro.network.mobility import CaregiverRounds
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
+from repro.network.outages import build_outage_plan
+from repro.network.reliable import ReliableTransport
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph
 from repro.plan.compile import CompiledQuery, compile_query
@@ -165,10 +172,15 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Outcome of one scenario execution.
+    """One execution, from :meth:`Scenario.launch` to its verdicts.
+
+    ``launch`` fills ``report`` / ``plan`` / ``executor`` /
+    ``transport``; whoever judges the run adds the rest through
+    :meth:`judged` (:meth:`Scenario.run_compiled`, the chaos drivers).
 
     Attributes:
-        report: the executor's detailed report.
+        report: the executor's detailed report (the live object; final
+            once :meth:`Scenario.conclude` sealed it).
         plan: the executed plan.
         exposure: plan-level privacy exposure bounds.
         liability: crowd-liability distribution.
@@ -176,12 +188,14 @@ class ScenarioResult:
             :func:`repro.manager.verification.verify_against_centralized`.
         executor: the executor instance (chaos invariants inspect its
             combiner runtimes and takeover log post-run).
-        failure_events: log filled by the scripted failure plan and/or
-            the stochastic injector, in firing order.
+        failure_events: what the scripted failure plan, the outage
+            plan and the stochastic injector logged, by time.
         fault_injector: the message-fault injector, if one was
             installed (its decision log feeds the shrinker).
         transport: the reliability overlay, when the scenario enabled
             one (its receipts and stats feed tests and benches).
+        outage_plan: the resolved topology-outage plan, if any (the
+            shrinker pins it).
     """
 
     report: ExecutionReport
@@ -194,6 +208,25 @@ class ScenarioResult:
     fault_injector: Any = None
     transport: Any = None
     outage_plan: Any = None
+
+    def judged(
+        self,
+        failure_events: list[Any],
+        fault_injector: Any,
+        separated_pairs: list[tuple[str, str]] | None = None,
+    ) -> "ScenarioResult":
+        """A copy carrying what the invariant checks read: exposure and
+        liability measured on this plan, plus the substrate's failure
+        and message-fault logs (shared by every query of an engine)."""
+        return dataclasses.replace(
+            self,
+            exposure=measure_exposure(self.plan, separated_pairs=separated_pairs),
+            liability=measure_liability(
+                self.plan, tuples_per_device=self.report.tuples_per_device
+            ),
+            failure_events=failure_events,
+            fault_injector=fault_injector,
+        )
 
 
 class Scenario:
@@ -229,7 +262,8 @@ class Scenario:
         self._build_swarm()
         self._deal_data()
         self.network = self._build_network()
-        self.injector: FailureInjector | None = None
+        # live event logs of the fault sources install_chaos installed
+        self._failure_logs: list[list[Any]] = []
         self.engine = CentralizedEngine()
         self.engine.register("data", Relation(config.schema, config.rows))
 
@@ -389,24 +423,6 @@ class Scenario:
         )
         return [d.device_id for d in eligible]
 
-    def plan_query(
-        self,
-        spec: QuerySpec,
-        privacy: PrivacyParameters | None = None,
-        resiliency: ResiliencyParameters | None = None,
-        contributor_ids: list[str] | None = None,
-    ) -> QueryExecutionPlan:
-        """Plan one query over this scenario's contributors (unassigned).
-
-        ``contributor_ids`` overrides the contributor set — the
-        continuous engine passes each window's live (and, for sliding
-        windows, fresh-data) subset of a churning population.
-        """
-        planner = EdgeletPlanner(privacy=privacy, resiliency=resiliency)
-        if contributor_ids is None:
-            contributor_ids = [d.device_id for d in self.contributors]
-        return planner.plan(spec, contributor_ids=contributor_ids)
-
     def assign_query(
         self, plan: QueryExecutionPlan, processor_ids: list[str] | None = None
     ) -> None:
@@ -484,137 +500,191 @@ class Scenario:
         contributor_ids: list[str] | None = None,
     ) -> ScenarioResult:
         """Assign and execute one compiled query on this scenario."""
-        spec = compiled.spec
         if contributor_ids is None:
             contributor_ids = [d.device_id for d in self.contributors]
         plan = compiled.build_qep(contributor_ids=contributor_ids)
-        eligible_ids = self.eligible_processor_ids()
-        self.assign_query(plan, eligible_ids)
-
-        transport = None
-        recovery = None
-        standbys: list[str] = []
-        if self.config.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                self.network, seed=self.config.seed + 4,
-                telemetry=self.telemetry,
-            )
-            recovery = RecoveryConfig(phase_deadline=self.config.phase_deadline)
-            assigned = {
-                op.assigned_to for op in plan.operators() if op.assigned_to
-            }
-            # the re-recruitment pool: eligible processors the assignment
-            # pass left unassigned, in their (deterministic) pool order
-            standbys = [
-                device_id for device_id in eligible_ids
-                if device_id not in assigned
-            ]
-
         scenario_span = self.telemetry.tracer.push(
             self.telemetry.tracer.start(
                 "scenario", at=self.simulator.now,
-                scenario_id=self.scenario_id, query_id=spec.query_id,
+                scenario_id=self.scenario_id, query_id=compiled.spec.query_id,
             )
         )
+        result = self.launch(
+            compiled, plan, processor_ids=self.eligible_processor_ids()
+        )
+        executor = result.executor
+        result.outage_plan = self.install_chaos(until=executor.deadline_at)
+        self.simulator.run_until(executor.start())
+        self.conclude(result)
+        self.telemetry.tracer.pop(scenario_span, at=self.simulator.now)
+        return result.judged(
+            self.failure_events(), self.network.faults, separated_pairs
+        )
+
+    # -- the one launch path --------------------------------------------------
+
+    def launch(
+        self,
+        compiled: CompiledQuery,
+        plan: QueryExecutionPlan,
+        *,
+        processor_ids: list[str],
+        standbys: list[str] | None = None,
+        network: Any = None,
+        seed: int | None = None,
+        contribution_cache: Any = None,
+    ) -> ScenarioResult:
+        """Assign ``plan`` and wire one execution of it, not yet started.
+
+        The only construction site of the coordinator, the reliable
+        transport and the recovery config: the one-shot path, a workload
+        arrival, a standing-query window and a serial replay all come
+        through here, and every execution option is read from
+        :attr:`config`.  The arguments are per-launch data only:
+
+        Args:
+            processor_ids: the pool the operators are assigned from
+                (every eligible processor, or the devices an engine
+                leased for this query).
+            standbys: the recovery watchdog's re-recruitment pool;
+                defaults to the members of ``processor_ids`` the
+                assignment pass left unassigned, in pool order.
+            network: the query-scoped mux endpoint of a shared swarm;
+                defaults to the scenario's own network.
+            seed: the per-query seed (contribution jitter; the
+                transport's retransmit jitter derives from ``seed + 4``);
+                defaults to the scenario seed.
+            contribution_cache: a standing query's cross-window cache.
+
+        Ordering contract: the caller installs chaos (if it has not
+        already) *after* this returns and *before* ``executor.start()``
+        — the simulator breaks same-time ties by scheduling order, so
+        moving either step changes every fingerprint.
+        """
+        config = self.config
+        self.assign_query(plan, processor_ids)
+        if network is None:
+            network = self.network
+        if seed is None:
+            seed = config.seed
+        transport = None
+        recovery = None
+        if config.reliability:
+            transport = ReliableTransport(
+                network, seed=seed + 4, telemetry=self.telemetry
+            )
+            recovery = RecoveryConfig(phase_deadline=config.phase_deadline)
+            if standbys is None:
+                assigned = {op.assigned_to for op in plan.operators()}
+                standbys = [d for d in processor_ids if d not in assigned]
         executor = ExecutionCoordinator(
             simulator=self.simulator,
             strategy=compiled.strategy_runtime(),
-            network=self.network,
+            network=network,
             devices=self.devices,
             plan=plan,
-            collection_window=self.config.collection_window,
-            deadline=self.config.deadline,
-            secure_channels=self.config.secure_channels,
+            collection_window=config.collection_window,
+            deadline=config.deadline,
+            secure_channels=config.secure_channels,
             telemetry=self.telemetry,
-            seed=self.config.seed,
+            seed=seed,
             transport=transport,
             recovery=recovery,
             standby_devices=standbys,
-            fencing=self.config.fencing,
-            detector=self.config.detector,
+            contribution_cache=contribution_cache,
+            fencing=config.fencing,
+            detector=config.detector,
+        )
+        return ScenarioResult(
+            report=executor.report,
+            plan=plan,
+            executor=executor,
+            transport=transport,
         )
 
-        if self.config.caregiver_period is not None:
+    def conclude(self, result: ScenarioResult) -> ExecutionReport:
+        """Seal one launched execution once its horizon has passed."""
+        report = result.executor.finish()
+        if result.transport is not None:
+            result.transport.close()
+        self.record_query_metrics(report, result.executor.start_time)
+        return report
+
+    def install_chaos(self, until: float) -> Any:
+        """Install every configured fault source, active up to ``until``.
+
+        The only site that turns :attr:`config`'s ``caregiver_period``,
+        ``fault_specs``, ``failure_plan``, ``outage_plan`` /
+        ``outage_spec`` and crash / disconnect probabilities into
+        simulator events.  The one-shot path calls it per query, between
+        :meth:`launch` and ``executor.start()``; an engine calls it once
+        in ``run()``, before it schedules the first arrival.  Returns
+        the resolved outage plan (``None`` without topology outages);
+        :meth:`failure_events` reads what the sources have logged.
+        """
+        config = self.config
+        if config.caregiver_period is not None:
             rounds = CaregiverRounds(
-                period=self.config.caregiver_period,
-                visit_duration=self.config.caregiver_visit,
-                seed=self.config.seed + 2,
+                period=config.caregiver_period,
+                visit_duration=config.caregiver_visit,
+                seed=config.seed + 2,
             )
             schedule = rounds.schedule(
-                [d.device_id for d in self.contributors],
-                horizon=self.simulator.now + self.config.deadline,
+                [d.device_id for d in self.contributors], horizon=until
             )
             schedule.install(self.simulator, self.network)
 
-        if self.config.fault_specs:
-            from repro.network.faults import MessageFaultInjector
-
+        if config.fault_specs:
             self.network.install_faults(
-                MessageFaultInjector(self.config.fault_specs, seed=self.config.seed + 3)
+                MessageFaultInjector(config.fault_specs, seed=config.seed + 3)
             )
 
-        scripted_events: list[Any] = []
-        if self.config.failure_plan is not None:
-            scripted_events = self.config.failure_plan.apply(
-                self.simulator, self.network
+        # each source returns a live log that fills as its scheduled
+        # events fire, so hold the references and merge only on demand
+        self._failure_logs = []
+        if config.failure_plan is not None:
+            self._failure_logs.append(
+                config.failure_plan.apply(self.simulator, self.network)
             )
 
         # topology-level outages: a pre-resolved plan replays verbatim;
         # a spec resolves over the processor pool with its own seed
         # stream (seed + 5) so legacy runs draw nothing from it
-        outage_plan = self.config.outage_plan
-        if outage_plan is None and self.config.outage_spec is not None:
-            from repro.network.outages import build_outage_plan
-
-            if not self.config.outage_spec.is_noop():
-                outage_plan = build_outage_plan(
-                    self.config.outage_spec,
-                    [d.device_id for d in self.processors],
-                    horizon=self.simulator.now + self.config.deadline,
-                    seed=self.config.seed + 5,
-                )
-        outage_events: list[Any] = []
+        processor_ids = [d.device_id for d in self.processors]
+        outage_plan = config.outage_plan
+        if (
+            outage_plan is None
+            and config.outage_spec is not None
+            and not config.outage_spec.is_noop()
+        ):
+            outage_plan = build_outage_plan(
+                config.outage_spec, processor_ids,
+                horizon=until, seed=config.seed + 5,
+            )
         if outage_plan is not None and not outage_plan.is_empty():
-            # the returned log is live — it fills as scheduled outage
-            # events fire during the run, so merge it only afterwards
-            outage_events = outage_plan.apply(self.simulator, self.network)
+            self._failure_logs.append(
+                outage_plan.apply(self.simulator, self.network)
+            )
 
-        if self.config.crash_probability > 0 or self.config.disconnect_probability > 0:
-            self.injector = FailureInjector(
+        if config.crash_probability > 0 or config.disconnect_probability > 0:
+            injector = FailureInjector(
                 self.simulator,
                 self.network,
-                device_ids=[d.device_id for d in self.processors],
-                crash_probability=self.config.crash_probability,
-                disconnect_probability=self.config.disconnect_probability,
-                disconnect_duration=self.config.disconnect_duration,
-                seed=self.config.seed + 1,
+                device_ids=processor_ids,
+                crash_probability=config.crash_probability,
+                disconnect_probability=config.disconnect_probability,
+                disconnect_duration=config.disconnect_duration,
+                seed=config.seed + 1,
             )
-            self.injector.start(until=executor.deadline_at)
+            injector.start(until=until)
+            self._failure_logs.append(injector.events)
+        return outage_plan
 
-        report = executor.run()
-        self.telemetry.tracer.pop(scenario_span, at=self.simulator.now)
-        self.record_query_metrics(report, executor.start_time)
-        exposure = measure_exposure(plan, separated_pairs=separated_pairs)
-        liability = measure_liability(plan, tuples_per_device=report.tuples_per_device)
-        failure_events = list(scripted_events)
-        failure_events.extend(outage_events)
-        if self.injector is not None:
-            failure_events.extend(self.injector.events)
-        failure_events.sort(key=lambda e: e.time)
-        return ScenarioResult(
-            report=report,
-            plan=plan,
-            exposure=exposure,
-            liability=liability,
-            executor=executor,
-            failure_events=failure_events,
-            fault_injector=self.network.faults,
-            transport=transport,
-            outage_plan=outage_plan,
-        )
+    def failure_events(self) -> list[Any]:
+        """What the installed fault sources logged so far, by time."""
+        events = [event for log in self._failure_logs for event in log]
+        events.sort(key=lambda event: event.time)
+        return events
 
     def record_query_metrics(
         self, report: ExecutionReport, start_time: float

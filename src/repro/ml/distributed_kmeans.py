@@ -15,7 +15,7 @@ knowledge to the Computing Combiner, which merges all received
 knowledges into the final centroids.
 
 This module is pure algorithm (no simulator): the state machine that a
-Computer runs per heartbeat.  :mod:`repro.core.execution` drives it over
+Computer runs per heartbeat.  :mod:`repro.core.runtime` drives it over
 the opportunistic network.
 """
 

@@ -67,6 +67,24 @@ class DeliveryReceipt:
     latency: float | None = None
 
 
+#: The :class:`NetworkStats` counters that mean a message was lost or
+#: tampered with on the way — a run is *clean* only if none of them
+#: moved.  A counter that cannot fire in a given mode simply reads 0.
+LOSS_COUNTERS = (
+    "lost",
+    "dropped_timeout",
+    "no_route",
+    "to_dead_device",
+    "departed",
+    "partitioned",
+    "gray_lost",
+    "fault_dropped",
+    "fault_corrupted",
+    "fault_duplicated",
+    "fault_delayed",
+)
+
+
 class NetworkStats:
     """Aggregate counters maintained by the network."""
 
@@ -271,6 +289,11 @@ class OpportunisticNetwork:
     def add_departure_listener(self, listener: Callable[[str], None]) -> None:
         """Call ``listener(device_id)`` on each graceful :meth:`leave`."""
         self._departure_listeners.append(listener)
+
+    def remove_departure_listener(self, listener: Callable[[str], None]) -> None:
+        """Stop notifying ``listener``; unknown listeners are ignored."""
+        if listener in self._departure_listeners:
+            self._departure_listeners.remove(listener)
 
     def kill(self, device_id: str) -> None:
         """Permanently crash a device; buffered messages are discarded."""

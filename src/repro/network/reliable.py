@@ -389,6 +389,19 @@ class ReliableTransport:
         self.stats.transfers_started += 1
         self._transmit(pending)
 
+    def close(self) -> None:
+        """Stop listening for departures once the query is over.
+
+        Without this a network that outlives its transports (one
+        scenario, many reliable queries) keeps every finished
+        transport's tables alive and calls each one on every later
+        ``leave()``.  Armed retransmission timers and receipts are left
+        alone: in-flight transfers still resolve via ``is_dead()``.
+        """
+        unregister = getattr(self.network, "remove_departure_listener", None)
+        if unregister is not None:
+            unregister(self._on_peer_departed)
+
     def reset(self) -> None:
         """Clear transfer state alongside an opnet/simulator reset."""
         self.stats = TransportStats()

@@ -7,7 +7,10 @@ clock.  The pieces:
 * a :class:`~repro.manager.scenario.Scenario` provides the swarm, the
   data deal-out, and the shared opportunistic network (switched into
   per-query RNG streams so each query's loss/latency draws are
-  independent of interleaving);
+  independent of interleaving) — and wires, concludes and
+  chaos-instruments every execution (``launch`` / ``conclude`` /
+  ``install_chaos``); the engine owns only admission, leasing, the mux
+  endpoint, the per-query seed and completion scheduling;
 * a :class:`~repro.network.mux.QueryMux` gives every execution a
   query-scoped endpoint, so dispatches, dedup tables, watchdogs, and
   retransmissions of interleaved queries never touch each other;
@@ -38,7 +41,6 @@ from repro.core.planner import (
     PrivacyParameters,
     ResiliencyParameters,
 )
-from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.admission import (
     ADMITTED,
@@ -47,7 +49,6 @@ from repro.manager.admission import (
     DeviceLeaseRegistry,
 )
 from repro.manager.scenario import Scenario, ScenarioConfig
-from repro.network.failures import FailureInjector
 from repro.network.mux import QueryMux
 from repro.plan.compile import CompiledQuery, compile_query
 from repro.plan.logical import LogicalPlan
@@ -85,9 +86,9 @@ class QueryRecord:
     standbys: list[str] = field(default_factory=list)
     report: Any = None
     fingerprint: str | None = None
-    plan: Any = None
-    executor: Any = None
-    transport: Any = None
+    #: the launched execution
+    #: (:class:`~repro.manager.scenario.ScenarioResult`)
+    result: Any = None
 
     @property
     def latency(self) -> float | None:
@@ -199,7 +200,7 @@ class WorkloadEngine:
             telemetry = get_telemetry()
         self.telemetry = telemetry
         self.spec = spec
-        self.standby_count = standby_count
+        self.standby_count = standby_count if spec.reliability else 0
         if rows is None:
             rows = generate_health_rows(2 * n_contributors, seed=spec.seed)
         if schema is None:
@@ -212,7 +213,6 @@ class WorkloadEngine:
             device_mix=(1.0, 0.0, 0.0),
             collection_window=spec.collection_window,
             deadline=spec.deadline,
-            secure_channels=False,
             crash_probability=crash_probability,
             disconnect_probability=disconnect_probability,
             disconnect_duration=disconnect_duration,
@@ -235,8 +235,6 @@ class WorkloadEngine:
         self.logical, _ = apply_rules(LogicalPlan.from_sql(spec.sql))
         self.group_by = self.logical.to_group_by()
         self.processor_pool = self.scenario.eligible_processor_ids()
-        self.injector: FailureInjector | None = None
-        self.scripted_events: list[Any] = []
         self._records: dict[str, QueryRecord] = {}
         self._pending: deque[QueryArrival] = deque()
         self._g_in_flight = telemetry.metrics.gauge("workload.in_flight")
@@ -250,7 +248,12 @@ class WorkloadEngine:
         start = sim.now
         arrivals = self.spec.arrivals()
         self._records = {a.query_id: QueryRecord(arrival=a) for a in arrivals}
-        self._install_chaos(arrivals)
+        open_loop_span = max(
+            (a.at for a in arrivals if a.at is not None), default=0.0
+        )
+        self.scenario.install_chaos(
+            until=open_loop_span + 3 * self.spec.deadline
+        )
         if self.spec.arrival_process == "closed":
             self._pending = deque(arrivals)
             prime = min(self.spec.target_in_flight, len(arrivals))
@@ -270,34 +273,6 @@ class WorkloadEngine:
                 )
         sim.run()
         return self._finalize(start)
-
-    def _install_chaos(self, arrivals: list[QueryArrival]) -> None:
-        config = self.scenario_config
-        if config.fault_specs:
-            from repro.network.faults import MessageFaultInjector
-
-            self.scenario.network.install_faults(
-                MessageFaultInjector(config.fault_specs, seed=config.seed + 3)
-            )
-        if config.failure_plan is not None:
-            self.scripted_events = config.failure_plan.apply(
-                self.scenario.simulator, self.scenario.network
-            )
-        if config.crash_probability > 0 or config.disconnect_probability > 0:
-            open_loop_span = max(
-                (a.at for a in arrivals if a.at is not None), default=0.0
-            )
-            horizon = open_loop_span + 3 * self.spec.deadline
-            self.injector = FailureInjector(
-                self.scenario.simulator,
-                self.scenario.network,
-                device_ids=list(self.processor_pool),
-                crash_probability=config.crash_probability,
-                disconnect_probability=config.disconnect_probability,
-                disconnect_duration=config.disconnect_duration,
-                seed=config.seed + 1,
-            )
-            self.injector.start(until=horizon)
 
     # -- arrival / launch / completion ---------------------------------------
 
@@ -339,59 +314,26 @@ class WorkloadEngine:
                 d.device_id for d in self.scenario.contributors
             ]
         )
-        n_processors = sum(
-            1 for op in plan.operators() if op.role.is_data_processor
+        lease = self.registry.lease_plan(
+            query_id, plan, self.processor_pool, self.standby_count
         )
-        free = self.registry.free(self.processor_pool)
-        if len(free) < n_processors:
+        if lease is None:
             # the swarm is leased out: convert the admission into a shed
             record.outcome = SHED
             self._after_slot_freed(self.admission.abort(query_id))
             return
-        extra = (
-            min(self.standby_count, len(free) - n_processors)
-            if self.spec.reliability
-            else 0
-        )
-        taken = self.registry.lease(query_id, free[: n_processors + extra])
-        record.leased = taken[:n_processors]
-        record.standbys = taken[n_processors:]
-        self.scenario.assign_query(plan, record.leased)
-
-        endpoint = self.mux.endpoint(query_id)
-        transport = None
-        recovery = None
-        if self.spec.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                endpoint, seed=arrival.seed + 4, telemetry=self.telemetry
-            )
-            recovery = RecoveryConfig(
-                phase_deadline=self.scenario_config.phase_deadline
-            )
-        executor = ExecutionCoordinator(
-            simulator=sim,
-            strategy=compiled.strategy_runtime(),
-            network=endpoint,
-            devices=self.scenario.devices,
-            plan=plan,
-            collection_window=self.spec.collection_window,
-            deadline=self.spec.deadline,
-            secure_channels=False,
-            telemetry=self.telemetry,
+        record.leased, record.standbys = lease
+        record.result = self.scenario.launch(
+            compiled,
+            plan,
+            processor_ids=record.leased,
+            standbys=record.standbys,
+            network=self.mux.endpoint(query_id),
             seed=arrival.seed,
-            transport=transport,
-            recovery=recovery,
-            standby_devices=record.standbys,
         )
-        record.plan = plan
-        record.executor = executor
-        record.transport = transport
         record.started_at = sim.now
         record.outcome = "running"
-        horizon = executor.start()
+        horizon = record.result.executor.start()
         sim.schedule_at(
             horizon,
             lambda: self._on_complete(record),
@@ -402,16 +344,15 @@ class WorkloadEngine:
     def _on_complete(self, record: QueryRecord) -> None:
         sim = self.scenario.simulator
         query_id = record.arrival.query_id
-        report = record.executor.finish()
+        report = self.scenario.conclude(record.result)
         self.mux.detach_query(query_id)
         self.registry.release(query_id)
         record.report = report
         record.finished_at = sim.now
         record.outcome = COMPLETED
         record.fingerprint = report_fingerprint(
-            report, base_time=record.executor.start_time
+            report, base_time=record.result.executor.start_time
         )
-        self.scenario.record_query_metrics(report, record.executor.start_time)
         latency = record.latency
         if latency is not None:
             self._h_latency.observe(latency)
@@ -497,7 +438,6 @@ def serial_fingerprints(
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    spec = engine.spec
     scenario = Scenario(engine.scenario_config, telemetry=telemetry)
     scenario.network.per_query_rng = True
     sim = scenario.simulator
@@ -513,37 +453,16 @@ def serial_fingerprints(
         plan = compiled.build_qep(
             contributor_ids=[d.device_id for d in scenario.contributors]
         )
-        scenario.assign_query(plan, record.leased)
-        endpoint = mux.endpoint(arrival.query_id)
-        transport = None
-        recovery = None
-        if spec.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                endpoint, seed=arrival.seed + 4, telemetry=telemetry
-            )
-            recovery = RecoveryConfig(
-                phase_deadline=engine.scenario_config.phase_deadline
-            )
-        executor = ExecutionCoordinator(
-            simulator=sim,
-            strategy=compiled.strategy_runtime(),
-            network=endpoint,
-            devices=scenario.devices,
-            plan=plan,
-            collection_window=spec.collection_window,
-            deadline=spec.deadline,
-            secure_channels=False,
-            telemetry=telemetry,
+        solo = scenario.launch(
+            compiled,
+            plan,
+            processor_ids=record.leased,
+            standbys=record.standbys,
+            network=mux.endpoint(arrival.query_id),
             seed=arrival.seed,
-            transport=transport,
-            recovery=recovery,
-            standby_devices=record.standbys,
         )
-        report = executor.run()
+        sim.run_until(solo.executor.start())
         fingerprints[arrival.query_id] = report_fingerprint(
-            report, base_time=executor.start_time
+            scenario.conclude(solo), base_time=solo.executor.start_time
         )
     return fingerprints

@@ -45,6 +45,29 @@ class TestLeaseRegistry:
         assert registry.holder("d1") is None
         assert registry.free(["d1", "d2"]) == ["d1"]
 
+    def test_lease_plan_covers_roles_then_caps_standbys(self):
+        from types import SimpleNamespace as NS
+
+        plan = NS(operators=lambda: [
+            NS(role=NS(is_data_processor=True)),
+            NS(role=NS(is_data_processor=False)),  # contributor / querier
+            NS(role=NS(is_data_processor=True)),
+        ])
+        registry = DeviceLeaseRegistry()
+        pool = ["d1", "d2", "d3", "d4", "d5"]
+        registry.lease("other", ["d2"])
+        roles, standbys = registry.lease_plan("q1", plan, pool, standby_count=1)
+        assert (roles, standbys) == (["d1", "d3"], ["d4"])
+        assert registry.held_by("q1") == ["d1", "d3", "d4"]
+        # one free device left: not enough for two roles, nothing leased
+        assert registry.lease_plan("q2", plan, pool, standby_count=1) is None
+        assert registry.held_by("q2") == []
+        registry.release("other")
+        # two free devices cover the roles; the standby ask is capped at 0
+        assert registry.lease_plan("q2", plan, pool, standby_count=3) == (
+            ["d2", "d5"], [],
+        )
+
     def test_release_unknown_query_is_noop(self):
         registry = DeviceLeaseRegistry()
         assert registry.release("ghost") == []

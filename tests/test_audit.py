@@ -107,7 +107,7 @@ class TestExecutorIntegration:
         from repro.manager.scenario import Scenario, ScenarioConfig
         from repro.query.sql import parse_query
         from repro.core.assignment import assign_operators
-        from repro.core.execution import EdgeletExecutor
+        from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
         from repro.core.planner import EdgeletPlanner
         from repro.core.qep import OperatorRole
         from repro.devices.edgelet import Edgelet
@@ -149,10 +149,11 @@ class TestExecutorIntegration:
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
 
         ledger = AuditLedger()
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             simulator, network, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
             audit_ledger=ledger,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         assert len(ledger) >= 4  # snapshot(s) + partial(s) + combine + deliver

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core.backup_execution import BackupExecutor
+from repro.core.runtime import BackupStrategy, ExecutionCoordinator
 from repro.core.validity import compare_results
 from repro.data.health import HEALTH_SCHEMA
 from repro.query.engine import CentralizedEngine
@@ -59,10 +59,10 @@ class TestAllMarkersLost:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows, replicas=1)
         net.install_faults(_ControlBlackhole())
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=90.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         report = executor.run()
         assert report.success
@@ -90,10 +90,10 @@ class TestReplicaCrashMidTakeover:
         plan, spec = _backup_plan(contribs, procs, querier, rows, replicas=2)
         primary = plan.operator("builder[0]").assigned_to
         first_replica = plan.operator("builder[0].b1").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=120.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         # primary dies during collection; rank 1 dies *inside its own
         # takeover window* (collection ends at 15, rank-1 fires at 20)
@@ -122,24 +122,24 @@ class TestResetFencesTakeoverTimers:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, _ = _backup_plan(contribs, procs, querier, rows, replicas=1)
         primary = plan.operator("builder[0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         # drive the run()-prologue by hand so we can stop the clock
         # mid-takeover-window: collection ends at 15.0, the rank-1
         # builder timer is armed for 20.0
-        executor._attach_handlers()
-        executor._schedule_contributions()
+        executor.attach_handlers()
+        executor.contributor.schedule_contributions()
         sim.schedule_at(
-            executor.collect_end, executor._end_collection, "end-collection"
+            executor.collect_end, executor.end_collection, "end-collection"
         )
         sim.run_until(16.0)
         # capture a fire closure under the old epoch — the same closure
         # the armed timer holds
-        stale = executor._make_builder_fire(
+        stale = executor.strategy._make_builder_fire(
             "builder[0]", plan.operator("builder[0].b1")
         )
         epoch_before = sim.epoch
@@ -162,10 +162,10 @@ class TestResetFencesTakeoverTimers:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, _ = _backup_plan(contribs, procs, querier, rows, replicas=1)
         primary = plan.operator("builder[0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         report = executor.run()

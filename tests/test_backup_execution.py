@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.backup_execution import BackupExecutor
-from repro.core.execution import ExecutionError
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -14,6 +12,11 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
+from repro.core.runtime import (
+    BackupStrategy,
+    ExecutionCoordinator,
+    ExecutionError,
+)
 from repro.core.validity import compare_results
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
@@ -78,10 +81,10 @@ class TestBackupExecutor:
     def test_no_failures_primaries_only(self):
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows)
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=60.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         report = executor.run()
         assert report.success
@@ -96,10 +99,10 @@ class TestBackupExecutor:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows)
         victim = plan.operator("builder[0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -116,10 +119,10 @@ class TestBackupExecutor:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows)
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -132,10 +135,10 @@ class TestBackupExecutor:
         plan, spec = _backup_plan(contribs, procs, querier, rows, replicas=2)
         primary = plan.operator("builder[0]").assigned_to
         first_replica = plan.operator("builder[0].b1").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=100.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         sim.schedule(1.0, lambda: net.kill(first_replica))
@@ -147,19 +150,19 @@ class TestBackupExecutor:
     def test_takeover_adds_latency(self):
         sim1, net1, dev1, c1, p1, q1, rows = _swarm()
         plan1, _ = _backup_plan(c1, p1, q1, rows)
-        fast = BackupExecutor(
+        fast = ExecutionCoordinator(
             sim1, net1, dev1, plan1,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=8.0,
+            strategy=BackupStrategy(takeover_timeout=8.0),
         ).run()
 
         sim2, net2, dev2, c2, p2, q2, rows2 = _swarm()
         plan2, _ = _backup_plan(c2, p2, q2, rows2)
         victim = plan2.operator("builder[0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim2, net2, dev2, plan2,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=8.0,
+            strategy=BackupStrategy(takeover_timeout=8.0),
         )
         sim2.schedule(1.0, lambda: net2.kill(victim))
         slow = executor.run()
@@ -186,7 +189,8 @@ class TestBackupExecutor:
         assign_operators(plan, [d.device_id for d in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
         with pytest.raises(ExecutionError):
-            BackupExecutor(
+            ExecutionCoordinator(
                 sim, net, devices, plan,
                 collection_window=10.0, deadline=30.0,
+                strategy=BackupStrategy(),
             )

@@ -12,7 +12,9 @@ from repro.chaos.invariants import (
     check_no_double_takeover,
     check_resiliency,
     check_validity,
+    no_fault_observed,
 )
+from repro.network.opnet import LOSS_COUNTERS, NetworkStats
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import (
     GroupByQuery,
@@ -72,6 +74,19 @@ def _record(
 
 
 ROWS = [{"g": "a", "x": 10.0}, {"g": "a", "x": 20.0}, {"g": "b", "x": 30.0}]
+
+
+class TestCleanVerdict:
+    def test_every_loss_counter_is_a_network_stat(self):
+        assert set(LOSS_COUNTERS) <= set(NetworkStats().as_dict())
+
+    def test_any_single_piece_of_evidence_demotes_the_run(self):
+        assert no_fault_observed([], None, {"sent": 9, "delivered": 9})
+        assert no_fault_observed([], SimpleNamespace(decisions=[]), {})
+        assert not no_fault_observed([object()], None, {})
+        assert not no_fault_observed([], SimpleNamespace(decisions=[1]), {})
+        for counter in LOSS_COUNTERS:
+            assert not no_fault_observed([], None, {counter: 1}), counter
 
 
 class TestResiliency:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
     QuerySpec,
 )
 from repro.core.qep import OperatorRole
+from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -71,9 +71,10 @@ def _run(with_stats: bool, n_contributors=50, seed=2):
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [p.device_id for p in processors], exclusive=False)
     plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-    executor = EdgeletExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=60.0, secure_channels=False,
+        strategy=OvercollectionStrategy(),
     )
     return executor.run(), rows, plan
 

@@ -132,14 +132,16 @@ class TestStrategyRuntimeParity:
         )
         assert isinstance(compiled.strategy_runtime(), OvercollectionStrategy)
 
-    def test_matches_deprecated_infer_strategy(self):
-        from repro.core.runtime.coordinator import infer_strategy
-
-        for strategy, kind in (
-            ("overcollection", "aggregate"),
-            ("backup", "aggregate"),
-            ("overcollection", "kmeans"),
-        ):
+    def test_decision_table(self):
+        """backup AND aggregate -> Backup; everything else, a
+        backup-planned k-means included, -> Overcollection."""
+        table = {
+            ("overcollection", "aggregate"): OvercollectionStrategy,
+            ("backup", "aggregate"): BackupStrategy,
+            ("overcollection", "kmeans"): OvercollectionStrategy,
+            ("backup", "kmeans"): OvercollectionStrategy,
+        }
+        for (strategy, kind), expected in table.items():
             if kind == "kmeans":
                 source = scan("health").cluster(k=2, features=("bmi",))
             else:
@@ -148,10 +150,8 @@ class TestStrategyRuntimeParity:
                 source, query_id="q", snapshot_cardinality=60,
                 resiliency=ResiliencyParameters(strategy=strategy),
             )
-            plan = compiled.build_qep(n_contributors=12)
-            assert type(compiled.strategy_runtime()) is type(
-                infer_strategy(plan)
-            )
+            assert compiled.spec.kind == kind
+            assert type(compiled.strategy_runtime()) is expected
 
 
 class TestExecutionFingerprintParity:

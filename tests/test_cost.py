@@ -95,7 +95,7 @@ class TestPlanEstimate:
 class TestMeasuredCost:
     def _executed(self):
         from repro.core.assignment import assign_operators
-        from repro.core.execution import EdgeletExecutor
+        from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
         from repro.core.qep import OperatorRole
         from repro.data.health import generate_health_rows
         from repro.devices.edgelet import Edgelet
@@ -133,9 +133,10 @@ class TestMeasuredCost:
         plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
         assign_operators(plan, [p.device_id for p in processors], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             simulator, network, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         return network, report
 

@@ -93,7 +93,7 @@ class TestRenderReport:
         assert "... and" in text
 
     def test_failure_scoreboard(self):
-        from repro.core.execution import ExecutionReport
+        from repro.core.runtime import ExecutionReport
 
         report = ExecutionReport(query_id="failed-q")
         text = render_report(report)
@@ -102,7 +102,7 @@ class TestRenderReport:
     def test_kmeans_scoreboard(self):
         import numpy as np
 
-        from repro.core.execution import ExecutionReport, KMeansOutcome
+        from repro.core.runtime import ExecutionReport, KMeansOutcome
 
         report = ExecutionReport(query_id="km")
         report.success = True

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor, ExecutionError
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -18,6 +17,11 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
+from repro.core.runtime import (
+    ExecutionCoordinator,
+    ExecutionError,
+    OvercollectionStrategy,
+)
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -86,9 +90,10 @@ class TestAggregateExecution:
             privacy=PrivacyParameters(max_raw_per_edgelet=25),
             resiliency=ResiliencyParameters(fault_rate=0.01),
         )
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success
@@ -111,9 +116,10 @@ class TestAggregateExecution:
             snapshot_cardinality=len(rows), group_by=_aggregate_query(),
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=True,
+            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success
@@ -132,9 +138,10 @@ class TestAggregateExecution:
             resiliency=ResiliencyParameters(fault_rate=0.2),
         )
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -150,9 +157,10 @@ class TestAggregateExecution:
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
         combiner_device = plan.operator("combiner").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(combiner_device))
         report = executor.run()
@@ -166,9 +174,10 @@ class TestAggregateExecution:
             snapshot_cardinality=len(rows), group_by=_aggregate_query(),
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         for name in ("combiner", "combiner-backup"):
             device = plan.operator(name).assigned_to
@@ -188,9 +197,10 @@ class TestAggregateExecution:
             resiliency=ResiliencyParameters(fault_rate=0.2),
         )
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -208,9 +218,10 @@ class TestAggregateExecution:
             snapshot_cardinality=10, group_by=_aggregate_query(),
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.network_stats["sent"] > 0
         assert report.network_stats["delivered"] > 0
@@ -226,8 +237,9 @@ class TestAggregateExecution:
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
         with pytest.raises(ExecutionError):
-            EdgeletExecutor(
+            ExecutionCoordinator(
                 sim, net, devices, plan, collection_window=50.0, deadline=40.0,
+                strategy=OvercollectionStrategy(),
             )
 
 
@@ -249,9 +261,10 @@ class TestKMeansExecution:
             contribs, procs, querier, spec,
             privacy=PrivacyParameters(max_raw_per_edgelet=30),
         )
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=80.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success
@@ -277,9 +290,10 @@ class TestKMeansExecution:
             resiliency=ResiliencyParameters(fault_rate=0.2),
         )
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=80.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         sim.schedule(25.0, lambda: net.kill(victim))
         report = executor.run()
@@ -304,9 +318,10 @@ class TestSketchAggregatesDistributed:
             snapshot_cardinality=len(rows), group_by=query,
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         total = report.result.rows_for(())[0]
@@ -328,9 +343,10 @@ class TestSketchAggregatesDistributed:
             snapshot_cardinality=len(rows), group_by=query,
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         counts = report.result.rows_for(())[0]["ages"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -13,6 +12,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
+from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -78,9 +78,10 @@ class TestCollectionEdgeCases:
             snapshot_cardinality=10, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         # no rows collected anywhere -> combiner has nothing -> failure
         assert not report.success
@@ -93,9 +94,10 @@ class TestCollectionEdgeCases:
             snapshot_cardinality=10, group_by=_query(where=impossible),
         )
         plan = _plan(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert not report.success
 
@@ -112,9 +114,10 @@ class TestCollectionEdgeCases:
             contribs, procs, querier, spec,
             privacy=PrivacyParameters(max_raw_per_edgelet=10),
         )
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         cap = plan.metadata["overcollection"]
@@ -129,22 +132,23 @@ class TestCollectionEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         # keep one contributor offline until after the collection window;
         # its buffered contribution must not enter the frozen snapshot
         victim = contribs[0].device_id
-        executor._attach_handlers()
+        executor.attach_handlers()
         net.set_online(victim, False)
         sim.schedule(15.0, lambda: net.set_online(victim, True))
-        executor._schedule_contributions()
-        sim.schedule_at(executor.collect_end, executor._end_collection)
-        sim.schedule_at(executor.deadline_at, executor._finalize)
+        executor.contributor.schedule_contributions()
+        sim.schedule_at(executor.collect_end, executor.end_collection)
+        sim.schedule_at(executor.deadline_at, executor.finalize)
         sim.run_until(executor.deadline_at + 10.0)
         assert executor.report.success or True  # snapshot semantics below
-        collected = sum(len(b) for b in executor._builder_rows.values())
+        collected = sum(len(b) for b in executor.builder_rows.values())
         assert collected <= len(rows) - 2  # the late rows are absent
 
 
@@ -156,9 +160,10 @@ class TestDeliveryEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(querier.device_id))
         report = executor.run()
@@ -171,9 +176,10 @@ class TestDeliveryEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         sim.schedule(35.0, lambda: net.set_online(querier.device_id, False))
         sim.schedule(42.0, lambda: net.set_online(querier.device_id, True))
@@ -187,9 +193,10 @@ class TestDeliveryEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         # both combiner and backup fired, but exactly one delivery won
@@ -224,9 +231,10 @@ class TestVerticalPartitionExecution:
             ),
         )
         assert len(plan.metadata["column_groups"]) == 3
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         total = report.result.rows_for(())[0]
@@ -263,9 +271,10 @@ class TestVerticalPartitionExecution:
                 separated_pairs=(("age", "bmi"),),
             ),
         )
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         engine = CentralizedEngine()

@@ -1,0 +1,47 @@
+"""Self-test of ``tools/check_layering.py``'s sole-caller rule."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "check_layering", REPO / "tools" / "check_layering.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sole_caller_rule_on_a_two_file_fixture(tmp_path):
+    root = tmp_path / "src"
+    allowed = root / "repro" / "manager" / "scenario.py"
+    offender = root / "repro" / "workload" / "engine.py"
+    for path in (allowed, offender):
+        path.parent.mkdir(parents=True)
+    allowed.write_text(
+        "executor = ExecutionCoordinator(plan)\n"
+        "transport = reliable.ReliableTransport(network)\n"
+    )
+    offender.write_text(
+        "from repro.core.runtime import ExecutionCoordinator  # import: fine\n"
+        "\n"
+        "def launch(plan):\n"
+        "    '''ExecutionCoordinator(plan) in a docstring: fine'''\n"
+        "    return runtime.ExecutionCoordinator(plan), FailureInjector(sim)\n"
+    )
+    violations = _tool().check(root)
+    assert len(violations) == 2
+    assert all(v.startswith("repro.workload.engine constructs ") for v in violations)
+    assert f"{offender}:5" in violations[0]
+    assert {v.split()[2] for v in violations} == {
+        "ExecutionCoordinator", "FailureInjector",
+    }
+
+
+def test_the_shipped_tree_has_one_construction_site():
+    assert _tool().check(REPO / "src") == []

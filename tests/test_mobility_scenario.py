@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -19,6 +18,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
+from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import HOME_BOX, PC_SGX
@@ -79,9 +79,10 @@ class TestDomYcileRounds:
         assign_operators(plan, [p.device_id for p in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
 
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=120.0, deadline=180.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         schedule.install(sim, net)
         report = executor.run()
@@ -110,9 +111,10 @@ class TestDomYcileRounds:
             plan = planner.plan(spec, contributor_ids=[b.device_id for b in boxes])
             assign_operators(plan, [p.device_id for p in procs], exclusive=False)
             plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-            executor = EdgeletExecutor(
+            executor = ExecutionCoordinator(
                 sim, net, devices, plan,
                 collection_window=120.0, deadline=180.0, secure_channels=False,
+                strategy=OvercollectionStrategy(),
             )
             schedule.install(sim, net)
             report = executor.run()
@@ -142,9 +144,10 @@ class TestDomYcileRounds:
         plan = planner.plan(spec, contributor_ids=[b.device_id for b in boxes])
         assign_operators(plan, [p.device_id for p in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=120.0, deadline=180.0, secure_channels=False,
+            strategy=OvercollectionStrategy(),
         )
         schedule.install(sim, net)
         proc_schedule.install(sim, net)

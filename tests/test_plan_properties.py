@@ -9,9 +9,9 @@ substrate x knob) space and asserts the planner's promises hold for
 * enumeration-order invariance — shuffling the candidate enumeration
   never changes the winner (the choice is ``min`` over a canonical
   ``(total, key)``, not "first feasible wins");
-* advisor/runtime agreement — for every plan the legacy
-  ``infer_strategy`` heuristic could express, the compile pipeline's
-  ``strategy_runtime`` picks the same runtime class.
+* the strategy decision table — ``strategy_runtime`` picks Backup for
+  a backup-planned aggregate and Overcollection for everything else,
+  whatever the fault rate and cardinality.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.advisor import properties_for, recommend_strategy
 from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameters
-from repro.core.runtime.coordinator import infer_strategy
+from repro.core.runtime import BackupStrategy, OvercollectionStrategy
 from repro.plan.builder import scan
 from repro.plan.compile import compile_query
 from repro.plan.optimizer import PhysicalOptimizer
@@ -118,11 +118,12 @@ def test_winner_is_invariant_to_enumeration_order(
     fault_rate=st.floats(min_value=0.01, max_value=0.5),
     cardinality=st.integers(min_value=20, max_value=200),
 )
-def test_strategy_runtime_agrees_with_legacy_infer_strategy(
+def test_strategy_runtime_follows_the_decision_table(
     kind, strategy, fault_rate, cardinality
 ):
-    """Every (kind, strategy) plan the old heuristic could express must
-    resolve to the same runtime through the new pipeline."""
+    """Backup runs only a backup-planned aggregate; every other (kind,
+    strategy) pair, a backup-planned k-means included, runs under
+    Overcollection — and the built plan's metadata says the same."""
     if kind == "kmeans":
         source = scan("health").cluster(k=3, features=("bmi", "glucose"))
     else:
@@ -135,8 +136,14 @@ def test_strategy_runtime_agrees_with_legacy_infer_strategy(
             fault_rate=fault_rate, strategy=strategy
         ),
     )
-    qep = compiled.build_qep(n_contributors=16)
-    assert type(compiled.strategy_runtime()) is type(infer_strategy(qep))
+    expected = (
+        BackupStrategy
+        if strategy == "backup" and kind == "aggregate"
+        else OvercollectionStrategy
+    )
+    assert type(compiled.strategy_runtime()) is expected
+    metadata = compiled.build_qep(n_contributors=16).metadata
+    assert (metadata["kind"], metadata.get("strategy")) == (kind, strategy)
 
 
 @settings(max_examples=12, deadline=None,

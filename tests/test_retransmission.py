@@ -5,9 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor, ExecutionError
 from repro.core.planner import EdgeletPlanner, PrivacyParameters, QuerySpec
 from repro.core.qep import OperatorRole
+from repro.core.runtime import (
+    ExecutionCoordinator,
+    ExecutionError,
+    OvercollectionStrategy,
+)
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -57,10 +61,11 @@ def _run(loss: float, copies: int, seed: int = 5):
     assign_operators(plan, [d.device_id for d in processors], exclusive=False)
     plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
 
-    executor = EdgeletExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=50.0, secure_channels=False,
         contribution_copies=copies, seed=seed,
+        strategy=OvercollectionStrategy(),
     )
     report = executor.run()
     return report, len(rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.execution import ExecutionReport
+from repro.core.runtime import ExecutionReport
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.verification import verify_against_centralized
 from repro.query.aggregates import AggregateSpec

@@ -15,6 +15,10 @@ Usage::
 Exits non-zero listing every offending ``module -> import`` edge.
 Both top-level ``import``/``from`` statements and imports deferred into
 function bodies count: a lazy import is still a layering violation.
+
+The same pass enforces the single launch path: the classes that wire
+an execution or inject faults may be *constructed* in one module only
+(:data:`SOLE_CALLER`).
 """
 
 from __future__ import annotations
@@ -78,6 +82,22 @@ SOLE_IMPORTER: dict[str, str] = {
     "repro.query.columnar": "repro.query.fold",
 }
 
+#: class -> the one module allowed to construct it.  Every query —
+#: one-shot, workload arrival, standing-query window, serial replay —
+#: is wired by ``Scenario.launch`` and every fault source is installed
+#: by ``Scenario.install_chaos``; a second construction site is how
+#: the four hand-copied wirings drifted apart, so a new one fails CI.
+SOLE_CALLER: dict[str, str] = {
+    name: "repro.manager.scenario"
+    for name in (
+        "ExecutionCoordinator",
+        "ReliableTransport",
+        "RecoveryConfig",
+        "MessageFaultInjector",
+        "FailureInjector",
+    )
+}
+
 #: Within the query layer, numpy stays confined to the columnar module:
 #: the row kernel is the pure-Python reference the differential harness
 #: trusts, so no other query module may grow a numpy dependency.
@@ -104,6 +124,25 @@ def imported_modules(tree: ast.AST, module: str) -> list[str]:
                 continue
             if node.module:
                 found.append(node.module)
+    return found
+
+
+def constructed_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(name, line)`` of every call whose callee is named like a
+    :data:`SOLE_CALLER` class, bare or attribute-qualified."""
+    found: list[tuple[str, int]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        if name in SOLE_CALLER:
+            found.append((name, node.lineno))
     return found
 
 
@@ -147,6 +186,12 @@ def check(root: Path) -> list[str]:
                     f"{module} -> {imported}  ({path})  "
                     "[numpy is confined to repro.query.columnar]"
                 )
+        for name, line in constructed_names(tree):
+            if module != SOLE_CALLER[name]:
+                violations.append(
+                    f"{module} constructs {name}  ({path}:{line})  "
+                    f"[only {SOLE_CALLER[name]} may]"
+                )
     return violations
 
 
@@ -160,7 +205,7 @@ def main() -> int:
         return 2
     violations = check(root)
     if violations:
-        print("layering violations (lower layer importing an upper one):")
+        print("layering violations:")
         for violation in violations:
             print(f"  {violation}")
         return 1
@@ -169,8 +214,10 @@ def main() -> int:
         "continuous, plan never imports the engines above it, manager "
         "never imports workload/chaos/continuous, continuous never "
         "imports chaos, only repro.query.fold imports "
-        "repro.query.columnar, and numpy stays confined to "
-        "repro.query.columnar within the query layer"
+        "repro.query.columnar, numpy stays confined to "
+        "repro.query.columnar within the query layer, and only "
+        "repro.manager.scenario constructs "
+        + " / ".join(SOLE_CALLER)
     )
     return 0
 
