@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.primitives import (
+    GROUP_PRIME,
     AuthenticationError,
     KeyPair,
     SymmetricKey,
     decrypt,
     encrypt,
+    secure_hash,
     sign,
     verify,
 )
@@ -106,12 +108,23 @@ def seal_envelope(
     )
 
 
+def _is_key_of(public: int, fingerprint: str) -> bool:
+    """Whether ``fingerprint`` is :meth:`KeyPair.fingerprint` of ``public``."""
+    if not 0 < public < GROUP_PRIME:
+        return False
+    return secure_hash(public.to_bytes(192, "big"))[:16] == fingerprint
+
+
 def open_envelope(envelope: Envelope, session_key: SymmetricKey) -> Any:
-    """Verify the signature and tag of an envelope, return its payload.
+    """Verify the sender binding, signature and tag; return the payload.
 
     Raises :class:`AuthenticationError` on any verification failure; the
     executor treats such envelopes as lost messages (uncertain network).
     """
+    # the signature only proves whoever holds ``sender_public`` signed;
+    # that key must also be the one the ``sender`` fingerprint names
+    if not _is_key_of(envelope.sender_public, envelope.sender):
+        raise AuthenticationError("envelope sender key does not match its sender")
     associated = envelope.associated_data()
     if not verify(envelope.sender_public, associated + envelope.ciphertext, envelope.signature):
         raise AuthenticationError("envelope signature invalid")

@@ -19,7 +19,9 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import secrets
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "AuthenticationError",
@@ -51,6 +53,7 @@ GROUP_PRIME = int(
 )
 GROUP_GENERATOR = 2
 GROUP_ORDER = (GROUP_PRIME - 1) // 2
+_ORDER_BITS = GROUP_ORDER.bit_length()
 
 # Window width of the fixed-base table behind :func:`_generator_power`.
 # Provenance: a sweep of w = 4..8 on the development sandbox (table in
@@ -66,6 +69,11 @@ _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 # rows are appended the first time an exponent long enough to need them
 # is seen, so the table costs what the longest exponent so far requires.
 _GENERATOR_ROWS: list[list[int]] = []
+# Every key pair :func:`generate_keypair` minted and something still
+# holds, by public key.  Only that function writes here, and it derived
+# ``public`` from ``private`` itself, so each entry's private key is the
+# discrete log of its public key: ``public^e == g^(private * e)``.
+_MINTED: weakref.WeakValueDictionary[int, "KeyPair"] = weakref.WeakValueDictionary()
 
 TAG_SIZE = 32
 KEY_SIZE = 32
@@ -89,12 +97,14 @@ class SymmetricKey:
                 f"symmetric keys must be {KEY_SIZE} bytes, got {len(self.material)}"
             )
 
-    @property
+    # derived once per key; cached_property stores into the instance
+    # __dict__ directly, which a frozen dataclass permits
+    @cached_property
     def enc_key(self) -> bytes:
         """Subkey used for the keystream (domain-separated)."""
         return hkdf(self.material, b"edgelet-enc", KEY_SIZE)
 
-    @property
+    @cached_property
     def mac_key(self) -> bytes:
         """Subkey used for the authentication tag (domain-separated)."""
         return hkdf(self.material, b"edgelet-mac", KEY_SIZE)
@@ -180,6 +190,12 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR ``stream`` (same length), as one big-integer XOR."""
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
+
+
 def encrypt(key: SymmetricKey, plaintext: bytes, associated_data: bytes = b"") -> bytes:
     """Authenticated encryption (encrypt-then-MAC).
 
@@ -188,7 +204,7 @@ def encrypt(key: SymmetricKey, plaintext: bytes, associated_data: bytes = b"") -
     """
     nonce = secrets.token_bytes(NONCE_SIZE)
     stream = _keystream(key.enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor(plaintext, stream)
     tag = hmac_digest(key.mac_key, nonce + associated_data + ciphertext)
     return nonce + ciphertext + tag
 
@@ -208,7 +224,7 @@ def decrypt(key: SymmetricKey, blob: bytes, associated_data: bytes = b"") -> byt
     if not _hmac.compare_digest(tag, expected):
         raise AuthenticationError("authentication tag mismatch")
     stream = _keystream(key.enc_key, nonce, len(ciphertext))
-    return bytes(c ^ s for c, s in zip(ciphertext, stream))
+    return _xor(ciphertext, stream)
 
 
 def _generator_power(exponent: int) -> int:
@@ -247,14 +263,38 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
         private = secrets.randbelow(GROUP_ORDER - 1) + 1
     else:
         private = int.from_bytes(hkdf(seed, b"edgelet-keygen", 48), "big") % (GROUP_ORDER - 1) + 1
-    return KeyPair(private=private, public=_generator_power(private))
+    keypair = KeyPair(private=private, public=_generator_power(private))
+    _MINTED[keypair.public] = keypair
+    return keypair
+
+
+def _power(base: int, exponent: int) -> int:
+    """``base^exponent mod p`` — the integer builtin ``pow`` returns.
+
+    When ``base`` is a public key :func:`generate_keypair` minted (and
+    its pair is still alive) its discrete log ``x`` is known, so
+    ``base^e == g^(x*e)`` goes through the fixed-base table.  The
+    generator has order ``GROUP_ORDER``, so the product may be reduced
+    modulo it; that is done only when the product is longer than the
+    order, which keeps the table at its 256-row ceiling without
+    widening shorter products to full width.  Any other base takes
+    builtin ``pow``.  The route depends on the base alone, never on
+    the caller.  Host time only: a real verifier cannot know ``x``.
+    """
+    minted = _MINTED.get(base)
+    if minted is None:
+        return pow(base, exponent, GROUP_PRIME)
+    product = minted.private * exponent
+    if product.bit_length() > _ORDER_BITS:
+        product %= GROUP_ORDER
+    return _generator_power(product)
 
 
 def diffie_hellman_shared(own: KeyPair, peer_public: int) -> bytes:
     """Compute the DH shared secret between ``own`` and a peer public key."""
     if not 1 < peer_public < GROUP_PRIME - 1:
         raise ValueError("peer public key outside the group")
-    shared = pow(peer_public, own.private, GROUP_PRIME)
+    shared = _power(peer_public, own.private)
     return shared.to_bytes((GROUP_PRIME.bit_length() + 7) // 8, "big")
 
 
@@ -287,5 +327,5 @@ def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
         return False
     challenge = _schnorr_challenge(public, commitment, message)
     lhs = _generator_power(response)
-    rhs = (commitment * pow(public, challenge, GROUP_PRIME)) % GROUP_PRIME
+    rhs = (commitment * _power(public, challenge)) % GROUP_PRIME
     return lhs == rhs

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from repro.crypto.envelope import open_envelope, seal_envelope
 from repro.crypto.keys import KeyRing
-from repro.crypto.primitives import AuthenticationError, generate_keypair
+from repro.crypto.primitives import (
+    GROUP_PRIME,
+    AuthenticationError,
+    generate_keypair,
+    sign,
+    verify,
+)
 
 
 def _pair():
@@ -82,6 +88,41 @@ class TestEnvelopeRoundTrip:
         forged = dataclasses.replace(envelope, sender_public=mallory.public)
         with pytest.raises(AuthenticationError):
             open_envelope(forged, session)
+
+    def test_resigned_envelope_does_not_pass_as_the_sender(self):
+        import dataclasses
+
+        session = self.alice.session_key(self.bob.fingerprint)
+        envelope = seal_envelope(
+            self.alice.keypair, self.bob.fingerprint, session, "q1", "test", {"x": 1}
+        )
+        # Mallory re-signs the same bytes with her own key and swaps in
+        # her public key, leaving the envelope attributed to Alice
+        mallory = generate_keypair(b"mallory")
+        resigned = dataclasses.replace(
+            envelope,
+            signature=sign(mallory, envelope.associated_data() + envelope.ciphertext),
+            sender_public=mallory.public,
+        )
+        assert resigned.sender == self.alice.fingerprint
+        assert verify(
+            mallory.public,
+            resigned.associated_data() + resigned.ciphertext,
+            resigned.signature,
+        )
+        with pytest.raises(AuthenticationError, match="sender key"):
+            open_envelope(resigned, self.bob.session_key(self.alice.fingerprint))
+
+    @pytest.mark.parametrize("bogus", [0, -5, GROUP_PRIME, 1 << 1536])
+    def test_out_of_range_sender_key_rejected(self, bogus):
+        import dataclasses
+
+        session = self.alice.session_key(self.bob.fingerprint)
+        envelope = seal_envelope(
+            self.alice.keypair, self.bob.fingerprint, session, "q1", "test", 42
+        )
+        with pytest.raises(AuthenticationError):
+            open_envelope(dataclasses.replace(envelope, sender_public=bogus), session)
 
     def test_size_estimate_positive(self):
         session = self.alice.session_key(self.bob.fingerprint)

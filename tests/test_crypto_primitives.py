@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
+import gc
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +28,10 @@ from repro.crypto.primitives import (
     sign,
     verify,
 )
-from repro.crypto.primitives import _WINDOW_BITS, _generator_power
+from repro.chaos.campaign import RunSpec, run_single
+from repro.crypto import primitives
+from repro.crypto.primitives import _WINDOW_BITS, _generator_power, _power
+from repro.workload.fingerprint import report_fingerprint
 
 # (seed, public key, message, signature commitment, signature response),
 # computed with builtin ``pow`` at the commit before the fixed-base table.
@@ -152,10 +159,53 @@ class TestSymmetricKey:
         assert key.fingerprint() == key.fingerprint()
         assert len(key.fingerprint()) == 16
 
+    def test_subkeys_are_the_hkdf_outputs_derived_once(self):
+        key = SymmetricKey.from_passphrase("pw")
+        assert key.enc_key == hkdf(key.material, b"edgelet-enc", 32)
+        assert key.mac_key == hkdf(key.material, b"edgelet-mac", 32)
+        assert key.enc_key is key.enc_key
+        # the cached subkeys are not fields: equality and hashing ignore them
+        assert key == SymmetricKey.from_passphrase("pw")
+        assert hash(key) == hash(SymmetricKey.from_passphrase("pw"))
+
 
 class TestAEAD:
     def setup_method(self):
         self.key = SymmetricKey.from_passphrase("test")
+
+    # blobs computed with the byte-by-byte XOR and per-access subkeys
+    # the AEAD had before, nonce pinned to bytes 0..15
+    PINNED_SHORT = (
+        "000102030405060708090a0b0c0d0e0f847a069177591c96d66641d15cba50ff"
+        "8232c973a0846f2c794a248d72fd14e8846345c9072eb8c099f687a30548f6dc"
+        "401d5435034460a6387eec250cbd28c773725822614ac76c21d98ae74c7403da"
+        "3eaeb1d27c6661c6b2491922ff2ff9d14141027fa47786fc984533ac8d"
+    )
+    PINNED_EMPTY = (
+        "000102030405060708090a0b0c0d0e0f85b6309b6f8567ed5e4bda50ebda31f0"
+        "02347897cb89f2d3286ce1f1c3129dbb"
+    )
+    PINNED_1K_SHA256 = (
+        "9a9b14e88f798edccb7d0de7c4960778c9b1e4bd1d865539c8865dc93be7bae4"
+    )
+
+    def test_ciphertext_is_pinned_for_a_fixed_nonce(self, monkeypatch):
+        monkeypatch.setattr(
+            primitives.secrets, "token_bytes", lambda n: bytes(range(n))
+        )
+        key = SymmetricKey.from_passphrase("aead-pin")
+        short = encrypt(key, bytes(range(77)), b"hdr")
+        assert short.hex() == self.PINNED_SHORT
+        assert encrypt(key, b"", b"").hex() == self.PINNED_EMPTY
+        kilobyte = bytes((i * 7 + 3) % 256 for i in range(1024))
+        blob = encrypt(key, kilobyte, b"header-1k")
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_1K_SHA256
+        assert decrypt(key, blob, b"header-1k") == kilobyte
+        assert decrypt(key, short, b"hdr") == bytes(range(77))
+
+    def test_leading_zero_bytes_survive(self):
+        for plaintext in (b"\x00", b"\x00" * 40, b"\x00\x00\x01"):
+            assert decrypt(self.key, encrypt(self.key, plaintext)) == plaintext
 
     def test_round_trip(self):
         blob = encrypt(self.key, b"hello edgelets")
@@ -278,6 +328,139 @@ class TestFixedBaseTable:
         assert sign(keypair, message) == (commitment, response)
         assert verify(public, message, (commitment, response))
         assert not verify(public, message + b"!", (commitment, response))
+
+
+# Minted bases for the route tests, held here so the weak registry keeps
+# them; two unseeded privates give a product past the group order.
+_ROUTE_PAIRS = [generate_keypair(b"route-%d" % i) for i in range(3)] + [
+    generate_keypair()
+]
+_UNSEEDED = (generate_keypair().private, generate_keypair().private)
+_EXPONENTS = st.one_of(
+    st.sampled_from(
+        [0, 1, GROUP_ORDER - 1, GROUP_ORDER, _UNSEEDED[0] * _UNSEEDED[1]]
+    ),
+    *(
+        st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+        for bits in (384, 640, 1535)
+    ),
+    st.builds(
+        lambda a, b: a * b,
+        st.integers(min_value=1, max_value=GROUP_ORDER - 1),
+        st.integers(min_value=1, max_value=GROUP_ORDER - 1),
+    ),
+)
+
+
+def _pow_spy(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Record every builtin ``pow`` call made inside ``primitives`` as
+    ``(base, exponent, base was minted at call time)``."""
+    calls = []
+
+    def spy(base, exponent, modulus):
+        assert modulus == GROUP_PRIME
+        calls.append((base, exponent, base in primitives._MINTED))
+        return builtins.pow(base, exponent, modulus)
+
+    # a module global named ``pow`` shadows the builtin for that module
+    monkeypatch.setattr(primitives, "pow", spy, raising=False)
+    return calls
+
+
+class TestKnownLogRoute:
+    """``y^e`` as ``g^(x*e)`` for a minted ``y`` is the integer ``pow`` returns."""
+
+    def test_generator_has_the_group_order(self):
+        assert pow(GROUP_GENERATOR, GROUP_ORDER, GROUP_PRIME) == 1
+
+    @given(st.sampled_from(_ROUTE_PAIRS), _EXPONENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_minted_bases(self, keypair, exponent):
+        assert primitives._MINTED.get(keypair.public) is keypair
+        assert _power(keypair.public, exponent) == pow(
+            keypair.public, exponent, GROUP_PRIME
+        )
+
+    @given(
+        st.one_of(st.just(4), st.integers(min_value=2, max_value=GROUP_PRIME - 2)),
+        _EXPONENTS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unminted_bases(self, base, exponent):
+        assert base not in primitives._MINTED
+        assert _power(base, exponent) == pow(base, exponent, GROUP_PRIME)
+
+    def test_minted_base_skips_builtin_pow(self, monkeypatch):
+        calls = _pow_spy(monkeypatch)
+        keypair = _ROUTE_PAIRS[0]
+        _power(keypair.public, GROUP_ORDER - 1)
+        assert calls == []
+
+    def test_collected_pair_falls_back_to_pow(self, monkeypatch):
+        keypair = generate_keypair(b"route-ephemeral")
+        public = keypair.public
+        assert public in primitives._MINTED
+        del keypair
+        gc.collect()
+        assert public not in primitives._MINTED
+        calls = _pow_spy(monkeypatch)
+        assert _power(public, 12345) == builtins.pow(public, 12345, GROUP_PRIME)
+        assert calls == [(public, 12345, False)]
+
+    def test_impostor_pair_gets_neither_the_secret_nor_the_signature(self):
+        alice = generate_keypair(b"route-alice")
+        bob = generate_keypair(b"route-bob")
+        impostor = KeyPair(private=alice.private + 1, public=alice.public)
+        stolen = diffie_hellman_shared(impostor, bob.public)
+        assert stolen == pow(bob.public, impostor.private, GROUP_PRIME).to_bytes(
+            192, "big"
+        )
+        assert stolen != diffie_hellman_shared(alice, bob.public)
+        assert not verify(alice.public, b"m", sign(impostor, b"m"))
+        # a hand-built pair is never recorded
+        assert primitives._MINTED[alice.public] is alice
+
+    def test_table_never_exceeds_its_ceiling(self):
+        public = _ROUTE_PAIRS[0].public
+        for exponent in (
+            GROUP_ORDER - 1,
+            GROUP_PRIME - 2,
+            (GROUP_ORDER - 1) ** 2,
+            _UNSEEDED[0] * _UNSEEDED[1],
+            1 << 3000,
+        ):
+            _power(public, exponent)
+        assert len(primitives._GENERATOR_ROWS) <= 256
+        assert 256 * _WINDOW_BITS >= GROUP_PRIME.bit_length()
+
+
+class TestSealedRunTakesTheRoute:
+    # report fingerprint of this run, computed when DH and ``verify``
+    # still used builtin ``pow``
+    PINNED_FINGERPRINT = (
+        "1e539f6a922560140102e10dbf6a5d64f544d95f13e1e33dff068f7755ac66c7"
+    )
+
+    def test_no_builtin_pow_on_a_minted_base(self, monkeypatch):
+        calls = _pow_spy(monkeypatch)
+        routed = []
+        real_power = primitives._power
+
+        def power_spy(base, exponent):
+            routed.append(base in primitives._MINTED)
+            return real_power(base, exponent)
+
+        monkeypatch.setattr(primitives, "_power", power_spy)
+        outcome = run_single(RunSpec(seed=17, tag="pin-sealed", secure_channels=True))
+        result = outcome.result
+        assert outcome.ok
+        assert report_fingerprint(
+            result.report, base_time=result.executor.start_time
+        ) == self.PINNED_FINGERPRINT
+        # every DH and verify in the run had a minted base ...
+        assert len(routed) > 100 and all(routed)
+        # ... so builtin pow was never called with one
+        assert [call for call in calls if call[2]] == []
 
 
 class TestDiffieHellman:
