@@ -12,6 +12,7 @@ also holds the simulator itself to linear host time: bringing a swarm up
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import statistics
@@ -19,12 +20,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from _scenarios import aggregate_spec, fast_scenario_config, run_once
 from _tables import print_table
 
+from repro.core.runtime.builder import commit_snapshot
 from repro.crypto import primitives
+from repro.data.health import HEALTH_MIXTURE, HEALTH_SCHEMA, generate_health_rows
+from repro.query.schema import Schema, SchemaError
 
 
 def _execute(n_contributors: int, seed: int = 33):
@@ -228,3 +235,128 @@ def test_qscale_known_log_route(benchmark, monkeypatch):
         lambda: primitives.diffie_hellman_shared(*dh_args[0]),
         rounds=20, iterations=1,
     )
+
+
+# -- the per-row data path: reference routes ----------------------------------
+#
+# Each computes what the library computed before its per-row path was
+# made to do its work once: the same outputs, the slower way.
+
+
+def _reference_health_rows(count: int, seed: int) -> list[dict]:
+    """``generate_health_rows`` with one ``np.clip`` per scalar draw."""
+    rng = np.random.default_rng(seed)
+    points, components = HEALTH_MIXTURE.sample(count, rng)
+    rows = []
+    for i in range(count):
+        component = int(components[i])
+        age = int(np.clip(rng.normal(74, 12), 18, 103))
+        dependency = int(
+            np.clip(component + rng.integers(0, 2) + (1 if age > 85 else 0), 0, 5)
+        )
+        rows.append({
+            "patient_id": i + 1,
+            "age": age,
+            "sex": ("F", "M")[int(rng.integers(2))],
+            "zipcode": f"78{int(rng.integers(0, 1000)):03d}",
+            "region": ("idf", "paca", "bretagne", "occitanie",
+                       "hauts-de-france")[int(rng.integers(5))],
+            "bmi": round(float(points[i, 0]), 2),
+            "systolic_bp": round(float(points[i, 1]), 1),
+            "glucose": round(float(points[i, 2]), 3),
+            "dependency_level": dependency,
+        })
+    return rows
+
+
+def _reference_validate(schema: Schema, row: dict) -> None:
+    """``Schema.validate_row`` scanning the column tuple for every key."""
+    for key in row:
+        if not any(column.name == key for column in schema.columns):
+            raise SchemaError(f"row has unknown column {key!r}")
+    for column in schema.columns:
+        value = row.get(column.name)
+        if not column.ctype.validates(value):
+            raise SchemaError(
+                f"column {column.name!r} expects {column.ctype.value}, "
+                f"got {type(value).__name__}"
+            )
+
+
+def _reference_commit(rows: list[dict]) -> str:
+    """``commit_snapshot``: one ``repr(sorted(...))`` per leaf, two hash
+    helper calls per node."""
+    def leaf(data: bytes) -> bytes:
+        return hashlib.sha256(b"\x00" + data).digest()
+
+    def node(left: bytes, right: bytes) -> bytes:
+        return hashlib.sha256(b"\x01" + left + right).digest()
+
+    level = [leaf(repr(sorted(row.items())).encode("utf-8")) for row in rows]
+    while len(level) > 1:
+        nxt = [node(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2 == 1:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0].hex()
+
+
+def _best_of_3(fn):
+    best, result = math.inf, None
+    for _ in range(3):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def _refusals(validate, schema: Schema, bad_rows: list[dict]) -> list[str]:
+    messages = []
+    for row in bad_rows:
+        with pytest.raises(SchemaError) as refused:
+            validate(schema, row)
+        messages.append(str(refused.value))
+    return messages
+
+
+def test_qscale_per_row_data_path(benchmark):
+    """40,000 rows (the ``data_heavy`` dataset) generated, validated and
+    committed: reference route vs the library, same outputs."""
+    count, seed = 40_000, 5
+    reference_s, expected = _best_of_3(lambda: _reference_health_rows(count, seed))
+    library_s, rows = _best_of_3(lambda: generate_health_rows(count, seed))
+    assert rows == expected
+    table = [["generate_health_rows", reference_s, library_s]]
+
+    # set-up used to validate every row twice: at the deal and again in
+    # the oracle's Relation; the deal is now the only validation
+    reference_s, _ = _best_of_3(
+        lambda: [_reference_validate(HEALTH_SCHEMA, row) for row in rows * 2]
+    )
+    library_s, _ = _best_of_3(
+        lambda: [HEALTH_SCHEMA.validate_row(row) for row in rows]
+    )
+    bad_rows = [{"height": 180}, {"age": "old"}, {"age": True}, {"bmi": "x"}]
+    assert _refusals(Schema.validate_row, HEALTH_SCHEMA, bad_rows) == _refusals(
+        _reference_validate, HEALTH_SCHEMA, bad_rows
+    )
+    table.append(["validate (deal + oracle -> deal)", reference_s, library_s])
+
+    columns = ["age", "bmi", "region", "sex"]  # what data_heavy collects
+    projected = [{column: row[column] for column in columns} for row in rows]
+    reference_s, expected_root = _best_of_3(lambda: _reference_commit(projected))
+    library_s, root = _best_of_3(lambda: commit_snapshot(projected))
+    assert root == expected_root
+    table.append(["commit_snapshot (4 columns)", reference_s, library_s])
+
+    print_table(
+        "Q-SCALE: per-row data path over 40,000 rows (data_heavy dataset, "
+        "seed 5), reference route vs library, best of 3, same outputs",
+        ["step", "reference (ms)", "library (ms)", "speed-up"],
+        [
+            [step, f"{ref * 1e3:.0f}", f"{lib * 1e3:.0f}", f"{ref / lib:.1f}x"]
+            for step, ref, lib in table
+        ],
+    )
+
+    benchmark.pedantic(lambda: commit_snapshot(projected), rounds=3, iterations=1)

@@ -362,7 +362,6 @@ class ContinuousEngine:
             self.processor_pool.remove(device_id)
             if self.cache is not None:
                 self.cache.invalidate_device(device_id)
-        schema = self.scenario_config.schema
         for _ in range(churn.contributor_arrivals):
             index = self._next_contributor_index
             self._next_contributor_index += 1
@@ -371,9 +370,7 @@ class ContinuousEngine:
                 self.rows_per_contributor,
                 seed=self._spawn_rows_seed("contrib", index),
             )
-            for row in rows:
-                schema.validate_row(row)
-            device.datastore.insert_many(rows)
+            self.scenario.stock(device, rows)
             self.contributor_ids.append(device.device_id)
             self._data_changed_at[device.device_id] = now
         for _ in range(churn.processor_arrivals):
@@ -390,9 +387,7 @@ class ContinuousEngine:
                     f"{self.spec.seed}:refresh:w{record.index}:{device_id}"
                 ).randrange(2**31),
             )
-            for row in fresh:
-                schema.validate_row(row)
-            device.datastore.insert_many(fresh)
+            self.scenario.stock(device, fresh)
             self._data_changed_at[device_id] = now
         if self.churn_model.spec.mobility_mean_intercontact is not None:
             schedule = self.churn_model.contact_schedule(

@@ -11,7 +11,8 @@ mechanics per rank.)
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
 from repro.core.qep import Operator, OperatorRole
 from repro.core.runtime.context import ExecutionContext
@@ -22,11 +23,45 @@ from repro.network.messages import MessageKind
 __all__ = ["BuilderRuntime", "commit_snapshot", "ship_partition"]
 
 
+def _leaf_format(keys: tuple[str, ...]) -> tuple[str, Callable[[Any], tuple]]:
+    """``%``-template and value getter for rows with the column set ``keys``.
+
+    ``template % getter(row)`` is ``repr(sorted(row.items()))``: the
+    sorted keys are written into the template once, as their reprs with
+    ``%`` escaped, and each value goes through ``%r``, which is ``repr``.
+    """
+    ordered = sorted(keys)
+    template = "[%s]" % ", ".join(
+        "(%s, %%r)" % repr(key).replace("%", "%%") for key in ordered
+    )
+    if len(ordered) == 1:
+        # itemgetter of one key returns the bare value, which ``%``
+        # would unpack if it were a tuple
+        (key,) = ordered
+        return template, lambda row: (row[key],)
+    if not ordered:
+        return template, lambda row: ()
+    return template, itemgetter(*ordered)
+
+
 def commit_snapshot(rows: list[dict[str, Any]]) -> str:
-    """Merkle-commit a frozen partition (order-sensitive, per row)."""
-    return MerkleTree(
-        [repr(sorted(row.items())).encode("utf-8") for row in rows]
-    ).root_hex()
+    """Merkle-commit a frozen partition (order-sensitive, per row).
+
+    Leaf ``i`` is ``repr(sorted(rows[i].items())).encode("utf-8")``.  A
+    partition's rows share one column set (contributors project to the
+    collected columns), so each distinct set is formatted from one
+    template, built on its first row.
+    """
+    formats: dict[tuple[str, ...], tuple[str, Callable[[Any], tuple]]] = {}
+    leaves = []
+    for row in rows:
+        keys = tuple(row)
+        entry = formats.get(keys)
+        if entry is None:
+            entry = formats[keys] = _leaf_format(keys)
+        template, values = entry
+        leaves.append((template % values(row)).encode("utf-8"))
+    return MerkleTree(leaves).root_hex()
 
 
 def ship_partition(

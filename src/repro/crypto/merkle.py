@@ -47,22 +47,27 @@ class MerkleTree:
     """
 
     def __init__(self, leaves: Iterable[bytes]):
-        self._leaves = [_hash_leaf(leaf) for leaf in leaves]
+        sha256 = hashlib.sha256
+        self._leaves = [sha256(_LEAF_PREFIX + leaf).digest() for leaf in leaves]
         if not self._leaves:
             raise ValueError("a Merkle tree needs at least one leaf")
         self._levels = self._build(self._leaves)
 
     @staticmethod
     def _build(leaves: Sequence[bytes]) -> list[list[bytes]]:
-        levels = [list(leaves)]
-        while len(levels[-1]) > 1:
-            current = levels[-1]
-            nxt = []
-            for i in range(0, len(current) - 1, 2):
-                nxt.append(_hash_node(current[i], current[i + 1]))
-            if len(current) % 2 == 1:
-                nxt.append(current[-1])
+        # _hash_node inlined: one bound call per node on 40k-leaf trees
+        sha256 = hashlib.sha256
+        level = list(leaves)
+        levels = [level]
+        while len(level) > 1:
+            nxt = [
+                sha256(_NODE_PREFIX + left + right).digest()
+                for left, right in zip(level[0::2], level[1::2])
+            ]
+            if len(level) % 2 == 1:
+                nxt.append(level[-1])
             levels.append(nxt)
+            level = nxt
         return levels
 
     def __len__(self) -> int:

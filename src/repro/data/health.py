@@ -58,23 +58,27 @@ def generate_health_rows(count: int, seed: int = 0) -> list[dict[str, Any]]:
         raise ValueError("count must be non-negative")
     rng = np.random.default_rng(seed)
     points, components = HEALTH_MIXTURE.sample(count, rng)
+    # One scalar draw at a time, in this order: a vectorised draw
+    # consumes the bit stream differently and would change every row.
+    normal, integers = rng.normal, rng.integers
     rows: list[dict[str, Any]] = []
-    for i in range(count):
-        component = int(components[i])
-        age = int(np.clip(rng.normal(74, 12), 18, 103))
-        dependency = int(
-            np.clip(component + rng.integers(0, 2) + (1 if age > 85 else 0), 0, 5)
+    for i, (component, (bmi, systolic_bp, glucose)) in enumerate(
+        zip(components.tolist(), points.tolist())
+    ):
+        age = int(min(max(normal(74, 12), 18), 103))
+        dependency = min(
+            max(component + int(integers(0, 2)) + (1 if age > 85 else 0), 0), 5
         )
         rows.append(
             {
                 "patient_id": i + 1,
                 "age": age,
-                "sex": _SEXES[int(rng.integers(len(_SEXES)))],
-                "zipcode": f"78{int(rng.integers(0, 1000)):03d}",
-                "region": _REGIONS[int(rng.integers(len(_REGIONS)))],
-                "bmi": round(float(points[i, 0]), 2),
-                "systolic_bp": round(float(points[i, 1]), 1),
-                "glucose": round(float(points[i, 2]), 3),
+                "sex": _SEXES[int(integers(len(_SEXES)))],
+                "zipcode": f"78{int(integers(0, 1000)):03d}",
+                "region": _REGIONS[int(integers(len(_REGIONS)))],
+                "bmi": round(bmi, 2),
+                "systolic_bp": round(systolic_bp, 1),
+                "glucose": round(glucose, 3),
                 "dependency_level": dependency,
             }
         )

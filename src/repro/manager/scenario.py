@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.core.assignment import assign_operators
@@ -28,6 +29,7 @@ from repro.core.runtime import (
     RecoveryConfig,
 )
 from repro.devices.attestation import AttestationAuthority, AttestationError
+from repro.devices.datastore import DatastoreFullError
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import DeviceProfile, HOME_BOX, PC_SGX, SMARTPHONE
 from repro.devices.tee import SealedGlassObserver
@@ -264,8 +266,6 @@ class Scenario:
         self.network = self._build_network()
         # live event logs of the fault sources install_chaos installed
         self._failure_logs: list[list[Any]] = []
-        self.engine = CentralizedEngine()
-        self.engine.register("data", Relation(config.schema, config.rows))
 
     # -- construction ----------------------------------------------------------
 
@@ -321,9 +321,25 @@ class Scenario:
             seed=self.config.seed,
         )
         for device, rows in zip(self.contributors, allocations):
-            for row in rows:
-                self.config.schema.validate_row(row)
-            device.datastore.insert_many(rows)
+            self.stock(device, rows)
+
+    def stock(self, device: Edgelet, rows: list[dict[str, Any]]) -> None:
+        """Validate ``rows`` against the schema and store them on ``device``.
+
+        Raises :class:`DatastoreFullError` if the device cannot hold
+        them all: a row silently left out would be missing from what the
+        swarm collects while the centralized oracle still counts it.
+        """
+        schema = self.config.schema
+        for row in rows:
+            schema.validate_row(row)
+        datastore = device.datastore
+        stored = datastore.insert_many(rows)
+        if stored < len(rows):
+            raise DatastoreFullError(
+                f"device {device.device_id} holds at most {datastore.capacity} "
+                f"rows; {len(rows)} dealt to it, {stored} stored"
+            )
 
     def _build_network(self) -> OpportunisticNetwork:
         # Star topology through the querier's venue infrastructure would
@@ -713,6 +729,20 @@ class Scenario:
         if report.degraded:
             metrics.counter("scenario.queries_degraded").inc()
             metrics.counter("scenario.queries_degraded", query=query_id).inc()
+
+    @cached_property
+    def engine(self) -> CentralizedEngine:
+        """The centralized oracle over :attr:`config`'s dataset.
+
+        Built on first use, from the dataset as it is then.  Every row
+        already passed ``validate_row`` when :meth:`_deal_data` dealt it,
+        so the table is normalised to the schema without a second check.
+        """
+        engine = CentralizedEngine()
+        engine.register(
+            "data", Relation.of_valid(self.config.schema, self.config.rows)
+        )
+        return engine
 
     def centralized_result(self, spec: QuerySpec):
         """Run the same logical query on the centralized oracle."""

@@ -36,6 +36,16 @@ class Relation:
         self.schema = schema
         self._rows: list[Row] = [schema.conform(row) for row in rows]
 
+    @classmethod
+    def of_valid(cls, schema: Schema, rows: Iterable[Row]) -> "Relation":
+        """A relation over rows that already passed ``schema.validate_row``:
+        normalised to every schema column as :meth:`Schema.conform` does,
+        without checking them again."""
+        relation = cls(schema)
+        names = schema.column_names
+        relation._rows = [{name: row.get(name) for name in names} for row in rows]
+        return relation
+
     # -- dunder -------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable
 
 __all__ = ["ColumnType", "Column", "Schema", "SchemaError"]
@@ -38,6 +39,10 @@ class ColumnType(enum.Enum):
         if self is ColumnType.TEXT:
             return isinstance(value, str)
         return isinstance(value, bool)
+
+
+#: one value of each type a row's cells hold
+_TYPE_SAMPLES = (None, 0, 0.0, "", False)
 
 
 @dataclass(frozen=True)
@@ -101,15 +106,38 @@ class Schema:
         """Names in declaration order."""
         return [column.name for column in self.columns]
 
+    @cached_property
+    def _by_name(self) -> dict[str, Column]:
+        # derived from ``columns`` on first lookup; not a field, so
+        # equality, hashing and ``to_dict`` never see it
+        return {column.name: column for column in self.columns}
+
+    @cached_property
+    def _accepted_types(self) -> tuple[frozenset[type], ...]:
+        # per column, the exact value types ``validates`` accepts: it
+        # judges by type alone, so one sample per type decides it, and
+        # a valid row costs one set lookup per column
+        return tuple(
+            frozenset(
+                type(sample) for sample in _TYPE_SAMPLES
+                if column.ctype.validates(sample)
+            )
+            for column in self.columns
+        )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # pickle the field only, whatever lookups have cached
+        return {"columns": self.columns}
+
     def column(self, name: str) -> Column:
         """Look up a column by name."""
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise SchemaError(f"no column named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"no column named {name!r}") from None
 
     def has_column(self, name: str) -> bool:
-        return any(column.name == name for column in self.columns)
+        return name in self._by_name
 
     def quasi_identifiers(self) -> list[str]:
         """Names of all quasi-identifier columns."""
@@ -124,12 +152,13 @@ class Schema:
 
         Extra keys are rejected; missing keys are treated as NULL.
         """
+        by_name = self._by_name
         for key in row:
-            if not self.has_column(key):
+            if key not in by_name:
                 raise SchemaError(f"row has unknown column {key!r}")
-        for column in self.columns:
+        for column, accepted in zip(self.columns, self._accepted_types):
             value = row.get(column.name)
-            if not column.ctype.validates(value):
+            if type(value) not in accepted and not column.ctype.validates(value):
                 raise SchemaError(
                     f"column {column.name!r} expects {column.ctype.value}, "
                     f"got {type(value).__name__}"

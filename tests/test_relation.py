@@ -36,6 +36,14 @@ class TestBasics:
         with pytest.raises(SchemaError):
             Relation(SCHEMA, [{"id": "not-an-int"}])
 
+    def test_of_valid_normalises_like_conform(self):
+        rows = _rows(4) + [{"region": "idf"}, {"value": 2.5, "id": 9}]
+        trusted = Relation.of_valid(SCHEMA, rows)
+        assert trusted.rows == Relation(SCHEMA, rows).rows
+        assert all(list(row) == SCHEMA.column_names for row in trusted)
+        rows[0]["id"] = 99
+        assert trusted.rows[0]["id"] == 0
+
     def test_append_extend(self):
         relation = Relation(SCHEMA)
         relation.append({"id": 1, "region": "idf", "value": 1.0})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.query.schema import Column, ColumnType, Schema, SchemaError
@@ -84,3 +86,49 @@ class TestSchema:
     def test_serialization_round_trip(self):
         schema = _schema()
         assert Schema.from_dict(schema.to_dict()) == schema
+
+    def test_error_messages_are_pinned(self):
+        schema = _schema()
+        with pytest.raises(SchemaError) as unknown:
+            schema.validate_row({"age": 30, "height": 180})
+        assert str(unknown.value) == "row has unknown column 'height'"
+        with pytest.raises(SchemaError) as wrong_type:
+            schema.validate_row({"age": "thirty"})
+        assert str(wrong_type.value) == "column 'age' expects int, got str"
+        with pytest.raises(SchemaError) as missing:
+            schema.column("height")
+        assert str(missing.value) == "no column named 'height'"
+
+    def test_validate_row_agrees_with_column_types(self):
+        class Count(int):
+            pass
+
+        class Label(str):
+            pass
+
+        values = [None, 0, -3, 2**70, True, False, 1.5, -0.0, float("nan"),
+                  "", "x", Count(4), Label("y"), b"x", (1,), [1], {}]
+        schema = _schema()
+        for column in schema.columns:
+            for value in values:
+                accepted = column.ctype.validates(value)
+                try:
+                    schema.validate_row({column.name: value})
+                except SchemaError:
+                    assert not accepted, (column.name, value)
+                else:
+                    assert accepted, (column.name, value)
+
+    def test_name_index_is_invisible(self):
+        used, fresh = _schema(), _schema()
+        used.validate_row({"age": 30})
+        assert used.has_column("bmi") and not used.has_column("height")
+        assert used.column("bmi") is used.columns[2]
+        assert "_by_name" in vars(used) and "_by_name" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used.to_dict() == fresh.to_dict()
+        assert Schema.from_dict(used.to_dict()) == fresh
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == fresh and restored.column("age").ctype is ColumnType.INT
