@@ -29,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _scenarios import aggregate_spec, fast_scenario_config, run_once
 from _tables import print_table
 
-from repro.network.outages import OutagePlan, Partition
+from repro.network.failures import FailurePlan, Partition
 from repro.telemetry import Telemetry
 
 SEED = 13
@@ -91,9 +91,9 @@ def _full_tally_time(executor, n_cells: int) -> float:
 
 def _run_mode(victim: str, duration: float | None, adaptive: bool):
     """One seeded run; returns the per-cell delivery + recovery stats."""
-    outage_plan = None
+    failure_plan = None
     if duration is not None:
-        outage_plan = OutagePlan(
+        failure_plan = FailurePlan(
             partitions=[
                 Partition(
                     start=PARTITION_START,
@@ -103,7 +103,7 @@ def _run_mode(victim: str, duration: float | None, adaptive: bool):
             ]
         )
     config = _base_config(
-        outage_plan=outage_plan, detector=adaptive, fencing=adaptive
+        failure_plan=failure_plan, detector=adaptive, fencing=adaptive
     )
     result = run_once(
         config, aggregate_spec("qrobust-run", CARDINALITY),

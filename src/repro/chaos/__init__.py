@@ -1,16 +1,18 @@
 """repro.chaos — seeded chaos campaigns with invariant checking.
 
 The verification muscle behind the paper's failure demonstrations:
-message-level fault injection on the opportunistic network
-(:mod:`~repro.chaos.faults`), executable Resiliency / Validity / Crowd
-Liability invariants (:mod:`~repro.chaos.invariants`), deterministic
-seeded campaign sweeps (:mod:`~repro.chaos.campaign`), failure-schedule
-shrinking (:mod:`~repro.chaos.shrink`), replayable JSON repro
+executable Resiliency / Validity / Crowd Liability invariants
+(:mod:`~repro.chaos.invariants`), deterministic seeded campaign sweeps
+(:mod:`~repro.chaos.campaign`), one ddmin shrinker over every scripted
+fault kind (:mod:`~repro.chaos.shrink`), replayable JSON repro
 artifacts (:mod:`~repro.chaos.artifact`), chaos over concurrent
 multi-query workloads with per-query invariant verdicts
 (:mod:`~repro.chaos.workload`), and long-soak chaos over standing
 queries with per-window verdicts under population churn
-(:mod:`~repro.chaos.continuous`).
+(:mod:`~repro.chaos.continuous`).  The fault models they drive live
+one layer down: message rules in :mod:`repro.network.faults`, the one
+scripted schedule in :mod:`repro.network.failures`, its seeded outage
+generator in :mod:`repro.network.outages`.
 """
 
 from repro.chaos.artifact import ReproArtifact
@@ -29,24 +31,7 @@ from repro.chaos.campaign import (
     run_campaign,
     run_single,
 )
-from repro.network.faults import (
-    FaultDecision,
-    FaultSpec,
-    MessageFaultInjector,
-    corrupt_payload,
-    fault_mix_help,
-    parse_fault_mix,
-)
-from repro.network.outages import (
-    GrayWindow,
-    OutagePlan,
-    OutageSpec,
-    Partition,
-    RegionalCrash,
-    build_outage_plan,
-    parse_outage_mix,
-    split_chaos_mix,
-)
+from repro.network.faults import parse_fault_mix
 from repro.chaos.invariants import (
     INVARIANTS,
     RunRecord,
@@ -56,7 +41,6 @@ from repro.chaos.invariants import (
 from repro.chaos.shrink import (
     failure_plan_from_events,
     shrink_failure_plan,
-    shrink_outage_plan,
 )
 from repro.chaos.workload import (
     QueryOutcome,
@@ -71,16 +55,8 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ContinuousChaosConfig",
-    "FaultDecision",
-    "FaultSpec",
-    "GrayWindow",
     "INVARIANTS",
-    "MessageFaultInjector",
-    "OutagePlan",
-    "OutageSpec",
-    "Partition",
     "QueryOutcome",
-    "RegionalCrash",
     "ReproArtifact",
     "RunOutcome",
     "RunRecord",
@@ -91,20 +67,14 @@ __all__ = [
     "WindowOutcome",
     "WorkloadChaosConfig",
     "WorkloadChaosOutcome",
-    "build_outage_plan",
     "check_all",
-    "corrupt_payload",
     "failure_plan_from_events",
-    "fault_mix_help",
     "parse_fault_mix",
-    "parse_outage_mix",
     "run_campaign",
     "run_single",
     "run_soak",
     "run_workload",
     "shrink_failure_plan",
-    "shrink_outage_plan",
     "shrink_workload_plan",
-    "split_chaos_mix",
     "workload_failure_predicate",
 ]

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro.chaos.invariants import Violation
+from repro.network.failures import read_field
 
 __all__ = ["ReproArtifact", "ARTIFACT_VERSION"]
 
@@ -86,20 +88,23 @@ class ReproArtifact:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ReproArtifact":
+        """Load an artifact; a missing or ill-typed field raises
+        ``ValueError`` naming it."""
         from repro.chaos.campaign import RunSpec
 
-        version = data.get("version")
+        read = partial(read_field, data, owner="artifact")
+        version = read("version", lambda v: v, None)
         if version != ARTIFACT_VERSION:
             raise ValueError(
                 f"unsupported artifact version {version!r} "
                 f"(this build reads version {ARTIFACT_VERSION})"
             )
         return cls(
-            invariant=data["invariant"],
-            detail=data.get("detail", ""),
-            mode=data.get("mode", "scripted"),
-            spec=RunSpec.from_dict(data["run"]),
-            data=data.get("data", {}),
+            invariant=read("invariant", str),
+            detail=read("detail", str, ""),
+            mode=read("mode", str, "scripted"),
+            spec=read("run", RunSpec.from_dict),
+            data=read("data", dict, {}),
         )
 
     @classmethod

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.network.faults import FaultSpec
 from repro.chaos.invariants import (
@@ -23,15 +24,11 @@ from repro.chaos.invariants import (
     check_all,
     no_fault_observed,
 )
-from repro.chaos.shrink import (
-    failure_plan_from_events,
-    shrink_failure_plan,
-    shrink_outage_plan,
-)
+from repro.chaos.shrink import observed_plan, shrink_failure_plan
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
-from repro.network.failures import FailurePlan
-from repro.network.outages import OutagePlan, OutageSpec
+from repro.network.failures import FailurePlan, read_field
+from repro.network.outages import OutageSpec
 from repro.plan.compile import OPTIMIZER_COST, OPTIMIZER_PINNED, compile_query
 
 __all__ = [
@@ -76,11 +73,12 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TopologySpec":
+        read = partial(read_field, data, owner="topology")
         return cls(
-            n_contributors=int(data["n_contributors"]),
-            n_processors=int(data["n_processors"]),
-            n_rows=int(data["n_rows"]),
-            device_mix=tuple(data.get("device_mix", (1.0, 0.0, 0.0))),  # type: ignore[arg-type]
+            n_contributors=read("n_contributors", int),
+            n_processors=read("n_processors", int),
+            n_rows=read("n_rows", int),
+            device_mix=read("device_mix", tuple, (1.0, 0.0, 0.0)),
         )
 
 
@@ -101,6 +99,7 @@ class RunSpec:
     disconnect_duration: float = 10.0
     message_loss: float = 0.0
     fault_specs: tuple[FaultSpec, ...] = ()
+    #: the scripted schedule — every atom kind, topology outages included
     failure_plan: FailurePlan | None = None
     sql: str = DEFAULT_SQL
     # C defaults to twice the topology's dataset size: hash-imbalanced
@@ -124,107 +123,61 @@ class RunSpec:
     #: :class:`~repro.plan.optimizer.PhysicalOptimizer` pick strategy,
     #: partitioning, and replication over the run's substrate profile.
     optimizer: str = OPTIMIZER_PINNED
-    #: topology-level outage schedule: a seeded generator spec, or a
-    #: fully-resolved plan (replay/shrink path; overrides the spec)
+    #: seeded topology-outage generator, resolved over the processor
+    #: pool at run time (a plan carrying topology atoms excludes it)
     outage_spec: OutageSpec | None = None
-    outage_plan: OutagePlan | None = None
     #: φ-accrual adaptive failure detection (needs ``reliability``)
     detector: bool = False
     #: generation-fenced takeover (split-brain-safe reprovisioning)
     fencing: bool = False
 
     def to_dict(self) -> dict[str, Any]:
-        data = {
-            "seed": self.seed,
-            "tag": self.tag,
-            "strategy": self.strategy,
-            "topology": self.topology.to_dict(),
-            "crash_probability": self.crash_probability,
-            "disconnect_probability": self.disconnect_probability,
-            "disconnect_duration": self.disconnect_duration,
-            "message_loss": self.message_loss,
-            "fault_specs": [spec.to_dict() for spec in self.fault_specs],
-            "failure_plan": (
-                self.failure_plan.to_dict() if self.failure_plan is not None else None
-            ),
-            "sql": self.sql,
-            "cardinality": self.cardinality,
-            "max_raw": self.max_raw,
-            "backup_replicas": self.backup_replicas,
-            "planner_fault_rate": self.planner_fault_rate,
-            "target_success": self.target_success,
-            "collection_window": self.collection_window,
-            "deadline": self.deadline,
-            "secure_channels": self.secure_channels,
-            "validity_tolerance": self.validity_tolerance,
-            "liability_max_share": self.liability_max_share,
-            "reliability": self.reliability,
-            "phase_deadline": self.phase_deadline,
-            "optimizer": self.optimizer,
-            "outage_spec": (
-                self.outage_spec.to_dict()
-                if self.outage_spec is not None
-                else None
-            ),
-            "outage_plan": (
-                self.outage_plan.to_dict()
-                if self.outage_plan is not None
-                else None
-            ),
-            "detector": self.detector,
-            "fencing": self.fencing,
-        }
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["topology"] = self.topology.to_dict()
+        data["fault_specs"] = [spec.to_dict() for spec in self.fault_specs]
+        for name in ("failure_plan", "outage_spec"):
+            if data[name] is not None:
+                data[name] = data[name].to_dict()
         return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunSpec":
-        plan = data.get("failure_plan")
-        outage_spec = data.get("outage_spec")
-        outage_plan = data.get("outage_plan")
+        """Load a spec: absent keys take the field default, keys of
+        removed fields are ignored, and a missing or ill-typed field
+        raises ``ValueError`` naming it."""
+        read = partial(read_field, data, owner="run spec")
+        # artifacts written before topology atoms joined FailurePlan kept
+        # them under their own key; the two JSON shapes' keys are disjoint
+        legacy = read("outage_plan", _optional(dict), None)
+        if legacy:
+            plan = read("failure_plan", _optional(dict), None)
+            data = {**data, "failure_plan": {**(plan or {}), **legacy}}
+            read = partial(read_field, data, owner="run spec")
         return cls(
-            seed=int(data["seed"]),
-            tag=str(data["tag"]),
-            strategy=str(data.get("strategy", "overcollection")),
-            topology=TopologySpec.from_dict(data["topology"]),
-            crash_probability=float(data.get("crash_probability", 0.0)),
-            disconnect_probability=float(data.get("disconnect_probability", 0.0)),
-            disconnect_duration=float(data.get("disconnect_duration", 10.0)),
-            message_loss=float(data.get("message_loss", 0.0)),
-            fault_specs=tuple(
-                FaultSpec.from_dict(s) for s in data.get("fault_specs", ())
-            ),
-            failure_plan=FailurePlan.from_dict(plan) if plan is not None else None,
-            sql=str(data.get("sql", DEFAULT_SQL)),
-            cardinality=int(data.get("cardinality", 96)),
-            max_raw=int(data.get("max_raw", 12)),
-            backup_replicas=int(data.get("backup_replicas", 1)),
-            planner_fault_rate=float(data.get("planner_fault_rate", 0.1)),
-            target_success=float(data.get("target_success", 0.99)),
-            collection_window=float(data.get("collection_window", 20.0)),
-            deadline=float(data.get("deadline", 70.0)),
-            secure_channels=bool(data.get("secure_channels", False)),
-            validity_tolerance=float(data.get("validity_tolerance", 0.75)),
-            liability_max_share=float(data.get("liability_max_share", 0.5)),
-            reliability=bool(data.get("reliability", False)),
-            phase_deadline=(
-                float(data["phase_deadline"])
-                if data.get("phase_deadline") is not None
-                else None
-            ),
-            optimizer=str(data.get("optimizer", OPTIMIZER_PINNED)),
-            outage_spec=(
-                OutageSpec.from_dict(outage_spec)
-                if outage_spec is not None
-                else None
-            ),
-            outage_plan=(
-                OutagePlan.from_dict(outage_plan)
-                if outage_plan is not None
-                else None
-            ),
-            detector=bool(data.get("detector", False)),
-            fencing=bool(data.get("fencing", False)),
+            **{
+                f.name: read(f.name, _READERS[f.type])
+                for f in dataclasses.fields(cls)
+                if f.name in data or f.name in ("seed", "tag")  # required
+            }
         )
+
+
+def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else convert(value)
+
+
+#: RunSpec field annotation -> its JSON reader
+_READERS: dict[str, Callable[[Any], Any]] = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "bool": bool,
+    "float | None": _optional(float),
+    "TopologySpec": TopologySpec.from_dict,
+    "tuple[FaultSpec, ...]": lambda specs: tuple(FaultSpec.from_dict(s) for s in specs),
+    "FailurePlan | None": _optional(FailurePlan.from_dict),
+    "OutageSpec | None": _optional(OutageSpec.from_dict),
+}
 
 
 @dataclass
@@ -285,7 +238,6 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         reliability=spec.reliability,
         phase_deadline=spec.phase_deadline,
         outage_spec=spec.outage_spec,
-        outage_plan=spec.outage_plan,
         detector=spec.detector,
         fencing=spec.fencing,
     )
@@ -475,26 +427,9 @@ def _reproduces_with_plan(
     def predicate(plan: FailurePlan) -> bool:
         candidate = dataclasses.replace(
             spec,
-            failure_plan=plan if (plan.crashes or plan.disconnections) else None,
+            failure_plan=plan if not plan.is_empty() else None,
             crash_probability=0.0,
             disconnect_probability=0.0,
-        )
-        outcome = run_single(candidate)
-        return any(v.invariant == invariant for v in outcome.violations)
-
-    return predicate
-
-
-def _reproduces_with_outages(spec: RunSpec, invariant: str) -> Any:
-    """The outage-axis shrink predicate: does this topology-outage
-    schedule (everything else in ``spec`` held fixed) still trigger the
-    same invariant?"""
-
-    def predicate(plan: OutagePlan) -> bool:
-        candidate = dataclasses.replace(
-            spec,
-            outage_spec=None,
-            outage_plan=plan if not plan.is_empty() else None,
         )
         outcome = run_single(candidate)
         return any(v.invariant == invariant for v in outcome.violations)
@@ -556,8 +491,10 @@ def _build_artifact(
     """Shrink the failure schedule behind a violation to a minimal
     scripted :class:`FailurePlan` when possible.
 
-    The scripted conversion replays recorded crash/disconnect events as
-    a declarative plan with the stochastic injector off.  Event
+    The scripted conversion replays recorded crash/disconnect events,
+    plus the plan the run installed, as one declarative plan with the
+    stochastic injector off; one ddmin pass shrinks every atom kind
+    within ``shrink_budget`` re-executions.  Event
     interleaving at equal timestamps can differ from the original
     injector-driven timeline, so the conversion is verification-driven:
     it is kept only if the same invariant still fires.  Otherwise the
@@ -566,23 +503,13 @@ def _build_artifact(
     """
     if not config.shrink:
         return artifact_cls.from_violation(violation, spec, mode="stochastic")
-    # pin the resolved outage schedule (if one drove this run) so the
-    # failure-plan axis shrinks against a fixed topology-outage backdrop
-    resolved_outage = getattr(outcome.result, "outage_plan", None)
+    # the plan the run installed carries the atoms its outage_spec
+    # resolved to; pinning them means the spec must not resolve again
+    installed = outcome.result.failure_plan
     base_spec = spec
-    if resolved_outage is not None and not resolved_outage.is_empty():
-        base_spec = dataclasses.replace(
-            spec, outage_spec=None, outage_plan=resolved_outage
-        )
-    events = outcome.result.failure_events or []
-    full_plan = failure_plan_from_events(events)
-    if spec.failure_plan is not None:
-        # scripted inputs merge with observed events (idempotent: the
-        # scripted plan's own firings are part of the event log)
-        for device, at in spec.failure_plan.crashes.items():
-            full_plan.crashes.setdefault(device, at)
-        for device, windows in spec.failure_plan.disconnections.items():
-            full_plan.disconnections.setdefault(device, list(windows))
+    if installed is not None and installed.has_outages():
+        base_spec = dataclasses.replace(spec, outage_spec=None)
+    full_plan = observed_plan(outcome.result.failure_events or [], installed)
     predicate = _reproduces_with_plan(base_spec, violation.invariant)
     if not predicate(full_plan):
         return artifact_cls.from_violation(violation, spec, mode="stochastic")
@@ -591,30 +518,8 @@ def _build_artifact(
     )
     scripted_spec = dataclasses.replace(
         base_spec,
-        failure_plan=(
-            shrunk if (shrunk.crashes or shrunk.disconnections) else None
-        ),
+        failure_plan=shrunk if not shrunk.is_empty() else None,
         crash_probability=0.0,
         disconnect_probability=0.0,
     )
-    if (
-        scripted_spec.outage_plan is not None
-        and not scripted_spec.outage_plan.is_empty()
-    ):
-        # second axis: ddmin the outage schedule with the (already
-        # shrunk) failure plan held fixed
-        outage_predicate = _reproduces_with_outages(
-            scripted_spec, violation.invariant
-        )
-        shrunk_outage = shrink_outage_plan(
-            scripted_spec.outage_plan,
-            outage_predicate,
-            max_attempts=config.shrink_budget,
-        )
-        scripted_spec = dataclasses.replace(
-            scripted_spec,
-            outage_plan=(
-                shrunk_outage if not shrunk_outage.is_empty() else None
-            ),
-        )
     return artifact_cls.from_violation(violation, scripted_spec, mode="scripted")

@@ -78,7 +78,6 @@ class ContinuousChaosConfig:
     message_loss: float = 0.0
     fault_specs: tuple[FaultSpec, ...] = ()
     failure_plan: FailurePlan | None = None
-    outage_plan: Any = None
     standby_count: int = 0
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5
@@ -91,7 +90,6 @@ class ContinuousChaosConfig:
             or self.message_loss > 0
             or self.fault_specs
             or self.failure_plan is not None
-            or self.outage_plan is not None
         )
 
 
@@ -190,7 +188,6 @@ def run_soak(
         standby_count=config.standby_count,
         fault_specs=config.fault_specs or None,
         failure_plan=config.failure_plan,
-        outage_plan=config.outage_plan,
         crash_probability=config.crash_probability,
         disconnect_probability=config.disconnect_probability,
         disconnect_duration=config.disconnect_duration,

@@ -1,52 +1,26 @@
 """Failure-schedule shrinking (delta debugging over FailurePlans).
 
 When a campaign run violates an invariant, the raw failure schedule is
-usually mostly noise: dozens of crashes and offline windows of which
-only one or two actually matter.  The shrinker reduces the schedule to
-a locally minimal reproducing :class:`~repro.network.failures.
-FailurePlan` by re-running the (deterministic) scenario against ever
-smaller candidate plans — first dropping large chunks (classic ddmin
-halving), then single events — and keeping a candidate only when the
-*same* invariant still fires.
+usually mostly noise: dozens of crashes, offline windows, partitions
+and gray windows of which only one or two actually matter.  The
+shrinker reduces the schedule to a locally minimal reproducing
+:class:`~repro.network.failures.FailurePlan` by re-running the
+(deterministic) scenario against ever smaller candidate plans — first
+dropping large chunks (classic ddmin halving), then single atoms — and
+keeping a candidate only when the *same* invariant still fires.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.network.failures import FailureEvent, FailurePlan
-from repro.network.outages import OutagePlan
+from repro.network.failures import Atom, FailureEvent, FailurePlan
 
 __all__ = [
     "failure_plan_from_events",
+    "observed_plan",
     "shrink_failure_plan",
-    "shrink_outage_plan",
 ]
-
-# one schedulable unit: ("crash", device, at) or
-# ("disconnect", device, start, end)
-Atom = tuple
-
-
-def _atoms(plan: FailurePlan) -> list[Atom]:
-    atoms: list[Atom] = []
-    for device, at in sorted(plan.crashes.items()):
-        atoms.append(("crash", device, at))
-    for device, windows in sorted(plan.disconnections.items()):
-        for start, end in sorted(windows):
-            atoms.append(("disconnect", device, start, end))
-    return atoms
-
-
-def _plan_from_atoms(atoms: Iterable[Atom]) -> FailurePlan:
-    plan = FailurePlan()
-    # crashes first so the disconnect-after-crash validation applies
-    for atom in sorted(atoms, key=lambda a: a[0] != "crash"):
-        if atom[0] == "crash":
-            plan.crash(atom[1], atom[2])
-        else:
-            plan.disconnect(atom[1], atom[2], atom[3])
-    return plan
 
 
 def failure_plan_from_events(events: Iterable[FailureEvent]) -> FailurePlan:
@@ -56,6 +30,8 @@ def failure_plan_from_events(events: Iterable[FailureEvent]) -> FailurePlan:
     reconnect pairs become explicit windows (an unmatched disconnect —
     the run ended offline — closes just after the last event).  Events
     after a device's crash are dropped: the device was already dead.
+    Topology events (partitions, gray windows) are not converted: the
+    plan that scheduled them carries them (see :func:`observed_plan`).
     """
     crashes: dict[str, float] = {}
     open_since: dict[str, float] = {}
@@ -88,6 +64,17 @@ def failure_plan_from_events(events: Iterable[FailureEvent]) -> FailurePlan:
     return plan
 
 
+def observed_plan(
+    events: Iterable[FailureEvent], plan: FailurePlan | None
+) -> FailurePlan:
+    """The schedule a run actually experienced: its observed crash /
+    disconnect events ∪ the plan it installed.  Idempotent for the
+    plan's own crashes and windows (they are in the event log too); the
+    plan contributes what the log cannot express — topology atoms."""
+    observed = failure_plan_from_events(events)
+    return observed if plan is None else observed.union(plan)
+
+
 def shrink_failure_plan(
     plan: FailurePlan,
     reproduces: Callable[[FailurePlan], bool],
@@ -96,13 +83,15 @@ def shrink_failure_plan(
     """Shrink ``plan`` to a locally minimal schedule that still makes
     ``reproduces`` return ``True``.
 
-    ``reproduces`` must be deterministic (re-running the scenario from
-    its seed) and must hold for ``plan`` itself — the caller verifies
-    that before shrinking.  ``max_attempts`` caps the number of
-    re-executions, so shrinking cost is bounded even for large
-    schedules; the result is then minimal only up to the budget.
+    The atoms are every kind the plan schedules — one crash, one
+    disconnect window, one partition, one regional crash, one gray
+    window.  ``reproduces`` must be deterministic (re-running the
+    scenario from its seed) and must hold for ``plan`` itself — the
+    caller verifies that before shrinking.  ``max_attempts`` caps the
+    number of re-executions, so shrinking cost is bounded even for
+    large schedules; the result is then minimal only up to the budget.
     """
-    atoms = _atoms(plan)
+    atoms = plan.atoms()
     attempts = 0
 
     def try_plan(candidate_atoms: list[Atom]) -> bool:
@@ -111,7 +100,7 @@ def shrink_failure_plan(
             return False
         attempts += 1
         try:
-            candidate = _plan_from_atoms(candidate_atoms)
+            candidate = FailurePlan.from_atoms(candidate_atoms)
         except ValueError:
             return False  # removal orphaned a disconnect past a crash
         return reproduces(candidate)
@@ -119,7 +108,7 @@ def shrink_failure_plan(
     # fast path: the schedule may be pure noise (e.g. a corruption-seeded
     # violation) — try the empty plan before any partial removal
     if atoms and try_plan([]):
-        return _plan_from_atoms([])
+        return FailurePlan()
 
     # phase 1: ddmin-style chunk removal, halving granularity
     chunk = max(len(atoms) // 2, 1)
@@ -137,7 +126,7 @@ def shrink_failure_plan(
         if not removed_any:
             chunk //= 2
 
-    # phase 2: single-event sweep until a fixed point (or budget)
+    # phase 2: single-atom sweep until a fixed point (or budget)
     changed = True
     while changed and len(atoms) > 1 and attempts < max_attempts:
         changed = False
@@ -147,78 +136,4 @@ def shrink_failure_plan(
                 atoms = candidate
                 changed = True
                 break
-    return _plan_from_atoms(atoms)
-
-
-def _outage_atoms(plan: OutagePlan) -> list[Atom]:
-    atoms: list[Atom] = []
-    for partition in plan.partitions:
-        atoms.append(("partition", partition))
-    for crash in plan.regional_crashes:
-        atoms.append(("region_crash", crash))
-    for window in plan.gray_windows:
-        atoms.append(("gray", window))
-    return atoms
-
-
-def _outage_plan_from_atoms(atoms: Iterable[Atom]) -> OutagePlan:
-    plan = OutagePlan()
-    for kind, event in atoms:
-        if kind == "partition":
-            plan.partitions.append(event)
-        elif kind == "region_crash":
-            plan.regional_crashes.append(event)
-        else:
-            plan.gray_windows.append(event)
-    return plan.normalized()
-
-
-def shrink_outage_plan(
-    plan: OutagePlan,
-    reproduces: Callable[[OutagePlan], bool],
-    max_attempts: int = 64,
-) -> OutagePlan:
-    """Shrink a topology-outage schedule to a locally minimal one.
-
-    The atoms are whole outage events — one partition window, one
-    regional crash, one gray window — mirroring
-    :func:`shrink_failure_plan`'s contract: ``reproduces`` must be
-    deterministic and hold for ``plan`` itself.
-    """
-    atoms = _outage_atoms(plan)
-    attempts = 0
-
-    def try_plan(candidate_atoms: list[Atom]) -> bool:
-        nonlocal attempts
-        if attempts >= max_attempts:
-            return False
-        attempts += 1
-        return reproduces(_outage_plan_from_atoms(candidate_atoms))
-
-    if atoms and try_plan([]):
-        return _outage_plan_from_atoms([])
-
-    chunk = max(len(atoms) // 2, 1)
-    while chunk >= 1 and len(atoms) > 1 and attempts < max_attempts:
-        removed_any = False
-        start = 0
-        while start < len(atoms) and attempts < max_attempts:
-            candidate = atoms[:start] + atoms[start + chunk:]
-            if candidate and len(candidate) < len(atoms) and try_plan(candidate):
-                atoms = candidate
-                removed_any = True
-            else:
-                start += chunk
-        if not removed_any:
-            chunk //= 2
-
-    changed = True
-    while changed and len(atoms) > 1 and attempts < max_attempts:
-        changed = False
-        for index in range(len(atoms) - 1, -1, -1):
-            candidate = atoms[:index] + atoms[index + 1:]
-            if candidate and try_plan(candidate):
-                atoms = candidate
-                changed = True
-                break
-    return _outage_plan_from_atoms(atoms)
+    return FailurePlan.from_atoms(atoms)

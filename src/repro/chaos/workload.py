@@ -8,8 +8,9 @@ does **every** query still keep them *individually*?
 
 One :func:`run_workload` call drives a
 :class:`~repro.workload.engine.WorkloadEngine` with the chaos hooks
-installed (scripted :class:`~repro.network.failures.FailurePlan`,
-stochastic crash/disconnect injector, message-fault injector, plain
+installed (scripted :class:`~repro.network.failures.FailurePlan` of
+any atom kind, partitions and gray windows included, stochastic
+crash/disconnect injector, message-fault injector, plain
 message loss), then rebuilds a per-query
 :class:`~repro.chaos.invariants.RunRecord` for every completed query —
 exposure and liability measured on *that query's* plan, validity
@@ -36,7 +37,7 @@ from repro.chaos.invariants import (
     check_all,
     no_fault_observed,
 )
-from repro.chaos.shrink import failure_plan_from_events, shrink_failure_plan
+from repro.chaos.shrink import observed_plan, shrink_failure_plan
 from repro.network.failures import FailurePlan
 from repro.plan.compile import compile_query
 from repro.workload.engine import COMPLETED, WorkloadEngine, WorkloadResult
@@ -278,9 +279,7 @@ def workload_failure_predicate(
     def predicate(plan: FailurePlan) -> bool:
         candidate = dataclasses.replace(
             config,
-            failure_plan=(
-                plan if (plan.crashes or plan.disconnections) else None
-            ),
+            failure_plan=plan if not plan.is_empty() else None,
             crash_probability=0.0,
             disconnect_probability=0.0,
         )
@@ -305,12 +304,7 @@ def shrink_workload_plan(
     conversion does not reproduce — the failure needed message-level
     faults or loss, which a FailurePlan cannot express.
     """
-    full_plan = failure_plan_from_events(outcome.failure_events)
-    if config.failure_plan is not None:
-        for device, at in config.failure_plan.crashes.items():
-            full_plan.crashes.setdefault(device, at)
-        for device, windows in config.failure_plan.disconnections.items():
-            full_plan.disconnections.setdefault(device, list(windows))
+    full_plan = observed_plan(outcome.failure_events, config.failure_plan)
     predicate = workload_failure_predicate(spec, config, failing)
     if not predicate(full_plan):
         return None

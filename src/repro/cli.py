@@ -470,14 +470,27 @@ def _emit_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
         print(render_summary(telemetry))
 
 
-def _split_mix(raw: str | None):
-    """Split a combined ``--fault-mix`` into (fault_specs, outage_spec)."""
+def _split_mix(raw: str | None, message_only: str | None = None):
+    """Split a combined ``--fault-mix`` into (fault_specs, outage_spec).
+
+    ``message_only`` names a command without a resolved device
+    population to expand outages over: an outage knob is then a usage
+    error naming it.
+    """
     if not raw:
         return None, None
-    from repro.chaos import parse_fault_mix, parse_outage_mix, split_chaos_mix
+    from repro.network.faults import parse_fault_mix
+    from repro.network.outages import parse_outage_mix, split_chaos_mix
 
     try:
         message_part, outage_part = split_chaos_mix(raw)
+        if message_only and outage_part:
+            knobs = sorted({k.split("=", 1)[0].strip() for k in outage_part.split(",")})
+            raise ValueError(
+                f"{message_only} takes message knobs only, not the outage "
+                f"knobs {knobs} (they need a resolved device population; "
+                "use run, or chaos without --workload)"
+            )
         fault_specs = parse_fault_mix(message_part) if message_part else None
         outage_spec = parse_outage_mix(outage_part) if outage_part else None
     except ValueError as exc:
@@ -607,7 +620,10 @@ def _render_rows(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
 def _cmd_chaos_replay(args: argparse.Namespace) -> int:
     from repro.chaos import ReproArtifact
 
-    artifact = ReproArtifact.load(args.replay)
+    try:
+        artifact = ReproArtifact.load(args.replay)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"--replay: {exc}") from None
     print(f"replaying {args.replay}")
     print(f"  invariant: {artifact.invariant}")
     print(f"  mode:      {artifact.mode}")
@@ -703,12 +719,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_chaos_workload(args: argparse.Namespace) -> int:
     from repro.chaos import (
         WorkloadChaosConfig,
-        parse_fault_mix,
         run_workload,
         shrink_workload_plan,
     )
     from repro.workload import WorkloadSpec
 
+    fault_specs, _ = _split_mix(args.fault_mix, message_only="chaos --workload")
     spec = WorkloadSpec(
         n_queries=args.workload,
         max_concurrent=args.workload_max_concurrent,
@@ -722,7 +738,7 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
         crash_probability=max(args.failure_probability),
         disconnect_probability=args.disconnect_probability,
         message_loss=args.message_loss,
-        fault_specs=parse_fault_mix(args.fault_mix) if args.fault_mix else (),
+        fault_specs=fault_specs or (),
         validity_tolerance=args.validity_tolerance,
     )
     telemetry = Telemetry()
@@ -876,20 +892,12 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
             data_change_probability=args.data_change,
             seed=args.seed,
         )
+    fault_specs, _ = _split_mix(args.fault_mix, message_only="continuous")
     telemetry = Telemetry()
     exit_code = 0
     if args.check_invariants:
         from repro.chaos import ContinuousChaosConfig, run_soak
 
-        fault_specs, outage_spec = _split_mix(args.fault_mix)
-        if outage_spec is not None:
-            print(
-                "continuous --fault-mix takes message knobs only; "
-                "outage knobs need a resolved device population — "
-                "use the chaos or run subcommands",
-                file=sys.stderr,
-            )
-            return 2
         config = ContinuousChaosConfig(
             n_contributors=args.contributors,
             n_processors=args.processors,
@@ -921,15 +929,6 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     else:
         from repro.continuous import ContinuousEngine
 
-        fault_specs, outage_spec = _split_mix(args.fault_mix)
-        if outage_spec is not None:
-            print(
-                "continuous --fault-mix takes message knobs only; "
-                "outage knobs need a resolved device population — "
-                "use the chaos or run subcommands",
-                file=sys.stderr,
-            )
-            return 2
         engine = ContinuousEngine(
             spec,
             churn=churn,
@@ -1025,7 +1024,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:
+        # a command's usage error ("--flag: why"): one line on stderr
+        # and argparse's usage exit status, never a traceback
+        if not isinstance(exc.code, str):
+            raise
+        print(exc.code, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

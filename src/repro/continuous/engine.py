@@ -203,7 +203,7 @@ class ContinuousEngine:
         telemetry: recording target; defaults to the process instance.
         standby_count: extra devices leased per reliable window as the
             recovery watchdog's re-recruitment pool.
-        fault_specs / failure_plan / outage_plan / crash_probability /
+        fault_specs / failure_plan / crash_probability /
         disconnect_probability / disconnect_duration / message_loss:
             chaos hooks, installed once over the whole run (see
             :mod:`repro.chaos.continuous`).
@@ -220,7 +220,6 @@ class ContinuousEngine:
         standby_count: int = 0,
         fault_specs: Any = None,
         failure_plan: Any = None,
-        outage_plan: Any = None,
         crash_probability: float = 0.0,
         disconnect_probability: float = 0.0,
         disconnect_duration: float = 10.0,
@@ -256,7 +255,6 @@ class ContinuousEngine:
             scenario_tag=f"{spec.name}{spec.seed}",
             fault_specs=fault_specs,
             failure_plan=failure_plan,
-            outage_plan=outage_plan,
             reliability=spec.reliability,
         )
         self.scenario = Scenario(self.scenario_config, telemetry=telemetry)

@@ -89,19 +89,19 @@ class ScenarioConfig:
             artifact replayed in a fresh process rebuilds the exact same
             swarm regardless of how many scenarios ran before it.
         failure_plan: optional scripted
-            :class:`~repro.network.failures.FailurePlan` installed at
-            query start (chaos replay path).
+            :class:`~repro.network.failures.FailurePlan` — crashes,
+            disconnect windows, partitions, regional crashes, gray
+            windows — installed at query start (chaos replay path).
         fault_specs: optional tuple of
             :class:`~repro.network.faults.FaultSpec` message-fault rules
             installed on the network (seeded with ``seed + 3``).
         outage_spec: optional
-            :class:`~repro.network.outages.OutageSpec`; when set, a
-            topology-level outage plan (partitions, correlated regional
-            crashes, gray failures) is generated over the processor
-            pool with ``seed + 5`` and installed at query start.
-        outage_plan: optional pre-resolved
-            :class:`~repro.network.outages.OutagePlan` installed
-            verbatim (chaos replay path); overrides ``outage_spec``.
+            :class:`~repro.network.outages.OutageSpec`; when set, its
+            topology atoms (partitions, correlated regional crashes,
+            gray failures) are resolved over the processor pool with
+            ``seed + 5`` and appended to ``failure_plan``.  A
+            ``failure_plan`` that carries topology atoms already
+            excludes a non-no-op spec.
         detector: feed transport delivery observations into a φ-accrual
             failure detector and let the recovery watchdog reprovision
             *suspected* (partitioned/gray, nominally online) Computers;
@@ -146,13 +146,18 @@ class ScenarioConfig:
     reliability: bool = False
     phase_deadline: float | None = None
     outage_spec: Any = None
-    outage_plan: Any = None
     detector: bool = False
     fencing: bool = False
 
     def __post_init__(self) -> None:
         if self.phase_deadline is not None and self.phase_deadline <= 0:
             raise ValueError("phase_deadline must be positive")
+        if self.failure_plan is not None and self.failure_plan.has_outages():
+            if self.outage_spec is not None and not self.outage_spec.is_noop():
+                raise ValueError(
+                    "failure_plan already scripts topology outages; "
+                    "drop outage_spec or those atoms"
+                )
         if self.n_contributors <= 0:
             raise ValueError("n_contributors must be positive")
         if self.n_processors <= 0:
@@ -190,14 +195,15 @@ class ScenarioResult:
             :func:`repro.manager.verification.verify_against_centralized`.
         executor: the executor instance (chaos invariants inspect its
             combiner runtimes and takeover log post-run).
-        failure_events: what the scripted failure plan, the outage
-            plan and the stochastic injector logged, by time.
+        failure_events: what the scripted failure plan and the
+            stochastic injector logged, by time.
         fault_injector: the message-fault injector, if one was
             installed (its decision log feeds the shrinker).
         transport: the reliability overlay, when the scenario enabled
             one (its receipts and stats feed tests and benches).
-        outage_plan: the resolved topology-outage plan, if any (the
-            shrinker pins it).
+        failure_plan: the one scripted plan installed — the
+            configured plan plus the atoms ``outage_spec`` resolved to,
+            if any (the shrinker pins it).
     """
 
     report: ExecutionReport
@@ -209,7 +215,7 @@ class ScenarioResult:
     failure_events: list[Any] = field(default_factory=list)
     fault_injector: Any = None
     transport: Any = None
-    outage_plan: Any = None
+    failure_plan: Any = None
 
     def judged(
         self,
@@ -529,7 +535,7 @@ class Scenario:
             compiled, plan, processor_ids=self.eligible_processor_ids()
         )
         executor = result.executor
-        result.outage_plan = self.install_chaos(until=executor.deadline_at)
+        result.failure_plan = self.install_chaos(until=executor.deadline_at)
         self.simulator.run_until(executor.start())
         self.conclude(result)
         self.telemetry.tracer.pop(scenario_span, at=self.simulator.now)
@@ -630,12 +636,12 @@ class Scenario:
         """Install every configured fault source, active up to ``until``.
 
         The only site that turns :attr:`config`'s ``caregiver_period``,
-        ``fault_specs``, ``failure_plan``, ``outage_plan`` /
-        ``outage_spec`` and crash / disconnect probabilities into
+        ``fault_specs``, ``failure_plan`` / ``outage_spec`` and crash /
+        disconnect probabilities into
         simulator events.  The one-shot path calls it per query, between
         :meth:`launch` and ``executor.start()``; an engine calls it once
         in ``run()``, before it schedules the first arrival.  Returns
-        the resolved outage plan (``None`` without topology outages);
+        the one scripted plan it applied (``None`` without one);
         :meth:`failure_events` reads what the sources have logged.
         """
         config = self.config
@@ -658,29 +664,19 @@ class Scenario:
         # each source returns a live log that fills as its scheduled
         # events fire, so hold the references and merge only on demand
         self._failure_logs = []
-        if config.failure_plan is not None:
-            self._failure_logs.append(
-                config.failure_plan.apply(self.simulator, self.network)
-            )
-
-        # topology-level outages: a pre-resolved plan replays verbatim;
-        # a spec resolves over the processor pool with its own seed
-        # stream (seed + 5) so legacy runs draw nothing from it
+        # an outage spec resolves over the processor pool with its own
+        # seed stream (seed + 5), so runs without one draw nothing from
+        # it; its atoms join the scripted plan and one apply installs both
         processor_ids = [d.device_id for d in self.processors]
-        outage_plan = config.outage_plan
-        if (
-            outage_plan is None
-            and config.outage_spec is not None
-            and not config.outage_spec.is_noop()
-        ):
-            outage_plan = build_outage_plan(
+        plan = config.failure_plan
+        if config.outage_spec is not None and not config.outage_spec.is_noop():
+            resolved = build_outage_plan(
                 config.outage_spec, processor_ids,
                 horizon=until, seed=config.seed + 5,
             )
-        if outage_plan is not None and not outage_plan.is_empty():
-            self._failure_logs.append(
-                outage_plan.apply(self.simulator, self.network)
-            )
+            plan = resolved if plan is None else plan.union(resolved)
+        if plan is not None:
+            self._failure_logs.append(plan.apply(self.simulator, self.network))
 
         if config.crash_probability > 0 or config.disconnect_probability > 0:
             injector = FailureInjector(
@@ -694,7 +690,7 @@ class Scenario:
             )
             injector.start(until=until)
             self._failure_logs.append(injector.events)
-        return outage_plan
+        return plan
 
     def failure_events(self) -> list[Any]:
         """What the installed fault sources logged so far, by time."""

@@ -11,8 +11,16 @@ will, crashes, message loss.  This package provides:
   to whom, and with what link quality);
 * :mod:`repro.network.opnet` — the opportunistic network itself:
   store-and-forward delivery with latency/loss sampled per link;
-* :mod:`repro.network.failures` — fault injection (crash, transient
-  disconnection, powering devices off at will, message drops);
+* :mod:`repro.network.failures` — the one scripted fault schedule,
+  :class:`FailurePlan` of five atom kinds under one epoch-fenced
+  ``apply`` (crashes, i.e. powering devices off at will; disconnect
+  windows; healing partitions; regional crashes; gray windows), and the
+  stochastic
+  crash/disconnect :class:`FailureInjector`;
+* :mod:`repro.network.outages` — the seeded generator that resolves an
+  :class:`~repro.network.outages.OutageSpec` into plan atoms;
+* :mod:`repro.network.faults` — per-send message rules (drop,
+  duplicate, delay, corrupt) rolled from a seeded stream;
 * :mod:`repro.network.reliable` — opt-in end-to-end reliability layer
   (per-kind delivery policies, ACK/retransmission, adaptive timeouts,
   circuit breakers) on top of the unreliable substrate.

@@ -1,20 +1,17 @@
-"""Topology-level outages: partitions, regional crashes, gray failures.
+"""Seeded topology outages: partitions, regional crashes, gray failures.
 
 The message-level injector (:mod:`repro.network.faults`) perturbs one
 send at a time; real edge deployments also fail at the *topology*
 level — a Wi-Fi AP or cell sector drops a whole neighbourhood at once
 (correlated crashes), a backhaul cut splits the swarm into components
 that heal later (partitions), and an overloaded device turns slow and
-lossy without dying (gray failure).  This module expresses those as:
-
-* :class:`OutagePlan` — a fully-resolved, serializable schedule of
-  partitions / regional crash events / gray windows, mirroring
-  :class:`~repro.network.failures.FailurePlan`: artifacts replay
-  byte-for-byte and ddmin shrinking works on plan atoms;
-* :class:`OutageSpec` — a seeded generator configuration (region
-  count, per-region partition/crash probabilities, gray knobs) that
-  :func:`build_outage_plan` expands into a concrete plan as a pure
-  function of ``(spec, device_ids, horizon, seed)``.
+lossy without dying (gray failure).  The scripted atoms for those live
+in :mod:`repro.network.failures` next to crashes and disconnect
+windows; this module is their seeded generator:
+:class:`OutageSpec` (region count, per-region partition/crash
+probabilities, gray knobs) expands through :func:`build_outage_plan`
+into a concrete :class:`~repro.network.failures.FailurePlan` as a pure
+function of ``(spec, device_ids, horizon, seed)``.
 
 Region assignment is deterministic: sorted device ids round-robin over
 ``regions`` groups, modelling devices that share an AP.  Plans carry
@@ -24,284 +21,27 @@ membership.
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
-from repro.network.failures import FailureEvent
+from repro.network.failures import (
+    FailurePlan,
+    GrayWindow,
+    Partition,
+    RegionalCrash,
+    read_field,
+)
 from repro.network.faults import register_fault_knob
-from repro.network.opnet import OpportunisticNetwork
-from repro.network.simulator import Simulator
 
 __all__ = [
-    "Partition",
-    "RegionalCrash",
-    "GrayWindow",
-    "OutagePlan",
     "OutageSpec",
     "build_outage_plan",
     "assign_regions",
     "parse_outage_mix",
 ]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One healing network cut: ``islands`` are mutually unreachable
-    device groups (and unreachable from the implicit mainland of
-    unlisted devices) during ``[start, end)``."""
-
-    start: float
-    end: float
-    islands: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
-        islands = tuple(tuple(island) for island in self.islands)
-        if not islands or any(not island for island in islands):
-            raise ValueError("partition needs non-empty islands")
-        object.__setattr__(self, "islands", islands)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "islands": [sorted(island) for island in self.islands],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Partition":
-        return cls(
-            start=float(data["start"]),
-            end=float(data["end"]),
-            islands=tuple(tuple(str(d) for d in island) for island in data["islands"]),
-        )
-
-
-@dataclass(frozen=True)
-class RegionalCrash:
-    """One correlated crash event: every device in a region dies at
-    once (an AP's whole neighbourhood going dark)."""
-
-    at: float
-    region: str
-    devices: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("crash time must be non-negative")
-        if not self.devices:
-            raise ValueError("regional crash needs at least one device")
-        object.__setattr__(self, "devices", tuple(self.devices))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"at": self.at, "region": self.region, "devices": sorted(self.devices)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RegionalCrash":
-        return cls(
-            at=float(data["at"]),
-            region=str(data["region"]),
-            devices=tuple(str(d) for d in data["devices"]),
-        )
-
-
-@dataclass(frozen=True)
-class GrayWindow:
-    """One gray-failure window: the device stays alive but its links
-    run at ``latency_factor`` × nominal latency with ``extra_loss``
-    additional loss during ``[start, end)``."""
-
-    device_id: str
-    start: float
-    end: float
-    latency_factor: float = 4.0
-    extra_loss: float = 0.3
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
-        if self.latency_factor < 1.0:
-            raise ValueError("latency_factor must be >= 1")
-        if not 0 <= self.extra_loss <= 1:
-            raise ValueError("extra_loss must be in [0, 1]")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "device_id": self.device_id,
-            "start": self.start,
-            "end": self.end,
-            "latency_factor": self.latency_factor,
-            "extra_loss": self.extra_loss,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GrayWindow":
-        return cls(
-            device_id=str(data["device_id"]),
-            start=float(data["start"]),
-            end=float(data["end"]),
-            latency_factor=float(data.get("latency_factor", 4.0)),
-            extra_loss=float(data.get("extra_loss", 0.3)),
-        )
-
-
-@dataclass
-class OutagePlan:
-    """Declarative topology-outage schedule (the FailurePlan analogue).
-
-    Fully resolved: every event names concrete device ids, so a plan
-    loaded from a JSON artifact replays without recomputing region
-    membership.  ``apply`` installs epoch-fenced timers and returns a
-    shared event log that fills as outages fire, using the same
-    :class:`~repro.network.failures.FailureEvent` records with kinds
-    ``partition_start`` / ``partition_heal`` / ``crash`` (one per
-    regional-crash member) / ``gray_start`` / ``gray_end``.
-    """
-
-    partitions: list[Partition] = field(default_factory=list)
-    regional_crashes: list[RegionalCrash] = field(default_factory=list)
-    gray_windows: list[GrayWindow] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not (self.partitions or self.regional_crashes or self.gray_windows)
-
-    def partition_devices(self) -> set[str]:
-        """Every device named by some partition island."""
-        return {
-            device
-            for partition in self.partitions
-            for island in partition.islands
-            for device in island
-        }
-
-    def validate(self) -> None:
-        for partition in self.partitions:
-            seen: set[str] = set()
-            for island in partition.islands:
-                overlap = seen & set(island)
-                if overlap:
-                    raise ValueError(
-                        f"device(s) {sorted(overlap)} appear in two islands of "
-                        f"the partition starting at {partition.start}"
-                    )
-                seen |= set(island)
-
-    def normalized(self) -> "OutagePlan":
-        """Return an equivalent plan with events in deterministic order."""
-        return OutagePlan(
-            partitions=sorted(
-                self.partitions, key=lambda p: (p.start, p.end, p.islands)
-            ),
-            regional_crashes=sorted(
-                self.regional_crashes, key=lambda c: (c.at, c.region)
-            ),
-            gray_windows=sorted(
-                self.gray_windows, key=lambda g: (g.start, g.end, g.device_id)
-            ),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        plan = self.normalized()
-        return {
-            "partitions": [p.to_dict() for p in plan.partitions],
-            "regional_crashes": [c.to_dict() for c in plan.regional_crashes],
-            "gray_windows": [g.to_dict() for g in plan.gray_windows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "OutagePlan":
-        return cls(
-            partitions=[Partition.from_dict(p) for p in data.get("partitions", [])],
-            regional_crashes=[
-                RegionalCrash.from_dict(c) for c in data.get("regional_crashes", [])
-            ],
-            gray_windows=[
-                GrayWindow.from_dict(g) for g in data.get("gray_windows", [])
-            ],
-        )
-
-    def apply(
-        self, simulator: Simulator, network: OpportunisticNetwork
-    ) -> list[FailureEvent]:
-        """Install the schedule; returns the shared, initially-empty
-        event log that fills as outages fire."""
-        self.validate()
-        plan = self.normalized()
-        log: list[FailureEvent] = []
-        epoch = network.epoch
-
-        def make_partition(partition: Partition):
-            token_box: list[int] = []
-
-            def start() -> None:
-                if network.epoch != epoch:
-                    return
-                token_box.append(network.partition(partition.islands))
-                for island in partition.islands:
-                    for device_id in sorted(island):
-                        log.append(
-                            FailureEvent(simulator.now, device_id, "partition_start")
-                        )
-
-            def heal() -> None:
-                if network.epoch != epoch or not token_box:
-                    return
-                network.heal(token_box.pop())
-                for island in partition.islands:
-                    for device_id in sorted(island):
-                        log.append(
-                            FailureEvent(simulator.now, device_id, "partition_heal")
-                        )
-
-            return start, heal
-
-        def make_regional_crash(crash: RegionalCrash):
-            def fire() -> None:
-                if network.epoch != epoch:
-                    return
-                for device_id in sorted(crash.devices):
-                    if network.is_dead(device_id):
-                        continue
-                    network.kill(device_id)
-                    log.append(FailureEvent(simulator.now, device_id, "crash"))
-
-            return fire
-
-        def make_gray(window: GrayWindow):
-            def start() -> None:
-                if network.epoch != epoch or network.is_dead(window.device_id):
-                    return
-                network.set_gray(
-                    window.device_id, window.latency_factor, window.extra_loss
-                )
-                log.append(FailureEvent(simulator.now, window.device_id, "gray_start"))
-
-            def end() -> None:
-                if network.epoch != epoch:
-                    return
-                if network.is_gray(window.device_id):
-                    network.clear_gray(window.device_id)
-                    log.append(
-                        FailureEvent(simulator.now, window.device_id, "gray_end")
-                    )
-
-            return start, end
-
-        for partition in plan.partitions:
-            start, heal = make_partition(partition)
-            simulator.schedule_at(partition.start, start, "partition start")
-            simulator.schedule_at(partition.end, heal, "partition heal")
-        for crash in plan.regional_crashes:
-            simulator.schedule_at(
-                crash.at, make_regional_crash(crash), f"regional crash {crash.region}"
-            )
-        for window in plan.gray_windows:
-            start, end = make_gray(window)
-            simulator.schedule_at(window.start, start, f"gray {window.device_id}")
-            simulator.schedule_at(window.end, end, f"gray end {window.device_id}")
-        return log
 
 
 @dataclass(frozen=True)
@@ -362,27 +102,19 @@ class OutageSpec:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "regions": self.regions,
-            "partition_probability": self.partition_probability,
-            "partition_duration": list(self.partition_duration),
-            "region_crash_probability": self.region_crash_probability,
-            "gray_probability": self.gray_probability,
-            "gray_latency_factor": self.gray_latency_factor,
-            "gray_extra_loss": self.gray_extra_loss,
-            "gray_duration": list(self.gray_duration),
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in dataclasses.asdict(self).items()
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "OutageSpec":
+        # every field has a default whose type is its JSON reader
+        read = partial(read_field, data, owner="outage spec")
         return cls(
-            regions=int(data.get("regions", 4)),
-            partition_probability=float(data.get("partition_probability", 0.0)),
-            partition_duration=tuple(data.get("partition_duration", (10.0, 30.0))),  # type: ignore[arg-type]
-            region_crash_probability=float(data.get("region_crash_probability", 0.0)),
-            gray_probability=float(data.get("gray_probability", 0.0)),
-            gray_latency_factor=float(data.get("gray_latency_factor", 4.0)),
-            gray_extra_loss=float(data.get("gray_extra_loss", 0.3)),
-            gray_duration=tuple(data.get("gray_duration", (10.0, 40.0))),  # type: ignore[arg-type]
+            **{
+                f.name: read(f.name, type(f.default), f.default)
+                for f in dataclasses.fields(cls)
+            }
         )
 
 
@@ -402,13 +134,13 @@ def build_outage_plan(
     device_ids: list[str],
     horizon: float,
     seed: int,
-) -> OutagePlan:
+) -> FailurePlan:
     """Expand a spec into a concrete plan — a pure function of its
     arguments, so campaign runs replay from (spec, seed) alone."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = random.Random(f"{seed}:outages")
-    plan = OutagePlan()
+    plan = FailurePlan()
     regions = assign_regions(device_ids, spec.regions)
     for region_name in sorted(regions):
         members = regions[region_name]

@@ -38,7 +38,7 @@ class _ControlBlackhole:
         self.decisions = []
 
     def on_send(self, message):
-        from repro.chaos.faults import FaultDecision
+        from repro.network.faults import FaultDecision
 
         drop = message.kind.value == "control"
         decision = FaultDecision(

@@ -8,6 +8,7 @@ deterministically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -97,12 +98,11 @@ class TestRunDeterminism:
         # still load with outages, the detector, and fencing all off
         data = RunSpec(seed=5, tag="old").to_dict()
         del data["outage_spec"]
-        del data["outage_plan"]
         del data["detector"]
         del data["fencing"]
         clone = RunSpec.from_dict(data)
         assert clone.outage_spec is None
-        assert clone.outage_plan is None
+        assert clone.failure_plan is None
         assert clone.detector is False
         assert clone.fencing is False
 
@@ -112,12 +112,106 @@ class TestRunDeterminism:
         # draw nothing from the seeded streams
         spec = RunSpec(seed=21, tag="legacy-art", message_loss=0.2)
         data = spec.to_dict()
-        for field in ("outage_spec", "outage_plan", "detector", "fencing"):
+        for field in ("outage_spec", "detector", "fencing"):
             del data[field]
         legacy = RunSpec.from_dict(json.loads(json.dumps(data)))
         assert _result_fingerprint(run_single(legacy)) == _result_fingerprint(
             run_single(spec)
         )
+
+    #: a RunSpec as serialized before topology atoms joined FailurePlan:
+    #: the crash under ``failure_plan``, the partition and the gray window
+    #: under their own ``outage_plan`` key
+    LEGACY_SPLIT_PLAN = {
+        "seed": 13,
+        "tag": "legacy-merge",
+        "strategy": "overcollection",
+        "topology": {
+            "n_contributors": 24, "n_processors": 20, "n_rows": 48,
+            "device_mix": [1.0, 0.0, 0.0],
+        },
+        "reliability": True,
+        "detector": True,
+        "fencing": True,
+        "failure_plan": {
+            "crashes": {"legacy-merge-proc-00007": 25.0},
+            "disconnections": {},
+        },
+        "outage_plan": {
+            "partitions": [
+                {"start": 18.0, "end": 40.0,
+                 "islands": [["legacy-merge-proc-00003"]]},
+            ],
+            "regional_crashes": [],
+            "gray_windows": [
+                {"device_id": "legacy-merge-proc-00011", "start": 12.0,
+                 "end": 50.0, "latency_factor": 6.0, "extra_loss": 0.2},
+            ],
+        },
+    }
+
+    def test_split_plan_artifact_loads_into_one_plan_and_replays(self):
+        from repro.workload.fingerprint import report_fingerprint
+
+        spec = RunSpec.from_dict(json.loads(json.dumps(self.LEGACY_SPLIT_PLAN)))
+        plan = spec.failure_plan
+        assert plan.crashes == {"legacy-merge-proc-00007": 25.0}
+        assert [p.islands for p in plan.partitions] == [
+            (("legacy-merge-proc-00003",),)
+        ]
+        assert [g.device_id for g in plan.gray_windows] == ["legacy-merge-proc-00011"]
+        data = spec.to_dict()
+        assert "outage_plan" not in data
+        assert RunSpec.from_dict(json.loads(json.dumps(data))) == spec
+        result = run_single(spec).result
+        # computed by replaying this payload with the two plans kept apart
+        assert report_fingerprint(
+            result.report, base_time=result.executor.start_time
+        ) == "aea9af2dcc23304d4b635080c502559f8e022ca7b3750457667b2996d1163710"
+        assert sorted(
+            (e.time, e.device_id, e.kind) for e in result.failure_events
+        ) == [
+            (12.0, "legacy-merge-proc-00011", "gray_start"),
+            (18.0, "legacy-merge-proc-00003", "partition_start"),
+            (25.0, "legacy-merge-proc-00007", "crash"),
+            (40.0, "legacy-merge-proc-00003", "partition_heal"),
+            (50.0, "legacy-merge-proc-00011", "gray_end"),
+        ]
+
+    def test_outage_spec_and_scripted_outages_exclude_each_other(self):
+        from repro.network.failures import Partition
+        from repro.network.outages import OutageSpec
+
+        spec = RunSpec(
+            seed=1,
+            tag="both",
+            outage_spec=OutageSpec(gray_probability=0.2),
+            failure_plan=FailurePlan(
+                partitions=[Partition(start=1.0, end=2.0, islands=(("x",),))]
+            ),
+        )
+        with pytest.raises(ValueError, match="already scripts topology outages"):
+            run_single(spec)
+        # device atoms compose with a seeded outage spec: the one plan the
+        # run installs is the scripted crash plus the resolved gray windows
+        installed = run_single(
+            dataclasses.replace(spec, failure_plan=FailurePlan().crash("x", 1.0))
+        ).result.failure_plan
+        assert installed.crashes == {"x": 1.0}
+        assert installed.gray_windows and not installed.partitions
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"seed": 1}, "'tag'"),
+            ({"seed": "one", "tag": "t"}, "'seed'"),
+            ({"seed": 1, "tag": "t", "topology": {"n_rows": 1}}, "'n_contributors'"),
+            ({"seed": 1, "tag": "t", "fault_specs": 3}, "'fault_specs'"),
+        ],
+    )
+    def test_loader_errors_name_the_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            RunSpec.from_dict(payload)
 
     @pytest.mark.parametrize("engine", ["row", "columnar"])
     def test_artifact_with_the_removed_engine_key_replays_identically(
@@ -258,6 +352,37 @@ class TestArtifacts:
         path.write_text(json.dumps({"version": 99}), encoding="utf-8")
         with pytest.raises(ValueError):
             ReproArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "run_patch, field",
+        [
+            ({"tag": None}, "'tag'"),
+            (
+                {"outage_plan": {"partitions": [{"start": 1.0, "islands": [["a"]]}]}},
+                "'end'",
+            ),
+        ],
+        ids=["run-without-tag", "partition-without-end"],
+    )
+    def test_malformed_artifact_replay_exits_2_with_one_line(
+        self, tmp_path, capsys, run_patch, field
+    ):
+        from repro.cli import main
+
+        payload = ReproArtifact(
+            invariant="validity", detail="", mode="scripted",
+            spec=RunSpec(seed=2, tag="bad"),
+        ).to_dict()
+        payload["run"].update(run_patch)
+        payload["run"] = {k: v for k, v in payload["run"].items() if v is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["chaos", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--replay: ")
+        assert field in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestAcceptanceCriterion:

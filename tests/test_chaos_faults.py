@@ -1,4 +1,4 @@
-"""Tests for message-level fault injection (repro.chaos.faults)."""
+"""Tests for message-level fault injection (repro.network.faults)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.chaos.faults import (
+from repro.network.faults import (
     FaultSpec,
     MessageFaultInjector,
     corrupt_payload,

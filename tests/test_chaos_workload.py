@@ -20,7 +20,7 @@ from repro.chaos import (
     workload_failure_predicate,
 )
 from repro.chaos.workload import _check_conservation
-from repro.network.failures import FailurePlan
+from repro.network.failures import FailurePlan, Partition
 from repro.workload import WorkloadSpec
 from repro.workload.engine import WorkloadResult
 
@@ -94,6 +94,27 @@ class TestFaultyWorkload:
         )
         assert not outcome.clean
         assert outcome.ok
+
+    def test_scripted_partition_over_a_workload(self):
+        # topology atoms ride in the one scripted plan, so workload chaos
+        # can cut the shared swarm without any outage-specific knob
+        spec = WorkloadSpec(
+            n_queries=3, arrival_process="uniform", arrival_rate=2.0,
+            max_concurrent=3, queue_capacity=3, seed=3,
+        )
+        island = (f"wl{spec.seed}-proc-00002", f"wl{spec.seed}-proc-00005")
+        plan = FailurePlan(
+            partitions=[Partition(start=2.0, end=12.0, islands=(island,))]
+        )
+        outcome = run_workload(spec, WorkloadChaosConfig(failure_plan=plan))
+        assert not outcome.clean
+        assert [(e.time, e.device_id, e.kind) for e in outcome.failure_events] == [
+            (2.0, island[0], "partition_start"),
+            (2.0, island[1], "partition_start"),
+            (12.0, island[0], "partition_heal"),
+            (12.0, island[1], "partition_heal"),
+        ]
+        assert outcome.result.shed + outcome.result.completed == 3
 
     def test_same_seed_reproduces_verdicts(self):
         spec = WorkloadSpec(

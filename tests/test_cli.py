@@ -251,6 +251,30 @@ class TestWorkloadCommand:
         assert "wl1-q000" in out
         assert "all invariants held for every query" in out
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["chaos", "--workload", "3"],
+            ["continuous", "--windows", "2"],
+            ["continuous", "--windows", "2", "--check-invariants"],
+        ],
+    )
+    def test_outage_knobs_without_a_device_population_exit_2(
+        self, capsys, command
+    ):
+        code = main([*command, "--fault-mix", "drop=0.1;gray=0.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--fault-mix: ")
+        assert "['gray']" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_unknown_fault_knob_exits_2(self, capsys):
+        code = main(["run", "--fault-mix", "warp=0.5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("--fault-mix: ")
+
     def test_chaos_workload_with_faults(self, capsys):
         code = main([
             "chaos", "--workload", "3", "--seed", "7",

@@ -13,7 +13,7 @@ from repro.chaos import ContinuousChaosConfig, run_soak
 from repro.continuous import StandingQuerySpec
 from repro.devices.churn import ChurnSpec
 from repro.network.faults import parse_fault_mix
-from repro.network.outages import GrayWindow, OutagePlan, Partition
+from repro.network.failures import FailurePlan, GrayWindow, Partition
 from repro.telemetry import Telemetry
 
 
@@ -52,7 +52,7 @@ class TestThirtyWindowSoak:
         # across windows 2-3, another gray-degraded across windows 5-7
         # (cadence is 20s, so 8 windows span 160s of virtual time)
         spec = _soak_spec(8, seed=11)
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(
                     start=40.0, end=70.0, islands=(("soak11-proc-00003",),)
@@ -70,7 +70,7 @@ class TestThirtyWindowSoak:
         )
         config = ContinuousChaosConfig(
             churn=ChurnSpec(departure_probability=0.10, seed=11),
-            outage_plan=plan,
+            failure_plan=plan,
             standby_count=2,
         )
         outcome = run_soak(spec, config, telemetry=Telemetry())

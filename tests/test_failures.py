@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.failures import FailureInjector, FailurePlan
+from repro.network.failures import (
+    FailureInjector,
+    FailurePlan,
+    GrayWindow,
+    Partition,
+    RegionalCrash,
+)
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
@@ -124,6 +130,76 @@ class TestFailurePlan:
         clone = FailurePlan.from_dict(plan.to_dict())
         assert clone.crashes == plan.crashes
         assert clone.disconnections == {"b": [(1.0, 4.0), (6.0, 9.0)]}
+
+    def test_apply_is_epoch_fenced_across_reset(self):
+        # a reset network starts a fresh run: device atoms armed before
+        # it must not fire on the new timeline, like topology atoms
+        sim, net = _net()
+        log = FailurePlan().crash("a", 5.0).disconnect("b", 2.0, 6.0).apply(sim, net)
+        net.reset()
+        sim.run()
+        assert log == []
+        assert not net.is_dead("a")
+        assert net.is_online("b")
+
+    def test_same_time_atoms_fire_in_kind_order(self):
+        # the apply order is the tie-break: crashes, disconnect windows,
+        # partitions, regional crashes, gray windows
+        sim, net = _net()
+        plan = FailurePlan(
+            gray_windows=[GrayWindow(device_id="c", start=5.0, end=9.0)],
+            regional_crashes=[RegionalCrash(at=5.0, region="r", devices=("a", "b"))],
+            partitions=[Partition(start=5.0, end=9.0, islands=(("c",),))],
+        )
+        plan.crash("a", 5.0).disconnect("b", 5.0, 9.0)
+        log = plan.apply(sim, net)
+        sim.run()
+        assert [(e.time, e.device_id, e.kind) for e in log] == [
+            (5.0, "a", "crash"),
+            (5.0, "b", "disconnect"),
+            (5.0, "c", "partition_start"),
+            (5.0, "b", "crash"),  # "a" is already dead: skipped
+            (5.0, "c", "gray_start"),
+            (9.0, "c", "partition_heal"),
+            (9.0, "c", "gray_end"),
+        ]
+
+    def test_atoms_round_trip_every_kind(self):
+        plan = FailurePlan(
+            partitions=[Partition(start=1.0, end=2.0, islands=(("c",),))],
+            regional_crashes=[RegionalCrash(at=3.0, region="r", devices=("b",))],
+            gray_windows=[GrayWindow(device_id="c", start=4.0, end=5.0)],
+        )
+        plan.crash("a", 6.0).disconnect("a", 1.0, 2.0)
+        atoms = plan.atoms()
+        assert [atom[0] for atom in atoms] == [
+            "crash", "disconnect", "partition", "region_crash", "gray",
+        ]
+        assert FailurePlan.from_atoms(atoms).to_dict() == plan.to_dict()
+        with pytest.raises(ValueError):
+            FailurePlan.from_atoms([("crash", "a", 1.0), ("disconnect", "a", 2.0, 3.0)])
+
+    def test_json_keys_are_the_union_of_both_old_shapes(self):
+        assert list(FailurePlan().to_dict()) == [
+            "crashes", "disconnections",
+            "partitions", "regional_crashes", "gray_windows",
+        ]
+        # a plan written before topology atoms joined still loads
+        legacy = FailurePlan.from_dict({"crashes": {"a": 1.0}, "disconnections": {}})
+        assert legacy.crashes == {"a": 1.0} and not legacy.has_outages()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"partitions": [{"start": 1.0, "islands": [["a"]]}]}, "'end'"),
+            ({"crashes": {"a": "soon"}}, "'crashes'"),
+            ({"gray_windows": [{"start": 1.0, "end": 2.0}]}, "'device_id'"),
+            ([], "JSON object"),
+        ],
+    )
+    def test_loader_errors_name_the_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            FailurePlan.from_dict(payload)
 
 
 class TestFailureInjector:

@@ -34,7 +34,8 @@ from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnSpec
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.network.faults import parse_fault_mix
-from repro.network.outages import GrayWindow, OutagePlan, OutageSpec, Partition
+from repro.network.failures import FailurePlan, GrayWindow, Partition
+from repro.network.outages import OutageSpec
 from repro.network.reliable import ReliableTransport
 from repro.plan.compile import compile_query
 from repro.telemetry import Telemetry
@@ -142,7 +143,7 @@ class TestPinnedFingerprints:
             incremental=True,
             snapshot_cardinality=192,
         )
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(start=40.0, end=70.0, islands=(("pin11-proc-00003",),))
             ],
@@ -164,7 +165,7 @@ class TestPinnedFingerprints:
                     data_change_probability=0.2,
                     seed=11,
                 ),
-                outage_plan=plan,
+                failure_plan=plan,
                 standby_count=2,
             ),
             telemetry=Telemetry(),

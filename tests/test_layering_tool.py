@@ -43,5 +43,25 @@ def test_sole_caller_rule_on_a_two_file_fixture(tmp_path):
     }
 
 
+def test_outage_specs_resolve_in_install_chaos_only(tmp_path):
+    root = tmp_path / "src"
+    allowed = root / "repro" / "manager" / "scenario.py"
+    offender = root / "repro" / "chaos" / "campaign.py"
+    substrate = root / "repro" / "network" / "failures.py"
+    for path in (allowed, offender, substrate):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    allowed.write_text("plan = build_outage_plan(spec, ids, horizon=1.0, seed=5)\n")
+    offender.write_text(
+        "from repro.network import outages\n"
+        "plan = outages.build_outage_plan(spec, ids, horizon=1.0, seed=5)\n"
+    )
+    substrate.write_text("from repro.core.qep import OperatorRole\n")
+    violations = _tool().check(root)
+    assert len(violations) == 2
+    assert violations[0].startswith("repro.chaos.campaign constructs build_outage_plan")
+    assert f"{offender}:2" in violations[0]
+    assert violations[1].startswith("repro.network.failures -> repro.core.qep")
+
+
 def test_the_shipped_tree_has_one_construction_site():
     assert _tool().check(REPO / "src") == []

@@ -1,10 +1,12 @@
-"""Tests for the topology-outage substrate (`repro.network.outages`).
+"""Tests for the topology-outage atoms and their seeded generator.
 
-Covers the serializable plan/spec pair (round-trips, validation,
-deterministic generation), the scheduled application of partitions /
-regional crashes / gray windows onto a live opnet, the ddmin shrinker
-over outage atoms, and the fault-registry plumbing that routes a
-combined ``--fault-mix`` string by knob scope.
+Covers the partition / regional-crash / gray-window atoms of
+:class:`~repro.network.failures.FailurePlan` and the
+:class:`~repro.network.outages.OutageSpec` that generates them
+(round-trips, validation, deterministic generation), their scheduled
+application onto a live opnet, the ddmin shrinker over those atoms,
+and the fault-registry plumbing that routes a combined ``--fault-mix``
+string by knob scope.
 """
 
 from __future__ import annotations
@@ -13,16 +15,13 @@ import json
 
 import pytest
 
-from repro.chaos.shrink import shrink_outage_plan
+from repro.chaos.shrink import shrink_failure_plan
+from repro.network.failures import FailurePlan, GrayWindow, Partition, RegionalCrash
 from repro.network.faults import FAULT_KNOBS, fault_mix_help
 from repro.network.messages import Message, MessageKind
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.outages import (
-    GrayWindow,
-    OutagePlan,
     OutageSpec,
-    Partition,
-    RegionalCrash,
     assign_regions,
     build_outage_plan,
     parse_outage_mix,
@@ -83,7 +82,7 @@ class TestEventValidation:
             GrayWindow(device_id="a", start=0.0, end=2.0, extra_loss=1.5)
 
     def test_plan_validate_rejects_overlapping_islands(self):
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(start=0.0, end=5.0, islands=(("a", "b"), ("b", "c")))
             ]
@@ -106,7 +105,7 @@ class TestEventValidation:
 
 class TestSerialization:
     def _plan(self):
-        return OutagePlan(
+        return FailurePlan(
             partitions=[
                 Partition(start=10.0, end=20.0, islands=(("b", "a"), ("c",)))
             ],
@@ -126,11 +125,11 @@ class TestSerialization:
 
     def test_plan_round_trips_through_json(self):
         plan = self._plan()
-        restored = OutagePlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        restored = FailurePlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         assert restored.to_dict() == plan.to_dict()
 
     def test_to_dict_is_normalized_and_deterministic(self):
-        scrambled = OutagePlan(
+        scrambled = FailurePlan(
             partitions=[
                 Partition(start=30.0, end=40.0, islands=(("z",),)),
                 Partition(start=10.0, end=20.0, islands=(("a",),)),
@@ -165,7 +164,7 @@ class TestSerialization:
         assert OutageSpec.from_dict(spec.to_dict()) == spec
 
     def test_empty_and_devices_helpers(self):
-        assert OutagePlan().is_empty()
+        assert FailurePlan().is_empty()
         plan = self._plan()
         assert not plan.is_empty()
         assert plan.partition_devices() == {"a", "b", "c"}
@@ -177,7 +176,7 @@ class TestApply:
         got = []
         for device in ("a", "b", "c", "d"):
             network.attach(device, got.append)
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[Partition(start=10.0, end=20.0, islands=(("b",),))]
         )
         log = plan.apply(sim, network)
@@ -201,7 +200,7 @@ class TestApply:
         got = []
         for device in ("a", "b", "c", "d"):
             network.attach(device, got.append)
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(start=0.0, end=50.0, islands=(("a", "b"), ("c",)))
             ]
@@ -219,7 +218,7 @@ class TestApply:
         for device in ("a", "b", "c", "d"):
             network.attach(device, lambda m: None)
         network.kill("b")  # already dead: the crash must skip it
-        plan = OutagePlan(
+        plan = FailurePlan(
             regional_crashes=[
                 RegionalCrash(at=10.0, region="region-0", devices=("a", "b", "c"))
             ]
@@ -235,7 +234,7 @@ class TestApply:
         sim, network = _network()
         for device in ("a", "b", "c", "d"):
             network.attach(device, lambda m: None)
-        plan = OutagePlan(
+        plan = FailurePlan(
             gray_windows=[
                 GrayWindow(
                     device_id="b",
@@ -259,7 +258,7 @@ class TestApply:
         got = []
         for device in ("a", "b", "c", "d"):
             network.attach(device, got.append)
-        plan = OutagePlan(
+        plan = FailurePlan(
             gray_windows=[
                 GrayWindow(device_id="b", start=0.0, end=50.0, extra_loss=1.0)
             ]
@@ -275,7 +274,7 @@ class TestApply:
         sim, network = _network()
         network.attach("b", lambda m: None)
         network.kill("b")
-        plan = OutagePlan(
+        plan = FailurePlan(
             gray_windows=[GrayWindow(device_id="b", start=5.0, end=15.0)]
         )
         log = plan.apply(sim, network)
@@ -287,7 +286,7 @@ class TestApply:
         sim, network = _network()
         for device in ("a", "b", "c", "d"):
             network.attach(device, lambda m: None)
-        plan = OutagePlan(
+        plan = FailurePlan(
             regional_crashes=[
                 RegionalCrash(at=10.0, region="region-0", devices=("a",))
             ]
@@ -302,7 +301,7 @@ class TestApply:
         sim, network = _network()
         for device in ("a", "b", "c", "d"):
             network.attach(device, lambda m: None)
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[Partition(start=10.0, end=20.0, islands=(("b",),))]
         )
         log = plan.apply(sim, network)
@@ -369,7 +368,7 @@ class TestGeneration:
 
 class TestShrink:
     def test_shrinks_to_the_one_guilty_event(self):
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(start=10.0, end=20.0, islands=(("a",),)),
                 Partition(start=30.0, end=40.0, islands=(("b",),)),
@@ -380,14 +379,14 @@ class TestShrink:
             gray_windows=[GrayWindow(device_id="d", start=1.0, end=9.0)],
         )
 
-        def reproduces(candidate: OutagePlan) -> bool:
+        def reproduces(candidate: FailurePlan) -> bool:
             return any(
                 "b" in island
                 for partition in candidate.partitions
                 for island in partition.islands
             )
 
-        shrunk = shrink_outage_plan(plan, reproduces)
+        shrunk = shrink_failure_plan(plan, reproduces)
         assert len(shrunk.partitions) == 1
         assert shrunk.partitions[0].islands == (("b",),)
         assert not shrunk.regional_crashes

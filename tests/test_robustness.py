@@ -16,6 +16,7 @@ End-to-end coverage of the robustness issue's acceptance bar:
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -24,12 +25,13 @@ from repro.chaos.campaign import CampaignConfig, RunSpec, run_campaign, run_sing
 from repro.chaos.invariants import RunRecord, check_no_split_brain
 from repro.core.overcollection import OvercollectionConfig
 from repro.core.runtime.combiner import CombinerState
-from repro.network.outages import (
+from repro.network.failures import (
+    FailurePlan,
     GrayWindow,
-    OutagePlan,
-    OutageSpec,
     Partition,
+    RegionalCrash,
 )
+from repro.network.outages import OutageSpec
 from repro.telemetry import Telemetry
 
 BASE = dict(seed=13, tag="robust", reliability=True)
@@ -212,7 +214,7 @@ class TestNoSplitBrainInvariant:
 
 class TestDetectorDrivenRecovery:
     def _partition_spec(self, victim_id, adaptive, duration=30.0):
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(
                     start=18.0, end=18.0 + duration, islands=((victim_id,),)
@@ -220,7 +222,7 @@ class TestDetectorDrivenRecovery:
             ]
         )
         return RunSpec(
-            **BASE, outage_plan=plan, detector=adaptive, fencing=adaptive
+            **BASE, failure_plan=plan, detector=adaptive, fencing=adaptive
         )
 
     def test_partition_is_invisible_to_the_fixed_watchdog(self, victim):
@@ -274,7 +276,7 @@ class TestSplitBrainNegative:
         # fire, and then crawl: the partial is still in flight when the
         # detector reprovisions the cell, and arrives after the
         # standby's — the classic zombie resurfacing
-        plan = OutagePlan(
+        plan = FailurePlan(
             gray_windows=[
                 GrayWindow(
                     device_id=victim_id,
@@ -287,7 +289,7 @@ class TestSplitBrainNegative:
         )
         return RunSpec(
             **BASE,
-            outage_plan=plan,
+            failure_plan=plan,
             detector=True,
             fencing=fencing,
             # two standby reprovisions may concentrate operators; the
@@ -328,6 +330,56 @@ class TestSplitBrainNegative:
             disp == "rejected" for _gen, disp in dispositions
         )
         assert executor.ctx.generations[cell] == 1
+
+
+class TestMixedKindShrink:
+    """One ddmin over every atom kind: the split-brain gray zombie plus
+    noise of all five kinds on devices the query never uses shrinks to
+    the guilty gray window alone, through the campaign's artifact path."""
+
+    def test_scripted_artifact_keeps_only_the_guilty_gray_window(self, victim):
+        import json
+
+        from repro.chaos.artifact import ReproArtifact
+        from repro.chaos.campaign import _build_artifact
+
+        victim_id, _cell = victim
+        clean = run_single(RunSpec(**BASE))
+        used = {op.assigned_to for op in clean.result.plan.operators()}
+        idle = [
+            device
+            for device in (f"robust-proc-{i:05d}" for i in range(20))
+            if device not in used
+        ]
+        assert len(idle) >= 5
+        spec = TestSplitBrainNegative()._gray_zombie_spec(victim_id, fencing=False)
+        guilty = spec.failure_plan.gray_windows[0]
+        plan = FailurePlan(
+            partitions=[Partition(start=15.0, end=45.0, islands=((idle[-4],),))],
+            regional_crashes=[
+                RegionalCrash(at=30.0, region="region-x", devices=(idle[-5],))
+            ],
+            gray_windows=[
+                guilty, GrayWindow(device_id=idle[-3], start=5.0, end=30.0)
+            ],
+        )
+        plan.crash(idle[-1], 12.0).disconnect(idle[-2], 8.0, 20.0)
+        spec = dataclasses.replace(spec, failure_plan=plan)
+        outcome = run_single(spec)
+        violation = next(
+            v for v in outcome.violations if v.invariant == "no_split_brain"
+        )
+
+        artifact = _build_artifact(
+            CampaignConfig(), spec, outcome, violation, ReproArtifact
+        )
+        assert artifact.mode == "scripted"
+        assert artifact.spec.failure_plan.to_dict() == FailurePlan(
+            gray_windows=[guilty]
+        ).to_dict()
+        loaded = ReproArtifact.from_dict(json.loads(artifact.to_json()))
+        assert loaded.to_dict() == artifact.to_dict()
+        assert loaded.reproduced(loaded.replay())
 
 
 class TestOutageCampaign:
@@ -375,7 +427,7 @@ class TestLegacyByteIdentity:
                 seed=21,
                 tag="legacy",
                 message_loss=0.2,
-                outage_plan=OutagePlan(),
+                failure_plan=FailurePlan(),
                 outage_spec=OutageSpec(),  # no-op spec: never expanded
             )
         )
@@ -383,12 +435,12 @@ class TestLegacyByteIdentity:
 
     def test_outage_run_replays_bit_for_bit(self, victim):
         victim_id, _cell = victim
-        plan = OutagePlan(
+        plan = FailurePlan(
             partitions=[
                 Partition(start=18.0, end=48.0, islands=((victim_id,),))
             ]
         )
-        spec = RunSpec(**BASE, outage_plan=plan, detector=True, fencing=True)
+        spec = RunSpec(**BASE, failure_plan=plan, detector=True, fencing=True)
         first = run_single(spec)
         second = run_single(spec)
         assert self._fingerprint(first) == self._fingerprint(second)

@@ -17,8 +17,8 @@ Both top-level ``import``/``from`` statements and imports deferred into
 function bodies count: a lazy import is still a layering violation.
 
 The same pass enforces the single launch path: the classes that wire
-an execution or inject faults may be *constructed* in one module only
-(:data:`SOLE_CALLER`).
+an execution or inject faults may be *constructed*, and an outage spec
+resolved, in one module only (:data:`SOLE_CALLER`).
 """
 
 from __future__ import annotations
@@ -55,8 +55,11 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     # the reliable transport is pure plumbing: it retries opaque
     # payloads and must never learn about query execution semantics
     "repro.network.reliable": ("repro.core",),
-    # topology outages script the network substrate from outside; the
-    # schedule must stay runtime-agnostic so artifacts replay anywhere
+    # scripted faults (crashes, disconnects, partitions, regional
+    # crashes, gray windows) and their seeded outage generator drive the
+    # network substrate from outside; the schedule must stay
+    # runtime-agnostic so artifacts replay anywhere
+    "repro.network.failures": ("repro.core",),
     "repro.network.outages": ("repro.core",),
     # the φ-accrual detector consumes link observations pushed *to* it
     # (via the recovery runtime's observer); if it imported the
@@ -82,11 +85,13 @@ SOLE_IMPORTER: dict[str, str] = {
     "repro.query.columnar": "repro.query.fold",
 }
 
-#: class -> the one module allowed to construct it.  Every query —
+#: callable -> the one module allowed to call it.  Every query —
 #: one-shot, workload arrival, standing-query window, serial replay —
 #: is wired by ``Scenario.launch`` and every fault source is installed
 #: by ``Scenario.install_chaos``; a second construction site is how
 #: the four hand-copied wirings drifted apart, so a new one fails CI.
+#: ``build_outage_plan`` resolves an outage spec: one call site pins
+#: its ``seed + 5`` stream.
 SOLE_CALLER: dict[str, str] = {
     name: "repro.manager.scenario"
     for name in (
@@ -95,6 +100,7 @@ SOLE_CALLER: dict[str, str] = {
         "RecoveryConfig",
         "MessageFaultInjector",
         "FailureInjector",
+        "build_outage_plan",
     )
 }
 
@@ -216,7 +222,7 @@ def main() -> int:
         "imports chaos, only repro.query.fold imports "
         "repro.query.columnar, numpy stays confined to "
         "repro.query.columnar within the query layer, and only "
-        "repro.manager.scenario constructs "
+        "repro.manager.scenario constructs / calls "
         + " / ".join(SOLE_CALLER)
     )
     return 0
