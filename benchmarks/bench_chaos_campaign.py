@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _tables import print_table
 
-from repro.chaos import CampaignConfig, parse_fault_mix, run_campaign
+from repro.chaos import CampaignConfig, RunSpec, parse_fault_mix, run_campaign
 from repro.telemetry import Telemetry
 
 BENIGN_MIX = parse_fault_mix(
@@ -29,7 +29,7 @@ BENIGN_MIX = parse_fault_mix(
 
 def _campaign(fault_mixes, runs=8, seed=7):
     return CampaignConfig(
-        seed=seed,
+        base=RunSpec(seed=seed, tag="chaos"),
         runs=runs,
         strategies=("overcollection", "backup"),
         crash_probabilities=(0.0, 0.002),
@@ -43,7 +43,7 @@ def test_chaos_campaign_sweep(benchmark):
     result = run_campaign(config, telemetry=Telemetry())
     print_table(
         "CHAOS campaign: strategy x crash probability x fault mix "
-        f"(seed={config.seed}, {config.runs} runs)",
+        f"(seed={config.base.seed}, {config.runs} runs)",
         ["strategy", "crash p", "mix", "runs", "ok", "faults", "violations"],
         result.summary_rows(),
     )

@@ -17,7 +17,6 @@ generator in :mod:`repro.network.outages`.
 
 from repro.chaos.artifact import ReproArtifact
 from repro.chaos.continuous import (
-    ContinuousChaosConfig,
     SoakOutcome,
     WindowOutcome,
     run_soak,
@@ -44,7 +43,6 @@ from repro.chaos.shrink import (
 )
 from repro.chaos.workload import (
     QueryOutcome,
-    WorkloadChaosConfig,
     WorkloadChaosOutcome,
     run_workload,
     shrink_workload_plan,
@@ -54,7 +52,6 @@ from repro.chaos.workload import (
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
-    "ContinuousChaosConfig",
     "INVARIANTS",
     "QueryOutcome",
     "ReproArtifact",
@@ -65,7 +62,6 @@ __all__ = [
     "TopologySpec",
     "Violation",
     "WindowOutcome",
-    "WorkloadChaosConfig",
     "WorkloadChaosOutcome",
     "check_all",
     "failure_plan_from_events",

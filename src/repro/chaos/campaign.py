@@ -27,6 +27,7 @@ from repro.chaos.invariants import (
 from repro.chaos.shrink import observed_plan, shrink_failure_plan
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+from repro.manager.scenario import check_recovery_options
 from repro.network.failures import FailurePlan, read_field
 from repro.network.outages import OutageSpec
 from repro.plan.compile import OPTIMIZER_COST, OPTIMIZER_PINNED, compile_query
@@ -130,6 +131,11 @@ class RunSpec:
     detector: bool = False
     #: generation-fenced takeover (split-brain-safe reprovisioning)
     fencing: bool = False
+
+    def __post_init__(self) -> None:
+        # fail where the spec is built (an artifact load, a campaign
+        # base), not midway through the run that uses it
+        check_recovery_options(vars(self))
 
     def to_dict(self) -> dict[str, Any]:
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -282,43 +288,50 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
     )
 
 
+#: the RunSpec fields a campaign's grid axes sweep
+_GRID_FIELDS = ("strategy", "crash_probability", "fault_specs", "topology")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Parameters of one chaos campaign sweep.
 
-    The sweep grid is the cross-product of ``strategies``,
-    ``crash_probabilities``, ``fault_mixes``, and ``topologies``; run
-    ``i`` executes grid cell ``i % len(grid)`` with seed
-    ``seed + i * 100003``, so adding runs extends coverage without
-    changing earlier runs.
+    ``base`` is the template every run's :class:`RunSpec` is stamped
+    from: its ``seed`` is the campaign seed and its ``tag`` the prefix
+    of every run tag.  The sweep grid is the cross-product of
+    ``strategies``, ``crash_probabilities``, ``fault_mixes``, and
+    ``topologies``; run ``i`` executes grid cell ``i % len(grid)`` with
+    seed ``base.seed + i * 100003`` and tag ``{base.tag}-{base.seed}-{i}``,
+    so adding runs extends coverage without changing earlier runs.  The
+    grid owns the four RunSpec fields it sweeps: a ``base`` that sets
+    one of them raises ``ValueError``.  So does a ``base`` with a
+    ``failure_plan``: a scripted plan names the devices of one run's
+    tag, so it belongs to a single run (replay, shrinking), never to
+    the whole sweep.
     """
 
-    seed: int = 0
+    base: RunSpec = field(default_factory=lambda: RunSpec(seed=0, tag="chaos"))
     runs: int = 25
     strategies: tuple[str, ...] = ("overcollection", "backup")
     crash_probabilities: tuple[float, ...] = (0.0, 0.002)
-    disconnect_probability: float = 0.0
-    disconnect_duration: float = 10.0
-    message_loss: float = 0.0
     fault_mixes: tuple[tuple[FaultSpec, ...], ...] = ((),)
     topologies: tuple[TopologySpec, ...] = (TopologySpec(),)
-    sql: str = DEFAULT_SQL
-    cardinality: int = 96
-    max_raw: int = 12
-    backup_replicas: int = 1
-    collection_window: float = 20.0
-    deadline: float = 70.0
-    secure_channels: bool = False
-    validity_tolerance: float = 0.75
-    liability_max_share: float = 0.5
-    reliability: bool = False
-    phase_deadline: float | None = None
-    optimizer: str = OPTIMIZER_PINNED
-    outage_spec: OutageSpec | None = None
-    detector: bool = False
-    fencing: bool = False
     shrink: bool = True
     shrink_budget: int = 24
+
+    def __post_init__(self) -> None:
+        untouched = RunSpec(seed=self.base.seed, tag=self.base.tag)
+        for name in _GRID_FIELDS:
+            if getattr(self.base, name) != getattr(untouched, name):
+                raise ValueError(
+                    f"base.{name} is swept by the campaign grid; "
+                    "set it through the grid axis"
+                )
+        if self.base.failure_plan is not None:
+            raise ValueError(
+                "base.failure_plan names one run's devices; scripted plans "
+                "are per-run (replay, shrinking), not a campaign template"
+            )
 
     def grid(self) -> list[tuple[str, float, tuple[FaultSpec, ...], TopologySpec]]:
         cells = []
@@ -335,31 +348,15 @@ class CampaignConfig:
         """The deterministic RunSpec of campaign run ``index``."""
         cells = self.grid()
         strategy, crash_probability, fault_mix, topology = cells[index % len(cells)]
-        return RunSpec(
-            seed=self.seed + index * _SEED_STRIDE,
-            tag=f"chaos-{self.seed}-{index}",
+        base = self.base
+        return dataclasses.replace(
+            base,
+            seed=base.seed + index * _SEED_STRIDE,
+            tag=f"{base.tag}-{base.seed}-{index}",
             strategy=strategy,
-            topology=topology,
             crash_probability=crash_probability,
-            disconnect_probability=self.disconnect_probability,
-            disconnect_duration=self.disconnect_duration,
-            message_loss=self.message_loss,
             fault_specs=fault_mix,
-            sql=self.sql,
-            cardinality=self.cardinality,
-            max_raw=self.max_raw,
-            backup_replicas=self.backup_replicas,
-            collection_window=self.collection_window,
-            deadline=self.deadline,
-            secure_channels=self.secure_channels,
-            validity_tolerance=self.validity_tolerance,
-            liability_max_share=self.liability_max_share,
-            reliability=self.reliability,
-            phase_deadline=self.phase_deadline,
-            optimizer=self.optimizer,
-            outage_spec=self.outage_spec,
-            detector=self.detector,
-            fencing=self.fencing,
+            topology=topology,
         )
 
 
@@ -447,7 +444,7 @@ def run_campaign(config: CampaignConfig, telemetry: Any = None) -> CampaignResul
     metrics = telemetry.metrics
     m_runs = metrics.counter("chaos.runs")
     campaign_span = telemetry.tracer.start(
-        "chaos:campaign", at=0.0, seed=config.seed, runs=config.runs
+        "chaos:campaign", at=0.0, seed=config.base.seed, runs=config.runs
     )
     result = CampaignResult(config=config)
     for index in range(config.runs):

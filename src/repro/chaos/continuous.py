@@ -9,8 +9,9 @@ invariant suite — Resiliency, Validity, Crowd Liability, dedup,
 takeover?
 
 One :func:`run_soak` call drives a
-:class:`~repro.continuous.engine.ContinuousEngine` with the chaos hooks
-installed, then rebuilds a per-window
+:class:`~repro.continuous.engine.ContinuousEngine` with whatever churn,
+fault sources and execution options its keywords forward to the engine,
+then rebuilds a per-window
 :class:`~repro.chaos.invariants.RunRecord` for every completed window.
 The validity oracle is rebuilt *per window* from the window's own
 frozen row snapshot (``WindowRecord.rows``) — under churn there is no
@@ -23,9 +24,8 @@ are checked once per run:
 * lease conservation — no retired device holds a lease, and every
   forcibly-reclaimed lease is on the flagged audit trail.
 
-Everything is a pure function of ``(spec, churn, chaos knobs)``: the
-same soak reproduces bit-for-bit, per-window lineage fingerprints
-included.
+Everything is a pure function of ``(spec, keywords)``: the same soak
+reproduces bit-for-bit, per-window lineage fingerprints included.
 """
 
 from __future__ import annotations
@@ -45,52 +45,14 @@ from repro.continuous.engine import (
     ContinuousResult,
 )
 from repro.continuous.spec import StandingQuerySpec
-from repro.devices.churn import ChurnSpec
-from repro.network.failures import FailurePlan
-from repro.network.faults import FaultSpec
 from repro.query.engine import CentralizedEngine
 from repro.query.relation import Relation
 
 __all__ = [
-    "ContinuousChaosConfig",
     "SoakOutcome",
     "WindowOutcome",
     "run_soak",
 ]
-
-
-@dataclass(frozen=True)
-class ContinuousChaosConfig:
-    """Chaos + churn knobs layered over one standing-query run.
-
-    All fields default to "off": a config with everything off is a
-    clean frozen-population run, and the invariant suite then holds
-    every window to the *exact* clean-run bar.
-    """
-
-    n_contributors: int = 24
-    n_processors: int = 48
-    rows_per_contributor: int = 2
-    churn: ChurnSpec | None = None
-    crash_probability: float = 0.0
-    disconnect_probability: float = 0.0
-    disconnect_duration: float = 10.0
-    message_loss: float = 0.0
-    fault_specs: tuple[FaultSpec, ...] = ()
-    failure_plan: FailurePlan | None = None
-    standby_count: int = 0
-    validity_tolerance: float = 0.75
-    liability_max_share: float = 0.5
-
-    @property
-    def any_chaos(self) -> bool:
-        return bool(
-            self.crash_probability > 0
-            or self.disconnect_probability > 0
-            or self.message_loss > 0
-            or self.fault_specs
-            or self.failure_plan is not None
-        )
 
 
 @dataclass
@@ -112,10 +74,14 @@ class WindowOutcome:
 
 @dataclass
 class SoakOutcome:
-    """Everything one standing-query soak produced."""
+    """Everything one standing-query soak produced.
+
+    ``options`` holds every keyword :func:`run_soak` ran with, so
+    ``run_soak(outcome.spec, **outcome.options)`` is the same soak.
+    """
 
     spec: StandingQuerySpec
-    config: ContinuousChaosConfig
+    options: dict[str, Any]
     result: ContinuousResult
     windows: list[WindowOutcome]
     failure_events: list[Any]
@@ -161,10 +127,20 @@ def _window_reference(engine: ContinuousEngine, rows: list[dict[str, Any]]):
 
 def run_soak(
     spec: StandingQuerySpec,
-    config: ContinuousChaosConfig | None = None,
+    *,
     telemetry: Any = None,
+    validity_tolerance: float = 0.75,
+    liability_max_share: float = 0.5,
+    **engine_options: Any,
 ) -> SoakOutcome:
     """Run one standing query under churn + chaos; check every window.
+
+    ``engine_options`` are forwarded to :class:`ContinuousEngine` —
+    ``churn``, the swarm sizing, ``standby_count`` and any
+    :class:`~repro.manager.scenario.ScenarioConfig` field it does not
+    derive from ``spec``; with no churn and no fault source among them
+    the run is a clean frozen-population run, and the invariant suite
+    holds every window to the *exact* clean-run bar.
 
     The shared failure-event log and fault injector are attached to
     every window's record — a fault anywhere on the shared substrate
@@ -172,27 +148,16 @@ def run_soak(
     explain any window's degradation, so the one-sided invariant checks
     must see the whole log, not a per-window slice.
     """
-    if config is None:
-        config = ContinuousChaosConfig()
+    options = dict(
+        validity_tolerance=validity_tolerance,
+        liability_max_share=liability_max_share,
+        **engine_options,
+    )
     if telemetry is None:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    engine = ContinuousEngine(
-        spec,
-        churn=config.churn,
-        n_contributors=config.n_contributors,
-        n_processors=config.n_processors,
-        rows_per_contributor=config.rows_per_contributor,
-        telemetry=telemetry,
-        standby_count=config.standby_count,
-        fault_specs=config.fault_specs or None,
-        failure_plan=config.failure_plan,
-        crash_probability=config.crash_probability,
-        disconnect_probability=config.disconnect_probability,
-        disconnect_duration=config.disconnect_duration,
-        message_loss=config.message_loss,
-    )
+    engine = ContinuousEngine(spec, telemetry=telemetry, **engine_options)
     result = engine.run()
     failure_events = engine.scenario.failure_events()
     fault_injector = engine.scenario.network.faults
@@ -204,7 +169,7 @@ def run_soak(
     # affected window, so any churn demotes every window to the
     # tolerance-bound checks (the substrate is shared across windows)
     clean = (
-        not config.any_chaos
+        not engine.scenario_config.any_chaos
         and not any_churn_events
         and no_fault_observed(
             failure_events,
@@ -229,8 +194,8 @@ def run_soak(
                 reference=_window_reference(engine, record.rows),
                 strategy=spec.strategy,
                 clean=clean,
-                validity_tolerance=config.validity_tolerance,
-                liability_max_share=config.liability_max_share,
+                validity_tolerance=validity_tolerance,
+                liability_max_share=liability_max_share,
             )
         )
         windows.append(
@@ -252,7 +217,7 @@ def run_soak(
             windows.append(extra)
     return SoakOutcome(
         spec=spec,
-        config=config,
+        options=options,
         result=result,
         windows=windows,
         failure_events=failure_events,

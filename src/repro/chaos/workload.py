@@ -7,18 +7,20 @@ swarm, faults injected into the shared network and device population,
 does **every** query still keep them *individually*?
 
 One :func:`run_workload` call drives a
-:class:`~repro.workload.engine.WorkloadEngine` with the chaos hooks
-installed (scripted :class:`~repro.network.failures.FailurePlan` of
-any atom kind, partitions and gray windows included, stochastic
-crash/disconnect injector, message-fault injector, plain
-message loss), then rebuilds a per-query
+:class:`~repro.workload.engine.WorkloadEngine` with whatever fault
+sources and execution options its keywords forward to the engine's
+:class:`~repro.manager.scenario.ScenarioConfig` (scripted
+:class:`~repro.network.failures.FailurePlan` of any atom kind, seeded
+outage spec, stochastic crash/disconnect injector, message-fault
+injector, plain message loss; sealed channels, reliability's detector
+and fencing), then rebuilds a per-query
 :class:`~repro.chaos.invariants.RunRecord` for every completed query —
 exposure and liability measured on *that query's* plan, validity
 compared against the shared centralized oracle — and runs the full
 invariant suite on each.  The workload-level conservation identity
 (``shed + completed == arrivals``) is checked as a sixth invariant.
 
-Everything stays a pure function of ``(spec, chaos knobs)``: the same
+Everything stays a pure function of ``(spec, keywords)``: the same
 workload-chaos run reproduces bit-for-bit, which is what
 :func:`shrink_workload_plan` leans on to reduce a failing schedule to a
 minimal :class:`FailurePlan` by re-running the whole workload.
@@ -26,11 +28,9 @@ minimal :class:`FailurePlan` by re-running the whole workload.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.network.faults import FaultSpec
 from repro.chaos.invariants import (
     RunRecord,
     Violation,
@@ -44,45 +44,12 @@ from repro.workload.engine import COMPLETED, WorkloadEngine, WorkloadResult
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
-    "WorkloadChaosConfig",
     "QueryOutcome",
     "WorkloadChaosOutcome",
     "run_workload",
     "shrink_workload_plan",
     "workload_failure_predicate",
 ]
-
-
-@dataclass(frozen=True)
-class WorkloadChaosConfig:
-    """Chaos knobs layered over one workload run.
-
-    All fields default to "off"; a config with everything off is a
-    plain (clean) workload run, and the invariant suite then holds each
-    query to the *exact* clean-run bar.
-    """
-
-    n_contributors: int = 24
-    n_processors: int = 40
-    crash_probability: float = 0.0
-    disconnect_probability: float = 0.0
-    disconnect_duration: float = 10.0
-    message_loss: float = 0.0
-    fault_specs: tuple[FaultSpec, ...] = ()
-    failure_plan: FailurePlan | None = None
-    standby_count: int = 0
-    validity_tolerance: float = 0.75
-    liability_max_share: float = 0.5
-
-    @property
-    def any_chaos(self) -> bool:
-        return bool(
-            self.crash_probability > 0
-            or self.disconnect_probability > 0
-            or self.message_loss > 0
-            or self.fault_specs
-            or self.failure_plan is not None
-        )
 
 
 @dataclass
@@ -102,14 +69,21 @@ class QueryOutcome:
 
 @dataclass
 class WorkloadChaosOutcome:
-    """Everything one workload-chaos run produced."""
+    """Everything one workload-chaos run produced.
+
+    ``options`` holds every keyword :func:`run_workload` ran with, so
+    ``run_workload(outcome.spec, **outcome.options)`` is the same run.
+    ``installed_plan`` is the one scripted plan the run installed: the
+    ``failure_plan`` option plus whatever ``outage_spec`` resolved to.
+    """
 
     spec: WorkloadSpec
-    config: WorkloadChaosConfig
+    options: dict[str, Any]
     result: WorkloadResult
     queries: list[QueryOutcome]
     failure_events: list[Any]
     clean: bool
+    installed_plan: FailurePlan | None = None
 
     @property
     def violations(self) -> list[tuple[str, Violation]]:
@@ -141,18 +115,35 @@ class WorkloadChaosOutcome:
 
 def run_workload(
     spec: WorkloadSpec,
-    config: WorkloadChaosConfig | None = None,
+    *,
     telemetry: Any = None,
+    validity_tolerance: float = 0.75,
+    liability_max_share: float = 0.5,
+    n_contributors: int = 24,
+    n_processors: int = 40,
+    **engine_options: Any,
 ) -> WorkloadChaosOutcome:
     """Run one workload under chaos and check every invariant per query.
+
+    ``engine_options`` are forwarded to :class:`WorkloadEngine` —
+    ``standby_count`` and any
+    :class:`~repro.manager.scenario.ScenarioConfig` field it does not
+    derive from ``spec``; with no fault source among them the run is a
+    plain (clean) workload, and the invariant suite holds each query to
+    the *exact* clean-run bar.
 
     The shared failure-event log and fault injector are attached to
     every query's record: a fault anywhere on the shared substrate can
     legitimately explain any query's degradation, so the one-sided
     invariant checks must see the whole log, not a per-query slice.
     """
-    if config is None:
-        config = WorkloadChaosConfig()
+    options = dict(
+        validity_tolerance=validity_tolerance,
+        liability_max_share=liability_max_share,
+        n_contributors=n_contributors,
+        n_processors=n_processors,
+        **engine_options,
+    )
     if telemetry is None:
         from repro.telemetry import Telemetry
 
@@ -168,17 +159,11 @@ def run_workload(
     )
     engine = WorkloadEngine(
         spec,
-        n_contributors=config.n_contributors,
-        n_processors=config.n_processors,
+        n_contributors=n_contributors,
+        n_processors=n_processors,
         rows=rows,
         telemetry=telemetry,
-        standby_count=config.standby_count,
-        fault_specs=config.fault_specs or None,
-        failure_plan=config.failure_plan,
-        crash_probability=config.crash_probability,
-        disconnect_probability=config.disconnect_probability,
-        disconnect_duration=config.disconnect_duration,
-        message_loss=config.message_loss,
+        **engine_options,
     )
     result = engine.run()
     failure_events = engine.scenario.failure_events()
@@ -187,7 +172,7 @@ def run_workload(
     # opportunistic network is lossy by design, so any loss anywhere in
     # the workload demotes every query to the tolerance-bound checks
     # (network stats are substrate-wide, not per query)
-    clean = not config.any_chaos and no_fault_observed(
+    clean = not engine.scenario_config.any_chaos and no_fault_observed(
         failure_events,
         fault_injector,
         engine.scenario.network.stats.as_dict(),
@@ -210,8 +195,8 @@ def run_workload(
                 reference=reference,
                 strategy=record.arrival.strategy,
                 clean=clean,
-                validity_tolerance=config.validity_tolerance,
-                liability_max_share=config.liability_max_share,
+                validity_tolerance=validity_tolerance,
+                liability_max_share=liability_max_share,
             )
         )
         queries.append(
@@ -228,11 +213,12 @@ def run_workload(
         queries.append(conservation)
     return WorkloadChaosOutcome(
         spec=spec,
-        config=config,
+        options=options,
         result=result,
         queries=queries,
         failure_events=failure_events,
         clean=clean,
+        installed_plan=engine.installed_plan,
     )
 
 
@@ -259,53 +245,61 @@ def _check_conservation(result: WorkloadResult) -> QueryOutcome | None:
 
 
 def workload_failure_predicate(
-    spec: WorkloadSpec,
-    config: WorkloadChaosConfig,
+    outcome: WorkloadChaosOutcome,
     failing: Callable[[WorkloadChaosOutcome], bool] | None = None,
 ) -> Callable[[FailurePlan], bool]:
     """Build the shrinker's predicate over whole-workload re-runs.
 
-    A candidate plan reproduces when the workload — re-run with *only*
-    that scripted plan (stochastic injectors off, so the shrunk
-    artifact is self-contained) — still satisfies ``failing``.  The
-    default criterion is "some query fails or some invariant fires".
+    A candidate plan reproduces when the workload — re-run with the
+    keywords ``outcome`` ran with, but *only* that scripted plan
+    (stochastic injectors off, so the shrunk artifact is
+    self-contained) — still satisfies ``failing``.  The default
+    criterion is "some query fails or some invariant fires".  When the
+    run's installed plan pinned the atoms its ``outage_spec`` resolved
+    to, the re-runs drop the spec: the candidate plan alone decides
+    which outages happen.
     """
     if failing is None:
-        failing = lambda outcome: (  # noqa: E731
-            any(q.success is False for q in outcome.queries)
-            or bool(outcome.violations)
+        failing = lambda rerun: (  # noqa: E731
+            any(q.success is False for q in rerun.queries)
+            or bool(rerun.violations)
         )
+    options = {
+        **outcome.options,
+        "crash_probability": 0.0,
+        "disconnect_probability": 0.0,
+    }
+    installed = outcome.installed_plan
+    if installed is not None and installed.has_outages():
+        options["outage_spec"] = None
 
     def predicate(plan: FailurePlan) -> bool:
-        candidate = dataclasses.replace(
-            config,
-            failure_plan=plan if not plan.is_empty() else None,
-            crash_probability=0.0,
-            disconnect_probability=0.0,
-        )
-        return failing(run_workload(spec, candidate))
+        candidate = {
+            **options,
+            "failure_plan": plan if not plan.is_empty() else None,
+        }
+        return failing(run_workload(outcome.spec, **candidate))
 
     return predicate
 
 
 def shrink_workload_plan(
-    spec: WorkloadSpec,
-    config: WorkloadChaosConfig,
     outcome: WorkloadChaosOutcome,
     failing: Callable[[WorkloadChaosOutcome], bool] | None = None,
     max_attempts: int = 24,
 ) -> FailurePlan | None:
     """Reduce a failing workload's schedule to a minimal scripted plan.
 
-    Merges the observed crash/disconnect events with any scripted input
-    plan, verifies the merged plan alone still makes the workload fail
-    (``failing``, same default as :func:`workload_failure_predicate`),
-    then delta-debugs it down.  Returns ``None`` when the scripted
-    conversion does not reproduce — the failure needed message-level
-    faults or loss, which a FailurePlan cannot express.
+    Merges the observed crash/disconnect events with the plan the run
+    installed (scripted input plus resolved outages), verifies the
+    merged plan alone still makes the workload fail (``failing``, same
+    default as :func:`workload_failure_predicate`), then delta-debugs
+    it down.  Returns ``None`` when the scripted conversion does not
+    reproduce — the failure needed message-level faults or loss, which
+    a FailurePlan cannot express.
     """
-    full_plan = observed_plan(outcome.failure_events, config.failure_plan)
-    predicate = workload_failure_predicate(spec, config, failing)
+    full_plan = observed_plan(outcome.failure_events, outcome.installed_plan)
+    predicate = workload_failure_predicate(outcome, failing)
     if not predicate(full_plan):
         return None
     return shrink_failure_plan(full_plan, predicate, max_attempts=max_attempts)

@@ -26,9 +26,13 @@ A text substitute for the demonstration GUI.  Subcommands:
   incremental delta-stamp recollection); ``--check-invariants`` runs
   the long-soak invariant suite on every window.
 
-``run`` and ``kmeans`` accept ``--metrics-out PATH`` to write the
-telemetry JSONL export and ``--telemetry`` to print the summary table
-(counters, phase spans, wall-clock vs simulated time).
+``run``, ``kmeans``, ``chaos``, ``workload`` and ``continuous`` accept
+``--metrics-out PATH`` to write the telemetry JSONL export and
+``--telemetry`` to print the summary table (counters, phase spans,
+wall-clock vs simulated time).  ``run`` and ``chaos`` (campaign and
+``--workload`` alike) accept ``--reliability`` / ``--detector`` /
+``--fencing`` / ``--phase-deadline``; ``run``, ``chaos`` and
+``continuous`` accept message and outage knobs in one ``--fault-mix``.
 
 Examples::
 
@@ -46,6 +50,8 @@ Examples::
         --fault-mix "partition=0.25,gray=0.2,region_crash=0.1"
     python -m repro.cli chaos --replay repro/repro-validity-000.json
     python -m repro.cli chaos --workload 8 --failure-probability 0.004
+    python -m repro.cli chaos --workload 6 --reliability --detector \
+        --fencing --fault-mix "drop=0.05;partition=0.3,gray=0.2"
     python -m repro.cli workload --queries 10 --arrival poisson --rate 2 \
         --max-concurrent 4 --serial-check --per-query
     python -m repro.cli continuous --windows 15 --churn 0.10 \
@@ -113,6 +119,35 @@ def _parse_probabilities(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metrics-out", metavar="PATH", default=None,
+                        help="write the telemetry JSONL export to PATH")
+    parser.add_argument("--telemetry", action="store_true",
+                        help="print the telemetry summary table")
+
+
+def _add_recovery_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--reliability", action="store_true",
+                        help="enable ACK/retransmission transport and "
+                             "query-level recovery (watchdogs, reprovisioning, "
+                             "graceful degradation)")
+    parser.add_argument("--detector", action="store_true",
+                        help="adaptive φ-accrual failure detection: suspect "
+                             "partitioned/gray devices from per-link delivery "
+                             "history instead of waiting out the fixed "
+                             "watchdog (requires --reliability)")
+    parser.add_argument("--fencing", action="store_true",
+                        help="generation-numbered fencing tokens on takeover so "
+                             "a resurfacing predecessor cannot split-brain a "
+                             "cell; the no-split-brain invariant checks the "
+                             "fire/arrival evidence logs")
+    parser.add_argument("--phase-deadline", type=float, default=None,
+                        metavar="SECONDS",
+                        help="computation-phase deadline for the recovery "
+                             "watchdog (defaults to 85%% of the query "
+                             "deadline; requires --reliability)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     # importing outages registers the topology-outage knobs, so the
@@ -155,30 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--message-loss", type=float, default=0.0)
     run.add_argument("--crash-probability", type=float, default=0.0)
     run.add_argument("--secure-channels", action="store_true")
-    run.add_argument("--reliability", action="store_true",
-                     help="enable ACK/retransmission transport and "
-                          "query-level recovery (watchdogs, reprovisioning, "
-                          "graceful degradation)")
-    run.add_argument("--phase-deadline", type=float, default=None,
-                     metavar="SECONDS",
-                     help="computation-phase deadline for the recovery "
-                          "watchdog (defaults to 85%% of the query deadline)")
+    _add_recovery_flags(run)
     run.add_argument("--fault-mix", default=None, metavar="MIX", help=mix_help)
-    run.add_argument("--detector", action="store_true",
-                     help="adaptive φ-accrual failure detection: suspect "
-                          "partitioned/gray devices from per-link delivery "
-                          "history instead of waiting out the fixed watchdog")
-    run.add_argument("--fencing", action="store_true",
-                     help="generation-numbered fencing tokens on takeover so "
-                          "a resurfacing predecessor cannot split-brain a cell")
     run.add_argument("--strategy", choices=("overcollection", "backup"),
                      default="overcollection")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--show-plan", action="store_true")
-    run.add_argument("--metrics-out", metavar="PATH", default=None,
-                     help="write the telemetry JSONL export to PATH")
-    run.add_argument("--telemetry", action="store_true",
-                     help="print the telemetry summary table")
+    _add_telemetry_flags(run)
 
     kmeans = sub.add_parser("kmeans", help="execute the distributed K-Means query")
     kmeans.add_argument("--contributors", type=int, default=150)
@@ -190,10 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     kmeans.add_argument("--max-raw", type=int, default=80)
     kmeans.add_argument("--fault-rate", type=float, default=0.15)
     kmeans.add_argument("--seed", type=int, default=0)
-    kmeans.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the telemetry JSONL export to PATH")
-    kmeans.add_argument("--telemetry", action="store_true",
-                        help="print the telemetry summary table")
+    _add_telemetry_flags(kmeans)
 
     explain = sub.add_parser(
         "explain",
@@ -248,20 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--disconnect-probability", type=float, default=0.0)
     chaos.add_argument("--message-loss", type=float, default=0.0,
                        help="per-message network loss probability")
-    chaos.add_argument("--reliability", action="store_true",
-                       help="run every scenario with the reliable transport "
-                            "and query-level recovery enabled")
-    chaos.add_argument("--detector", action="store_true",
-                       help="adaptive φ-accrual failure detection on every "
-                            "run (requires --reliability to matter)")
-    chaos.add_argument("--fencing", action="store_true",
-                       help="generation-fenced takeover on every run; the "
-                            "no-split-brain invariant then checks the "
-                            "fire/arrival evidence logs")
-    chaos.add_argument("--phase-deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="computation-phase deadline for the recovery "
-                            "watchdog")
+    _add_recovery_flags(chaos)
     chaos.add_argument("--contributors", type=int, default=24)
     chaos.add_argument("--processors", type=int, default=20)
     chaos.add_argument("--rows", type=int, default=48)
@@ -291,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission cap of the chaos workload")
     chaos.add_argument("--replay", metavar="PATH", default=None,
                        help="replay one repro artifact instead of sweeping")
-    chaos.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write the telemetry JSONL export to PATH")
-    chaos.add_argument("--telemetry", action="store_true",
-                       help="print the telemetry summary table")
+    _add_telemetry_flags(chaos)
 
     workload = sub.add_parser(
         "workload",
@@ -331,10 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--serial-check", action="store_true",
                           help="replay every completed query alone and "
                                "verify byte-identical report fingerprints")
-    workload.add_argument("--metrics-out", metavar="PATH", default=None,
-                          help="write the telemetry JSONL export to PATH")
-    workload.add_argument("--telemetry", action="store_true",
-                          help="print the telemetry summary table")
+    _add_telemetry_flags(workload)
 
     continuous = sub.add_parser(
         "continuous",
@@ -377,18 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--standbys", type=int, default=0,
                             help="extra devices leased per reliable window")
     continuous.add_argument("--fault-mix", default=None, metavar="MIX",
-                            help="message-fault mix over the whole soak "
-                                 "(e.g. 'drop=0.05')")
+                            help=mix_help)
     continuous.add_argument("--check-invariants", action="store_true",
                             help="run the full invariant suite on every "
                                  "window (soak mode)")
     continuous.add_argument("--seed", type=int, default=0)
     continuous.add_argument("--per-window", action="store_true",
                             help="print the per-window lineage table")
-    continuous.add_argument("--metrics-out", metavar="PATH", default=None,
-                            help="write the telemetry JSONL export to PATH")
-    continuous.add_argument("--telemetry", action="store_true",
-                            help="print the telemetry summary table")
+    _add_telemetry_flags(continuous)
 
     advise = sub.add_parser(
         "advise", help="recommend a resiliency strategy for a query"
@@ -470,12 +462,11 @@ def _emit_telemetry(args: argparse.Namespace, telemetry: Telemetry) -> None:
         print(render_summary(telemetry))
 
 
-def _split_mix(raw: str | None, message_only: str | None = None):
+def _split_mix(raw: str | None):
     """Split a combined ``--fault-mix`` into (fault_specs, outage_spec).
 
-    ``message_only`` names a command without a resolved device
-    population to expand outages over: an outage knob is then a usage
-    error naming it.
+    The outage part is resolved over the processor pool by
+    ``Scenario.install_chaos``, the same for every command.
     """
     if not raw:
         return None, None
@@ -484,18 +475,29 @@ def _split_mix(raw: str | None, message_only: str | None = None):
 
     try:
         message_part, outage_part = split_chaos_mix(raw)
-        if message_only and outage_part:
-            knobs = sorted({k.split("=", 1)[0].strip() for k in outage_part.split(",")})
-            raise ValueError(
-                f"{message_only} takes message knobs only, not the outage "
-                f"knobs {knobs} (they need a resolved device population; "
-                "use run, or chaos without --workload)"
-            )
         fault_specs = parse_fault_mix(message_part) if message_part else None
         outage_spec = parse_outage_mix(outage_part) if outage_part else None
     except ValueError as exc:
         raise SystemExit(f"--fault-mix: {exc}") from None
     return fault_specs, outage_spec
+
+
+def _recovery_options(args: argparse.Namespace) -> dict:
+    """The ``_add_recovery_flags`` values as ScenarioConfig keywords,
+    rejected up front (a usage error) when they would be inert."""
+    from repro.manager.scenario import check_recovery_options
+
+    options = dict(
+        reliability=args.reliability,
+        detector=args.detector,
+        fencing=args.fencing,
+        phase_deadline=args.phase_deadline,
+    )
+    try:
+        check_recovery_options(options)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return options
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -510,13 +512,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         message_loss=args.message_loss,
         crash_probability=args.crash_probability,
         secure_channels=args.secure_channels,
-        reliability=args.reliability,
-        phase_deadline=args.phase_deadline,
         fault_specs=fault_specs,
         outage_spec=outage_spec,
-        detector=args.detector,
-        fencing=args.fencing,
         seed=args.seed,
+        **_recovery_options(args),
     )
     telemetry = Telemetry()
     scenario = Scenario(config, telemetry=telemetry)
@@ -645,6 +644,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.chaos import (
         CampaignConfig,
+        RunSpec,
         TopologySpec,
         run_campaign,
     )
@@ -660,15 +660,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         else (args.strategy,)
     )
     fault_mix, outage_spec = _split_mix(args.fault_mix)
-    fault_mix = fault_mix or ()
     config = CampaignConfig(
-        seed=args.seed,
+        base=RunSpec(
+            seed=args.seed,
+            tag="chaos",
+            disconnect_probability=args.disconnect_probability,
+            message_loss=args.message_loss,
+            outage_spec=outage_spec,
+            backup_replicas=args.backup_replicas,
+            validity_tolerance=args.validity_tolerance,
+            optimizer=args.optimizer,
+            **_recovery_options(args),
+        ),
         runs=args.runs,
         strategies=strategies,
         crash_probabilities=args.failure_probability,
-        disconnect_probability=args.disconnect_probability,
-        message_loss=args.message_loss,
-        fault_mixes=(fault_mix,),
+        fault_mixes=(fault_mix or (),),
         topologies=(
             TopologySpec(
                 n_contributors=args.contributors,
@@ -676,21 +683,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 n_rows=args.rows,
             ),
         ),
-        backup_replicas=args.backup_replicas,
-        validity_tolerance=args.validity_tolerance,
-        reliability=args.reliability,
-        phase_deadline=args.phase_deadline,
-        optimizer=args.optimizer,
-        outage_spec=outage_spec,
-        detector=args.detector,
-        fencing=args.fencing,
         shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget,
     )
     telemetry = Telemetry()
     result = run_campaign(config, telemetry=telemetry)
     print(
-        f"chaos campaign: seed={config.seed} runs={config.runs} "
+        f"chaos campaign: seed={args.seed} runs={config.runs} "
         f"strategies={','.join(strategies)}"
     )
     print(
@@ -717,32 +716,33 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_workload(args: argparse.Namespace) -> int:
-    from repro.chaos import (
-        WorkloadChaosConfig,
-        run_workload,
-        shrink_workload_plan,
-    )
+    from repro.chaos import run_workload, shrink_workload_plan
     from repro.workload import WorkloadSpec
 
-    fault_specs, _ = _split_mix(args.fault_mix, message_only="chaos --workload")
+    fault_specs, outage_spec = _split_mix(args.fault_mix)
+    options = _recovery_options(args)
+    # the spec owns reliability: the engine refuses it as a keyword
     spec = WorkloadSpec(
         n_queries=args.workload,
         max_concurrent=args.workload_max_concurrent,
         queue_capacity=2 * args.workload_max_concurrent,
         seed=args.seed,
-        reliability=args.reliability,
+        reliability=options.pop("reliability"),
     )
-    config = WorkloadChaosConfig(
+    telemetry = Telemetry()
+    outcome = run_workload(
+        spec,
+        telemetry=telemetry,
+        validity_tolerance=args.validity_tolerance,
         n_contributors=args.contributors,
         n_processors=args.processors,
         crash_probability=max(args.failure_probability),
         disconnect_probability=args.disconnect_probability,
         message_loss=args.message_loss,
-        fault_specs=fault_specs or (),
-        validity_tolerance=args.validity_tolerance,
+        fault_specs=fault_specs,
+        outage_spec=outage_spec,
+        **options,
     )
-    telemetry = Telemetry()
-    outcome = run_workload(spec, config, telemetry=telemetry)
     print(
         f"chaos workload: seed={spec.seed} queries={spec.n_queries} "
         f"max_concurrent={spec.max_concurrent} clean={outcome.clean}"
@@ -762,9 +762,7 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
     for query_id, violation in outcome.violations:
         print(f"  {query_id}: {violation.invariant} — {violation.detail}")
     if outcome.violations and not args.no_shrink:
-        shrunk = shrink_workload_plan(
-            spec, config, outcome, max_attempts=args.shrink_budget
-        )
+        shrunk = shrink_workload_plan(outcome, max_attempts=args.shrink_budget)
         if shrunk is None:
             print("  shrink: schedule does not reproduce as a scripted plan")
         else:
@@ -892,20 +890,22 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
             data_change_probability=args.data_change,
             seed=args.seed,
         )
-    fault_specs, _ = _split_mix(args.fault_mix, message_only="continuous")
+    fault_specs, outage_spec = _split_mix(args.fault_mix)
     telemetry = Telemetry()
+    engine_options = dict(
+        churn=churn,
+        n_contributors=args.contributors,
+        n_processors=args.processors,
+        telemetry=telemetry,
+        standby_count=args.standbys,
+        fault_specs=fault_specs,
+        outage_spec=outage_spec,
+    )
     exit_code = 0
     if args.check_invariants:
-        from repro.chaos import ContinuousChaosConfig, run_soak
+        from repro.chaos import run_soak
 
-        config = ContinuousChaosConfig(
-            n_contributors=args.contributors,
-            n_processors=args.processors,
-            churn=churn,
-            fault_specs=fault_specs or (),
-            standby_count=args.standbys,
-        )
-        outcome = run_soak(spec, config, telemetry=telemetry)
+        outcome = run_soak(spec, **engine_options)
         result = outcome.result
         print(
             f"continuous soak: seed={spec.seed} windows={spec.max_windows} "
@@ -929,16 +929,7 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     else:
         from repro.continuous import ContinuousEngine
 
-        engine = ContinuousEngine(
-            spec,
-            churn=churn,
-            n_contributors=args.contributors,
-            n_processors=args.processors,
-            telemetry=telemetry,
-            standby_count=args.standbys,
-            fault_specs=fault_specs,
-        )
-        result = engine.run()
+        result = ContinuousEngine(spec, **engine_options).run()
         print(
             f"continuous: seed={spec.seed} windows={spec.max_windows} "
             f"cadence={spec.cadence} window={spec.window} "

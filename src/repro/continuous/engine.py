@@ -203,10 +203,14 @@ class ContinuousEngine:
         telemetry: recording target; defaults to the process instance.
         standby_count: extra devices leased per reliable window as the
             recovery watchdog's re-recruitment pool.
-        fault_specs / failure_plan / crash_probability /
-        disconnect_probability / disconnect_duration / message_loss:
-            chaos hooks, installed once over the whole run (see
-            :mod:`repro.chaos.continuous`).
+        **scenario: any other :class:`ScenarioConfig` field, forwarded
+            verbatim — fault sources (installed once over the whole run,
+            see :mod:`repro.chaos.continuous`) and execution options
+            (``secure_channels``, ``detector``, ``fencing``,
+            ``phase_deadline``).  The fields this engine derives from
+            ``spec`` (``reliability``, ``collection_window``,
+            ``deadline``, ``seed``, ``scenario_tag``) raise
+            ``TypeError`` if passed again.
     """
 
     def __init__(
@@ -218,12 +222,7 @@ class ContinuousEngine:
         rows_per_contributor: int = 2,
         telemetry: Any = None,
         standby_count: int = 0,
-        fault_specs: Any = None,
-        failure_plan: Any = None,
-        crash_probability: float = 0.0,
-        disconnect_probability: float = 0.0,
-        disconnect_duration: float = 10.0,
-        message_loss: float = 0.0,
+        **scenario: Any,
     ):
         if telemetry is None:
             from repro.telemetry import get_telemetry
@@ -247,15 +246,10 @@ class ContinuousEngine:
             rows_per_device=(rows_per_contributor, rows_per_contributor),
             collection_window=spec.collection_window,
             deadline=spec.deadline,
-            crash_probability=crash_probability,
-            disconnect_probability=disconnect_probability,
-            disconnect_duration=disconnect_duration,
-            message_loss=message_loss,
             seed=spec.seed,
             scenario_tag=f"{spec.name}{spec.seed}",
-            fault_specs=fault_specs,
-            failure_plan=failure_plan,
             reliability=spec.reliability,
+            **scenario,
         )
         self.scenario = Scenario(self.scenario_config, telemetry=telemetry)
         self.scenario.network.per_query_rng = True

@@ -48,7 +48,12 @@ from repro.query.engine import CentralizedEngine
 from repro.query.relation import Relation
 from repro.query.schema import Schema
 
-__all__ = ["ScenarioConfig", "Scenario", "ScenarioResult"]
+__all__ = [
+    "ScenarioConfig",
+    "Scenario",
+    "ScenarioResult",
+    "check_recovery_options",
+]
 
 _scenario_ids = itertools.count(1)
 
@@ -105,7 +110,7 @@ class ScenarioConfig:
         detector: feed transport delivery observations into a φ-accrual
             failure detector and let the recovery watchdog reprovision
             *suspected* (partitioned/gray, nominally online) Computers;
-            only meaningful with ``reliability``.
+            requires ``reliability``.
         fencing: stamp generation-numbered fencing tokens on
             reprovisioned partitions so a stale predecessor's partial
             loses at the combiner (split-brain-safe takeover).
@@ -118,7 +123,13 @@ class ScenarioConfig:
             degradation).
         phase_deadline: computation-phase deadline offset forwarded to
             the recovery layer (``None`` = 85% of the query deadline);
-            only meaningful with ``reliability``.
+            requires ``reliability``.
+
+    Every execution path — the one-shot path, both engines, the chaos
+    harnesses — builds one of these.  Its fault and execution options are
+    declared here and on :class:`~repro.chaos.campaign.RunSpec`, their
+    serialisable mirror for chaos artifacts, and nowhere else: the
+    engines forward them as keywords.
     """
 
     n_contributors: int
@@ -152,6 +163,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.phase_deadline is not None and self.phase_deadline <= 0:
             raise ValueError("phase_deadline must be positive")
+        check_recovery_options(vars(self))
         if self.failure_plan is not None and self.failure_plan.has_outages():
             if self.outage_spec is not None and not self.outage_spec.is_noop():
                 raise ValueError(
@@ -175,6 +187,40 @@ class ScenarioConfig:
                 raise ValueError(
                     "caregiver_visit must be in (0, caregiver_period]"
                 )
+
+    @property
+    def any_chaos(self) -> bool:
+        """Whether any fault source is configured: stochastic crashes or
+        disconnects, message loss, message-fault rules, a scripted plan
+        or a non-no-op outage spec (a run's *clean* verdict needs
+        this to be false)."""
+        return bool(
+            self.crash_probability > 0
+            or self.disconnect_probability > 0
+            or self.message_loss > 0
+            or self.fault_specs
+            or self.failure_plan is not None
+            or (self.outage_spec is not None and not self.outage_spec.is_noop())
+        )
+
+
+def check_recovery_options(options: dict[str, Any]) -> None:
+    """Reject recovery options that would be inert: ``detector`` and
+    ``phase_deadline`` act through the recovery layer ``reliability``
+    wires.
+
+    ``options`` maps :class:`ScenarioConfig` field names to values;
+    absent names take the field default.  Raises ``ValueError`` naming
+    the option.  :class:`ScenarioConfig` and
+    :class:`~repro.chaos.campaign.RunSpec` run it on every construction;
+    the CLI runs it on its flags before any scenario is built.
+    """
+    if options.get("reliability"):
+        return
+    if options.get("detector"):
+        raise ValueError("detector requires reliability")
+    if options.get("phase_deadline") is not None:
+        raise ValueError("phase_deadline requires reliability")
 
 
 @dataclass

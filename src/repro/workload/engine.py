@@ -171,10 +171,13 @@ class WorkloadEngine:
             spec — required for serial replays).
         standby_count: extra devices leased per reliable query as the
             recovery watchdog's re-recruitment pool.
-        fault_specs / failure_plan / crash_probability /
-        disconnect_probability / disconnect_duration / message_loss:
-            chaos hooks, installed once over the whole workload (see
-            :mod:`repro.chaos.workload`).
+        **scenario: any other :class:`ScenarioConfig` field, forwarded
+            verbatim — fault sources (installed once over the whole
+            workload, see :mod:`repro.chaos.workload`) and execution
+            options (``secure_channels``, ``detector``, ``fencing``,
+            ``phase_deadline``).  The fields this engine derives from
+            ``spec`` (``reliability``, ``collection_window``,
+            ``deadline``, ``seed``) raise ``TypeError`` if passed again.
     """
 
     def __init__(
@@ -187,12 +190,7 @@ class WorkloadEngine:
         telemetry: Any = None,
         scenario_tag: str | None = None,
         standby_count: int = 0,
-        fault_specs: Any = None,
-        failure_plan: Any = None,
-        crash_probability: float = 0.0,
-        disconnect_probability: float = 0.0,
-        disconnect_duration: float = 10.0,
-        message_loss: float = 0.0,
+        **scenario: Any,
     ):
         if telemetry is None:
             from repro.telemetry import get_telemetry
@@ -213,15 +211,10 @@ class WorkloadEngine:
             device_mix=(1.0, 0.0, 0.0),
             collection_window=spec.collection_window,
             deadline=spec.deadline,
-            crash_probability=crash_probability,
-            disconnect_probability=disconnect_probability,
-            disconnect_duration=disconnect_duration,
-            message_loss=message_loss,
             seed=spec.seed,
             scenario_tag=scenario_tag or f"wl{spec.seed}",
-            fault_specs=fault_specs,
-            failure_plan=failure_plan,
             reliability=spec.reliability,
+            **scenario,
         )
         self.scenario = Scenario(self.scenario_config, telemetry=telemetry)
         self.scenario.network.per_query_rng = True
@@ -251,7 +244,9 @@ class WorkloadEngine:
         open_loop_span = max(
             (a.at for a in arrivals if a.at is not None), default=0.0
         )
-        self.scenario.install_chaos(
+        # kept for the shrinker: it carries the atoms an outage_spec
+        # resolved to, which the event log alone cannot express
+        self.installed_plan = self.scenario.install_chaos(
             until=open_loop_span + 3 * self.spec.deadline
         )
         if self.spec.arrival_process == "closed":

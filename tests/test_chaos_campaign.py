@@ -234,7 +234,7 @@ class TestRunDeterminism:
 class TestCampaign:
     def test_grid_sweeps_every_cell_and_stays_ok(self):
         config = CampaignConfig(
-            seed=3,
+            base=RunSpec(seed=3, tag="chaos"),
             runs=4,
             strategies=("overcollection", "backup"),
             crash_probabilities=(0.0,),
@@ -251,7 +251,7 @@ class TestCampaign:
         assert telemetry.metrics.total("chaos.runs") == 4
 
     def test_spec_for_is_stable(self):
-        config = CampaignConfig(seed=9, runs=8)
+        config = CampaignConfig(base=RunSpec(seed=9, tag="chaos"), runs=8)
         specs = [config.spec_for(i).to_dict() for i in range(8)]
         again = [config.spec_for(i).to_dict() for i in range(8)]
         assert specs == again
@@ -259,9 +259,12 @@ class TestCampaign:
 
     def test_reliability_campaign_survives_heavy_loss(self):
         config = CampaignConfig(
-            seed=11, runs=4, strategies=("overcollection",),
-            crash_probabilities=(0.0,), message_loss=0.25,
-            reliability=True, validity_tolerance=1.5,
+            base=RunSpec(
+                seed=11, tag="chaos", message_loss=0.25,
+                reliability=True, validity_tolerance=1.5,
+            ),
+            runs=4, strategies=("overcollection",),
+            crash_probabilities=(0.0,),
         )
         result = run_campaign(config, telemetry=Telemetry())
         assert result.ok
@@ -269,7 +272,8 @@ class TestCampaign:
 
     def test_summary_rows_cover_all_cells(self):
         config = CampaignConfig(
-            seed=1, runs=4, strategies=("overcollection",),
+            base=RunSpec(seed=1, tag="chaos"), runs=4,
+            strategies=("overcollection",),
             crash_probabilities=(0.0, 0.01),
         )
         result = run_campaign(config, telemetry=Telemetry())
@@ -361,8 +365,10 @@ class TestArtifacts:
                 {"outage_plan": {"partitions": [{"start": 1.0, "islands": [["a"]]}]}},
                 "'end'",
             ),
+            # accepted before detector required reliability
+            ({"detector": True}, "detector requires reliability"),
         ],
-        ids=["run-without-tag", "partition-without-end"],
+        ids=["run-without-tag", "partition-without-end", "detector-without-reliability"],
     )
     def test_malformed_artifact_replay_exits_2_with_one_line(
         self, tmp_path, capsys, run_patch, field

@@ -278,11 +278,11 @@ class TestFoldKernelLegs:
 
     @vector_kernel
     def test_seeded_campaign_under_the_vector_kernel(self, fold_kernel):
-        from repro.chaos.campaign import CampaignConfig, run_campaign
+        from repro.chaos.campaign import CampaignConfig, RunSpec, run_campaign
         from repro.telemetry import Telemetry
 
         config = CampaignConfig(
-            seed=19,
+            base=RunSpec(seed=19, tag="chaos"),
             runs=4,
             strategies=("overcollection", "backup"),
             crash_probabilities=(0.0, 0.002),
@@ -293,7 +293,7 @@ class TestFoldKernelLegs:
 
     @vector_kernel
     def test_eight_window_churn_soak_under_the_vector_kernel(self, fold_kernel):
-        from repro.chaos.continuous import ContinuousChaosConfig, run_soak
+        from repro.chaos.continuous import run_soak
         from repro.continuous import StandingQuerySpec
         from repro.devices.churn import ChurnSpec
         from repro.telemetry import Telemetry
@@ -304,14 +304,15 @@ class TestFoldKernelLegs:
             seed=23,
             snapshot_cardinality=96,
         )
-        config = ContinuousChaosConfig(
+        outcome = run_soak(
+            spec,
             churn=ChurnSpec(
                 departure_probability=0.1,
                 data_change_probability=0.25,
                 seed=23,
             ),
+            telemetry=Telemetry(),
         )
-        outcome = run_soak(spec, config, telemetry=Telemetry())
         assert len(outcome.windows) == 8
         assert outcome.violations == []
 

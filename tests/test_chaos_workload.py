@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import (
-    WorkloadChaosConfig,
     parse_fault_mix,
     run_workload,
     shrink_workload_plan,
@@ -72,9 +71,7 @@ class TestFaultyWorkload:
             n_queries=4, arrival_process="poisson", arrival_rate=2.0,
             max_concurrent=3, queue_capacity=4, seed=7,
         )
-        outcome = run_workload(
-            spec, WorkloadChaosConfig(crash_probability=0.004)
-        )
+        outcome = run_workload(spec, crash_probability=0.004)
         assert not outcome.clean
         assert outcome.failure_events
         assert len(outcome.queries) == 4
@@ -88,10 +85,7 @@ class TestFaultyWorkload:
             n_queries=3, arrival_process="uniform", arrival_rate=2.0,
             max_concurrent=3, queue_capacity=3, seed=3,
         )
-        outcome = run_workload(
-            spec,
-            WorkloadChaosConfig(fault_specs=parse_fault_mix("drop=0.1")),
-        )
+        outcome = run_workload(spec, fault_specs=parse_fault_mix("drop=0.1"))
         assert not outcome.clean
         assert outcome.ok
 
@@ -106,7 +100,7 @@ class TestFaultyWorkload:
         plan = FailurePlan(
             partitions=[Partition(start=2.0, end=12.0, islands=(island,))]
         )
-        outcome = run_workload(spec, WorkloadChaosConfig(failure_plan=plan))
+        outcome = run_workload(spec, failure_plan=plan)
         assert not outcome.clean
         assert [(e.time, e.device_id, e.kind) for e in outcome.failure_events] == [
             (2.0, island[0], "partition_start"),
@@ -121,9 +115,8 @@ class TestFaultyWorkload:
             n_queries=3, arrival_process="poisson", arrival_rate=2.0,
             max_concurrent=2, queue_capacity=3, seed=11,
         )
-        config = WorkloadChaosConfig(crash_probability=0.003)
-        first = run_workload(spec, config)
-        second = run_workload(spec, config)
+        first = run_workload(spec, crash_probability=0.003)
+        second = run_workload(spec, crash_probability=0.003)
         assert first.result.fingerprints() == second.result.fingerprints()
         assert [
             (q.query_id, q.outcome, q.success, len(q.violations))
@@ -168,20 +161,19 @@ class TestShrinking:
         plan.disconnect(f"wl{spec.seed}-proc-{39:05d}", 2.0, 6.0)
         initial_atoms = _n_atoms(plan)
 
-        config = WorkloadChaosConfig(failure_plan=plan)
-        outcome = run_workload(spec, config)
+        outcome = run_workload(spec, failure_plan=plan)
         failed = [q for q in outcome.queries if q.success is False]
         assert failed, "the scripted crashes must sink the target query"
         # the untouched queries still run to completion on their own
         # leases — faults on one query's devices stay that query's
         assert sum(1 for q in outcome.queries if q.success) == 2
 
-        shrunk = shrink_workload_plan(spec, config, outcome, max_attempts=24)
+        shrunk = shrink_workload_plan(outcome, max_attempts=24)
         assert shrunk is not None
         assert _n_atoms(shrunk) < initial_atoms
         # the noise never survives shrinking
         assert not (set(shrunk.crashes) & set(noise_ids))
         assert not shrunk.disconnections
         # and the minimal plan still sinks a query on a fresh replay
-        predicate = workload_failure_predicate(spec, config)
+        predicate = workload_failure_predicate(outcome)
         assert predicate(shrunk)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.manager.scenario import Scenario
 
 
 class TestParser:
@@ -254,21 +255,74 @@ class TestWorkloadCommand:
     @pytest.mark.parametrize(
         "command",
         [
-            ["chaos", "--workload", "3"],
-            ["continuous", "--windows", "2"],
-            ["continuous", "--windows", "2", "--check-invariants"],
+            ["chaos", "--workload", "3", "--processors", "40"],
+            ["continuous", "--windows", "3"],
+            ["continuous", "--windows", "3", "--check-invariants"],
         ],
     )
-    def test_outage_knobs_without_a_device_population_exit_2(
-        self, capsys, command
+    def test_outage_knobs_resolve_over_the_processor_pool(
+        self, capsys, monkeypatch, command
     ):
-        code = main([*command, "--fault-mix", "drop=0.1;gray=0.1"])
-        assert code == 2
+        scenarios = []
+        install = Scenario.install_chaos
+
+        def spying_install(self, until):
+            scenarios.append(self)
+            return install(self, until)
+
+        monkeypatch.setattr(Scenario, "install_chaos", spying_install)
+        code = main([*command, "--fault-mix", "drop=0.1;partition=0.5,gray=0.3"])
+        assert code == 0
+        kinds = {e.kind for s in scenarios for e in s.failure_events()}
+        assert {"partition_start", "gray_start"} <= kinds
+        capsys.readouterr()
+
+        assert main([*command, "--fault-mix", "warp=1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("--fault-mix: ")
-        assert "['gray']" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_chaos_workload_forwards_the_recovery_flags(self, monkeypatch):
+        import repro.chaos.workload as chaos_workload
+
+        engines = []
+
+        class SpyEngine(chaos_workload.WorkloadEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(chaos_workload, "WorkloadEngine", SpyEngine)
+        code = main([
+            "chaos", "--workload", "3", "--seed", "1", "--processors", "40",
+            "--failure-probability", "0.0", "--reliability", "--detector",
+            "--fencing", "--phase-deadline", "9",
+        ])
+        assert code == 0
+        config = engines[0].scenario_config
+        assert config.reliability
+        assert config.detector
+        assert config.fencing
+        assert config.phase_deadline == 9.0
+
+    @pytest.mark.parametrize(
+        "command, flags, option",
+        [
+            (["run"], ["--detector"], "detector"),
+            (["run"], ["--phase-deadline", "30"], "phase_deadline"),
+            (["chaos", "--runs", "1"], ["--detector"], "detector"),
+            (["chaos", "--workload", "2"], ["--phase-deadline", "30"],
+             "phase_deadline"),
+        ],
+    )
+    def test_recovery_option_without_reliability_exits_2(
+        self, capsys, command, flags, option
+    ):
+        assert main([*command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{option} requires reliability\n"
 
     def test_unknown_fault_knob_exits_2(self, capsys):
         code = main(["run", "--fault-mix", "warp=0.5"])

@@ -9,7 +9,7 @@ run-level conservation identities.
 
 from __future__ import annotations
 
-from repro.chaos import ContinuousChaosConfig, run_soak
+from repro.chaos import run_soak
 from repro.continuous import StandingQuerySpec
 from repro.devices.churn import ChurnSpec
 from repro.network.faults import parse_fault_mix
@@ -30,7 +30,8 @@ def _soak_spec(windows: int, seed: int) -> StandingQuerySpec:
 class TestThirtyWindowSoak:
     def test_32_windows_churn_and_faults_all_invariants(self):
         spec = _soak_spec(32, seed=7)
-        config = ContinuousChaosConfig(
+        outcome = run_soak(
+            spec,
             churn=ChurnSpec(
                 departure_probability=0.10,
                 data_change_probability=0.20,
@@ -38,8 +39,8 @@ class TestThirtyWindowSoak:
             ),
             fault_specs=tuple(parse_fault_mix("drop=0.05")),
             standby_count=2,
+            telemetry=Telemetry(),
         )
-        outcome = run_soak(spec, config, telemetry=Telemetry())
         assert outcome.result.completed + outcome.result.skipped >= 30
         assert outcome.ok, [str(v) for v in outcome.violations]
         for window in outcome.windows:
@@ -68,12 +69,13 @@ class TestThirtyWindowSoak:
                 )
             ],
         )
-        config = ContinuousChaosConfig(
+        outcome = run_soak(
+            spec,
             churn=ChurnSpec(departure_probability=0.10, seed=11),
             failure_plan=plan,
             standby_count=2,
+            telemetry=Telemetry(),
         )
-        outcome = run_soak(spec, config, telemetry=Telemetry())
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.result.completed + outcome.result.skipped == 8
         assert not outcome.clean
@@ -83,12 +85,12 @@ class TestThirtyWindowSoak:
 
     def test_soak_replays_deterministically(self):
         spec = _soak_spec(8, seed=11)
-        config = ContinuousChaosConfig(
+        options = dict(
             churn=ChurnSpec(departure_probability=0.15, seed=11),
             fault_specs=tuple(parse_fault_mix("drop=0.05")),
         )
-        a = run_soak(spec, config, telemetry=Telemetry())
-        b = run_soak(spec, config, telemetry=Telemetry())
+        a = run_soak(spec, telemetry=Telemetry(), **options)
+        b = run_soak(spec, telemetry=Telemetry(), **options)
         assert a.result.fingerprints() == b.result.fingerprints()
         assert [w.outcome for w in a.windows] == [w.outcome for w in b.windows]
 
@@ -96,11 +98,11 @@ class TestThirtyWindowSoak:
 class TestCleanSoak:
     def test_no_chaos_no_churn_is_flagged_clean(self):
         spec = _soak_spec(5, seed=3)
-        outcome = run_soak(spec, ContinuousChaosConfig(), telemetry=Telemetry())
+        outcome = run_soak(spec, telemetry=Telemetry())
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.result.completed == 5
 
     def test_summary_rows_cover_every_window(self):
         spec = _soak_spec(5, seed=3)
-        outcome = run_soak(spec, ContinuousChaosConfig(), telemetry=Telemetry())
+        outcome = run_soak(spec, telemetry=Telemetry())
         assert len(outcome.summary_rows()) == len(outcome.windows)

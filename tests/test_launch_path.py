@@ -21,12 +21,7 @@ import sys
 
 import pytest
 
-from repro.chaos import (
-    ContinuousChaosConfig,
-    WorkloadChaosConfig,
-    run_soak,
-    run_workload,
-)
+from repro.chaos import run_soak, run_workload
 from repro.chaos.campaign import RunSpec, run_single
 from repro.continuous import ContinuousEngine, StandingQuerySpec
 from repro.core.runtime import ExecutionCoordinator
@@ -100,9 +95,9 @@ class TestPinnedFingerprints:
     def test_lossy_crashing_reliable_workload(self):
         outcome = run_workload(
             self.WORKLOAD,
-            WorkloadChaosConfig(
-                standby_count=2, message_loss=0.1, crash_probability=0.002
-            ),
+            standby_count=2,
+            message_loss=0.1,
+            crash_probability=0.002,
             telemetry=Telemetry(),
         )
         assert outcome.ok
@@ -159,15 +154,13 @@ class TestPinnedFingerprints:
         )
         outcome = run_soak(
             spec,
-            ContinuousChaosConfig(
-                churn=ChurnSpec(
-                    departure_probability=0.10,
-                    data_change_probability=0.2,
-                    seed=11,
-                ),
-                failure_plan=plan,
-                standby_count=2,
+            churn=ChurnSpec(
+                departure_probability=0.10,
+                data_change_probability=0.2,
+                seed=11,
             ),
+            failure_plan=plan,
+            standby_count=2,
             telemetry=Telemetry(),
         )
         assert outcome.ok

@@ -385,19 +385,22 @@ class TestMixedKindShrink:
 class TestOutageCampaign:
     def test_mixed_outage_campaign_keeps_every_invariant(self):
         config = CampaignConfig(
-            seed=7,
+            base=RunSpec(
+                seed=7,
+                tag="chaos",
+                reliability=True,
+                detector=True,
+                fencing=True,
+                validity_tolerance=1.5,
+                outage_spec=OutageSpec(
+                    partition_probability=0.3,
+                    region_crash_probability=0.1,
+                    gray_probability=0.25,
+                ),
+            ),
             runs=6,
             strategies=("overcollection", "backup"),
             crash_probabilities=(0.0,),
-            reliability=True,
-            detector=True,
-            fencing=True,
-            validity_tolerance=1.5,
-            outage_spec=OutageSpec(
-                partition_probability=0.3,
-                region_crash_probability=0.1,
-                gray_probability=0.25,
-            ),
         )
         result = run_campaign(config, telemetry=Telemetry())
         assert len(result.outcomes) == 6
