@@ -115,43 +115,11 @@ def test_qgen_overcollection_vs_backup_cost(benchmark):
     benchmark(lambda: backup_planner.plan(spec, n_contributors=50))
 
 
-def test_qgen_backup_takeover_chain(benchmark):
-    """The Backup chain recovers from cascading primary failures."""
-    from repro.core.backup import BackupChain
-
-    rows = []
-    for failures in (0, 1, 2):
-        chain = BackupChain("computer[0]", BackupConfig(replicas=2, takeover_timeout=15.0))
-        for rank in range(3):
-            chain.register(rank, f"device-{rank}")
-        chain.checkpoint({"partition": "sealed"})
-        for f in range(failures):
-            chain.report_failure(time=15.0 * (f + 1))
-        rows.append(
-            [failures, chain.active_device or "EXHAUSTED",
-             chain.promotion_count() * 15.0]
-        )
-    print_table(
-        "Q-GEN: Backup takeover chain [2 replicas, 15s timeout]",
-        ["primary failures", "active device", "added latency (s)"],
-        rows,
-    )
-    assert rows[2][1] == "device-2"
-
-    def takeovers():
-        chain = BackupChain("op", BackupConfig(replicas=5, takeover_timeout=1.0))
-        for rank in range(6):
-            chain.register(rank, f"d{rank}")
-        chain.checkpoint("state")
-        while chain.report_failure(time=1.0):
-            pass
-        return chain.promotion_count()
-
-    benchmark(takeovers)
-
-
-def _run_backup_execution(kill_primary: bool, seed: int = 3):
-    """One Backup-strategy run; returns (success, takeovers, last freeze t)."""
+def _run_backup_execution(
+    kills: int, replicas: int = 1, timeout: float = 10.0, seed: int = 3
+):
+    """One Backup-strategy run with ``builder[0]``'s first ``kills`` ranks
+    killed during collection; returns ``(report, executor)``."""
     from repro.core.assignment import assign_operators
     from repro.core.runtime import BackupStrategy, ExecutionCoordinator
     from repro.core.qep import OperatorRole
@@ -164,6 +132,7 @@ def _run_backup_execution(kill_primary: bool, seed: int = 3):
     from repro.query.aggregates import AggregateSpec
     from repro.query.groupby import GroupByQuery
 
+    tag = f"qg{seed}r{replicas}k{kills}"
     simulator = Simulator()
     quality = LinkQuality(base_latency=0.05, latency_jitter=0.0, loss_probability=0.0)
     topology = ContactGraph(default_quality=quality)
@@ -175,51 +144,89 @@ def _run_backup_execution(kill_primary: bool, seed: int = 3):
     rows = generate_health_rows(40, seed=seed)
     contributors = []
     for i in range(20):
-        device = Edgelet(PC_SGX, device_id=f"qg{seed}{kill_primary}-c{i:02d}",
-                         seed=f"qg{seed}{kill_primary}c{i}".encode())
+        device = Edgelet(PC_SGX, device_id=f"{tag}-c{i:02d}", seed=f"{tag}c{i}".encode())
         device.datastore.insert_many(rows[2 * i: 2 * i + 2])
         contributors.append(device)
     processors = [
-        Edgelet(PC_SGX, device_id=f"qg{seed}{kill_primary}-p{i:02d}",
-                seed=f"qg{seed}{kill_primary}p{i}".encode())
+        Edgelet(PC_SGX, device_id=f"{tag}-p{i:02d}", seed=f"{tag}p{i}".encode())
         for i in range(25)
     ]
-    querier = Edgelet(PC_SGX, device_id=f"qg{seed}{kill_primary}-q",
-                      seed=f"qg{seed}{kill_primary}q".encode())
+    querier = Edgelet(PC_SGX, device_id=f"{tag}-q", seed=f"{tag}q".encode())
     devices = {d.device_id: d for d in [*contributors, *processors, querier]}
     for device_id in devices:
         topology.add_device(device_id)
 
     query = GroupByQuery(grouping_sets=((),), aggregates=(AggregateSpec("count"),))
     spec = QuerySpec(
-        query_id=f"qgen-runtime-{kill_primary}-{seed}", kind="aggregate",
+        query_id=f"qgen-runtime-{tag}", kind="aggregate",
         snapshot_cardinality=2 * len(rows), group_by=query,
     )
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=len(rows) + 1),
-        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=1),
+        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=replicas),
     )
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [p.device_id for p in processors], exclusive=False)
     plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
     executor = ExecutionCoordinator(
         simulator, network, devices, plan,
-        collection_window=15.0, deadline=80.0, secure_channels=False,
-        strategy=BackupStrategy(takeover_timeout=10.0),
+        collection_window=15.0, deadline=100.0, secure_channels=False,
+        strategy=BackupStrategy(takeover_timeout=timeout),
     )
-    if kill_primary:
-        victim = plan.operator("builder[0]").assigned_to
-        simulator.schedule(1.0, lambda: network.kill(victim))
-    report = executor.run()
-    freeze_times = [t for t, m in report.trace if "snapshot frozen" in m]
-    return report.success, len(executor.takeover_log), max(freeze_times, default=0.0)
+    for rank in range(kills):
+        suffix = "" if rank == 0 else f".b{rank}"
+        victim = plan.operator(f"builder[0]{suffix}").assigned_to
+        simulator.schedule(1.0, lambda victim=victim: network.kill(victim))
+    return executor.run(), executor
+
+
+def _freezes(report, base: str | None = None) -> list[tuple[float, str]]:
+    """(time, op id) of every snapshot freeze, optionally of one base."""
+    return [
+        (t, text.split(" ")[0]) for t, text in report.trace
+        if "snapshot frozen" in text
+        and (base is None or text.split(" ")[0].split(".b")[0] == base)
+    ]
+
+
+def test_qgen_backup_takeover_chain(benchmark):
+    """The runtime chain recovers from cascading primary failures: each
+    killed rank hands ``builder[0]`` to the next one, one timeout later."""
+    rows = []
+    for kills in (0, 1, 2):
+        report, executor = _run_backup_execution(kills, replicas=2, timeout=15.0)
+        [(freeze_at, shipped_by)] = _freezes(report, "builder[0]")
+        promotions = [r for _, base, r in executor.takeover_log if base == "builder[0]"]
+        rows.append(
+            [kills, report.success, shipped_by,
+             ", ".join(map(str, promotions)) or "-",
+             freeze_at - executor.collect_end]
+        )
+    print_table(
+        "Q-GEN: Backup takeover chain [2 replicas, 15s timeout, runtime]",
+        ["ranks killed", "success", "builder[0] shipped by", "promotions",
+         "added latency (s)"],
+        rows,
+    )
+    assert [row[1] for row in rows] == [True, True, True]
+    assert [row[2] for row in rows] == ["builder[0]", "builder[0].b1", "builder[0].b2"]
+    assert [row[4] for row in rows] == [0.0, 15.0, 30.0]
+
+    benchmark.pedantic(
+        lambda: _run_backup_execution(2, replicas=2, timeout=15.0),
+        rounds=2, iterations=1,
+    )
 
 
 def test_qgen_backup_runtime_takeover_latency(benchmark):
     """Measured: a takeover delays the snapshot by the timeout, and the
     query still completes (the 'lower performance' of the taxonomy)."""
-    ok_clean, takeovers_clean, freeze_clean = _run_backup_execution(False)
-    ok_kill, takeovers_kill, freeze_kill = _run_backup_execution(True)
+    measured = []
+    for kills in (0, 1):
+        report, executor = _run_backup_execution(kills)
+        freeze = max((t for t, _ in _freezes(report)), default=0.0)
+        measured.append((report.success, len(executor.takeover_log), freeze))
+    (ok_clean, takeovers_clean, freeze_clean), (ok_kill, takeovers_kill, freeze_kill) = measured
     print_table(
         "Q-GEN: Backup executor runtime takeover [timeout 10s]",
         ["scenario", "success", "takeovers", "last snapshot freeze (t)"],
@@ -232,4 +239,4 @@ def test_qgen_backup_runtime_takeover_latency(benchmark):
     assert takeovers_clean == 0 and takeovers_kill >= 1
     assert freeze_kill >= freeze_clean + 10.0 - 1.0
 
-    benchmark.pedantic(lambda: _run_backup_execution(True), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: _run_backup_execution(1), rounds=2, iterations=1)

@@ -39,7 +39,6 @@ from repro.core.planner import (
     PrivacyParameters,
     ResiliencyParameters,
 )
-from repro.core.qep import OperatorRole
 from repro.core.runtime import ContributionCache
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnModel, ChurnSpec, WindowChurn
@@ -534,7 +533,9 @@ class ContinuousEngine:
         record.report = report
         record.finished_at = sim.now
         record.outcome = COMPLETED
-        collected = _collected_tuples(record.result.executor)
+        collected = sum(
+            len(rows) for rows in record.result.executor.builder_rows.values()
+        )
         expected = len(record.rows)
         record.coverage = (
             min(1.0, collected / expected) if expected else 0.0
@@ -595,19 +596,3 @@ class ContinuousEngine:
             incremental_totals=totals,
         )
 
-
-def _collected_tuples(executor: Any) -> int:
-    """Raw tuples accepted into the frozen snapshot, strategy-agnostic."""
-    strategy = executor.strategy
-    rows_by_op = getattr(strategy, "rows_by_op", None)
-    ops_by_base = getattr(strategy, "ops_by_base", None)
-    if rows_by_op is not None and ops_by_base:
-        # Backup: the rank-0 builder's intake is the primary snapshot
-        return sum(
-            len(rows_by_op.get(ops[0].op_id, []))
-            for ops in ops_by_base.values()
-            if ops and ops[0].role == OperatorRole.SNAPSHOT_BUILDER
-        )
-    return sum(
-        len(rows) for rows in executor.builder.rows_by_partition.values()
-    )

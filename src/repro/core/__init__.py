@@ -41,7 +41,7 @@ from repro.core.assignment import SecureAssignment, assign_operators, contributo
 from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.liability import LiabilityReport, gini_coefficient, measure_liability
 from repro.core.validity import ValidityReport, compare_results
-from repro.core.backup import BackupConfig, BackupChain
+from repro.core.backup import BackupConfig
 from repro.core.runtime import (
     BackupStrategy,
     ExecutionCoordinator,
@@ -51,7 +51,6 @@ from repro.core.runtime import (
 )
 
 __all__ = [
-    "BackupChain",
     "BackupConfig",
     "BackupStrategy",
     "ExecutionCoordinator",

@@ -2,20 +2,21 @@
 
 Where Overcollection spends extra *data partitions*, Backup spends extra
 *devices*: each Data Processor operator has an ordered chain of passive
-replicas holding its checkpointed input.  If the primary misses its
-deadline (crash or disconnection), the next replica in line takes over
-and re-executes from the checkpoint.  The price is latency — promotions
-happen sequentially after timeouts — and complexity; the benefit is that
-it works for *non-distributive* processing, where Overcollection does
-not apply (Section 3.3, "Can any form of computation be handled?").
+replicas holding the same input.  If the primary misses its slot (crash
+or disconnection), the next replica in line takes over and re-executes
+from its own copy (:class:`repro.core.runtime.strategy.BackupStrategy`;
+its ``takeover_log`` records every promotion).  The price is latency —
+promotions happen sequentially after timeouts — and complexity; the
+benefit is that it works for *non-distributive* processing, where
+Overcollection does not apply (Section 3.3, "Can any form of
+computation be handled?").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-__all__ = ["BackupConfig", "BackupChain", "PromotionRecord"]
+__all__ = ["BackupConfig"]
 
 
 @dataclass(frozen=True)
@@ -40,84 +41,3 @@ class BackupConfig:
     def worst_case_delay(self) -> float:
         """Extra latency if every replica in the chain must promote."""
         return self.replicas * self.takeover_timeout
-
-
-@dataclass(frozen=True)
-class PromotionRecord:
-    """One recorded takeover (for traces and the Q-GEN bench)."""
-
-    time: float
-    operator_id: str
-    from_rank: int
-    to_rank: int
-
-
-@dataclass
-class BackupChain:
-    """State machine of one operator's primary + replicas.
-
-    The chain tracks which rank is currently *active*, the checkpointed
-    input state each replica holds, and the promotion history.  It is
-    driven by the executor: :meth:`checkpoint` when input arrives,
-    :meth:`report_failure` when the active rank is observed dead or the
-    takeover timeout elapses.
-    """
-
-    operator_id: str
-    config: BackupConfig
-    device_by_rank: dict[int, str] = field(default_factory=dict)
-    active_rank: int = 0
-    checkpoints: dict[int, Any] = field(default_factory=dict)
-    promotions: list[PromotionRecord] = field(default_factory=list)
-    exhausted: bool = False
-
-    def register(self, rank: int, device_id: str) -> None:
-        """Bind one rank of the chain to a device."""
-        if rank < 0 or rank > self.config.replicas:
-            raise ValueError(
-                f"rank {rank} outside [0, {self.config.replicas}]"
-            )
-        self.device_by_rank[rank] = device_id
-
-    @property
-    def active_device(self) -> str | None:
-        """Device currently responsible for the operator."""
-        if self.exhausted:
-            return None
-        return self.device_by_rank.get(self.active_rank)
-
-    def checkpoint(self, state: Any) -> None:
-        """Replicate the operator's input state to every standby rank."""
-        for rank in range(self.config.replicas + 1):
-            self.checkpoints[rank] = state
-
-    def checkpoint_for(self, rank: int) -> Any:
-        """The state a given rank would resume from."""
-        return self.checkpoints.get(rank)
-
-    def report_failure(self, time: float) -> str | None:
-        """Promote the next replica; returns its device or ``None``.
-
-        ``None`` means the chain is exhausted — the operator (and with
-        it the query, under strict Backup semantics) has failed.
-        """
-        if self.exhausted:
-            return None
-        next_rank = self.active_rank + 1
-        if next_rank > self.config.replicas or next_rank not in self.device_by_rank:
-            self.exhausted = True
-            return None
-        self.promotions.append(
-            PromotionRecord(
-                time=time,
-                operator_id=self.operator_id,
-                from_rank=self.active_rank,
-                to_rank=next_rank,
-            )
-        )
-        self.active_rank = next_rank
-        return self.device_by_rank[next_rank]
-
-    def promotion_count(self) -> int:
-        """How many takeovers happened."""
-        return len(self.promotions)

@@ -24,14 +24,14 @@ like Figure 3 of the paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import networkx as nx
 
 from repro.core.assignment import contributor_builder
 from repro.core.overcollection import OvercollectionConfig
-from repro.core.qep import Operator, OperatorRole, QueryExecutionPlan
+from repro.core.qep import OperatorRole, QueryExecutionPlan
 from repro.core.resiliency import minimum_overcollection
 from repro.query.groupby import GroupByQuery
 
@@ -190,16 +190,15 @@ class EdgeletPlanner:
         contributors = self._contributor_ids(contributor_ids, n_contributors)
         n = self.horizontal_degree(spec)
         column_groups = self.vertical_groups(spec)
-        if self.resiliency.strategy == "overcollection":
-            m = minimum_overcollection(
-                n, self.resiliency.fault_rate, self.resiliency.target_success
-            )
-            config = OvercollectionConfig(
-                n=n, m=m, snapshot_cardinality=spec.snapshot_cardinality
-            )
-            plan = self._build_overcollection_plan(spec, contributors, config, column_groups)
-        else:
-            plan = self._build_backup_plan(spec, contributors, n, column_groups)
+        backup = self.resiliency.strategy == "backup"
+        m = 0 if backup else minimum_overcollection(
+            n, self.resiliency.fault_rate, self.resiliency.target_success
+        )
+        config = OvercollectionConfig(
+            n=n, m=m, snapshot_cardinality=spec.snapshot_cardinality
+        )
+        replicas = self.resiliency.backup_replicas if backup else 0
+        plan = self._build_plan(spec, contributors, config, column_groups, replicas)
         plan.validate()
         return plan
 
@@ -287,31 +286,45 @@ class EdgeletPlanner:
         return [f"contributor-{i:05d}" for i in range(n_contributors)]
 
     def _aggregates_for_group(
-        self, query: GroupByQuery, group: tuple[str, ...]
+        self, query: GroupByQuery, group: tuple[str, ...], g: int
     ) -> list[int]:
-        """Indices of the query aggregates computable from ``group``.
+        """Indices of the query aggregates computable from group ``g``.
 
         ``count(*)`` aggregates belong to the first group only (counting
         once is enough).
         """
-        indices = []
-        for index, spec in enumerate(query.aggregates):
-            if spec.column is not None and spec.column in group:
-                indices.append(index)
-        return indices
+        return [
+            index
+            for index, spec in enumerate(query.aggregates)
+            if (g == 0 if spec.column is None else spec.column in group)
+        ]
 
-    def _build_overcollection_plan(
+    def _build_plan(
         self,
         spec: QuerySpec,
         contributors: list[str],
         config: OvercollectionConfig,
         column_groups: list[tuple[str, ...]],
+        replicas: int,
     ) -> QueryExecutionPlan:
+        """One plan shape for both strategies: ``n + m`` partitions, each
+        Data Processor operator at ``replicas + 1`` ranks.
+
+        Overcollection is ``replicas = 0``; Backup is ``m = 0``.  A
+        rank-``r`` replica (op id suffix ``.b{r}``) carries its primary's
+        parameters plus a ``backup_rank``, receives every contribution
+        the primary receives, and reads from every builder rank of its
+        partition.
+        """
+        backup = self.resiliency.strategy == "backup"
+        strategy: dict[str, Any] = {"strategy": self.resiliency.strategy}
+        if backup:
+            strategy["backup_replicas"] = replicas
         plan = QueryExecutionPlan(
             query_id=spec.query_id,
             metadata={
                 "kind": spec.kind,
-                "strategy": "overcollection",
+                **strategy,
                 "overcollection": config.to_dict(),
                 "column_groups": [list(group) for group in column_groups],
                 "collected_columns": spec.collected_columns(),
@@ -324,17 +337,24 @@ class EdgeletPlanner:
                 "placement_key": spec.effective_placement_key,
             },
         )
-        total = config.total_partitions
-        builders = [
-            plan.new_operator(
-                OperatorRole.SNAPSHOT_BUILDER,
-                params={"partition_index": i,
-                        "partition_cardinality": config.partition_cardinality},
-                op_id=f"builder[{i}]",
-            )
-            for i in range(total)
-        ]
-        builder_ids = [b.op_id for b in builders]
+        partitions = range(config.total_partitions)
+        suffixes = ["" if rank == 0 else f".b{rank}" for rank in range(replicas + 1)]
+
+        def rank_params(rank: int) -> dict[str, Any]:
+            return {"backup_rank": rank} if backup else {}
+
+        for i in partitions:
+            for rank, suffix in enumerate(suffixes):
+                # an overcollection builder records its cap, a replica its rank
+                extra = rank_params(rank) if backup else {
+                    "partition_cardinality": config.partition_cardinality
+                }
+                plan.new_operator(
+                    OperatorRole.SNAPSHOT_BUILDER,
+                    params={"partition_index": i, **extra},
+                    op_id=f"builder[{i}]{suffix}",
+                )
+        builder_ids = [f"builder[{i}]" for i in partitions]
         for contributor in contributors:
             leaf = plan.new_operator(
                 OperatorRole.DATA_CONTRIBUTOR,
@@ -344,166 +364,40 @@ class EdgeletPlanner:
             target = contributor_builder(
                 contributor, builder_ids, spec.effective_placement_key
             )
-            plan.connect(leaf, target)
-
-        combiner = plan.new_operator(
-            OperatorRole.COMPUTING_COMBINER, op_id="combiner"
-        )
-        backup = plan.new_operator(
-            OperatorRole.ACTIVE_BACKUP,
-            params={"mirrors": combiner.op_id},
-            op_id="combiner-backup",
-        )
-        querier = plan.new_operator(OperatorRole.QUERIER, op_id="querier")
-
-        if spec.kind == "aggregate":
-            query = spec.group_by
-            for i in range(total):
-                for g, group in enumerate(column_groups):
-                    aggregate_indices = self._aggregates_for_group(query, group)
-                    if g == 0:
-                        aggregate_indices = sorted(
-                            set(aggregate_indices)
-                            | {
-                                idx
-                                for idx, agg in enumerate(query.aggregates)
-                                if agg.column is None
-                            }
-                        )
-                    computer = plan.new_operator(
-                        OperatorRole.COMPUTER,
-                        params={
-                            "partition_index": i,
-                            "group_index": g,
-                            "column_group": list(group),
-                            "aggregate_indices": aggregate_indices,
-                        },
-                        op_id=f"computer[{i},g{g}]",
-                    )
-                    plan.connect(builders[i], computer)
-                    plan.connect(computer, combiner)
-                    plan.connect(computer, backup)
-        else:
-            for i in range(total):
-                computer = plan.new_operator(
-                    OperatorRole.COMPUTER,
-                    params={
-                        "partition_index": i,
-                        "group_index": 0,
-                        "column_group": list(column_groups[0]),
-                        "kmeans_k": spec.kmeans_k,
-                    },
-                    op_id=f"computer[{i},g0]",
-                )
-                plan.connect(builders[i], computer)
-                plan.connect(computer, combiner)
-                plan.connect(computer, backup)
-
-        plan.connect(combiner, querier)
-        plan.connect(backup, querier)
-        return plan
-
-    def _build_backup_plan(
-        self,
-        spec: QuerySpec,
-        contributors: list[str],
-        n: int,
-        column_groups: list[tuple[str, ...]],
-    ) -> QueryExecutionPlan:
-        """Backup strategy: no overcollection, passive replicas instead.
-
-        Each Data Processor operator gets ``backup_replicas`` standby
-        operators carrying the same parameters plus a ``backup_rank``;
-        the executor promotes them on primary failure.
-        """
-        replicas = self.resiliency.backup_replicas
-        plan = QueryExecutionPlan(
-            query_id=spec.query_id,
-            metadata={
-                "kind": spec.kind,
-                "strategy": "backup",
-                "backup_replicas": replicas,
-                "overcollection": OvercollectionConfig(
-                    n=n, m=0, snapshot_cardinality=spec.snapshot_cardinality
-                ).to_dict(),
-                "column_groups": [list(group) for group in column_groups],
-                "collected_columns": spec.collected_columns(),
-                "fault_rate": self.resiliency.fault_rate,
-                "target_success": self.resiliency.target_success,
-                "heartbeats": spec.heartbeats if spec.kind == "kmeans" else None,
-                "kmeans_k": spec.kmeans_k if spec.kind == "kmeans" else None,
-                "group_by": spec.group_by.to_dict() if spec.group_by else None,
-                "feature_columns": list(spec.feature_columns),
-                "placement_key": spec.effective_placement_key,
-            },
-        )
-        builders = []
-        for i in range(n):
-            for rank in range(replicas + 1):
-                suffix = "" if rank == 0 else f".b{rank}"
-                builder = plan.new_operator(
-                    OperatorRole.SNAPSHOT_BUILDER,
-                    params={"partition_index": i, "backup_rank": rank},
-                    op_id=f"builder[{i}]{suffix}",
-                )
-                if rank == 0:
-                    builders.append(builder)
-        primary_builder_ids = [b.op_id for b in builders]
-        for contributor in contributors:
-            leaf = plan.new_operator(
-                OperatorRole.DATA_CONTRIBUTOR,
-                params={"device": contributor},
-                op_id=f"contrib[{contributor}]",
-            )
-            target = contributor_builder(
-                contributor, primary_builder_ids, spec.effective_placement_key
-            )
-            plan.connect(leaf, target)
-            for rank in range(1, replicas + 1):
-                plan.connect(leaf, f"{target}.b{rank}")
+            for suffix in suffixes:
+                plan.connect(leaf, target + suffix)
 
         combiner = plan.new_operator(OperatorRole.COMPUTING_COMBINER, op_id="combiner")
-        backup = plan.new_operator(
+        mirror = plan.new_operator(
             OperatorRole.ACTIVE_BACKUP,
             params={"mirrors": combiner.op_id},
             op_id="combiner-backup",
         )
         querier = plan.new_operator(OperatorRole.QUERIER, op_id="querier")
 
-        query = spec.group_by
-        for i in range(n):
+        for i in partitions:
             for g, group in enumerate(column_groups):
-                for rank in range(replicas + 1):
-                    suffix = "" if rank == 0 else f".b{rank}"
+                for rank, suffix in enumerate(suffixes):
                     params: dict[str, Any] = {
                         "partition_index": i,
                         "group_index": g,
                         "column_group": list(group),
-                        "backup_rank": rank,
+                        **rank_params(rank),
                     }
                     if spec.kind == "aggregate":
-                        aggregate_indices = self._aggregates_for_group(query, group)
-                        if g == 0:
-                            aggregate_indices = sorted(
-                                set(aggregate_indices)
-                                | {
-                                    idx
-                                    for idx, agg in enumerate(query.aggregates)
-                                    if agg.column is None
-                                }
-                            )
-                        params["aggregate_indices"] = aggregate_indices
+                        params["aggregate_indices"] = self._aggregates_for_group(
+                            spec.group_by, group, g
+                        )
                     else:
                         params["kmeans_k"] = spec.kmeans_k
                     computer = plan.new_operator(
                         OperatorRole.COMPUTER, params=params,
                         op_id=f"computer[{i},g{g}]{suffix}",
                     )
-                    for builder_rank in range(replicas + 1):
-                        builder_suffix = "" if builder_rank == 0 else f".b{builder_rank}"
+                    for builder_suffix in suffixes:
                         plan.connect(f"builder[{i}]{builder_suffix}", computer)
                     plan.connect(computer, combiner)
-                    plan.connect(computer, backup)
+                    plan.connect(computer, mirror)
         plan.connect(combiner, querier)
-        plan.connect(backup, querier)
+        plan.connect(mirror, querier)
         return plan

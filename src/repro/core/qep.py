@@ -17,7 +17,9 @@ from typing import Any, Iterable
 
 import networkx as nx
 
-__all__ = ["OperatorRole", "Operator", "QueryExecutionPlan", "PlanStructureError"]
+__all__ = [
+    "OperatorRole", "Operator", "QueryExecutionPlan", "PlanStructureError", "rank_of",
+]
 
 
 class PlanStructureError(Exception):
@@ -67,6 +69,11 @@ class Operator:
         """Human-readable one-liner for traces."""
         target = f" @{self.assigned_to}" if self.assigned_to else ""
         return f"{self.op_id}<{self.role.value}>{target}"
+
+
+def rank_of(operator: Operator) -> int:
+    """An operator's replica rank: 0 for a primary, ``r`` for ``….b{r}``."""
+    return operator.params.get("backup_rank", 0)
 
 
 class QueryExecutionPlan:

@@ -1,12 +1,13 @@
 """Snapshot Builder runtime: contribution intake, freeze, commit, ship.
 
-Under the Overcollection strategy one primary builder owns each hash
-partition: it deduplicates retransmitted contributions with a Bloom
-filter, caps the partition at ``C / n`` tuples, commits to the frozen
-snapshot with a Merkle root, and ships column-group projections to the
-Computers.  (Under the Backup strategy the replica chains in
-:class:`repro.core.runtime.strategy.BackupStrategy` drive these same
-mechanics per rank.)
+Every builder operator deduplicates retransmitted contributions with a
+Bloom filter, caps its partition at ``C / n`` tuples, commits to the
+frozen snapshot with a Merkle root, and ships column-group projections
+to the Computers.  Under Overcollection one primary per hash partition
+does so at the end of collection; under Backup every rank collects the
+same contributions and
+:class:`repro.core.runtime.strategy.BackupStrategy` decides which rank
+freezes and ships, and when.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from repro.core.qep import Operator, OperatorRole
+from repro.core.qep import Operator, OperatorRole, rank_of
 from repro.core.runtime.context import ExecutionContext
 from repro.crypto.merkle import MerkleTree
 from repro.devices.edgelet import Edgelet
@@ -105,22 +106,33 @@ def ship_partition(
 
 
 class BuilderRuntime:
-    """Primary (rank-0) Snapshot Builder execution."""
+    """Snapshot Builder intake for every rank; freeze, commit and ship.
+
+    Every builder operator — a primary or, under Backup, one of its
+    replicas — owns one bucket, filled by the one contribution intake.
+    The rank-0 buckets double as the per-partition view
+    (:attr:`rows_by_partition`) under both strategies.  Overcollection
+    freezes its primaries in :meth:`end_collection`; Backup fires each
+    rank on its own takeover timer and reuses :meth:`freeze` and
+    :meth:`ship`.
+    """
 
     role = OperatorRole.SNAPSHOT_BUILDER
 
     def __init__(self, ctx: ExecutionContext):
         self.ctx = ctx
+        self.buckets: dict[str, list[dict[str, Any]]] = {}
         self.builder_by_partition: dict[int, Operator] = {}
         self.rows_by_partition: dict[int, list[dict[str, Any]]] = {}
 
     def index(self) -> None:
-        """Collect the primary builders out of the plan."""
+        """One bucket per builder rank; the primaries by partition."""
         for builder in self.ctx.plan.operators(OperatorRole.SNAPSHOT_BUILDER):
-            if builder.params.get("backup_rank", 0) == 0:
+            bucket = self.buckets[builder.op_id] = []
+            if rank_of(builder) == 0:
                 partition_index = builder.params["partition_index"]
                 self.builder_by_partition[partition_index] = builder
-                self.rows_by_partition[partition_index] = []
+                self.rows_by_partition[partition_index] = bucket
 
     # -- collection ----------------------------------------------------------
 
@@ -129,14 +141,14 @@ class BuilderRuntime:
         ctx = self.ctx
         if ctx.simulator.now > ctx.collect_end:
             return  # too late, snapshot frozen
-        partition_index = payload["partition_index"]
-        if ctx.is_duplicate_contribution(partition_index, payload):
+        op_id = payload.get("op_id", "")
+        if ctx.is_duplicate_contribution(op_id, payload):
             return
         rows = ctx.resolve_contribution(device, payload)
         if rows is None:
             ctx.count_dropped_payload("stale_stamp")
             return
-        bucket = self.rows_by_partition.get(partition_index)
+        bucket = self.buckets.get(op_id)
         if bucket is None:
             return
         cap = ctx.config.partition_cardinality
@@ -150,34 +162,66 @@ class BuilderRuntime:
         ctx.m_tuples.inc(len(accepted))
 
     def end_collection(self) -> None:
-        """Builders freeze, commit, and ship their partitions."""
+        """Primaries freeze, commit, and ship their partitions."""
         ctx = self.ctx
         for partition_index, builder in sorted(self.builder_by_partition.items()):
             device = ctx.device_of(builder)
             if ctx.network.is_dead(device.device_id):
                 ctx.trace(f"{builder.op_id} dead at end of collection")
                 continue
-            rows = self.rows_by_partition.get(partition_index, [])
-            cap = ctx.config.partition_cardinality
-            if len(rows) > cap:
-                rows = rows[:cap]
-            if not rows:
-                ctx.trace(f"{builder.op_id} collected no rows")
+            frozen = self.freeze(builder, device)
+            if frozen is None:
                 continue
-            commitment = commit_snapshot(rows)
-            ctx.trace(
-                f"{builder.op_id} snapshot frozen: {len(rows)} rows, "
-                f"merkle={commitment[:12]}…"
-            )
-            ctx.mark_collection_end()
-            ctx.m_snapshots.inc()
-            ctx.audit(device, builder.op_id, "snapshot", len(rows))
-            latency = device.compute_latency(float(len(rows)))
+            latency = device.compute_latency(float(len(frozen[0])))
             ctx.simulator.schedule(
                 latency,
-                self._make_partition_send(builder, device, rows, commitment),
+                self._make_partition_send(builder, device, *frozen),
                 f"{builder.op_id} ship partition",
             )
+
+    def freeze(
+        self, builder: Operator, device: Edgelet
+    ) -> tuple[list[dict[str, Any]], str] | None:
+        """Cap, Merkle-commit and audit one builder's bucket.
+
+        Returns ``(rows, commitment)``, or ``None`` when nothing was
+        collected.
+        """
+        ctx = self.ctx
+        rows = self.buckets[builder.op_id]
+        cap = ctx.config.partition_cardinality
+        if len(rows) > cap:
+            rows = rows[:cap]
+        if not rows:
+            ctx.trace(f"{builder.op_id} collected no rows")
+            return None
+        commitment = commit_snapshot(rows)
+        ctx.trace(
+            f"{builder.op_id} snapshot frozen: {len(rows)} rows, "
+            f"merkle={commitment[:12]}…"
+        )
+        ctx.mark_collection_end()
+        ctx.m_snapshots.inc()
+        ctx.audit(device, builder.op_id, "snapshot", len(rows))
+        return rows, commitment
+
+    def ship(
+        self,
+        builder: Operator,
+        device: Edgelet,
+        rows: list[dict[str, Any]],
+        commitment: str,
+    ) -> None:
+        """Send a frozen partition to every Computer reading the builder."""
+        consumers = [
+            consumer
+            for consumer in self.ctx.plan.consumers_of(builder.op_id)
+            if consumer.role == OperatorRole.COMPUTER
+        ]
+        ship_partition(
+            self.ctx, device, builder.params["partition_index"], rows,
+            commitment, consumers,
+        )
 
     def _make_partition_send(self, builder, device, rows, commitment):
         ctx = self.ctx
@@ -186,14 +230,5 @@ class BuilderRuntime:
             if not ctx.network.is_online(device.device_id):
                 ctx.trace(f"{builder.op_id} offline, partition not shipped")
                 return
-            partition_index = builder.params["partition_index"]
-            consumers = [
-                consumer
-                for consumer in ctx.plan.consumers_of(builder.op_id)
-                if consumer.role == OperatorRole.COMPUTER
-                and consumer.params.get("backup_rank", 0) == 0
-            ]
-            ship_partition(
-                ctx, device, partition_index, rows, commitment, consumers
-            )
+            self.ship(builder, device, rows, commitment)
         return fire

@@ -13,11 +13,12 @@ computes per-cluster grouped statistics.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.qep import Operator, OperatorRole
+from repro.core.qep import Operator, OperatorRole, rank_of
+from repro.core.runtime.combiner import COMBINER_NAMES
 from repro.core.runtime.context import ExecutionContext
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, KMeansComputerState
@@ -27,11 +28,10 @@ from repro.query.groupby import GroupByQuery
 
 __all__ = ["ComputerRuntime"]
 
-COMBINER_NAMES = ("combiner", "combiner-backup")
-
 
 class ComputerRuntime:
-    """Primary (rank-0) Computer execution for both query kinds."""
+    """Primary (rank-0) Computer execution for both query kinds, and the
+    one fold-and-send every rank uses (:meth:`run_aggregate`)."""
 
     role = OperatorRole.COMPUTER
 
@@ -51,7 +51,7 @@ class ComputerRuntime:
     def index(self) -> None:
         """Collect the primary Computers and their aggregate slices."""
         for computer in self.ctx.plan.operators(OperatorRole.COMPUTER):
-            if computer.params.get("backup_rank", 0) != 0:
+            if rank_of(computer) != 0:
                 continue
             self.computers.append(computer)
             group_index = computer.params["group_index"]
@@ -97,8 +97,15 @@ class ComputerRuntime:
         computer: Operator,
         rows: list[dict[str, Any]],
         generation: int = 0,
+        on_sent: Callable[[], None] | None = None,
     ) -> None:
-        """Fold one partition into a partial state and ship it."""
+        """Fold one partition into a partial state and ship it to both
+        combiners after the device's compute latency.
+
+        ``generation`` is the fencing token the partial carries (a
+        reprovisioning's, or a Backup replica's rank); ``on_sent`` runs
+        right after a successful send (Backup's shipped marker).
+        """
         ctx = self.ctx
         indices = computer.params.get("aggregate_indices") or list(
             range(len(ctx.query.aggregates))
@@ -124,11 +131,11 @@ class ComputerRuntime:
             payload["generation"] = generation
         ctx.simulator.schedule(
             latency,
-            self._make_partial_send(device, computer, payload, generation),
+            self._make_partial_send(device, computer, payload, generation, on_sent),
             f"{computer.op_id} partial",
         )
 
-    def _make_partial_send(self, device, computer, payload, generation: int = 0):
+    def _make_partial_send(self, device, computer, payload, generation, on_sent):
         ctx = self.ctx
 
         def fire() -> None:
@@ -141,17 +148,19 @@ class ComputerRuntime:
             ctx.fire_log.append(
                 (ctx.simulator.now, cell, device.device_id, generation)
             )
-            for name in COMBINER_NAMES:
-                combiner_op = ctx.plan.operator(name)
-                target = ctx.device_of(combiner_op)
-                ctx.ship(
-                    device,
-                    target,
-                    MessageKind.PARTIAL_RESULT,
-                    dict(payload, op_id=name),
-                    size_hint=512,
-                )
+            self.ship_to_combiners(device, MessageKind.PARTIAL_RESULT, payload)
+            if on_sent is not None:
+                on_sent()
         return fire
+
+    def ship_to_combiners(
+        self, device: Edgelet, kind: MessageKind, payload: dict[str, Any]
+    ) -> None:
+        """Send one payload to the Computing Combiner and its Active Backup."""
+        ctx = self.ctx
+        for name in COMBINER_NAMES:
+            target = ctx.device_of(ctx.plan.operator(name))
+            ctx.ship(device, target, kind, dict(payload, op_id=name), size_hint=512)
 
     # -- kmeans specifics ----------------------------------------------------
 
@@ -239,14 +248,7 @@ class ComputerRuntime:
                     "knowledge": knowledge.to_payload(),
                 }
                 if last:
-                    # ship to the combiner and its active backup
-                    for name in COMBINER_NAMES:
-                        combiner_op = ctx.plan.operator(name)
-                        target = ctx.device_of(combiner_op)
-                        ctx.ship(
-                            device, target, MessageKind.KNOWLEDGE,
-                            dict(payload, op_id=name), size_hint=512,
-                        )
+                    self.ship_to_combiners(device, MessageKind.KNOWLEDGE, payload)
                 else:
                     for peer in self.computers:
                         if peer.op_id == computer.op_id:
@@ -303,19 +305,15 @@ class ComputerRuntime:
         def send() -> None:
             if not ctx.network.is_online(device.device_id):
                 return
-            for name in COMBINER_NAMES:
-                target = ctx.device_of(ctx.plan.operator(name))
-                ctx.ship(
-                    device, target, MessageKind.PARTIAL_RESULT,
-                    {
-                        "__aggregate__": True,
-                        "op_id": name,
-                        "stats": True,
-                        "partition_index": partition_index,
-                        "group_index": 0,
-                        "partial": partial.to_dict(),
-                    },
-                    size_hint=512,
-                )
+            self.ship_to_combiners(
+                device, MessageKind.PARTIAL_RESULT,
+                {
+                    "__aggregate__": True,
+                    "stats": True,
+                    "partition_index": partition_index,
+                    "group_index": 0,
+                    "partial": partial.to_dict(),
+                },
+            )
 
         ctx.simulator.schedule(latency, send, f"{op_id} cluster stats")

@@ -9,7 +9,7 @@ strategies).
 
 from __future__ import annotations
 
-from repro.core.qep import OperatorRole
+from repro.core.qep import OperatorRole, rank_of
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.incremental import STAMP_BYTES
 from repro.core.runtime.report import ExecutionError
@@ -41,10 +41,7 @@ class ContributorRuntime:
                     f"contributor device {leaf.params['device']} missing"
                 )
             consumers = ctx.plan.consumers_of(leaf.op_id)
-            primary = [
-                c for c in consumers if c.params.get("backup_rank", 0) == 0
-            ]
-            if not primary:
+            if not any(rank_of(c) == 0 for c in consumers):
                 continue
             for copy_index in range(ctx.contribution_copies):
                 send_at = ctx.start_time + ctx.rng.uniform(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.backup import BackupChain
 from repro.core.qep import OperatorRole, QueryExecutionPlan
 from repro.core.runtime.builder import BuilderRuntime
 from repro.core.runtime.combiner import CombinerRuntime, CombinerState
@@ -201,18 +200,14 @@ class ExecutionCoordinator:
 
     @property
     def builder_rows(self) -> dict[int, list[dict[str, Any]]]:
-        """Primary builders' collected rows, keyed by partition index."""
+        """Rank-0 builders' collected rows, keyed by partition index
+        (under either strategy)."""
         return self.builder.rows_by_partition
 
     @property
     def takeover_log(self) -> list[tuple[float, str, int]]:
         """(time, base op, rank) per replica takeover; empty without one."""
         return getattr(self.strategy, "takeover_log", [])
-
-    @property
-    def chains(self) -> dict[str, BackupChain]:
-        """The backup replica chains (empty for overcollection runs)."""
-        return getattr(self.strategy, "chains", {})
 
     @property
     def fire_log(self) -> list[tuple[float, tuple[int, int], str, int]]:
@@ -361,7 +356,7 @@ class ExecutionCoordinator:
         ctx = self.ctx
         if kind == MessageKind.CONTRIBUTION:
             ctx.count_role_dispatch("snapshot_builder")
-            self.strategy.on_contribution(device, payload)
+            self.builder.on_contribution(device, payload)
         elif kind == MessageKind.PARTITION:
             ctx.count_role_dispatch("computer")
             self.strategy.on_partition(device, payload)

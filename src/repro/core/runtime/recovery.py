@@ -289,7 +289,16 @@ class RecoveryRuntime:
         partition_index, _group_index = cell
         builder_op = self.builder.builder_by_partition.get(partition_index)
         rows = self.builder.rows_by_partition.get(partition_index)
-        if builder_op is None or not rows:
+        # A Backup cell is covered by its replica chain, which takes over
+        # on its own timers; re-shipping the primary builder's rows to a
+        # standby would race those takeovers.  So Backup cells are never
+        # reprovisioned — the outcome (and trace line) they always had,
+        # back when Backup's intake left these buckets empty.
+        if (
+            builder_op is None
+            or not rows
+            or ctx.plan.metadata.get("strategy") == "backup"
+        ):
             ctx.trace(
                 f"watchdog: no retained partition {partition_index}, "
                 f"cannot reprovision {operator.op_id}"

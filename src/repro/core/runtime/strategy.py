@@ -19,36 +19,32 @@ interface instead of executor subclasses:
   latency for applicability: it does not require distributive
   operators.
 
-The coordinator routes CONTRIBUTION/PARTITION/CONTROL messages and the
+Both strategies run the same operator work: the Snapshot Builder
+runtime owns the one contribution intake (one bucket per builder rank)
+and the freeze-and-ship, the Computer runtime the one fold-and-send.
+The coordinator routes PARTITION/CONTROL messages and the
 end-of-collection timer through whichever strategy it was given; the
-strategy decides who executes and when, then hands the actual operator
-work back to the role runtimes (or runs the replica-side equivalents).
+strategy decides only which rank executes and when.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.backup import BackupChain, BackupConfig
-from repro.core.qep import Operator, OperatorRole
-from repro.core.runtime.builder import BuilderRuntime, commit_snapshot, ship_partition
+from repro.core.qep import Operator, OperatorRole, rank_of
+from repro.core.runtime.builder import BuilderRuntime
 from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.report import ExecutionError
 from repro.devices.edgelet import Edgelet
 from repro.network.messages import MessageKind
-from repro.query.fold import fold_partition
-from repro.query.groupby import GroupByQuery
 
 __all__ = [
     "StrategyRuntime",
     "OvercollectionStrategy",
     "BackupStrategy",
     "base_op_id",
-    "rank_of",
 ]
-
-COMBINER_NAMES = ("combiner", "combiner-backup")
 
 
 def base_op_id(op_id: str) -> str:
@@ -56,18 +52,15 @@ def base_op_id(op_id: str) -> str:
     return op_id.split(".b")[0]
 
 
-def rank_of(operator: Operator) -> int:
-    return operator.params.get("backup_rank", 0)
-
-
 class StrategyRuntime:
-    """Resiliency policy: who collects, who fires, and when.
+    """Resiliency policy: who fires, and when.
 
     A strategy is bound once per execution via :meth:`bind` and then
     receives every resiliency-relevant event from the coordinator.  It
     never touches coordinator internals — everything it needs flows
     through the :class:`ExecutionContext` and the role runtimes it was
-    bound to.
+    bound to, which own the one contribution intake, freeze, and
+    fold-and-send path.
     """
 
     name = "strategy"
@@ -82,10 +75,8 @@ class StrategyRuntime:
         self.ctx = ctx
         self.builder = builder
         self.computer = computer
+        # (time, base op, rank) per replica takeover: the promotion record
         self.takeover_log: list[tuple[float, str, int]] = []
-
-    def on_contribution(self, device: Edgelet, payload: dict[str, Any]) -> None:
-        raise NotImplementedError
 
     def end_collection(self) -> None:
         raise NotImplementedError
@@ -102,9 +93,6 @@ class OvercollectionStrategy(StrategyRuntime):
 
     name = "overcollection"
 
-    def on_contribution(self, device: Edgelet, payload: dict[str, Any]) -> None:
-        self.builder.on_contribution(device, payload)
-
     def end_collection(self) -> None:
         self.builder.end_collection()
 
@@ -117,7 +105,11 @@ class BackupStrategy(StrategyRuntime):
 
     Only aggregate queries are supported (the demo's non-distributive
     path); K-Means execution stays on the heartbeat-based
-    Overcollection strategy.
+    Overcollection strategy.  What differs from Overcollection is only
+    *when* and *by whom* the shared operator work runs: builders fire at
+    ``rank * takeover_timeout`` past the end of collection and ship with
+    no compute latency, computers check liveness before they fold, and
+    every rank that ships announces it to its siblings.
     """
 
     name = "backup"
@@ -139,38 +131,16 @@ class BackupStrategy(StrategyRuntime):
                 "BackupStrategy supports aggregate queries (use the "
                 "heartbeat-based OvercollectionStrategy for iterative ML)"
             )
-        self._index_replicas()
-
-    # -- replica indexing ----------------------------------------------------
-
-    def _index_replicas(self) -> None:
-        ctx = self.ctx
-        replicas = ctx.plan.metadata.get("backup_replicas", 0)
-        config = BackupConfig(
-            replicas=replicas, takeover_timeout=self.takeover_timeout
-        )
-        self.chains: dict[str, BackupChain] = {}
-        self.ops_by_base: dict[str, list[Operator]] = {}
+        # every rank of every builder and computer, by base op id
+        self.ranks_by_base: dict[str, list[Operator]] = {}
         for operator in ctx.plan.operators():
-            if operator.role not in (
-                OperatorRole.SNAPSHOT_BUILDER, OperatorRole.COMPUTER
-            ):
-                continue
-            base = base_op_id(operator.op_id)
-            self.ops_by_base.setdefault(base, []).append(operator)
-            chain = self.chains.get(base)
-            if chain is None:
-                chain = BackupChain(base, config)
-                self.chains[base] = chain
-            chain.register(rank_of(operator), operator.assigned_to or "")
-        for ops in self.ops_by_base.values():
+            if operator.role in (OperatorRole.SNAPSHOT_BUILDER, OperatorRole.COMPUTER):
+                base = base_op_id(operator.op_id)
+                self.ranks_by_base.setdefault(base, []).append(operator)
+        for ops in self.ranks_by_base.values():
             ops.sort(key=rank_of)
-        # per-op input storage (each replica holds its own copy)
-        self.rows_by_op: dict[str, list[dict[str, Any]]] = {
-            op.op_id: []
-            for ops in self.ops_by_base.values()
-            for op in ops
-        }
+        # the partition each computer rank received (first one wins)
+        self.partitions: dict[str, list[dict[str, Any]]] = {}
         # bases for which this run already heard a "shipped" marker, and
         # at which rank (device-local state is approximated run-globally
         # per base+listening-device pair)
@@ -179,33 +149,16 @@ class BackupStrategy(StrategyRuntime):
             "exec.backup_takeovers", query=ctx.plan.query_id
         )
 
-    # -- collection ----------------------------------------------------------
+    def _take_over(self, base: str, operator: Operator) -> None:
+        self.takeover_log.append((self.ctx.simulator.now, base, rank_of(operator)))
+        self.ctx.trace(f"{operator.op_id} takes over {base}")
+        self.m_takeovers.inc()
 
-    def on_contribution(self, device: Edgelet, payload: dict[str, Any]) -> None:
-        ctx = self.ctx
-        if ctx.simulator.now > ctx.collect_end:
-            return
-        op_id = payload.get("op_id", "")
-        if ctx.is_duplicate_contribution(op_id, payload):
-            return
-        bucket = self.rows_by_op.get(op_id)
-        if bucket is None:
-            return
-        cap = ctx.config.partition_cardinality
-        room = cap - len(bucket)
-        if room <= 0:
-            return
-        rows = ctx.resolve_contribution(device, payload)
-        if rows is None:
-            ctx.count_dropped_payload("stale_stamp")
-            return
-        accepted = rows[:room]
-        bucket.extend(accepted)
-        ctx.count_tuples(device.device_id, len(accepted))
+    # -- collection ----------------------------------------------------------
 
     def end_collection(self) -> None:
         """Arm the whole builder chain: primary now, replicas staggered."""
-        for base, ops in sorted(self.ops_by_base.items()):
+        for base, ops in sorted(self.ranks_by_base.items()):
             if ops[0].role != OperatorRole.SNAPSHOT_BUILDER:
                 continue
             for operator in ops:
@@ -228,47 +181,24 @@ class BackupStrategy(StrategyRuntime):
             if ctx.simulator.epoch != epoch:
                 return
             device = ctx.device_of(operator)
-            rank = rank_of(operator)
-            if rank > 0:
+            if rank_of(operator) > 0:
                 if device.device_id in self.shipped_heard.get(base, set()):
                     return  # a lower rank already shipped; stand down
-                self.takeover_log.append((ctx.simulator.now, base, rank))
-                ctx.trace(f"{operator.op_id} takes over {base}")
-                self.m_takeovers.inc()
+                self._take_over(base, operator)
             if not ctx.network.is_online(device.device_id):
                 ctx.trace(f"{operator.op_id} offline, cannot ship {base}")
                 return
-            rows = self.rows_by_op.get(operator.op_id, [])
-            cap = ctx.config.partition_cardinality
-            rows = rows[:cap]
-            if not rows:
-                ctx.trace(f"{operator.op_id} collected no rows")
+            frozen = self.builder.freeze(operator, device)
+            if frozen is None:
                 return
-            commitment = commit_snapshot(rows)
-            ctx.trace(
-                f"{operator.op_id} snapshot frozen: {len(rows)} rows, "
-                f"merkle={commitment[:12]}…"
-            )
-            ctx.mark_collection_end()
-            ctx.m_snapshots.inc()
-            self._ship_partition(operator, device, rows, commitment)
+            self.builder.ship(operator, device, *frozen)
             self._announce_shipped(base, operator, device)
         return fire
-
-    def _ship_partition(self, operator, device, rows, commitment) -> None:
-        ctx = self.ctx
-        partition_index = operator.params["partition_index"]
-        consumers = [
-            consumer
-            for consumer in ctx.plan.consumers_of(operator.op_id)
-            if consumer.role == OperatorRole.COMPUTER
-        ]
-        ship_partition(ctx, device, partition_index, rows, commitment, consumers)
 
     def _announce_shipped(self, base: str, operator: Operator, device) -> None:
         """Tell the sibling replicas their takeover is unnecessary."""
         ctx = self.ctx
-        for sibling in self.ops_by_base.get(base, []):
+        for sibling in self.ranks_by_base.get(base, []):
             if sibling.op_id == operator.op_id:
                 continue
             target = ctx.device_of(sibling)
@@ -286,17 +216,13 @@ class BackupStrategy(StrategyRuntime):
         op_id = payload.get("op_id", "")
         base = base_op_id(op_id)
         operator = None
-        for candidate in self.ops_by_base.get(base, []):
+        for candidate in self.ranks_by_base.get(base, []):
             if candidate.op_id == op_id:
                 operator = candidate
                 break
-        if operator is None:
-            return
-        bucket = self.rows_by_op.get(op_id)
-        if bucket is None or bucket:
+        if operator is None or op_id in self.partitions:
             return  # first partition wins; duplicates dropped
-        rows = payload["rows"]
-        bucket.extend(rows)
+        rows = self.partitions[op_id] = payload["rows"]
         ctx.count_tuples(device.device_id, len(rows))
         rank = rank_of(operator)
         if rank == 0:
@@ -318,11 +244,7 @@ class BackupStrategy(StrategyRuntime):
             device = ctx.device_of(operator)
             if device.device_id in self.shipped_heard.get(base, set()):
                 return
-            self.takeover_log.append(
-                (ctx.simulator.now, base, rank_of(operator))
-            )
-            ctx.trace(f"{operator.op_id} takes over {base}")
-            self.m_takeovers.inc()
+            self._take_over(base, operator)
             self._fire_computer(base, operator, device)
         return fire
 
@@ -332,51 +254,15 @@ class BackupStrategy(StrategyRuntime):
             ctx.mark_computation_start()
             ctx.trace(f"{operator.op_id} offline, partial lost")
             return
-        rows = self.rows_by_op.get(operator.op_id, [])
-        indices = operator.params.get("aggregate_indices") or list(
-            range(len(ctx.query.aggregates))
-        )
-        sub_query = GroupByQuery(
-            grouping_sets=ctx.query.grouping_sets,
-            aggregates=tuple(ctx.query.aggregates[i] for i in indices),
-        )
-        with ctx.prof_aggregate:
-            partial = fold_partition(sub_query, rows)
         # a replica's rank is its intrinsic promotion token: rank-N
         # takeover fires at generation N, so a legitimate duplicate fire
         # (lost "shipped" marker) is distinguishable from true
         # same-generation split-brain in the fencing evidence
-        generation = rank_of(operator)
-        payload = {
-            "__aggregate__": True,
-            "partition_index": operator.params["partition_index"],
-            "group_index": operator.params.get("group_index", 0),
-            "partial": partial.to_dict(),
-        }
-        if ctx.fencing:
-            payload["generation"] = generation
-        latency = device.compute_latency(float(max(len(rows), 1)))
-
-        def send() -> None:
-            ctx.mark_computation_start()
-            if not ctx.network.is_online(device.device_id):
-                ctx.trace(f"{operator.op_id} offline, partial lost")
-                return
-            ctx.trace(f"{operator.op_id} partial result computed and sent")
-            cell = (payload["partition_index"], payload.get("group_index", 0))
-            ctx.fire_log.append(
-                (ctx.simulator.now, cell, device.device_id, generation)
-            )
-            for name in COMBINER_NAMES:
-                combiner_op = ctx.plan.operator(name)
-                target = ctx.device_of(combiner_op)
-                ctx.ship(
-                    device, target, MessageKind.PARTIAL_RESULT,
-                    dict(payload, op_id=name), size_hint=512,
-                )
-            self._announce_shipped(base, operator, device)
-
-        ctx.simulator.schedule(latency, send, f"{operator.op_id} partial")
+        self.computer.run_aggregate(
+            device, operator, self.partitions[operator.op_id],
+            generation=rank_of(operator),
+            on_sent=lambda: self._announce_shipped(base, operator, device),
+        )
 
     # -- control -------------------------------------------------------------
 

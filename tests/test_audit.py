@@ -164,3 +164,45 @@ class TestExecutorIntegration:
         for record in ledger.records:
             if record.action in ("combine", "deliver"):
                 assert record.tuple_count == 0
+
+    def test_backup_execution_writes_verifiable_ledger(self):
+        from repro.core.runtime import BackupStrategy, ExecutionCoordinator
+
+        from tests.test_backup_execution import _backup_plan, _swarm
+
+        sim, net, devices, contribs, procs, querier, rows = _swarm()
+        plan, _ = _backup_plan(contribs, procs, querier, rows, replicas=1)
+        victim = plan.operator("builder[0]").assigned_to
+        ledger = AuditLedger()
+        executor = ExecutionCoordinator(
+            sim, net, devices, plan,
+            collection_window=15.0, deadline=80.0, secure_channels=False,
+            audit_ledger=ledger,
+            strategy=BackupStrategy(takeover_timeout=5.0),
+        )
+        sim.schedule(1.0, lambda: net.kill(victim))
+        report = executor.run()
+        assert report.success
+        ledger.verify()
+        def tuples(action):
+            return {
+                record.op_id: record.tuple_count
+                for record in ledger.records if record.action == action
+            }
+
+        # the replica that took over the dead primary's partition is the
+        # one that answers for it; every row is accounted for exactly once
+        snapshots = tuples("snapshot")
+        assert set(snapshots) == {"builder[0].b1", "builder[1]"}
+        buckets = executor.builder.buckets
+        assert snapshots == {
+            "builder[0].b1": len(buckets["builder[0].b1"]),
+            "builder[1]": len(buckets["builder[1]"]),
+        }
+        assert sum(snapshots.values()) == len(rows)
+        assert tuples("partial") == {
+            "computer[0,g0]": snapshots["builder[0].b1"],
+            "computer[1,g0]": snapshots["builder[1]"],
+        }
+        actions = {record.action for record in ledger.records}
+        assert {"snapshot", "partial", "combine", "deliver"} <= actions

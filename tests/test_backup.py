@@ -1,17 +1,47 @@
-"""Tests for the Backup strategy state machine."""
+"""Tests for the Backup strategy: its config and the runtime replica chain.
+
+A chain is one base operator (``builder[0]``, ``computer[0,g0]``) at
+ranks ``0..replicas``; the primary fires on schedule and each replica
+takes over ``rank * takeover_timeout`` later unless a lower rank already
+shipped.  ``takeover_log`` is the promotion record.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.backup import BackupChain, BackupConfig
+from repro.core.backup import BackupConfig
+from repro.core.qep import rank_of
+from repro.core.runtime import BackupStrategy, ExecutionCoordinator, commit_snapshot
+
+from tests.test_backup_execution import _backup_plan, _swarm
+
+TIMEOUT = 5.0
+COLLECT = 15.0
 
 
-def _chain(replicas=2, timeout=10.0) -> BackupChain:
-    chain = BackupChain("computer[0]", BackupConfig(replicas=replicas, takeover_timeout=timeout))
-    for rank in range(replicas + 1):
-        chain.register(rank, f"device-{rank}")
-    return chain
+def _run(replicas: int = 2, kill_ranks: tuple[int, ...] = (), kill_at: float = 1.0):
+    """One Backup execution killing ``builder[0]``'s devices at ``kill_ranks``."""
+    sim, net, devices, contribs, procs, querier, rows = _swarm(n_processors=30)
+    plan, _ = _backup_plan(contribs, procs, querier, rows, replicas=replicas)
+    executor = ExecutionCoordinator(
+        sim, net, devices, plan,
+        collection_window=COLLECT, deadline=100.0, secure_channels=False,
+        strategy=BackupStrategy(takeover_timeout=TIMEOUT),
+    )
+    for rank in kill_ranks:
+        suffix = "" if rank == 0 else f".b{rank}"
+        victim = plan.operator(f"builder[0]{suffix}").assigned_to
+        sim.schedule(kill_at, lambda victim=victim: net.kill(victim))
+    return executor, executor.run()
+
+
+def _frozen_by(report, base: str) -> list[str]:
+    """Op ids that froze a snapshot of ``base``, in order."""
+    return [
+        text.split(" ")[0] for _, text in report.trace
+        if text.startswith(base) and "snapshot frozen" in text
+    ]
 
 
 class TestBackupConfig:
@@ -27,55 +57,70 @@ class TestBackupConfig:
 
 class TestBackupChain:
     def test_primary_active_initially(self):
-        chain = _chain()
-        assert chain.active_rank == 0
-        assert chain.active_device == "device-0"
+        executor, report = _run()
+        assert report.success
+        assert executor.takeover_log == []
+        assert _frozen_by(report, "builder[0]") == ["builder[0]"]
 
     def test_rank_bounds_checked(self):
-        chain = _chain(replicas=1)
-        with pytest.raises(ValueError):
-            chain.register(5, "too-far")
-        with pytest.raises(ValueError):
-            chain.register(-1, "negative")
+        executor, _ = _run(replicas=2)
+        chains = executor.strategy.ranks_by_base
+        assert chains
+        for ops in chains.values():
+            assert [rank_of(op) for op in ops] == [0, 1, 2]
 
     def test_promotion_sequence(self):
-        chain = _chain(replicas=2)
-        assert chain.report_failure(time=1.0) == "device-1"
-        assert chain.active_rank == 1
-        assert chain.report_failure(time=2.0) == "device-2"
-        assert chain.report_failure(time=3.0) is None
-        assert chain.exhausted
-        assert chain.active_device is None
+        for killed, active in (((0,), 1), ((0, 1), 2)):
+            executor, report = _run(kill_ranks=killed)
+            assert report.success
+            assert _frozen_by(report, "builder[0]") == [f"builder[0].b{active}"]
+            ranks = [
+                rank for _, base, rank in executor.takeover_log
+                if base == "builder[0]"
+            ]
+            assert ranks == list(range(1, active + 1))
 
     def test_promotion_records(self):
-        chain = _chain(replicas=1)
-        chain.report_failure(time=5.0)
-        assert chain.promotion_count() == 1
-        record = chain.promotions[0]
-        assert record.from_rank == 0
-        assert record.to_rank == 1
-        assert record.time == 5.0
+        executor, _ = _run(replicas=1, kill_ranks=(0,))
+        records = [
+            record for record in executor.takeover_log
+            if record[1] == "builder[0]"
+        ]
+        assert records == [(COLLECT + TIMEOUT, "builder[0]", 1)]
 
     def test_checkpoint_replicated_to_all_ranks(self):
-        chain = _chain(replicas=2)
-        chain.checkpoint({"rows": [1, 2, 3]})
-        for rank in range(3):
-            assert chain.checkpoint_for(rank) == {"rows": [1, 2, 3]}
+        executor, _ = _run(replicas=2)
+        buckets = executor.builder.buckets
+        for partition_index in executor.builder_rows:
+            primary = buckets[f"builder[{partition_index}]"]
+            assert primary
+            for rank in (1, 2):
+                assert buckets[f"builder[{partition_index}].b{rank}"] == primary
 
     def test_replica_resumes_from_checkpoint(self):
-        chain = _chain(replicas=1)
-        chain.checkpoint("state-v1")
-        new_device = chain.report_failure(time=1.0)
-        assert new_device == "device-1"
-        assert chain.checkpoint_for(chain.active_rank) == "state-v1"
-
-    def test_unregistered_rank_exhausts(self):
-        chain = BackupChain("op", BackupConfig(replicas=2))
-        chain.register(0, "only-primary")
-        assert chain.report_failure(time=1.0) is None
-        assert chain.exhausted
+        # the primary dies once collection is over, holding every row
+        executor, report = _run(replicas=1, kill_ranks=(0,), kill_at=COLLECT - 0.1)
+        assert report.success
+        expected = commit_snapshot(executor.builder.buckets["builder[0]"])
+        frozen = [
+            text for _, text in report.trace
+            if text.startswith("builder[0].b1 snapshot frozen")
+        ]
+        assert frozen == [
+            f"builder[0].b1 snapshot frozen: "
+            f"{len(executor.builder_rows[0])} rows, merkle={expected[:12]}…"
+        ]
 
     def test_failure_after_exhaustion_stays_none(self):
-        chain = _chain(replicas=0)
-        assert chain.report_failure(time=1.0) is None
-        assert chain.report_failure(time=2.0) is None
+        executor, report = _run(kill_ranks=(0, 1, 2))
+        assert _frozen_by(report, "builder[0]") == []
+        ranks = [
+            rank for _, base, rank in executor.takeover_log
+            if base == "builder[0]"
+        ]
+        assert ranks == [1, 2]
+        offline = [
+            text for _, text in report.trace
+            if text.endswith("cannot ship builder[0]")
+        ]
+        assert len(offline) == 3

@@ -70,7 +70,7 @@ class TestAllMarkersLost:
         # with no markers heard, every rank-1 replica believes its
         # primary silent and takes over
         fired = {base for _, base, _ in executor.takeover_log}
-        assert fired == set(executor.chains)
+        assert fired == set(executor.strategy.ranks_by_base)
         # no (base, rank) pair fired twice
         per_pair = Counter(
             (base, rank) for _, base, rank in executor.takeover_log

@@ -145,6 +145,26 @@ class TestReprovisioning:
         comparison = compare_results(reference, result.report.result)
         assert comparison.missing_groups == 0
 
+    def test_backup_cells_are_left_to_the_replica_chain(self):
+        from repro.chaos.campaign import RunSpec, run_single
+
+        outcome = run_single(
+            RunSpec(
+                seed=2, tag="wd-bk", strategy="backup", reliability=True,
+                crash_probability=0.004,
+            )
+        )
+        result = outcome.result
+        starved = [
+            text for _, text in result.report.trace
+            if text.startswith("watchdog: no retained partition")
+        ]
+        # the watchdog found a starved Backup cell while the primary
+        # builder's rows were there to re-ship, and still left it alone
+        assert len(starved) == 1
+        assert all(result.executor.builder_rows.values())
+        assert result.report.reprovisions == []
+
 
 class TestGracefulDegradation:
     def _degraded_result(self):
