@@ -7,20 +7,17 @@ executable Resiliency / Validity / Crowd Liability invariants
 fault kind (:mod:`~repro.chaos.shrink`), replayable JSON repro
 artifacts (:mod:`~repro.chaos.artifact`), chaos over concurrent
 multi-query workloads with per-query invariant verdicts
-(:mod:`~repro.chaos.workload`), and long-soak chaos over standing
-queries with per-window verdicts under population churn
-(:mod:`~repro.chaos.continuous`).  The fault models they drive live
-one layer down: message rules in :mod:`repro.network.faults`, the one
-scripted schedule in :mod:`repro.network.failures`, its seeded outage
-generator in :mod:`repro.network.outages`.
+(:mod:`~repro.chaos.workload`, home of the one per-unit judge), and
+long-soak chaos over standing queries with per-window verdicts under
+population churn (:mod:`~repro.chaos.continuous`).  The fault models
+they drive live one layer down: message rules in
+:mod:`repro.network.faults`, the one scripted schedule in
+:mod:`repro.network.failures`, its seeded outage generator in
+:mod:`repro.network.outages`.
 """
 
 from repro.chaos.artifact import ReproArtifact
-from repro.chaos.continuous import (
-    SoakOutcome,
-    WindowOutcome,
-    run_soak,
-)
+from repro.chaos.continuous import SoakOutcome, run_soak
 from repro.chaos.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -42,7 +39,7 @@ from repro.chaos.shrink import (
     shrink_failure_plan,
 )
 from repro.chaos.workload import (
-    QueryOutcome,
+    UnitOutcome,
     WorkloadChaosOutcome,
     run_workload,
     shrink_workload_plan,
@@ -53,15 +50,14 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "INVARIANTS",
-    "QueryOutcome",
     "ReproArtifact",
     "RunOutcome",
     "RunRecord",
     "RunSpec",
     "SoakOutcome",
     "TopologySpec",
+    "UnitOutcome",
     "Violation",
-    "WindowOutcome",
     "WorkloadChaosOutcome",
     "check_all",
     "failure_plan_from_events",

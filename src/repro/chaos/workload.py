@@ -13,12 +13,15 @@ sources and execution options its keywords forward to the engine's
 :class:`~repro.network.failures.FailurePlan` of any atom kind, seeded
 outage spec, stochastic crash/disconnect injector, message-fault
 injector, plain message loss; sealed channels, reliability's detector
-and fencing), then rebuilds a per-query
+and fencing), then :func:`judge` rebuilds a per-query
 :class:`~repro.chaos.invariants.RunRecord` for every completed query —
 exposure and liability measured on *that query's* plan, validity
-compared against the shared centralized oracle — and runs the full
-invariant suite on each.  The workload-level conservation identity
-(``shed + completed == arrivals``) is checked as a sixth invariant.
+compared against the centralized oracle over the shared dataset — and
+runs the full invariant suite on each.  The workload-level conservation
+identity (``shed + completed == arrivals``) is checked as a sixth
+invariant.  :func:`judge` and :class:`UnitOutcome` are the one per-unit
+judge of every multi-query run: :mod:`~repro.chaos.continuous` judges
+standing-query windows with them too.
 
 Everything stays a pure function of ``(spec, keywords)``: the same
 workload-chaos run reproduces bit-for-bit, which is what
@@ -29,7 +32,7 @@ minimal :class:`FailurePlan` by re-running the whole workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.chaos.invariants import (
     RunRecord,
@@ -39,78 +42,144 @@ from repro.chaos.invariants import (
 )
 from repro.chaos.shrink import observed_plan, shrink_failure_plan
 from repro.network.failures import FailurePlan
-from repro.plan.compile import compile_query
+from repro.query.engine import CentralizedEngine
+from repro.query.relation import Relation
 from repro.workload.engine import COMPLETED, WorkloadEngine, WorkloadResult
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
-    "QueryOutcome",
+    "UnitOutcome",
     "WorkloadChaosOutcome",
+    "judge",
     "run_workload",
     "shrink_workload_plan",
     "workload_failure_predicate",
 ]
 
 
-@dataclass
-class QueryOutcome:
-    """One workload query's invariant verdicts."""
+def _yes_no(flag: bool | None, no: str) -> str:
+    return "-" if flag is None else ("yes" if flag else no)
 
-    query_id: str
+
+@dataclass
+class UnitOutcome:
+    """One unit's invariant verdicts: a workload query, a standing-query
+    window, or a run-level accounting identity (``outcome ==
+    "accounting"``)."""
+
+    unit_id: str
     outcome: str
     violations: list[Violation] = field(default_factory=list)
     success: bool | None = None
     degraded: bool | None = None
+    coverage: float | None = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    def row(self) -> list[Any]:
+        """The CLI table row: unit, outcome, success, degraded,
+        violation count."""
+        return [
+            self.unit_id,
+            self.outcome,
+            _yes_no(self.success, "NO"),
+            _yes_no(self.degraded, "no"),
+            len(self.violations),
+        ]
+
 
 @dataclass
 class WorkloadChaosOutcome:
-    """Everything one workload-chaos run produced.
+    """Everything one judged multi-query run produced.
 
-    ``options`` holds every keyword :func:`run_workload` ran with, so
+    ``options`` holds every keyword the driver ran with, so
     ``run_workload(outcome.spec, **outcome.options)`` is the same run.
     ``installed_plan`` is the one scripted plan the run installed: the
     ``failure_plan`` option plus whatever ``outage_spec`` resolved to.
     """
 
-    spec: WorkloadSpec
+    spec: Any
     options: dict[str, Any]
-    result: WorkloadResult
-    queries: list[QueryOutcome]
+    result: Any
+    units: list[UnitOutcome]
     failure_events: list[Any]
     clean: bool
     installed_plan: FailurePlan | None = None
 
     @property
     def violations(self) -> list[tuple[str, Violation]]:
-        found = []
-        for query in self.queries:
-            for violation in query.violations:
-                found.append((query.query_id, violation))
-        return found
+        return [
+            (unit.unit_id, violation)
+            for unit in self.units
+            for violation in unit.violations
+        ]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def summary_rows(self) -> list[list[Any]]:
-        """Per-query roll-up for the CLI table."""
-        rows = []
-        for query in self.queries:
-            rows.append(
-                [
-                    query.query_id,
-                    query.outcome,
-                    "-" if query.success is None else ("yes" if query.success else "NO"),
-                    "-" if query.degraded is None else ("yes" if query.degraded else "no"),
-                    len(query.violations),
-                ]
+        """Per-unit roll-up for the CLI table."""
+        return [unit.row() for unit in self.units]
+
+
+def judge(
+    engine: Any,
+    units: Iterable[tuple[Any, str, list[dict[str, Any]]]],
+    *,
+    churned: bool = False,
+    validity_tolerance: float,
+    liability_max_share: float,
+) -> tuple[list[Any], bool, list[UnitOutcome]]:
+    """Hold every completed unit of a finished multi-query run to the
+    full invariant suite.
+
+    ``units`` is ``(record, strategy, rows)`` per unit, in order: the
+    unit's record, the strategy it was planned with, and the dataset its
+    validity oracle — the engine's ``group_by`` on the centralized
+    engine — runs over.  Returns the failure-event log, the run's
+    *clean* verdict and one :class:`UnitOutcome` per unit.
+
+    Clean is a *post hoc* verdict, like the campaign's: the shared
+    opportunistic network is lossy by design and its stats are not per
+    unit, so any loss, fault or (``churned``) population churn anywhere
+    in the run demotes every unit to the tolerance-bound checks.  The
+    shared failure-event log and fault injector are attached to every
+    unit's record for the same reason: a fault anywhere on the shared
+    substrate can legitimately explain any unit's degradation.
+    """
+    scenario = engine.scenario
+    failure_events = scenario.failure_events()
+    fault_injector = scenario.network.faults
+    clean = (
+        not engine.scenario_config.any_chaos
+        and not churned
+        and no_fault_observed(
+            failure_events, fault_injector, scenario.network.stats.as_dict()
+        )
+    )
+    verdicts = []
+    for record, strategy, rows in units:
+        verdict = UnitOutcome(unit_id=record.unit_id, outcome=record.outcome)
+        if record.outcome == COMPLETED:
+            oracle = CentralizedEngine()
+            oracle.register("data", Relation(engine.scenario_config.schema, rows))
+            verdict.violations = check_all(
+                RunRecord(
+                    result=record.result.judged(failure_events, fault_injector),
+                    reference=oracle.execute_logical("data", engine.group_by),
+                    strategy=strategy,
+                    clean=clean,
+                    validity_tolerance=validity_tolerance,
+                    liability_max_share=liability_max_share,
+                )
             )
-        return rows
+            verdict.success = record.report.success
+            verdict.degraded = record.report.degraded
+        verdicts.append(verdict)
+    return failure_events, clean, verdicts
 
 
 def run_workload(
@@ -130,12 +199,8 @@ def run_workload(
     :class:`~repro.manager.scenario.ScenarioConfig` field it does not
     derive from ``spec``; with no fault source among them the run is a
     plain (clean) workload, and the invariant suite holds each query to
-    the *exact* clean-run bar.
-
-    The shared failure-event log and fault injector are attached to
-    every query's record: a fault anywhere on the shared substrate can
-    legitimately explain any query's degradation, so the one-sided
-    invariant checks must see the whole log, not a per-query slice.
+    the *exact* clean-run bar.  Every query's validity oracle runs over
+    the whole shared dataset.
     """
     options = dict(
         validity_tolerance=validity_tolerance,
@@ -166,68 +231,32 @@ def run_workload(
         **engine_options,
     )
     result = engine.run()
-    failure_events = engine.scenario.failure_events()
-    fault_injector = engine.scenario.network.faults
-    # clean is a *post hoc* verdict, like the campaign's: the shared
-    # opportunistic network is lossy by design, so any loss anywhere in
-    # the workload demotes every query to the tolerance-bound checks
-    # (network stats are substrate-wide, not per query)
-    clean = not engine.scenario_config.any_chaos and no_fault_observed(
-        failure_events,
-        fault_injector,
-        engine.scenario.network.stats.as_dict(),
+    failure_events, clean, units = judge(
+        engine,
+        [(record, record.arrival.strategy, rows) for record in result.records],
+        validity_tolerance=validity_tolerance,
+        liability_max_share=liability_max_share,
     )
-    oracle = compile_query(
-        spec.sql,
-        query_id="workload-oracle",
-        snapshot_cardinality=spec.snapshot_cardinality,
-    )
-    reference = engine.scenario.centralized_result(oracle.spec)
-    queries: list[QueryOutcome] = []
-    for record in result.records:
-        query_id = record.arrival.query_id
-        if record.outcome != COMPLETED:
-            queries.append(QueryOutcome(query_id=query_id, outcome=record.outcome))
-            continue
-        violations = check_all(
-            RunRecord(
-                result=record.result.judged(failure_events, fault_injector),
-                reference=reference,
-                strategy=record.arrival.strategy,
-                clean=clean,
-                validity_tolerance=validity_tolerance,
-                liability_max_share=liability_max_share,
-            )
-        )
-        queries.append(
-            QueryOutcome(
-                query_id=query_id,
-                outcome=record.outcome,
-                violations=violations,
-                success=record.report.success,
-                degraded=record.report.degraded,
-            )
-        )
     conservation = _check_conservation(result)
     if conservation is not None:
-        queries.append(conservation)
+        units.append(conservation)
     return WorkloadChaosOutcome(
         spec=spec,
         options=options,
         result=result,
-        queries=queries,
+        units=units,
         failure_events=failure_events,
         clean=clean,
         installed_plan=engine.installed_plan,
     )
 
 
-def _check_conservation(result: WorkloadResult) -> QueryOutcome | None:
-    """The workload-level accounting identity, as a pseudo-query."""
+def _check_conservation(result: WorkloadResult) -> UnitOutcome | None:
+    """The workload-level accounting identity, as a pseudo-unit."""
     if result.shed + result.completed == result.arrivals:
         return None
-    return QueryOutcome(
-        query_id="<workload>",
+    return UnitOutcome(
+        unit_id="<workload>",
         outcome="accounting",
         violations=[
             Violation(
@@ -261,7 +290,7 @@ def workload_failure_predicate(
     """
     if failing is None:
         failing = lambda rerun: (  # noqa: E731
-            any(q.success is False for q in rerun.queries)
+            any(q.success is False for q in rerun.units)
             or bool(rerun.violations)
         )
     options = {

@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--reliability", action="store_true",
                           help="per-query reliable transport and recovery")
     workload.add_argument("--standbys", type=int, default=0,
-                          help="extra devices leased per reliable query")
+                          help="extra devices leased per reliable query "
+                               "(requires --reliability)")
     workload.add_argument("--seed", type=int, default=0)
     workload.add_argument("--per-query", action="store_true",
                           help="print the per-query lifecycle table")
@@ -371,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--reliability", action="store_true",
                             help="per-window reliable transport and recovery")
     continuous.add_argument("--standbys", type=int, default=0,
-                            help="extra devices leased per reliable window")
+                            help="extra devices leased per reliable window "
+                                 "(requires --reliability)")
     continuous.add_argument("--fault-mix", default=None, metavar="MIX",
                             help=mix_help)
     continuous.add_argument("--check-invariants", action="store_true",
@@ -498,6 +500,15 @@ def _recovery_options(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     return options
+
+
+def _standby_count(args: argparse.Namespace) -> int:
+    """``--standbys``, rejected up front without ``--reliability``: the
+    spares serve the recovery watchdog reliability wires, and the
+    engines lease none for an unreliable run."""
+    if args.standbys and not args.reliability:
+        raise SystemExit("--standbys requires --reliability")
+    return args.standbys
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -775,9 +786,19 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
     return 1
 
 
+def _print_liability(liability) -> None:
+    """The run's cumulative Crowd Liability, over every completed plan."""
+    print(
+        f"  crowd liability: {len(liability.operators_per_device)} processors, "
+        f"gini={liability.gini_operators:.3f}, "
+        f"max share={liability.max_share:.2%}"
+    )
+
+
 def _cmd_workload(args: argparse.Namespace) -> int:
     from repro.workload import WorkloadEngine, WorkloadSpec, serial_fingerprints
 
+    standby_count = _standby_count(args)
     spec = WorkloadSpec(
         n_queries=args.queries,
         arrival_process=args.arrival,
@@ -800,7 +821,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         n_contributors=args.contributors,
         n_processors=args.processors,
         telemetry=telemetry,
-        standby_count=args.standbys,
+        standby_count=standby_count,
     )
     result = engine.run()
     summary = result.summary()
@@ -828,6 +849,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         f"throughput={result.throughput:.3f} queries/s, "
         f"device utilization={result.utilization:.2%}"
     )
+    _print_liability(result.liability)
     if args.per_query:
         rows = []
         for record in result.records:
@@ -867,6 +889,7 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     from repro.continuous import StandingQuerySpec
     from repro.devices.churn import ChurnSpec
 
+    standby_count = _standby_count(args)
     spec = StandingQuerySpec(
         cadence=args.cadence,
         max_windows=args.windows,
@@ -897,7 +920,7 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
         n_contributors=args.contributors,
         n_processors=args.processors,
         telemetry=telemetry,
-        standby_count=args.standbys,
+        standby_count=standby_count,
         fault_specs=fault_specs,
         outage_spec=outage_spec,
     )
@@ -972,6 +995,7 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
         f"stamps={summary.get('incremental_stamped', 0)} "
         f"bytes_saved={summary.get('incremental_bytes_saved', 0)}"
     )
+    _print_liability(result.liability)
     _emit_telemetry(args, telemetry)
     if summary["completed"] + summary["skipped"] + summary["empty"] != spec.max_windows:
         exit_code = 1

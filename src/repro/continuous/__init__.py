@@ -11,8 +11,9 @@ underneath — the PrivAgE shape of periodic privacy-preserving
 aggregation over an edge population that joins and leaves between
 rounds.
 
-Layering: ``repro.continuous`` may import ``repro.workload`` (it reuses
-the admission/lease/mux/fingerprint machinery) and everything below it,
+Layering: ``repro.continuous`` may import ``repro.workload`` (its engine
+is a :class:`~repro.workload.engine.MultiQueryEngine`, and it reuses the
+spec's shared fields and the fingerprints) and everything below it,
 but never ``repro.chaos`` — chaos probes the continuous engine from
 above (:mod:`repro.chaos.continuous`), exactly as it probes the
 workload engine.
@@ -23,7 +24,6 @@ from repro.continuous.engine import (
     ContinuousEngine,
     ContinuousResult,
     WindowRecord,
-    WindowScheduler,
 )
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "ContinuousResult",
     "StandingQuerySpec",
     "WindowRecord",
-    "WindowScheduler",
 ]

@@ -1,16 +1,19 @@
 """The standing-query engine: windowed re-execution under churn.
 
-One :class:`ContinuousEngine` owns one query and one churning swarm.
-A :class:`WindowScheduler` fires windows on the virtual clock at the
-spec's cadence; before each window the seeded churn model
-(:mod:`repro.devices.churn`) applies departures, arrivals, and data
-refreshes; then the window is compiled into the existing QEP path —
-plan, lease, assign, execute through a query-scoped mux endpoint —
-exactly like one workload query, and its
+One :class:`ContinuousEngine` owns one query and one churning swarm.  A
+standing query is a workload whose arrivals are windows at fixed times:
+the engine is a :class:`~repro.workload.engine.MultiQueryEngine` that
+schedules one arrival per ``spec.fire_times()`` entry.  Before each
+window the seeded churn model (:mod:`repro.devices.churn`) applies
+departures, arrivals, and data refreshes; then the window goes through
+the one multi-query lifecycle — compile, plan, lease, assign, execute
+through a query-scoped mux endpoint, conclude — exactly like one
+workload query, and its
 :class:`~repro.core.runtime.report.ExecutionReport` is wrapped into a
 :class:`WindowRecord` carrying the window's *lineage*: index, population
 snapshot hash, overlap with the previous window's population, churn
-events, and incremental-maintenance savings.
+events, and incremental-maintenance savings.  A window that would exceed
+the admission cap is skipped, never queued.
 
 Incremental partition maintenance: when ``spec.incremental`` is on, one
 :class:`~repro.core.runtime.incremental.ContributionCache` is threaded
@@ -35,33 +38,20 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.continuous.spec import StandingQuerySpec
-from repro.core.planner import (
-    PrivacyParameters,
-    ResiliencyParameters,
-)
+from repro.core.liability import LiabilityReport, measure_liability
 from repro.core.runtime import ContributionCache
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnModel, ChurnSpec, WindowChurn
-from repro.manager.admission import (
-    ADMITTED,
-    AdmissionController,
-    DeviceLeaseRegistry,
-)
-from repro.manager.scenario import Scenario, ScenarioConfig
-from repro.network.mux import QueryMux
-from repro.plan.compile import CompiledQuery, compile_query
-from repro.plan.logical import LogicalPlan
-from repro.plan.rules import apply_rules
+from repro.manager.admission import ADMITTED
+from repro.workload.engine import COMPLETED, MultiQueryEngine, UnitRecord
 from repro.workload.fingerprint import window_fingerprint
 
 __all__ = [
     "ContinuousEngine",
     "ContinuousResult",
     "WindowRecord",
-    "WindowScheduler",
 ]
 
-COMPLETED = "completed"
 SKIPPED = "skipped"  # admission cap reached, or the swarm was leased out
 EMPTY = "empty"  # no eligible contributors (sliding window went stale)
 
@@ -73,14 +63,11 @@ def population_hash(device_ids: list[str]) -> str:
 
 
 @dataclass
-class WindowRecord:
+class WindowRecord(UnitRecord):
     """Lifecycle + lineage record of one standing-query window."""
 
     index: int
     window_id: str
-    outcome: str = "pending"
-    started_at: float | None = None
-    finished_at: float | None = None
     # lineage
     population: list[str] = field(default_factory=list)
     population_hash: str = ""
@@ -88,25 +75,25 @@ class WindowRecord:
     churn: WindowChurn | None = None
     eligible: list[str] = field(default_factory=list)
     rows: list[dict[str, Any]] = field(default_factory=list)
-    # execution
-    leased: list[str] = field(default_factory=list)
-    standbys: list[str] = field(default_factory=list)
     lease_flags: list[str] = field(default_factory=list)
-    report: Any = None
-    #: the launched execution
-    #: (:class:`~repro.manager.scenario.ScenarioResult`)
-    result: Any = None
     # per-window accounting (filled at the next window boundary)
     coverage: float | None = None
     incremental: dict[str, int] = field(default_factory=dict)
     window_bytes: int = 0
     window_messages: int = 0
-    fingerprint: str | None = None
+
+    @property
+    def unit_id(self) -> str:
+        return self.window_id
 
 
 @dataclass
 class ContinuousResult:
-    """Outcome of one standing-query run."""
+    """Outcome of one standing-query run.
+
+    ``liability`` is the cumulative Crowd Liability over every completed
+    window's plan.
+    """
 
     spec: StandingQuerySpec
     windows: list[WindowRecord]
@@ -119,6 +106,7 @@ class ContinuousResult:
     flagged: int
     final_population: int
     incremental_totals: dict[str, int]
+    liability: LiabilityReport = field(default_factory=measure_liability)
 
     def fingerprints(self) -> dict[str, str]:
         """window_id -> lineage fingerprint, completed windows only."""
@@ -160,37 +148,11 @@ class ContinuousResult:
                 f"incremental_{k}": v
                 for k, v in self.incremental_totals.items()
             },
+            **{f"liability_{k}": v for k, v in self.liability.summary().items()},
         }
 
 
-class WindowScheduler:
-    """Fires window callbacks at the spec's cadence, deterministically.
-
-    Pure clockwork: every fire time is decided up-front from the spec
-    (``start + index * cadence``); admission decisions, churn, and
-    execution belong to the engine's callback, not the scheduler.
-    """
-
-    def __init__(self, simulator: Any, spec: StandingQuerySpec, on_window: Any):
-        self.simulator = simulator
-        self.spec = spec
-        self.on_window = on_window
-        self.fired = 0
-
-    def arm(self, start: float) -> None:
-        for index, at in enumerate(self.spec.fire_times(start)):
-            self.simulator.schedule_at(
-                at,
-                lambda i=index: self._fire(i),
-                f"window-fire:{self.spec.window_id(index)}",
-            )
-
-    def _fire(self, index: int) -> None:
-        self.fired += 1
-        self.on_window(index)
-
-
-class ContinuousEngine:
+class ContinuousEngine(MultiQueryEngine):
     """Drives one standing query over one churning swarm.
 
     Args:
@@ -202,9 +164,10 @@ class ContinuousEngine:
         telemetry: recording target; defaults to the process instance.
         standby_count: extra devices leased per reliable window as the
             recovery watchdog's re-recruitment pool.
-        **scenario: any other :class:`ScenarioConfig` field, forwarded
-            verbatim — fault sources (installed once over the whole run,
-            see :mod:`repro.chaos.continuous`) and execution options
+        **scenario: any other :class:`~repro.manager.scenario.
+            ScenarioConfig` field, forwarded verbatim — fault sources
+            (installed once over the whole run, see
+            :mod:`repro.chaos.continuous`) and execution options
             (``secure_channels``, ``detector``, ``fencing``,
             ``phase_deadline``).  The fields this engine derives from
             ``spec`` (``reliability``, ``collection_window``,
@@ -223,44 +186,28 @@ class ContinuousEngine:
         standby_count: int = 0,
         **scenario: Any,
     ):
-        if telemetry is None:
-            from repro.telemetry import get_telemetry
-
-            telemetry = get_telemetry()
         if rows_per_contributor <= 0:
             raise ValueError("rows_per_contributor must be positive")
-        self.telemetry = telemetry
-        self.spec = spec
-        self.standby_count = standby_count if spec.reliability else 0
-        self.rows_per_contributor = rows_per_contributor
         rows = generate_health_rows(
             rows_per_contributor * n_contributors, seed=spec.seed
         )
-        self.scenario_config = ScenarioConfig(
-            n_contributors=n_contributors,
-            n_processors=n_processors,
-            rows=rows,
-            schema=HEALTH_SCHEMA,
-            device_mix=(1.0, 0.0, 0.0),
-            rows_per_device=(rows_per_contributor, rows_per_contributor),
-            collection_window=spec.collection_window,
-            deadline=spec.deadline,
-            seed=spec.seed,
-            scenario_tag=f"{spec.name}{spec.seed}",
-            reliability=spec.reliability,
-            **scenario,
+        super().__init__(
+            spec,
+            self.configure(
+                spec,
+                n_contributors=n_contributors,
+                n_processors=n_processors,
+                rows=rows,
+                schema=HEALTH_SCHEMA,
+                rows_per_device=(rows_per_contributor, rows_per_contributor),
+                scenario_tag=f"{spec.name}{spec.seed}",
+                **scenario,
+            ),
+            telemetry,
+            standby_count,
+            spec.max_concurrent_windows,
         )
-        self.scenario = Scenario(self.scenario_config, telemetry=telemetry)
-        self.scenario.network.per_query_rng = True
-        self.mux = QueryMux(self.scenario.network)
-        self.registry = DeviceLeaseRegistry(
-            clock=lambda: self.scenario.simulator.now
-        )
-        self.admission = AdmissionController(
-            spec.max_concurrent_windows, queue_capacity=0, telemetry=telemetry
-        )
-        self.logical, _ = apply_rules(LogicalPlan.from_sql(spec.sql))
-        self.group_by = self.logical.to_group_by()
+        self.rows_per_contributor = rows_per_contributor
         self.churn_model = ChurnModel(churn) if churn is not None else None
         self.cache = ContributionCache() if spec.incremental else None
 
@@ -269,7 +216,6 @@ class ContinuousEngine:
         self.contributor_ids = [
             d.device_id for d in self.scenario.contributors
         ]
-        self.processor_pool = self.scenario.eligible_processor_ids()
         for device_id in self.processor_pool:
             self.registry.register_device(device_id)
         self._next_contributor_index = n_contributors
@@ -280,14 +226,11 @@ class ContinuousEngine:
         self._data_changed_at: dict[str, float] = {
             device_id: 0.0 for device_id in self.contributor_ids
         }
-        self.scheduler = WindowScheduler(
-            self.scenario.simulator, spec, self._on_window
-        )
         self._windows: list[WindowRecord] = []
         self._last_executed: WindowRecord | None = None
         self._bytes_mark = 0
         self._messages_mark = 0
-        metrics = telemetry.metrics
+        metrics = self.telemetry.metrics
         self._g_population = metrics.gauge("population.online")
         self._h_coverage = metrics.histogram("window.coverage")
         self._m_bytes_saved = metrics.counter("window.incremental_bytes_saved")
@@ -298,8 +241,7 @@ class ContinuousEngine:
     def run(self) -> ContinuousResult:
         """Fire every window in the horizon; returns once the swarm is
         idle after the last window's execution drained."""
-        sim = self.scenario.simulator
-        start = sim.now
+        start = self.scenario.simulator.now
         self._windows = [
             WindowRecord(index=i, window_id=self.spec.window_id(i))
             for i in range(self.spec.max_windows)
@@ -307,13 +249,12 @@ class ContinuousEngine:
         self._g_population.set(
             len(self.contributor_ids) + len(self.processor_pool)
         )
-        self.scenario.install_chaos(
-            until=start
+        self._drive(
+            start
             + (self.spec.max_windows - 1) * self.spec.cadence
-            + 3 * self.spec.deadline
+            + 3 * self.spec.deadline,
+            zip(self.spec.fire_times(start), self._windows),
         )
-        self.scheduler.arm(start)
-        sim.run()
         return self._finalize(start)
 
     # -- churn application ----------------------------------------------------
@@ -419,9 +360,13 @@ class ContinuousEngine:
         self._messages_mark = stats.sent
         self._last_executed = record
 
-    def _on_window(self, index: int) -> None:
+    def _end_unlaunched(self, record: WindowRecord, outcome: str) -> None:
+        record.outcome = outcome
+        record.finished_at = self.scenario.simulator.now
+        self._roll_accounting(None)
+
+    def _on_arrival(self, record: WindowRecord) -> None:
         sim = self.scenario.simulator
-        record = self._windows[index]
         record.started_at = sim.now
         self._apply_churn(record)
         self._g_population.set(
@@ -434,10 +379,10 @@ class ContinuousEngine:
         )
         record.population_hash = population_hash(record.population)
         previous = next(
-            (w for w in reversed(self._windows[:index]) if w.population),
+            (w for w in reversed(self._windows[: record.index]) if w.population),
             None,
         )
-        if previous is not None and previous.population:
+        if previous is not None:
             overlap = len(
                 set(previous.population) & set(record.population)
             ) / len(previous.population)
@@ -446,62 +391,30 @@ class ContinuousEngine:
 
         record.eligible = self._eligible_contributors(sim.now)
         if not record.eligible:
-            record.outcome = EMPTY
-            record.finished_at = sim.now
-            self._roll_accounting(None)
+            self._end_unlaunched(record, EMPTY)
             return
         if self.admission.offer(record.window_id) != ADMITTED:
             # cap reached — a standing query skips, it never queues
-            record.outcome = SKIPPED
-            record.finished_at = sim.now
-            self._roll_accounting(None)
+            self._end_unlaunched(record, SKIPPED)
             return
         self._launch(record)
 
-    def compile_window(self, window_id: str) -> CompiledQuery:
-        """Compile one window through the shared plan pipeline."""
-        return compile_query(
-            self.logical,
-            query_id=window_id,
-            snapshot_cardinality=self.spec.snapshot_cardinality,
-            privacy=PrivacyParameters(
-                max_raw_per_edgelet=self.spec.max_raw_per_edgelet
-            ),
-            resiliency=ResiliencyParameters(
-                fault_rate=self.spec.fault_rate,
-                target_success=self.spec.target_success,
-                strategy=self.spec.strategy,
-            ),
+    def _launch(self, record: WindowRecord) -> None:
+        launched = self.launch(
+            record,
+            self.spec.strategy,
+            record.eligible,
+            self.spec.window_seed(record.index),
             # one placement key for the whole standing query: with an
             # unchanged pool, every window re-derives the same builder
             # per contributor — the substrate of incremental maintenance
             placement_key=f"{self.spec.name}{self.spec.seed}",
-        )
-
-    def _launch(self, record: WindowRecord) -> None:
-        sim = self.scenario.simulator
-        window_id = record.window_id
-        compiled = self.compile_window(window_id)
-        plan = compiled.build_qep(contributor_ids=record.eligible)
-        lease = self.registry.lease_plan(
-            window_id, plan, self.processor_pool, self.standby_count
-        )
-        if lease is None:
-            record.outcome = SKIPPED
-            record.finished_at = sim.now
-            self.admission.abort(window_id)
-            self._roll_accounting(None)
-            return
-        record.leased, record.standbys = lease
-        record.result = self.scenario.launch(
-            compiled,
-            plan,
-            processor_ids=record.leased,
-            standbys=record.standbys,
-            network=self.mux.endpoint(window_id),
-            seed=self.spec.window_seed(record.index),
             contribution_cache=self.cache,
         )
+        if not launched:
+            self.admission.abort(record.window_id)
+            self._end_unlaunched(record, SKIPPED)
+            return
 
         # snapshot the oracle rows *after* assignment: this is the data
         # the window's contributors will actually read at fire time —
@@ -515,24 +428,11 @@ class ContinuousEngine:
             for device_id in record.eligible
             for row in self.scenario.devices[device_id].contribute(predicate)
         ]
-
-        record.outcome = "running"
         self._roll_accounting(record)
-        horizon = record.result.executor.start()
-        sim.schedule_at(
-            horizon,
-            lambda: self._on_complete(record),
-            f"window-finish:{window_id}",
-        )
+        self.start(record)
 
     def _on_complete(self, record: WindowRecord) -> None:
-        sim = self.scenario.simulator
-        report = self.scenario.conclude(record.result)
-        self.mux.detach_query(record.window_id)
-        self.registry.release(record.window_id)
-        record.report = report
-        record.finished_at = sim.now
-        record.outcome = COMPLETED
+        self.conclude(record)
         collected = sum(
             len(rows) for rows in record.result.executor.builder_rows.values()
         )
@@ -547,15 +447,10 @@ class ContinuousEngine:
 
     def _finalize(self, start: float) -> ContinuousResult:
         self._roll_accounting(None)  # close the last executed window
-        stuck = [
-            w.window_id
-            for w in self._windows
-            if w.outcome not in (COMPLETED, SKIPPED, EMPTY)
-        ]
-        if stuck:
-            raise RuntimeError(
-                f"standing query ended with non-terminal windows: {stuck}"
-            )
+        tally = self._tally(
+            self._windows, start, (COMPLETED, SKIPPED, EMPTY),
+            "standing query ended with non-terminal windows",
+        )
         offered = self.admission.arrivals
         if self.admission.completed + self.admission.shed != offered:
             raise RuntimeError(
@@ -570,29 +465,24 @@ class ContinuousEngine:
         ]
         if leaked:
             raise RuntimeError(f"retired devices still hold leases: {leaked}")
-        for record in self._windows:
-            if record.outcome == COMPLETED:
-                record.fingerprint = window_fingerprint(
-                    record, base_time=record.started_at or 0.0
-                )
-        completed = [w for w in self._windows if w.outcome == COMPLETED]
         totals: dict[str, int] = {}
-        for record in completed:
+        for record in self._windows:
+            if record.outcome != COMPLETED:
+                continue
+            record.fingerprint = window_fingerprint(
+                record, base_time=record.started_at or 0.0
+            )
             for key, value in record.incremental.items():
                 totals[key] = totals.get(key, 0) + value
         return ContinuousResult(
             spec=self.spec,
             windows=list(self._windows),
-            elapsed=self.scenario.simulator.now - start,
-            completed=len(completed),
             skipped=sum(1 for w in self._windows if w.outcome == SKIPPED),
             empty=sum(1 for w in self._windows if w.outcome == EMPTY),
-            succeeded=sum(1 for w in completed if w.report.success),
-            degraded=sum(1 for w in completed if w.report.degraded),
             flagged=sum(len(w.lease_flags) for w in self._windows),
             final_population=(
                 len(self.contributor_ids) + len(self.processor_pool)
             ),
             incremental_totals=totals,
+            **tally,
         )
-

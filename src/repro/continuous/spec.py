@@ -27,7 +27,9 @@ engine tracks on the virtual clock:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.workload.spec import QueryShape
 
 __all__ = ["WINDOW_MODES", "StandingQuerySpec"]
 
@@ -35,7 +37,7 @@ WINDOW_MODES = ("tumbling", "sliding")
 
 
 @dataclass(frozen=True)
-class StandingQuerySpec:
+class StandingQuerySpec(QueryShape):
     """Seeded description of one standing query.
 
     Attributes:
@@ -53,20 +55,14 @@ class StandingQuerySpec:
             ``cadence < deadline`` windows overlap, and a window that
             would exceed the cap is *skipped* (recorded, never queued —
             a standing query has no use for a stale window).
-        snapshot_cardinality: target snapshot size ``C`` per window.
-        max_raw_per_edgelet: privacy knob driving partitions per window.
-        fault_rate: presumed partition-loss rate (overcollection degree).
-        target_success: per-window completion probability target.
         strategy: ``"overcollection"`` or ``"backup"`` for every window.
-        collection_window: per-window collection phase length.
-        deadline: per-window deadline.
-        reliability: run every window over its own ACK/retransmission
-            transport plus the recovery watchdogs.
         incremental: ship delta stamps for unchanged contributions
             (see :mod:`repro.core.runtime.incremental`); off = full
             recollection every window.
         seed: master seed for window seeds and the default churn model.
-        sql: the grouping-sets aggregate every window computes.
+
+    Every window's shape is a :class:`~repro.workload.spec.QueryShape`
+    field; a window's snapshot targets 96 tuples by default.
     """
 
     name: str = "cont"
@@ -75,20 +71,10 @@ class StandingQuerySpec:
     window: str = "tumbling"
     window_length: float | None = None
     max_concurrent_windows: int = 2
-    snapshot_cardinality: int = 96
-    max_raw_per_edgelet: int = 24
-    fault_rate: float = 0.05
-    target_success: float = 0.95
+    snapshot_cardinality: int = field(default=96, kw_only=True)
     strategy: str = "overcollection"
-    collection_window: float = 5.0
-    deadline: float = 12.0
-    reliability: bool = False
     incremental: bool = True
     seed: int = 0
-    sql: str = (
-        "SELECT count(*), avg(age) FROM health "
-        "GROUP BY GROUPING SETS ((region), ())"
-    )
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -101,10 +87,7 @@ class StandingQuerySpec:
             raise ValueError("window_length must be positive")
         if self.max_concurrent_windows <= 0:
             raise ValueError("max_concurrent_windows must be positive")
-        if self.collection_window <= 0 or self.deadline <= 0:
-            raise ValueError("collection_window and deadline must be positive")
-        if self.deadline <= self.collection_window:
-            raise ValueError("deadline must exceed the collection window")
+        super().__post_init__()
         if self.cadence < self.collection_window:
             raise ValueError(
                 "cadence must cover the collection window (a window's "

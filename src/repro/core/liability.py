@@ -69,16 +69,18 @@ class LiabilityReport:
 
 
 def measure_liability(
-    plan: QueryExecutionPlan,
+    *plans: QueryExecutionPlan,
     tuples_per_device: dict[str, int] | None = None,
 ) -> LiabilityReport:
-    """Measure how evenly a plan spreads processing over devices.
+    """Measure how evenly a plan — or, cumulatively, a set of queries'
+    plans — spreads processing over devices.
 
-    The plan must already be assigned (``assigned_to`` set on every
+    Every plan must already be assigned (``assigned_to`` set on every
     data-processor operator); unassigned plans raise ``ValueError``.
+    No plan at all is the empty, perfectly even distribution.
     """
     operators_per_device: dict[str, int] = {}
-    for operator in plan.operators():
+    for operator in (op for plan in plans for op in plan.operators()):
         if not operator.role.is_data_processor:
             continue
         if operator.assigned_to is None:

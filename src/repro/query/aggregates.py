@@ -32,8 +32,8 @@ __all__ = [
 #: ``distinct`` is approximate COUNT DISTINCT via HyperLogLog registers —
 #: the only way to make distinct-counting distributive (duplicates across
 #: partitions must cost nothing under Overcollection).  ``hist`` builds a
-#: fixed-range equi-width histogram (bucket-wise sums merge exactly),
-#: from which :mod:`repro.query.histogram` estimates quantiles.
+#: fixed-range equi-width histogram (bucket-wise sums merge exactly) —
+#: the distributive route to quantiles, which read off its counts.
 SUPPORTED_FUNCTIONS = (
     "count", "sum", "min", "max", "avg", "var", "std", "distinct", "hist",
 )

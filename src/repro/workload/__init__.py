@@ -2,12 +2,14 @@
 
 Multiplexes many concurrent Edgelet queries over one shared device
 population on the virtual clock — seeded open/closed-loop load
-generation (:mod:`.spec`), admission + device-role leasing and the
-per-query execution drive (:mod:`.engine`), and canonical report
+generation (:mod:`.spec`), the one multi-query lifecycle — admission,
+device-role leasing, launch and conclusion — that the workload and
+standing-query engines share (:mod:`.engine`), and canonical report
 fingerprints for serial-equivalence auditing (:mod:`.fingerprint`).
 """
 
 from repro.workload.engine import (
+    MultiQueryEngine,
     QueryRecord,
     WorkloadEngine,
     WorkloadResult,
@@ -19,12 +21,19 @@ from repro.workload.fingerprint import (
     window_fingerprint,
     window_lineage,
 )
-from repro.workload.spec import ARRIVAL_PROCESSES, QueryArrival, WorkloadSpec
+from repro.workload.spec import (
+    ARRIVAL_PROCESSES,
+    QueryArrival,
+    QueryShape,
+    WorkloadSpec,
+)
 
 __all__ = [
     "ARRIVAL_PROCESSES",
+    "MultiQueryEngine",
     "QueryArrival",
     "QueryRecord",
+    "QueryShape",
     "WorkloadEngine",
     "WorkloadResult",
     "WorkloadSpec",

@@ -1,28 +1,28 @@
-"""The multi-query workload engine.
+"""The one multi-query driver, and the workload engine on it.
 
-Runs a :class:`~repro.workload.spec.WorkloadSpec` — many concurrent
-query executions — over **one** shared device population on one virtual
-clock.  The pieces:
+Every multi-query run — a workload of query arrivals
+(:class:`WorkloadEngine`), a standing query whose arrivals are windows
+at fixed times (:class:`repro.continuous.engine.ContinuousEngine`), and
+the solo replays of :func:`serial_fingerprints` — is a
+:class:`MultiQueryEngine`: one :class:`~repro.manager.scenario.Scenario`
+(the swarm, the data, the shared network in per-query RNG streams), a
+:class:`~repro.network.mux.QueryMux` giving every execution a
+query-scoped endpoint, an :class:`~repro.manager.admission.
+AdmissionController` bounding concurrency, a
+:class:`~repro.manager.admission.DeviceLeaseRegistry` guaranteeing no
+device holds two exclusive data-processor roles at once, and the SQL
+parsed and rewritten once.  Each unit goes through one lifecycle —
+``compile`` → ``launch`` (``build_qep`` → ``lease_plan`` →
+``Scenario.launch``) → ``start`` → ``conclude`` (``Scenario.conclude``
+→ ``mux.detach_query`` → ``registry.release``) — and every run ends in
+one tally, cumulative Crowd Liability included.  What an arrival does
+is the engine's own: a workload query queues past the admission cap
+and sheds past the queue.
 
-* a :class:`~repro.manager.scenario.Scenario` provides the swarm, the
-  data deal-out, and the shared opportunistic network (switched into
-  per-query RNG streams so each query's loss/latency draws are
-  independent of interleaving) — and wires, concludes and
-  chaos-instruments every execution (``launch`` / ``conclude`` /
-  ``install_chaos``); the engine owns only admission, leasing, the mux
-  endpoint, the per-query seed and completion scheduling;
-* a :class:`~repro.network.mux.QueryMux` gives every execution a
-  query-scoped endpoint, so dispatches, dedup tables, watchdogs, and
-  retransmissions of interleaved queries never touch each other;
-* an :class:`~repro.manager.admission.AdmissionController` bounds
-  concurrency (queue, then shed) and a
-  :class:`~repro.manager.admission.DeviceLeaseRegistry` guarantees no
-  device holds two exclusive data-processor roles at once — a device
-  contributes to many queries but computes/combines for at most one;
-* every completed query is fingerprinted
-  (:func:`~repro.workload.fingerprint.report_fingerprint`), which is
-  what :func:`serial_fingerprints` compares against solo replays to
-  certify that concurrency changed *nothing* about any single query.
+Every completed query is fingerprinted
+(:func:`~repro.workload.fingerprint.report_fingerprint`), which is what
+:func:`serial_fingerprints` compares against solo replays to certify
+that concurrency changed *nothing* about any single query.
 
 Determinism: arrival times, strategy choices, per-query seeds, leases
 (drawn from a deterministic free list), and every simulator event are
@@ -35,8 +35,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
+from repro.core.liability import LiabilityReport, measure_liability
 from repro.core.planner import (
     PrivacyParameters,
     ResiliencyParameters,
@@ -54,10 +55,12 @@ from repro.plan.compile import CompiledQuery, compile_query
 from repro.plan.logical import LogicalPlan
 from repro.plan.rules import apply_rules
 from repro.workload.fingerprint import report_fingerprint
-from repro.workload.spec import QueryArrival, WorkloadSpec
+from repro.workload.spec import QueryArrival, QueryShape, WorkloadSpec
 
 __all__ = [
+    "MultiQueryEngine",
     "QueryRecord",
+    "UnitRecord",
     "WorkloadResult",
     "WorkloadEngine",
     "serial_fingerprints",
@@ -67,8 +70,205 @@ COMPLETED = "completed"
 SHED = "shed"
 
 
+@dataclass(kw_only=True)
+class UnitRecord:
+    """What :class:`MultiQueryEngine` records of one unit — a workload
+    query or a standing-query window — from launch to conclusion.
+
+    A subclass names the unit through a ``unit_id`` property.
+    """
+
+    outcome: str = "pending"
+    started_at: float | None = None
+    finished_at: float | None = None
+    leased: list[str] = field(default_factory=list)
+    standbys: list[str] = field(default_factory=list)
+    report: Any = None
+    #: the launched execution
+    #: (:class:`~repro.manager.scenario.ScenarioResult`)
+    result: Any = None
+    fingerprint: str | None = None
+
+
+class MultiQueryEngine:
+    """One shared swarm and the one lifecycle every unit goes through.
+
+    Args:
+        spec: the run's :class:`~repro.workload.spec.QueryShape`.
+        config: the one :class:`ScenarioConfig` (see :meth:`configure`).
+        telemetry: recording target; defaults to the process instance.
+        standby_count: extra devices leased per reliable unit as the
+            recovery watchdog's re-recruitment pool (0 when the spec is
+            not reliable).
+        max_concurrent / queue_capacity: the admission bounds.
+    """
+
+    def __init__(
+        self,
+        spec: QueryShape,
+        config: ScenarioConfig,
+        telemetry: Any = None,
+        standby_count: int = 0,
+        max_concurrent: int = 1,
+        queue_capacity: int = 0,
+    ):
+        if telemetry is None:
+            from repro.telemetry import get_telemetry
+
+            telemetry = get_telemetry()
+        self.telemetry = telemetry
+        self.spec = spec
+        self.standby_count = standby_count if spec.reliability else 0
+        self.scenario_config = config
+        self.scenario = Scenario(config, telemetry=telemetry)
+        self.scenario.network.per_query_rng = True
+        self.mux = QueryMux(self.scenario.network)
+        self.registry = DeviceLeaseRegistry(
+            clock=lambda: self.scenario.simulator.now
+        )
+        self.admission = AdmissionController(
+            max_concurrent, queue_capacity, telemetry=telemetry
+        )
+        self.logical, _ = apply_rules(LogicalPlan.from_sql(spec.sql))
+        self.group_by = self.logical.to_group_by()
+        self.processor_pool = self.scenario.eligible_processor_ids()
+        # the one scripted plan install_chaos applied, kept for the
+        # shrinker: it carries the atoms an outage_spec resolved to,
+        # which the event log alone cannot express
+        self.installed_plan = None
+
+    @staticmethod
+    def configure(spec: QueryShape, **fields: Any) -> ScenarioConfig:
+        """The :class:`ScenarioConfig` of a run over ``spec``: a PC-only
+        swarm whose per-execution timing, seed and reliability the spec
+        owns — naming one of those in ``fields`` is Python's
+        duplicate-keyword ``TypeError``."""
+        return ScenarioConfig(
+            device_mix=(1.0, 0.0, 0.0),
+            collection_window=spec.collection_window,
+            deadline=spec.deadline,
+            seed=spec.seed,
+            reliability=spec.reliability,
+            **fields,
+        )
+
+    # -- the one lifecycle ----------------------------------------------------
+
+    def compile(
+        self, query_id: str, strategy: str, placement_key: str | None = None
+    ) -> CompiledQuery:
+        """Compile one unit from the run's once-parsed logical plan."""
+        return compile_query(
+            self.logical,
+            query_id=query_id,
+            snapshot_cardinality=self.spec.snapshot_cardinality,
+            privacy=PrivacyParameters(
+                max_raw_per_edgelet=self.spec.max_raw_per_edgelet
+            ),
+            resiliency=ResiliencyParameters(
+                fault_rate=self.spec.fault_rate,
+                target_success=self.spec.target_success,
+                strategy=strategy,
+            ),
+            placement_key=placement_key,
+        )
+
+    def launch(
+        self,
+        record: Any,
+        strategy: str,
+        contributor_ids: list[str],
+        seed: int,
+        placement_key: str | None = None,
+        contribution_cache: Any = None,
+    ) -> bool:
+        """Compile, plan over ``contributor_ids``, lease and wire one unit
+        (not yet started).  ``False`` — nothing leased — when the pool
+        cannot cover the plan's roles."""
+        unit_id = record.unit_id
+        compiled = self.compile(unit_id, strategy, placement_key)
+        plan = compiled.build_qep(contributor_ids=contributor_ids)
+        lease = self.registry.lease_plan(
+            unit_id, plan, self.processor_pool, self.standby_count
+        )
+        if lease is None:
+            return False
+        record.leased, record.standbys = lease
+        record.result = self.scenario.launch(
+            compiled,
+            plan,
+            processor_ids=record.leased,
+            standbys=record.standbys,
+            network=self.mux.endpoint(unit_id),
+            seed=seed,
+            contribution_cache=contribution_cache,
+        )
+        return True
+
+    def start(self, record: Any) -> None:
+        """Start a launched unit; it concludes at its horizon
+        (``_on_complete``)."""
+        record.outcome = "running"
+        horizon = record.result.executor.start()
+        self.scenario.simulator.schedule_at(
+            horizon,
+            lambda: self._on_complete(record),
+            f"finish:{record.unit_id}",
+        )
+
+    def conclude(self, record: Any) -> None:
+        """Seal a unit whose horizon has passed and free its devices."""
+        record.report = self.scenario.conclude(record.result)
+        self.mux.detach_query(record.unit_id)
+        self.registry.release(record.unit_id)
+        record.finished_at = self.scenario.simulator.now
+        record.outcome = COMPLETED
+
+    def _drive(self, until: float, arrivals: Iterable[tuple[float, Any]]) -> None:
+        """Install every fault source up to ``until``, schedule each
+        ``(time, record)`` arrival (``_on_arrival``), run the clock dry.
+
+        Chaos goes in before the first arrival is scheduled: same-time
+        events fire in scheduling order, so this order is the
+        fingerprint.
+        """
+        sim = self.scenario.simulator
+        self.installed_plan = self.scenario.install_chaos(until=until)
+        for at, record in arrivals:
+            sim.schedule_at(
+                at,
+                lambda r=record: self._on_arrival(r),
+                f"arrival:{record.unit_id}",
+            )
+        sim.run()
+
+    def _tally(
+        self,
+        records: list[Any],
+        start: float,
+        terminal: tuple[str, ...],
+        stuck_message: str,
+    ) -> dict[str, Any]:
+        """The result fields every run reports, once every unit reached
+        one of its ``terminal`` states: elapsed virtual time, completed /
+        succeeded / degraded counts, and the cumulative Crowd Liability
+        of every completed plan — the paper's liability is a property of
+        a *set* of queries."""
+        stuck = [r.unit_id for r in records if r.outcome not in terminal]
+        if stuck:
+            raise RuntimeError(f"{stuck_message}: {stuck}")
+        completed = [r for r in records if r.outcome == COMPLETED]
+        return dict(
+            elapsed=self.scenario.simulator.now - start,
+            completed=len(completed),
+            succeeded=sum(1 for r in completed if r.report.success),
+            degraded=sum(1 for r in completed if r.report.degraded),
+            liability=measure_liability(*(r.result.plan for r in completed)),
+        )
+
+
 @dataclass
-class QueryRecord:
+class QueryRecord(UnitRecord):
     """Lifecycle record of one arrival, from offer to terminal state.
 
     ``outcome`` ends as ``"completed"`` (the execution ran to its
@@ -78,17 +278,11 @@ class QueryRecord:
     """
 
     arrival: QueryArrival
-    outcome: str = "pending"
     arrived_at: float | None = None
-    started_at: float | None = None
-    finished_at: float | None = None
-    leased: list[str] = field(default_factory=list)
-    standbys: list[str] = field(default_factory=list)
-    report: Any = None
-    fingerprint: str | None = None
-    #: the launched execution
-    #: (:class:`~repro.manager.scenario.ScenarioResult`)
-    result: Any = None
+
+    @property
+    def unit_id(self) -> str:
+        return self.arrival.query_id
 
     @property
     def latency(self) -> float | None:
@@ -113,7 +307,11 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 @dataclass
 class WorkloadResult:
-    """Outcome of one workload run."""
+    """Outcome of one workload run.
+
+    ``liability`` is the cumulative Crowd Liability over every completed
+    query's plan.
+    """
 
     spec: WorkloadSpec
     records: list[QueryRecord]
@@ -127,6 +325,7 @@ class WorkloadResult:
     degraded: int
     latency_percentiles: dict[str, float]
     utilization: float
+    liability: LiabilityReport = field(default_factory=measure_liability)
 
     @property
     def throughput(self) -> float:
@@ -136,7 +335,7 @@ class WorkloadResult:
     def fingerprints(self) -> dict[str, str]:
         """query_id -> canonical report fingerprint, completed only."""
         return {
-            r.arrival.query_id: r.fingerprint
+            r.unit_id: r.fingerprint
             for r in self.records
             if r.fingerprint is not None
         }
@@ -154,10 +353,11 @@ class WorkloadResult:
             "throughput": self.throughput,
             "utilization": self.utilization,
             **{f"latency_{k}": v for k, v in self.latency_percentiles.items()},
+            **{f"liability_{k}": v for k, v in self.liability.summary().items()},
         }
 
 
-class WorkloadEngine:
+class WorkloadEngine(MultiQueryEngine):
     """Drives one workload over one shared swarm.
 
     Args:
@@ -192,89 +392,56 @@ class WorkloadEngine:
         standby_count: int = 0,
         **scenario: Any,
     ):
-        if telemetry is None:
-            from repro.telemetry import get_telemetry
-
-            telemetry = get_telemetry()
-        self.telemetry = telemetry
-        self.spec = spec
-        self.standby_count = standby_count if spec.reliability else 0
         if rows is None:
             rows = generate_health_rows(2 * n_contributors, seed=spec.seed)
-        if schema is None:
-            schema = HEALTH_SCHEMA
-        self.scenario_config = ScenarioConfig(
-            n_contributors=n_contributors,
-            n_processors=n_processors,
-            rows=rows,
-            schema=schema,
-            device_mix=(1.0, 0.0, 0.0),
-            collection_window=spec.collection_window,
-            deadline=spec.deadline,
-            seed=spec.seed,
-            scenario_tag=scenario_tag or f"wl{spec.seed}",
-            reliability=spec.reliability,
-            **scenario,
+        super().__init__(
+            spec,
+            self.configure(
+                spec,
+                n_contributors=n_contributors,
+                n_processors=n_processors,
+                rows=rows,
+                schema=HEALTH_SCHEMA if schema is None else schema,
+                scenario_tag=scenario_tag or f"wl{spec.seed}",
+                **scenario,
+            ),
+            telemetry,
+            standby_count,
+            spec.max_concurrent,
+            spec.queue_capacity,
         )
-        self.scenario = Scenario(self.scenario_config, telemetry=telemetry)
-        self.scenario.network.per_query_rng = True
-        self.mux = QueryMux(self.scenario.network)
-        self.registry = DeviceLeaseRegistry(
-            clock=lambda: self.scenario.simulator.now
-        )
-        self.admission = AdmissionController(
-            spec.max_concurrent, spec.queue_capacity, telemetry=telemetry
-        )
-        self.logical, _ = apply_rules(LogicalPlan.from_sql(spec.sql))
-        self.group_by = self.logical.to_group_by()
-        self.processor_pool = self.scenario.eligible_processor_ids()
         self._records: dict[str, QueryRecord] = {}
-        self._pending: deque[QueryArrival] = deque()
-        self._g_in_flight = telemetry.metrics.gauge("workload.in_flight")
-        self._h_latency = telemetry.metrics.histogram("workload.query_latency")
+        self._pending: deque[QueryRecord] = deque()
+        self._g_in_flight = self.telemetry.metrics.gauge("workload.in_flight")
+        self._h_latency = self.telemetry.metrics.histogram(
+            "workload.query_latency"
+        )
 
     # -- the run --------------------------------------------------------------
 
     def run(self) -> WorkloadResult:
         """Execute the whole workload; returns once the swarm is idle."""
-        sim = self.scenario.simulator
-        start = sim.now
-        arrivals = self.spec.arrivals()
-        self._records = {a.query_id: QueryRecord(arrival=a) for a in arrivals}
+        start = self.scenario.simulator.now
+        records = [QueryRecord(arrival=a) for a in self.spec.arrivals()]
+        self._records = {r.unit_id: r for r in records}
         open_loop_span = max(
-            (a.at for a in arrivals if a.at is not None), default=0.0
-        )
-        # kept for the shrinker: it carries the atoms an outage_spec
-        # resolved to, which the event log alone cannot express
-        self.installed_plan = self.scenario.install_chaos(
-            until=open_loop_span + 3 * self.spec.deadline
+            (r.arrival.at for r in records if r.arrival.at is not None),
+            default=0.0,
         )
         if self.spec.arrival_process == "closed":
-            self._pending = deque(arrivals)
-            prime = min(self.spec.target_in_flight, len(arrivals))
-            for _ in range(prime):
-                arrival = self._pending.popleft()
-                sim.schedule_at(
-                    start,
-                    lambda a=arrival: self._on_arrival(a),
-                    f"workload-arrival:{arrival.query_id}",
-                )
+            prime = min(self.spec.target_in_flight, len(records))
+            self._pending = deque(records[prime:])
+            arrivals = [(start, r) for r in records[:prime]]
         else:
-            for arrival in arrivals:
-                sim.schedule_at(
-                    start + arrival.at,
-                    lambda a=arrival: self._on_arrival(a),
-                    f"workload-arrival:{arrival.query_id}",
-                )
-        sim.run()
+            arrivals = [(start + r.arrival.at, r) for r in records]
+        self._drive(open_loop_span + 3 * self.spec.deadline, arrivals)
         return self._finalize(start)
 
     # -- arrival / launch / completion ---------------------------------------
 
-    def _on_arrival(self, arrival: QueryArrival) -> None:
-        record = self._records[arrival.query_id]
+    def _on_arrival(self, record: QueryRecord) -> None:
         record.arrived_at = self.scenario.simulator.now
-        decision = self.admission.offer(arrival.query_id)
+        decision = self.admission.offer(record.unit_id)
         if decision == ADMITTED:
             self._launch(record)
         elif decision == QUEUED:
@@ -282,76 +449,27 @@ class WorkloadEngine:
         else:
             record.outcome = SHED
 
-    def compile(self, query_id: str, strategy: str) -> CompiledQuery:
-        """Compile one arrival through the shared plan pipeline (the
-        workload's logical plan is parsed and rewritten once)."""
-        return compile_query(
-            self.logical,
-            query_id=query_id,
-            snapshot_cardinality=self.spec.snapshot_cardinality,
-            privacy=PrivacyParameters(
-                max_raw_per_edgelet=self.spec.max_raw_per_edgelet
-            ),
-            resiliency=ResiliencyParameters(
-                fault_rate=self.spec.fault_rate,
-                target_success=self.spec.target_success,
-                strategy=strategy,
-            ),
-        )
-
     def _launch(self, record: QueryRecord) -> None:
-        sim = self.scenario.simulator
         arrival = record.arrival
-        query_id = arrival.query_id
-        compiled = self.compile(query_id, arrival.strategy)
-        plan = compiled.build_qep(
-            contributor_ids=[
-                d.device_id for d in self.scenario.contributors
-            ]
-        )
-        lease = self.registry.lease_plan(
-            query_id, plan, self.processor_pool, self.standby_count
-        )
-        if lease is None:
+        contributor_ids = [d.device_id for d in self.scenario.contributors]
+        if not self.launch(record, arrival.strategy, contributor_ids, arrival.seed):
             # the swarm is leased out: convert the admission into a shed
             record.outcome = SHED
-            self._after_slot_freed(self.admission.abort(query_id))
+            self._after_slot_freed(self.admission.abort(record.unit_id))
             return
-        record.leased, record.standbys = lease
-        record.result = self.scenario.launch(
-            compiled,
-            plan,
-            processor_ids=record.leased,
-            standbys=record.standbys,
-            network=self.mux.endpoint(query_id),
-            seed=arrival.seed,
-        )
-        record.started_at = sim.now
-        record.outcome = "running"
-        horizon = record.result.executor.start()
-        sim.schedule_at(
-            horizon,
-            lambda: self._on_complete(record),
-            f"workload-finish:{query_id}",
-        )
+        record.started_at = self.scenario.simulator.now
+        self.start(record)
         self._g_in_flight.set(self.admission.in_flight)
 
     def _on_complete(self, record: QueryRecord) -> None:
-        sim = self.scenario.simulator
-        query_id = record.arrival.query_id
-        report = self.scenario.conclude(record.result)
-        self.mux.detach_query(query_id)
-        self.registry.release(query_id)
-        record.report = report
-        record.finished_at = sim.now
-        record.outcome = COMPLETED
+        self.conclude(record)
         record.fingerprint = report_fingerprint(
-            report, base_time=record.result.executor.start_time
+            record.report, base_time=record.result.executor.start_time
         )
         latency = record.latency
         if latency is not None:
             self._h_latency.observe(latency)
-        self._after_slot_freed(self.admission.complete(query_id))
+        self._after_slot_freed(self.admission.complete(record.unit_id))
         self._g_in_flight.set(self.admission.in_flight)
 
     def _after_slot_freed(self, drained_query_id: str | None) -> None:
@@ -360,23 +478,16 @@ class WorkloadEngine:
         if drained_query_id is not None:
             self._launch(self._records[drained_query_id])
         if self._pending and self.admission.in_flight < self.spec.target_in_flight:
-            arrival = self._pending.popleft()
-            self._on_arrival(arrival)
+            self._on_arrival(self._pending.popleft())
 
     # -- wrap-up --------------------------------------------------------------
 
     def _finalize(self, start: float) -> WorkloadResult:
-        records = [self._records[a.query_id] for a in self.spec.arrivals()]
-        stuck = [
-            r.arrival.query_id
-            for r in records
-            if r.outcome not in (COMPLETED, SHED)
-        ]
-        if stuck:
-            raise RuntimeError(
-                f"workload ended with non-terminal queries: {stuck}"
-            )
-        elapsed = self.scenario.simulator.now - start
+        records = list(self._records.values())
+        tally = self._tally(
+            records, start, (COMPLETED, SHED),
+            "workload ended with non-terminal queries",
+        )
         latencies = sorted(
             r.latency
             for r in records
@@ -391,24 +502,22 @@ class WorkloadEngine:
             if latencies
             else {}
         )
-        utilization = self.registry.utilization(self.processor_pool, elapsed)
+        utilization = self.registry.utilization(
+            self.processor_pool, tally["elapsed"]
+        )
         self.telemetry.metrics.gauge("workload.device_utilization").set(
             utilization
         )
-        completed = [r for r in records if r.outcome == COMPLETED]
         return WorkloadResult(
             spec=self.spec,
             records=records,
-            elapsed=elapsed,
             arrivals=self.admission.arrivals,
             admitted=self.admission.admitted,
             queued=self.admission.queued,
             shed=self.admission.shed,
-            completed=self.admission.completed,
-            succeeded=sum(1 for r in completed if r.report.success),
-            degraded=sum(1 for r in completed if r.report.degraded),
             latency_percentiles=percentiles,
             utilization=utilization,
+            **tally,
         )
 
 
@@ -417,10 +526,11 @@ def serial_fingerprints(
 ) -> dict[str, str]:
     """Replay every completed query *alone* and fingerprint each replay.
 
-    Builds a fresh scenario from the engine's config — device identities
-    are a pure function of ``(scenario_tag, seed)``, so the solo swarm
-    is the workload swarm — and runs each completed query on an
-    otherwise idle clock with its recorded leased devices, plan seed,
+    Builds a fresh engine from the workload engine's config — device
+    identities are a pure function of ``(scenario_tag, seed)``, so the
+    solo swarm is the workload swarm — and runs each completed query
+    through the same lifecycle on an otherwise idle clock, its recorded
+    lease (roles, then standbys) as the whole pool, with its plan seed
     and (under reliability) transport seed.  The returned map is
     directly comparable to ``result.fingerprints()``: equality means
     concurrency changed nothing about that query.
@@ -433,31 +543,25 @@ def serial_fingerprints(
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    scenario = Scenario(engine.scenario_config, telemetry=telemetry)
-    scenario.network.per_query_rng = True
-    sim = scenario.simulator
+    replay = MultiQueryEngine(
+        engine.spec, engine.scenario_config, telemetry, engine.standby_count
+    )
+    scenario = replay.scenario
+    contributor_ids = [d.device_id for d in scenario.contributors]
     fingerprints: dict[str, str] = {}
     for record in result.records:
         if record.outcome != COMPLETED:
             continue
-        sim.reset()
+        scenario.simulator.reset()
         scenario.network.reset()
-        mux = QueryMux(scenario.network)
-        arrival = record.arrival
-        compiled = engine.compile(arrival.query_id, arrival.strategy)
-        plan = compiled.build_qep(
-            contributor_ids=[d.device_id for d in scenario.contributors]
+        replay.processor_pool = record.leased + record.standbys
+        solo = QueryRecord(arrival=record.arrival)
+        replay.launch(
+            solo, record.arrival.strategy, contributor_ids, record.arrival.seed
         )
-        solo = scenario.launch(
-            compiled,
-            plan,
-            processor_ids=record.leased,
-            standbys=record.standbys,
-            network=mux.endpoint(arrival.query_id),
-            seed=arrival.seed,
-        )
-        sim.run_until(solo.executor.start())
-        fingerprints[arrival.query_id] = report_fingerprint(
-            scenario.conclude(solo), base_time=solo.executor.start_time
+        scenario.simulator.run_until(solo.result.executor.start())
+        replay.conclude(solo)
+        fingerprints[solo.unit_id] = report_fingerprint(
+            solo.report, base_time=solo.result.executor.start_time
         )
     return fingerprints

@@ -18,6 +18,10 @@ Arrival processes:
   flight, a completion immediately launches the next arrival (arrival
   times are therefore decided at run time and ``QueryArrival.at`` is
   ``None``).
+
+:class:`QueryShape` declares, once, the per-query fields every
+multi-query spec shares — this one and
+:class:`~repro.continuous.spec.StandingQuerySpec`.
 """
 
 from __future__ import annotations
@@ -25,9 +29,47 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-__all__ = ["ARRIVAL_PROCESSES", "QueryArrival", "WorkloadSpec"]
+__all__ = ["ARRIVAL_PROCESSES", "QueryArrival", "QueryShape", "WorkloadSpec"]
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "closed")
+
+
+@dataclass(frozen=True, kw_only=True)
+class QueryShape:
+    """The shape every execution of a multi-query run shares.
+
+    Attributes:
+        snapshot_cardinality: target snapshot size ``C`` per execution.
+        max_raw_per_edgelet: privacy knob driving partitions per
+            execution.
+        fault_rate: presumed partition-loss rate (overcollection degree).
+        target_success: per-execution completion probability target.
+        collection_window: per-execution collection phase length.
+        deadline: per-execution deadline.
+        reliability: run every execution over its own
+            ACK/retransmission transport plus the recovery watchdogs.
+        sql: the grouping-sets aggregate every execution computes (kept
+            identical across executions so serial-equivalence
+            comparisons isolate *scheduling* effects, not query mix).
+    """
+
+    snapshot_cardinality: int = 48
+    max_raw_per_edgelet: int = 24
+    fault_rate: float = 0.05
+    target_success: float = 0.95
+    collection_window: float = 5.0
+    deadline: float = 12.0
+    reliability: bool = False
+    sql: str = (
+        "SELECT count(*), avg(age) FROM health "
+        "GROUP BY GROUPING SETS ((region), ())"
+    )
+
+    def __post_init__(self) -> None:
+        if self.collection_window <= 0 or self.deadline <= 0:
+            raise ValueError("collection_window and deadline must be positive")
+        if self.deadline <= self.collection_window:
+            raise ValueError("deadline must exceed the collection window")
 
 
 @dataclass(frozen=True)
@@ -52,7 +94,7 @@ class QueryArrival:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(QueryShape):
     """Seeded description of one multi-query workload.
 
     Attributes:
@@ -65,17 +107,8 @@ class WorkloadSpec:
         backup_fraction: probability a query is planned with the Backup
             strategy instead of Overcollection (the strategy mix).
         seed: master workload seed.
-        snapshot_cardinality: target snapshot size ``C`` per query.
-        max_raw_per_edgelet: privacy knob driving partitions per query.
-        fault_rate: presumed partition-loss rate (overcollection degree).
-        target_success: per-query completion probability target.
-        collection_window: per-query collection phase length.
-        deadline: per-query deadline.
-        reliability: run every query over its own ACK/retransmission
-            transport plus the recovery watchdogs.
-        sql: the grouping-sets aggregate every query computes (kept
-            identical across queries so serial-equivalence comparisons
-            isolate *scheduling* effects, not query mix).
+
+    Every query's shape is a :class:`QueryShape` field.
     """
 
     n_queries: int
@@ -86,17 +119,6 @@ class WorkloadSpec:
     queue_capacity: int = 16
     backup_fraction: float = 0.0
     seed: int = 0
-    snapshot_cardinality: int = 48
-    max_raw_per_edgelet: int = 24
-    fault_rate: float = 0.05
-    target_success: float = 0.95
-    collection_window: float = 5.0
-    deadline: float = 12.0
-    reliability: bool = False
-    sql: str = (
-        "SELECT count(*), avg(age) FROM health "
-        "GROUP BY GROUPING SETS ((region), ())"
-    )
 
     def __post_init__(self) -> None:
         if self.n_queries <= 0:
@@ -115,10 +137,7 @@ class WorkloadSpec:
             raise ValueError("queue_capacity must be non-negative")
         if not 0 <= self.backup_fraction <= 1:
             raise ValueError("backup_fraction must be in [0, 1]")
-        if self.collection_window <= 0 or self.deadline <= 0:
-            raise ValueError("collection_window and deadline must be positive")
-        if self.deadline <= self.collection_window:
-            raise ValueError("deadline must exceed the collection window")
+        super().__post_init__()
 
     def arrivals(self) -> list[QueryArrival]:
         """Expand into the deterministic arrival sequence.

@@ -313,7 +313,7 @@ class TestFoldKernelLegs:
             ),
             telemetry=Telemetry(),
         )
-        assert len(outcome.windows) == 8
+        assert len(outcome.units) == 8
         assert outcome.violations == []
 
     @vector_kernel

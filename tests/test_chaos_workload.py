@@ -40,8 +40,8 @@ class TestCleanWorkload:
         assert outcome.clean
         assert outcome.ok
         assert outcome.result.completed == 3
-        assert all(q.outcome == "completed" for q in outcome.queries)
-        assert all(q.success for q in outcome.queries)
+        assert all(q.outcome == "completed" for q in outcome.units)
+        assert all(q.success for q in outcome.units)
 
     def test_substrate_loss_demotes_clean_for_every_query(self):
         # seed 7's run loses one message on the (lossy-by-design)
@@ -74,7 +74,7 @@ class TestFaultyWorkload:
         outcome = run_workload(spec, crash_probability=0.004)
         assert not outcome.clean
         assert outcome.failure_events
-        assert len(outcome.queries) == 4
+        assert len(outcome.units) == 4
         # every completed query got its own invariant verdict, and the
         # one-sided checks never blame legitimate fault damage
         assert outcome.ok
@@ -119,11 +119,11 @@ class TestFaultyWorkload:
         second = run_workload(spec, crash_probability=0.003)
         assert first.result.fingerprints() == second.result.fingerprints()
         assert [
-            (q.query_id, q.outcome, q.success, len(q.violations))
-            for q in first.queries
+            (q.unit_id, q.outcome, q.success, len(q.violations))
+            for q in first.units
         ] == [
-            (q.query_id, q.outcome, q.success, len(q.violations))
-            for q in second.queries
+            (q.unit_id, q.outcome, q.success, len(q.violations))
+            for q in second.units
         ]
         assert len(first.failure_events) == len(second.failure_events)
 
@@ -162,11 +162,11 @@ class TestShrinking:
         initial_atoms = _n_atoms(plan)
 
         outcome = run_workload(spec, failure_plan=plan)
-        failed = [q for q in outcome.queries if q.success is False]
+        failed = [q for q in outcome.units if q.success is False]
         assert failed, "the scripted crashes must sink the target query"
         # the untouched queries still run to completion on their own
         # leases — faults on one query's devices stay that query's
-        assert sum(1 for q in outcome.queries if q.success) == 2
+        assert sum(1 for q in outcome.units if q.success) == 2
 
         shrunk = shrink_workload_plan(outcome, max_attempts=24)
         assert shrunk is not None

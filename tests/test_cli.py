@@ -220,6 +220,7 @@ class TestWorkloadCommand:
         assert "completed" in out
         assert "wl7-q000" in out
         assert "throughput=" in out
+        assert "crowd liability: " in out
 
     def test_workload_serial_check(self, capsys):
         code = main([
@@ -323,6 +324,18 @@ class TestWorkloadCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{option} requires reliability\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["workload", "--queries", "2"], ["continuous", "--windows", "2"]],
+    )
+    def test_standbys_without_reliability_exits_2(self, capsys, command):
+        # the engines lease no spares for an unreliable run, so the flag
+        # would be silently inert
+        assert main([*command, "--standbys", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--standbys requires --reliability\n"
 
     def test_unknown_fault_knob_exits_2(self, capsys):
         code = main(["run", "--fault-mix", "warp=0.5"])

@@ -43,8 +43,8 @@ class TestThirtyWindowSoak:
         )
         assert outcome.result.completed + outcome.result.skipped >= 30
         assert outcome.ok, [str(v) for v in outcome.violations]
-        for window in outcome.windows:
-            assert window.ok, (window.window_id, window.violations)
+        for window in outcome.units:
+            assert window.ok, (window.unit_id, window.violations)
         # the soak actually exercised chaos, not a clean run in disguise
         assert not outcome.clean
 
@@ -92,7 +92,7 @@ class TestThirtyWindowSoak:
         a = run_soak(spec, telemetry=Telemetry(), **options)
         b = run_soak(spec, telemetry=Telemetry(), **options)
         assert a.result.fingerprints() == b.result.fingerprints()
-        assert [w.outcome for w in a.windows] == [w.outcome for w in b.windows]
+        assert [w.outcome for w in a.units] == [w.outcome for w in b.units]
 
 
 class TestCleanSoak:
@@ -105,4 +105,4 @@ class TestCleanSoak:
     def test_summary_rows_cover_every_window(self):
         spec = _soak_spec(5, seed=3)
         outcome = run_soak(spec, telemetry=Telemetry())
-        assert len(outcome.summary_rows()) == len(outcome.windows)
+        assert len(outcome.summary_rows()) == len(outcome.units)

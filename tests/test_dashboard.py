@@ -139,3 +139,39 @@ class TestRenderPlanVariants:
         text = render_plan(planner.plan(spec, n_contributors=5))
         assert "Computers" in text
         assert "cols[bmi,glucose]" in text
+
+
+class TestDotRendering:
+    def _plan(self, n_contributors=5):
+        from repro.core.planner import EdgeletPlanner, PrivacyParameters, QuerySpec
+        from repro.query.sql import parse_query
+
+        planner = EdgeletPlanner(privacy=PrivacyParameters(max_raw_per_edgelet=100))
+        spec = QuerySpec(
+            query_id="dot", kind="aggregate", snapshot_cardinality=200,
+            group_by=parse_query("SELECT count(*) FROM t GROUP BY region").query,
+        )
+        return planner.plan(spec, n_contributors=n_contributors)
+
+    def test_dot_structure(self):
+        from repro.manager.dashboard import render_dot
+
+        dot = render_dot(self._plan())
+        assert dot.startswith("digraph qep {")
+        assert dot.rstrip().endswith("}")
+        assert '"combiner"' in dot
+        assert '"querier"' in dot
+        assert "->" in dot
+
+    def test_dot_collapses_many_contributors(self):
+        from repro.manager.dashboard import render_dot
+
+        dot = render_dot(self._plan(n_contributors=50), max_contributors=10)
+        assert "50 Data Contributors" in dot
+        assert dot.count("contrib[") == 0
+
+    def test_dot_small_plans_not_collapsed(self):
+        from repro.manager.dashboard import render_dot
+
+        dot = render_dot(self._plan(n_contributors=3), max_contributors=10)
+        assert dot.count("contrib[") >= 3

@@ -171,3 +171,35 @@ class TestConvergenceTowardCentralized:
         )
         swarm_gap = relative_inertia_gap(points, merged.centroids, reference.centroids)
         assert swarm_gap <= lonely_gap + 0.05
+
+
+class TestConvergenceTrace:
+    def test_trace_recorded_and_decreasing(self):
+        from repro.core.planner import PrivacyParameters, QuerySpec
+        from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+        from repro.manager.scenario import Scenario, ScenarioConfig
+
+        rows = generate_health_rows(160, seed=17)
+        config = ScenarioConfig(
+            n_contributors=80, n_processors=25, rows=rows,
+            schema=HEALTH_SCHEMA, device_mix=(1.0, 0.0, 0.0),
+            collection_window=15.0, deadline=70.0, seed=17,
+        )
+        scenario = Scenario(config)
+        spec = QuerySpec(
+            query_id="conv", kind="kmeans", snapshot_cardinality=140,
+            kmeans_k=3, feature_columns=("bmi", "systolic_bp", "glucose"),
+            heartbeats=6,
+        )
+        result = scenario.run_query(
+            spec, privacy=PrivacyParameters(max_raw_per_edgelet=40)
+        )
+        assert result.report.success
+        trace = result.report.convergence_trace
+        assert len(trace) >= 3
+        beats = [beat for beat, _ in trace]
+        assert beats == sorted(beats)
+        # gossip settles: the late shifts are smaller than the early ones
+        early = trace[0][1]
+        late = trace[-1][1]
+        assert late <= early + 1e-9

@@ -63,5 +63,34 @@ def test_outage_specs_resolve_in_install_chaos_only(tmp_path):
     assert violations[1].startswith("repro.network.failures -> repro.core.qep")
 
 
+def test_multi_query_machinery_is_built_by_the_one_lifecycle(tmp_path):
+    root = tmp_path / "src"
+    allowed = root / "repro" / "workload" / "engine.py"
+    offender = root / "repro" / "continuous" / "engine.py"
+    for path in (allowed, offender):
+        path.parent.mkdir(parents=True)
+    allowed.write_text(
+        "mux = QueryMux(network)\n"
+        "registry = admission.DeviceLeaseRegistry(clock=clock)\n"
+        "controller = AdmissionController(2, 0)\n"
+    )
+    offender.write_text(
+        "from repro.network.mux import QueryMux  # import: fine\n"
+        "mux = QueryMux(network)\n"
+        "registry = DeviceLeaseRegistry()\n"
+        "controller = admission.AdmissionController(1)\n"
+    )
+    violations = _tool().check(root)
+    assert [v.split()[2] for v in violations] == [
+        "QueryMux", "DeviceLeaseRegistry", "AdmissionController",
+    ]
+    assert all(
+        v.startswith("repro.continuous.engine constructs ")
+        and v.endswith("[only repro.workload.engine may]")
+        for v in violations
+    )
+    assert f"{offender}:2" in violations[0]
+
+
 def test_the_shipped_tree_has_one_construction_site():
     assert _tool().check(REPO / "src") == []

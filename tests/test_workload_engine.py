@@ -3,14 +3,17 @@
 Covers the tentpole guarantees: bounded concurrency with queue/shed
 accounting, exclusive device leasing across interleaved executions,
 deterministic replays (same seed ⇒ byte-identical per-query report
-fingerprints), and — the acceptance bar — serial equivalence of a
-25-query fully-concurrent workload over a 200+-device swarm.
+fingerprints), serial equivalence of a 25-query fully-concurrent
+workload over a 200+-device swarm (the acceptance bar), and cumulative
+Crowd Liability over the whole set of queries.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.liability import measure_liability
+from repro.data.health import generate_health_rows
 from repro.telemetry import Telemetry
 from repro.workload import (
     WorkloadEngine,
@@ -222,3 +225,59 @@ class TestSerialEquivalence:
         workload = result.fingerprints()
         solo = serial_fingerprints(engine, result)
         assert workload == solo
+
+
+def _survey(n_queries: int, in_flight: int, n_processors: int = 40):
+    """Health-survey queries, ``in_flight`` at a time, over one swarm."""
+    spec = WorkloadSpec(
+        n_queries=n_queries, arrival_process="closed",
+        target_in_flight=in_flight, max_concurrent=in_flight,
+        queue_capacity=0, seed=13, snapshot_cardinality=60,
+        max_raw_per_edgelet=30, collection_window=15.0, deadline=50.0,
+    )
+    return _run(
+        spec, n_contributors=40, n_processors=n_processors,
+        rows=generate_health_rows(80, seed=13),
+    )[1]
+
+
+def _roles(record) -> dict[str, str]:
+    """Data-processor operator -> the device it ran on."""
+    return {
+        op.op_id: op.assigned_to
+        for op in record.result.plan.operators()
+        if op.role.is_data_processor
+    }
+
+
+class TestCumulativeLiability:
+    """Crowd Liability is a property of a *set* of queries."""
+
+    def test_sequential_queries_succeed(self):
+        result = _survey(n_queries=3, in_flight=1)
+        assert result.completed == 3
+        assert result.succeeded == 3
+        assert result.liability.operators_per_device
+
+    def test_assignment_reshuffles_across_queries(self):
+        # one query at a time leases the same free devices, and the
+        # hash-ranked assignment deals the roles anew per query id
+        result = _survey(n_queries=3, in_flight=1)
+        roles = [_roles(record) for record in result.records]
+        assert roles[0] != roles[1] or roles[1] != roles[2]
+
+    def test_cumulative_liability_spreads(self):
+        result = _survey(n_queries=4, in_flight=4, n_processors=60)
+        # over 4 queries, many distinct devices carry the processing
+        summary = result.summary()
+        assert summary["liability_participants"] > 10
+        assert summary["liability_max_share"] < 0.2
+        assert result.liability == measure_liability(
+            *(record.result.plan for record in result.records)
+        )
+
+    def test_empty_run_carries_no_liability(self):
+        liability = measure_liability()
+        assert liability.operators_per_device == {}
+        assert liability.gini_operators == 0.0
+        assert liability.max_share == 0.0

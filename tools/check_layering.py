@@ -91,17 +91,26 @@ SOLE_IMPORTER: dict[str, str] = {
 #: by ``Scenario.install_chaos``; a second construction site is how
 #: the four hand-copied wirings drifted apart, so a new one fails CI.
 #: ``build_outage_plan`` resolves an outage spec: one call site pins
-#: its ``seed + 5`` stream.
+#: its ``seed + 5`` stream.  Likewise every multi-query run — workload,
+#: standing query, serial replay — gets its mux, lease registry and
+#: admission controller from ``MultiQueryEngine`` in
+#: ``repro.workload.engine``, the one multi-query lifecycle.
 SOLE_CALLER: dict[str, str] = {
-    name: "repro.manager.scenario"
-    for name in (
-        "ExecutionCoordinator",
-        "ReliableTransport",
-        "RecoveryConfig",
-        "MessageFaultInjector",
-        "FailureInjector",
-        "build_outage_plan",
-    )
+    **{
+        name: "repro.manager.scenario"
+        for name in (
+            "ExecutionCoordinator",
+            "ReliableTransport",
+            "RecoveryConfig",
+            "MessageFaultInjector",
+            "FailureInjector",
+            "build_outage_plan",
+        )
+    },
+    **{
+        name: "repro.workload.engine"
+        for name in ("QueryMux", "DeviceLeaseRegistry", "AdmissionController")
+    },
 }
 
 #: Within the query layer, numpy stays confined to the columnar module:
@@ -215,6 +224,9 @@ def main() -> int:
         for violation in violations:
             print(f"  {violation}")
         return 1
+    callers: dict[str, list[str]] = {}
+    for name, module in SOLE_CALLER.items():
+        callers.setdefault(module, []).append(name)
     print(
         "layering ok: substrate never imports plan/manager/chaos/workload/"
         "continuous, plan never imports the engines above it, manager "
@@ -222,8 +234,10 @@ def main() -> int:
         "imports chaos, only repro.query.fold imports "
         "repro.query.columnar, numpy stays confined to "
         "repro.query.columnar within the query layer, and only "
-        "repro.manager.scenario constructs / calls "
-        + " / ".join(SOLE_CALLER)
+        + ", only ".join(
+            f"{module} constructs / calls {' / '.join(names)}"
+            for module, names in callers.items()
+        )
     )
     return 0
 
