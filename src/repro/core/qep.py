@@ -13,9 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable
-
-import networkx as nx
+from typing import Any
 
 __all__ = [
     "OperatorRole", "Operator", "QueryExecutionPlan", "PlanStructureError", "rank_of",
@@ -87,16 +85,22 @@ class QueryExecutionPlan:
     def __init__(self, query_id: str, metadata: dict[str, Any] | None = None):
         self.query_id = query_id
         self.metadata: dict[str, Any] = dict(metadata or {})
-        self._graph = nx.DiGraph()
+        self._operators: dict[str, Operator] = {}
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
+        self._by_role: dict[OperatorRole, list[Operator]] = {}
         self._counter = itertools.count(1)
 
     # -- construction ---------------------------------------------------------
 
     def add_operator(self, operator: Operator) -> Operator:
         """Add a vertex; op_ids must be unique."""
-        if operator.op_id in self._graph:
+        if operator.op_id in self._operators:
             raise PlanStructureError(f"duplicate operator id {operator.op_id!r}")
-        self._graph.add_node(operator.op_id, operator=operator)
+        self._operators[operator.op_id] = operator
+        self._succ[operator.op_id] = {}
+        self._pred[operator.op_id] = {}
+        self._by_role.setdefault(operator.role, []).append(operator)
         return operator
 
     def new_operator(
@@ -121,66 +125,57 @@ class QueryExecutionPlan:
         producer_id = producer.op_id if isinstance(producer, Operator) else producer
         consumer_id = consumer.op_id if isinstance(consumer, Operator) else consumer
         for op_id in (producer_id, consumer_id):
-            if op_id not in self._graph:
+            if op_id not in self._operators:
                 raise PlanStructureError(f"unknown operator {op_id!r}")
-        if self._reaches(consumer_id, producer_id):
+        if producer_id in self._closure(consumer_id, self._succ):
             raise PlanStructureError(
                 f"edge {producer_id} -> {consumer_id} would create a cycle"
             )
-        self._graph.add_edge(producer_id, consumer_id)
+        self._succ[producer_id][consumer_id] = None
+        self._pred[consumer_id][producer_id] = None
 
-    def _reaches(self, source: str, target: str) -> bool:
-        """Whether ``target`` is ``source`` or downstream of it."""
-        seen = {source}
-        stack = [source]
+    @staticmethod
+    def _closure(start: str, adjacency: dict[str, dict[str, None]]) -> set[str]:
+        """``start`` and every operator reachable from it along ``adjacency``."""
+        seen = {start}
+        stack = [start]
         while stack:
-            op_id = stack.pop()
-            if op_id == target:
-                return True
-            for successor in self._graph.successors(op_id):
-                if successor not in seen:
-                    seen.add(successor)
-                    stack.append(successor)
-        return False
+            for neighbour in adjacency[stack.pop()]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        return seen
 
     # -- queries ----------------------------------------------------------------
 
     def operator(self, op_id: str) -> Operator:
         """Look up an operator by id."""
         try:
-            return self._graph.nodes[op_id]["operator"]
+            return self._operators[op_id]
         except KeyError:
             raise PlanStructureError(f"unknown operator {op_id!r}") from None
 
     def operators(self, role: OperatorRole | None = None) -> list[Operator]:
         """All operators, optionally restricted to one role (sorted)."""
-        result = [
-            data["operator"]
-            for _, data in self._graph.nodes(data=True)
-            if role is None or data["operator"].role == role
-        ]
-        return sorted(result, key=lambda op: op.op_id)
+        found = self._operators.values() if role is None else self._by_role.get(role, ())
+        return sorted(found, key=lambda op: op.op_id)
 
     def producers_of(self, op_id: str) -> list[Operator]:
         """Upstream operators feeding ``op_id`` (sorted)."""
-        return sorted(
-            (self.operator(p) for p in self._graph.predecessors(op_id)),
-            key=lambda op: op.op_id,
-        )
+        self.operator(op_id)
+        return [self._operators[p] for p in sorted(self._pred[op_id])]
 
     def consumers_of(self, op_id: str) -> list[Operator]:
         """Downstream operators fed by ``op_id`` (sorted)."""
-        return sorted(
-            (self.operator(s) for s in self._graph.successors(op_id)),
-            key=lambda op: op.op_id,
-        )
+        self.operator(op_id)
+        return [self._operators[c] for c in sorted(self._succ[op_id])]
 
     def edges(self) -> list[tuple[str, str]]:
         """All dataflow edges (sorted)."""
-        return sorted(self._graph.edges)
+        return sorted((p, c) for p, consumers in self._succ.items() for c in consumers)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._operators)
 
     # -- structural metrics (Figure 2/3 observables) -----------------------------
 
@@ -194,18 +189,25 @@ class QueryExecutionPlan:
     def fan_in(self, op_id: str) -> int:
         """Number of producers of an operator."""
         self.operator(op_id)
-        return self._graph.in_degree(op_id)
+        return len(self._pred[op_id])
 
     def fan_out(self, op_id: str) -> int:
         """Number of consumers of an operator."""
         self.operator(op_id)
-        return self._graph.out_degree(op_id)
+        return len(self._succ[op_id])
 
     def depth(self) -> int:
-        """Length (in edges) of the longest dataflow path."""
-        if self._graph.number_of_nodes() == 0:
-            return 0
-        return nx.dag_longest_path_length(self._graph)
+        """Length (in edges) of the longest dataflow path (Kahn's order)."""
+        waiting = {op_id: len(producers) for op_id, producers in self._pred.items()}
+        longest = dict.fromkeys(self._operators, 0)
+        ready = [op_id for op_id, count in waiting.items() if count == 0]
+        for op_id in ready:
+            for consumer in self._succ[op_id]:
+                longest[consumer] = max(longest[consumer], longest[op_id] + 1)
+                waiting[consumer] -= 1
+                if waiting[consumer] == 0:
+                    ready.append(consumer)
+        return max(longest.values(), default=0)
 
     def assigned_devices(self) -> dict[str, str]:
         """Map op_id -> device for every assigned operator."""
@@ -237,9 +239,7 @@ class QueryExecutionPlan:
                 raise PlanStructureError(
                     f"data contributor {contributor.op_id} must be a source"
                 )
-        reversed_graph = self._graph.reverse(copy=False)
-        reachable = set(nx.descendants(reversed_graph, querier.op_id))
-        reachable.add(querier.op_id)
+        reachable = self._closure(querier.op_id, self._pred)
         for operator in self.operators():
             if operator.op_id not in reachable:
                 raise PlanStructureError(

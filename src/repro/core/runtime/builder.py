@@ -176,7 +176,7 @@ class BuilderRuntime:
             ctx.simulator.schedule(
                 latency,
                 self._make_partition_send(builder, device, *frozen),
-                f"{builder.op_id} ship partition",
+                "ship partition",
             )
 
     def freeze(

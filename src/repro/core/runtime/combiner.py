@@ -25,6 +25,7 @@ from repro.query.groupby import (
     GroupByQuery,
     GroupingSetsResult,
     PartialGroups,
+    _encode_group_key,
     finalize_partials,
     merge_partials,
 )
@@ -244,8 +245,6 @@ def stitch_groups(
     apply_having: bool = True,
 ) -> GroupingSetsResult:
     """Assemble per-vertical-group results into one result row set."""
-    import json as _json
-
     stitched_sets: list[tuple[dict[str, Any], ...]] = []
     for set_index, grouping_set in enumerate(query.grouping_sets):
         merged_rows: dict[str, dict[str, Any]] = {}
@@ -255,9 +254,7 @@ def stitch_groups(
                 for i in aggregate_indices_per_group[group_index]
             ]
             for row in result.per_set_rows[set_index]:
-                key = _json.dumps(
-                    [row.get(c) for c in grouping_set], separators=(",", ":")
-                )
+                key = _encode_group_key(tuple(row.get(c) for c in grouping_set))
                 target = merged_rows.setdefault(
                     key, {c: row.get(c) for c in grouping_set}
                 )

@@ -22,6 +22,7 @@ from repro.network.messages import Message, MessageKind
 from repro.network.opnet import OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.query.groupby import GroupByQuery
+from repro.query.sketches import BloomFilter
 
 __all__ = ["ExecutionContext"]
 
@@ -381,8 +382,6 @@ class ExecutionContext:
         contribution_id = payload.get("contribution_id")
         if contribution_id is None:
             return False
-        from repro.query.sketches import BloomFilter
-
         bloom = self._contribution_filters.get(dedup_key)
         if bloom is None:
             capacity = max(

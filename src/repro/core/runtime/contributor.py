@@ -43,14 +43,14 @@ class ContributorRuntime:
             consumers = ctx.plan.consumers_of(leaf.op_id)
             if not any(rank_of(c) == 0 for c in consumers):
                 continue
-            for copy_index in range(ctx.contribution_copies):
+            for _ in range(ctx.contribution_copies):
                 send_at = ctx.start_time + ctx.rng.uniform(
                     0.0, ctx.collection_window * 0.6
                 )
                 ctx.simulator.schedule_at(
                     send_at,
                     self._make_contribution(device, consumers, predicate),
-                    f"contribute {device.device_id} (copy {copy_index})",
+                    "contribute",
                 )
 
     def _make_contribution(self, device, consumers, predicate):

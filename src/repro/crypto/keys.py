@@ -8,6 +8,8 @@ the same (unordered) pair, which the tests assert as an invariant.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.crypto.primitives import (
     KeyPair,
     SymmetricKey,
@@ -34,9 +36,10 @@ class KeyRing:
         """The long-term key pair (private part never leaves the ring)."""
         return self._keypair
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Identity fingerprint of this edgelet."""
+        """Identity fingerprint of this edgelet (the key pair is fixed,
+        so it is hashed once)."""
         return self._keypair.fingerprint()
 
     def learn_public(self, fingerprint: str, public: int) -> None:

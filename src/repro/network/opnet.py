@@ -533,7 +533,7 @@ class OpportunisticNetwork:
             self.simulator.schedule(
                 latency,
                 lambda: self._arrive(message) if self._epoch == epoch else None,
-                description=f"deliver {message.describe()}",
+                description="deliver",
             )
 
     def install_faults(self, injector: Any) -> None:

@@ -115,6 +115,12 @@ def default_policies() -> dict[MessageKind, DeliveryPolicy]:
     }
 
 
+#: :func:`default_policies` built once for per-message lookups; the
+#: policies are frozen, so every transfer may share them
+_DEFAULT_POLICIES = default_policies()
+_BEST_EFFORT = DeliveryPolicy()
+
+
 @dataclass(frozen=True)
 class ReliabilityConfig:
     """Tunable knobs of the reliability layer.
@@ -164,7 +170,7 @@ class ReliabilityConfig:
         for candidate, policy in self.policies:
             if candidate is kind:
                 return policy
-        return default_policies().get(kind, DeliveryPolicy())
+        return _DEFAULT_POLICIES.get(kind, _BEST_EFFORT)
 
 
 class RttEstimator:

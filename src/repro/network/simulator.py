@@ -5,7 +5,9 @@ crashes, heartbeat clocks — runs on this kernel.  The design is
 intentionally small: a priority queue of :class:`Event` records ordered
 by ``(time, sequence)``.  The sequence number breaks ties so that two
 events at the same virtual instant fire in scheduling order, which makes
-whole executions reproducible bit-for-bit given a seed.
+whole executions reproducible bit-for-bit given a seed.  The heap holds
+``(time, sequence, event)`` tuples, so every comparison is a C-level
+tuple compare that never reaches the event itself.
 
 The kernel is instrumented through :mod:`repro.telemetry`: events
 scheduled/processed/cancelled are counted, the queue depth is tracked as
@@ -28,12 +30,12 @@ class SimulationError(Exception):
     """Raised on kernel misuse (e.g. scheduling into the past)."""
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
-    Ordered by ``(time, sequence)``; the callback and its description are
-    excluded from the ordering.
+    The kernel orders events by ``(time, sequence)``; the callback and
+    its description take no part in that order.
     """
 
     time: float
@@ -68,7 +70,7 @@ class Simulator:
             telemetry = get_telemetry()
         self.telemetry = telemetry
         self._now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._processed = 0
         # epoch fences recurring timers: ticks armed before a reset()
@@ -96,7 +98,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def processed(self) -> int:
@@ -109,13 +111,10 @@ class Simulator:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(
-            time=self._now + delay,
-            sequence=next(self._sequence),
-            callback=callback,
-            description=description,
-        )
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback, description)
+        heapq.heappush(self._queue, (time, sequence, event))
         self._m_scheduled.inc()
         self._g_queue.set(len(self._queue))
         return event
@@ -169,11 +168,11 @@ class Simulator:
         """Fire the earliest pending event.  Returns ``False`` if the
         queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 self._m_cancelled.inc()
                 continue
-            self._now = event.time
+            self._now = time
             event.callback()
             self._processed += 1
             self._m_processed.inc()
@@ -210,12 +209,12 @@ class Simulator:
         fired = 0
         with self._prof_loop:
             while self._queue:
-                head = self._queue[0]
+                time, _, head = self._queue[0]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     self._m_cancelled.inc()
                     continue
-                if head.time > deadline:
+                if time > deadline:
                     break
                 self.step()
                 fired += 1
@@ -229,7 +228,7 @@ class Simulator:
         bit-for-bit identical to a fresh simulator) and advances the
         epoch fence that disarms any live :meth:`every` recurrence.
         """
-        for event in self._queue:
+        for _, _, event in self._queue:
             event.cancel()
         self._queue.clear()
         self._now = 0.0

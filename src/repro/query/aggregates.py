@@ -181,10 +181,15 @@ class AggregateState:
             total=self.total + other.total,
             total_sq=self.total_sq + other.total_sq,
         )
-        minima = [m for m in (self.minimum, other.minimum) if m is not None]
-        maxima = [m for m in (self.maximum, other.maximum) if m is not None]
-        merged.minimum = min(minima) if minima else None
-        merged.maximum = max(maxima) if maxima else None
+        # what min / max over the non-None pair return: the first of
+        # equal (or unordered, NaN) values
+        low, high = self.minimum, self.maximum
+        if low is None or (other.minimum is not None and other.minimum < low):
+            low = other.minimum
+        if high is None or (other.maximum is not None and other.maximum > high):
+            high = other.maximum
+        merged.minimum = low
+        merged.maximum = high
         if self.registers is not None or other.registers is not None:
             left = self.registers or [0] * (1 << DISTINCT_PRECISION)
             right = other.registers or [0] * (1 << DISTINCT_PRECISION)

@@ -41,9 +41,18 @@ Row = dict[str, Any]
 # JSON object keys must be strings; group keys are tuples of values, so
 # we encode them canonically.
 
+#: Value types whose equal values always encode to the same group key.
+#: Floats are left out (``0.0 == -0.0`` encode differently), and so is
+#: ``bool`` (``True == 1`` encode differently).
+_MEMO_TYPES = frozenset((str, int, type(None)))
+
+#: ``json.dumps(..., separators=(",", ":"))``, without building a new
+#: encoder on every call
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 def _encode_group_key(values: tuple[Any, ...]) -> str:
-    return json.dumps(list(values), sort_keys=False, separators=(",", ":"))
+    return _KEY_ENCODER.encode(list(values))
 
 
 def _decode_group_key(key: str) -> tuple[Any, ...]:
@@ -136,17 +145,6 @@ class PartialGroups:
     def __post_init__(self) -> None:
         if not self.groups:
             self.groups = [{} for _ in range(self.n_sets)]
-
-    def fold_row(self, query: GroupByQuery, row: Row) -> None:
-        """Fold one (already filtered) row into every grouping set."""
-        for set_index, grouping_set in enumerate(query.grouping_sets):
-            key = _encode_group_key(tuple(row.get(c) for c in grouping_set))
-            bucket = self.groups[set_index].get(key)
-            if bucket is None:
-                bucket = [new_state(spec) for spec in query.aggregates]
-                self.groups[set_index][key] = bucket
-            for spec, state in zip(query.aggregates, bucket):
-                fold_value(spec, state, row)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible representation."""
@@ -244,12 +242,33 @@ class GroupingSetsResult:
 
 
 def evaluate_group_by(query: GroupByQuery, rows: Iterable[Row]) -> PartialGroups:
-    """Run the Computer side: filter rows, fold into partial states."""
+    """Run the Computer side: filter rows, fold into partial states.
+
+    Group keys are memoised for the call, by value tuple, but only for
+    tuples of exact :data:`_MEMO_TYPES` values; any other tuple is
+    encoded afresh for every row.
+    """
     partial = PartialGroups(n_sets=len(query.grouping_sets), n_aggs=len(query.aggregates))
+    where = query.where
+    aggregates = query.aggregates
+    per_set = list(zip(query.grouping_sets, partial.groups))
+    keys: dict[tuple[Any, ...], str] = {}
     for row in rows:
-        if query.where is not None and not query.where.evaluate(row):
+        if where is not None and not where.evaluate(row):
             continue
-        partial.fold_row(query, row)
+        for grouping_set, groups in per_set:
+            values = tuple(map(row.get, grouping_set))
+            if _MEMO_TYPES.issuperset(map(type, values)):
+                key = keys.get(values)
+                if key is None:
+                    key = keys[values] = _encode_group_key(values)
+            else:
+                key = _encode_group_key(values)
+            bucket = groups.get(key)
+            if bucket is None:
+                bucket = groups[key] = [new_state(spec) for spec in aggregates]
+            for spec, state in zip(aggregates, bucket):
+                fold_value(spec, state, row)
     return partial
 
 
@@ -261,8 +280,10 @@ def merge_partials(query: GroupByQuery, partials: Iterable[PartialGroups]) -> Pa
             for key, states in partial.groups[set_index].items():
                 bucket = merged.groups[set_index].get(key)
                 if bucket is None:
+                    # a shallow copy: registers / buckets stay shared, as
+                    # they were through to_dict / from_dict
                     merged.groups[set_index][key] = [
-                        AggregateState.from_dict(s.to_dict()) for s in states
+                        AggregateState(**vars(s)) for s in states
                     ]
                 else:
                     merged.groups[set_index][key] = [

@@ -139,11 +139,17 @@ class BloomFilter:
         self._bits = bytearray((self.n_bits + 7) // 8)
         self.inserted = 0
 
-    def _positions(self, value: Any) -> Iterable[int]:
-        h1 = _hash64(value, salt="bloom-1")
-        h2 = _hash64(value, salt="bloom-2") | 1
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % self.n_bits
+    def _positions(self, value: Any) -> list[int]:
+        """Double hashing: position ``i`` is ``(h1 + i * h2) % n_bits``,
+        computed by stepping modulo ``n_bits`` so the operands stay small."""
+        n_bits = self.n_bits
+        position = _hash64(value, salt="bloom-1") % n_bits
+        step = (_hash64(value, salt="bloom-2") | 1) % n_bits
+        positions = []
+        for _ in range(self.n_hashes):
+            positions.append(position)
+            position = (position + step) % n_bits
+        return positions
 
     def add(self, value: Any) -> None:
         """Insert a value."""
@@ -161,11 +167,17 @@ class BloomFilter:
         """Insert and report whether the value was (probably) new.
 
         Returns ``False`` when the value was probably seen before (or on
-        a false positive); ``True`` when it is definitely new.
+        a false positive); ``True`` when it is definitely new.  Same
+        bits, count and verdict as ``in`` followed by :meth:`add`, with
+        the value hashed once.
         """
-        if value in self:
+        positions = self._positions(value)
+        bits = self._bits
+        if all(bits[position // 8] & (1 << (position % 8)) for position in positions):
             return False
-        self.add(value)
+        for position in positions:
+            bits[position // 8] |= 1 << (position % 8)
+        self.inserted += 1
         return True
 
     def fill_ratio(self) -> float:

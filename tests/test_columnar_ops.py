@@ -18,7 +18,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.query.aggregates import AggregateSpec
 from repro.query import fold
@@ -51,6 +51,14 @@ PROPERTY_SETTINGS = settings(
 )
 
 
+#: Group-key hazards for the row kernel's key memo, pinned as examples:
+#: equal values that must still land in different groups.
+_KEY_QUERY = GroupByQuery(
+    (("a",), ("a", "b"), ()),
+    (AggregateSpec("count", alias="agg_0"), AggregateSpec("sum", "b", alias="agg_1")),
+)
+
+
 def _dumps(partial: PartialGroups) -> str:
     """The envelope serialization — byte equality is the contract."""
     return json.dumps(partial.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -75,6 +83,15 @@ class TestPredicateEquivalence:
 class TestGroupByEquivalence:
     @PROPERTY_SETTINGS
     @given(data=rows(cells=numeric_scalars), query=group_by_queries())
+    @example(data=[{"a": 0.0}, {"a": -0.0}, {"a": 0.0}], query=_KEY_QUERY)
+    @example(
+        data=[{"a": 1, "b": 2}, {"a": True, "b": 2}, {"a": 1.0, "b": 2}, {"a": 1}],
+        query=_KEY_QUERY,
+    )
+    @example(
+        data=[{"a": math.nan, "b": 1}, {"a": math.nan, "b": 1}, {"a": None}],
+        query=_KEY_QUERY,
+    )
     def test_partial_states_serialize_identically(self, data, query):
         row_partial = evaluate_group_by(query, data)
         columnar_partial = evaluate_group_by_columnar(query, data)

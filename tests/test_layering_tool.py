@@ -92,5 +92,29 @@ def test_multi_query_machinery_is_built_by_the_one_lifecycle(tmp_path):
     assert f"{offender}:2" in violations[0]
 
 
+def test_networkx_is_confined_to_the_planner(tmp_path):
+    root = tmp_path / "src"
+    allowed = root / "repro" / "core" / "planner.py"
+    qep = root / "repro" / "core" / "qep.py"
+    lazy = root / "repro" / "plan" / "explain.py"
+    for path in (allowed, qep, lazy):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    allowed.write_text("import networkx as nx\n")
+    qep.write_text("import networkx as nx\n")
+    lazy.write_text(
+        "def render(plan):\n"
+        "    from networkx.algorithms import dag  # lazy: still counts\n"
+    )
+    violations = _tool().check(root)
+    assert [v.split()[:3] for v in violations] == [
+        ["repro.core.qep", "->", "networkx"],
+        ["repro.plan.explain", "->", "networkx.algorithms"],
+    ]
+    assert all(
+        v.endswith("[networkx is confined to repro.core.planner]")
+        for v in violations
+    )
+
+
 def test_the_shipped_tree_has_one_construction_site():
     assert _tool().check(REPO / "src") == []

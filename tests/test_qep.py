@@ -128,6 +128,14 @@ class TestCycleCheck:
                 with pytest.raises(PlanStructureError):
                     plan.connect(producer, consumer)
                 assert plan.edges() == before
+        assert plan.depth() == nx.dag_longest_path_length(reference)
+        for op_id in reference:
+            assert [op.op_id for op in plan.consumers_of(op_id)] == sorted(
+                reference.successors(op_id)
+            )
+            assert [op.op_id for op in plan.producers_of(op_id)] == sorted(
+                reference.predecessors(op_id)
+            )
         rebuilt = QueryExecutionPlan.from_dict(plan.to_dict())
         assert rebuilt.edges() == plan.edges()
 
@@ -149,6 +157,26 @@ class TestQueries:
 
     def test_depth(self):
         assert _minimal_plan().depth() == 4
+        assert QueryExecutionPlan("q").depth() == 0
+
+    def test_unknown_op_id_is_a_plan_structure_error(self):
+        plan = _minimal_plan()
+        for lookup in (
+            plan.operator, plan.producers_of, plan.consumers_of,
+            plan.fan_in, plan.fan_out,
+        ):
+            with pytest.raises(PlanStructureError, match="ghost"):
+                lookup("ghost")
+
+    def test_role_filter_keeps_id_order_whatever_the_insertion_order(self):
+        plan = QueryExecutionPlan("q")
+        for op_id in ("c2", "b", "c10", "a"):
+            plan.new_operator(OperatorRole.COMPUTER, op_id=op_id)
+        plan.new_operator(OperatorRole.QUERIER, op_id="0")
+        expected = ["a", "b", "c10", "c2"]
+        assert [op.op_id for op in plan.operators(OperatorRole.COMPUTER)] == expected
+        assert [op.op_id for op in plan.operators()] == ["0", *expected]
+        assert plan.operators(OperatorRole.ACTIVE_BACKUP) == []
 
     def test_role_counts(self):
         counts = _minimal_plan().role_counts()

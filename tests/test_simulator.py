@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.simulator import SimulationError, Simulator
 
@@ -159,8 +161,16 @@ class TestResetRecurringInteraction:
         # re-arm the recurrence on the new timeline.
         sim = Simulator()
         ticks = []
+        armed = []
+        schedule = sim.schedule
+
+        def recording_schedule(*args, **kwargs):
+            armed.append(schedule(*args, **kwargs))
+            return armed[-1]
+
+        sim.schedule = recording_schedule
         sim.every(1.0, lambda: ticks.append(sim.now))
-        armed = [e for e in sim._queue if not e.cancelled]
+        assert sim.pending == len(armed) == 1
         sim.reset()
         for event in armed:  # resurrect the pre-reset tick by hand
             event.cancelled = False
@@ -258,3 +268,75 @@ class TestBookkeeping:
 
     def test_step_on_empty_queue(self):
         assert Simulator().step() is False
+
+
+# -- the heap order, against a sorted((time, sequence)) reference -----------
+
+#: few distinct delays, so equal fire times are common
+_delays = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+#: (delay, cancel at once, children scheduled from inside the callback,
+#: each (delay, cancel at once))
+_schedules = st.lists(
+    st.tuples(
+        _delays,
+        st.booleans(),
+        st.lists(st.tuples(_delays, st.booleans()), max_size=3),
+    ),
+    max_size=20,
+)
+
+
+def _arm(sim, schedule, fired, live):
+    """Schedule ``schedule`` on ``sim``.  Each firing appends its
+    ``(time, sequence)`` to ``fired``; ``live`` collects the key of every
+    event scheduled and not cancelled, children included once armed."""
+
+    def arm(delay, cancel, children):
+        def callback():
+            fired.append(key)
+            for child_delay, child_cancel in children:
+                arm(child_delay, child_cancel, [])
+
+        event = sim.schedule(delay, callback)
+        key = (event.time, event.sequence)
+        if cancel:
+            event.cancel()
+        else:
+            live.append(key)
+
+    for delay, cancel, children in schedule:
+        arm(delay, cancel, children)
+
+
+class TestHeapOrderProperty:
+    @given(_schedules)
+    @settings(max_examples=200, deadline=None)
+    def test_fires_in_sorted_time_sequence_order(self, schedule):
+        sim = Simulator()
+        fired, live = [], []
+        _arm(sim, schedule, fired, live)
+        assert sim.pending == len(live)
+        sim.run()
+        assert fired == sorted(live)
+        assert sim.pending == 0
+
+    @given(_schedules, _schedules, _delays)
+    @settings(max_examples=100, deadline=None)
+    def test_reset_restarts_the_order_of_a_fresh_simulator(self, before, after, cut):
+        sim = Simulator()
+        fired_before, live_before = [], []
+        _arm(sim, before, fired_before, live_before)
+        sim.run_until(cut)
+        assert fired_before == sorted(live_before)[: len(fired_before)]
+        stale = list(fired_before)
+        sim.reset()
+        assert sim.pending == 0
+        fired, live = [], []
+        _arm(sim, after, fired, live)
+        sim.run()
+        fresh_fired, fresh_live = [], []
+        fresh = Simulator()
+        _arm(fresh, after, fresh_fired, fresh_live)
+        fresh.run()
+        assert fired == sorted(live) == fresh_fired
+        assert fired_before == stale

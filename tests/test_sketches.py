@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.sketches import BloomFilter, HyperLogLog
+from repro.query.sketches import BloomFilter, HyperLogLog, _hash64
 
 
 class TestHyperLogLog:
@@ -128,3 +128,34 @@ class TestBloomFilter:
         for value in values:
             bloom.add(value)
         assert all(value in bloom for value in values)
+
+    @given(
+        st.lists(
+            st.one_of(st.text(max_size=4), st.integers(-40, 40)), max_size=120
+        ),
+        st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_add_if_new_is_in_then_add(self, values, capacity):
+        # small capacities saturate the filter, so false positives (a new
+        # value reported as seen) are exercised too
+        fused = BloomFilter(capacity=capacity, error_rate=0.05)
+        reference = BloomFilter(capacity=capacity, error_rate=0.05)
+        for value in values:
+            new = value not in reference
+            if new:
+                reference.add(value)
+            assert fused.add_if_new(value) is new
+            assert fused.inserted == reference.inserted
+        assert fused._bits == reference._bits
+
+    @given(st.lists(st.text(max_size=8), max_size=20), st.integers(1, 500))
+    @settings(max_examples=50, deadline=None)
+    def test_positions_are_the_double_hashing_formula(self, values, capacity):
+        bloom = BloomFilter(capacity=capacity, error_rate=0.01)
+        for value in values:
+            h1 = _hash64(value, salt="bloom-1")
+            h2 = _hash64(value, salt="bloom-2") | 1
+            assert bloom._positions(value) == [
+                (h1 + i * h2) % bloom.n_bits for i in range(bloom.n_hashes)
+            ]

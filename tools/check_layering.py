@@ -119,6 +119,11 @@ SOLE_CALLER: dict[str, str] = {
 NUMPY_ALLOWED_PREFIX = "repro.query.columnar"
 NUMPY_CONFINED_PREFIX = "repro.query"
 
+#: networkx is confined to the planner, for the greedy colouring of the
+#: vertical column groups.  The QEP is plain dicts; nothing else may
+#: grow the dependency back.
+NETWORKX_ALLOWED = "repro.core.planner"
+
 
 def module_name(path: Path, root: Path) -> str:
     relative = path.relative_to(root).with_suffix("")
@@ -201,6 +206,13 @@ def check(root: Path) -> list[str]:
                     f"{module} -> {imported}  ({path})  "
                     "[numpy is confined to repro.query.columnar]"
                 )
+            if module != NETWORKX_ALLOWED and (
+                imported == "networkx" or imported.startswith("networkx.")
+            ):
+                violations.append(
+                    f"{module} -> {imported}  ({path})  "
+                    f"[networkx is confined to {NETWORKX_ALLOWED}]"
+                )
         for name, line in constructed_names(tree):
             if module != SOLE_CALLER[name]:
                 violations.append(
@@ -233,7 +245,8 @@ def main() -> int:
         "never imports workload/chaos/continuous, continuous never "
         "imports chaos, only repro.query.fold imports "
         "repro.query.columnar, numpy stays confined to "
-        "repro.query.columnar within the query layer, and only "
+        "repro.query.columnar within the query layer, networkx to "
+        f"{NETWORKX_ALLOWED}, and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
             for module, names in callers.items()
