@@ -20,13 +20,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _scenarios import aggregate_spec, fast_scenario_config
 from _tables import print_table
 
-from repro.core.backup import BackupConfig
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import worst_case_delay
 from repro.manager.scenario import Scenario
 from repro.query.sql import parse_query
 
@@ -97,7 +97,6 @@ def test_qgen_overcollection_vs_backup_cost(benchmark):
     backup_processors = sum(
         1 for op in backup_plan.operators() if op.role.is_data_processor
     )
-    backup_config = BackupConfig(replicas=2, takeover_timeout=30.0)
     print_table(
         "Q-GEN: Overcollection vs Backup cost [n=4, p=0.2]",
         ["strategy", "data processors", "edges", "worst extra latency (s)",
@@ -106,7 +105,7 @@ def test_qgen_overcollection_vs_backup_cost(benchmark):
             ["overcollection", over_processors, len(over_plan.edges()), 0.0,
              "distributive ops"],
             ["backup (2 replicas)", backup_processors, len(backup_plan.edges()),
-             backup_config.worst_case_delay(), "any op"],
+             worst_case_delay(2), "any op"],
         ],
     )
     # per-partition redundancy: backup replicates operators, edges blow up

@@ -278,12 +278,10 @@ def check_combiner_dedup(record: RunRecord) -> Violation | None:
         if not runtime.partials:
             continue
         once = CombinerState(
-            name, runtime.config, runtime.n_groups, executor.query,
-            runtime.extrapolate,
+            name, runtime.config, runtime.n_groups, executor.query
         )
         twice = CombinerState(
-            name, runtime.config, runtime.n_groups, executor.query,
-            runtime.extrapolate,
+            name, runtime.config, runtime.n_groups, executor.query
         )
         for (partition, group), partial in sorted(runtime.partials.items()):
             once.record_partial(partition, group, partial)

@@ -64,7 +64,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.planner import PrivacyParameters, ResiliencyParameters
+from repro.core.planner import PlanningError, PrivacyParameters, ResiliencyParameters
 from repro.core.resiliency import minimum_overcollection, query_success_probability
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.dashboard import render_plan, render_report
@@ -603,11 +603,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_resiliency(args: argparse.Namespace) -> int:
-    print(f"{'fault rate':>12} {'m':>5} {'n+m':>5} {'P(success)':>12}")
+    lines = [f"{'fault rate':>12} {'m':>5} {'n+m':>5} {'P(success)':>12}"]
     for fault_rate in (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
         m = minimum_overcollection(args.n, fault_rate, args.target_success)
         probability = query_success_probability(args.n, m, fault_rate)
-        print(f"{fault_rate:>12.2f} {m:>5d} {args.n + m:>5d} {probability:>12.4f}")
+        lines.append(
+            f"{fault_rate:>12.2f} {m:>5d} {args.n + m:>5d} {probability:>12.4f}"
+        )
+    print("\n".join(lines))
     return 0
 
 
@@ -1034,6 +1037,10 @@ _COMMANDS = {
     "advise": _cmd_advise,
 }
 
+#: Commands whose only inputs are planning parameters: a rejected one is
+#: a usage error, not a crash.
+_PLANNING_COMMANDS = frozenset({"plan", "explain", "resiliency", "advise"})
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
@@ -1047,6 +1054,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(exc.code, str):
             raise
         print(exc.code, file=sys.stderr)
+        return 2
+    except (ValueError, PlanningError) as exc:
+        if args.command not in _PLANNING_COMMANDS:
+            raise
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 
 

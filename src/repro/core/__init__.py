@@ -6,7 +6,7 @@ with three guaranteed properties:
 
 * **Resiliency** — a query completes before a given deadline under a
   given fault presumption rate (:mod:`repro.core.resiliency`,
-  :mod:`repro.core.overcollection`, :mod:`repro.core.backup`);
+  :mod:`repro.core.overcollection`);
 * **Validity** — the result is equivalent to a centralized execution
   (:mod:`repro.core.validity`);
 * **Crowd Liability** — processing responsibility is spread evenly over
@@ -26,7 +26,6 @@ from repro.core.representativeness import RepresentativenessReport, check_repres
 from repro.core.qep import Operator, OperatorRole, QueryExecutionPlan
 from repro.core.resiliency import (
     minimum_overcollection,
-    partition_survival_probability,
     query_success_probability,
 )
 from repro.core.overcollection import OvercollectionConfig
@@ -41,7 +40,6 @@ from repro.core.assignment import SecureAssignment, assign_operators, contributo
 from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.liability import LiabilityReport, gini_coefficient, measure_liability
 from repro.core.validity import ValidityReport, compare_results
-from repro.core.backup import BackupConfig
 from repro.core.runtime import (
     BackupStrategy,
     ExecutionCoordinator,
@@ -51,7 +49,6 @@ from repro.core.runtime import (
 )
 
 __all__ = [
-    "BackupConfig",
     "BackupStrategy",
     "ExecutionCoordinator",
     "EnergyModel",
@@ -85,6 +82,5 @@ __all__ = [
     "measure_liability",
     "minimum_overcollection",
     "recommend_strategy",
-    "partition_survival_probability",
     "query_success_probability",
 ]

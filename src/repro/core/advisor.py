@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.backup import BackupConfig
-from repro.core.resiliency import minimum_overcollection
+from repro.core.resiliency import minimum_overcollection, worst_case_delay
 
 __all__ = [
     "QueryProperties",
@@ -92,13 +91,15 @@ def recommend_strategy(
     n: int,
     fault_rate: float,
     target_success: float = 0.99,
-    backup_config: BackupConfig | None = None,
+    replicas: int = 1,
 ) -> StrategyRecommendation:
     """Pick the resiliency strategy for a query.
 
     ``n`` is the horizontal partitioning degree and ``fault_rate`` the
     presumed per-partition fault probability; both are needed to
-    quantify the cost of each branch.
+    quantify the cost of each branch.  ``replicas`` is the Backup
+    chain a Backup verdict would spend, priced by
+    :func:`~repro.core.resiliency.worst_case_delay`.
 
     Iterative processing is checked first: the Backup strategy cannot
     cover heartbeat-cadenced operators (a promoted replica has no
@@ -106,7 +107,6 @@ def recommend_strategy(
     Overcollection with heartbeat execution is the only runnable
     answer — matching what the execution runtime actually supports.
     """
-    backup = backup_config or BackupConfig()
     reasons: list[str] = []
 
     if properties.iterative:
@@ -137,14 +137,14 @@ def recommend_strategy(
         )
         reasons.append(
             f"Backup covers any operator at the price of up to "
-            f"{backup.worst_case_delay():.0f}s of sequential takeovers"
+            f"{worst_case_delay(replicas):.0f}s of sequential takeovers"
         )
         return StrategyRecommendation(
             strategy="backup",
             heartbeat_execution=False,
             reasons=tuple(reasons),
-            extra_devices=backup.replicas,
-            worst_extra_latency=backup.worst_case_delay(),
+            extra_devices=replicas,
+            worst_extra_latency=worst_case_delay(replicas),
         )
 
     if properties.exact_result_required:
@@ -156,8 +156,8 @@ def recommend_strategy(
             strategy="backup",
             heartbeat_execution=False,
             reasons=tuple(reasons),
-            extra_devices=backup.replicas,
-            worst_extra_latency=backup.worst_case_delay(),
+            extra_devices=replicas,
+            worst_extra_latency=worst_case_delay(replicas),
         )
 
     m = minimum_overcollection(n, fault_rate, target_success)

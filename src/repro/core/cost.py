@@ -102,12 +102,10 @@ def estimate_plan_cost(plan: QueryExecutionPlan) -> PlanCostEstimate:
     per_partition = -(-cardinality // n)
     kind = plan.metadata.get("kind", "aggregate")
     heartbeats = plan.metadata.get("heartbeats") or 0
-    replicas = plan.metadata.get("backup_replicas", 0)
 
     per_stage: dict[str, int] = {}
     # collection: every contributor ships to its builder (all ranks)
-    contribution_fanout = 1 + (replicas if plan.metadata.get("strategy") == "backup" else 0)
-    per_stage["contribution"] = contributors * contribution_fanout
+    per_stage["contribution"] = contributors * (1 + plan.replicas)
     # partition shipping: each live builder feeds its computers
     builder_primaries = [
         b for b in builders if b.params.get("backup_rank", 0) == 0

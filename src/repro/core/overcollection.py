@@ -5,8 +5,8 @@ executing a distributive operator on single edgelets, distribute it over
 ``n + m`` edgelets, each processing one hash partition of the dataset,
 where ``n`` is the minimum number of partitions to collect and ``m`` the
 overcollection margin.  Validity holds as long as (1) each partition is
-representative with cardinality ``C / n`` and (2) fewer than... at most
-``m`` partitions are lost.
+representative with cardinality ``C / n`` and (2) at most ``m``
+partitions are lost.
 
 :class:`OvercollectionConfig` carries the parameters; the tally class
 tracks which partitions actually arrived and decides completion,
@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.core.resiliency import minimum_overcollection, query_success_probability
 
 __all__ = ["OvercollectionConfig", "PartitionTally"]
 
@@ -56,22 +54,6 @@ class OvercollectionConfig:
     def partition_cardinality(self) -> int:
         """Tuples per partition, ``ceil(C / n)``."""
         return math.ceil(self.snapshot_cardinality / self.n)
-
-    def success_probability(self, fault_rate: float) -> float:
-        """P[query valid] under an i.i.d. partition fault rate."""
-        return query_success_probability(self.n, self.m, fault_rate)
-
-    @classmethod
-    def for_fault_rate(
-        cls,
-        n: int,
-        snapshot_cardinality: int,
-        fault_rate: float,
-        target_success: float = 0.99,
-    ) -> "OvercollectionConfig":
-        """Choose the minimal ``m`` reaching ``target_success``."""
-        m = minimum_overcollection(n, fault_rate, target_success)
-        return cls(n=n, m=m, snapshot_cardinality=snapshot_cardinality)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible representation (stored in plan metadata)."""

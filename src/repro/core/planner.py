@@ -163,6 +163,12 @@ class ResiliencyParameters:
         if self.backup_replicas < 0:
             raise ValueError("backup_replicas must be non-negative")
 
+    @property
+    def replicas(self) -> int:
+        """Replica ranks per Data Processor operator the plan carries:
+        ``backup_replicas`` under Backup, none under Overcollection."""
+        return self.backup_replicas if self.strategy == "backup" else 0
+
 
 class EdgeletPlanner:
     """Builds Figure-3-shaped plans from the three parameter blocks."""
@@ -197,8 +203,9 @@ class EdgeletPlanner:
         config = OvercollectionConfig(
             n=n, m=m, snapshot_cardinality=spec.snapshot_cardinality
         )
-        replicas = self.resiliency.backup_replicas if backup else 0
-        plan = self._build_plan(spec, contributors, config, column_groups, replicas)
+        plan = self._build_plan(
+            spec, contributors, config, column_groups, self.resiliency.replicas
+        )
         plan.validate()
         return plan
 

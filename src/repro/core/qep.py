@@ -177,6 +177,12 @@ class QueryExecutionPlan:
     def __len__(self) -> int:
         return len(self._operators)
 
+    @property
+    def replicas(self) -> int:
+        """Replica ranks behind each Data Processor primary (the planner
+        writes ``backup_replicas`` only on Backup plans)."""
+        return int(self.metadata.get("backup_replicas", 0))
+
     # -- structural metrics (Figure 2/3 observables) -----------------------------
 
     def role_counts(self) -> dict[str, int]:

@@ -1,9 +1,13 @@
-"""Resiliency mathematics of the Overcollection strategy.
+"""Resiliency mathematics of the two strategies.
 
 Overcollection distributes a distributive operator over ``n + m``
 edgelets, each processing one partition of cardinality ``C / n``.  The
-query is *valid* as long as fewer than ``m`` partitions are lost, i.e.
-at least ``n`` of the ``n + m`` survive.
+query is *valid* as long as at most ``m`` partitions are lost, i.e.
+at least ``n`` of the ``n + m`` survive.  Backup gives every Data
+Processor operator ``r`` passive replicas, so a partition is lost only
+when all ``r + 1`` of its ranks fail — the same binomial at fault rate
+``p ** (r + 1)`` — and each promotion costs one
+:data:`TAKEOVER_TIMEOUT`.
 
 Under the paper's fault presumption model, each partition independently
 fails (device crash, disconnection past the deadline, lost messages)
@@ -19,29 +23,24 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "partition_survival_probability",
+    "TAKEOVER_TIMEOUT",
     "query_success_probability",
+    "worst_case_delay",
     "minimum_overcollection",
     "effective_fault_rate",
 ]
 
+#: Virtual seconds between two Backup ranks: a rank-``r`` replica takes
+#: over ``r * TAKEOVER_TIMEOUT`` after its primary's firing point.  The
+#: runtime waits it and the planner prices it.
+TAKEOVER_TIMEOUT = 5.0
 
-def partition_survival_probability(
-    fault_rate: float, messages_per_partition: int = 1
-) -> float:
-    """Probability that one partition's whole pipeline survives.
 
-    A partition survives only if every message on its path (contribution
-    batch → Snapshot Builder → Computer → Combiner) gets through and the
-    processing edgelets stay up.  With per-event fault probability
-    ``fault_rate`` and ``messages_per_partition`` independent events,
-    survival is ``(1 - fault_rate) ** messages_per_partition``.
-    """
-    if not 0 <= fault_rate <= 1:
-        raise ValueError("fault_rate must be in [0, 1]")
-    if messages_per_partition < 1:
-        raise ValueError("messages_per_partition must be >= 1")
-    return (1.0 - fault_rate) ** messages_per_partition
+def worst_case_delay(replicas: int) -> float:
+    """Latency Backup adds when all ``replicas`` ranks take over in turn."""
+    if replicas < 0:
+        raise ValueError("replicas must be non-negative")
+    return replicas * TAKEOVER_TIMEOUT
 
 
 def query_success_probability(n: int, m: int, fault_rate: float) -> float:

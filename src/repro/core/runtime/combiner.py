@@ -47,13 +47,11 @@ class CombinerState:
         config: OvercollectionConfig,
         n_groups: int,
         query: GroupByQuery | None,
-        extrapolate: bool,
     ):
         self.name = name
         self.config = config
         self.n_groups = n_groups
         self.query = query
-        self.extrapolate = extrapolate
         self.partials: dict[tuple[int, int], PartialGroups] = {}
         self.knowledges: dict[int, CentroidKnowledge] = {}
         self.group_tallies = [PartitionTally(config) for _ in range(n_groups)]
@@ -124,31 +122,36 @@ class CombinerState:
         """
         if self.query is None:
             raise ExecutionError("aggregate finalize without a query")
-        per_group_results: list[GroupingSetsResult] = []
-        for group_index in range(self.n_groups):
-            tally = self.group_tallies[group_index]
-            if tally.received_count == 0:
-                return None
-            group_query = GroupByQuery(
-                grouping_sets=self.query.grouping_sets,
-                aggregates=tuple(
-                    self.query.aggregates[i]
-                    for i in aggregate_indices_per_group[group_index]
-                ),
-            )
-            merged = merge_partials(
-                group_query,
-                (
-                    self.partials[(p, g)]
-                    for (p, g) in sorted(self.partials)
-                    if g == group_index
-                ),
-            )
-            result = finalize_partials(group_query, merged)
-            if self.extrapolate and tally.lost_count > 0:
-                result = result.scaled_counts(tally.scaling_factor())
-            per_group_results.append(result)
+        if any(tally.received_count == 0 for tally in self.group_tallies):
+            return None
+        per_group_results = [
+            self._group_result(g, aggregate_indices_per_group[g])
+            for g in range(self.n_groups)
+        ]
         return stitch_groups(self.query, per_group_results, aggregate_indices_per_group)
+
+    def _group_result(
+        self, group_index: int, indices: list[int]
+    ) -> GroupingSetsResult:
+        """One vertical group's merged rows, counts extrapolated over
+        the partitions it lost."""
+        group_query = GroupByQuery(
+            grouping_sets=self.query.grouping_sets,
+            aggregates=tuple(self.query.aggregates[i] for i in indices),
+        )
+        merged = merge_partials(
+            group_query,
+            (
+                self.partials[(p, g)]
+                for (p, g) in sorted(self.partials)
+                if g == group_index
+            ),
+        )
+        result = finalize_partials(group_query, merged)
+        tally = self.group_tallies[group_index]
+        if tally.lost_count > 0:
+            result = result.scaled_counts(tally.scaling_factor())
+        return result
 
     def finalize_partial(
         self, aggregate_indices_per_group: list[list[int]]
@@ -170,30 +173,11 @@ class CombinerState:
         ]
         if not covered:
             return None, {}
-        per_group_results: list[GroupingSetsResult] = []
-        covered_indices: list[list[int]] = []
-        for group_index in covered:
-            tally = self.group_tallies[group_index]
-            group_query = GroupByQuery(
-                grouping_sets=self.query.grouping_sets,
-                aggregates=tuple(
-                    self.query.aggregates[i]
-                    for i in aggregate_indices_per_group[group_index]
-                ),
-            )
-            merged = merge_partials(
-                group_query,
-                (
-                    self.partials[(p, g)]
-                    for (p, g) in sorted(self.partials)
-                    if g == group_index
-                ),
-            )
-            result = finalize_partials(group_query, merged)
-            if self.extrapolate and tally.lost_count > 0:
-                result = result.scaled_counts(tally.scaling_factor())
-            per_group_results.append(result)
-            covered_indices.append(aggregate_indices_per_group[group_index])
+        covered_indices = [aggregate_indices_per_group[g] for g in covered]
+        per_group_results = [
+            self._group_result(g, indices)
+            for g, indices in zip(covered, covered_indices)
+        ]
         # HAVING may reference aggregates of an uncovered group; with
         # partial coverage the predicate is unevaluable and skipped
         result = stitch_groups(
@@ -289,7 +273,6 @@ class CombinerRuntime:
                 config=ctx.config,
                 n_groups=len(ctx.column_groups),
                 query=ctx.query,
-                extrapolate=ctx.extrapolate_lost,
             )
         self.stats_partials: dict[str, dict[int, PartialGroups]] = {
             name: {} for name in COMBINER_NAMES

@@ -44,7 +44,6 @@ class ExecutionContext:
         collection_window: float = 30.0,
         deadline: float = 100.0,
         secure_channels: bool = True,
-        extrapolate_lost: bool = True,
         contribution_copies: int = 1,
         audit_ledger: Any = None,
         telemetry: Any = None,
@@ -102,7 +101,6 @@ class ExecutionContext:
         self.collect_end = self.start_time + collection_window
         self.deadline_at = self.start_time + deadline
         self.secure_channels = secure_channels
-        self.extrapolate_lost = extrapolate_lost
         self.contribution_copies = contribution_copies
         self.audit_ledger = audit_ledger
         self._contribution_filters: dict[Any, Any] = {}

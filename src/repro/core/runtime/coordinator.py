@@ -83,7 +83,6 @@ class ExecutionCoordinator:
         collection_window: float = 30.0,
         deadline: float = 100.0,
         secure_channels: bool = True,
-        extrapolate_lost: bool = True,
         contribution_copies: int = 1,
         audit_ledger: Any = None,
         telemetry: Any = None,
@@ -105,7 +104,6 @@ class ExecutionCoordinator:
             collection_window=collection_window,
             deadline=deadline,
             secure_channels=secure_channels,
-            extrapolate_lost=extrapolate_lost,
             contribution_copies=contribution_copies,
             audit_ledger=audit_ledger,
             telemetry=telemetry,

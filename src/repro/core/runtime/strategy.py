@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.qep import Operator, OperatorRole, rank_of
+from repro.core.resiliency import TAKEOVER_TIMEOUT
 from repro.core.runtime.builder import BuilderRuntime
 from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
@@ -114,7 +115,7 @@ class BackupStrategy(StrategyRuntime):
 
     name = "backup"
 
-    def __init__(self, takeover_timeout: float = 5.0):
+    def __init__(self, takeover_timeout: float = TAKEOVER_TIMEOUT):
         self.takeover_timeout = takeover_timeout
 
     def bind(

@@ -97,7 +97,7 @@ class CompiledQuery:
             n_contributors=n_contributors,
         )
 
-    def strategy_runtime(self, takeover_timeout: float = 5.0) -> StrategyRuntime:
+    def strategy_runtime(self) -> StrategyRuntime:
         """The runtime executing this query's resiliency strategy.
 
         The canonical decision: Backup runs only for aggregate queries
@@ -106,7 +106,7 @@ class CompiledQuery:
         everything else executes under Overcollection.
         """
         if self.resiliency.strategy == "backup" and self.spec.kind == "aggregate":
-            return BackupStrategy(takeover_timeout=takeover_timeout)
+            return BackupStrategy()
         return OvercollectionStrategy()
 
     def present(self, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -165,12 +165,9 @@ def _pinned_report(
     weights: CostWeights | None,
 ) -> CandidateReport:
     """The single-candidate audit entry of pinned mode."""
-    replicas = (
-        resiliency.backup_replicas if resiliency.strategy == "backup" else 0
-    )
     key = (
         f"{resiliency.strategy}/raw{privacy.max_raw_per_edgelet}"
-        f"/r{replicas}/packed"
+        f"/r{resiliency.replicas}/packed"
     )
     cost = None
     if substrate is not None:
@@ -185,7 +182,7 @@ def _pinned_report(
         key=key,
         strategy=resiliency.strategy,
         max_raw=privacy.max_raw_per_edgelet,
-        backup_replicas=replicas,
+        backup_replicas=resiliency.replicas,
         vertical="packed",
         feasible=True,
         chosen=True,

@@ -6,9 +6,9 @@ repo already measures separately:
 * the analytic message/byte/compute estimate of
   :func:`repro.core.cost.estimate_plan_cost` (inflated by the
   substrate's delivery overhead);
-* the resiliency mathematics — binomial survival for Overcollection,
-  replica-chain survival for Backup — evaluated at the substrate's
-  *measured* fault telemetry, charged as risk;
+* the resiliency mathematics — one binomial over ``n + m`` partitions
+  of ``r + 1`` ranks each — evaluated at the substrate's *measured*
+  fault telemetry, charged as risk;
 * the strategy advisor's worst-case takeover latency;
 * device recruitment (and crowding past the processor pool);
 * privacy exposure: the widest column group any single TEE holds.
@@ -96,18 +96,14 @@ def _success_probability(
 ) -> float:
     """Candidate success probability at the measured fault rate.
 
-    Overcollection: binomial survival of at least n of n+m partitions.
-    Backup: every partition must survive, each covered by a chain of
-    ``replicas + 1`` devices failing independently.
+    At least ``n`` of the ``n + m`` partitions must survive, and a
+    partition is lost only when all ``r + 1`` of its ranks fail.
+    Overcollection (``r = 0``) and Backup (``m = 0``) are the edge cases.
     """
     overcollection = qep.metadata.get("overcollection") or {}
     n = max(int(overcollection.get("n", 1)), 1)
-    if qep.metadata.get("strategy") == "backup":
-        replicas = int(qep.metadata.get("backup_replicas", 0))
-        chain_survives = 1.0 - fault_rate ** (replicas + 1)
-        return chain_survives**n
     m = max(int(overcollection.get("m", 0)), 0)
-    return query_success_probability(n, m, fault_rate)
+    return query_success_probability(n, m, fault_rate ** (qep.replicas + 1))
 
 
 def score_plan(

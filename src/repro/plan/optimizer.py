@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.core.advisor import properties_for, recommend_strategy
-from repro.core.backup import BackupConfig
 from repro.core.planner import (
     EdgeletPlanner,
     PlanningError,
@@ -28,6 +27,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import worst_case_delay
 from repro.plan.cost import CandidateCost, CostWeights, score_plan
 from repro.plan.explain import CandidateReport
 from repro.plan.substrate import SubstrateProfile
@@ -156,9 +156,7 @@ class PhysicalOptimizer:
             fault_rate=self.substrate.planning_fault_rate(),
             target_success=resiliency.target_success,
             strategy=candidate.strategy,
-            backup_replicas=max(candidate.backup_replicas, 1)
-            if candidate.strategy == "backup"
-            else resiliency.backup_replicas,
+            backup_replicas=candidate.backup_replicas,
         )
         return chosen_privacy, chosen_resiliency
 
@@ -282,15 +280,9 @@ class PhysicalOptimizer:
             return CandidateReport(
                 **base, feasible=False, reason=str(error),
             )
-        extra_latency = (
-            BackupConfig(
-                replicas=max(candidate.backup_replicas, 1)
-            ).worst_case_delay()
-            if candidate.strategy == "backup"
-            else 0.0
-        )
         cost = score_plan(
-            qep, self.substrate, self.weights, extra_latency=extra_latency
+            qep, self.substrate, self.weights,
+            extra_latency=worst_case_delay(qep.replicas),
         )
         disagreement = (
             "" if advice.strategy == candidate.strategy

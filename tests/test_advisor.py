@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.advisor import QueryProperties, recommend_strategy
-from repro.core.backup import BackupConfig
-from repro.core.resiliency import minimum_overcollection
+from repro.core.resiliency import minimum_overcollection, worst_case_delay
 
 
 class TestRecommendations:
@@ -28,12 +27,11 @@ class TestRecommendations:
     def test_non_distributive_gets_backup(self):
         properties = QueryProperties(distributive=False)
         rec = recommend_strategy(
-            properties, n=4, fault_rate=0.1,
-            backup_config=BackupConfig(replicas=2, takeover_timeout=20.0),
+            properties, n=4, fault_rate=0.1, replicas=2,
         )
         assert rec.strategy == "backup"
         assert rec.extra_devices == 2
-        assert rec.worst_extra_latency == 40.0
+        assert rec.worst_extra_latency == worst_case_delay(2) == 10.0
         assert not rec.heartbeat_execution
 
     def test_exact_requirement_gets_backup(self):

@@ -1,4 +1,4 @@
-"""Tests for the Backup strategy: its config and the runtime replica chain.
+"""Tests for the Backup strategy's runtime replica chain.
 
 A chain is one base operator (``builder[0]``, ``computer[0,g0]``) at
 ranks ``0..replicas``; the primary fires on schedule and each replica
@@ -8,11 +8,16 @@ shipped.  ``takeover_log`` is the promotion record.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.backup import BackupConfig
+from repro.cli import main
+from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.qep import rank_of
+from repro.core.resiliency import worst_case_delay
 from repro.core.runtime import BackupStrategy, ExecutionCoordinator, commit_snapshot
+from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+from repro.manager.scenario import Scenario, ScenarioConfig
+from repro.network.failures import FailurePlan
+from repro.plan.compile import OPTIMIZER_COST, compile_query
+from repro.plan.substrate import SUBSTRATE_PROFILES
 
 from tests.test_backup_execution import _backup_plan, _swarm
 
@@ -42,17 +47,6 @@ def _frozen_by(report, base: str) -> list[str]:
         text.split(" ")[0] for _, text in report.trace
         if text.startswith(base) and "snapshot frozen" in text
     ]
-
-
-class TestBackupConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BackupConfig(replicas=-1)
-        with pytest.raises(ValueError):
-            BackupConfig(takeover_timeout=0.0)
-
-    def test_worst_case_delay(self):
-        assert BackupConfig(replicas=3, takeover_timeout=5.0).worst_case_delay() == 15.0
 
 
 class TestBackupChain:
@@ -124,3 +118,53 @@ class TestBackupChain:
             if text.endswith("cannot ship builder[0]")
         ]
         assert len(offline) == 3
+
+
+PRICE_SQL = "SELECT count(*), avg(age) FROM health GROUP BY region"
+
+
+def _compile(**options):
+    return compile_query(
+        PRICE_SQL, query_id="price", snapshot_cardinality=60,
+        privacy=PrivacyParameters(max_raw_per_edgelet=30), **options,
+    )
+
+
+def _launch(failure_plan: FailurePlan | None = None):
+    """A Backup r=1 aggregate through the one launch path."""
+    config = ScenarioConfig(
+        n_contributors=30, n_processors=20,
+        rows=generate_health_rows(60, seed=3), schema=HEALTH_SCHEMA,
+        device_mix=(1.0, 0.0, 0.0), seed=3, scenario_tag="price",
+        failure_plan=failure_plan,
+    )
+    compiled = _compile(
+        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=1)
+    )
+    return Scenario(config).run_compiled(compiled)
+
+
+class TestPriceIsWhatRuns:
+    def test_takeover_lands_at_the_planned_price(self, capsys):
+        # the same tag and seed rebuild the same swarm and assignment
+        victim = _launch().plan.operator("builder[0]").assigned_to
+        executor = _launch(FailurePlan().crash(victim, 1.0)).executor
+        [(at, rank)] = [
+            (at, rank) for at, base, rank in executor.takeover_log
+            if base == "builder[0]"
+        ]
+        assert rank == 1
+        measured = at - executor.collect_end
+        assert measured == worst_case_delay(1)
+
+        explain = _compile(
+            optimizer=OPTIMIZER_COST, substrate=SUBSTRATE_PROFILES["residential"]
+        ).explain
+        [candidate] = [
+            report for report in explain.candidates
+            if report.key == "backup/raw30/r1/packed"
+        ]
+        assert candidate.cost.extra_latency == measured
+
+        assert main(["advise", "--n", "4"]) == 0
+        assert f"worst extra latency: {measured:.0f}s" in capsys.readouterr().out

@@ -128,6 +128,25 @@ class TestCommands:
         assert code == 0
         assert "strategy: backup" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--fault-rate", "1.2"],
+            ["plan", "--separate", "region,age"],
+            ["resiliency", "--target-success", "1.5"],
+            ["resiliency", "--n", "0"],
+            ["explain", "--max-raw", "0"],
+            ["advise", "--distributive", "--fault-rate", "1.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_planning_parameter_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert captured.err.count("\n") == 1
+
     def test_run_with_order_and_limit(self, capsys):
         code = main([
             "run", "--contributors", "30", "--processors", "15",

@@ -25,12 +25,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             OvercollectionConfig(n=1, m=1, snapshot_cardinality=0)
 
-    def test_for_fault_rate_meets_target(self):
-        config = OvercollectionConfig.for_fault_rate(
-            n=10, snapshot_cardinality=1000, fault_rate=0.15, target_success=0.99
-        )
-        assert config.success_probability(0.15) >= 0.99
-
     def test_serialization_round_trip(self):
         config = OvercollectionConfig(n=4, m=2, snapshot_cardinality=2000)
         assert OvercollectionConfig.from_dict(config.to_dict()) == config

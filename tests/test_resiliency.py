@@ -1,37 +1,63 @@
-"""Tests for the Overcollection resiliency mathematics."""
+"""Tests for the resiliency mathematics of both strategies."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.qep import QueryExecutionPlan
 from repro.core.resiliency import (
+    TAKEOVER_TIMEOUT,
     effective_fault_rate,
     minimum_overcollection,
-    partition_survival_probability,
     query_success_probability,
+    worst_case_delay,
 )
+from repro.plan.cost import _success_probability
 
 
-class TestSurvivalProbability:
-    def test_single_message(self):
-        assert partition_survival_probability(0.1) == pytest.approx(0.9)
-
-    def test_multiple_messages_compound(self):
-        assert partition_survival_probability(0.1, 3) == pytest.approx(0.9**3)
-
-    def test_bounds(self):
-        assert partition_survival_probability(0.0) == 1.0
-        assert partition_survival_probability(1.0) == 0.0
+class TestTakeoverPrice:
+    def test_worst_case_delay(self):
+        assert worst_case_delay(3) == 15.0
+        assert worst_case_delay(0) == 0.0
+        assert worst_case_delay(1) == TAKEOVER_TIMEOUT
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            partition_survival_probability(1.5)
-        with pytest.raises(ValueError):
-            partition_survival_probability(0.1, 0)
+            worst_case_delay(-1)
+
+
+def _plan(strategy: str, n: int, m: int, r: int) -> QueryExecutionPlan:
+    """A bare plan carrying the metadata the planner writes for a shape."""
+    metadata = {"strategy": strategy}
+    if strategy == "backup":
+        metadata["backup_replicas"] = r
+    metadata["overcollection"] = {"n": n, "m": m, "snapshot_cardinality": n}
+    return QueryExecutionPlan("p", metadata)
+
+
+class TestOneSuccessFormula:
+    """``P[Binomial(n + m, 1 - f ** (r + 1)) >= n]`` reproduces both
+    branches the cost model used to keep, bit for bit."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=2_000),
+        m=st.sampled_from([0, 1, 3, 10, 50]),
+        r=st.integers(min_value=0, max_value=3),
+        f=st.sampled_from([0.0, 1e-9, 0.5, 0.95]),
+    )
+    @example(n=7, m=0, r=2, f=0.5)
+    @example(n=7, m=3, r=0, f=0.5)
+    @example(n=2_000, m=50, r=0, f=0.95)
+    @settings(max_examples=120, deadline=None)
+    def test_edge_cases_are_the_old_branches(self, n, m, r, f):
+        # Overcollection: r = 0, the binomial over n + m partitions
+        overcollection = query_success_probability(n, m, f)
+        assert _success_probability(_plan("overcollection", n, m, r), f) == overcollection
+        # Backup: m = 0, every partition's chain of r + 1 ranks must hold
+        backup = (1.0 - f ** (r + 1)) ** n
+        assert _success_probability(_plan("backup", n, 0, r), f) == backup
 
 
 class TestQuerySuccess:

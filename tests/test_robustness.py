@@ -73,7 +73,6 @@ class TestFencedCombinerState:
             config=OvercollectionConfig(n=2, m=1, snapshot_cardinality=8),
             n_groups=1,
             query=None,
-            extrapolate=True,
         )
 
     def test_unfenced_path_is_first_wins(self):
