@@ -26,7 +26,7 @@ from repro.core.assignment import assign_operators
 from repro.core.liability import measure_liability
 from repro.core.planner import EdgeletPlanner, PrivacyParameters, QuerySpec
 from repro.core.qep import OperatorRole
-from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -84,7 +84,6 @@ def _run_with_copies(loss: float, copies: int, seed: int):
         simulator, network, devices, plan,
         collection_window=15.0, deadline=50.0, secure_channels=False,
         contribution_copies=copies, seed=seed,
-        strategy=OvercollectionStrategy(),
     )
     report = executor.run()
     # measure the collection stage directly: unique rows that reached

@@ -26,7 +26,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
-from repro.core.resiliency import worst_case_delay
+from repro.core.resiliency import TAKEOVER_TIMEOUT, worst_case_delay
 from repro.manager.scenario import Scenario
 from repro.query.sql import parse_query
 
@@ -114,13 +114,11 @@ def test_qgen_overcollection_vs_backup_cost(benchmark):
     benchmark(lambda: backup_planner.plan(spec, n_contributors=50))
 
 
-def _run_backup_execution(
-    kills: int, replicas: int = 1, timeout: float = 10.0, seed: int = 3
-):
+def _run_backup_execution(kills: int, replicas: int = 1, seed: int = 3):
     """One Backup-strategy run with ``builder[0]``'s first ``kills`` ranks
     killed during collection; returns ``(report, executor)``."""
     from repro.core.assignment import assign_operators
-    from repro.core.runtime import BackupStrategy, ExecutionCoordinator
+    from repro.core.runtime import ExecutionCoordinator
     from repro.core.qep import OperatorRole
     from repro.data.health import generate_health_rows
     from repro.devices.edgelet import Edgelet
@@ -170,7 +168,6 @@ def _run_backup_execution(
     executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=100.0, secure_channels=False,
-        strategy=BackupStrategy(takeover_timeout=timeout),
     )
     for rank in range(kills):
         suffix = "" if rank == 0 else f".b{rank}"
@@ -193,7 +190,7 @@ def test_qgen_backup_takeover_chain(benchmark):
     killed rank hands ``builder[0]`` to the next one, one timeout later."""
     rows = []
     for kills in (0, 1, 2):
-        report, executor = _run_backup_execution(kills, replicas=2, timeout=15.0)
+        report, executor = _run_backup_execution(kills, replicas=2)
         [(freeze_at, shipped_by)] = _freezes(report, "builder[0]")
         promotions = [r for _, base, r in executor.takeover_log if base == "builder[0]"]
         rows.append(
@@ -202,18 +199,20 @@ def test_qgen_backup_takeover_chain(benchmark):
              freeze_at - executor.collect_end]
         )
     print_table(
-        "Q-GEN: Backup takeover chain [2 replicas, 15s timeout, runtime]",
+        f"Q-GEN: Backup takeover chain [2 replicas, "
+        f"{TAKEOVER_TIMEOUT:.0f}s timeout, runtime]",
         ["ranks killed", "success", "builder[0] shipped by", "promotions",
          "added latency (s)"],
         rows,
     )
     assert [row[1] for row in rows] == [True, True, True]
     assert [row[2] for row in rows] == ["builder[0]", "builder[0].b1", "builder[0].b2"]
-    assert [row[4] for row in rows] == [0.0, 15.0, 30.0]
+    assert [row[4] for row in rows] == [
+        0.0, TAKEOVER_TIMEOUT, 2 * TAKEOVER_TIMEOUT,
+    ]
 
     benchmark.pedantic(
-        lambda: _run_backup_execution(2, replicas=2, timeout=15.0),
-        rounds=2, iterations=1,
+        lambda: _run_backup_execution(2, replicas=2), rounds=2, iterations=1
     )
 
 
@@ -227,7 +226,8 @@ def test_qgen_backup_runtime_takeover_latency(benchmark):
         measured.append((report.success, len(executor.takeover_log), freeze))
     (ok_clean, takeovers_clean, freeze_clean), (ok_kill, takeovers_kill, freeze_kill) = measured
     print_table(
-        "Q-GEN: Backup executor runtime takeover [timeout 10s]",
+        "Q-GEN: Backup executor runtime takeover "
+        f"[timeout {TAKEOVER_TIMEOUT:.0f}s]",
         ["scenario", "success", "takeovers", "last snapshot freeze (t)"],
         [
             ["no failure", ok_clean, takeovers_clean, f"{freeze_clean:.1f}"],
@@ -236,6 +236,6 @@ def test_qgen_backup_runtime_takeover_latency(benchmark):
     )
     assert ok_clean and ok_kill
     assert takeovers_clean == 0 and takeovers_kill >= 1
-    assert freeze_kill >= freeze_clean + 10.0 - 1.0
+    assert freeze_kill >= freeze_clean + TAKEOVER_TIMEOUT - 1.0
 
     benchmark.pedantic(lambda: _run_backup_execution(1), rounds=2, iterations=1)

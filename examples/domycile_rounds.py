@@ -23,7 +23,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
-from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+from repro.core.runtime import ExecutionCoordinator
 from repro.data import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import HOME_BOX, PC_SGX
@@ -96,7 +96,6 @@ def main() -> None:
         simulator, network, devices, plan,
         collection_window=400.0, deadline=550.0, secure_channels=False,
         contribution_copies=2, audit_ledger=ledger,
-        strategy=OvercollectionStrategy(),
     )
     schedule.install(simulator, network)
     report = executor.run()

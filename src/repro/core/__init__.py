@@ -41,15 +41,12 @@ from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.liability import LiabilityReport, gini_coefficient, measure_liability
 from repro.core.validity import ValidityReport, compare_results
 from repro.core.runtime import (
-    BackupStrategy,
     ExecutionCoordinator,
     ExecutionReport,
-    OvercollectionStrategy,
     StrategyRuntime,
 )
 
 __all__ = [
-    "BackupStrategy",
     "ExecutionCoordinator",
     "EnergyModel",
     "EdgeletPlanner",
@@ -60,7 +57,6 @@ __all__ = [
     "QueryProperties",
     "OperatorRole",
     "OvercollectionConfig",
-    "OvercollectionStrategy",
     "PlanningError",
     "PrivacyParameters",
     "QueryExecutionPlan",

@@ -20,11 +20,18 @@ from dataclasses import dataclass
 from repro.core.resiliency import minimum_overcollection, worst_case_delay
 
 __all__ = [
+    "NO_GOSSIP_HISTORY",
     "QueryProperties",
     "StrategyRecommendation",
     "properties_for",
     "recommend_strategy",
 ]
+
+
+#: Why Backup cannot cover heartbeat-cadenced (iterative) operators.
+NO_GOSSIP_HISTORY = (
+    "a promoted passive replica has no gossip history to resume from"
+)
 
 
 @dataclass(frozen=True)
@@ -38,14 +45,11 @@ class QueryProperties:
             several rounds (K-Means and friends).
         exact_result_required: ``True`` when the consumer cannot accept
             an approximate/extrapolated result.
-        deadline_sensitive: ``True`` when completion latency dominates
-            (e.g. real-time opportunistic polling).
     """
 
     distributive: bool
     iterative: bool = False
     exact_result_required: bool = False
-    deadline_sensitive: bool = True
 
 
 @dataclass(frozen=True)
@@ -102,18 +106,17 @@ def recommend_strategy(
     :func:`~repro.core.resiliency.worst_case_delay`.
 
     Iterative processing is checked first: the Backup strategy cannot
-    cover heartbeat-cadenced operators (a promoted replica has no
-    gossip history to resume from), so for iterative queries
-    Overcollection with heartbeat execution is the only runnable
-    answer — matching what the execution runtime actually supports.
+    cover heartbeat-cadenced operators (:data:`NO_GOSSIP_HISTORY`), so
+    for iterative queries Overcollection with heartbeat execution is
+    the only runnable answer — matching what the compile pipeline
+    accepts.
     """
     reasons: list[str] = []
 
     if properties.iterative:
         m = minimum_overcollection(n, fault_rate, target_success)
         reasons.append(
-            "iterative algorithm: a promoted passive replica has no gossip "
-            "history to resume from, so Backup does not apply"
+            f"iterative algorithm: {NO_GOSSIP_HISTORY}, so Backup does not apply"
         )
         reasons.append(
             "heartbeat-cadenced execution with resampling tolerates "
@@ -162,10 +165,7 @@ def recommend_strategy(
 
     m = minimum_overcollection(n, fault_rate, target_success)
     reasons.append("processing is distributive: partial states merge at the combiner")
-    if properties.deadline_sensitive:
-        reasons.append(
-            "deadline-sensitive: Overcollection adds no takeover latency"
-        )
+    reasons.append("deadline-sensitive: Overcollection adds no takeover latency")
     reasons.append(
         f"overcollection degree m={m} reaches P(success) >= {target_success}"
     )

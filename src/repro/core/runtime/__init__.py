@@ -1,7 +1,7 @@
 """Per-role operator runtimes and the execution coordinator.
 
-One small runtime per :class:`repro.core.qep.OperatorRole` plus a
-pluggable resiliency strategy:
+One small runtime per :class:`repro.core.qep.OperatorRole` plus the one
+resiliency runtime that runs every plan by its rank structure:
 
 ========================  ==============================================
 module                    owns
@@ -12,7 +12,7 @@ module                    owns
 :mod:`.computer`          aggregate folding and K-Means heartbeats
 :mod:`.combiner`          partial/knowledge merge algebra and finalize
 :mod:`.querier`           final-result dedup and report assembly
-:mod:`.strategy`          Overcollection / Backup resiliency policies
+:mod:`.strategy`          rank 0 at once, replicas on takeover timers
 :mod:`.recovery`          phase watchdogs and standby reprovisioning
 :mod:`.incremental`       cross-window contribution cache (delta stamps)
 :mod:`.coordinator`       routing, dedup, phase timers, run horizon
@@ -29,14 +29,9 @@ from repro.core.runtime.incremental import STAMP_BYTES, ContributionCache
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryConfig, RecoveryRuntime
 from repro.core.runtime.report import ExecutionError, ExecutionReport, KMeansOutcome
-from repro.core.runtime.strategy import (
-    BackupStrategy,
-    OvercollectionStrategy,
-    StrategyRuntime,
-)
+from repro.core.runtime.strategy import StrategyRuntime
 
 __all__ = [
-    "BackupStrategy",
     "BuilderRuntime",
     "CombinerRuntime",
     "CombinerState",
@@ -48,7 +43,6 @@ __all__ = [
     "ExecutionError",
     "ExecutionReport",
     "KMeansOutcome",
-    "OvercollectionStrategy",
     "QuerierRuntime",
     "RecoveryConfig",
     "RecoveryRuntime",

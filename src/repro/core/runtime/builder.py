@@ -3,11 +3,10 @@
 Every builder operator deduplicates retransmitted contributions with a
 Bloom filter, caps its partition at ``C / n`` tuples, commits to the
 frozen snapshot with a Merkle root, and ships column-group projections
-to the Computers.  Under Overcollection one primary per hash partition
-does so at the end of collection; under Backup every rank collects the
-same contributions and
-:class:`repro.core.runtime.strategy.BackupStrategy` decides which rank
-freezes and ships, and when.
+to the Computers.  Every rank collects the same contributions into its
+own bucket; :class:`repro.core.runtime.strategy.StrategyRuntime`
+decides when each rank runs :meth:`BuilderRuntime.run` — rank 0 at the
+end of collection, a replica on its takeover timer.
 """
 
 from __future__ import annotations
@@ -108,13 +107,10 @@ def ship_partition(
 class BuilderRuntime:
     """Snapshot Builder intake for every rank; freeze, commit and ship.
 
-    Every builder operator — a primary or, under Backup, one of its
-    replicas — owns one bucket, filled by the one contribution intake.
-    The rank-0 buckets double as the per-partition view
-    (:attr:`rows_by_partition`) under both strategies.  Overcollection
-    freezes its primaries in :meth:`end_collection`; Backup fires each
-    rank on its own takeover timer and reuses :meth:`freeze` and
-    :meth:`ship`.
+    Every builder operator — a primary or one of its replicas — owns one
+    bucket, filled by the one contribution intake.  The rank-0 buckets
+    double as the per-partition view (:attr:`rows_by_partition`).
+    :meth:`run` is the one freeze-and-ship path every rank takes.
     """
 
     role = OperatorRole.SNAPSHOT_BUILDER
@@ -122,17 +118,23 @@ class BuilderRuntime:
     def __init__(self, ctx: ExecutionContext):
         self.ctx = ctx
         self.buckets: dict[str, list[dict[str, Any]]] = {}
+        # every rank, by (partition, rank): the end-of-collection order
+        self.builders: list[Operator] = []
         self.builder_by_partition: dict[int, Operator] = {}
         self.rows_by_partition: dict[int, list[dict[str, Any]]] = {}
 
     def index(self) -> None:
         """One bucket per builder rank; the primaries by partition."""
-        for builder in self.ctx.plan.operators(OperatorRole.SNAPSHOT_BUILDER):
+        builders = self.ctx.plan.operators(OperatorRole.SNAPSHOT_BUILDER)
+        for builder in builders:
             bucket = self.buckets[builder.op_id] = []
             if rank_of(builder) == 0:
                 partition_index = builder.params["partition_index"]
                 self.builder_by_partition[partition_index] = builder
                 self.rows_by_partition[partition_index] = bucket
+        self.builders = sorted(
+            builders, key=lambda b: (b.params["partition_index"], rank_of(b))
+        )
 
     # -- collection ----------------------------------------------------------
 
@@ -161,23 +163,28 @@ class BuilderRuntime:
         ctx.m_contributions.inc()
         ctx.m_tuples.inc(len(accepted))
 
-    def end_collection(self) -> None:
-        """Primaries freeze, commit, and ship their partitions."""
+    def run(
+        self, builder: Operator, device: Edgelet, on_sent: Callable[[], None]
+    ) -> None:
+        """Freeze, commit and ship one builder's partition.
+
+        A dead device ships nothing; otherwise the partition leaves
+        after the device's compute latency if the device is online
+        then, and ``on_sent`` runs right after it left.
+        """
         ctx = self.ctx
-        for partition_index, builder in sorted(self.builder_by_partition.items()):
-            device = ctx.device_of(builder)
-            if ctx.network.is_dead(device.device_id):
-                ctx.trace(f"{builder.op_id} dead at end of collection")
-                continue
-            frozen = self.freeze(builder, device)
-            if frozen is None:
-                continue
-            latency = device.compute_latency(float(len(frozen[0])))
-            ctx.simulator.schedule(
-                latency,
-                self._make_partition_send(builder, device, *frozen),
-                "ship partition",
-            )
+        if ctx.network.is_dead(device.device_id):
+            ctx.trace(f"{builder.op_id} dead at end of collection")
+            return
+        frozen = self.freeze(builder, device)
+        if frozen is None:
+            return
+        latency = device.compute_latency(float(len(frozen[0])))
+        ctx.simulator.schedule(
+            latency,
+            self._make_partition_send(builder, device, *frozen, on_sent),
+            "ship partition",
+        )
 
     def freeze(
         self, builder: Operator, device: Edgelet
@@ -223,7 +230,7 @@ class BuilderRuntime:
             commitment, consumers,
         )
 
-    def _make_partition_send(self, builder, device, rows, commitment):
+    def _make_partition_send(self, builder, device, rows, commitment, on_sent):
         ctx = self.ctx
 
         def fire() -> None:
@@ -231,4 +238,5 @@ class BuilderRuntime:
                 ctx.trace(f"{builder.op_id} offline, partition not shipped")
                 return
             self.ship(builder, device, rows, commitment)
+            on_sent()
         return fire

@@ -17,6 +17,7 @@ from repro.core.overcollection import OvercollectionConfig, PartitionTally
 from repro.core.qep import OperatorRole
 from repro.core.validity import coverage_confidence, partial_validity_bound
 from repro.core.runtime.context import ExecutionContext
+from repro.core.runtime.recovery import DEGRADE
 from repro.core.runtime.report import ExecutionError, KMeansOutcome
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, merge_knowledge
@@ -344,9 +345,7 @@ class CombinerRuntime:
                 ctx.trace(f"{name} offline at deadline")
                 continue
             state = self.states[name]
-            degrade = ctx.recovery is not None and getattr(
-                ctx.recovery, "degrade", False
-            )
+            degrade = DEGRADE and ctx.recovery is not None
             if ctx.kind == "aggregate":
                 with ctx.prof_combine:
                     result = state.finalize_aggregate(

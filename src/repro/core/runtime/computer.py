@@ -1,12 +1,12 @@
 """Computer runtime: aggregate folding and heartbeat-cadenced K-Means.
 
 A Computer receives one column-group projection of one hash partition.
-Aggregate Computers fold it into a partial Group-By state immediately
-and ship the partial to both combiners.  K-Means Computers keep the
-partition and run the local-convergence / synchronization loop of
-Section 2.2 on the shared heartbeat cadence, gossiping centroid
-knowledge between beats and shipping it to the combiners on the last
-one.  The demo's query (ii) adds a final round: once the combiner
+Aggregate Computers fold it into a partial Group-By state (rank 0 on
+arrival, a replica when it takes over) and ship the partial to both
+combiners.  K-Means Computers keep the partition and run the
+local-convergence / synchronization loop of Section 2.2 on the shared
+heartbeat cadence, gossiping centroid knowledge between beats and
+shipping it to the combiners on the last one.  The demo's query (ii) adds a final round: once the combiner
 publishes merged centroids, every Computer labels its partition and
 computes per-cluster grouped statistics.
 """
@@ -30,27 +30,32 @@ __all__ = ["ComputerRuntime"]
 
 
 class ComputerRuntime:
-    """Primary (rank-0) Computer execution for both query kinds, and the
-    one fold-and-send every rank uses (:meth:`run_aggregate`)."""
+    """Computer execution for both query kinds: the one partition intake
+    (:meth:`accept`) and the one fold-and-send every rank uses
+    (:meth:`run_aggregate`); K-Means runs on the rank-0 Computers."""
 
     role = OperatorRole.COMPUTER
 
     def __init__(self, ctx: ExecutionContext):
         self.ctx = ctx
         self.computers: list[Operator] = []
+        self.by_op_id: dict[str, Operator] = {}
         self.aggregate_indices_per_group: list[list[int]] = [
             [] for _ in ctx.column_groups
         ]
         self.kmeans_states: dict[int, KMeansComputerState] = {}
         self.kmeans_rows: dict[int, list[dict[str, Any]]] = {}
-        # first-wins guard against duplicated PARTITION messages: a
-        # Computer runs its partition exactly once, so a network-level
-        # duplicate must not double-count tuples or recompute partials
-        self.partitions_seen: set[tuple[int, int]] = set()
+        # first-wins guard against duplicated PARTITION messages, by
+        # operator: a Computer runs its partition exactly once, so a
+        # network-level duplicate must not double-count tuples or
+        # recompute partials
+        self.partitions_seen: set[str] = set()
 
     def index(self) -> None:
-        """Collect the primary Computers and their aggregate slices."""
+        """Every Computer rank by op id; the primaries and their
+        aggregate slices."""
         for computer in self.ctx.plan.operators(OperatorRole.COMPUTER):
+            self.by_op_id[computer.op_id] = computer
             if rank_of(computer) != 0:
                 continue
             self.computers.append(computer)
@@ -59,52 +64,32 @@ class ComputerRuntime:
             if indices is not None:
                 self.aggregate_indices_per_group[group_index] = list(indices)
 
-    def find(self, partition_index: int, group_index: int) -> Operator | None:
-        """The primary Computer owning one (partition, group) cell."""
-        for computer in self.computers:
-            if (
-                computer.params["partition_index"] == partition_index
-                and computer.params.get("group_index", 0) == group_index
-            ):
-                return computer
-        return None
-
     # -- partition intake ----------------------------------------------------
 
-    def on_partition(self, device: Edgelet, payload: dict[str, Any]) -> None:
-        """Run the owning Computer on a freshly shipped partition."""
-        ctx = self.ctx
-        partition_index = payload["partition_index"]
-        group_index = payload.get("group_index", 0)
-        if (partition_index, group_index) in self.partitions_seen:
-            return  # duplicated in transit; this Computer already ran
-        self.partitions_seen.add((partition_index, group_index))
-        rows = payload["rows"]
-        ctx.count_tuples(device.device_id, len(rows))
-        computer = self.find(partition_index, group_index)
-        if computer is None:
-            return
-        if ctx.kind == "aggregate":
-            self.run_aggregate(
-                device, computer, rows, generation=payload.get("generation", 0)
-            )
-        else:
-            self.init_kmeans(device, computer, rows)
+    def accept(self, device: Edgelet, payload: dict[str, Any]) -> Operator | None:
+        """Take in one shipped partition; returns the Computer it is for,
+        or ``None`` for a duplicate or an unknown operator."""
+        op_id = payload.get("op_id", "")
+        if op_id in self.partitions_seen:
+            return None  # duplicated in transit; this Computer already ran
+        self.partitions_seen.add(op_id)
+        self.ctx.count_tuples(device.device_id, len(payload["rows"]))
+        return self.by_op_id.get(op_id)
 
     def run_aggregate(
         self,
         device: Edgelet,
         computer: Operator,
         rows: list[dict[str, Any]],
-        generation: int = 0,
-        on_sent: Callable[[], None] | None = None,
+        generation: int,
+        on_sent: Callable[[], None],
     ) -> None:
         """Fold one partition into a partial state and ship it to both
         combiners after the device's compute latency.
 
         ``generation`` is the fencing token the partial carries (a
-        reprovisioning's, or a Backup replica's rank); ``on_sent`` runs
-        right after a successful send (Backup's shipped marker).
+        reprovisioning's, or a replica's rank); ``on_sent`` runs right
+        after a successful send (the shipped marker to sibling ranks).
         """
         ctx = self.ctx
         indices = computer.params.get("aggregate_indices") or list(
@@ -149,8 +134,7 @@ class ComputerRuntime:
                 (ctx.simulator.now, cell, device.device_id, generation)
             )
             self.ship_to_combiners(device, MessageKind.PARTIAL_RESULT, payload)
-            if on_sent is not None:
-                on_sent()
+            on_sent()
         return fire
 
     def ship_to_combiners(

@@ -1,10 +1,9 @@
 """Data Contributor runtime: jittered, possibly-repeated contributions.
 
 Each Data Contributor filters/projects its own rows inside its TEE and
-ships them (sealed) to its hash-assigned Snapshot Builder — and, under
-the Backup strategy, to every passive replica of that builder (the plan
-wires one dataflow edge per rank, so the same closure serves both
-strategies).
+ships them (sealed) to its hash-assigned Snapshot Builder and to every
+passive replica of that builder (the plan wires one dataflow edge per
+rank, so one closure serves every plan).
 """
 
 from __future__ import annotations

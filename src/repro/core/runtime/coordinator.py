@@ -5,9 +5,10 @@ one query execution: handler attachment, sealed-payload unwrapping,
 message routing to the role runtimes, the phase timers (end of
 collection, combiner deadline, cluster-stats deadline), and the run
 horizon.  Everything role-specific lives in the runtimes
-(:mod:`repro.core.runtime.contributor` … :mod:`.querier`) and every
-resiliency decision lives in the pluggable
-:class:`repro.core.runtime.strategy.StrategyRuntime`.
+(:mod:`repro.core.runtime.contributor` … :mod:`.querier`), and which
+rank runs when lives in the one
+:class:`repro.core.runtime.strategy.StrategyRuntime` it builds from the
+plan.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class ExecutionCoordinator:
             phase spans, counters, and profiles into; defaults to the
             simulator's instance.
         seed: randomness for contribution jitter.
-        strategy: the resiliency policy (required; a compiled query
-            names it via
-            :meth:`repro.plan.compile.CompiledQuery.strategy_runtime`).
         transport: optional reliability overlay
             (:class:`repro.network.reliable.ReliableTransport`); when
             provided, every handler attach and every shipped payload
@@ -88,7 +86,6 @@ class ExecutionCoordinator:
         telemetry: Any = None,
         seed: int = 0,
         *,
-        strategy: StrategyRuntime,
         transport: Any = None,
         recovery: RecoveryConfig | None = None,
         standby_devices: list[str] | None = None,
@@ -121,8 +118,7 @@ class ExecutionCoordinator:
         self.querier = QuerierRuntime(self.ctx)
         self.builder.index()
         self.computer.index()
-        self.strategy = strategy
-        self.strategy.bind(self.ctx, self.builder, self.computer)
+        self.strategy = StrategyRuntime(self.ctx, self.builder, self.computer)
         self.recovery: RecoveryRuntime | None = None
         if recovery is not None:
             self.recovery = RecoveryRuntime(
@@ -198,14 +194,13 @@ class ExecutionCoordinator:
 
     @property
     def builder_rows(self) -> dict[int, list[dict[str, Any]]]:
-        """Rank-0 builders' collected rows, keyed by partition index
-        (under either strategy)."""
+        """Rank-0 builders' collected rows, keyed by partition index."""
         return self.builder.rows_by_partition
 
     @property
     def takeover_log(self) -> list[tuple[float, str, int]]:
         """(time, base op, rank) per replica takeover; empty without one."""
-        return getattr(self.strategy, "takeover_log", [])
+        return self.strategy.takeover_log
 
     @property
     def fire_log(self) -> list[tuple[float, tuple[int, int], str, int]]:
@@ -389,7 +384,7 @@ class ExecutionCoordinator:
     # -- phase timers --------------------------------------------------------
 
     def end_collection(self) -> None:
-        """The collection window closed; the strategy decides who fires."""
+        """The collection window closed: rank 0 runs, replicas arm."""
         self.strategy.end_collection()
 
     def finalize(self) -> None:

@@ -13,8 +13,8 @@ the Snapshot Builder re-ships the retained partition to it.
 
 Graceful degradation — the combiner emitting a partial, coverage- and
 bound-annotated ``FINAL_RESULT`` when quorum stays unreachable — is
-driven by the :class:`RecoveryConfig` here but implemented where the
-finalize logic lives (:mod:`repro.core.runtime.combiner`).
+switched by :data:`DEGRADE` here but implemented where the finalize
+logic lives (:mod:`repro.core.runtime.combiner`).
 """
 
 from __future__ import annotations
@@ -32,23 +32,28 @@ if TYPE_CHECKING:
     from repro.core.runtime.combiner import CombinerRuntime
     from repro.core.runtime.computer import ComputerRuntime
 
-__all__ = ["RecoveryConfig", "RecoveryRuntime"]
+__all__ = ["DEGRADE", "RecoveryConfig", "RecoveryRuntime"]
+
+
+#: virtual seconds between computation-phase watchdog checks
+WATCHDOG_INTERVAL = 5.0
+#: delay after the collection window closes before the first check
+#: (partitions need time to ship)
+COLLECTION_GRACE = 1.0
+#: re-recruit standby Computers for unreachable ones
+REPROVISION = True
+#: total reprovisionings allowed per execution
+MAX_REPROVISIONS = 8
+#: at the deadline, emit an explicitly-labelled partial result instead
+#: of failing when some vertical group received zero partitions
+DEGRADE = True
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs of the query-level recovery layer.
+    """The one knob of the query-level recovery layer.
 
     Attributes:
-        watchdog_interval: virtual seconds between computation-phase
-            watchdog checks.
-        collection_grace: delay after the collection window closes
-            before the first check (partitions need time to ship).
-        reprovision: re-recruit standby Computers for unreachable ones.
-        max_reprovisions: total reprovisionings allowed per execution.
-        degrade: at the deadline, emit an explicitly-labelled partial
-            result instead of failing when some vertical group received
-            zero partitions.
         phase_deadline: computation-phase deadline as an offset (virtual
             seconds) from the execution start; ``None`` defaults to 85%
             of the query deadline.  Watchdog checks stop there — past
@@ -56,20 +61,9 @@ class RecoveryConfig:
             combiner fires anyway.
     """
 
-    watchdog_interval: float = 5.0
-    collection_grace: float = 1.0
-    reprovision: bool = True
-    max_reprovisions: int = 8
-    degrade: bool = True
     phase_deadline: float | None = None
 
     def __post_init__(self) -> None:
-        if self.watchdog_interval <= 0:
-            raise ValueError("watchdog_interval must be positive")
-        if self.collection_grace < 0:
-            raise ValueError("collection_grace must be non-negative")
-        if self.max_reprovisions < 0:
-            raise ValueError("max_reprovisions must be non-negative")
         if self.phase_deadline is not None and self.phase_deadline <= 0:
             raise ValueError("phase_deadline must be positive")
 
@@ -151,14 +145,14 @@ class RecoveryRuntime:
     def arm(self) -> None:
         """Schedule the computation-phase watchdog checks."""
         ctx = self.ctx
-        first = ctx.collect_end + self.config.collection_grace
+        first = ctx.collect_end + COLLECTION_GRACE
         last = self.computation_deadline()
         epoch = ctx.simulator.epoch
         at = first
         times = []
         while at < last:
             times.append(at)
-            at += self.config.watchdog_interval
+            at += WATCHDOG_INTERVAL
         times.append(last)
         for when in times:
             ctx.simulator.schedule_at(
@@ -173,14 +167,14 @@ class RecoveryRuntime:
             # detector needs inter-arrival samples before a check can
             # trust its φ, and failed probes feed the failure streak
             # that surfaces gray (alive-but-degraded) devices
-            at = first - 0.5 * self.config.watchdog_interval
+            at = first - 0.5 * WATCHDOG_INTERVAL
             if at <= ctx.collect_end:
                 # a computer is legitimately silent through collection,
                 # so φ over its build-phase cadence would read as death
                 # at the first check: clamp the lead probe into the
                 # grace window so fresh evidence exists by then
                 at = min(
-                    ctx.collect_end + 0.5 * self.config.collection_grace,
+                    ctx.collect_end + 0.5 * COLLECTION_GRACE,
                     first,
                 )
             while at < last:
@@ -193,7 +187,7 @@ class RecoveryRuntime:
                     ),
                     "detector-probe",
                 )
-                at += 0.5 * self.config.watchdog_interval
+                at += 0.5 * WATCHDOG_INTERVAL
 
     def probe_round(self) -> None:
         """Probe every assigned Computer device from the combiner."""
@@ -267,9 +261,9 @@ class RecoveryRuntime:
                 f"cell {cell} missing"
             )
             if (
-                self.config.reprovision
+                REPROVISION
                 and ctx.kind == "aggregate"
-                and len(ctx.report.reprovisions) < self.config.max_reprovisions
+                and len(ctx.report.reprovisions) < MAX_REPROVISIONS
             ):
                 self.reprovision(operator, cell)
 
@@ -289,16 +283,11 @@ class RecoveryRuntime:
         partition_index, _group_index = cell
         builder_op = self.builder.builder_by_partition.get(partition_index)
         rows = self.builder.rows_by_partition.get(partition_index)
-        # A Backup cell is covered by its replica chain, which takes over
-        # on its own timers; re-shipping the primary builder's rows to a
-        # standby would race those takeovers.  So Backup cells are never
-        # reprovisioned — the outcome (and trace line) they always had,
-        # back when Backup's intake left these buckets empty.
-        if (
-            builder_op is None
-            or not rows
-            or ctx.plan.metadata.get("strategy") == "backup"
-        ):
+        # A cell with replica ranks is covered by them: they take over
+        # on their own timers, and re-shipping the primary builder's rows
+        # to a standby would race those takeovers, so such a cell is
+        # never reprovisioned.
+        if builder_op is None or not rows or ctx.plan.replicas:
             ctx.trace(
                 f"watchdog: no retained partition {partition_index}, "
                 f"cannot reprovision {operator.op_id}"
@@ -318,9 +307,9 @@ class RecoveryRuntime:
         old_id = operator.assigned_to
         operator.assigned_to = new_id
         self.attach_device(ctx.devices[new_id])
-        # the cell's first-wins guard must forget the dead device's copy
-        # so the re-shipped partition actually executes
-        self.computer.partitions_seen.discard(cell)
+        # the operator's first-wins guard must forget the dead device's
+        # copy so the re-shipped partition actually executes
+        self.computer.partitions_seen.discard(operator.op_id)
         ctx.report.reprovisions.append(
             (ctx.simulator.now, operator.op_id, old_id or "?", new_id)
         )
@@ -336,7 +325,7 @@ class RecoveryRuntime:
             # resurfaces (healed partition, recovered gray link) loses
             # at the combiner instead of split-braining the cell.  Top
             # over every generation already *fired* for the cell too —
-            # backup-replica ranks double as generations, and the token
+            # replica ranks double as generations, and the token
             # must outrank those as well
             prior = ctx.generations.get(cell, 0)
             for _time, fired_cell, _device, fired_gen in ctx.fire_log:

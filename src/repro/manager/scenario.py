@@ -577,9 +577,7 @@ class Scenario:
                 scenario_id=self.scenario_id, query_id=compiled.spec.query_id,
             )
         )
-        result = self.launch(
-            compiled, plan, processor_ids=self.eligible_processor_ids()
-        )
+        result = self.launch(plan, processor_ids=self.eligible_processor_ids())
         executor = result.executor
         result.failure_plan = self.install_chaos(until=executor.deadline_at)
         self.simulator.run_until(executor.start())
@@ -593,7 +591,6 @@ class Scenario:
 
     def launch(
         self,
-        compiled: CompiledQuery,
         plan: QueryExecutionPlan,
         *,
         processor_ids: list[str],
@@ -647,7 +644,6 @@ class Scenario:
                 standbys = [d for d in processor_ids if d not in assigned]
         executor = ExecutionCoordinator(
             simulator=self.simulator,
-            strategy=compiled.strategy_runtime(),
             network=network,
             devices=self.devices,
             plan=plan,

@@ -16,8 +16,7 @@ one of two modes:
 
 Either way the result is a :class:`CompiledQuery` carrying the
 :class:`~repro.core.planner.QuerySpec`, the resolved parameter blocks,
-the strategy runtime factory, and the :class:`~repro.plan.explain.
-ExplainReport` audit trail.
+and the :class:`~repro.plan.explain.ExplainReport` audit trail.
 """
 
 from __future__ import annotations
@@ -25,18 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.advisor import NO_GOSSIP_HISTORY
 from repro.core.planner import (
     EdgeletPlanner,
+    PlanningError,
     PrivacyParameters,
     QuerySpec,
     ResiliencyParameters,
 )
 from repro.core.qep import QueryExecutionPlan
-from repro.core.runtime.strategy import (
-    BackupStrategy,
-    OvercollectionStrategy,
-    StrategyRuntime,
-)
 from repro.query.groupby import GroupByQuery
 from repro.query.sql import ParsedQuery
 from repro.plan.builder import QueryBuilder
@@ -96,18 +92,6 @@ class CompiledQuery:
             contributor_ids=contributor_ids,
             n_contributors=n_contributors,
         )
-
-    def strategy_runtime(self) -> StrategyRuntime:
-        """The runtime executing this query's resiliency strategy.
-
-        The canonical decision: Backup runs only for aggregate queries
-        planned with the backup strategy (an iterative operator's
-        promoted replica would have no gossip history to resume from);
-        everything else executes under Overcollection.
-        """
-        if self.resiliency.strategy == "backup" and self.spec.kind == "aggregate":
-            return BackupStrategy()
-        return OvercollectionStrategy()
 
     def present(self, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """Apply ORDER BY / LIMIT to finalized result rows."""
@@ -303,6 +287,10 @@ def compile_query(
             limit=limit,
         )
 
+    if spec.kind == "kmeans" and resiliency.replicas:
+        raise PlanningError(
+            f"k-means cannot be planned with replicas: {NO_GOSSIP_HISTORY}"
+        )
     pinned = _pinned_report(spec, privacy, resiliency, substrate, weights)
     explain = ExplainReport(
         query_id=spec.query_id,

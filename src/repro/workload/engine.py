@@ -195,7 +195,6 @@ class MultiQueryEngine:
             return False
         record.leased, record.standbys = lease
         record.result = self.scenario.launch(
-            compiled,
             plan,
             processor_ids=record.leased,
             standbys=record.standbys,

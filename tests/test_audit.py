@@ -107,7 +107,7 @@ class TestExecutorIntegration:
         from repro.manager.scenario import Scenario, ScenarioConfig
         from repro.query.sql import parse_query
         from repro.core.assignment import assign_operators
-        from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+        from repro.core.runtime import ExecutionCoordinator
         from repro.core.planner import EdgeletPlanner
         from repro.core.qep import OperatorRole
         from repro.devices.edgelet import Edgelet
@@ -153,7 +153,6 @@ class TestExecutorIntegration:
             simulator, network, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
             audit_ledger=ledger,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         assert len(ledger) >= 4  # snapshot(s) + partial(s) + combine + deliver
@@ -166,7 +165,7 @@ class TestExecutorIntegration:
                 assert record.tuple_count == 0
 
     def test_backup_execution_writes_verifiable_ledger(self):
-        from repro.core.runtime import BackupStrategy, ExecutionCoordinator
+        from repro.core.runtime import ExecutionCoordinator
 
         from tests.test_backup_execution import _backup_plan, _swarm
 
@@ -178,7 +177,6 @@ class TestExecutorIntegration:
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
             audit_ledger=ledger,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()

@@ -1,9 +1,10 @@
 """Tests for the Backup strategy's runtime replica chain.
 
 A chain is one base operator (``builder[0]``, ``computer[0,g0]``) at
-ranks ``0..replicas``; the primary fires on schedule and each replica
-takes over ``rank * takeover_timeout`` later unless a lower rank already
-shipped.  ``takeover_log`` is the promotion record.
+ranks ``0..replicas``; the primary runs the same path as an
+Overcollection primary and each replica takes over
+``rank * TAKEOVER_TIMEOUT`` later unless a lower rank already shipped.
+``takeover_log`` is the promotion record.
 """
 
 from __future__ import annotations
@@ -11,17 +12,17 @@ from __future__ import annotations
 from repro.cli import main
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.qep import rank_of
-from repro.core.resiliency import worst_case_delay
-from repro.core.runtime import BackupStrategy, ExecutionCoordinator, commit_snapshot
+from repro.core.resiliency import TAKEOVER_TIMEOUT, worst_case_delay
+from repro.core.runtime import ExecutionCoordinator, commit_snapshot
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.network.failures import FailurePlan
+from repro.network.messages import MessageKind
 from repro.plan.compile import OPTIMIZER_COST, compile_query
 from repro.plan.substrate import SUBSTRATE_PROFILES
 
 from tests.test_backup_execution import _backup_plan, _swarm
 
-TIMEOUT = 5.0
 COLLECT = 15.0
 
 
@@ -32,7 +33,6 @@ def _run(replicas: int = 2, kill_ranks: tuple[int, ...] = (), kill_at: float = 1
     executor = ExecutionCoordinator(
         sim, net, devices, plan,
         collection_window=COLLECT, deadline=100.0, secure_channels=False,
-        strategy=BackupStrategy(takeover_timeout=TIMEOUT),
     )
     for rank in kill_ranks:
         suffix = "" if rank == 0 else f".b{rank}"
@@ -80,7 +80,7 @@ class TestBackupChain:
             record for record in executor.takeover_log
             if record[1] == "builder[0]"
         ]
-        assert records == [(COLLECT + TIMEOUT, "builder[0]", 1)]
+        assert records == [(COLLECT + TAKEOVER_TIMEOUT, "builder[0]", 1)]
 
     def test_checkpoint_replicated_to_all_ranks(self):
         executor, _ = _run(replicas=2)
@@ -113,11 +113,57 @@ class TestBackupChain:
             if base == "builder[0]"
         ]
         assert ranks == [1, 2]
-        offline = [
+        dead = [
             text for _, text in report.trace
-            if text.endswith("cannot ship builder[0]")
+            if text.startswith("builder[0]")
+            and text.endswith("dead at end of collection")
         ]
-        assert len(offline) == 3
+        assert len(dead) == 3
+
+
+def _ship_schedule(resiliency: ResiliencyParameters) -> dict[int, tuple]:
+    """Fault-free run: per partition, (freeze time, first ship time,
+    the rank-0 builder's compute latency)."""
+    sim, net, devices, contribs, procs, querier, rows = _swarm()
+    plan, _ = _backup_plan(contribs, procs, querier, rows, resiliency=resiliency)
+    executor = ExecutionCoordinator(
+        sim, net, devices, plan,
+        collection_window=COLLECT, deadline=60.0, secure_channels=False,
+    )
+    ships: dict[int, float] = {}
+    ship = executor.ctx.ship
+
+    def recording_ship(sender, target, kind, payload, **options):
+        if kind is MessageKind.PARTITION:
+            ships.setdefault(payload["partition_index"], sim.now)
+        return ship(sender, target, kind, payload, **options)
+
+    executor.ctx.ship = recording_ship
+    report = executor.run()
+    assert report.success
+    schedule = {}
+    for partition_index, builder in executor.builder.builder_by_partition.items():
+        [frozen_at] = [
+            t for t, text in report.trace
+            if text.startswith(f"{builder.op_id} snapshot frozen")
+        ]
+        rows = executor.builder_rows[partition_index]
+        latency = executor.ctx.device_of(builder).compute_latency(float(len(rows)))
+        schedule[partition_index] = (frozen_at, ships[partition_index], latency)
+    return schedule
+
+
+class TestRankZeroIsOnePath:
+    def test_backup_primaries_freeze_and_ship_like_overcollection(self):
+        backup = _ship_schedule(
+            ResiliencyParameters(strategy="backup", backup_replicas=1)
+        )
+        overcollection = _ship_schedule(ResiliencyParameters(fault_rate=0.0))
+        assert backup == overcollection
+        for frozen_at, shipped_at, latency in backup.values():
+            assert frozen_at == COLLECT
+            assert latency > 0
+            assert shipped_at == COLLECT + latency
 
 
 PRICE_SQL = "SELECT count(*), avg(age) FROM health GROUP BY region"

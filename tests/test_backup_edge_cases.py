@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core.runtime import BackupStrategy, ExecutionCoordinator
+from repro.core.runtime import ExecutionCoordinator
 from repro.core.validity import compare_results
 from repro.data.health import HEALTH_SCHEMA
 from repro.query.engine import CentralizedEngine
@@ -62,7 +62,6 @@ class TestAllMarkersLost:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=90.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         report = executor.run()
         assert report.success
@@ -93,7 +92,6 @@ class TestReplicaCrashMidTakeover:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=120.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         # primary dies during collection; rank 1 dies *inside its own
         # takeover window* (collection ends at 15, rank-1 fires at 20)
@@ -125,7 +123,6 @@ class TestResetFencesTakeoverTimers:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         # drive the run()-prologue by hand so we can stop the clock
@@ -139,8 +136,8 @@ class TestResetFencesTakeoverTimers:
         sim.run_until(16.0)
         # capture a fire closure under the old epoch — the same closure
         # the armed timer holds
-        stale = executor.strategy._make_builder_fire(
-            "builder[0]", plan.operator("builder[0].b1")
+        stale = executor.strategy._make_takeover(
+            plan.operator("builder[0].b1"), executor.builder.run
         )
         epoch_before = sim.epoch
         sim.reset()
@@ -165,7 +162,6 @@ class TestResetFencesTakeoverTimers:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         report = executor.run()

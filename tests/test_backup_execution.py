@@ -12,8 +12,8 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
+from repro.core.resiliency import TAKEOVER_TIMEOUT
 from repro.core.runtime import (
-    BackupStrategy,
     ExecutionCoordinator,
     ExecutionError,
 )
@@ -56,7 +56,10 @@ def _swarm(n_contributors=20, n_processors=25):
     return simulator, network, devices, contributors, processors, querier, rows
 
 
-def _backup_plan(contributors, processors, querier, rows, replicas=1):
+def _backup_plan(
+    contributors, processors, querier, rows, replicas=1, resiliency=None
+):
+    """The test query planned under Backup, or under ``resiliency``."""
     query = GroupByQuery(
         grouping_sets=(("region",), ()),
         aggregates=(AggregateSpec("count"), AggregateSpec("avg", "age")),
@@ -69,7 +72,8 @@ def _backup_plan(contributors, processors, querier, rows, replicas=1):
     )
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=len(rows) + 1),
-        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=replicas),
+        resiliency=resiliency
+        or ResiliencyParameters(strategy="backup", backup_replicas=replicas),
     )
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [d.device_id for d in processors], exclusive=False)
@@ -84,7 +88,6 @@ class TestBackupExecutor:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=60.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         report = executor.run()
         assert report.success
@@ -102,7 +105,6 @@ class TestBackupExecutor:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -122,7 +124,6 @@ class TestBackupExecutor:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -138,7 +139,6 @@ class TestBackupExecutor:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=100.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         sim.schedule(1.0, lambda: net.kill(first_replica))
@@ -153,7 +153,6 @@ class TestBackupExecutor:
         fast = ExecutionCoordinator(
             sim1, net1, dev1, plan1,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=8.0),
         ).run()
 
         sim2, net2, dev2, c2, p2, q2, rows2 = _swarm()
@@ -162,35 +161,33 @@ class TestBackupExecutor:
         executor = ExecutionCoordinator(
             sim2, net2, dev2, plan2,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            strategy=BackupStrategy(takeover_timeout=8.0),
         )
         sim2.schedule(1.0, lambda: net2.kill(victim))
         slow = executor.run()
         assert fast.success and slow.success
-        # the takeover happened 8s after the primary's slot; the final
-        # delivery is deadline-driven so completion times match, but the
-        # replica's snapshot freeze appears >= 8s after collection end
+        # the takeover happened one TAKEOVER_TIMEOUT after the primary's
+        # slot; the final delivery is deadline-driven so completion times
+        # match, but the replica's snapshot freeze appears that much
+        # after collection end
         freeze_times = [t for t, m in slow.trace if "snapshot frozen" in m]
-        assert max(freeze_times) >= min(freeze_times) + 8.0
+        assert max(freeze_times) >= min(freeze_times) + TAKEOVER_TIMEOUT
 
-    def test_requires_backup_plan(self):
+    def test_kmeans_plan_with_replicas_is_refused(self):
         sim, net, devices, contribs, procs, querier, rows = _swarm(
             n_contributors=5, n_processors=10,
         )
-        query = GroupByQuery(
-            grouping_sets=((),), aggregates=(AggregateSpec("count"),),
-        )
         spec = QuerySpec(
-            query_id="not-backup", kind="aggregate",
-            snapshot_cardinality=10, group_by=query,
+            query_id="kmeans-replicas", kind="kmeans", snapshot_cardinality=10,
+            kmeans_k=2, feature_columns=("bmi", "glucose"), heartbeats=2,
         )
-        planner = EdgeletPlanner()
+        planner = EdgeletPlanner(
+            resiliency=ResiliencyParameters(strategy="backup", backup_replicas=1)
+        )
         plan = planner.plan(spec, contributor_ids=[d.device_id for d in contribs])
         assign_operators(plan, [d.device_id for d in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="gossip history"):
             ExecutionCoordinator(
                 sim, net, devices, plan,
                 collection_window=10.0, deadline=30.0,
-                strategy=BackupStrategy(),
             )

@@ -293,7 +293,7 @@ class TestCorruptionDropTelemetry:
             ResiliencyParameters,
         )
         from repro.core.qep import OperatorRole
-        from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+        from repro.core.runtime import ExecutionCoordinator
         from repro.query.aggregates import AggregateSpec
         from repro.query.groupby import GroupByQuery
 
@@ -323,7 +323,6 @@ class TestCorruptionDropTelemetry:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=60.0, secure_channels=True,
-            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
 
@@ -346,7 +345,7 @@ class TestCorruptionDropTelemetry:
             ResiliencyParameters,
         )
         from repro.core.qep import OperatorRole
-        from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+        from repro.core.runtime import ExecutionCoordinator
         from repro.query.aggregates import AggregateSpec
         from repro.query.groupby import GroupByQuery
 
@@ -369,7 +368,6 @@ class TestCorruptionDropTelemetry:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=60.0, secure_channels=True,
-            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success

@@ -12,7 +12,7 @@ from repro.core.planner import (
     QuerySpec,
 )
 from repro.core.qep import OperatorRole
-from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -74,7 +74,6 @@ def _run(with_stats: bool, n_contributors=50, seed=2):
     executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=60.0, secure_channels=False,
-        strategy=OvercollectionStrategy(),
     )
     return executor.run(), rows, plan
 

@@ -7,11 +7,11 @@ import pytest
 
 from repro.chaos.campaign import RunSpec, TopologySpec, run_single
 from repro.core.planner import (
+    PlanningError,
     PrivacyParameters,
     QuerySpec,
     ResiliencyParameters,
 )
-from repro.core.runtime.strategy import BackupStrategy, OvercollectionStrategy
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.plan.builder import col, scan
@@ -112,46 +112,21 @@ class TestSpecParity:
             )
 
 
-class TestStrategyRuntimeParity:
-    def test_backup_aggregate_gets_backup_runtime(self):
-        compiled = compile_query(
-            SQL, query_id="q", snapshot_cardinality=60,
-            resiliency=ResiliencyParameters(strategy="backup"),
-        )
-        assert isinstance(compiled.strategy_runtime(), BackupStrategy)
-
-    def test_overcollection_gets_overcollection_runtime(self):
-        compiled = compile_query(SQL, query_id="q", snapshot_cardinality=60)
-        assert isinstance(compiled.strategy_runtime(), OvercollectionStrategy)
-
-    def test_backup_kmeans_falls_back_to_overcollection(self):
-        compiled = compile_query(
-            scan("health").cluster(k=3, features=("bmi",)),
-            query_id="q", snapshot_cardinality=60,
-            resiliency=ResiliencyParameters(strategy="backup"),
-        )
-        assert isinstance(compiled.strategy_runtime(), OvercollectionStrategy)
-
-    def test_decision_table(self):
-        """backup AND aggregate -> Backup; everything else, a
-        backup-planned k-means included, -> Overcollection."""
-        table = {
-            ("overcollection", "aggregate"): OvercollectionStrategy,
-            ("backup", "aggregate"): BackupStrategy,
-            ("overcollection", "kmeans"): OvercollectionStrategy,
-            ("backup", "kmeans"): OvercollectionStrategy,
-        }
-        for (strategy, kind), expected in table.items():
-            if kind == "kmeans":
-                source = scan("health").cluster(k=2, features=("bmi",))
-            else:
-                source = SQL
-            compiled = compile_query(
+class TestKMeansReplicas:
+    def test_backup_planned_kmeans_is_refused(self):
+        """A k-means replica could never run (no gossip history to resume
+        from), so compiling one fails instead of planning idle devices."""
+        source = scan("health").cluster(k=3, features=("bmi",))
+        with pytest.raises(PlanningError, match="no gossip history"):
+            compile_query(
                 source, query_id="q", snapshot_cardinality=60,
-                resiliency=ResiliencyParameters(strategy=strategy),
+                resiliency=ResiliencyParameters(strategy="backup"),
             )
-            assert compiled.spec.kind == kind
-            assert type(compiled.strategy_runtime()) is expected
+        compiled = compile_query(
+            source, query_id="q", snapshot_cardinality=60,
+            resiliency=ResiliencyParameters(strategy="backup", backup_replicas=0),
+        )
+        assert compiled.build_qep(n_contributors=8).replicas == 0
 
 
 class TestExecutionFingerprintParity:

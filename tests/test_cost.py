@@ -95,7 +95,7 @@ class TestPlanEstimate:
 class TestMeasuredCost:
     def _executed(self):
         from repro.core.assignment import assign_operators
-        from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+        from repro.core.runtime import ExecutionCoordinator
         from repro.core.qep import OperatorRole
         from repro.data.health import generate_health_rows
         from repro.devices.edgelet import Edgelet
@@ -136,7 +136,6 @@ class TestMeasuredCost:
         report = ExecutionCoordinator(
             simulator, network, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         return network, report
 

@@ -20,7 +20,6 @@ from repro.core.qep import OperatorRole
 from repro.core.runtime import (
     ExecutionCoordinator,
     ExecutionError,
-    OvercollectionStrategy,
 )
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
@@ -93,7 +92,6 @@ class TestAggregateExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success
@@ -119,7 +117,6 @@ class TestAggregateExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=True,
-            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success
@@ -141,7 +138,6 @@ class TestAggregateExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -160,7 +156,6 @@ class TestAggregateExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(combiner_device))
         report = executor.run()
@@ -177,7 +172,6 @@ class TestAggregateExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         for name in ("combiner", "combiner-backup"):
             device = plan.operator(name).assigned_to
@@ -200,7 +194,6 @@ class TestAggregateExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -221,7 +214,6 @@ class TestAggregateExecution:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.network_stats["sent"] > 0
         assert report.network_stats["delivered"] > 0
@@ -239,7 +231,6 @@ class TestAggregateExecution:
         with pytest.raises(ExecutionError):
             ExecutionCoordinator(
                 sim, net, devices, plan, collection_window=50.0, deadline=40.0,
-                strategy=OvercollectionStrategy(),
             )
 
 
@@ -264,7 +255,6 @@ class TestKMeansExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=80.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         report = executor.run()
         assert report.success
@@ -293,7 +283,6 @@ class TestKMeansExecution:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=80.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         sim.schedule(25.0, lambda: net.kill(victim))
         report = executor.run()
@@ -321,7 +310,6 @@ class TestSketchAggregatesDistributed:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         total = report.result.rows_for(())[0]
@@ -344,7 +332,6 @@ class TestSketchAggregatesDistributed:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         counts = report.result.rows_for(())[0]["ages"]

@@ -12,7 +12,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
-from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -81,7 +81,6 @@ class TestCollectionEdgeCases:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         # no rows collected anywhere -> combiner has nothing -> failure
         assert not report.success
@@ -97,7 +96,6 @@ class TestCollectionEdgeCases:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert not report.success
 
@@ -117,7 +115,6 @@ class TestCollectionEdgeCases:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         cap = plan.metadata["overcollection"]
@@ -135,7 +132,6 @@ class TestCollectionEdgeCases:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         # keep one contributor offline until after the collection window;
         # its buffered contribution must not enter the frozen snapshot
@@ -163,7 +159,6 @@ class TestDeliveryEdgeCases:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         sim.schedule(1.0, lambda: net.kill(querier.device_id))
         report = executor.run()
@@ -179,7 +174,6 @@ class TestDeliveryEdgeCases:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         sim.schedule(35.0, lambda: net.set_online(querier.device_id, False))
         sim.schedule(42.0, lambda: net.set_online(querier.device_id, True))
@@ -196,7 +190,6 @@ class TestDeliveryEdgeCases:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         # both combiner and backup fired, but exactly one delivery won
@@ -234,7 +227,6 @@ class TestVerticalPartitionExecution:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         total = report.result.rows_for(())[0]
@@ -274,7 +266,6 @@ class TestVerticalPartitionExecution:
         report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         ).run()
         assert report.success
         engine = CentralizedEngine()

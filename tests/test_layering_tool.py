@@ -1,4 +1,4 @@
-"""Self-test of ``tools/check_layering.py``'s sole-caller rule."""
+"""Self-test of ``tools/check_layering.py``'s rules."""
 
 from __future__ import annotations
 
@@ -113,6 +113,41 @@ def test_networkx_is_confined_to_the_planner(tmp_path):
     assert all(
         v.endswith("[networkx is confined to repro.core.planner]")
         for v in violations
+    )
+
+
+def test_the_runtime_reads_no_strategy_name(tmp_path):
+    root = tmp_path / "src"
+    runtime = root / "repro" / "core" / "runtime"
+    runtime.mkdir(parents=True)
+    # the two strategy-name reads the runtime had before it ran by rank
+    (runtime / "strategy.py").write_text(
+        'if ctx.plan.metadata.get("strategy") != "backup":\n'
+        '    raise ExecutionError("needs a backup-strategy plan")\n'
+    )
+    (runtime / "recovery.py").write_text(
+        "if (\n"
+        "    builder_op is None\n"
+        '    or ctx.plan.metadata.get("strategy") == "backup"\n'
+        "):\n"
+        "    pass\n"
+    )
+    (runtime / "context.py").write_text(
+        'config = from_dict(metadata["overcollection"])  # the (n, m) block\n'
+        'names = ("combiner", "combiner-backup")\n'
+        'kind = plan.metadata["strategy"]\n'
+    )
+    (root / "repro" / "core" / "planner.py").write_text(
+        'backup = strategy == "backup"  # outside the runtime\n'
+    )
+    violations = _tool().check(root)
+    assert [(v.split()[0], v.split("(")[1].split(")")[0]) for v in violations] == [
+        ("repro.core.runtime.context", f"{runtime / 'context.py'}:3"),
+        ("repro.core.runtime.recovery", f"{runtime / 'recovery.py'}:3"),
+        ("repro.core.runtime.strategy", f"{runtime / 'strategy.py'}:1"),
+    ]
+    assert all(
+        v.endswith("[repro.core.runtime branches on rank]") for v in violations
     )
 
 

@@ -18,7 +18,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
-from repro.core.runtime import ExecutionCoordinator, OvercollectionStrategy
+from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import HOME_BOX, PC_SGX
@@ -82,7 +82,6 @@ class TestDomYcileRounds:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=120.0, deadline=180.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         schedule.install(sim, net)
         report = executor.run()
@@ -114,7 +113,6 @@ class TestDomYcileRounds:
             executor = ExecutionCoordinator(
                 sim, net, devices, plan,
                 collection_window=120.0, deadline=180.0, secure_channels=False,
-                strategy=OvercollectionStrategy(),
             )
             schedule.install(sim, net)
             report = executor.run()
@@ -147,7 +145,6 @@ class TestDomYcileRounds:
         executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=120.0, deadline=180.0, secure_channels=False,
-            strategy=OvercollectionStrategy(),
         )
         schedule.install(sim, net)
         proc_schedule.install(sim, net)

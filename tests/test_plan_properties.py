@@ -9,21 +9,26 @@ substrate x knob) space and asserts the planner's promises hold for
 * enumeration-order invariance — shuffling the candidate enumeration
   never changes the winner (the choice is ``min`` over a canonical
   ``(total, key)``, not "first feasible wins");
-* the strategy decision table — ``strategy_runtime`` picks Backup for
-  a backup-planned aggregate and Overcollection for everything else,
-  whatever the fault rate and cardinality.
+* the strategy decision table — a backup-planned aggregate carries
+  replica ranks, a backup-planned k-means is refused, and everything
+  else carries none, whatever the fault rate and cardinality.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.advisor import properties_for, recommend_strategy
-from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameters
-from repro.core.runtime import BackupStrategy, OvercollectionStrategy
+from repro.core.planner import (
+    PlanningError,
+    PrivacyParameters,
+    QuerySpec,
+    ResiliencyParameters,
+)
 from repro.plan.builder import scan
 from repro.plan.compile import compile_query
 from repro.plan.optimizer import PhysicalOptimizer
@@ -121,29 +126,29 @@ def test_winner_is_invariant_to_enumeration_order(
 def test_strategy_runtime_follows_the_decision_table(
     kind, strategy, fault_rate, cardinality
 ):
-    """Backup runs only a backup-planned aggregate; every other (kind,
-    strategy) pair, a backup-planned k-means included, runs under
-    Overcollection — and the built plan's metadata says the same."""
+    """Replica ranks run only for a backup-planned aggregate; a
+    backup-planned k-means is refused (a promoted replica would have no
+    gossip history), every other pair carries no replica — and the
+    built plan's metadata says the same."""
     if kind == "kmeans":
         source = scan("health").cluster(k=3, features=("bmi", "glucose"))
     else:
         source = SQL
-    compiled = compile_query(
-        source,
+
+    options = dict(
         query_id="prop-rt",
         snapshot_cardinality=cardinality,
-        resiliency=ResiliencyParameters(
-            fault_rate=fault_rate, strategy=strategy
-        ),
+        resiliency=ResiliencyParameters(fault_rate=fault_rate, strategy=strategy),
     )
-    expected = (
-        BackupStrategy
-        if strategy == "backup" and kind == "aggregate"
-        else OvercollectionStrategy
+    if (strategy, kind) == ("backup", "kmeans"):
+        with pytest.raises(PlanningError):
+            compile_query(source, **options)
+        return
+    plan = compile_query(source, **options).build_qep(n_contributors=16)
+    assert plan.replicas == (1 if strategy == "backup" else 0)
+    assert (plan.metadata["kind"], plan.metadata.get("strategy")) == (
+        kind, strategy
     )
-    assert type(compiled.strategy_runtime()) is expected
-    metadata = compiled.build_qep(n_contributors=16).metadata
-    assert (metadata["kind"], metadata.get("strategy")) == (kind, strategy)
 
 
 @settings(max_examples=12, deadline=None,
@@ -154,9 +159,9 @@ def test_strategy_runtime_follows_the_decision_table(
     fault_rate=st.floats(min_value=0.01, max_value=0.5),
 )
 def test_advisor_recommendation_is_always_executable(kind, n, fault_rate):
-    """The advisor never recommends a strategy the runtime layer would
-    silently override (the drift the refactor fixed): following its
-    recommendation end-to-end yields a runtime of the same family."""
+    """The advisor never recommends a strategy the compile pipeline
+    would refuse or override: following its recommendation end-to-end
+    yields a plan whose replica ranks match the verdict."""
     advice = recommend_strategy(properties_for(kind), n=n, fault_rate=fault_rate)
     if kind == "kmeans":
         source = scan("health").cluster(k=3, features=("bmi", "glucose"))
@@ -170,7 +175,5 @@ def test_advisor_recommendation_is_always_executable(kind, n, fault_rate):
             fault_rate=fault_rate, strategy=advice.strategy
         ),
     )
-    runtime = compiled.strategy_runtime()
-    assert (type(runtime).__name__ == "BackupStrategy") == (
-        advice.strategy == "backup"
-    )
+    plan = compiled.build_qep(n_contributors=max(8, 4 * n))
+    assert (plan.replicas > 0) == (advice.strategy == "backup")

@@ -73,12 +73,6 @@ def _probe():
 class TestRecoveryConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RecoveryConfig(watchdog_interval=0.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(collection_grace=-1.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(max_reprovisions=-1)
-        with pytest.raises(ValueError):
             RecoveryConfig(phase_deadline=0.0)
 
     def test_scenario_phase_deadline_validation(self):

@@ -10,7 +10,6 @@ from repro.core.qep import OperatorRole
 from repro.core.runtime import (
     ExecutionCoordinator,
     ExecutionError,
-    OvercollectionStrategy,
 )
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
@@ -65,7 +64,6 @@ def _run(loss: float, copies: int, seed: int = 5):
         simulator, network, devices, plan,
         collection_window=15.0, deadline=50.0, secure_channels=False,
         contribution_copies=copies, seed=seed,
-        strategy=OvercollectionStrategy(),
     )
     report = executor.run()
     return report, len(rows)

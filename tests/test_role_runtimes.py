@@ -28,6 +28,7 @@ from repro.core.runtime import (
     ContributorRuntime,
     ExecutionContext,
     QuerierRuntime,
+    StrategyRuntime,
 )
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
@@ -173,7 +174,7 @@ class TestBuilderRuntime:
         assert runtime.rows_by_partition[partition_index] == _sample_rows()
         assert ctx.report.tuples_per_device[device.device_id] == 2
 
-        runtime.end_collection()
+        runtime.run(builder, device, on_sent=lambda: None)
         assert any("snapshot frozen" in line for _, line in ctx.report.trace)
         ctx.simulator.run()
         partitions = [
@@ -229,10 +230,15 @@ class TestBuilderRuntime:
         assert len(runtime.rows_by_partition[partition_index]) == cap
 
 
+def _on_partition(ctx, runtime, device, payload):
+    """Deliver one partition through the rank rule (rank 0: fold now)."""
+    StrategyRuntime(ctx, BuilderRuntime(ctx), runtime).on_partition(device, payload)
+
+
 class TestComputerRuntime:
     def _partition(self, partition_index, rows):
         return {
-            "op_id": "ignored-by-computer",
+            "op_id": f"computer[{partition_index},g0]",
             "partition_index": partition_index,
             "group_index": 0,
             "commitment": "feedface",
@@ -246,7 +252,8 @@ class TestComputerRuntime:
         computer = runtime.computers[0]
         partition_index = computer.params["partition_index"]
         device = ctx.device_of(computer)
-        runtime.on_partition(device, self._partition(partition_index, _sample_rows()))
+        payload = self._partition(partition_index, _sample_rows())
+        _on_partition(ctx, runtime, device, payload)
         ctx.simulator.run()
         partials = [
             message for _, message in captured
@@ -265,8 +272,8 @@ class TestComputerRuntime:
         partition_index = computer.params["partition_index"]
         device = ctx.device_of(computer)
         payload = self._partition(partition_index, _sample_rows())
-        runtime.on_partition(device, payload)
-        runtime.on_partition(device, payload)  # duplicated in transit
+        _on_partition(ctx, runtime, device, payload)
+        _on_partition(ctx, runtime, device, payload)  # duplicated in transit
         ctx.simulator.run()
         partials = [
             message for _, message in captured
@@ -281,7 +288,8 @@ class TestComputerRuntime:
         runtime = ComputerRuntime(ctx)
         runtime.index()
         device = ctx.device_of(runtime.computers[0])
-        runtime.on_partition(device, self._partition(10_000, _sample_rows()))
+        payload = self._partition(10_000, _sample_rows())
+        _on_partition(ctx, runtime, device, payload)
         ctx.simulator.run()
         assert not [
             message for _, message in captured

@@ -18,7 +18,9 @@ function bodies count: a lazy import is still a layering violation.
 
 The same pass enforces the single launch path: the classes that wire
 an execution or inject faults may be *constructed*, and an outage spec
-resolved, in one module only (:data:`SOLE_CALLER`).
+resolved, in one module only (:data:`SOLE_CALLER`); and that the
+execution runtime branches on an operator's rank, never on a strategy
+name (:data:`RANK_ONLY`).
 """
 
 from __future__ import annotations
@@ -124,6 +126,14 @@ NUMPY_CONFINED_PREFIX = "repro.query"
 #: grow the dependency back.
 NETWORKX_ALLOWED = "repro.core.planner"
 
+#: The execution runtime runs every plan by its rank structure: no
+#: module under it may hold a strategy name as a string constant or
+#: read the plan metadata's ``"strategy"`` key.  The metadata key
+#: ``"overcollection"`` stays legal: it names the plan's ``(n, m)``
+#: block, not a strategy.
+RANK_ONLY = "repro.core.runtime"
+STRATEGY_NAMES = ("backup", "overcollection")
+
 
 def module_name(path: Path, root: Path) -> str:
     relative = path.relative_to(root).with_suffix("")
@@ -164,6 +174,43 @@ def constructed_names(tree: ast.AST) -> list[tuple[str, int]]:
         if name in SOLE_CALLER:
             found.append((name, node.lineno))
     return found
+
+
+def _is_metadata(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "metadata") or (
+        isinstance(node, ast.Name) and node.id == "metadata"
+    )
+
+
+def _is_strategy_key(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "strategy"
+
+
+def strategy_name_reads(tree: ast.AST) -> list[int]:
+    """Lines holding a strategy-name constant (other than a metadata
+    key) or reading ``metadata["strategy"]`` / ``metadata.get("strategy")``."""
+    lines: set[int] = set()
+    metadata_keys: set[int] = set()
+    # ast.walk yields a subscript before its key constant
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_metadata(node.value):
+            metadata_keys.add(id(node.slice))
+            if _is_strategy_key(node.slice):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Constant):
+            if node.value in STRATEGY_NAMES and id(node) not in metadata_keys:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "get"
+                and _is_metadata(func.value)
+                and node.args
+                and _is_strategy_key(node.args[0])
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
 def _numpy_confined(module: str) -> bool:
@@ -219,6 +266,12 @@ def check(root: Path) -> list[str]:
                     f"{module} constructs {name}  ({path}:{line})  "
                     f"[only {SOLE_CALLER[name]} may]"
                 )
+        if module == RANK_ONLY or module.startswith(RANK_ONLY + "."):
+            for line in strategy_name_reads(tree):
+                violations.append(
+                    f"{module} reads a strategy name  ({path}:{line})  "
+                    f"[{RANK_ONLY} branches on rank]"
+                )
     return violations
 
 
@@ -246,7 +299,7 @@ def main() -> int:
         "imports chaos, only repro.query.fold imports "
         "repro.query.columnar, numpy stays confined to "
         "repro.query.columnar within the query layer, networkx to "
-        f"{NETWORKX_ALLOWED}, and only "
+        f"{NETWORKX_ALLOWED}, {RANK_ONLY} reads no strategy name, and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
             for module, names in callers.items()
