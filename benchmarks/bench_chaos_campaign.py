@@ -31,7 +31,7 @@ def _campaign(fault_mixes, runs=8, seed=7):
     return CampaignConfig(
         base=RunSpec(seed=seed, tag="chaos"),
         runs=runs,
-        strategies=("overcollection", "backup"),
+        replicas=(0, 1),
         crash_probabilities=(0.0, 0.002),
         fault_mixes=fault_mixes,
         shrink=False,  # measuring sweep cost, not debugging

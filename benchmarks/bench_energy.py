@@ -28,6 +28,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import replicas_for
 from repro.manager.scenario import Scenario
 from repro.query.sql import parse_query
 
@@ -46,7 +47,7 @@ def _plan(strategy: str, fault_rate: float, kind: str = "aggregate", heartbeats:
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=250),
         resiliency=ResiliencyParameters(
-            fault_rate=fault_rate, strategy=strategy, backup_replicas=1
+            fault_rate=fault_rate, replicas=replicas_for(strategy)
         ),
     )
     return planner.plan(QuerySpec(**kwargs), n_contributors=100)

@@ -80,13 +80,11 @@ def test_qgen_overcollection_vs_backup_cost(benchmark):
     )
     over_planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=100),
-        resiliency=ResiliencyParameters(fault_rate=0.2, strategy="overcollection"),
+        resiliency=ResiliencyParameters(fault_rate=0.2),
     )
     backup_planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=100),
-        resiliency=ResiliencyParameters(
-            fault_rate=0.2, strategy="backup", backup_replicas=2
-        ),
+        resiliency=ResiliencyParameters(fault_rate=0.2, replicas=2),
     )
     over_plan = over_planner.plan(spec, n_contributors=50)
     backup_plan = backup_planner.plan(spec, n_contributors=50)
@@ -160,7 +158,7 @@ def _run_backup_execution(kills: int, replicas: int = 1, seed: int = 3):
     )
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=len(rows) + 1),
-        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=replicas),
+        resiliency=ResiliencyParameters(replicas=replicas),
     )
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [p.device_id for p in processors], exclusive=False)

@@ -25,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _tables import print_table
 
 from repro.core.planner import PrivacyParameters
+from repro.core.resiliency import strategy_name
 from repro.plan.compile import OPTIMIZER_COST, compile_query
 from repro.plan.substrate import SUBSTRATE_PROFILES
 
@@ -64,9 +65,11 @@ def _profile_bytes(profile_name: str) -> dict:
         for report in compiled.explain.candidates:
             # a fixed strategy is a (strategy, vertical, replicas) policy
             # applied at the caller's cap on every query
+            candidate = report.candidate
             policy = (
-                f"{report.strategy}/r{report.backup_replicas}/{report.vertical}"
-                if report.max_raw == max_raw
+                f"{strategy_name(candidate.replicas)}/r{candidate.replicas}"
+                f"/{candidate.vertical}"
+                if candidate.max_raw == max_raw
                 else None
             )
             if policy is None:

@@ -1,6 +1,6 @@
 """Seeded chaos campaigns over the Edgelet execution strategies.
 
-A campaign sweeps (strategy x failure probability x fault mix x
+A campaign sweeps (replica count x failure probability x fault mix x
 topology) over a fixed number of runs.  Every run is a pure function of
 its derived seed: device identities come from ``(scenario_tag, seed)``,
 the stochastic failure injector, the message-fault injector, and the
@@ -26,6 +26,7 @@ from repro.chaos.invariants import (
 )
 from repro.chaos.shrink import observed_plan, shrink_failure_plan
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
+from repro.core.resiliency import replicas_for, strategy_name
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import check_recovery_options
 from repro.network.failures import FailurePlan, read_field
@@ -93,7 +94,9 @@ class RunSpec:
 
     seed: int
     tag: str
-    strategy: str = "overcollection"
+    #: passive replica ranks per Data Processor operator (``0`` plans
+    #: Overcollection)
+    replicas: int = 0
     topology: TopologySpec = field(default_factory=TopologySpec)
     crash_probability: float = 0.0
     disconnect_probability: float = 0.0
@@ -109,7 +112,6 @@ class RunSpec:
     # depends on that
     cardinality: int = 96
     max_raw: int = 12
-    backup_replicas: int = 1
     planner_fault_rate: float = 0.1
     target_success: float = 0.99
     collection_window: float = 20.0
@@ -121,8 +123,8 @@ class RunSpec:
     phase_deadline: float | None = None
     #: ``"pinned"`` replays the legacy hand-assembled physical
     #: parameters byte-for-byte; ``"cost"`` lets the
-    #: :class:`~repro.plan.optimizer.PhysicalOptimizer` pick strategy,
-    #: partitioning, and replication over the run's substrate profile.
+    #: :class:`~repro.plan.optimizer.PhysicalOptimizer` pick
+    #: partitioning and replication over the run's substrate profile.
     optimizer: str = OPTIMIZER_PINNED
     #: seeded topology-outage generator, resolved over the processor
     #: pool at run time (a plan carrying topology atoms excludes it)
@@ -152,6 +154,14 @@ class RunSpec:
         removed fields are ignored, and a missing or ill-typed field
         raises ``ValueError`` naming it."""
         read = partial(read_field, data, owner="run spec")
+        # artifacts written before the replica count was the one
+        # resiliency field spelled it as a strategy name + chain length
+        if "strategy" in data and "replicas" not in data:
+            spell = partial(
+                replicas_for, backup_replicas=read("backup_replicas", int, 1)
+            )
+            data = {**data, "replicas": read("strategy", spell)}
+            read = partial(read_field, data, owner="run spec")
         # artifacts written before topology atoms joined FailurePlan kept
         # them under their own key; the two JSON shapes' keys are disjoint
         legacy = read("outage_plan", _optional(dict), None)
@@ -261,8 +271,7 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         resiliency=ResiliencyParameters(
             fault_rate=spec.planner_fault_rate,
             target_success=spec.target_success,
-            strategy=spec.strategy,
-            backup_replicas=spec.backup_replicas,
+            replicas=spec.replicas,
         ),
         optimizer=spec.optimizer,
         substrate=substrate,
@@ -273,7 +282,6 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
     record = RunRecord(
         result=result,
         reference=reference,
-        strategy=compiled.resiliency.strategy,
         clean=clean,
         validity_tolerance=spec.validity_tolerance,
         liability_max_share=spec.liability_max_share,
@@ -289,7 +297,7 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
 
 
 #: the RunSpec fields a campaign's grid axes sweep
-_GRID_FIELDS = ("strategy", "crash_probability", "fault_specs", "topology")
+_GRID_FIELDS = ("replicas", "crash_probability", "fault_specs", "topology")
 
 
 @dataclass(frozen=True)
@@ -299,7 +307,7 @@ class CampaignConfig:
     ``base`` is the template every run's :class:`RunSpec` is stamped
     from: its ``seed`` is the campaign seed and its ``tag`` the prefix
     of every run tag.  The sweep grid is the cross-product of
-    ``strategies``, ``crash_probabilities``, ``fault_mixes``, and
+    ``replicas``, ``crash_probabilities``, ``fault_mixes``, and
     ``topologies``; run ``i`` executes grid cell ``i % len(grid)`` with
     seed ``base.seed + i * 100003`` and tag ``{base.tag}-{base.seed}-{i}``,
     so adding runs extends coverage without changing earlier runs.  The
@@ -312,7 +320,8 @@ class CampaignConfig:
 
     base: RunSpec = field(default_factory=lambda: RunSpec(seed=0, tag="chaos"))
     runs: int = 25
-    strategies: tuple[str, ...] = ("overcollection", "backup")
+    #: replica counts swept: Overcollection, then one-replica Backup
+    replicas: tuple[int, ...] = (0, 1)
     crash_probabilities: tuple[float, ...] = (0.0, 0.002)
     fault_mixes: tuple[tuple[FaultSpec, ...], ...] = ((),)
     topologies: tuple[TopologySpec, ...] = (TopologySpec(),)
@@ -333,27 +342,27 @@ class CampaignConfig:
                 "are per-run (replay, shrinking), not a campaign template"
             )
 
-    def grid(self) -> list[tuple[str, float, tuple[FaultSpec, ...], TopologySpec]]:
+    def grid(self) -> list[tuple[int, float, tuple[FaultSpec, ...], TopologySpec]]:
         cells = []
-        for strategy in self.strategies:
+        for replicas in self.replicas:
             for crash_probability in self.crash_probabilities:
                 for fault_mix in self.fault_mixes:
                     for topology in self.topologies:
                         cells.append(
-                            (strategy, crash_probability, fault_mix, topology)
+                            (replicas, crash_probability, fault_mix, topology)
                         )
         return cells
 
     def spec_for(self, index: int) -> RunSpec:
         """The deterministic RunSpec of campaign run ``index``."""
         cells = self.grid()
-        strategy, crash_probability, fault_mix, topology = cells[index % len(cells)]
+        replicas, crash_probability, fault_mix, topology = cells[index % len(cells)]
         base = self.base
         return dataclasses.replace(
             base,
             seed=base.seed + index * _SEED_STRIDE,
             tag=f"{base.tag}-{base.seed}-{index}",
-            strategy=strategy,
+            replicas=replicas,
             crash_probability=crash_probability,
             fault_specs=fault_mix,
             topology=topology,
@@ -386,7 +395,7 @@ class CampaignResult:
         for outcome in self.outcomes:
             spec = outcome.spec
             key = (
-                spec.strategy,
+                strategy_name(spec.replicas),
                 spec.crash_probability,
                 len(spec.fault_specs),
             )
@@ -454,7 +463,7 @@ def run_campaign(config: CampaignConfig, telemetry: Any = None) -> CampaignResul
             at=float(index),
             parent=campaign_span,
             seed=spec.seed,
-            strategy=spec.strategy,
+            strategy=strategy_name(spec.replicas),
         )
         outcome = run_single(spec)
         result.outcomes.append(outcome)

@@ -99,7 +99,7 @@ def run_soak(
     result = engine.run()
     failure_events, clean, units = judge(
         engine,
-        [(window, spec.strategy, window.rows) for window in result.windows],
+        [(window, window.rows) for window in result.windows],
         churned=any(
             w.churn is not None and w.churn.any_events for w in result.windows
         ),

@@ -65,7 +65,6 @@ class RunRecord:
         reference: the fault-free centralized result of the same logical
             query over the full dataset, or ``None`` for non-aggregate
             runs.
-        strategy: ``"overcollection"`` or ``"backup"``.
         clean: whether the run experienced *no* failure or fault of any
             kind (no crash/disconnect events, no injected message
             faults, no network loss of any category) — clean runs must
@@ -78,7 +77,6 @@ class RunRecord:
 
     result: Any
     reference: Any = None
-    strategy: str = "overcollection"
     clean: bool = False
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5

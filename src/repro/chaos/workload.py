@@ -127,7 +127,7 @@ class WorkloadChaosOutcome:
 
 def judge(
     engine: Any,
-    units: Iterable[tuple[Any, str, list[dict[str, Any]]]],
+    units: Iterable[tuple[Any, list[dict[str, Any]]]],
     *,
     churned: bool = False,
     validity_tolerance: float,
@@ -136,10 +136,9 @@ def judge(
     """Hold every completed unit of a finished multi-query run to the
     full invariant suite.
 
-    ``units`` is ``(record, strategy, rows)`` per unit, in order: the
-    unit's record, the strategy it was planned with, and the dataset its
-    validity oracle — the engine's ``group_by`` on the centralized
-    engine — runs over.  Returns the failure-event log, the run's
+    ``units`` is ``(record, rows)`` per unit, in order: the unit's
+    record and the dataset its validity oracle — the engine's
+    ``group_by`` on the centralized engine — runs over.  Returns the failure-event log, the run's
     *clean* verdict and one :class:`UnitOutcome` per unit.
 
     Clean is a *post hoc* verdict, like the campaign's: the shared
@@ -161,7 +160,7 @@ def judge(
         )
     )
     verdicts = []
-    for record, strategy, rows in units:
+    for record, rows in units:
         verdict = UnitOutcome(unit_id=record.unit_id, outcome=record.outcome)
         if record.outcome == COMPLETED:
             oracle = CentralizedEngine()
@@ -170,7 +169,6 @@ def judge(
                 RunRecord(
                     result=record.result.judged(failure_events, fault_injector),
                     reference=oracle.execute_logical("data", engine.group_by),
-                    strategy=strategy,
                     clean=clean,
                     validity_tolerance=validity_tolerance,
                     liability_max_share=liability_max_share,
@@ -233,7 +231,7 @@ def run_workload(
     result = engine.run()
     failure_events, clean, units = judge(
         engine,
-        [(record, record.arrival.strategy, rows) for record in result.records],
+        [(record, rows) for record in result.records],
         validity_tolerance=validity_tolerance,
         liability_max_share=liability_max_share,
     )

@@ -65,7 +65,13 @@ import sys
 from typing import Sequence
 
 from repro.core.planner import PlanningError, PrivacyParameters, ResiliencyParameters
-from repro.core.resiliency import minimum_overcollection, query_success_probability
+from repro.core.resiliency import (
+    STRATEGIES,
+    minimum_overcollection,
+    query_success_probability,
+    replicas_for,
+    strategy_name,
+)
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.dashboard import render_plan, render_report
 from repro.manager.scenario import Scenario, ScenarioConfig
@@ -175,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--fault-rate", type=float, default=0.1,
                       help="presumed partition fault rate")
     plan.add_argument("--target-success", type=float, default=0.99)
-    plan.add_argument("--strategy", choices=("overcollection", "backup"),
+    plan.add_argument("--strategy", choices=STRATEGIES,
                       default="overcollection")
     plan.add_argument("--contributors", type=int, default=20)
 
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--secure-channels", action="store_true")
     _add_recovery_flags(run)
     run.add_argument("--fault-mix", default=None, metavar="MIX", help=mix_help)
-    run.add_argument("--strategy", choices=("overcollection", "backup"),
+    run.add_argument("--strategy", choices=STRATEGIES,
                      default="overcollection")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--show-plan", action="store_true")
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="presumed fault rate (pinned mode only; cost "
                               "mode derives it from the substrate profile)")
     explain.add_argument("--target-success", type=float, default=0.99)
-    explain.add_argument("--strategy", choices=("overcollection", "backup"),
+    explain.add_argument("--strategy", choices=STRATEGIES,
                          default="overcollection",
                          help="baseline strategy (pinned mode honours it; "
                               "cost mode treats it as one candidate)")
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign seed; run i uses seed + i*100003")
     chaos.add_argument("--runs", type=int, default=25)
     chaos.add_argument("--strategy",
-                       choices=("overcollection", "backup", "both"),
+                       choices=(*STRATEGIES, "both"),
                        default="both")
     chaos.add_argument("--fault-mix", default=None, metavar="MIX", help=mix_help)
     chaos.add_argument("--failure-probability", type=_parse_probabilities,
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--cardinality", type=int, default=96)
     continuous.add_argument("--max-raw", type=int, default=24)
     continuous.add_argument("--strategy",
-                            choices=("overcollection", "backup"),
+                            choices=STRATEGIES,
                             default="overcollection")
     continuous.add_argument("--sql", default=DEFAULT_SQL)
     continuous.add_argument("--collection-window", type=float, default=5.0)
@@ -420,7 +426,7 @@ def _compile_from_args(
     resiliency = ResiliencyParameters(
         fault_rate=args.fault_rate,
         target_success=getattr(args, "target_success", 0.99),
-        strategy=getattr(args, "strategy", "overcollection"),
+        replicas=replicas_for(getattr(args, "strategy", "overcollection")),
     )
     if kind == "kmeans":
         source = scan("health").cluster(
@@ -668,11 +674,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.workload is not None:
         return _cmd_chaos_workload(args)
 
-    strategies = (
-        ("overcollection", "backup")
-        if args.strategy == "both"
-        else (args.strategy,)
-    )
+    strategies = STRATEGIES if args.strategy == "both" else (args.strategy,)
+    try:
+        replicas = tuple(
+            replicas_for(name, args.backup_replicas) for name in strategies
+        )
+    except ValueError as exc:
+        raise SystemExit(f"--backup-replicas: {exc}") from None
     fault_mix, outage_spec = _split_mix(args.fault_mix)
     config = CampaignConfig(
         base=RunSpec(
@@ -681,13 +689,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             disconnect_probability=args.disconnect_probability,
             message_loss=args.message_loss,
             outage_spec=outage_spec,
-            backup_replicas=args.backup_replicas,
             validity_tolerance=args.validity_tolerance,
             optimizer=args.optimizer,
             **_recovery_options(args),
         ),
         runs=args.runs,
-        strategies=strategies,
+        replicas=replicas,
         crash_probabilities=args.failure_probability,
         fault_mixes=(fault_mix or (),),
         topologies=(
@@ -858,7 +865,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         for record in result.records:
             rows.append([
                 record.arrival.query_id,
-                record.arrival.strategy,
+                strategy_name(record.arrival.replicas),
                 record.outcome,
                 "-" if record.arrived_at is None else f"{record.arrived_at:.2f}",
                 "-" if record.latency is None else f"{record.latency:.2f}",
@@ -900,7 +907,7 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
         window_length=args.window_length,
         snapshot_cardinality=args.cardinality,
         max_raw_per_edgelet=args.max_raw,
-        strategy=args.strategy,
+        replicas=replicas_for(args.strategy),
         collection_window=args.collection_window,
         deadline=args.deadline,
         reliability=args.reliability,

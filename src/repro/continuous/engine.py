@@ -402,7 +402,7 @@ class ContinuousEngine(MultiQueryEngine):
     def _launch(self, record: WindowRecord) -> None:
         launched = self.launch(
             record,
-            self.spec.strategy,
+            self.spec.replicas,
             record.eligible,
             self.spec.window_seed(record.index),
             # one placement key for the whole standing query: with an

@@ -55,7 +55,8 @@ class StandingQuerySpec(QueryShape):
             ``cadence < deadline`` windows overlap, and a window that
             would exceed the cap is *skipped* (recorded, never queued —
             a standing query has no use for a stale window).
-        strategy: ``"overcollection"`` or ``"backup"`` for every window.
+        replicas: passive replica ranks per Data Processor operator for
+            every window (``0`` plans Overcollection).
         incremental: ship delta stamps for unchanged contributions
             (see :mod:`repro.core.runtime.incremental`); off = full
             recollection every window.
@@ -72,7 +73,7 @@ class StandingQuerySpec(QueryShape):
     window_length: float | None = None
     max_concurrent_windows: int = 2
     snapshot_cardinality: int = field(default=96, kw_only=True)
-    strategy: str = "overcollection"
+    replicas: int = 0
     incremental: bool = True
     seed: int = 0
 
@@ -93,8 +94,8 @@ class StandingQuerySpec(QueryShape):
                 "cadence must cover the collection window (a window's "
                 "data must stay frozen while it is being collected)"
             )
-        if self.strategy not in ("overcollection", "backup"):
-            raise ValueError("strategy must be overcollection or backup")
+        if self.replicas < 0:
+            raise ValueError("replicas must be non-negative")
 
     @property
     def freshness_horizon(self) -> float:

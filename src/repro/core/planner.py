@@ -14,8 +14,8 @@ Inputs:
   horizontal partitioning degree ``n``; ``separated_pairs`` drives the
   vertical column groups;
 * :class:`ResiliencyParameters` — the fault presumption rate and target
-  success probability drive the overcollection degree ``m`` (or the
-  number of passive backups for the Backup strategy).
+  success probability drive the overcollection degree ``m``; a plan
+  with passive replicas (the Backup strategy) has ``m = 0``.
 
 Output: a validated :class:`~repro.core.qep.QueryExecutionPlan` shaped
 like Figure 3 of the paper.
@@ -32,7 +32,7 @@ import networkx as nx
 from repro.core.assignment import contributor_builder
 from repro.core.overcollection import OvercollectionConfig
 from repro.core.qep import OperatorRole, QueryExecutionPlan
-from repro.core.resiliency import minimum_overcollection
+from repro.core.resiliency import minimum_overcollection, strategy_name
 from repro.query.groupby import GroupByQuery
 
 __all__ = [
@@ -143,31 +143,23 @@ class ResiliencyParameters:
         fault_rate: presumed probability that one partition is lost.
         target_success: required probability that the query completes
             validly before its deadline.
-        strategy: ``"overcollection"`` or ``"backup"``.
-        backup_replicas: passive replicas per Data Processor (Backup
-            strategy only).
+        replicas: passive replica ranks per Data Processor operator.
+            ``0`` plans Overcollection's ``m`` spare partitions instead
+            (:func:`~repro.core.resiliency.replicas_for` spells a
+            strategy name as this count).
     """
 
     fault_rate: float = 0.05
     target_success: float = 0.99
-    strategy: str = "overcollection"
-    backup_replicas: int = 1
+    replicas: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.fault_rate < 1:
             raise ValueError("fault_rate must be in [0, 1)")
         if not 0 < self.target_success < 1:
             raise ValueError("target_success must be in (0, 1)")
-        if self.strategy not in ("overcollection", "backup"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.backup_replicas < 0:
-            raise ValueError("backup_replicas must be non-negative")
-
-    @property
-    def replicas(self) -> int:
-        """Replica ranks per Data Processor operator the plan carries:
-        ``backup_replicas`` under Backup, none under Overcollection."""
-        return self.backup_replicas if self.strategy == "backup" else 0
+        if self.replicas < 0:
+            raise ValueError("replicas must be non-negative")
 
 
 class EdgeletPlanner:
@@ -196,16 +188,14 @@ class EdgeletPlanner:
         contributors = self._contributor_ids(contributor_ids, n_contributors)
         n = self.horizontal_degree(spec)
         column_groups = self.vertical_groups(spec)
-        backup = self.resiliency.strategy == "backup"
-        m = 0 if backup else minimum_overcollection(
+        replicas = self.resiliency.replicas
+        m = 0 if replicas else minimum_overcollection(
             n, self.resiliency.fault_rate, self.resiliency.target_success
         )
         config = OvercollectionConfig(
             n=n, m=m, snapshot_cardinality=spec.snapshot_cardinality
         )
-        plan = self._build_plan(
-            spec, contributors, config, column_groups, self.resiliency.replicas
-        )
+        plan = self._build_plan(spec, contributors, config, column_groups, replicas)
         plan.validate()
         return plan
 
@@ -323,9 +313,8 @@ class EdgeletPlanner:
         the primary receives, and reads from every builder rank of its
         partition.
         """
-        backup = self.resiliency.strategy == "backup"
-        strategy: dict[str, Any] = {"strategy": self.resiliency.strategy}
-        if backup:
+        strategy: dict[str, Any] = {"strategy": strategy_name(replicas)}
+        if replicas:
             strategy["backup_replicas"] = replicas
         plan = QueryExecutionPlan(
             query_id=spec.query_id,
@@ -348,12 +337,12 @@ class EdgeletPlanner:
         suffixes = ["" if rank == 0 else f".b{rank}" for rank in range(replicas + 1)]
 
         def rank_params(rank: int) -> dict[str, Any]:
-            return {"backup_rank": rank} if backup else {}
+            return {"backup_rank": rank} if replicas else {}
 
         for i in partitions:
             for rank, suffix in enumerate(suffixes):
                 # an overcollection builder records its cap, a replica its rank
-                extra = rank_params(rank) if backup else {
+                extra = rank_params(rank) if replicas else {
                     "partition_cardinality": config.partition_cardinality
                 }
                 plan.new_operator(

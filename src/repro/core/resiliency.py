@@ -7,7 +7,10 @@ at least ``n`` of the ``n + m`` survive.  Backup gives every Data
 Processor operator ``r`` passive replicas, so a partition is lost only
 when all ``r + 1`` of its ranks fail — the same binomial at fault rate
 ``p ** (r + 1)`` — and each promotion costs one
-:data:`TAKEOVER_TIMEOUT`.
+:data:`TAKEOVER_TIMEOUT`.  Both are one plan shape, ``n + m``
+partitions × ``r + 1`` ranks; the two names are spellings of its two
+edges, and :func:`replicas_for` / :func:`strategy_name` are the only
+code that reads or writes them.
 
 Under the paper's fault presumption model, each partition independently
 fails (device crash, disconnection past the deadline, lost messages)
@@ -23,7 +26,10 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "STRATEGIES",
     "TAKEOVER_TIMEOUT",
+    "replicas_for",
+    "strategy_name",
     "query_success_probability",
     "worst_case_delay",
     "minimum_overcollection",
@@ -34,6 +40,36 @@ __all__ = [
 #: over ``r * TAKEOVER_TIMEOUT`` after its primary's firing point.  The
 #: runtime waits it and the planner prices it.
 TAKEOVER_TIMEOUT = 5.0
+
+#: The two spellings of a plan's rank structure: Overcollection is the
+#: ``replicas = 0`` edge (``m`` spare partitions), Backup the ``m = 0``
+#: edge (``replicas`` passive ranks per Data Processor operator).
+STRATEGIES = ("overcollection", "backup")
+
+
+def replicas_for(name: str, backup_replicas: int = 1) -> int:
+    """The replica count a strategy name spells.
+
+    Overcollection carries no replicas whatever ``backup_replicas``
+    says; Backup carries ``backup_replicas``, at least one — a
+    zero-replica Backup plan would have no resiliency at all.
+    """
+    if name == "overcollection":
+        return 0
+    if name != "backup":
+        raise ValueError(f"unknown strategy {name!r}")
+    if backup_replicas < 1:
+        raise ValueError(
+            f"a backup plan needs at least one replica, got {backup_replicas}"
+        )
+    return backup_replicas
+
+
+def strategy_name(replicas: int) -> str:
+    """The strategy name of a plan with ``replicas`` ranks per operator."""
+    if replicas < 0:
+        raise ValueError("replicas must be non-negative")
+    return "backup" if replicas else "overcollection"
 
 
 def worst_case_delay(replicas: int) -> float:

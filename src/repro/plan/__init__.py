@@ -3,7 +3,7 @@
 One pipeline from a declarative query to an executable Edgelet QEP::
 
     SQL / builder  →  LogicalPlan  →  rule passes  →  PhysicalOptimizer
-                                                      → QuerySpec + strategy
+                                                      → QuerySpec + replicas
                                                       → ExplainReport
 
 * :mod:`repro.plan.logical` — the IR: scan / filter / project /

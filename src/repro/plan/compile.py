@@ -8,7 +8,9 @@ one of two modes:
 * ``OPTIMIZER_PINNED`` — honour the caller's privacy/resiliency
   parameters verbatim (the legacy behaviour; with a fixed seed the
   resulting execution is byte-identical to pre-pipeline hand
-  assembly);
+  assembly).  This is the optimizer's one-candidate case: given a
+  substrate, the caller's candidate is scored by
+  :meth:`~repro.plan.optimizer.PhysicalOptimizer.evaluate`;
 * ``OPTIMIZER_COST`` — hand the query to the
   :class:`~repro.plan.optimizer.PhysicalOptimizer`, which enumerates
   candidates over a :class:`~repro.plan.substrate.SubstrateProfile`
@@ -21,7 +23,7 @@ and the :class:`~repro.plan.explain.ExplainReport` audit trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.advisor import NO_GOSSIP_HISTORY
@@ -36,10 +38,10 @@ from repro.core.qep import QueryExecutionPlan
 from repro.query.groupby import GroupByQuery
 from repro.query.sql import ParsedQuery
 from repro.plan.builder import QueryBuilder
-from repro.plan.cost import CostWeights, score_plan
+from repro.plan.cost import CostWeights
 from repro.plan.explain import CandidateReport, ExplainReport
 from repro.plan.logical import Cluster, LogicalPlan, LogicalPlanError, Scan
-from repro.plan.optimizer import PhysicalOptimizer
+from repro.plan.optimizer import PhysicalCandidate, PhysicalOptimizer
 from repro.plan.rules import apply_rules
 from repro.plan.substrate import SubstrateProfile
 
@@ -61,8 +63,8 @@ class CompiledQuery:
     Attributes:
         spec: the resolved :class:`~repro.core.planner.QuerySpec`.
         privacy: the privacy parameters the physical plan honours.
-        resiliency: the resiliency parameters (strategy, fault rate,
-            replica count) the physical plan honours.
+        resiliency: the resiliency parameters (fault rate, target
+            success, replica count) the physical plan honours.
         logical: the rewritten logical plan (``None`` when compiled
             straight from a :class:`QuerySpec` without a query body).
         explain: the optimizer's audit trail.
@@ -139,40 +141,6 @@ def _logical_for_spec(spec: QuerySpec) -> LogicalPlan | None:
     if spec.group_by is not None:
         return LogicalPlan.from_group_by("health", spec.group_by)
     return None
-
-
-def _pinned_report(
-    spec: QuerySpec,
-    privacy: PrivacyParameters,
-    resiliency: ResiliencyParameters,
-    substrate: SubstrateProfile | None,
-    weights: CostWeights | None,
-) -> CandidateReport:
-    """The single-candidate audit entry of pinned mode."""
-    key = (
-        f"{resiliency.strategy}/raw{privacy.max_raw_per_edgelet}"
-        f"/r{resiliency.replicas}/packed"
-    )
-    cost = None
-    if substrate is not None:
-        try:
-            qep = EdgeletPlanner(privacy=privacy, resiliency=resiliency).plan(
-                spec, n_contributors=substrate.n_contributors
-            )
-            cost = score_plan(qep, substrate, weights)
-        except Exception:  # scoring is advisory in pinned mode
-            cost = None
-    return CandidateReport(
-        key=key,
-        strategy=resiliency.strategy,
-        max_raw=privacy.max_raw_per_edgelet,
-        backup_replicas=resiliency.replicas,
-        vertical="packed",
-        feasible=True,
-        chosen=True,
-        reason="pinned to caller-provided parameters (legacy defaults)",
-        cost=cost,
-    )
 
 
 def compile_query(
@@ -291,7 +259,20 @@ def compile_query(
         raise PlanningError(
             f"k-means cannot be planned with replicas: {NO_GOSSIP_HISTORY}"
         )
-    pinned = _pinned_report(spec, privacy, resiliency, substrate, weights)
+    # the optimizer's one-candidate case: the caller's own parameters,
+    # scored (when a substrate is given) by the same evaluator
+    candidate = PhysicalCandidate(
+        privacy.max_raw_per_edgelet, resiliency.replicas, "packed"
+    )
+    report = CandidateReport(candidate, feasible=True, reason="unscored")
+    if substrate is not None:
+        report = PhysicalOptimizer(substrate, weights=weights).evaluate(
+            candidate, spec, privacy, resiliency
+        )
+    pinned = replace(
+        report, chosen=True,
+        reason="pinned to caller-provided parameters (legacy defaults)",
+    )
     explain = ExplainReport(
         query_id=spec.query_id,
         mode=OPTIMIZER_PINNED,

@@ -10,10 +10,14 @@ records each candidate verdict at decision time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.core.resiliency import strategy_name
 from repro.plan.cost import CandidateCost
 from repro.plan.rules import RuleTrace
+
+if TYPE_CHECKING:
+    from repro.plan.optimizer import PhysicalCandidate
 
 __all__ = ["CandidateReport", "ExplainReport"]
 
@@ -23,38 +27,36 @@ class CandidateReport:
     """One enumerated physical candidate and its verdict.
 
     Attributes:
-        key: deterministic candidate identifier, e.g.
-            ``overcollection/raw12/r0/packed``.
-        strategy: ``"overcollection"`` or ``"backup"``.
-        max_raw: the candidate's ``max_raw_per_edgelet``.
-        backup_replicas: replica chain length (backup candidates).
-        vertical: ``"packed"`` or ``"split"`` column grouping.
+        candidate: the :class:`~repro.plan.optimizer.PhysicalCandidate`
+            judged.
         feasible: whether a valid plan could be built.
-        chosen: whether the optimizer picked this candidate.
         reason: why it won, lost, or was infeasible.
-        cost: the scored cost, ``None`` when infeasible.
+        chosen: whether the optimizer picked this candidate.
+        cost: the scored cost, ``None`` when infeasible or unscored.
         advisor_reasons: the strategy advisor's clauses for this
             candidate's strategy.
     """
 
-    key: str
-    strategy: str
-    max_raw: int
-    backup_replicas: int
-    vertical: str
+    candidate: PhysicalCandidate
     feasible: bool
-    chosen: bool
     reason: str
+    chosen: bool = False
     cost: CandidateCost | None = None
     advisor_reasons: tuple[str, ...] = ()
 
+    @property
+    def key(self) -> str:
+        """The candidate's key, e.g. ``overcollection/raw12/r0/packed``."""
+        return self.candidate.key
+
     def to_dict(self) -> dict[str, Any]:
+        candidate = self.candidate
         return {
             "key": self.key,
-            "strategy": self.strategy,
-            "max_raw": self.max_raw,
-            "backup_replicas": self.backup_replicas,
-            "vertical": self.vertical,
+            "strategy": strategy_name(candidate.replicas),
+            "max_raw": candidate.max_raw,
+            "backup_replicas": candidate.replicas,
+            "vertical": candidate.vertical,
             "feasible": self.feasible,
             "chosen": self.chosen,
             "reason": self.reason,

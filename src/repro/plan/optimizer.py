@@ -2,11 +2,13 @@
 
 Enumerates every physical realization of a logical query over one
 substrate — horizontal partitioning degree (via the raw-data cap),
-Overcollection vs Backup, replica chain length, vertical column
-grouping — builds each candidate's QEP through the existing
-:class:`~repro.core.planner.EdgeletPlanner`, scores it with the unified
-cost model, consults the strategy advisor for hard constraints, and
-picks the cheapest feasible candidate.
+replica chain length (``0`` spells Overcollection, more spell Backup),
+vertical column grouping — builds each candidate's QEP through the
+existing :class:`~repro.core.planner.EdgeletPlanner`, scores it with
+the unified cost model, notes where the strategy advisor disagrees,
+and picks the cheapest feasible candidate.  Pinned compilation is the
+one-candidate case: it scores the caller's parameters through the same
+:meth:`PhysicalOptimizer.evaluate`.
 
 Determinism: candidates are keyed by a canonical string, scored costs
 are rounded, and the winner is ``min`` over ``(total, key)`` — the
@@ -16,10 +18,14 @@ invariant to enumeration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from repro.core.advisor import properties_for, recommend_strategy
+from repro.core.advisor import (
+    StrategyRecommendation,
+    properties_for,
+    recommend_strategy,
+)
 from repro.core.planner import (
     EdgeletPlanner,
     PlanningError,
@@ -27,14 +33,16 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
-from repro.core.resiliency import worst_case_delay
+from repro.core.resiliency import strategy_name, worst_case_delay
 from repro.plan.cost import CandidateCost, CostWeights, score_plan
 from repro.plan.explain import CandidateReport
 from repro.plan.substrate import SubstrateProfile
 
 __all__ = ["PhysicalCandidate", "OptimizationResult", "PhysicalOptimizer"]
 
-_BACKUP_REPLICA_CHOICES = (1, 2)
+#: rank structures enumerated for aggregates: Overcollection, then
+#: Backup chains of one and two replicas (k-means plans no replicas)
+_REPLICA_CHOICES = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -42,25 +50,23 @@ class PhysicalCandidate:
     """One point in the physical search space.
 
     Attributes:
-        strategy: ``"overcollection"`` or ``"backup"``.
         max_raw: raw-tuple cap per edgelet (drives partition degree n).
-        backup_replicas: replica chain length (backup only; 0 for
-            overcollection).
+        replicas: passive replica ranks per Data Processor operator;
+            ``0`` plans Overcollection's spare partitions instead.
         vertical: ``"packed"`` (only the caller's separation
             constraints) or ``"split"`` (additionally separate every
             aggregate-column pair, one column group per aggregate).
     """
 
-    strategy: str
     max_raw: int
-    backup_replicas: int
+    replicas: int
     vertical: str
 
     @property
     def key(self) -> str:
         return (
-            f"{self.strategy}/raw{self.max_raw}"
-            f"/r{self.backup_replicas}/{self.vertical}"
+            f"{strategy_name(self.replicas)}/raw{self.max_raw}"
+            f"/r{self.replicas}/{self.vertical}"
         )
 
 
@@ -112,19 +118,13 @@ class PhysicalOptimizer:
         verticals = ["packed"]
         if spec.kind == "aggregate" and len(self._aggregate_columns(spec)) >= 2:
             verticals.append("split")
-        points: list[PhysicalCandidate] = []
-        for max_raw in raw_choices:
-            for vertical in verticals:
-                points.append(PhysicalCandidate(
-                    strategy="overcollection", max_raw=max_raw,
-                    backup_replicas=0, vertical=vertical,
-                ))
-                if spec.kind == "aggregate":
-                    for replicas in _BACKUP_REPLICA_CHOICES:
-                        points.append(PhysicalCandidate(
-                            strategy="backup", max_raw=max_raw,
-                            backup_replicas=replicas, vertical=vertical,
-                        ))
+        replica_choices = _REPLICA_CHOICES if spec.kind == "aggregate" else (0,)
+        points = [
+            PhysicalCandidate(max_raw, replicas, vertical)
+            for max_raw in raw_choices
+            for vertical in verticals
+            for replicas in replica_choices
+        ]
         return sorted(points, key=lambda c: c.key)
 
     @staticmethod
@@ -155,8 +155,7 @@ class PhysicalOptimizer:
         chosen_resiliency = ResiliencyParameters(
             fault_rate=self.substrate.planning_fault_rate(),
             target_success=resiliency.target_success,
-            strategy=candidate.strategy,
-            backup_replicas=candidate.backup_replicas,
+            replicas=candidate.replicas,
         )
         return chosen_privacy, chosen_resiliency
 
@@ -175,9 +174,8 @@ class PhysicalOptimizer:
         """
         privacy = privacy or PrivacyParameters()
         resiliency = resiliency or ResiliencyParameters()
-        properties = properties_for(spec.kind)
         advice = recommend_strategy(
-            properties,
+            properties_for(spec.kind),
             n=max(1, -(-spec.snapshot_cardinality // privacy.max_raw_per_edgelet)),
             fault_rate=self.substrate.planning_fault_rate(),
             target_success=resiliency.target_success,
@@ -187,14 +185,14 @@ class PhysicalOptimizer:
                            PrivacyParameters, ResiliencyParameters]] = []
         verdicts: dict[str, CandidateReport] = {}
         for candidate in self.candidates(spec, privacy):
-            report = self._evaluate(
-                candidate, spec, privacy, resiliency, advice, properties
+            chosen_privacy, chosen_resiliency = self._parameters_for(
+                candidate, spec, privacy, resiliency
+            )
+            report = self.evaluate(
+                candidate, spec, chosen_privacy, chosen_resiliency, advice
             )
             verdicts[candidate.key] = report
-            if report.feasible and report.cost is not None:
-                chosen_privacy, chosen_resiliency = self._parameters_for(
-                    candidate, spec, privacy, resiliency
-                )
+            if report.feasible:
                 scored.append(
                     (report.cost, candidate, chosen_privacy, chosen_resiliency)
                 )
@@ -226,13 +224,9 @@ class PhysicalOptimizer:
                     if runner_up is not None
                     else ""
                 )
-                report = CandidateReport(
-                    key=report.key, strategy=report.strategy,
-                    max_raw=report.max_raw,
-                    backup_replicas=report.backup_replicas,
-                    vertical=report.vertical, feasible=True, chosen=True,
+                report = replace(
+                    report, chosen=True,
                     reason=f"lowest total cost {best_cost.total:,.0f}{margin}",
-                    cost=report.cost, advisor_reasons=advice.reasons,
                 )
             reports.append(report)
         return OptimizationResult(
@@ -243,53 +237,36 @@ class PhysicalOptimizer:
             reports=tuple(reports),
         )
 
-    def _evaluate(
+    def evaluate(
         self,
         candidate: PhysicalCandidate,
         spec: QuerySpec,
         privacy: PrivacyParameters,
         resiliency: ResiliencyParameters,
-        advice,
-        properties,
+        advice: StrategyRecommendation | None = None,
     ) -> CandidateReport:
-        """Build and score one candidate, recording infeasibility."""
-        base = dict(
-            key=candidate.key, strategy=candidate.strategy,
-            max_raw=candidate.max_raw,
-            backup_replicas=candidate.backup_replicas,
-            vertical=candidate.vertical, chosen=False,
-        )
-        # hard advisor constraint: a non-distributive operator cannot be
-        # overcollected (no partial-state merge exists)
-        if candidate.strategy == "overcollection" and not properties.distributive:
-            return CandidateReport(
-                **base, feasible=False,
-                reason="advisor: processing is not distributive",
-            )
+        """Build and score one candidate from the parameter blocks that
+        realize it, recording infeasibility.
+
+        Cost mode passes every enumerated point with the advisor's
+        verdict; pinned mode passes its one candidate, the caller's own
+        parameters, and no advice.
+        """
         try:
-            chosen_privacy, chosen_resiliency = self._parameters_for(
-                candidate, spec, privacy, resiliency
-            )
-            planner = EdgeletPlanner(
-                privacy=chosen_privacy, resiliency=chosen_resiliency
-            )
-            qep = planner.plan(
+            qep = EdgeletPlanner(privacy=privacy, resiliency=resiliency).plan(
                 spec, n_contributors=self.substrate.n_contributors
             )
         except (PlanningError, ValueError) as error:
-            return CandidateReport(
-                **base, feasible=False, reason=str(error),
-            )
+            return CandidateReport(candidate, feasible=False, reason=str(error))
         cost = score_plan(
             qep, self.substrate, self.weights,
             extra_latency=worst_case_delay(qep.replicas),
         )
-        disagreement = (
-            "" if advice.strategy == candidate.strategy
-            else f" (advisor prefers {advice.strategy})"
-        )
+        reason = f"total {cost.total:,.0f}"
+        if advice is None:
+            return CandidateReport(candidate, True, reason, cost=cost)
+        if advice.strategy != strategy_name(candidate.replicas):
+            reason += f" (advisor prefers {advice.strategy})"
         return CandidateReport(
-            **base, feasible=True,
-            reason=f"total {cost.total:,.0f}{disagreement}",
-            cost=cost, advisor_reasons=advice.reasons,
+            candidate, True, reason, cost=cost, advisor_reasons=advice.reasons
         )

@@ -155,7 +155,7 @@ class MultiQueryEngine:
     # -- the one lifecycle ----------------------------------------------------
 
     def compile(
-        self, query_id: str, strategy: str, placement_key: str | None = None
+        self, query_id: str, replicas: int, placement_key: str | None = None
     ) -> CompiledQuery:
         """Compile one unit from the run's once-parsed logical plan."""
         return compile_query(
@@ -168,7 +168,7 @@ class MultiQueryEngine:
             resiliency=ResiliencyParameters(
                 fault_rate=self.spec.fault_rate,
                 target_success=self.spec.target_success,
-                strategy=strategy,
+                replicas=replicas,
             ),
             placement_key=placement_key,
         )
@@ -176,7 +176,7 @@ class MultiQueryEngine:
     def launch(
         self,
         record: Any,
-        strategy: str,
+        replicas: int,
         contributor_ids: list[str],
         seed: int,
         placement_key: str | None = None,
@@ -186,7 +186,7 @@ class MultiQueryEngine:
         (not yet started).  ``False`` — nothing leased — when the pool
         cannot cover the plan's roles."""
         unit_id = record.unit_id
-        compiled = self.compile(unit_id, strategy, placement_key)
+        compiled = self.compile(unit_id, replicas, placement_key)
         plan = compiled.build_qep(contributor_ids=contributor_ids)
         lease = self.registry.lease_plan(
             unit_id, plan, self.processor_pool, self.standby_count
@@ -451,7 +451,7 @@ class WorkloadEngine(MultiQueryEngine):
     def _launch(self, record: QueryRecord) -> None:
         arrival = record.arrival
         contributor_ids = [d.device_id for d in self.scenario.contributors]
-        if not self.launch(record, arrival.strategy, contributor_ids, arrival.seed):
+        if not self.launch(record, arrival.replicas, contributor_ids, arrival.seed):
             # the swarm is leased out: convert the admission into a shed
             record.outcome = SHED
             self._after_slot_freed(self.admission.abort(record.unit_id))
@@ -556,7 +556,7 @@ def serial_fingerprints(
         replay.processor_pool = record.leased + record.standbys
         solo = QueryRecord(arrival=record.arrival)
         replay.launch(
-            solo, record.arrival.strategy, contributor_ids, record.arrival.seed
+            solo, record.arrival.replicas, contributor_ids, record.arrival.seed
         )
         scenario.simulator.run_until(solo.result.executor.start())
         replay.conclude(solo)

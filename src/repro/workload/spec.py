@@ -81,7 +81,8 @@ class QueryArrival:
         query_id: unique id, embeds the workload seed and the index.
         at: virtual arrival time; ``None`` for closed-loop arrivals
             (launched by a completion).
-        strategy: ``"overcollection"`` or ``"backup"``.
+        replicas: passive replica ranks per Data Processor operator
+            (``0`` plans Overcollection).
         seed: per-query randomness seed (contribution jitter, transport
             jitter, network draws under per-query streams).
     """
@@ -89,7 +90,7 @@ class QueryArrival:
     index: int
     query_id: str
     at: float | None
-    strategy: str
+    replicas: int
     seed: int
 
 
@@ -104,8 +105,8 @@ class WorkloadSpec(QueryShape):
         target_in_flight: queries kept in flight (closed loop).
         max_concurrent: admission cap on concurrently executing queries.
         queue_capacity: arrivals parked past the cap before shedding.
-        backup_fraction: probability a query is planned with the Backup
-            strategy instead of Overcollection (the strategy mix).
+        backup_fraction: probability a query is planned with one
+            Backup replica instead of Overcollection (the strategy mix).
         seed: master workload seed.
 
     Every query's shape is a :class:`QueryShape` field.
@@ -157,17 +158,13 @@ class WorkloadSpec(QueryShape):
                 at = clock
             else:  # closed
                 at = None
-            strategy = (
-                "backup"
-                if rng.random() < self.backup_fraction
-                else "overcollection"
-            )
+            replicas = 1 if rng.random() < self.backup_fraction else 0
             out.append(
                 QueryArrival(
                     index=index,
                     query_id=f"wl{self.seed}-q{index:03d}",
                     at=at,
-                    strategy=strategy,
+                    replicas=replicas,
                     seed=rng.randrange(2**31),
                 )
             )

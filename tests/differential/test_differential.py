@@ -24,6 +24,7 @@ import pytest
 
 from repro.continuous import ContinuousEngine, StandingQuerySpec
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
+from repro.core.resiliency import replicas_for
 from repro.devices.churn import ChurnSpec
 from repro.plan.builder import scan
 from repro.query import fold
@@ -103,7 +104,7 @@ class TestScenarioDifferential:
                 seed=5,
                 tag=f"dif-{strategy}",
                 resiliency=ResiliencyParameters(
-                    fault_rate=0.1, strategy=strategy
+                    fault_rate=0.1, replicas=replicas_for(strategy)
                 ),
             ),
         )

@@ -156,7 +156,7 @@ def _ship_schedule(resiliency: ResiliencyParameters) -> dict[int, tuple]:
 class TestRankZeroIsOnePath:
     def test_backup_primaries_freeze_and_ship_like_overcollection(self):
         backup = _ship_schedule(
-            ResiliencyParameters(strategy="backup", backup_replicas=1)
+            ResiliencyParameters(replicas=1)
         )
         overcollection = _ship_schedule(ResiliencyParameters(fault_rate=0.0))
         assert backup == overcollection
@@ -185,7 +185,7 @@ def _launch(failure_plan: FailurePlan | None = None):
         failure_plan=failure_plan,
     )
     compiled = _compile(
-        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=1)
+        resiliency=ResiliencyParameters(replicas=1)
     )
     return Scenario(config).run_compiled(compiled)
 

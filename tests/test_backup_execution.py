@@ -73,7 +73,7 @@ def _backup_plan(
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=len(rows) + 1),
         resiliency=resiliency
-        or ResiliencyParameters(strategy="backup", backup_replicas=replicas),
+        or ResiliencyParameters(replicas=replicas),
     )
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [d.device_id for d in processors], exclusive=False)
@@ -181,7 +181,7 @@ class TestBackupExecutor:
             kmeans_k=2, feature_columns=("bmi", "glucose"), heartbeats=2,
         )
         planner = EdgeletPlanner(
-            resiliency=ResiliencyParameters(strategy="backup", backup_replicas=1)
+            resiliency=ResiliencyParameters(replicas=1)
         )
         plan = planner.plan(spec, contributor_ids=[d.device_id for d in contribs])
         assign_operators(plan, [d.device_id for d in procs], exclusive=False)

@@ -43,7 +43,7 @@ class TestRunDeterminism:
         spec = RunSpec(
             seed=21,
             tag="det",
-            strategy="overcollection",
+            replicas=0,
             crash_probability=0.004,
             fault_specs=parse_fault_mix("drop=0.05;partition:duplicate=0.3"),
         )
@@ -62,11 +62,10 @@ class TestRunDeterminism:
         spec = RunSpec(
             seed=5,
             tag="rt",
-            strategy="backup",
+            replicas=2,
             crash_probability=0.01,
             fault_specs=parse_fault_mix("control:drop=0.5"),
             failure_plan=FailurePlan().crash("d", 3.0).disconnect("e", 1.0, 4.0),
-            backup_replicas=2,
         )
         clone = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone.to_dict() == spec.to_dict()
@@ -236,16 +235,13 @@ class TestCampaign:
         config = CampaignConfig(
             base=RunSpec(seed=3, tag="chaos"),
             runs=4,
-            strategies=("overcollection", "backup"),
+            replicas=(0, 1),
             crash_probabilities=(0.0,),
         )
         telemetry = Telemetry()
         result = run_campaign(config, telemetry=telemetry)
         assert len(result.outcomes) == 4
-        assert {o.spec.strategy for o in result.outcomes} == {
-            "overcollection",
-            "backup",
-        }
+        assert {o.spec.replicas for o in result.outcomes} == {0, 1}
         assert result.ok
         # telemetry wiring: the runs counter matched the run count
         assert telemetry.metrics.total("chaos.runs") == 4
@@ -263,7 +259,7 @@ class TestCampaign:
                 seed=11, tag="chaos", message_loss=0.25,
                 reliability=True, validity_tolerance=1.5,
             ),
-            runs=4, strategies=("overcollection",),
+            runs=4, replicas=(0,),
             crash_probabilities=(0.0,),
         )
         result = run_campaign(config, telemetry=Telemetry())
@@ -273,7 +269,7 @@ class TestCampaign:
     def test_summary_rows_cover_all_cells(self):
         config = CampaignConfig(
             base=RunSpec(seed=1, tag="chaos"), runs=4,
-            strategies=("overcollection",),
+            replicas=(0,),
             crash_probabilities=(0.0, 0.01),
         )
         result = run_campaign(config, telemetry=Telemetry())
@@ -334,7 +330,7 @@ class TestShrinking:
 
 class TestArtifacts:
     def test_round_trip_and_replay(self, tmp_path):
-        spec = RunSpec(seed=2, tag="art", strategy="overcollection")
+        spec = RunSpec(seed=2, tag="art", replicas=0)
         outcome = run_single(spec)
         artifact = ReproArtifact(
             invariant="validity",

@@ -14,6 +14,7 @@ from repro.chaos.invariants import (
     check_validity,
     no_fault_observed,
 )
+from repro.core.resiliency import replicas_for
 from repro.network.opnet import LOSS_COUNTERS, NetworkStats
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import (
@@ -222,7 +223,9 @@ class TestOnRealRuns:
 
         for strategy in ("overcollection", "backup"):
             outcome = run_single(
-                RunSpec(seed=3, tag=f"inv-{strategy}", strategy=strategy)
+                RunSpec(
+                    seed=3, tag=f"inv-{strategy}", replicas=replicas_for(strategy)
+                )
             )
             assert outcome.result.report.success
             assert outcome.violations == []
@@ -257,7 +260,9 @@ class TestFoldKernelLegs:
 
         for strategy in ("overcollection", "backup"):
             outcome = run_single(
-                RunSpec(seed=3, tag=f"inv-{strategy}", strategy=strategy)
+                RunSpec(
+                    seed=3, tag=f"inv-{strategy}", replicas=replicas_for(strategy)
+                )
             )
             assert outcome.result.report.success
             assert outcome.violations == []
@@ -284,7 +289,7 @@ class TestFoldKernelLegs:
         config = CampaignConfig(
             base=RunSpec(seed=19, tag="chaos"),
             runs=4,
-            strategies=("overcollection", "backup"),
+            replicas=(0, 1),
             crash_probabilities=(0.0, 0.002),
         )
         result = run_campaign(config, telemetry=Telemetry())

@@ -147,6 +147,19 @@ class TestCommands:
         assert captured.err.startswith(f"{argv[0]}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("strategy", ["backup", "both"])
+    def test_zero_replica_backup_exits_2(self, capsys, strategy):
+        """A Backup plan without a replica has no resiliency at all."""
+        argv = [
+            "chaos", "--runs", "1", "--strategy", strategy,
+            "--backup-replicas", "0",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--backup-replicas: ")
+        assert captured.err.count("\n") == 1
+
     def test_run_with_order_and_limit(self, capsys):
         code = main([
             "run", "--contributors", "30", "--processors", "15",

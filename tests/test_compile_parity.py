@@ -12,6 +12,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import replicas_for
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.plan.builder import col, scan
@@ -120,11 +121,11 @@ class TestKMeansReplicas:
         with pytest.raises(PlanningError, match="no gossip history"):
             compile_query(
                 source, query_id="q", snapshot_cardinality=60,
-                resiliency=ResiliencyParameters(strategy="backup"),
+                resiliency=ResiliencyParameters(replicas=1),
             )
         compiled = compile_query(
             source, query_id="q", snapshot_cardinality=60,
-            resiliency=ResiliencyParameters(strategy="backup", backup_replicas=0),
+            resiliency=ResiliencyParameters(),
         )
         assert compiled.build_qep(n_contributors=8).replicas == 0
 
@@ -150,7 +151,9 @@ class TestExecutionFingerprintParity:
     @pytest.mark.parametrize("strategy", ["overcollection", "backup"])
     def test_sql_compile_matches_hand_assembly(self, strategy, fold_kernel):
         privacy = PrivacyParameters(max_raw_per_edgelet=20)
-        resiliency = ResiliencyParameters(fault_rate=0.1, strategy=strategy)
+        resiliency = ResiliencyParameters(
+            fault_rate=0.1, replicas=replicas_for(strategy)
+        )
 
         legacy = self._scenario(strategy).run_query(
             hand_spec(), privacy=privacy, resiliency=resiliency,
@@ -205,7 +208,7 @@ class TestChaosCostMode:
         spec = RunSpec(
             seed=11,
             tag="cost-inv",
-            strategy="backup",  # the optimizer may override this
+            replicas=1,  # the optimizer may override this
             topology=TopologySpec(
                 n_contributors=16, n_processors=14, n_rows=32
             ),

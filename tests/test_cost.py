@@ -15,6 +15,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import replicas_for
 from repro.query.sql import parse_query
 
 SQL = "SELECT count(*), avg(age) FROM health GROUP BY GROUPING SETS ((region), ())"
@@ -35,7 +36,7 @@ def _plan(fault_rate=0.1, strategy="overcollection", kind="aggregate",
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=250),
         resiliency=ResiliencyParameters(
-            fault_rate=fault_rate, strategy=strategy, backup_replicas=1
+            fault_rate=fault_rate, replicas=replicas_for(strategy)
         ),
     )
     return planner.plan(QuerySpec(**spec_kwargs), n_contributors=n_contributors)

@@ -120,7 +120,7 @@ class TestRenderPlanVariants:
 
         planner = EdgeletPlanner(
             privacy=PrivacyParameters(max_raw_per_edgelet=500),
-            resiliency=ResiliencyParameters(strategy="backup", backup_replicas=1),
+            resiliency=ResiliencyParameters(replicas=1),
         )
         spec = QuerySpec(
             query_id="dash-bak", kind="aggregate", snapshot_cardinality=900,

@@ -7,7 +7,8 @@ standing query exactly as they do one-shot.  These tests hold those
 runs to every invariant, pin that a chaos-free sealed workload is still
 serial-equivalent, and pin that a campaign stamps the same RunSpecs
 from its ``base`` template as it did when it re-declared every field
-(literals computed before the change).
+(literals computed before the change), and that a RunSpec serialized
+with a strategy name still loads to the same run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import repro.chaos.workload as chaos_workload
 from repro.chaos import (
     CampaignConfig,
     RunSpec,
+    run_single,
     run_soak,
     run_workload,
     shrink_workload_plan,
@@ -37,6 +39,7 @@ from repro.network.outages import OutageSpec
 from repro.telemetry import Telemetry
 from repro.workload import WorkloadEngine, WorkloadSpec
 from repro.workload.engine import serial_fingerprints
+from repro.workload.fingerprint import report_fingerprint
 
 HARDENED = dict(secure_channels=True, detector=True, fencing=True)
 OUTAGES = OutageSpec(partition_probability=0.5, gray_probability=0.3)
@@ -241,7 +244,8 @@ def _specs_digest(config: CampaignConfig) -> str:
 
 
 #: ``spec_for(1).to_dict()`` of the CLI-shaped campaign, as computed when
-#: CampaignConfig still re-declared every RunSpec field
+#: CampaignConfig still re-declared every RunSpec field and a RunSpec
+#: spelled its replica count as ``strategy`` + ``backup_replicas``
 CLI_SPEC_1 = {
     "seed": 100010, "tag": "chaos-7-1", "strategy": "overcollection",
     "topology": {
@@ -274,18 +278,33 @@ CLI_SPEC_1 = {
 }
 
 
+def _respelled(legacy: dict, replicas: int) -> dict:
+    """A strategy-spelled RunSpec dict as written since ``replicas``."""
+    data = {
+        key: value for key, value in legacy.items()
+        if key not in ("strategy", "backup_replicas")
+    }
+    return {**data, "replicas": replicas}
+
+
 class TestCampaignTemplate:
+    """The three digests were re-pinned when ``replicas`` replaced
+    ``strategy`` + ``backup_replicas``: each of their 24 specs, loaded
+    from the dict written before, equals the spec stamped now."""
+
     def test_default_campaign_stamps_the_same_specs(self):
         config = CampaignConfig()
         assert (config.runs, config.shrink, config.shrink_budget) == (25, True, 24)
         assert config.spec_for(1).tag == "chaos-0-1"
-        assert _specs_digest(config) == "6f37aa4128e6d8ae"
+        assert _specs_digest(config) == "23d9602a834ddda4"
 
     def test_cli_campaign_stamps_the_same_specs(self, monkeypatch):
         config = _cli_campaign(monkeypatch)
         assert (config.runs, config.shrink, config.shrink_budget) == (4, False, 12)
-        assert config.spec_for(1).to_dict() == CLI_SPEC_1
-        assert _specs_digest(config) == "d79bca8b4d43a824"
+        assert RunSpec.from_dict(CLI_SPEC_1) == config.spec_for(1)
+        assert config.spec_for(1).to_dict() == _respelled(CLI_SPEC_1, 0)
+        assert config.spec_for(2).replicas == 2  # --backup-replicas 2
+        assert _specs_digest(config) == "ef084a6e9ba15259"
 
     def test_outage_campaign_stamps_the_same_specs(self):
         config = CampaignConfig(
@@ -299,13 +318,13 @@ class TestCampaignTemplate:
                 ),
             ),
             runs=6,
-            strategies=("overcollection", "backup"),
+            replicas=(0, 1),
             crash_probabilities=(0.0,),
         )
-        assert _specs_digest(config) == "dbe419d63c55cc59"
+        assert _specs_digest(config) == "d5164ddf5d74618d"
 
     @pytest.mark.parametrize("field", [
-        dict(strategy="backup"), dict(crash_probability=0.01),
+        dict(replicas=1), dict(crash_probability=0.01),
         # not a grid axis, but its atoms name one run's devices
         dict(failure_plan=FailurePlan().crash("chaos-1-0-proc-00000", 1.0)),
     ])
@@ -313,3 +332,43 @@ class TestCampaignTemplate:
         (name,) = field
         with pytest.raises(ValueError, match=f"base.{name}"):
             CampaignConfig(base=RunSpec(seed=1, tag="chaos", **field))
+
+
+class TestStrategySpelledSpecs:
+    """A RunSpec written with a strategy name loads to its replica count."""
+
+    @pytest.mark.parametrize("strategy, backup_replicas, replicas", [
+        ("backup", 2, 2),
+        ("backup", None, 1),  # the old field default
+        ("overcollection", 1, 0),
+        ("overcollection", 2, 0),
+    ])
+    def test_the_spelling_loads_to_replicas(
+        self, strategy, backup_replicas, replicas
+    ):
+        legacy = {**CLI_SPEC_1, "strategy": strategy}
+        if backup_replicas is None:
+            del legacy["backup_replicas"]
+        else:
+            legacy["backup_replicas"] = backup_replicas
+        spec = RunSpec.from_dict(legacy)
+        assert spec.replicas == replicas
+        assert spec.to_dict() == _respelled(legacy, replicas)
+
+    def test_a_zero_replica_backup_spec_is_refused(self):
+        legacy = {**CLI_SPEC_1, "strategy": "backup", "backup_replicas": 0}
+        with pytest.raises(ValueError, match="at least one replica"):
+            RunSpec.from_dict(legacy)
+
+    def test_a_backup_spec_replays_the_run_it_recorded(self):
+        legacy = {
+            "seed": 5, "tag": "legacy-spell",
+            "strategy": "backup", "backup_replicas": 2,
+        }
+        spec = RunSpec.from_dict(json.loads(json.dumps(legacy)))
+        assert spec == RunSpec(seed=5, tag="legacy-spell", replicas=2)
+        result = run_single(spec).result
+        # computed from the strategy-spelled RunSpec before the change
+        assert report_fingerprint(
+            result.report, base_time=result.executor.start_time
+        ) == "6661348174701bd9137c7ae770ef22a959be26d7f3291bdee8c5166e5137e237"

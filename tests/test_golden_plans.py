@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.planner import PrivacyParameters
+from repro.core.resiliency import strategy_name
 from repro.plan.compile import OPTIMIZER_COST, compile_query
 from repro.plan.substrate import SUBSTRATE_PROFILES
 
@@ -54,7 +55,7 @@ def test_golden_plan(name: str, profile: str):
     compiled = _compile(name, profile)
     chosen = compiled.explain.chosen
     assert chosen.key == expected["chosen"]
-    assert compiled.resiliency.strategy == expected["strategy"]
+    assert strategy_name(compiled.resiliency.replicas) == expected["strategy"]
     assert compiled.privacy.max_raw_per_edgelet == expected["max_raw"]
     assert chosen.cost.total == pytest.approx(expected["total"], abs=1e-6)
     assert chosen.cost.bytes == expected["bytes"]

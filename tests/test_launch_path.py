@@ -24,6 +24,7 @@ import pytest
 from repro.chaos import run_soak, run_workload
 from repro.chaos.campaign import RunSpec, run_single
 from repro.continuous import ContinuousEngine, StandingQuerySpec
+from repro.core.resiliency import replicas_for
 from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnSpec
@@ -194,7 +195,9 @@ PAIRS = list(itertools.combinations(FEATURES, 2))
 def _pair_spec(pair: tuple[str, str], strategy: str) -> RunSpec:
     fields = {**FEATURES[pair[0]], **FEATURES[pair[1]]}
     tag = "mx-" + "-".join(pair).replace("+", "_")
-    return RunSpec(seed=29, tag=f"{tag}-{strategy}", strategy=strategy, **fields)
+    return RunSpec(
+        seed=29, tag=f"{tag}-{strategy}", replicas=replicas_for(strategy), **fields
+    )
 
 
 class TestPairwiseFeatureMatrix:

@@ -140,15 +140,81 @@ def test_the_runtime_reads_no_strategy_name(tmp_path):
     (root / "repro" / "core" / "planner.py").write_text(
         'backup = strategy == "backup"  # outside the runtime\n'
     )
-    violations = _tool().check(root)
+    # the planner line (and the runtime's two comparisons) also break the
+    # strategy-spelling rule; this test is about the runtime rule
+    violations = [
+        v for v in _tool().check(root)
+        if v.endswith("[repro.core.runtime branches on rank]")
+    ]
     assert [(v.split()[0], v.split("(")[1].split(")")[0]) for v in violations] == [
         ("repro.core.runtime.context", f"{runtime / 'context.py'}:3"),
         ("repro.core.runtime.recovery", f"{runtime / 'recovery.py'}:3"),
         ("repro.core.runtime.strategy", f"{runtime / 'strategy.py'}:1"),
     ]
+
+
+def _at_lines(statements: dict[int, str]) -> str:
+    """Source placing each statement at its line number."""
+    lines: list[str] = []
+    for number, statement in sorted(statements.items()):
+        lines.extend([""] * (number - 1 - len(lines)))
+        lines.extend(statement.splitlines())
+    return "\n".join(lines) + "\n"
+
+
+def test_only_the_resiliency_module_compares_strategy_names(tmp_path):
+    root = tmp_path / "src"
+    # the six comparisons the tree had before the replica count became
+    # the one resiliency field, at their old line numbers
+    sites = {
+        "core/planner.py": {
+            161: 'if self.strategy not in ("overcollection", "backup"):\n'
+                 '    raise ValueError(f"unknown strategy {self.strategy!r}")',
+            170: 'replicas = self.backup_replicas if self.strategy == "backup" else 0',
+            199: 'backup = self.resiliency.strategy == "backup"',
+            326: 'backup = self.resiliency.strategy == "backup"',
+        },
+        "plan/optimizer.py": {
+            264: 'if candidate.strategy == "overcollection" and not properties.distributive:\n'
+                 '    pass',
+        },
+        "continuous/spec.py": {
+            96: 'if self.strategy not in ("overcollection", "backup"):\n'
+                '    raise ValueError("strategy must be overcollection or backup")',
+        },
+        # the owner may compare; elsewhere a written name is legal and a
+        # compared one is not, inside a list or set operand too
+        "core/resiliency.py": {1: 'if name == "overcollection":\n    pass'},
+        "cli.py": {
+            1: 'choices = ("overcollection", "backup")',
+            2: 'both = args.strategy == "both"',
+            3: 'plan = {"strategy": "backup"}',
+            4: 'listed = name in ["backup"]',
+            5: 'spelled = {"overcollection"} != names',
+        },
+    }
+    for relative, statements in sites.items():
+        path = root / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(_at_lines(statements))
+    violations = _tool().check(root)
     assert all(
-        v.endswith("[repro.core.runtime branches on rank]") for v in violations
+        v.endswith("[only repro.core.resiliency spells strategies]")
+        for v in violations
     )
+    assert sorted(
+        (v.split()[0], int(v.split("(")[1].split(")")[0].rsplit(":", 1)[1]))
+        for v in violations
+    ) == [
+        ("repro.cli", 4),
+        ("repro.cli", 5),
+        ("repro.continuous.spec", 96),
+        ("repro.core.planner", 161),
+        ("repro.core.planner", 170),
+        ("repro.core.planner", 199),
+        ("repro.core.planner", 326),
+        ("repro.plan.optimizer", 264),
+    ]
 
 
 def test_the_shipped_tree_has_one_construction_site():

@@ -10,6 +10,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.plan.compile import OPTIMIZER_COST, compile_query
 from repro.plan.cost import CostWeights
 from repro.plan.optimizer import PhysicalCandidate, PhysicalOptimizer
 from repro.plan.substrate import SUBSTRATE_PROFILES, SubstrateProfile
@@ -53,21 +54,18 @@ class TestEnumeration:
         points = optimizer.candidates(
             aggregate_spec(), PrivacyParameters(max_raw_per_edgelet=100)
         )
-        strategies = {p.strategy for p in points}
         verticals = {p.vertical for p in points}
         raws = {p.max_raw for p in points}
-        assert strategies == {"overcollection", "backup"}
         assert verticals == {"packed", "split"}
         assert raws == {100, 50, 25}
-        replicas = {p.backup_replicas for p in points if p.strategy == "backup"}
-        assert replicas == {1, 2}
+        assert {p.replicas for p in points} == {0, 1, 2}
 
     def test_kmeans_space_is_overcollection_packed_only(self, substrate):
         optimizer = PhysicalOptimizer(substrate)
         points = optimizer.candidates(
             kmeans_spec(), PrivacyParameters(max_raw_per_edgelet=80)
         )
-        assert {p.strategy for p in points} == {"overcollection"}
+        assert {p.replicas for p in points} == {0}
         assert {p.vertical for p in points} == {"packed"}
 
     def test_candidates_sorted_by_canonical_key(self, substrate):
@@ -80,10 +78,11 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
 
     def test_candidate_key_is_canonical(self):
-        point = PhysicalCandidate(
-            strategy="backup", max_raw=50, backup_replicas=2, vertical="split"
-        )
+        point = PhysicalCandidate(max_raw=50, replicas=2, vertical="split")
         assert point.key == "backup/raw50/r2/split"
+        assert PhysicalCandidate(12, 0, "packed").key == (
+            "overcollection/raw12/r0/packed"
+        )
 
 
 class TestOptimize:
@@ -121,10 +120,7 @@ class TestOptimize:
 
     def test_split_candidate_separates_aggregate_columns(self, substrate):
         optimizer = PhysicalOptimizer(substrate)
-        split = PhysicalCandidate(
-            strategy="overcollection", max_raw=50,
-            backup_replicas=0, vertical="split",
-        )
+        split = PhysicalCandidate(max_raw=50, replicas=0, vertical="split")
         privacy, _ = optimizer._parameters_for(
             split, aggregate_spec(), PrivacyParameters(),
             ResiliencyParameters(),
@@ -138,7 +134,7 @@ class TestOptimize:
         )
         losing_backups = [
             r for r in result.reports
-            if r.strategy == "backup" and r.feasible and not r.chosen
+            if r.candidate.replicas and r.feasible and not r.chosen
         ]
         assert losing_backups
         assert all(
@@ -157,7 +153,7 @@ class TestOptimize:
 
     def test_kmeans_optimizes_to_overcollection(self, substrate):
         result = PhysicalOptimizer(substrate).optimize(kmeans_spec())
-        assert result.resiliency.strategy == "overcollection"
+        assert result.resiliency.replicas == 0
 
     def test_infeasible_everything_raises_planning_error(self, substrate):
         # separating two grouping columns is unplannable (both must
@@ -213,4 +209,38 @@ class TestDeterminism:
         assert {r.key for r in base.reports} == {
             r.key for r in latency_heavy.reports
         }
-        assert latency_heavy.resiliency.strategy == "overcollection"
+        assert latency_heavy.resiliency.replicas == 0
+
+
+class TestPinnedIsTheOneCandidateCase:
+    @pytest.mark.parametrize("replicas", [0, 1, 2])
+    def test_a_key_scores_the_same_total_in_both_modes(
+        self, substrate, replicas
+    ):
+        """Pinned mode scores its candidate with the optimizer's own
+        evaluator, so a Backup chain pays its takeover delay there too."""
+        spec = aggregate_spec()
+        privacy = PrivacyParameters(max_raw_per_edgelet=100)
+        costed = {
+            report.key: report.cost.total
+            for report in compile_query(
+                spec, privacy=privacy, optimizer=OPTIMIZER_COST,
+                substrate=substrate,
+            ).explain.candidates
+        }
+        # the fault rate cost mode plans with, so both build one plan
+        pinned = compile_query(
+            spec, privacy=privacy, substrate=substrate,
+            resiliency=ResiliencyParameters(
+                fault_rate=substrate.planning_fault_rate(), replicas=replicas
+            ),
+        ).explain.chosen
+        assert pinned.key in costed
+        assert pinned.cost.total == costed[pinned.key]
+
+    def test_without_a_substrate_the_candidate_is_unscored(self):
+        chosen = compile_query(
+            aggregate_spec(), resiliency=ResiliencyParameters(replicas=1),
+        ).explain.chosen
+        assert chosen.key == "backup/raw10000/r1/packed"
+        assert chosen.cost is None

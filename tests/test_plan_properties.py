@@ -29,6 +29,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import replicas_for
 from repro.plan.builder import scan
 from repro.plan.compile import compile_query
 from repro.plan.optimizer import PhysicalOptimizer
@@ -138,7 +139,9 @@ def test_strategy_runtime_follows_the_decision_table(
     options = dict(
         query_id="prop-rt",
         snapshot_cardinality=cardinality,
-        resiliency=ResiliencyParameters(fault_rate=fault_rate, strategy=strategy),
+        resiliency=ResiliencyParameters(
+            fault_rate=fault_rate, replicas=replicas_for(strategy)
+        ),
     )
     if (strategy, kind) == ("backup", "kmeans"):
         with pytest.raises(PlanningError):
@@ -172,7 +175,7 @@ def test_advisor_recommendation_is_always_executable(kind, n, fault_rate):
         query_id="prop-adv",
         snapshot_cardinality=max(8, 4 * n),
         resiliency=ResiliencyParameters(
-            fault_rate=fault_rate, strategy=advice.strategy
+            fault_rate=fault_rate, replicas=replicas_for(advice.strategy)
         ),
     )
     plan = compiled.build_qep(n_contributors=max(8, 4 * n))

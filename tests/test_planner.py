@@ -12,7 +12,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.qep import OperatorRole
-from repro.core.resiliency import minimum_overcollection
+from repro.core.resiliency import minimum_overcollection, replicas_for
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import GroupByQuery
 
@@ -205,9 +205,7 @@ class TestBackupPlans:
     def _plan(self, replicas=1):
         planner = EdgeletPlanner(
             privacy=PrivacyParameters(max_raw_per_edgelet=500),
-            resiliency=ResiliencyParameters(
-                strategy="backup", backup_replicas=replicas
-            ),
+            resiliency=ResiliencyParameters(replicas=replicas),
         )
         return planner.plan(_aggregate_spec(), n_contributors=10)
 
@@ -245,6 +243,6 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             ResiliencyParameters(target_success=1.0)
         with pytest.raises(ValueError):
-            ResiliencyParameters(strategy="quorum")
+            replicas_for("quorum")
         with pytest.raises(ValueError):
-            ResiliencyParameters(backup_replicas=-1)
+            ResiliencyParameters(replicas=-1)

@@ -144,7 +144,7 @@ class TestReprovisioning:
 
         outcome = run_single(
             RunSpec(
-                seed=2, tag="wd-bk", strategy="backup", reliability=True,
+                seed=2, tag="wd-bk", replicas=1, reliability=True,
                 crash_probability=0.004,
             )
         )

@@ -33,6 +33,7 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.resiliency import replicas_for, strategy_name
 from repro.query.sql import parse_query
 from repro.telemetry import Telemetry
 from repro.workload import WorkloadEngine, WorkloadSpec
@@ -44,9 +45,9 @@ SQL = (
 )
 
 STRATEGIES = {
-    "overcollection": dict(strategy="overcollection"),
-    "backup-r1": dict(strategy="backup", backup_replicas=1),
-    "backup-r2": dict(strategy="backup", backup_replicas=2),
+    "overcollection": dict(replicas=replicas_for("overcollection")),
+    "backup-r1": dict(replicas=replicas_for("backup", 1)),
+    "backup-r2": dict(replicas=replicas_for("backup", 2)),
 }
 
 SEPARATED = {
@@ -122,7 +123,9 @@ def _fingerprint(result) -> str:
 
 class TestBackupExecutionPins:
     def test_plain_one_shot(self):
-        outcome = run_single(RunSpec(seed=5, tag="pin-bk-plain", strategy="backup"))
+        outcome = run_single(
+            RunSpec(seed=5, tag="pin-bk-plain", replicas=replicas_for("backup"))
+        )
         assert outcome.ok
         assert _fingerprint(outcome.result) == (
             "aa1253fd5bb3f4c39fcf4c37fad38bc503d7aee760ea3d40f566ff36d80c6156"
@@ -134,7 +137,8 @@ class TestBackupExecutionPins:
     def test_reliable_fenced_crashing_run_leaves_cells_to_the_chain(self):
         outcome = run_single(
             RunSpec(
-                seed=0, tag="pin-bk", strategy="backup", reliability=True,
+                seed=0, tag="pin-bk", replicas=replicas_for("backup"),
+                reliability=True,
                 fencing=True, crash_probability=0.004,
             )
         )
@@ -162,7 +166,9 @@ class TestBackupExecutionPins:
             n_processors=40,
             telemetry=Telemetry(),
         )
-        strategies = [arrival.strategy for arrival in engine.spec.arrivals()]
+        strategies = [
+            strategy_name(arrival.replicas) for arrival in engine.spec.arrivals()
+        ]
         assert strategies.count("backup") == 6
         fingerprints = engine.run().fingerprints()
         assert len(fingerprints) == 8

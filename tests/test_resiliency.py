@@ -12,6 +12,8 @@ from repro.core.resiliency import (
     effective_fault_rate,
     minimum_overcollection,
     query_success_probability,
+    replicas_for,
+    strategy_name,
     worst_case_delay,
 )
 from repro.plan.cost import _success_probability
@@ -26,6 +28,32 @@ class TestTakeoverPrice:
     def test_validation(self):
         with pytest.raises(ValueError):
             worst_case_delay(-1)
+
+
+class TestStrategySpelling:
+    """The two strategy names spell the edges of one rank structure."""
+
+    def test_names_spell_replica_counts(self):
+        assert replicas_for("overcollection") == 0
+        assert replicas_for("overcollection", 3) == 0
+        assert replicas_for("backup") == 1
+        assert replicas_for("backup", 2) == 2
+
+    def test_counts_read_back_as_names(self):
+        assert strategy_name(0) == "overcollection"
+        assert [strategy_name(r) for r in (1, 2, 5)] == ["backup"] * 3
+        for name in ("overcollection", "backup"):
+            assert strategy_name(replicas_for(name)) == name
+
+    def test_a_zero_replica_backup_is_refused(self):
+        with pytest.raises(ValueError, match="at least one replica"):
+            replicas_for("backup", 0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            replicas_for("quorum")
+        with pytest.raises(ValueError):
+            strategy_name(-1)
 
 
 def _plan(strategy: str, n: int, m: int, r: int) -> QueryExecutionPlan:

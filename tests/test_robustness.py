@@ -398,7 +398,7 @@ class TestOutageCampaign:
                 ),
             ),
             runs=6,
-            strategies=("overcollection", "backup"),
+            replicas=(0, 1),
             crash_probabilities=(0.0,),
         )
         result = run_campaign(config, telemetry=Telemetry())

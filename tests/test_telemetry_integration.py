@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameters
+from repro.core.resiliency import replicas_for
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.manager.trace import phase_timeline
@@ -39,7 +40,9 @@ def _run_scenario(telemetry: Telemetry, strategy: str = "overcollection"):
     result = scenario.run_query(
         spec,
         privacy=PrivacyParameters(max_raw_per_edgelet=40),
-        resiliency=ResiliencyParameters(fault_rate=0.1, strategy=strategy),
+        resiliency=ResiliencyParameters(
+            fault_rate=0.1, replicas=replicas_for(strategy)
+        ),
     )
     return scenario, result
 

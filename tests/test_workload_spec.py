@@ -68,9 +68,9 @@ class TestArrivals:
 
     def test_strategy_mix_extremes(self):
         pure = WorkloadSpec(n_queries=10, backup_fraction=0.0, seed=2).arrivals()
-        assert {a.strategy for a in pure} == {"overcollection"}
+        assert {a.replicas for a in pure} == {0}
         backup = WorkloadSpec(n_queries=10, backup_fraction=1.0, seed=2).arrivals()
-        assert {a.strategy for a in backup} == {"backup"}
+        assert {a.replicas for a in backup} == {1}
 
     def test_query_ids_unique_and_indexed(self):
         arrivals = WorkloadSpec(n_queries=15, seed=4).arrivals()

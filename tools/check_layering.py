@@ -18,9 +18,10 @@ function bodies count: a lazy import is still a layering violation.
 
 The same pass enforces the single launch path: the classes that wire
 an execution or inject faults may be *constructed*, and an outage spec
-resolved, in one module only (:data:`SOLE_CALLER`); and that the
+resolved, in one module only (:data:`SOLE_CALLER`); that the
 execution runtime branches on an operator's rank, never on a strategy
-name (:data:`RANK_ONLY`).
+name (:data:`RANK_ONLY`); and that only :data:`SPELLING_OWNER` compares
+a value against a strategy name.
 """
 
 from __future__ import annotations
@@ -134,6 +135,13 @@ NETWORKX_ALLOWED = "repro.core.planner"
 RANK_ONLY = "repro.core.runtime"
 STRATEGY_NAMES = ("backup", "overcollection")
 
+#: The rank structure is the one resiliency input: a strategy name is a
+#: spelling of it, read by ``replicas_for`` and written by
+#: ``strategy_name`` in this module.  Everywhere else a comparison
+#: against a strategy name — bare, or inside a tuple, list or set — is
+#: a second place that turns names back into ranks.
+SPELLING_OWNER = "repro.core.resiliency"
+
 
 def module_name(path: Path, root: Path) -> str:
     relative = path.relative_to(root).with_suffix("")
@@ -213,6 +221,28 @@ def strategy_name_reads(tree: ast.AST) -> list[int]:
     return sorted(lines)
 
 
+def strategy_name_compares(tree: ast.AST) -> list[int]:
+    """Lines of every comparison with a strategy-name constant as an
+    operand, or as an element of a tuple, list or set operand."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in (node.left, *node.comparators):
+            elements = (
+                operand.elts
+                if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                else (operand,)
+            )
+            if any(
+                isinstance(element, ast.Constant)
+                and element.value in STRATEGY_NAMES
+                for element in elements
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _numpy_confined(module: str) -> bool:
     """Whether this module is banned from importing numpy."""
     in_query = module == NUMPY_CONFINED_PREFIX or module.startswith(
@@ -272,6 +302,12 @@ def check(root: Path) -> list[str]:
                     f"{module} reads a strategy name  ({path}:{line})  "
                     f"[{RANK_ONLY} branches on rank]"
                 )
+        if module != SPELLING_OWNER:
+            for line in strategy_name_compares(tree):
+                violations.append(
+                    f"{module} compares a strategy name  ({path}:{line})  "
+                    f"[only {SPELLING_OWNER} spells strategies]"
+                )
     return violations
 
 
@@ -299,7 +335,8 @@ def main() -> int:
         "imports chaos, only repro.query.fold imports "
         "repro.query.columnar, numpy stays confined to "
         "repro.query.columnar within the query layer, networkx to "
-        f"{NETWORKX_ALLOWED}, {RANK_ONLY} reads no strategy name, and only "
+        f"{NETWORKX_ALLOWED}, {RANK_ONLY} reads no strategy name, only "
+        f"{SPELLING_OWNER} compares strategy names, and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
             for module, names in callers.items()

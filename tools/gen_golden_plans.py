@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 
 from repro.core.planner import PrivacyParameters
+from repro.core.resiliency import strategy_name
 from repro.plan.compile import OPTIMIZER_COST, compile_query
 from repro.plan.substrate import SUBSTRATE_PROFILES
 
@@ -103,9 +104,9 @@ def build_golden() -> dict:
             chosen = compiled.explain.chosen
             plans[name][profile_name] = {
                 "chosen": chosen.key,
-                "strategy": compiled.resiliency.strategy,
+                "strategy": strategy_name(compiled.resiliency.replicas),
                 "max_raw": compiled.privacy.max_raw_per_edgelet,
-                "backup_replicas": chosen.backup_replicas,
+                "backup_replicas": chosen.candidate.replicas,
                 "total": chosen.cost.total,
                 "bytes": chosen.cost.bytes,
                 "messages": chosen.cost.messages,
