@@ -102,9 +102,7 @@ def _run_mode(victim: str, duration: float | None, adaptive: bool):
                 )
             ]
         )
-    config = _base_config(
-        failure_plan=failure_plan, detector=adaptive, fencing=adaptive
-    )
+    config = _base_config(failure_plan=failure_plan, detector=adaptive)
     result = run_once(
         config, aggregate_spec("qrobust-run", CARDINALITY),
         telemetry=Telemetry(),

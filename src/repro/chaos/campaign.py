@@ -131,8 +131,6 @@ class RunSpec:
     outage_spec: OutageSpec | None = None
     #: φ-accrual adaptive failure detection (needs ``reliability``)
     detector: bool = False
-    #: generation-fenced takeover (split-brain-safe reprovisioning)
-    fencing: bool = False
 
     def __post_init__(self) -> None:
         # fail where the spec is built (an artifact load, a campaign
@@ -255,7 +253,6 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         phase_deadline=spec.phase_deadline,
         outage_spec=spec.outage_spec,
         detector=spec.detector,
-        fencing=spec.fencing,
     )
     scenario = Scenario(config, telemetry=telemetry)
     substrate = (

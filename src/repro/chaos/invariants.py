@@ -17,6 +17,7 @@ approximation bound, is a violation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -231,7 +232,8 @@ def check_crowd_liability(record: RunRecord) -> Violation | None:
     Two sub-checks: the assignment keeps every device's operator share
     under ``liability_max_share``, and no device *handled* more raw
     tuples than the plan's exposure bound allows for the operators it
-    hosts (``max_raw_tuples_per_edgelet`` per raw-handling operator).
+    hosted (``max_raw_tuples_per_edgelet`` per raw-handling operator) —
+    the final assignment's, plus each one a reprovisioning moved off it.
     """
     result = record.result
     liability = result.liability
@@ -246,8 +248,9 @@ def check_crowd_liability(record: RunRecord) -> Violation | None:
             {"liability": liability.summary()},
         )
     cap_per_op = exposure.max_raw_tuples_per_edgelet
+    displaced = Counter(old for _t, _op, old, _new in result.report.reprovisions)
     for device, tuples in (result.report.tuples_per_device or {}).items():
-        ops = liability.operators_per_device.get(device, 0)
+        ops = liability.operators_per_device.get(device, 0) + displaced[device]
         allowed = cap_per_op * max(ops, 0)
         if tuples > allowed:
             return Violation(
@@ -336,12 +339,10 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
     * two *distinct* devices fired the same cell at the *same*
       generation and both their partials arrived at one combiner — the
       combiner's pick is then arrival-order-dependent, which is exactly
-      the ambiguity fencing exists to remove (with fencing off this is
-      the expected failure of a reprovision racing a healed partition;
-      the negative harness test asserts the check catches it);
-    * with fencing on, a combiner retained a *stale* generation: the
-      generation it finally holds for a cell is lower than the highest
-      generation that arrived there — monotone fenced acceptance broke.
+      the ambiguity generation fencing exists to remove;
+    * a combiner retained a *stale* generation: the generation it
+      finally holds for a cell is lower than the highest generation
+      that arrived there — monotone acceptance broke.
 
     Duplicates from a single device (retransmission, dual-combiner
     fan-out) and backup replicas firing at distinct ranks/generations
@@ -352,20 +353,6 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
     arrival_log = getattr(executor, "arrival_log", None)
     if not fire_log or arrival_log is None:
         return None
-    ctx = getattr(executor, "ctx", None)
-    fencing = bool(getattr(ctx, "fencing", False))
-    detector = bool(getattr(ctx, "detector", None))
-    events = getattr(record.result, "failure_events", None) or []
-    outage_active = any(
-        getattr(event, "kind", "") in ("partition_start", "gray_start")
-        for event in events
-    )
-    if not (fencing or detector or outage_active):
-        # legacy churn (plain disconnect/reconnect) predates fencing;
-        # its reprovision-vs-reconnect race is known, benign (both
-        # partials are identical), and not what this invariant guards
-        return None
-
     firers: dict[tuple[Any, int], set[str]] = {}
     for _time, cell, device, generation in fire_log:
         firers.setdefault((cell, generation), set()).add(device)
@@ -389,30 +376,28 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
                         "generation": generation,
                         "senders": sorted(senders),
                         "combiner": op_id,
-                        "fencing": fencing,
                     },
                 )
 
-    if fencing:
-        for name, state in getattr(executor, "combiners", {}).items():
-            accepted = getattr(state, "accepted_generations", {})
-            for (op_id, cell), by_generation in arrivals.items():
-                if op_id != name:
-                    continue
-                held = accepted.get(cell)
-                highest = max(by_generation)
-                if held is not None and held < highest:
-                    return Violation(
-                        "no_split_brain",
-                        f"{name} holds cell {cell} at stale generation "
-                        f"{held} although generation {highest} arrived",
-                        {
-                            "cell": list(cell),
-                            "held": held,
-                            "highest_arrived": highest,
-                            "combiner": name,
-                        },
-                    )
+    for name, state in getattr(executor, "combiners", {}).items():
+        accepted = getattr(state, "accepted_generations", {})
+        for (op_id, cell), by_generation in arrivals.items():
+            if op_id != name:
+                continue
+            held = accepted.get(cell)
+            highest = max(by_generation)
+            if held is not None and held < highest:
+                return Violation(
+                    "no_split_brain",
+                    f"{name} holds cell {cell} at stale generation "
+                    f"{held} although generation {highest} arrived",
+                    {
+                        "cell": list(cell),
+                        "held": held,
+                        "highest_arrived": highest,
+                        "combiner": name,
+                    },
+                )
     return None
 
 

@@ -12,8 +12,8 @@ sources and execution options its keywords forward to the engine's
 :class:`~repro.manager.scenario.ScenarioConfig` (scripted
 :class:`~repro.network.failures.FailurePlan` of any atom kind, seeded
 outage spec, stochastic crash/disconnect injector, message-fault
-injector, plain message loss; sealed channels, reliability's detector
-and fencing), then :func:`judge` rebuilds a per-query
+injector, plain message loss; sealed channels, reliability's
+detector), then :func:`judge` rebuilds a per-query
 :class:`~repro.chaos.invariants.RunRecord` for every completed query —
 exposure and liability measured on *that query's* plan, validity
 compared against the centralized oracle over the shared dataset — and

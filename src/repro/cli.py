@@ -31,7 +31,7 @@ A text substitute for the demonstration GUI.  Subcommands:
 ``--telemetry`` to print the summary table (counters, phase spans,
 wall-clock vs simulated time).  ``run`` and ``chaos`` (campaign and
 ``--workload`` alike) accept ``--reliability`` / ``--detector`` /
-``--fencing`` / ``--phase-deadline``; ``run``, ``chaos`` and
+``--phase-deadline``; ``run``, ``chaos`` and
 ``continuous`` accept message and outage knobs in one ``--fault-mix``.
 
 Examples::
@@ -46,12 +46,11 @@ Examples::
     python -m repro.cli chaos --seed 7 --runs 25 --strategy both \
         --fault-mix "drop=0.05;partition:duplicate=0.2" --repro-out repro/
     python -m repro.cli chaos --seed 7 --runs 10 --reliability \
-        --detector --fencing \
-        --fault-mix "partition=0.25,gray=0.2,region_crash=0.1"
+        --detector --fault-mix "partition=0.25,gray=0.2,region_crash=0.1"
     python -m repro.cli chaos --replay repro/repro-validity-000.json
     python -m repro.cli chaos --workload 8 --failure-probability 0.004
     python -m repro.cli chaos --workload 6 --reliability --detector \
-        --fencing --fault-mix "drop=0.05;partition=0.3,gray=0.2"
+        --fault-mix "drop=0.05;partition=0.3,gray=0.2"
     python -m repro.cli workload --queries 10 --arrival poisson --rate 2 \
         --max-concurrent 4 --serial-check --per-query
     python -m repro.cli continuous --windows 15 --churn 0.10 \
@@ -142,11 +141,6 @@ def _add_recovery_flags(parser: argparse.ArgumentParser) -> None:
                              "partitioned/gray devices from per-link delivery "
                              "history instead of waiting out the fixed "
                              "watchdog (requires --reliability)")
-    parser.add_argument("--fencing", action="store_true",
-                        help="generation-numbered fencing tokens on takeover so "
-                             "a resurfacing predecessor cannot split-brain a "
-                             "cell; the no-split-brain invariant checks the "
-                             "fire/arrival evidence logs")
     parser.add_argument("--phase-deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="computation-phase deadline for the recovery "
@@ -498,7 +492,6 @@ def _recovery_options(args: argparse.Namespace) -> dict:
     options = dict(
         reliability=args.reliability,
         detector=args.detector,
-        fencing=args.fencing,
         phase_deadline=args.phase_deadline,
     )
     try:

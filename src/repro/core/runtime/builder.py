@@ -71,14 +71,12 @@ def ship_partition(
     rows: list[dict[str, Any]],
     commitment: str,
     consumers: Iterable[Operator],
-    generation: int | None = None,
+    generation: int = 0,
 ) -> None:
     """Project the partition per consumer column group and send it.
 
     ``generation`` is the fencing token stamped on a reprovisioning
-    re-ship; it rides the payload only when set, because the extra key
-    changes sealed-envelope sizes and thereby latency draws — legacy
-    runs must make byte-identical draws.
+    re-ship; like every payload's, it rides only when nonzero.
     """
     for consumer in consumers:
         group = consumer.params.get("column_group") or ctx.collected_columns
@@ -93,7 +91,7 @@ def ship_partition(
             "commitment": commitment,
             "rows": projected,
         }
-        if generation is not None:
+        if generation:
             payload["generation"] = generation
         ctx.ship(
             device,

@@ -109,10 +109,9 @@ class ComputerRuntime:
             "group_index": computer.params.get("group_index", 0),
             "partial": partial.to_dict(),
         }
-        if ctx.fencing:
-            # the fencing token travels only when the feature is on:
-            # the extra key changes sealed-envelope sizes, which feed
-            # latency draws, which must stay legacy-byte-identical
+        if generation:
+            # generation 0 travels as an absent key, so original owners'
+            # payloads (and their sealed sizes) carry no token at all
             payload["generation"] = generation
         ctx.simulator.schedule(
             latency,

@@ -51,7 +51,6 @@ class ExecutionContext:
         transport: Any = None,
         recovery: Any = None,
         contribution_cache: Any = None,
-        fencing: bool = False,
         detector: Any = None,
     ):
         if contribution_copies < 1:
@@ -72,15 +71,11 @@ class ExecutionContext:
         # behaviour.  A standing-query engine threads one cache through
         # consecutive windows so unchanged contributions travel as stamps.
         self.contribution_cache = contribution_cache
-        # split-brain fencing (opt-in): each reprovisioning of a
-        # (partition, group) cell bumps its generation number, the token
-        # travels builder → computer → combiner, and the combiner
-        # accepts monotonically.  Off by default because the token adds
-        # a payload key, and sealed-envelope sizes feed latency draws —
-        # legacy fixed-seed runs must stay byte-identical.
-        self.fencing = fencing
-        # current fencing generation per (partition, group) cell;
-        # absent means generation 0 (the original provisioning)
+        # generation fencing: each reprovisioning of a (partition,
+        # group) cell mints a higher generation, the token travels
+        # builder → computer → combiner, and the combiner accepts
+        # monotonically.  The current generation per cell; absent means
+        # generation 0 (the original provisioning)
         self.generations: dict[tuple[int, int], int] = {}
         # evidence logs for the no-split-brain invariant: every partial
         # *fired* toward a combiner (time, cell, device, generation) and

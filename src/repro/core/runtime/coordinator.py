@@ -90,7 +90,6 @@ class ExecutionCoordinator:
         recovery: RecoveryConfig | None = None,
         standby_devices: list[str] | None = None,
         contribution_cache: Any = None,
-        fencing: bool = False,
         detector: Any = None,
     ):
         self.ctx = ExecutionContext(
@@ -108,7 +107,6 @@ class ExecutionCoordinator:
             transport=transport,
             recovery=recovery,
             contribution_cache=contribution_cache,
-            fencing=fencing,
             detector=detector,
         )
         self.contributor = ContributorRuntime(self.ctx)
@@ -214,11 +212,6 @@ class ExecutionCoordinator:
         """(time, cell, combiner op, sender, generation, disposition)
         per combiner-side partial arrival."""
         return self.ctx.arrival_log
-
-    @property
-    def generations(self) -> dict[tuple[int, int], int]:
-        """Current fencing generation per reprovisioned cell."""
-        return self.ctx.generations
 
     # -- run -----------------------------------------------------------------
 

@@ -283,11 +283,7 @@ class RecoveryRuntime:
         partition_index, _group_index = cell
         builder_op = self.builder.builder_by_partition.get(partition_index)
         rows = self.builder.rows_by_partition.get(partition_index)
-        # A cell with replica ranks is covered by them: they take over
-        # on their own timers, and re-shipping the primary builder's rows
-        # to a standby would race those takeovers, so such a cell is
-        # never reprovisioned.
-        if builder_op is None or not rows or ctx.plan.replicas:
+        if builder_op is None or not rows:
             ctx.trace(
                 f"watchdog: no retained partition {partition_index}, "
                 f"cannot reprovision {operator.op_id}"
@@ -318,25 +314,21 @@ class RecoveryRuntime:
             # the displaced device's history must not poison a later
             # suspicion check should the id be re-recruited
             self.detector.forget(old_id)
-        generation: int | None = None
-        if ctx.fencing:
-            # mint the fencing token: the new owner's partials carry a
-            # strictly higher generation, so a zombie predecessor that
-            # resurfaces (healed partition, recovered gray link) loses
-            # at the combiner instead of split-braining the cell.  Top
-            # over every generation already *fired* for the cell too —
-            # replica ranks double as generations, and the token
-            # must outrank those as well
-            prior = ctx.generations.get(cell, 0)
-            for _time, fired_cell, _device, fired_gen in ctx.fire_log:
-                if fired_cell == cell:
-                    prior = max(prior, fired_gen)
-            generation = prior + 1
-            ctx.generations[cell] = generation
+        # mint the fencing token: the new owner's partials carry a
+        # strictly higher generation, so a zombie predecessor that
+        # resurfaces (healed partition, recovered gray link) loses at
+        # the combiner instead of split-braining the cell.  Replica
+        # ranks double as generations, so the token tops every rank —
+        # fired or still on its takeover timer — and every earlier
+        # reprovisioning of the cell
+        generation = 1 + max(
+            [ctx.generations.get(cell, 0), ctx.plan.replicas]
+            + [gen for _t, fired, _d, gen in ctx.fire_log if fired == cell]
+        )
+        ctx.generations[cell] = generation
         ctx.trace(
             f"watchdog: reprovisioned {operator.op_id} "
-            f"from {old_id} to standby {new_id}"
-            + (f" at generation {generation}" if generation is not None else "")
+            f"from {old_id} to standby {new_id} at generation {generation}"
         )
         ship_partition(
             ctx,

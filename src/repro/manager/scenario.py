@@ -111,9 +111,6 @@ class ScenarioConfig:
             failure detector and let the recovery watchdog reprovision
             *suspected* (partitioned/gray, nominally online) Computers;
             requires ``reliability``.
-        fencing: stamp generation-numbered fencing tokens on
-            reprovisioned partitions so a stale predecessor's partial
-            loses at the combiner (split-brain-safe takeover).
         reliability: wire the
             :class:`~repro.network.reliable.ReliableTransport` overlay
             (ACK/retransmission, adaptive timeouts, circuit breakers —
@@ -158,7 +155,6 @@ class ScenarioConfig:
     phase_deadline: float | None = None
     outage_spec: Any = None
     detector: bool = False
-    fencing: bool = False
 
     def __post_init__(self) -> None:
         if self.phase_deadline is not None and self.phase_deadline <= 0:
@@ -656,7 +652,6 @@ class Scenario:
             recovery=recovery,
             standby_devices=standbys,
             contribution_cache=contribution_cache,
-            fencing=config.fencing,
             detector=config.detector,
         )
         return ScenarioResult(

@@ -94,16 +94,19 @@ class TestRunDeterminism:
 
     def test_outage_defaults_for_old_artifacts(self):
         # artifacts written before the correlated-failure substrate must
-        # still load with outages, the detector, and fencing all off
-        data = RunSpec(seed=5, tag="old").to_dict()
-        del data["outage_spec"]
-        del data["detector"]
-        del data["fencing"]
-        clone = RunSpec.from_dict(data)
-        assert clone.outage_spec is None
-        assert clone.failure_plan is None
-        assert clone.detector is False
-        assert clone.fencing is False
+        # still load with outages and the detector off; the ``fencing``
+        # flag artifacts carried while fencing was optional loads either
+        # way, because every run fences now
+        for fencing in (False, True):
+            data = RunSpec(seed=5, tag="old").to_dict()
+            del data["outage_spec"]
+            del data["detector"]
+            data["fencing"] = fencing
+            clone = RunSpec.from_dict(data)
+            assert clone.outage_spec is None
+            assert clone.failure_plan is None
+            assert clone.detector is False
+            assert clone == RunSpec(seed=5, tag="old")
 
     def test_legacy_artifact_replays_identically_to_full_fields(self):
         # a pre-outage artifact and the same spec serialized today must
@@ -111,7 +114,7 @@ class TestRunDeterminism:
         # draw nothing from the seeded streams
         spec = RunSpec(seed=21, tag="legacy-art", message_loss=0.2)
         data = spec.to_dict()
-        for field in ("outage_spec", "detector", "fencing"):
+        for field in ("outage_spec", "detector"):
             del data[field]
         legacy = RunSpec.from_dict(json.loads(json.dumps(data)))
         assert _result_fingerprint(run_single(legacy)) == _result_fingerprint(

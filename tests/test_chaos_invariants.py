@@ -46,6 +46,7 @@ def _record(
     liability=None,
     exposure=None,
     tuples_per_device=None,
+    reprovisions=(),
     validity_tolerance=0.75,
 ):
     report = SimpleNamespace(
@@ -54,6 +55,7 @@ def _record(
         kmeans=None,
         network_stats=network_stats or {},
         tuples_per_device=tuples_per_device or {},
+        reprovisions=list(reprovisions),
     )
     result = SimpleNamespace(
         report=report,
@@ -189,6 +191,29 @@ class TestCrowdLiability:
             tuples_per_device={"d1": 25},  # cap is 2 ops x 10
         )
         violation = check_crowd_liability(record)
+        assert violation is not None
+        assert "d1" in violation.detail
+
+    def test_a_reprovisioned_away_device_keeps_its_operator_cap(self):
+        # d1 folded its partition, then lost the operator to a standby:
+        # the tuples it handled count against the operator it hosted
+        displaced = [(21.0, "computer[6,g0]", "d1", "d2")]
+        record = _record(
+            result_rows=ROWS,
+            liability=self._liability(0.10, {"d2": 1}),
+            exposure=self._exposure(10),
+            tuples_per_device={"d1": 8, "d2": 8},
+            reprovisions=displaced,
+        )
+        assert check_crowd_liability(record) is None
+        over = _record(
+            result_rows=ROWS,
+            liability=self._liability(0.10, {"d2": 1}),
+            exposure=self._exposure(10),
+            tuples_per_device={"d1": 11, "d2": 8},  # cap is 1 op x 10
+            reprovisions=displaced,
+        )
+        violation = check_crowd_liability(over)
         assert violation is not None
         assert "d1" in violation.detail
 

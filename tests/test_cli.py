@@ -330,13 +330,12 @@ class TestWorkloadCommand:
         code = main([
             "chaos", "--workload", "3", "--seed", "1", "--processors", "40",
             "--failure-probability", "0.0", "--reliability", "--detector",
-            "--fencing", "--phase-deadline", "9",
+            "--phase-deadline", "9",
         ])
         assert code == 0
         config = engines[0].scenario_config
         assert config.reliability
         assert config.detector
-        assert config.fencing
         assert config.phase_deadline == 9.0
 
     @pytest.mark.parametrize(

@@ -139,25 +139,37 @@ class TestReprovisioning:
         comparison = compare_results(reference, result.report.result)
         assert comparison.missing_groups == 0
 
-    def test_backup_cells_are_left_to_the_replica_chain(self):
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_a_starved_replica_cell_is_reprovisioned_above_its_ranks(
+        self, replicas
+    ):
         from repro.chaos.campaign import RunSpec, run_single
 
         outcome = run_single(
             RunSpec(
-                seed=2, tag="wd-bk", replicas=1, reliability=True,
+                seed=2, tag="wd-bk", replicas=replicas, reliability=True,
                 crash_probability=0.004,
             )
         )
+        assert outcome.ok, [str(v) for v in outcome.violations]
         result = outcome.result
-        starved = [
-            text for _, text in result.report.trace
-            if text.startswith("watchdog: no retained partition")
-        ]
-        # the watchdog found a starved Backup cell while the primary
-        # builder's rows were there to re-ship, and still left it alone
-        assert len(starved) == 1
-        assert all(result.executor.builder_rows.values())
-        assert result.report.reprovisions == []
+        # the crashed primary's cell goes to a standby under a token
+        # that outranks every replica rank, fired or not
+        assert [
+            (op, old) for _t, op, old, _new in result.report.reprovisions
+        ] == [("computer[6,g0]", "wd-bk-proc-00002")]
+        (_t, _op, _old, standby), = result.report.reprovisions
+        cell, generation = (6, 0), replicas + 1
+        assert result.executor.ctx.generations == {cell: generation}
+        assert (cell, standby, generation) in {
+            (c, dev, gen) for _t, c, dev, gen in result.executor.fire_log
+        }
+        assert any(
+            c == cell and sender == standby and gen == generation
+            and disposition in ("accepted", "replaced")
+            for _t, c, _op, sender, gen, disposition
+            in result.executor.arrival_log
+        )
 
 
 class TestGracefulDegradation:
