@@ -56,14 +56,15 @@ GROUP_ORDER = (GROUP_PRIME - 1) // 2
 _ORDER_BITS = GROUP_ORDER.bit_length()
 
 # Window width of the fixed-base table behind :func:`_generator_power`.
-# Provenance: a sweep of w = 4..8 on the development sandbox (table in
-# DESIGN.md, "Crypto substrate"): per g^x with a 384-bit exponent 729 /
-# 572 / 473 / 412 / 362 us against 2,407 us for builtin ``pow``.  Each
-# extra bit doubles the table and saves less than the one before; w = 6
-# is the last width whose table stays under 4 MB when grown to full
-# width (0.9 MB for 384-bit exponents, 3.8 MB at 1,535 bits; w = 8:
-# 2.8 and 11.3 MB).
-_WINDOW_BITS = 6
+# Provenance: a sweep of w = 6 / 7 / 8 on a shared 2-core sandbox (table
+# in DESIGN.md, "Crypto substrate"): per g^x with a 384-bit exponent
+# 810 / 666 / 581 us against 3,700 us for builtin ``pow``, i.e. 64 / 55
+# / 48 table multiplications; sealed_survey exec_s 2.27 / 1.97 / 1.82 s.
+# Each extra bit doubles the table: at w = 8 it holds 2.9 MB for 384-bit
+# exponents, 5.7 MB for the 768-bit DH products of a sealed run and
+# 11.4 MB at full width, which only unseeded keys and forged signatures
+# reach.
+_WINDOW_BITS = 8
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 # Row i holds g^(d * 2^(_WINDOW_BITS * i)) mod p for every digit value d;
 # rows are appended the first time an exponent long enough to need them
@@ -230,13 +231,15 @@ def decrypt(key: SymmetricKey, blob: bytes, associated_data: bytes = b"") -> byt
 def _generator_power(exponent: int) -> int:
     """``g^exponent mod p`` for the fixed generator, by table lookup.
 
-    Fixed-base windowing: the exponent (non-negative) is cut into
-    ``_WINDOW_BITS``-bit digits and the result is the product of one
-    precomputed table entry per non-zero digit — no squarings.  The
-    value is the integer builtin ``pow`` returns; only the route
-    differs.  Simulation grade: lookups are indexed by secret digits and
-    are not constant-time.
+    Fixed-base windowing: the exponent is cut into ``_WINDOW_BITS``-bit
+    digits and the result is the product of one precomputed table entry
+    per non-zero digit — no squarings.  The value is the integer builtin
+    ``pow`` returns; only the route differs.  A negative exponent raises
+    :class:`ValueError`.  Simulation grade: lookups are indexed by
+    secret digits and are not constant-time.
     """
+    if exponent < 0:
+        raise ValueError("negative exponent")
     rows = _GENERATOR_ROWS
     while len(rows) * _WINDOW_BITS < exponent.bit_length():
         # next row's base g^(2^(w*(i+1))) is the last row's top entry,
@@ -276,11 +279,14 @@ def _power(base: int, exponent: int) -> int:
     ``base^e == g^(x*e)`` goes through the fixed-base table.  The
     generator has order ``GROUP_ORDER``, so the product may be reduced
     modulo it; that is done only when the product is longer than the
-    order, which keeps the table at its 256-row ceiling without
+    order, which keeps the table at its full-width ceiling without
     widening shorter products to full width.  Any other base takes
     builtin ``pow``.  The route depends on the base alone, never on
-    the caller.  Host time only: a real verifier cannot know ``x``.
+    the caller.  A negative exponent raises :class:`ValueError` on
+    either route.  Host time only: a real verifier cannot know ``x``.
     """
+    if exponent < 0:
+        raise ValueError("negative exponent")
     minted = _MINTED.get(base)
     if minted is None:
         return pow(base, exponent, GROUP_PRIME)
@@ -321,11 +327,25 @@ def sign(keypair: KeyPair, message: bytes) -> tuple[int, int]:
 
 
 def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
-    """Check a Schnorr signature against ``public`` and ``message``."""
+    """Check a Schnorr signature against ``public`` and ``message``.
+
+    The check is ``g^s == R * y^c mod p``.  For a ``y`` that
+    :func:`generate_keypair` minted, its discrete log ``x`` is known and
+    the check is computed as ``R == g^((s - x*c) mod q)`` — one
+    fixed-base power instead of two.  The two agree on every input:
+    ``g`` has order ``q`` and multiplying by ``g^(x*c)`` is a bijection
+    mod ``p``.  For an honest signature ``s - x*c`` is the signer's
+    nonce; a forged one is reduced mod ``q``, so the exponent is never
+    negative.  Host time only, like the known-log route of DH.
+    """
     commitment, response = signature
     if not (1 < public < GROUP_PRIME - 1 and 0 < commitment < GROUP_PRIME and 0 <= response < GROUP_ORDER):
         return False
     challenge = _schnorr_challenge(public, commitment, message)
-    lhs = _generator_power(response)
-    rhs = (commitment * _power(public, challenge)) % GROUP_PRIME
-    return lhs == rhs
+    minted = _MINTED.get(public)
+    if minted is None:
+        rhs = commitment * pow(public, challenge, GROUP_PRIME) % GROUP_PRIME
+        return _generator_power(response) == rhs
+    return commitment == _generator_power(
+        (response - minted.private * challenge) % GROUP_ORDER
+    )

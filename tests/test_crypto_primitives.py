@@ -5,9 +5,10 @@ from __future__ import annotations
 import builtins
 import gc
 import hashlib
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.primitives import (
@@ -407,6 +408,16 @@ class TestKnownLogRoute:
         assert _power(public, 12345) == builtins.pow(public, 12345, GROUP_PRIME)
         assert calls == [(public, 12345, False)]
 
+    @pytest.mark.parametrize("exponent", [-1, -(1 << 384)])
+    def test_negative_exponent_is_a_value_error(self, exponent):
+        with pytest.raises(ValueError):
+            _generator_power(exponent)
+        with pytest.raises(ValueError):
+            _power(_ROUTE_PAIRS[0].public, exponent)  # minted base
+        assert 4 not in primitives._MINTED
+        with pytest.raises(ValueError):
+            _power(4, exponent)  # builtin ``pow`` would invert instead
+
     def test_impostor_pair_gets_neither_the_secret_nor_the_signature(self):
         alice = generate_keypair(b"route-alice")
         bob = generate_keypair(b"route-bob")
@@ -430,8 +441,8 @@ class TestKnownLogRoute:
             1 << 3000,
         ):
             _power(public, exponent)
-        assert len(primitives._GENERATOR_ROWS) <= 256
-        assert 256 * _WINDOW_BITS >= GROUP_PRIME.bit_length()
+        ceiling = -(-GROUP_PRIME.bit_length() // _WINDOW_BITS)
+        assert len(primitives._GENERATOR_ROWS) <= ceiling
 
 
 class TestSealedRunTakesTheRoute:
@@ -444,21 +455,35 @@ class TestSealedRunTakesTheRoute:
     def test_no_builtin_pow_on_a_minted_base(self, monkeypatch):
         calls = _pow_spy(monkeypatch)
         routed = []
+        looked_up = []
         real_power = primitives._power
 
         def power_spy(base, exponent):
             routed.append(base in primitives._MINTED)
             return real_power(base, exponent)
 
+        class LookupSpy(weakref.WeakValueDictionary):
+            """The registry, recording whether each lookup found a pair."""
+
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                looked_up.append(found is not None)
+                return found
+
         monkeypatch.setattr(primitives, "_power", power_spy)
+        monkeypatch.setattr(
+            primitives, "_MINTED", LookupSpy(primitives._MINTED)
+        )
         outcome = run_single(RunSpec(seed=17, tag="pin-sealed", secure_channels=True))
         result = outcome.result
         assert outcome.ok
         assert report_fingerprint(
             result.report, base_time=result.executor.start_time
         ) == self.PINNED_FINGERPRINT
-        # every DH and verify in the run had a minted base ...
-        assert len(routed) > 100 and all(routed)
+        # every DH and verify in the run had a minted base: one lookup
+        # per DH (inside ``_power``) and one per verify ...
+        assert all(routed) and all(looked_up)
+        assert len(looked_up) > 100 and len(looked_up) > len(routed) > 0
         # ... so builtin pow was never called with one
         assert [call for call in calls if call[2]] == []
 
@@ -484,7 +509,77 @@ class TestDiffieHellman:
         assert derive_key(shared, "ctx-a").material != derive_key(shared, "ctx-b").material
 
 
+# Keys for the verify property: minted (seeded and unseeded) and one
+# hand-built pair, which is never recorded, so its key is unminted while
+# it can still sign.
+_UNMINTED_PRIVATE = 0xED9E1E7 << 300 | 0x5EA1ED
+_UNMINTED_PAIR = KeyPair(
+    _UNMINTED_PRIVATE, pow(GROUP_GENERATOR, _UNMINTED_PRIVATE, GROUP_PRIME)
+)
+_VERIFY_PAIRS = _ROUTE_PAIRS + [_UNMINTED_PAIR]
+
+
+def _reference_verify(public: int, message: bytes, signature) -> bool:
+    """``verify`` as the two-power check with builtin ``pow``."""
+    commitment, response = signature
+    if not (
+        1 < public < GROUP_PRIME - 1
+        and 0 < commitment < GROUP_PRIME
+        and 0 <= response < GROUP_ORDER
+    ):
+        return False
+    challenge = primitives._schnorr_challenge(public, commitment, message)
+    return pow(GROUP_GENERATOR, response, GROUP_PRIME) == (
+        commitment * pow(public, challenge, GROUP_PRIME) % GROUP_PRIME
+    )
+
+
 class TestSignatures:
+    @given(
+        signer=st.sampled_from(range(len(_VERIFY_PAIRS))),
+        message=st.binary(max_size=64),
+        forgery=st.one_of(
+            st.sampled_from(["honest", "tampered message", "other signer"]),
+            # random (R, s) in range; a 640-bit s is often below a
+            # seeded key's x*c, and every s is below an unseeded one's
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([1, GROUP_PRIME - 1]),
+                    st.integers(min_value=1, max_value=GROUP_PRIME - 1),
+                ),
+                st.one_of(
+                    st.sampled_from([0, GROUP_ORDER - 1]),
+                    st.integers(min_value=0, max_value=1 << 640),
+                    st.integers(min_value=0, max_value=GROUP_ORDER - 1),
+                ),
+            ),
+        ),
+    )
+    @example(signer=0, message=b"m", forgery=(1, 0))
+    @example(signer=0, message=b"m", forgery=(GROUP_PRIME - 1, GROUP_ORDER - 1))
+    @example(signer=3, message=b"m", forgery=(GROUP_PRIME - 1, 0))
+    @example(signer=4, message=b"m", forgery=(1, GROUP_ORDER - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_verify_matches_the_two_power_reference(self, signer, message, forgery):
+        keypair = _VERIFY_PAIRS[signer]
+        assert (primitives._MINTED.get(keypair.public) is keypair) == (
+            keypair is not _UNMINTED_PAIR
+        )
+        if isinstance(forgery, tuple):
+            signature = forgery
+        elif forgery == "other signer":
+            signature = sign(_VERIFY_PAIRS[signer - 1], message)
+        else:
+            signature = sign(keypair, message)
+            if forgery == "tampered message":
+                message += b"!"
+        expected = _reference_verify(keypair.public, message, signature)
+        assert verify(keypair.public, message, signature) == expected
+        if forgery == "honest":
+            assert expected
+        elif not isinstance(forgery, tuple):
+            assert not expected
+
     def test_sign_verify_round_trip(self):
         keypair = generate_keypair(b"signer")
         signature = sign(keypair, b"message")
