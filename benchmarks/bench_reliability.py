@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -25,7 +26,8 @@ from _tables import print_table
 
 from repro.network.messages import Message, MessageKind
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
-from repro.network.reliable import ReliabilityConfig, ReliableTransport
+from repro.network import reliable
+from repro.network.reliable import ReliableTransport
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
 
@@ -35,7 +37,17 @@ VARIANTS = ("blind x1", "blind x3", "ack/retransmit", "both")
 
 
 def _run_variant(loss: float, variant: str, seed: int = 7):
-    """One a->b campaign; returns (delivered_fraction, bytes_on_wire)."""
+    """One a->b campaign; returns (delivered_fraction, bytes_on_wire).
+
+    The breaker is disarmed so the sweep isolates pure retransmission
+    behaviour (at 50% loss the stock breaker would fast-fail, which is
+    the right production behaviour but not what this figure measures).
+    """
+    with mock.patch.object(reliable, "BREAKER_THRESHOLD", 10**6):
+        return _campaign(loss, variant, seed)
+
+
+def _campaign(loss: float, variant: str, seed: int):
     sim = Simulator()
     quality = LinkQuality(
         base_latency=0.2, latency_jitter=0.0, loss_probability=loss
@@ -45,12 +57,7 @@ def _run_variant(loss: float, variant: str, seed: int = 7):
     network = OpportunisticNetwork(
         sim, topology, NetworkConfig(default_quality=quality), seed=seed
     )
-    # the breaker is disarmed so the sweep isolates pure retransmission
-    # behaviour (at 50% loss the stock breaker would fast-fail, which is
-    # the right production behaviour but not what this figure measures)
-    transport = ReliableTransport(
-        network, ReliabilityConfig(breaker_threshold=10**6), seed=seed
-    )
+    transport = ReliableTransport(network, seed=seed)
     delivered: set[int] = set()
     transport.attach("a", lambda message: None)
     transport.attach("b", lambda message: delivered.add(message.payload))

@@ -27,7 +27,7 @@ from repro.core.runtime.contributor import ContributorRuntime
 from repro.core.runtime.coordinator import ExecutionCoordinator
 from repro.core.runtime.incremental import STAMP_BYTES, ContributionCache
 from repro.core.runtime.querier import QuerierRuntime
-from repro.core.runtime.recovery import RecoveryConfig, RecoveryRuntime
+from repro.core.runtime.recovery import RecoveryRuntime
 from repro.core.runtime.report import ExecutionError, ExecutionReport, KMeansOutcome
 from repro.core.runtime.strategy import StrategyRuntime
 
@@ -44,7 +44,6 @@ __all__ = [
     "ExecutionReport",
     "KMeansOutcome",
     "QuerierRuntime",
-    "RecoveryConfig",
     "RecoveryRuntime",
     "STAMP_BYTES",
     "StrategyRuntime",

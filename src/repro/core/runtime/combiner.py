@@ -17,7 +17,6 @@ from repro.core.overcollection import OvercollectionConfig, PartitionTally
 from repro.core.qep import OperatorRole
 from repro.core.validity import coverage_confidence, partial_validity_bound
 from repro.core.runtime.context import ExecutionContext
-from repro.core.runtime.recovery import DEGRADE
 from repro.core.runtime.report import ExecutionError, KMeansOutcome
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, merge_knowledge
@@ -329,7 +328,8 @@ class CombinerRuntime:
                 ctx.trace(f"{name} offline at deadline")
                 continue
             state = self.states[name]
-            degrade = DEGRADE and ctx.recovery is not None
+            # graceful degradation rides with the recovery layer
+            degrade = ctx.transport is not None
             if ctx.kind == "aggregate":
                 with ctx.prof_combine:
                     result = state.finalize_aggregate(

@@ -49,9 +49,7 @@ class ExecutionContext:
         telemetry: Any = None,
         seed: int = 0,
         transport: Any = None,
-        recovery: Any = None,
         contribution_cache: Any = None,
-        detector: Any = None,
     ):
         if contribution_copies < 1:
             raise ExecutionError("contribution_copies must be at least 1")
@@ -61,11 +59,9 @@ class ExecutionContext:
         self.network = network
         # optional reliability overlay (repro.network.reliable); ``None``
         # sends straight on the raw opportunistic network, bit-for-bit
-        # the legacy behaviour
+        # the legacy behaviour, and disables the recovery layer
+        # (watchdogs, reprovisioning, graceful degradation)
         self.transport = transport
-        # optional RecoveryConfig (repro.core.runtime.recovery); ``None``
-        # disables watchdogs, reprovisioning, and graceful degradation
-        self.recovery = recovery
         # optional ContributionCache (repro.core.runtime.incremental);
         # ``None`` ships every contribution in full — the one-shot
         # behaviour.  A standing-query engine threads one cache through
@@ -83,9 +79,6 @@ class ExecutionContext:
         # (time, cell, combiner_op, device, generation, disposition)
         self.fire_log: list[tuple[float, tuple[int, int], str, int]] = []
         self.arrival_log: list[tuple[float, tuple[int, int], str, str, int, str]] = []
-        # optional DetectorConfig (repro.core.runtime.detector); ``None``
-        # keeps the fixed watchdog heuristic
-        self.detector = detector
         self.devices = devices
         self.plan = plan
         # All phase boundaries are relative to the execution's start

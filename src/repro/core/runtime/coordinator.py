@@ -22,7 +22,7 @@ from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.contributor import ContributorRuntime
 from repro.core.runtime.querier import QuerierRuntime
-from repro.core.runtime.recovery import RecoveryConfig, RecoveryRuntime
+from repro.core.runtime.recovery import RecoveryRuntime
 from repro.core.runtime.report import ExecutionError, ExecutionReport
 from repro.core.runtime.strategy import StrategyRuntime
 from repro.devices.edgelet import Edgelet
@@ -63,13 +63,21 @@ class ExecutionCoordinator:
         transport: optional reliability overlay
             (:class:`repro.network.reliable.ReliableTransport`); when
             provided, every handler attach and every shipped payload
-            goes through it instead of the raw network.
-        recovery: optional :class:`RecoveryConfig` enabling phase
-            watchdogs, participant reprovisioning, and graceful
-            degradation; ``None`` keeps the legacy fail-hard behaviour.
+            goes through it instead of the raw network, and the
+            :class:`RecoveryRuntime` arms phase watchdogs, participant
+            reprovisioning, and graceful degradation.  ``None`` keeps
+            the legacy fail-hard behaviour.
+        phase_deadline: the watchdog's computation-phase deadline as an
+            offset from the execution start (``None``: 85% of
+            ``deadline``); read only with a transport.
         standby_devices: ordered pool of device ids the watchdog may
             re-recruit Computers from (typically the eligible
             processors the assignment pass left unassigned).
+        contribution_cache: a standing query's cross-window
+            :class:`repro.core.runtime.incremental.ContributionCache`.
+        detector: let the watchdog also act on φ-accrual suspicion
+            (:mod:`repro.core.runtime.detector`); read only with a
+            transport.
     """
 
     def __init__(
@@ -87,10 +95,10 @@ class ExecutionCoordinator:
         seed: int = 0,
         *,
         transport: Any = None,
-        recovery: RecoveryConfig | None = None,
+        phase_deadline: float | None = None,
         standby_devices: list[str] | None = None,
         contribution_cache: Any = None,
-        detector: Any = None,
+        detector: bool = False,
     ):
         self.ctx = ExecutionContext(
             simulator=simulator,
@@ -105,9 +113,7 @@ class ExecutionCoordinator:
             telemetry=telemetry,
             seed=seed,
             transport=transport,
-            recovery=recovery,
             contribution_cache=contribution_cache,
-            detector=detector,
         )
         self.contributor = ContributorRuntime(self.ctx)
         self.builder = BuilderRuntime(self.ctx)
@@ -118,7 +124,7 @@ class ExecutionCoordinator:
         self.computer.index()
         self.strategy = StrategyRuntime(self.ctx, self.builder, self.computer)
         self.recovery: RecoveryRuntime | None = None
-        if recovery is not None:
+        if transport is not None:
             self.recovery = RecoveryRuntime(
                 self.ctx,
                 self.builder,
@@ -126,6 +132,8 @@ class ExecutionCoordinator:
                 self.combiner,
                 standby_devices or [],
                 self.attach_device,
+                phase_deadline=phase_deadline,
+                detector=detector,
             )
 
     # -- convenience views over the shared context ---------------------------
@@ -261,9 +269,7 @@ class ExecutionCoordinator:
         if network_stats is not None:
             ctx.report.network_stats = network_stats.as_dict()
         if ctx.transport is not None:
-            transport_stats = getattr(ctx.transport, "stats", None)
-            if transport_stats is not None:
-                ctx.report.transport_stats = transport_stats.as_dict()
+            ctx.report.transport_stats = ctx.transport.stats.as_dict()
         if ctx.span_combination is not None:
             ctx.span_combination.finish(at=ctx.simulator.now)
         ctx.span_execution.finish(at=ctx.simulator.now)

@@ -29,52 +29,28 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
-__all__ = ["DetectorConfig", "PhiAccrualDetector"]
+__all__ = ["PhiAccrualDetector"]
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Tunable knobs of the φ-accrual detector.
-
-    Attributes:
-        threshold: suspicion level above which a device is *suspected*
-            (8 ≈ "one false positive per 10^8 arrivals" in the classic
-            parameterisation).
-        window: recent ack inter-arrival samples kept per device.
-        min_std: floor on the fitted standard deviation, so a burst of
-            identical RTTs cannot make the detector hair-triggered.
-        acceptable_pause: grace added to the expected inter-arrival
-            mean — absorbs scheduling jitter of cadenced traffic.
-        failure_boost: suspicion added per *consecutive* failed
-            transfer/probe on the device's links (negative evidence).
-        min_samples: arrivals needed before φ is computed; devices with
-            fewer report suspicion from negative evidence only.
-    """
-
-    threshold: float = 8.0
-    window: int = 32
-    min_std: float = 0.5
-    acceptable_pause: float = 2.0
-    failure_boost: float = 3.0
-    min_samples: int = 2
-
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.min_std <= 0:
-            raise ValueError("min_std must be positive")
-        if self.acceptable_pause < 0:
-            raise ValueError("acceptable_pause must be non-negative")
-        if self.failure_boost < 0:
-            raise ValueError("failure_boost must be non-negative")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
+#: suspicion level at which a device is *suspected* (8 ≈ "one false
+#: positive per 10^8 arrivals" in the classic parameterisation)
+PHI_THRESHOLD = 8.0
+#: recent ack inter-arrival samples kept per device
+HISTORY_WINDOW = 32
+#: floor on the fitted standard deviation, so a burst of identical RTTs
+#: cannot make the detector hair-triggered
+MIN_STD = 0.5
+#: grace added to the expected inter-arrival mean — absorbs scheduling
+#: jitter of cadenced traffic
+ACCEPTABLE_PAUSE = 2.0
+#: suspicion added per *consecutive* failed transfer/probe on the
+#: device's links (negative evidence)
+FAILURE_BOOST = 3.0
+#: inter-arrival samples needed before φ is computed; devices with fewer
+#: report suspicion from negative evidence only
+MIN_SAMPLES = 2
 
 
 class _DeviceHistory:
@@ -82,8 +58,8 @@ class _DeviceHistory:
 
     __slots__ = ("intervals", "last_arrival", "consecutive_failures")
 
-    def __init__(self, window: int):
-        self.intervals: deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self.intervals: deque[float] = deque(maxlen=HISTORY_WINDOW)
         self.last_arrival: float | None = None
         self.consecutive_failures = 0
 
@@ -98,8 +74,7 @@ class PhiAccrualDetector:
     enabling it never perturbs any seeded stream.
     """
 
-    def __init__(self, config: DetectorConfig | None = None):
-        self.config = config or DetectorConfig()
+    def __init__(self) -> None:
         self._histories: dict[str, _DeviceHistory] = {}
 
     # -- evidence -----------------------------------------------------------
@@ -139,16 +114,16 @@ class PhiAccrualDetector:
         if (
             history is None
             or history.last_arrival is None
-            or len(history.intervals) < self.config.min_samples
+            or len(history.intervals) < MIN_SAMPLES
         ):
             return 0.0
         elapsed = now - history.last_arrival
         if elapsed <= 0:
             return 0.0
         intervals = history.intervals
-        mean = sum(intervals) / len(intervals) + self.config.acceptable_pause
+        mean = sum(intervals) / len(intervals) + ACCEPTABLE_PAUSE
         variance = sum((x - mean) ** 2 for x in intervals) / len(intervals)
-        std = max(math.sqrt(variance), self.config.min_std)
+        std = max(math.sqrt(variance), MIN_STD)
         # P(an inter-arrival gap exceeds `elapsed`) under the Normal fit
         p_later = 0.5 * math.erfc((elapsed - mean) / (std * _SQRT2))
         if p_later <= 0.0:
@@ -160,12 +135,12 @@ class PhiAccrualDetector:
         history = self._histories.get(device_id)
         boost = 0.0
         if history is not None:
-            boost = self.config.failure_boost * history.consecutive_failures
+            boost = FAILURE_BOOST * history.consecutive_failures
         return self.phi(device_id, now) + boost
 
     def suspect(self, device_id: str, now: float) -> bool:
-        """Whether the device's suspicion exceeds the threshold."""
-        return self.suspicion(device_id, now) >= self.config.threshold
+        """Whether the device's suspicion reaches :data:`PHI_THRESHOLD`."""
+        return self.suspicion(device_id, now) >= PHI_THRESHOLD
 
     def snapshot(self, now: float) -> dict[str, float]:
         """Suspicion level of every monitored device (for reports)."""
@@ -179,5 +154,5 @@ class PhiAccrualDetector:
     def _history(self, device_id: str) -> _DeviceHistory:
         history = self._histories.get(device_id)
         if history is None:
-            history = self._histories[device_id] = _DeviceHistory(self.config.window)
+            history = self._histories[device_id] = _DeviceHistory()
         return history

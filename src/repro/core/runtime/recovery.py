@@ -12,19 +12,18 @@ re-recruited from the assignment pool, the operator is reassigned, and
 the Snapshot Builder re-ships the retained partition to it.
 
 Graceful degradation — the combiner emitting a partial, coverage- and
-bound-annotated ``FINAL_RESULT`` when quorum stays unreachable — is
-switched by :data:`DEGRADE` here but implemented where the finalize
-logic lives (:mod:`repro.core.runtime.combiner`).
+bound-annotated ``FINAL_RESULT`` when quorum stays unreachable — rides
+with this layer (a transport arms both) but is implemented where the
+finalize logic lives (:mod:`repro.core.runtime.combiner`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.runtime.builder import commit_snapshot, ship_partition
 from repro.core.runtime.context import ExecutionContext
-from repro.core.runtime.detector import DetectorConfig, PhiAccrualDetector
+from repro.core.runtime.detector import PhiAccrualDetector
 from repro.devices.edgelet import Edgelet
 
 if TYPE_CHECKING:
@@ -32,7 +31,7 @@ if TYPE_CHECKING:
     from repro.core.runtime.combiner import CombinerRuntime
     from repro.core.runtime.computer import ComputerRuntime
 
-__all__ = ["DEGRADE", "RecoveryConfig", "RecoveryRuntime"]
+__all__ = ["RecoveryRuntime"]
 
 
 #: virtual seconds between computation-phase watchdog checks
@@ -40,32 +39,8 @@ WATCHDOG_INTERVAL = 5.0
 #: delay after the collection window closes before the first check
 #: (partitions need time to ship)
 COLLECTION_GRACE = 1.0
-#: re-recruit standby Computers for unreachable ones
-REPROVISION = True
 #: total reprovisionings allowed per execution
 MAX_REPROVISIONS = 8
-#: at the deadline, emit an explicitly-labelled partial result instead
-#: of failing when some vertical group received zero partitions
-DEGRADE = True
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """The one knob of the query-level recovery layer.
-
-    Attributes:
-        phase_deadline: computation-phase deadline as an offset (virtual
-            seconds) from the execution start; ``None`` defaults to 85%
-            of the query deadline.  Watchdog checks stop there — past
-            it, recovery could no longer land a partial before the
-            combiner fires anyway.
-    """
-
-    phase_deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.phase_deadline is not None and self.phase_deadline <= 0:
-            raise ValueError("phase_deadline must be positive")
 
 
 class RecoveryRuntime:
@@ -77,6 +52,13 @@ class RecoveryRuntime:
     K-Means Computers carry iterative local state that a standby cannot
     reconstruct mid-cadence, so kmeans runs only get the watchdog
     telemetry, not reassignment.
+
+    ``phase_deadline`` is the computation-phase deadline as an offset
+    (virtual seconds) from the execution start; ``None`` defaults to 85%
+    of the query deadline.  Watchdog checks stop there — past it,
+    recovery could no longer land a partial before the combiner fires
+    anyway.  ``detector`` feeds every transport delivery observation
+    into a φ-accrual detector whose suspicion the checks also act on.
     """
 
     def __init__(
@@ -87,9 +69,11 @@ class RecoveryRuntime:
         combiner: "CombinerRuntime",
         standby_ids: list[str],
         attach_device: Callable[[Edgelet], None],
+        phase_deadline: float | None = None,
+        detector: bool = False,
     ):
         self.ctx = ctx
-        self.config: RecoveryConfig = ctx.recovery
+        self.phase_deadline = phase_deadline
         self.builder = builder
         self.computer = computer
         self.combiner = combiner
@@ -108,36 +92,23 @@ class RecoveryRuntime:
         self._m_suspicions = metrics.counter(
             "exec.detector_suspicions", query=query_id
         )
-        # adaptive failure detection (opt-in): build the φ-accrual
-        # detector and feed it every transport delivery observation
         self.detector: PhiAccrualDetector | None = None
-        setting = ctx.detector
-        if setting:
-            if isinstance(setting, PhiAccrualDetector):
-                self.detector = setting
-            elif isinstance(setting, DetectorConfig):
-                self.detector = PhiAccrualDetector(setting)
-            else:
-                self.detector = PhiAccrualDetector()
-            # expose the live instance for invariants and benches
-            ctx.detector = self.detector
-            register = getattr(ctx.transport, "add_link_observer", None)
-            if register is not None:
-                register(self._on_link_event)
+        if detector:
+            self.detector = PhiAccrualDetector()
+            ctx.transport.add_link_observer(self._on_link_event)
 
     def _on_link_event(
         self, sender: str, recipient: str, outcome: str, rtt: float | None
     ) -> None:
-        if self.detector is not None:
-            self.detector.on_link_event(
-                sender, recipient, outcome, rtt, self.ctx.simulator.now
-            )
+        self.detector.on_link_event(
+            sender, recipient, outcome, rtt, self.ctx.simulator.now
+        )
 
     # -- scheduling ----------------------------------------------------------
 
     def computation_deadline(self) -> float:
         """Absolute virtual time the computation phase must finish by."""
-        offset = self.config.phase_deadline
+        offset = self.phase_deadline
         if offset is None:
             offset = 0.85 * self.ctx.deadline
         return self.ctx.start_time + min(offset, self.ctx.deadline)
@@ -162,7 +133,7 @@ class RecoveryRuntime:
                 ),
                 "recovery-watchdog",
             )
-        if self.detector is not None and hasattr(ctx.transport, "probe"):
+        if self.detector is not None:
             # liveness probes at twice the watchdog cadence: the
             # detector needs inter-arrival samples before a check can
             # trust its φ, and failed probes feed the failure streak
@@ -261,8 +232,7 @@ class RecoveryRuntime:
                 f"cell {cell} missing"
             )
             if (
-                REPROVISION
-                and ctx.kind == "aggregate"
+                ctx.kind == "aggregate"
                 and len(ctx.report.reprovisions) < MAX_REPROVISIONS
             ):
                 self.reprovision(operator, cell)

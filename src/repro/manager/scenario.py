@@ -23,11 +23,7 @@ from repro.core.planner import (
 )
 from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.qep import OperatorRole, QueryExecutionPlan
-from repro.core.runtime import (
-    ExecutionCoordinator,
-    ExecutionReport,
-    RecoveryConfig,
-)
+from repro.core.runtime import ExecutionCoordinator, ExecutionReport
 from repro.devices.attestation import AttestationAuthority, AttestationError
 from repro.devices.datastore import DatastoreFullError
 from repro.devices.edgelet import Edgelet
@@ -115,12 +111,12 @@ class ScenarioConfig:
             :class:`~repro.network.reliable.ReliableTransport` overlay
             (ACK/retransmission, adaptive timeouts, circuit breakers —
             jitter RNG derived from ``seed + 4``) plus the query-level
-            :class:`~repro.core.runtime.recovery.RecoveryConfig`
+            :class:`~repro.core.runtime.recovery.RecoveryRuntime`
             (phase watchdogs, standby reprovisioning, graceful
             degradation).
         phase_deadline: computation-phase deadline offset forwarded to
             the recovery layer (``None`` = 85% of the query deadline);
-            requires ``reliability``.
+            positive, and requires ``reliability``.
 
     Every execution path — the one-shot path, both engines, the chaos
     harnesses — builds one of these.  Its fault and execution options are
@@ -157,8 +153,6 @@ class ScenarioConfig:
     detector: bool = False
 
     def __post_init__(self) -> None:
-        if self.phase_deadline is not None and self.phase_deadline <= 0:
-            raise ValueError("phase_deadline must be positive")
         check_recovery_options(vars(self))
         if self.failure_plan is not None and self.failure_plan.has_outages():
             if self.outage_spec is not None and not self.outage_spec.is_noop():
@@ -201,9 +195,9 @@ class ScenarioConfig:
 
 
 def check_recovery_options(options: dict[str, Any]) -> None:
-    """Reject recovery options that would be inert: ``detector`` and
-    ``phase_deadline`` act through the recovery layer ``reliability``
-    wires.
+    """Reject a non-positive ``phase_deadline``, and recovery options
+    that would be inert: ``detector`` and ``phase_deadline`` act through
+    the recovery layer ``reliability`` wires.
 
     ``options`` maps :class:`ScenarioConfig` field names to values;
     absent names take the field default.  Raises ``ValueError`` naming
@@ -211,6 +205,9 @@ def check_recovery_options(options: dict[str, Any]) -> None:
     :class:`~repro.chaos.campaign.RunSpec` run it on every construction;
     the CLI runs it on its flags before any scenario is built.
     """
+    phase_deadline = options.get("phase_deadline")
+    if phase_deadline is not None and phase_deadline <= 0:
+        raise ValueError("phase_deadline must be positive")
     if options.get("reliability"):
         return
     if options.get("detector"):
@@ -597,11 +594,11 @@ class Scenario:
     ) -> ScenarioResult:
         """Assign ``plan`` and wire one execution of it, not yet started.
 
-        The only construction site of the coordinator, the reliable
-        transport and the recovery config: the one-shot path, a workload
-        arrival, a standing-query window and a serial replay all come
-        through here, and every execution option is read from
-        :attr:`config`.  The arguments are per-launch data only:
+        The only construction site of the coordinator and the reliable
+        transport: the one-shot path, a workload arrival, a
+        standing-query window and a serial replay all come through
+        here, and every execution option is read from :attr:`config`.
+        The arguments are per-launch data only:
 
         Args:
             processor_ids: the pool the operators are assigned from
@@ -629,12 +626,10 @@ class Scenario:
         if seed is None:
             seed = config.seed
         transport = None
-        recovery = None
         if config.reliability:
             transport = ReliableTransport(
                 network, seed=seed + 4, telemetry=self.telemetry
             )
-            recovery = RecoveryConfig(phase_deadline=config.phase_deadline)
             if standbys is None:
                 assigned = {op.assigned_to for op in plan.operators()}
                 standbys = [d for d in processor_ids if d not in assigned]
@@ -649,7 +644,7 @@ class Scenario:
             telemetry=self.telemetry,
             seed=seed,
             transport=transport,
-            recovery=recovery,
+            phase_deadline=config.phase_deadline,
             standby_devices=standbys,
             contribution_cache=contribution_cache,
             detector=config.detector,

@@ -22,7 +22,7 @@ will, crashes, message loss.  This package provides:
 * :mod:`repro.network.faults` — per-send message rules (drop,
   duplicate, delay, corrupt) rolled from a seeded stream;
 * :mod:`repro.network.reliable` — opt-in end-to-end reliability layer
-  (per-kind delivery policies, ACK/retransmission, adaptive timeouts,
+  (ACK/retransmission of the result-bearing kinds, adaptive timeouts,
   circuit breakers) on top of the unreliable substrate.
 """
 
@@ -32,18 +32,12 @@ from repro.network.topology import ContactGraph, LinkQuality
 from repro.network.opnet import DeliveryReceipt, NetworkConfig, OpportunisticNetwork
 from repro.network.failures import FailureInjector, FailurePlan
 from repro.network.mobility import CaregiverRounds, ContactSchedule, RandomWaypointContacts
-from repro.network.reliable import (
-    DeliveryPolicy,
-    ReliabilityConfig,
-    ReliableTransport,
-    TransportReceipt,
-)
+from repro.network.reliable import ReliableTransport, TransportReceipt
 
 __all__ = [
     "CaregiverRounds",
     "ContactGraph",
     "ContactSchedule",
-    "DeliveryPolicy",
     "DeliveryReceipt",
     "Event",
     "FailureInjector",
@@ -54,7 +48,6 @@ __all__ = [
     "NetworkConfig",
     "RandomWaypointContacts",
     "OpportunisticNetwork",
-    "ReliabilityConfig",
     "ReliableTransport",
     "Simulator",
     "TransportReceipt",

@@ -145,7 +145,6 @@ class OpportunisticNetwork:
         config: NetworkConfig | None = None,
         seed: int = 0,
         telemetry: Any = None,
-        per_query_rng: bool = False,
     ):
         self.simulator = simulator
         self.topology = topology
@@ -153,14 +152,11 @@ class OpportunisticNetwork:
         self.stats = NetworkStats()
         self._seed = seed
         self._rng = random.Random(seed)
-        # opt-in: loss/latency draws for messages carrying a "query"
-        # header come from a stream seeded by (network seed, query id),
-        # so one query's draw sequence is independent of how many other
-        # queries interleave with it — the property the workload engine's
-        # serial-equivalence guarantee rests on.  Off by default: the
-        # single shared stream is the legacy behaviour existing
-        # fixed-seed tests replay.
-        self.per_query_rng = per_query_rng
+        # loss/latency draws for messages carrying a "query" header come
+        # from a stream seeded by (network seed, query id), so one
+        # query's draw sequence is independent of how many other queries
+        # interleave with it — the property the workload engine's
+        # serial-equivalence guarantee rests on (see _rng_for)
         self._query_rngs: dict[str, random.Random] = {}
         # per-instance id stream: two networks in one process allocate
         # identical id sequences, so fixed-seed runs replay byte-for-byte
@@ -563,14 +559,12 @@ class OpportunisticNetwork:
     def _rng_for(self, message: Message) -> random.Random:
         """The RNG stream supplying this message's loss/latency draws.
 
-        With :attr:`per_query_rng` enabled, a message carrying a
-        ``query`` header draws from ``Random(f"{seed}:q:{query_id}")`` —
-        a stream private to that query, unaffected by interleaved
-        traffic of other queries.  Headerless messages (and the default
-        mode) keep the single shared stream.
+        A message carrying a ``query`` header draws from
+        ``Random(f"{seed}:q:{query_id}")`` — a stream private to that
+        query, unaffected by interleaved traffic of other queries.
+        Headerless messages (every one-shot run's) keep the single
+        shared stream.
         """
-        if not self.per_query_rng:
-            return self._rng
         query_id = message.headers.get("query")
         if query_id is None:
             return self._rng

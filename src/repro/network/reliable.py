@@ -7,12 +7,11 @@ replica chains, blind contribution copies).  This module adds the
 complementary transport-level defence — detect, retry, and give up with
 a receipt:
 
-* **Per-kind delivery policies.**  Each :class:`MessageKind` maps to a
-  :class:`DeliveryPolicy` — ``at_most_once`` (fire and forget, exactly
-  the raw opnet behaviour) or ``at_least_once`` (ACK-confirmed with
-  retransmission).  Defaults harden the result-bearing path
-  (contribution / partition / partial / final / checkpoint) and leave
-  the chatty cadence kinds (heartbeat, knowledge, control, ...) cheap.
+* **Per-kind delivery.**  The result-bearing kinds
+  (:data:`ACKNOWLEDGED_KINDS`: contribution / partition / partial /
+  final / checkpoint) are ``at_least_once`` — ACK-confirmed with
+  retransmission; every other kind (heartbeat, knowledge, control, ACK
+  itself, ...) is fire and forget, exactly the raw opnet behaviour.
 * **ACK-based retransmission** with exponential backoff and seeded
   jitter drawn from a per-concern derived RNG, so enabling the layer
   never perturbs the opnet or fault-injector RNG streams and fixed
@@ -20,33 +19,32 @@ a receipt:
 * **Adaptive timeouts.**  Per-link SRTT/RTTVAR estimation in the
   Jacobson style, with Karn's rule (no samples from retransmitted
   transfers); the retransmit timeout is ``srtt + 4 * rttvar`` clamped
-  to configured bounds.
+  to ``[MIN_RTO, MAX_RTO]``.
 * **Per-link circuit breakers** that stop hammering a partitioned or
   dead peer after consecutive failed transfers, and a global
   **retransmission budget**; both failure modes surface as
   :class:`TransportReceipt` records (drop-with-receipt, never silent).
 
-Everything runs on the virtual clock of the underlying network's
-simulator.  This module sits *below* ``repro.core`` in the layering:
-it must never import from it (enforced by ``tools/check_layering.py``).
+Every setting is a module constant (DESIGN.md "Reliability & recovery"
+tabulates them).  Everything runs on the virtual clock of the underlying
+network's simulator.  This module sits *below* ``repro.core`` in the
+layering: it must never import from it (enforced by
+``tools/check_layering.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.network.messages import Message, MessageKind
 from repro.network.opnet import OpportunisticNetwork
 
 __all__ = [
-    "AT_LEAST_ONCE",
-    "AT_MOST_ONCE",
+    "ACKNOWLEDGED_KINDS",
     "CircuitBreaker",
-    "DeliveryPolicy",
-    "ReliabilityConfig",
     "ReliableTransport",
     "RttEstimator",
     "TransportReceipt",
@@ -55,135 +53,53 @@ __all__ = [
 
 Handler = Callable[[Message], None]
 
-AT_MOST_ONCE = "at_most_once"
-AT_LEAST_ONCE = "at_least_once"
-
 TRANSFER_HEADER = "transfer_id"
 ATTEMPT_HEADER = "attempt"
 
-
-@dataclass(frozen=True)
-class DeliveryPolicy:
-    """How one message kind is delivered.
-
-    Attributes:
-        mode: ``at_most_once`` (raw opnet send) or ``at_least_once``
-            (ACK-confirmed, retransmitted until acknowledged or spent).
-        max_attempts: total transmissions per transfer, the original
-            send included.
-        backoff_factor: multiplier applied to the retransmit timeout on
-            every successive attempt (exponential backoff).
-        jitter_fraction: each armed timeout is stretched by up to this
-            fraction, sampled from the transport's derived jitter RNG,
-            to de-synchronise retransmission bursts.
-    """
-
-    mode: str = AT_MOST_ONCE
-    max_attempts: int = 4
-    backoff_factor: float = 2.0
-    jitter_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.mode not in (AT_MOST_ONCE, AT_LEAST_ONCE):
-            raise ValueError(f"unknown delivery mode {self.mode!r}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ValueError("jitter_fraction must be in [0, 1]")
-
-
-def default_policies() -> dict[MessageKind, DeliveryPolicy]:
-    """The stock policy table (see DESIGN.md "Reliability & recovery").
-
-    Result-bearing kinds are acknowledged; cadence and gossip kinds —
-    which are periodic or redundant by construction — stay cheap.
-    """
-    confirmed = DeliveryPolicy(mode=AT_LEAST_ONCE)
-    return {
-        MessageKind.CONTRIBUTION: confirmed,
-        MessageKind.PARTITION: confirmed,
-        MessageKind.PARTIAL_RESULT: confirmed,
-        MessageKind.FINAL_RESULT: confirmed,
-        MessageKind.CHECKPOINT: confirmed,
-        MessageKind.KNOWLEDGE: DeliveryPolicy(),
-        MessageKind.HEARTBEAT: DeliveryPolicy(),
-        MessageKind.ATTESTATION: DeliveryPolicy(),
-        MessageKind.CONTROL: DeliveryPolicy(),
-        MessageKind.ACK: DeliveryPolicy(),
+#: retransmit timeout (virtual seconds) of a link before any RTT sample
+INITIAL_RTO = 5.0
+#: clamp bounds of the adaptive timeout, applied after backoff
+MIN_RTO = 0.25
+MAX_RTO = 30.0
+#: wire size of an acknowledgement
+ACK_SIZE_BYTES = 32
+#: retransmissions one transport may spend across all its transfers;
+#: exhaustion drops the transfer with a ``budget_exhausted`` receipt
+RETRANSMIT_BUDGET = 1024
+#: consecutive failed transfers on one link that trip its breaker open
+BREAKER_THRESHOLD = 3
+#: virtual seconds an open breaker waits before a half-open probe
+BREAKER_COOLDOWN = 20.0
+#: transmissions per acknowledged transfer, the original send included
+MAX_ATTEMPTS = 4
+#: multiplier applied to the timeout on every successive attempt
+BACKOFF_FACTOR = 2.0
+#: each armed timeout is stretched by up to this fraction, drawn from
+#: the transport's jitter stream, to de-synchronise retransmit bursts
+JITTER_FRACTION = 0.1
+#: kinds delivered at least once; one lost copy of these loses data,
+#: while every other kind is periodic or redundant by construction
+ACKNOWLEDGED_KINDS = frozenset(
+    {
+        MessageKind.CONTRIBUTION,
+        MessageKind.PARTITION,
+        MessageKind.PARTIAL_RESULT,
+        MessageKind.FINAL_RESULT,
+        MessageKind.CHECKPOINT,
     }
-
-
-#: :func:`default_policies` built once for per-message lookups; the
-#: policies are frozen, so every transfer may share them
-_DEFAULT_POLICIES = default_policies()
-_BEST_EFFORT = DeliveryPolicy()
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Tunable knobs of the reliability layer.
-
-    Attributes:
-        policies: per-kind delivery policy overrides; kinds absent here
-            fall back to :func:`default_policies`.
-        initial_rto: retransmit timeout (virtual seconds) used on a link
-            before any RTT sample exists.
-        min_rto / max_rto: clamp bounds for the adaptive timeout, after
-            backoff is applied.
-        ack_size_bytes: wire size of an acknowledgement.
-        retransmit_budget: total retransmissions the transport may spend
-            across all transfers; ``None`` is unlimited.  Exhaustion
-            drops the transfer with a ``budget_exhausted`` receipt.
-        breaker_threshold: consecutive failed transfers on one link that
-            trip its circuit breaker open.
-        breaker_cooldown: virtual seconds an open breaker waits before
-            letting a probe transfer through (half-open).
-    """
-
-    policies: tuple[tuple[MessageKind, DeliveryPolicy], ...] = ()
-    initial_rto: float = 5.0
-    min_rto: float = 0.25
-    max_rto: float = 30.0
-    ack_size_bytes: int = 32
-    retransmit_budget: int | None = 1024
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.initial_rto <= 0 or self.min_rto <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.max_rto < self.min_rto:
-            raise ValueError("max_rto must be >= min_rto")
-        if self.ack_size_bytes <= 0:
-            raise ValueError("ack_size_bytes must be positive")
-        if self.retransmit_budget is not None and self.retransmit_budget < 0:
-            raise ValueError("retransmit_budget must be non-negative")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be non-negative")
-
-    def policy_for(self, kind: MessageKind) -> DeliveryPolicy:
-        """Resolve the delivery policy for a message kind."""
-        for candidate, policy in self.policies:
-            if candidate is kind:
-                return policy
-        return _DEFAULT_POLICIES.get(kind, _BEST_EFFORT)
+)
 
 
 class RttEstimator:
     """Jacobson-style smoothed RTT tracker for one directed link.
 
     ``srtt`` and ``rttvar`` follow RFC 6298 gains (1/8 and 1/4); the
-    retransmit timeout is ``srtt + 4 * rttvar``, clamped to the
-    configured bounds.  Callers apply Karn's rule: samples are only fed
-    from transfers that were never retransmitted.
+    retransmit timeout is ``srtt + 4 * rttvar``, clamped to
+    ``[MIN_RTO, MAX_RTO]``.  Callers apply Karn's rule: samples are only
+    fed from transfers that were never retransmitted.
     """
 
-    def __init__(self, config: ReliabilityConfig):
-        self._config = config
+    def __init__(self) -> None:
         self.srtt: float | None = None
         self.rttvar: float | None = None
         self.samples = 0
@@ -204,23 +120,22 @@ class RttEstimator:
     def rto(self) -> float:
         """Current retransmit timeout (before backoff)."""
         if self.srtt is None or self.rttvar is None:
-            return self._config.initial_rto
+            return INITIAL_RTO
         raw = self.srtt + 4 * self.rttvar
-        return min(max(raw, self._config.min_rto), self._config.max_rto)
+        return min(max(raw, MIN_RTO), MAX_RTO)
 
 
 class CircuitBreaker:
     """Consecutive-failure breaker for one directed link.
 
-    Closed by default; :meth:`record_failure` trips it open after the
-    configured threshold, and it stays open until the cooldown elapses,
-    after which one probe transfer is let through (half-open).  A
-    success closes it again; a failed probe re-opens it immediately.
+    Closed by default; :meth:`record_failure` trips it open after
+    :data:`BREAKER_THRESHOLD` consecutive failures, and it stays open
+    for :data:`BREAKER_COOLDOWN`, after which one probe transfer is let
+    through (half-open).  A success closes it again; a failed probe
+    re-opens it immediately.
     """
 
-    def __init__(self, threshold: int, cooldown: float):
-        self.threshold = threshold
-        self.cooldown = cooldown
+    def __init__(self) -> None:
         self.failures = 0
         self.opened_count = 0
         self._open_until: float | None = None
@@ -241,10 +156,10 @@ class CircuitBreaker:
 
     def record_failure(self, now: float) -> None:
         self.failures += 1
-        if self.failures >= self.threshold:
+        if self.failures >= BREAKER_THRESHOLD:
             if self._open_until is None or now >= self._open_until:
                 self.opened_count += 1
-            self._open_until = now + self.cooldown
+            self._open_until = now + BREAKER_COOLDOWN
 
 
 @dataclass(frozen=True)
@@ -289,7 +204,8 @@ class _Pending:
 
     transfer_id: int
     template: Message
-    policy: DeliveryPolicy
+    #: a liveness probe: single-shot, and its timeout draws no jitter
+    probe: bool = False
     attempts: int = 0
     last_sent_at: float = 0.0
     retransmitted: bool = False
@@ -302,8 +218,8 @@ class ReliableTransport:
     Drop-in for the network from the runtime's point of view: callers
     use :meth:`attach` and :meth:`send` exactly as they would on the
     :class:`OpportunisticNetwork`, and the transport transparently
-    acknowledges, deduplicates, and retransmits according to the
-    per-kind policy table.  All timers run on the network's simulator,
+    acknowledges, deduplicates, and retransmits the
+    :data:`ACKNOWLEDGED_KINDS`.  All timers run on the network's simulator,
     and all randomness (retransmit jitter) comes from a derived
     per-concern RNG seeded as ``f"{seed}:reliable:jitter"``.
     """
@@ -311,13 +227,11 @@ class ReliableTransport:
     def __init__(
         self,
         network: OpportunisticNetwork,
-        config: ReliabilityConfig | None = None,
         seed: int = 0,
         telemetry: Any = None,
     ):
         self.network = network
         self.simulator = network.simulator
-        self.config = config or ReliabilityConfig()
         self.stats = TransportStats()
         self._seed = seed
         self._jitter_rng = random.Random(f"{seed}:reliable:jitter")
@@ -327,7 +241,7 @@ class ReliableTransport:
         self._estimators: dict[tuple[str, str], RttEstimator] = {}
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
         self._receipts: list[TransportReceipt] = []
-        self._budget_left = self.config.retransmit_budget
+        self._budget_left = RETRANSMIT_BUDGET
         # per-link delivery observers (e.g. the φ-accrual failure
         # detector in repro.core.runtime.detector, which must not be
         # imported from here — the layering points the other way, so it
@@ -335,11 +249,6 @@ class ReliableTransport:
         self._link_observers: list[
             Callable[[str, str, str, float | None], None]
         ] = []
-        # probes are single-shot acknowledged transfers: one timeout is
-        # the evidence, retrying would only blur it
-        self._probe_policy = DeliveryPolicy(
-            mode=AT_LEAST_ONCE, max_attempts=1, jitter_fraction=0.0
-        )
         # graceful departures fail in-flight transfers immediately
         # instead of retransmitting into the void until the budget
         # drains (the mux wrapper used by the workload engine does not
@@ -366,34 +275,13 @@ class ReliableTransport:
         self.network.attach(device_id, self._make_receiver(device_id, handler))
 
     def send(self, message: Message) -> None:
-        """Send under the kind's policy (never blocks)."""
-        policy = self.config.policy_for(message.kind)
-        if policy.mode == AT_MOST_ONCE or message.kind is MessageKind.ACK:
+        """Send acknowledged if the kind is result-bearing, else fire
+        and forget (never blocks)."""
+        if message.kind not in ACKNOWLEDGED_KINDS:
             self.stats.sent_at_most_once += 1
             self.network.send(message)
             return
-        if self._peer_departed(message.recipient):
-            # fail fast: the owner walked away, no retransmission can
-            # ever be answered
-            self.stats.departure_fast_fails += 1
-            self.stats.transfers_started += 1
-            self._fail(
-                _Pending(
-                    transfer_id=next(self._transfer_ids),
-                    template=message,
-                    policy=policy,
-                ),
-                "peer_dead",
-            )
-            return
-        transfer_id = next(self._transfer_ids)
-        message.headers[TRANSFER_HEADER] = transfer_id
-        pending = _Pending(
-            transfer_id=transfer_id, template=message, policy=policy
-        )
-        self._pending[transfer_id] = pending
-        self.stats.transfers_started += 1
-        self._transmit(pending)
+        self._start(message)
 
     def close(self) -> None:
         """Stop listening for departures once the query is over.
@@ -418,7 +306,7 @@ class ReliableTransport:
         self._estimators.clear()
         self._breakers.clear()
         self._receipts.clear()
-        self._budget_left = self.config.retransmit_budget
+        self._budget_left = RETRANSMIT_BUDGET
 
     # -- observability ------------------------------------------------------
 
@@ -455,7 +343,9 @@ class ReliableTransport:
         A heartbeat carrying a transfer id: the receiver ACKs it like
         any acknowledged transfer, so the probe's outcome (``acked``
         within the adaptive RTO, or ``gave_up`` on timeout) reaches the
-        registered link observers.  Returns the transfer id.
+        registered link observers.  Probes are single-shot — one
+        timeout is the evidence, retrying would only blur it.  Returns
+        the transfer id.
         """
         message = Message(
             sender=sender,
@@ -464,28 +354,28 @@ class ReliableTransport:
             payload={"__probe__": True},
             size_bytes=size_bytes,
         )
-        if self._peer_departed(recipient):
-            self.stats.departure_fast_fails += 1
-            self.stats.transfers_started += 1
-            pending = _Pending(
-                transfer_id=next(self._transfer_ids),
-                template=message,
-                policy=self._probe_policy,
-            )
-            self._fail(pending, "peer_dead")
-            return pending.transfer_id
-        transfer_id = next(self._transfer_ids)
-        message.headers[TRANSFER_HEADER] = transfer_id
-        pending = _Pending(
-            transfer_id=transfer_id, template=message, policy=self._probe_policy
-        )
-        self._pending[transfer_id] = pending
-        self.stats.transfers_started += 1
-        self.stats.probes_sent += 1
-        self._transmit(pending)
-        return transfer_id
+        return self._start(message, probe=True)
 
     # -- internals ----------------------------------------------------------
+
+    def _start(self, message: Message, probe: bool = False) -> int:
+        """Open one acknowledged transfer; returns its id."""
+        pending = _Pending(
+            transfer_id=next(self._transfer_ids), template=message, probe=probe
+        )
+        self.stats.transfers_started += 1
+        if self._peer_departed(message.recipient):
+            # fail fast: the owner walked away, no retransmission can
+            # ever be answered
+            self.stats.departure_fast_fails += 1
+            self._fail(pending, "peer_dead")
+            return pending.transfer_id
+        message.headers[TRANSFER_HEADER] = pending.transfer_id
+        self._pending[pending.transfer_id] = pending
+        if probe:
+            self.stats.probes_sent += 1
+        self._transmit(pending)
+        return pending.transfer_id
 
     def _peer_departed(self, device_id: str) -> bool:
         checker = getattr(self.network, "has_departed", None)
@@ -511,15 +401,13 @@ class ReliableTransport:
     def _estimator(self, link: tuple[str, str]) -> RttEstimator:
         estimator = self._estimators.get(link)
         if estimator is None:
-            estimator = self._estimators[link] = RttEstimator(self.config)
+            estimator = self._estimators[link] = RttEstimator()
         return estimator
 
     def _breaker(self, link: tuple[str, str]) -> CircuitBreaker:
         breaker = self._breakers.get(link)
         if breaker is None:
-            breaker = self._breakers[link] = CircuitBreaker(
-                self.config.breaker_threshold, self.config.breaker_cooldown
-            )
+            breaker = self._breakers[link] = CircuitBreaker()
         return breaker
 
     def _make_receiver(self, device_id: str, handler: Handler) -> Handler:
@@ -560,7 +448,7 @@ class ReliableTransport:
             recipient=peer,
             kind=MessageKind.ACK,
             payload={TRANSFER_HEADER: transfer_id},
-            size_bytes=self.config.ack_size_bytes,
+            size_bytes=ACK_SIZE_BYTES,
         )
         if inbound is not None and "query" in inbound.headers:
             # route the ACK back to the query whose transfer it
@@ -611,13 +499,10 @@ class ReliableTransport:
         self.network.send(wire)
 
         link = (template.sender, template.recipient)
-        timeout = self._estimator(link).rto
-        timeout *= pending.policy.backoff_factor**attempt
-        timeout = min(max(timeout, self.config.min_rto), self.config.max_rto)
-        if pending.policy.jitter_fraction:
-            timeout *= 1 + (
-                pending.policy.jitter_fraction * self._jitter_rng.random()
-            )
+        timeout = self._estimator(link).rto * BACKOFF_FACTOR**attempt
+        timeout = min(max(timeout, MIN_RTO), MAX_RTO)
+        if not pending.probe:
+            timeout *= 1 + JITTER_FRACTION * self._jitter_rng.random()
         epoch = self.simulator.epoch
         transfer_id = pending.transfer_id
         self.simulator.schedule(
@@ -638,7 +523,7 @@ class ReliableTransport:
         link = (pending.template.sender, pending.template.recipient)
         breaker = self._breaker(link)
         breaker.record_failure(now)
-        if pending.attempts >= pending.policy.max_attempts:
+        if pending.attempts >= (1 if pending.probe else MAX_ATTEMPTS):
             self._fail(pending, "gave_up")
             return
         if self.network.is_dead(pending.template.recipient):
@@ -649,11 +534,10 @@ class ReliableTransport:
             self._m_circuit.inc()
             self._fail(pending, "circuit_open")
             return
-        if self._budget_left is not None and self._budget_left <= 0:
+        if self._budget_left <= 0:
             self._fail(pending, "budget_exhausted")
             return
-        if self._budget_left is not None:
-            self._budget_left -= 1
+        self._budget_left -= 1
         pending.retransmitted = True
         self.stats.retransmissions += 1
         self._m_retransmissions.inc()

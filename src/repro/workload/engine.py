@@ -121,7 +121,6 @@ class MultiQueryEngine:
         self.standby_count = standby_count if spec.reliability else 0
         self.scenario_config = config
         self.scenario = Scenario(config, telemetry=telemetry)
-        self.scenario.network.per_query_rng = True
         self.mux = QueryMux(self.scenario.network)
         self.registry = DeviceLeaseRegistry(
             clock=lambda: self.scenario.simulator.now

@@ -12,7 +12,9 @@ from repro.core.planner import (
     QuerySpec,
     ResiliencyParameters,
 )
+from repro.core.runtime import detector
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+from repro.network import reliable
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
@@ -100,3 +102,33 @@ def fold_kernel(request, monkeypatch) -> str:
         fold, "VECTOR_FOLD_MIN_ROWS", FOLD_KERNEL_THRESHOLDS[request.param]
     )
     return request.param
+
+
+def _tuner(monkeypatch, module):
+    """``tune(NAME=value, ...)``: override module constants for one test."""
+
+    def tune(**constants):
+        for name, value in constants.items():
+            assert hasattr(module, name), name
+            monkeypatch.setattr(module, name, value)
+
+    return tune
+
+
+#: The recovery stack has no config objects: the reliable transport's
+#: and the φ-accrual detector's settings are module constants.  A test
+#: that needs another value (a disarmed breaker, a shorter history
+#: window) overrides the constant through one of these two fixtures;
+#: there is no user-facing switch.
+@pytest.fixture
+def tune_reliable(monkeypatch):
+    """Override :mod:`repro.network.reliable` constants:
+    ``tune_reliable(BREAKER_THRESHOLD=100)``."""
+    return _tuner(monkeypatch, reliable)
+
+
+@pytest.fixture
+def tune_detector(monkeypatch):
+    """Override :mod:`repro.core.runtime.detector` constants:
+    ``tune_detector(HISTORY_WINDOW=4)``."""
+    return _tuner(monkeypatch, detector)

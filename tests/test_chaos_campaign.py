@@ -366,8 +366,18 @@ class TestArtifacts:
             ),
             # accepted before detector required reliability
             ({"detector": True}, "detector requires reliability"),
+            # accepted before the load checked its sign
+            (
+                {"reliability": True, "phase_deadline": -5.0},
+                "phase_deadline must be positive",
+            ),
         ],
-        ids=["run-without-tag", "partition-without-end", "detector-without-reliability"],
+        ids=[
+            "run-without-tag",
+            "partition-without-end",
+            "detector-without-reliability",
+            "non-positive-phase-deadline",
+        ],
     )
     def test_malformed_artifact_replay_exits_2_with_one_line(
         self, tmp_path, capsys, run_patch, field

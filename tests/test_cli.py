@@ -357,6 +357,23 @@ class TestWorkloadCommand:
         assert captured.err == f"{option} requires reliability\n"
 
     @pytest.mark.parametrize(
+        "command, value",
+        [
+            (["run"], "-5"),
+            (["chaos", "--runs", "1"], "0"),
+            (["chaos", "--workload", "2"], "-5"),
+        ],
+    )
+    def test_non_positive_phase_deadline_exits_2(self, capsys, command, value):
+        # rejected with the other recovery flags, before any scenario
+        # is built — not by a traceback midway through the run
+        code = main([*command, "--reliability", "--phase-deadline", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "phase_deadline must be positive\n"
+
+    @pytest.mark.parametrize(
         "command",
         [["workload", "--queries", "2"], ["continuous", "--windows", "2"]],
     )

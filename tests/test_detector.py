@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime.detector import DetectorConfig, PhiAccrualDetector
+from repro.core.runtime import detector as phi
+from repro.core.runtime.detector import PhiAccrualDetector
 
 
 def _fed(detector: PhiAccrualDetector, device: str, times) -> float:
@@ -22,20 +23,16 @@ def _fed(detector: PhiAccrualDetector, device: str, times) -> float:
     return last
 
 
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(threshold=0.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(window=1)
-        with pytest.raises(ValueError):
-            DetectorConfig(min_std=0.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(acceptable_pause=-1.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(failure_boost=-1.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(min_samples=0)
+class TestConstants:
+    def test_constants_equal_the_defaults_they_replaced(self):
+        assert (
+            phi.PHI_THRESHOLD,
+            phi.HISTORY_WINDOW,
+            phi.MIN_STD,
+            phi.ACCEPTABLE_PAUSE,
+            phi.FAILURE_BOOST,
+            phi.MIN_SAMPLES,
+        ) == (8.0, 32, 0.5, 2.0, 3.0, 2)
 
 
 class TestPhi:
@@ -45,7 +42,7 @@ class TestPhi:
         assert not detector.suspect("ghost", now=100.0)
 
     def test_warm_up_needs_min_samples_intervals(self):
-        detector = PhiAccrualDetector(DetectorConfig(min_samples=2))
+        detector = PhiAccrualDetector()  # MIN_SAMPLES == 2
         detector.observe_ack("d", 1.0)
         detector.observe_ack("d", 2.0)  # one interval so far
         assert detector.phi("d", now=500.0) == 0.0
@@ -81,23 +78,24 @@ class TestPhi:
     def test_min_std_floors_identical_intervals(self):
         # a perfectly periodic train must not become hair-triggered: the
         # std floor keeps φ finite just past the expected arrival
-        detector = PhiAccrualDetector(DetectorConfig(min_std=0.5))
+        detector = PhiAccrualDetector()  # MIN_STD == 0.5
         last = _fed(detector, "d", [i * 2.0 for i in range(20)])
-        phi = detector.phi("d", last + 2.1)
-        assert 0.0 < phi < detector.config.threshold
+        level = detector.phi("d", last + 2.1)
+        assert 0.0 < level < phi.PHI_THRESHOLD
 
-    def test_acceptable_pause_shifts_the_expectation(self):
-        strict = PhiAccrualDetector(DetectorConfig(acceptable_pause=0.0))
-        lenient = PhiAccrualDetector(DetectorConfig(acceptable_pause=5.0))
-        last = _fed(strict, "d", [i * 2.0 for i in range(10)])
-        _fed(lenient, "d", [i * 2.0 for i in range(10)])
-        assert lenient.phi("d", last + 8.0) < strict.phi("d", last + 8.0)
+    def test_acceptable_pause_shifts_the_expectation(self, tune_detector):
+        detector = PhiAccrualDetector()
+        last = _fed(detector, "d", [i * 2.0 for i in range(10)])
+        tune_detector(ACCEPTABLE_PAUSE=0.0)
+        strict = detector.phi("d", last + 8.0)
+        tune_detector(ACCEPTABLE_PAUSE=5.0)
+        lenient = detector.phi("d", last + 8.0)
+        assert lenient < strict
 
 
 class TestNegativeEvidence:
     def test_failure_streak_boosts_suspicion(self):
-        config = DetectorConfig(failure_boost=3.0, threshold=8.0)
-        detector = PhiAccrualDetector(config)
+        detector = PhiAccrualDetector()  # FAILURE_BOOST == 3.0
         last = _fed(detector, "d", [i * 2.0 for i in range(10)])
         base = detector.suspicion("d", last + 1.0)
         detector.observe_failure("d")
@@ -107,7 +105,7 @@ class TestNegativeEvidence:
     def test_streak_alone_can_cross_the_threshold(self):
         # a device with no arrival history yet is still suspectable
         # through conclusive negative evidence (failed probes)
-        detector = PhiAccrualDetector(DetectorConfig(failure_boost=3.0))
+        detector = PhiAccrualDetector()
         for _ in range(3):
             detector.observe_failure("d")
         assert detector.suspect("d", now=10.0)
@@ -125,12 +123,12 @@ class TestNegativeEvidence:
         detector.on_link_event("a", "b", "gave_up", None, now=2.0)
         detector.on_link_event("a", "b", "peer_dead", None, now=3.0)
         assert detector.suspicion("b", 3.0) == pytest.approx(
-            2 * detector.config.failure_boost
+            2 * phi.FAILURE_BOOST
         )
         # budget exhaustion is the sender's problem, not peer evidence
         detector.on_link_event("a", "b", "budget_exhausted", None, now=4.0)
         assert detector.suspicion("b", 4.0) == pytest.approx(
-            2 * detector.config.failure_boost
+            2 * phi.FAILURE_BOOST
         )
 
 
@@ -143,8 +141,9 @@ class TestLifecycle:
         detector.forget("d")
         assert detector.suspicion("d", 1.0) == 0.0
 
-    def test_window_keeps_only_recent_intervals(self):
-        detector = PhiAccrualDetector(DetectorConfig(window=4))
+    def test_window_keeps_only_recent_intervals(self, tune_detector):
+        tune_detector(HISTORY_WINDOW=4)
+        detector = PhiAccrualDetector()
         # a long slow prefix then a fast regime: only the fast intervals
         # remain in the window, so silence is judged by the new cadence
         times = [i * 20.0 for i in range(10)]
@@ -159,4 +158,4 @@ class TestLifecycle:
         detector.observe_failure("b")
         snap = detector.snapshot(now=3.0)
         assert sorted(snap) == ["a", "b"]
-        assert snap["b"] == pytest.approx(detector.config.failure_boost)
+        assert snap["b"] == pytest.approx(phi.FAILURE_BOOST)

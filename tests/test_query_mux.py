@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from repro.network.messages import Message, MessageKind
 from repro.network.mux import QUERY_HEADER, QueryMux
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
-from repro.network.reliable import ReliabilityConfig, ReliableTransport
+from repro.network.reliable import ReliableTransport
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
 
@@ -25,7 +25,6 @@ def _network(
     loss: float = 0.0,
     latency: float = 0.1,
     seed: int = 0,
-    per_query_rng: bool = False,
 ):
     sim = Simulator()
     quality = LinkQuality(
@@ -40,7 +39,6 @@ def _network(
         topology,
         NetworkConfig(default_quality=quality),
         seed=seed,
-        per_query_rng=per_query_rng,
     )
     return sim, network
 
@@ -134,11 +132,15 @@ class TestRouting:
         assert not endpoint.is_online("b")
 
 
+def _interleave(first, second):
+    return [message for pair in zip(first, second) for message in pair]
+
+
 class TestPerQueryRngStreams:
-    def _delivered_kinds(self, per_query_rng, order):
+    def _delivered_kinds(self, order):
         """Delivery outcomes of q1's messages when q1/q2 sends interleave
         in the given order."""
-        sim, network = _network(loss=0.4, per_query_rng=per_query_rng, seed=7)
+        sim, network = _network(loss=0.4, seed=7)
         mux = QueryMux(network)
         got = []
         mux.endpoint("q1").attach("b", lambda m: got.append(m.payload))
@@ -151,25 +153,39 @@ class TestPerQueryRngStreams:
     def test_per_query_stream_is_independent_of_interleaving(self):
         q1_sends = [("q1", f"m{i}") for i in range(12)]
         q2_sends = [("q2", f"x{i}") for i in range(12)]
-        solo = self._delivered_kinds(True, q1_sends)
-        interleaved = self._delivered_kinds(
-            True, [m for pair in zip(q2_sends, q1_sends) for m in pair]
-        )
+        solo = self._delivered_kinds(q1_sends)
+        interleaved = self._delivered_kinds(_interleave(q2_sends, q1_sends))
         assert solo == interleaved
 
     def test_shared_stream_shifts_under_interleaving(self):
-        # sanity check that the legacy mode really does couple queries —
-        # otherwise the opt-in flag would be untestable dead weight
-        q1_sends = [("q1", f"m{i}") for i in range(12)]
-        q2_sends = [("q2", f"x{i}") for i in range(12)]
-        solo = self._delivered_kinds(False, q1_sends)
-        interleaved = self._delivered_kinds(
-            False, [m for pair in zip(q2_sends, q1_sends) for m in pair]
-        )
-        assert solo != interleaved
+        # headerless traffic keeps the network's one shared stream, so
+        # it couples senders; header-bearing traffic never touches it
+        def delivered(order):
+            """The ``m*`` payloads that reach b when the (query header or
+            None, payload) sends go out in order."""
+            sim, network = _network(loss=0.4, seed=7)
+            got = []
+            network.attach("b", lambda m: got.append(m.payload))
+            for query, payload in order:
+                message = _msg(payload=payload)
+                if query is not None:
+                    message.headers[QUERY_HEADER] = query
+                network.send(message)
+            sim.run()
+            return [p for p in got if p.startswith("m")]
+
+        headerless = [(None, f"m{i}") for i in range(12)]
+        solo = delivered(headerless)
+        # header-bearing traffic draws from its own stream: the shared
+        # stream's outcomes do not move
+        tagged = [("q2", f"x{i}") for i in range(12)]
+        assert delivered(_interleave(tagged, headerless)) == solo
+        # other headerless traffic shares the stream and shifts them
+        more = [(None, f"x{i}") for i in range(12)]
+        assert delivered(_interleave(more, headerless)) != solo
 
     def test_reset_restores_query_streams(self):
-        sim, network = _network(loss=0.4, per_query_rng=True, seed=7)
+        sim, network = _network(loss=0.4, seed=7)
         mux = QueryMux(network)
         got = []
         mux.endpoint("q1").attach("b", lambda m: got.append(m.payload))
@@ -246,18 +262,18 @@ class _Outage:
 
 
 class TestBreakerIsolation:
-    def test_half_open_probe_recovery_is_per_query(self):
+    def test_half_open_probe_recovery_is_per_query(self, tune_reliable):
         # both queries trip their (a, b) breaker during an outage; after
         # the link heals, q1's half-open probe succeeds and closes q1's
         # breaker only — q2's view of the link must stay open until q2
         # itself observes a success
-        config = ReliabilityConfig(breaker_threshold=2, breaker_cooldown=5.0)
+        tune_reliable(BREAKER_THRESHOLD=2, BREAKER_COOLDOWN=5.0)
         sim, network = _network()
         outage = _Outage()
         network.install_faults(outage)
         mux = QueryMux(network)
-        t1 = ReliableTransport(mux.endpoint("q1"), config=config, seed=1)
-        t2 = ReliableTransport(mux.endpoint("q2"), config=config, seed=2)
+        t1 = ReliableTransport(mux.endpoint("q1"), seed=1)
+        t2 = ReliableTransport(mux.endpoint("q2"), seed=2)
         for transport in (t1, t2):
             transport.attach("a", lambda m: None)
             transport.attach("b", lambda m: None)

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.campaign import RunSpec
 from repro.core.planner import PrivacyParameters, QuerySpec
 from repro.core.qep import OperatorRole
-from repro.core.runtime import RecoveryConfig
+from repro.core.runtime import ExecutionCoordinator
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.network.failures import FailurePlan
+from repro.network.reliable import ReliableTransport
+from repro.plan.compile import compile_query
 from repro.query.sql import parse_query
+from repro.telemetry import Telemetry
 
 ROWS = generate_health_rows(60, seed=5)
 SQL = "SELECT count(*), avg(age), avg(bmi) FROM health GROUP BY region"
@@ -70,14 +74,54 @@ def _probe():
     return group1, standbys
 
 
-class TestRecoveryConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(phase_deadline=0.0)
-
+class TestPhaseDeadline:
     def test_scenario_phase_deadline_validation(self):
         with pytest.raises(ValueError):
             _config(phase_deadline=-5.0)
+
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_run_spec_rejects_a_non_positive_phase_deadline(self, value):
+        # fail where the spec is built or loaded, not midway through
+        # the run that uses it
+        with pytest.raises(ValueError, match="phase_deadline must be positive"):
+            RunSpec(seed=1, tag="x", reliability=True, phase_deadline=value)
+        data = RunSpec(seed=1, tag="x", reliability=True).to_dict()
+        data["phase_deadline"] = value
+        with pytest.raises(ValueError, match="phase_deadline must be positive"):
+            RunSpec.from_dict(data)
+
+
+class TestOneReliabilityDecision:
+    """A transport is the one switch: given one, the coordinator arms the
+    recovery watchdog; given none, it arms nothing."""
+
+    def _run(self, reliable: bool) -> ExecutionCoordinator:
+        scenario = Scenario(_config(reliability=False), telemetry=Telemetry())
+        plan = compile_query(_spec(), privacy=PRIVACY).build_qep(
+            contributor_ids=[d.device_id for d in scenario.contributors]
+        )
+        scenario.assign_query(plan, scenario.eligible_processor_ids())
+        transport = None
+        if reliable:
+            transport = ReliableTransport(scenario.network, seed=1)
+        executor = ExecutionCoordinator(
+            scenario.simulator, scenario.network, scenario.devices, plan,
+            collection_window=20.0, deadline=80.0, secure_channels=False,
+            transport=transport,
+        )
+        scenario.simulator.run_until(executor.start())
+        return executor
+
+    def test_a_transport_arms_the_watchdog(self):
+        executor = self._run(reliable=True)
+        assert executor.recovery is not None
+        assert executor.recovery.checks_run > 0
+
+    def test_no_transport_arms_nothing(self):
+        executor = self._run(reliable=False)
+        assert executor.recovery is None
+        metrics = executor.telemetry.metrics
+        assert metrics.value("exec.watchdog_checks", query="recovery-q") == 0
 
 
 class TestReliabilityRescue:

@@ -6,30 +6,22 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.network import reliable
 from repro.network.messages import Message, MessageKind
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.reliable import (
-    AT_LEAST_ONCE,
-    AT_MOST_ONCE,
+    ACKNOWLEDGED_KINDS,
     ATTEMPT_HEADER,
     TRANSFER_HEADER,
     CircuitBreaker,
-    DeliveryPolicy,
-    ReliabilityConfig,
     ReliableTransport,
     RttEstimator,
-    default_policies,
 )
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
 
 
-def _stack(
-    loss: float = 0.0,
-    latency: float = 0.1,
-    seed: int = 0,
-    config: ReliabilityConfig | None = None,
-):
+def _stack(loss: float = 0.0, latency: float = 0.1, seed: int = 0):
     sim = Simulator()
     quality = LinkQuality(
         base_latency=latency, latency_jitter=0.0, loss_probability=loss
@@ -39,7 +31,7 @@ def _stack(
     network = OpportunisticNetwork(
         sim, topology, NetworkConfig(default_quality=quality), seed=seed
     )
-    transport = ReliableTransport(network, config=config, seed=seed)
+    transport = ReliableTransport(network, seed=seed)
     return sim, network, transport
 
 
@@ -64,50 +56,47 @@ class _SelectiveDrop:
 
 
 class TestPolicies:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            DeliveryPolicy(mode="exactly_once")
-        with pytest.raises(ValueError):
-            DeliveryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            DeliveryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            DeliveryPolicy(jitter_fraction=1.5)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(initial_rto=0.0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(min_rto=1.0, max_rto=0.5)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(retransmit_budget=-1)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(breaker_threshold=0)
+    def test_constants_equal_the_defaults_they_replaced(self):
+        assert (reliable.INITIAL_RTO, reliable.MIN_RTO, reliable.MAX_RTO) == (
+            5.0, 0.25, 30.0
+        )
+        assert reliable.ACK_SIZE_BYTES == 32
+        assert reliable.RETRANSMIT_BUDGET == 1024
+        assert (reliable.BREAKER_THRESHOLD, reliable.BREAKER_COOLDOWN) == (
+            3, 20.0
+        )
+        assert (
+            reliable.MAX_ATTEMPTS,
+            reliable.BACKOFF_FACTOR,
+            reliable.JITTER_FRACTION,
+        ) == (4, 2.0, 0.1)
 
     def test_default_policies_cover_every_kind(self):
-        policies = default_policies()
-        assert set(policies) == set(MessageKind)
+        # every kind is sent under exactly one mode: the acknowledged
+        # kinds end in a receipt, the rest go out fire and forget
+        sim, network, transport = _stack()
+        transport.attach("a", lambda m: None)
+        transport.attach("b", lambda m: None)
+        for kind in MessageKind:
+            transport.send(_msg(kind=kind))
+        sim.run()
+        assert {r.kind for r in transport.receipts} == {
+            kind.value for kind in ACKNOWLEDGED_KINDS
+        }
+        assert transport.stats.sent_at_most_once == len(MessageKind) - len(
+            ACKNOWLEDGED_KINDS
+        )
 
     def test_result_bearing_kinds_are_confirmed(self):
-        policies = default_policies()
-        for kind in (
+        assert ACKNOWLEDGED_KINDS == {
             MessageKind.CONTRIBUTION,
             MessageKind.PARTITION,
             MessageKind.PARTIAL_RESULT,
             MessageKind.FINAL_RESULT,
             MessageKind.CHECKPOINT,
-        ):
-            assert policies[kind].mode == AT_LEAST_ONCE
-        assert policies[MessageKind.HEARTBEAT].mode == AT_MOST_ONCE
-        assert policies[MessageKind.ACK].mode == AT_MOST_ONCE
-
-    def test_policy_override(self):
-        config = ReliabilityConfig(
-            policies=((MessageKind.HEARTBEAT, DeliveryPolicy(mode=AT_LEAST_ONCE)),)
-        )
-        assert config.policy_for(MessageKind.HEARTBEAT).mode == AT_LEAST_ONCE
-        # unlisted kinds still resolve through the defaults
-        assert config.policy_for(MessageKind.CONTRIBUTION).mode == AT_LEAST_ONCE
+        }
+        assert MessageKind.HEARTBEAT not in ACKNOWLEDGED_KINDS
+        assert MessageKind.ACK not in ACKNOWLEDGED_KINDS
 
 
 class TestAtMostOnce:
@@ -171,16 +160,16 @@ class TestAckRetransmit:
         assert receipt.outcome == "acked"
         assert receipt.attempts == 2
 
-    def test_gave_up_after_max_attempts(self):
-        config = ReliabilityConfig(breaker_threshold=100)
-        sim, network, transport = _stack(loss=1.0, config=config)
+    def test_gave_up_after_max_attempts(self, tune_reliable):
+        tune_reliable(BREAKER_THRESHOLD=100)
+        sim, network, transport = _stack(loss=1.0)
         transport.attach("a", lambda m: None)
         transport.attach("b", lambda m: None)
         transport.send(_msg())
         sim.run()
         (receipt,) = transport.receipts
         assert receipt.outcome == "gave_up"
-        assert receipt.attempts == DeliveryPolicy().max_attempts
+        assert receipt.attempts == reliable.MAX_ATTEMPTS
         assert transport.stats.transfers_failed == 1
 
     def test_dead_peer_fails_with_receipt(self):
@@ -193,9 +182,11 @@ class TestAckRetransmit:
         (receipt,) = transport.receipts
         assert receipt.outcome == "peer_dead"
 
-    def test_circuit_breaker_fast_fails_after_consecutive_losses(self):
-        config = ReliabilityConfig(breaker_threshold=2, breaker_cooldown=1000.0)
-        sim, network, transport = _stack(loss=1.0, config=config)
+    def test_circuit_breaker_fast_fails_after_consecutive_losses(
+        self, tune_reliable
+    ):
+        tune_reliable(BREAKER_THRESHOLD=2, BREAKER_COOLDOWN=1000.0)
+        sim, network, transport = _stack(loss=1.0)
         transport.attach("a", lambda m: None)
         transport.attach("b", lambda m: None)
         transport.send(_msg())
@@ -206,9 +197,9 @@ class TestAckRetransmit:
         assert transport.stats.circuit_fast_fails >= 1
         assert transport.receipts[0].outcome == "circuit_open"
 
-    def test_budget_exhaustion_drops_with_receipt(self):
-        config = ReliabilityConfig(retransmit_budget=0, breaker_threshold=100)
-        sim, network, transport = _stack(loss=1.0, config=config)
+    def test_budget_exhaustion_drops_with_receipt(self, tune_reliable):
+        tune_reliable(RETRANSMIT_BUDGET=0, BREAKER_THRESHOLD=100)
+        sim, network, transport = _stack(loss=1.0)
         transport.attach("a", lambda m: None)
         transport.attach("b", lambda m: None)
         transport.send(_msg())
@@ -217,12 +208,12 @@ class TestAckRetransmit:
         assert receipt.outcome == "budget_exhausted"
         assert receipt.attempts == 1
 
-    def test_lossy_link_beats_blind_sends(self):
+    def test_lossy_link_beats_blind_sends(self, tune_reliable):
         # at 50% loss a raw network loses about half; the transport
         # delivers nearly everything, each message exactly once (breaker
         # disabled so only retransmission is under test here)
-        config = ReliabilityConfig(breaker_threshold=1000)
-        sim, network, transport = _stack(loss=0.5, seed=12, config=config)
+        tune_reliable(BREAKER_THRESHOLD=1000)
+        sim, network, transport = _stack(loss=0.5, seed=12)
         received = []
         transport.attach("a", lambda m: None)
         transport.attach("b", received.append)
@@ -240,11 +231,11 @@ class TestAdaptiveTimeouts:
         sim, network, transport = _stack(latency=0.1)
         transport.attach("a", lambda m: None)
         transport.attach("b", lambda m: None)
-        assert transport.rto_for("a", "b") == ReliabilityConfig().initial_rto
+        assert transport.rto_for("a", "b") == reliable.INITIAL_RTO
         transport.send(_msg())
         sim.run()
         assert transport.stats.rtt_samples == 1
-        assert transport.rto_for("a", "b") < ReliabilityConfig().initial_rto
+        assert transport.rto_for("a", "b") < reliable.INITIAL_RTO
 
     def test_karn_rule_skips_retransmitted_samples(self):
         sim, network, transport = _stack()
@@ -259,8 +250,7 @@ class TestAdaptiveTimeouts:
         assert transport.stats.rtt_samples == 0
 
     def test_estimator_follows_jacobson(self):
-        config = ReliabilityConfig()
-        estimator = RttEstimator(config)
+        estimator = RttEstimator()
         estimator.observe(1.0)
         assert estimator.srtt == pytest.approx(1.0)
         assert estimator.rttvar == pytest.approx(0.5)
@@ -269,23 +259,24 @@ class TestAdaptiveTimeouts:
         assert estimator.srtt == pytest.approx(0.875 * 1.0 + 0.125 * 2.0)
         assert estimator.rttvar == pytest.approx(0.75 * 0.5 + 0.25 * 1.0)
 
-    def test_rto_clamped_to_bounds(self):
-        config = ReliabilityConfig(min_rto=1.0, max_rto=2.0)
-        estimator = RttEstimator(config)
+    def test_rto_clamped_to_bounds(self, tune_reliable):
+        tune_reliable(MIN_RTO=1.0, MAX_RTO=2.0)
+        estimator = RttEstimator()
         estimator.observe(0.01)
         assert estimator.rto == 1.0
-        estimator = RttEstimator(config)
+        estimator = RttEstimator()
         estimator.observe(100.0)
         assert estimator.rto == 2.0
 
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError):
-            RttEstimator(ReliabilityConfig()).observe(-1.0)
+            RttEstimator().observe(-1.0)
 
 
 class TestCircuitBreaker:
-    def test_half_open_probe_after_cooldown(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=10.0)
+    def test_half_open_probe_after_cooldown(self, tune_reliable):
+        tune_reliable(BREAKER_THRESHOLD=2, BREAKER_COOLDOWN=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(0.0)
         assert breaker.allows(0.0)
         breaker.record_failure(0.0)
@@ -297,12 +288,12 @@ class TestCircuitBreaker:
 
 
 class TestGracefulDeparture:
-    def test_leave_fails_in_flight_transfers_immediately(self):
+    def test_leave_fails_in_flight_transfers_immediately(self, tune_reliable):
         # graceful leave() is conclusive evidence: the in-flight
         # transfer must surface peer_dead at departure time, not grind
         # through the remaining RTO expiries and retransmission attempts
-        config = ReliabilityConfig(breaker_threshold=100)
-        sim, network, transport = _stack(loss=1.0, config=config)
+        tune_reliable(BREAKER_THRESHOLD=100)
+        sim, network, transport = _stack(loss=1.0)
         transport.attach("a", lambda m: None)
         transport.attach("b", lambda m: None)
         transport.send(_msg())
@@ -310,7 +301,7 @@ class TestGracefulDeparture:
         sim.run()
         (receipt,) = transport.receipts
         assert receipt.outcome == "peer_dead"
-        assert receipt.attempts < DeliveryPolicy().max_attempts
+        assert receipt.attempts < reliable.MAX_ATTEMPTS
         assert transport.stats.departure_fast_fails == 1
         # the doomed transfer stopped retransmitting once "b" left, so
         # the shared budget was not drained by unanswerable resends
@@ -329,11 +320,11 @@ class TestGracefulDeparture:
         assert receipt.attempts == 0 or receipt.attempts == 1
         assert transport.stats.departure_fast_fails == 1
 
-    def test_silent_crash_is_not_fast_failed(self):
+    def test_silent_crash_is_not_fast_failed(self, tune_reliable):
         # kill() models a crash: no goodbye, so the transport must learn
         # the hard way (timeouts), never via the departure listener
-        config = ReliabilityConfig(breaker_threshold=100)
-        sim, network, transport = _stack(config=config)
+        tune_reliable(BREAKER_THRESHOLD=100)
+        sim, network, transport = _stack()
         transport.attach("a", lambda m: None)
         transport.attach("b", lambda m: None)
         network.kill("b")

@@ -104,7 +104,6 @@ SOLE_CALLER: dict[str, str] = {
         for name in (
             "ExecutionCoordinator",
             "ReliableTransport",
-            "RecoveryConfig",
             "MessageFaultInjector",
             "FailureInjector",
             "build_outage_plan",
