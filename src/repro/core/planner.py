@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import networkx as nx
-
 from repro.core.assignment import contributor_builder
 from repro.core.overcollection import OvercollectionConfig
 from repro.core.qep import OperatorRole, QueryExecutionPlan
@@ -162,6 +160,26 @@ class ResiliencyParameters:
             raise ValueError("replicas must be non-negative")
 
 
+def greedy_coloring(
+    nodes: list[str], edges: set[tuple[str, str]]
+) -> dict[str, int]:
+    """Colour ``nodes`` so no edge joins two nodes of one colour.
+
+    networkx's ``greedy_color(strategy="largest_first")`` rule: visit
+    the nodes by degree, descending, ties in ``nodes`` order; each takes
+    the smallest colour none of its neighbours holds.
+    """
+    neighbours: dict[str, set[str]] = {node: set() for node in nodes}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    coloring: dict[str, int] = {}
+    for node in sorted(nodes, key=lambda n: len(neighbours[n]), reverse=True):
+        taken = {coloring[n] for n in neighbours[node] if n in coloring}
+        coloring[node] = next(c for c in range(len(taken) + 1) if c not in taken)
+    return coloring
+
+
 class EdgeletPlanner:
     """Builds Figure-3-shaped plans from the three parameter blocks."""
 
@@ -252,12 +270,10 @@ class EdgeletPlanner:
                         f"{other!r}: grouping columns reach every Computer"
                     )
 
-        conflict = nx.Graph()
-        conflict.add_nodes_from(aggregate_columns)
-        for a, b in separated:
-            if a in conflict and b in conflict:
-                conflict.add_edge(a, b)
-        coloring = nx.greedy_color(conflict, strategy="largest_first")
+        columns = set(aggregate_columns)
+        coloring = greedy_coloring(
+            aggregate_columns, {pair for pair in separated if set(pair) <= columns}
+        )
         n_colors = max(coloring.values(), default=0) + 1 if coloring else 1
         groups: list[set[str]] = [set() for _ in range(max(1, n_colors))]
         for column, color in sorted(coloring.items()):

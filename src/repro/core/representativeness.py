@@ -14,14 +14,15 @@ Per column:
 
 A partition is judged representative when no column rejects at the
 (Bonferroni-corrected) significance level.
+
+No run path calls :func:`check_representative`, so scipy is imported
+inside ``_ks_check`` / ``_chi2_check``: ``import repro`` does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
-
-from scipy import stats
 
 from repro.query.schema import ColumnType, Schema
 
@@ -72,8 +73,10 @@ def _ks_check(
 ) -> ColumnCheck:
     if len(sample) < 5 or len(reference) < 5:
         return ColumnCheck(column, "skipped", 1.0, False)
+    from scipy import stats
+
     result = stats.ks_2samp(sample, reference)
-    return ColumnCheck(column, "ks", float(result.pvalue), result.pvalue < level)
+    return ColumnCheck(column, "ks", float(result.pvalue), bool(result.pvalue < level))
 
 
 def _chi2_check(
@@ -90,9 +93,11 @@ def _chi2_check(
     ]
     if len(table) < 2:
         return ColumnCheck(column, "skipped", 1.0, False)
+    from scipy import stats
+
     contingency = list(zip(*table))
     result = stats.chi2_contingency(contingency)
-    return ColumnCheck(column, "chi2", float(result.pvalue), result.pvalue < level)
+    return ColumnCheck(column, "chi2", float(result.pvalue), bool(result.pvalue < level))
 
 
 def check_representative(

@@ -171,7 +171,9 @@ class OpportunisticNetwork:
         # may resurrect its handler or its draws
         self._departed: set[str] = set()
         self._inboxes: dict[str, list[tuple[float, Message]]] = {}
-        self._receipts: list[DeliveryReceipt] = []
+        # (message_id, outcome, latency): tuples of atoms, which the
+        # collector stops tracking; ``receipts`` builds the records
+        self._receipts: list[tuple[Any, ...]] = []
         # topology-level outage state (repro.network.outages).  Each
         # active partition is a tuple of islands (frozensets of device
         # ids); devices absent from every island sit on the implicit
@@ -269,9 +271,7 @@ class OpportunisticNetwork:
             self.stats.departed += 1
             self._m_departed.inc()
             self._g_buffered.dec()
-            self._receipts.append(
-                DeliveryReceipt(message.message_id, "departed")
-            )
+            self._receipts.append((message.message_id, "departed", None))
         # notify observers (e.g. ReliableTransport) so in-flight
         # transfers to the departed peer fail immediately instead of
         # retransmitting until the budget drains.  Deliberately NOT
@@ -301,9 +301,7 @@ class OpportunisticNetwork:
             self.stats.to_dead_device += 1
             self._m_dead.inc()
             self._g_buffered.dec()
-            self._receipts.append(
-                DeliveryReceipt(message.message_id, "dead")
-            )
+            self._receipts.append((message.message_id, "dead", None))
 
     # -- topology outages ---------------------------------------------------
 
@@ -441,17 +439,17 @@ class OpportunisticNetwork:
         if message.recipient in self._departed:
             self.stats.departed += 1
             self._m_departed.inc()
-            self._receipts.append(DeliveryReceipt(message.message_id, "departed"))
+            self._receipts.append((message.message_id, "departed", None))
             return
         if message.recipient in self._dead:
             self.stats.to_dead_device += 1
             self._m_dead.inc()
-            self._receipts.append(DeliveryReceipt(message.message_id, "dead"))
+            self._receipts.append((message.message_id, "dead", None))
             return
         if self._partitions and self.partition_blocks(message.sender, message.recipient):
             self.stats.partitioned += 1
             self._m_partitioned.inc()
-            self._receipts.append(DeliveryReceipt(message.message_id, "partitioned"))
+            self._receipts.append((message.message_id, "partitioned", None))
             return
 
         copies = 1
@@ -461,9 +459,7 @@ class OpportunisticNetwork:
             if decision.drop:
                 self.stats.fault_dropped += 1
                 self._m_fault_dropped.inc()
-                self._receipts.append(
-                    DeliveryReceipt(message.message_id, "dropped_fault")
-                )
+                self._receipts.append((message.message_id, "dropped_fault", None))
                 return
             if decision.corrupt:
                 message.payload = self.faults.corrupt_payload(message.payload)
@@ -500,9 +496,7 @@ class OpportunisticNetwork:
             if quality is None:
                 self.stats.no_route += 1
                 self._m_no_route.inc()
-                self._receipts.append(
-                    DeliveryReceipt(message.message_id, "no_route")
-                )
+                self._receipts.append((message.message_id, "no_route", None))
                 continue
 
             # one loss trial per hop
@@ -601,7 +595,7 @@ class OpportunisticNetwork:
     def _record_loss(self, message: Message) -> None:
         self.stats.lost += 1
         self._m_lost.inc()
-        self._receipts.append(DeliveryReceipt(message.message_id, "lost"))
+        self._receipts.append((message.message_id, "lost", None))
 
     def _arrive(self, message: Message) -> None:
         """A message physically reaches its destination's radio."""
@@ -609,12 +603,12 @@ class OpportunisticNetwork:
         if recipient in self._departed:
             self.stats.departed += 1
             self._m_departed.inc()
-            self._receipts.append(DeliveryReceipt(message.message_id, "departed"))
+            self._receipts.append((message.message_id, "departed", None))
             return
         if recipient in self._dead:
             self.stats.to_dead_device += 1
             self._m_dead.inc()
-            self._receipts.append(DeliveryReceipt(message.message_id, "dead"))
+            self._receipts.append((message.message_id, "dead", None))
             return
         if self.is_online(recipient):
             self._deliver(message)
@@ -642,9 +636,7 @@ class OpportunisticNetwork:
                 self.stats.dropped_timeout += 1
                 self._m_dropped.inc()
                 self._g_buffered.dec()
-                self._receipts.append(
-                    DeliveryReceipt(message.message_id, "dropped_timeout")
-                )
+                self._receipts.append((message.message_id, "dropped_timeout", None))
                 return
 
     def _flush_inbox(self, device_id: str) -> None:
@@ -667,11 +659,7 @@ class OpportunisticNetwork:
             self.stats.bytes_by_recipient.get(message.recipient, 0)
             + message.size_bytes
         )
-        self._receipts.append(
-            DeliveryReceipt(
-                message.message_id, "delivered", latency=message.in_flight_time
-            )
-        )
+        self._receipts.append((message.message_id, "delivered", in_flight))
         handler = self._handlers.get(message.recipient)
         if handler is not None:
             handler(message)
@@ -681,7 +669,7 @@ class OpportunisticNetwork:
     @property
     def receipts(self) -> list[DeliveryReceipt]:
         """All delivery receipts recorded so far."""
-        return list(self._receipts)
+        return [DeliveryReceipt(*receipt) for receipt in self._receipts]
 
     def buffered_count(self, device_id: str) -> int:
         """Messages currently buffered for an offline device."""

@@ -240,7 +240,9 @@ class ReliableTransport:
         self._seen: dict[str, set[int]] = {}
         self._estimators: dict[tuple[str, str], RttEstimator] = {}
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
-        self._receipts: list[TransportReceipt] = []
+        # TransportReceipt fields as tuples of atoms, which the collector
+        # stops tracking; ``receipts`` builds the records
+        self._receipts: list[tuple[Any, ...]] = []
         self._budget_left = RETRANSMIT_BUDGET
         # per-link delivery observers (e.g. the φ-accrual failure
         # detector in repro.core.runtime.detector, which must not be
@@ -313,7 +315,7 @@ class ReliableTransport:
     @property
     def receipts(self) -> list[TransportReceipt]:
         """Terminal receipts for every finished at-least-once transfer."""
-        return list(self._receipts)
+        return [TransportReceipt(*receipt) for receipt in self._receipts]
 
     @property
     def pending_count(self) -> int:
@@ -322,7 +324,7 @@ class ReliableTransport:
 
     def rto_for(self, sender: str, recipient: str) -> float:
         """Current adaptive timeout of a directed link (before backoff)."""
-        return self._estimator((sender, recipient)).rto
+        return self._rto((sender, recipient))
 
     def breaker_for(self, sender: str, recipient: str) -> CircuitBreaker:
         """The circuit breaker guarding a directed link."""
@@ -398,6 +400,11 @@ class ReliableTransport:
             self.stats.departure_fast_fails += 1
             self._fail(pending, "peer_dead")
 
+    def _rto(self, link: tuple[str, str]) -> float:
+        """A link's RTO; one with no sample reads a fresh estimator's."""
+        estimator = self._estimators.get(link)
+        return INITIAL_RTO if estimator is None else estimator.rto
+
     def _estimator(self, link: tuple[str, str]) -> RttEstimator:
         estimator = self._estimators.get(link)
         if estimator is None:
@@ -468,7 +475,11 @@ class ReliableTransport:
             return
         pending.done = True
         link = (pending.template.sender, pending.template.recipient)
-        self._breaker(link).record_success()
+        # breakers are built on a link's first failure; a fresh one is
+        # already in the state record_success() leaves behind
+        breaker = self._breakers.get(link)
+        if breaker is not None:
+            breaker.record_success()
         rtt = None
         if not pending.retransmitted:  # Karn's rule
             rtt = self.simulator.now - pending.last_sent_at
@@ -499,7 +510,7 @@ class ReliableTransport:
         self.network.send(wire)
 
         link = (template.sender, template.recipient)
-        timeout = self._estimator(link).rto * BACKOFF_FACTOR**attempt
+        timeout = self._rto(link) * BACKOFF_FACTOR**attempt
         timeout = min(max(timeout, MIN_RTO), MAX_RTO)
         if not pending.probe:
             timeout *= 1 + JITTER_FRACTION * self._jitter_rng.random()
@@ -512,7 +523,7 @@ class ReliableTransport:
                 if self.simulator.epoch == epoch
                 else None
             ),
-            description=f"rto transfer#{transfer_id} attempt {attempt}",
+            description="rto",
         )
 
     def _on_timeout(self, transfer_id: int) -> None:
@@ -554,14 +565,14 @@ class ReliableTransport:
     ) -> None:
         template = pending.template
         self._receipts.append(
-            TransportReceipt(
-                transfer_id=pending.transfer_id,
-                kind=template.kind.value,
-                sender=template.sender,
-                recipient=template.recipient,
-                outcome=outcome,
-                attempts=pending.attempts,
-                rtt=rtt,
+            (
+                pending.transfer_id,
+                template.kind.value,
+                template.sender,
+                template.recipient,
+                outcome,
+                pending.attempts,
+                rtt,
             )
         )
         self._pending.pop(pending.transfer_id, None)

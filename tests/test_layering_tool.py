@@ -92,26 +92,53 @@ def test_multi_query_machinery_is_built_by_the_one_lifecycle(tmp_path):
     assert f"{offender}:2" in violations[0]
 
 
-def test_networkx_is_confined_to_the_planner(tmp_path):
+def test_networkx_is_imported_by_no_module(tmp_path):
     root = tmp_path / "src"
-    allowed = root / "repro" / "core" / "planner.py"
+    planner = root / "repro" / "core" / "planner.py"
     qep = root / "repro" / "core" / "qep.py"
     lazy = root / "repro" / "plan" / "explain.py"
-    for path in (allowed, qep, lazy):
+    for path in (planner, qep, lazy):
         path.parent.mkdir(parents=True, exist_ok=True)
-    allowed.write_text("import networkx as nx\n")
-    qep.write_text("import networkx as nx\n")
+    planner.write_text("import networkx as nx\n")
+    qep.write_text("from networkx import Graph\n")
     lazy.write_text(
         "def render(plan):\n"
         "    from networkx.algorithms import dag  # lazy: still counts\n"
     )
     violations = _tool().check(root)
     assert [v.split()[:3] for v in violations] == [
+        ["repro.core.planner", "->", "networkx"],
         ["repro.core.qep", "->", "networkx"],
         ["repro.plan.explain", "->", "networkx.algorithms"],
     ]
     assert all(
-        v.endswith("[networkx is confined to repro.core.planner]")
+        v.endswith("[no module may import networkx]") for v in violations
+    )
+
+
+def test_scipy_is_confined_to_the_representativeness_check(tmp_path):
+    root = tmp_path / "src"
+    allowed = root / "repro" / "core" / "representativeness.py"
+    planner = root / "repro" / "core" / "planner.py"
+    lazy = root / "repro" / "manager" / "report.py"
+    for path in (allowed, planner, lazy):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    allowed.write_text(
+        "def _ks_check(sample, reference):\n"
+        "    from scipy import stats\n"
+    )
+    planner.write_text("import scipy.stats\n")
+    lazy.write_text(
+        "def summary(rows):\n"
+        "    from scipy.stats import describe  # lazy: still counts\n"
+    )
+    violations = _tool().check(root)
+    assert [v.split()[:3] for v in violations] == [
+        ["repro.core.planner", "->", "scipy.stats"],
+        ["repro.manager.report", "->", "scipy.stats"],
+    ]
+    assert all(
+        v.endswith("[scipy is confined to repro.core.representativeness]")
         for v in violations
     )
 

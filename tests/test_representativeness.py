@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.core.representativeness import check_representative
+from repro.core.representativeness import (
+    ColumnCheck,
+    RepresentativenessReport,
+    check_representative,
+)
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.query.relation import Relation
 
@@ -91,3 +98,22 @@ class TestEdgeCases:
             snapshot[:100], snapshot, HEALTH_SCHEMA, columns=["age", "sex"]
         )
         assert [check.column for check in report.checks] == ["age", "sex"]
+
+
+class TestSerialisation:
+    def test_report_round_trips_through_json(self, snapshot):
+        skewed = [row for row in snapshot if row["age"] > 85][:200]
+        report = check_representative(
+            skewed, snapshot, HEALTH_SCHEMA, columns=["age", "bmi", "region"]
+        )
+        assert {check.test for check in report.checks} == {"ks", "chi2"}
+        assert any(check.rejected for check in report.checks)
+        for check in report.checks:
+            assert type(check.rejected) is bool
+            assert type(check.p_value) is float
+        data = json.loads(json.dumps(dataclasses.asdict(report)))
+        rebuilt = RepresentativenessReport(
+            checks=tuple(ColumnCheck(**check) for check in data["checks"]),
+            alpha=data["alpha"],
+        )
+        assert rebuilt == report

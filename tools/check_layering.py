@@ -121,10 +121,15 @@ SOLE_CALLER: dict[str, str] = {
 NUMPY_ALLOWED_PREFIX = "repro.query.columnar"
 NUMPY_CONFINED_PREFIX = "repro.query"
 
-#: networkx is confined to the planner, for the greedy colouring of the
-#: vertical column groups.  The QEP is plain dicts; nothing else may
-#: grow the dependency back.
-NETWORKX_ALLOWED = "repro.core.planner"
+#: Packages that would load on ``import repro``, mapped to the one
+#: module allowed to import them (``None``: no module).  networkx is a
+#: test-only oracle: the QEP is plain dicts and the planner colours its
+#: column conflicts itself.  scipy serves the diagnostic
+#: ``check_representative`` only, which imports it lazily.
+CONFINED: dict[str, str | None] = {
+    "networkx": None,
+    "scipy": "repro.core.representativeness",
+}
 
 #: The execution runtime runs every plan by its rank structure: no
 #: module under it may hold a strategy name as a string constant or
@@ -282,13 +287,15 @@ def check(root: Path) -> list[str]:
                     f"{module} -> {imported}  ({path})  "
                     "[numpy is confined to repro.query.columnar]"
                 )
-            if module != NETWORKX_ALLOWED and (
-                imported == "networkx" or imported.startswith("networkx.")
-            ):
-                violations.append(
-                    f"{module} -> {imported}  ({path})  "
-                    f"[networkx is confined to {NETWORKX_ALLOWED}]"
+            package = imported.partition(".")[0]
+            if package in CONFINED and module != CONFINED[package]:
+                owner = CONFINED[package]
+                rule = (
+                    f"{package} is confined to {owner}"
+                    if owner
+                    else f"no module may import {package}"
                 )
+                violations.append(f"{module} -> {imported}  ({path})  [{rule}]")
         for name, line in constructed_names(tree):
             if module != SOLE_CALLER[name]:
                 violations.append(
@@ -333,8 +340,9 @@ def main() -> int:
         "never imports workload/chaos/continuous, continuous never "
         "imports chaos, only repro.query.fold imports "
         "repro.query.columnar, numpy stays confined to "
-        "repro.query.columnar within the query layer, networkx to "
-        f"{NETWORKX_ALLOWED}, {RANK_ONLY} reads no strategy name, only "
+        "repro.query.columnar within the query layer, no module imports "
+        f"networkx, scipy stays confined to {CONFINED['scipy']}, "
+        f"{RANK_ONLY} reads no strategy name, only "
         f"{SPELLING_OWNER} compares strategy names, and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
