@@ -14,7 +14,7 @@ with three guaranteed properties:
 
 Plans are Query Execution Plans (:mod:`repro.core.qep`) produced by the
 privacy- and resiliency-aware planner (:mod:`repro.core.planner`),
-assigned to concrete edgelets by hashing public keys
+assigned to concrete edgelets by hashing device ids
 (:mod:`repro.core.assignment`), and executed over the opportunistic
 network by the per-role runtimes of :mod:`repro.core.runtime`
 (coordinated by :class:`repro.core.runtime.ExecutionCoordinator`).

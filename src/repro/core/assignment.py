@@ -4,14 +4,21 @@
 targeted attacks" (Section 2.1).  The danger is an adversary steering a
 chosen operator (say, the Snapshot Builder that will see a victim's
 data) onto a device it controls.  The defense is determinism nobody
-controls: assignments derive from hashing participants' *public keys*
+controls: assignments derive from hashing participants' identifiers
 together with the query identifier, so they are verifiable by everyone
-and predictable by no one who cannot choose keys after seeing the query.
+and predictable by no one who cannot choose an identifier after seeing
+the query.
+
+The paper hashes public keys (Figure 2).  Both functions here hash
+*device ids* instead, which the simulated swarm fixes before any query
+exists.  That is a simulation-grade choice (DESIGN.md, substitutions
+table): a device can be assigned a role without computing its public
+key.
 
 Two assignments matter:
 
 * :func:`contributor_builder` — which Snapshot Builder a Data
-  Contributor sends to (Figure 2: "by hashing their public key");
+  Contributor sends to;
 * :func:`assign_operators` — which processing edgelet runs each Data
   Processor operator of the plan.
 """
@@ -36,18 +43,18 @@ def _digest(*parts: str) -> int:
 
 
 def contributor_builder(
-    contributor_fingerprint: str, builder_ids: list[str], query_id: str
+    contributor_id: str, builder_ids: list[str], query_id: str
 ) -> str:
     """Deterministically route a contributor to one Snapshot Builder.
 
-    The bucket is ``H(fingerprint | query_id) mod len(builders)`` over
+    The bucket is ``H(contributor_id | query_id) mod len(builders)`` over
     the *sorted* builder list, so every participant computes the same
     routing without coordination.
     """
     if not builder_ids:
         raise AssignmentError("no snapshot builders to route to")
     ordered = sorted(builder_ids)
-    index = _digest(contributor_fingerprint, query_id) % len(ordered)
+    index = _digest(contributor_id, query_id) % len(ordered)
     return ordered[index]
 
 
@@ -57,7 +64,7 @@ class SecureAssignment:
 
     Attributes:
         query_id: the assigned query.
-        operator_to_device: op_id -> device fingerprint/id.
+        operator_to_device: op_id -> device id.
         device_load: device -> number of operators it runs.
     """
 

@@ -69,7 +69,7 @@ class ContributorRuntime:
                 base = {
                     "op_id": consumer.op_id,
                     "partition_index": consumer.params["partition_index"],
-                    "contribution_id": f"{device.fingerprint}:{consumer.op_id}",
+                    "contribution_id": f"{device.device_id}:{consumer.op_id}",
                 }
                 if cache is not None and cache.match(
                     device.device_id, target.device_id, digest

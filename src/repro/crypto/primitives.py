@@ -66,14 +66,18 @@ _ORDER_BITS = GROUP_ORDER.bit_length()
 # reach.
 _WINDOW_BITS = 8
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-# Row i holds g^(d * 2^(_WINDOW_BITS * i)) mod p for every digit value d;
-# rows are appended the first time an exponent long enough to need them
-# is seen, so the table costs what the longest exponent so far requires.
+# Row i holds g^(d * 2^(_WINDOW_BITS * i)) mod p for every digit value d.
+# The rows every seeded private key and signing nonce needs are built
+# when the module is imported (below :func:`_grow_rows`); longer rows are
+# appended the first time an exponent long enough to need them is seen.
 _GENERATOR_ROWS: list[list[int]] = []
-# Every key pair :func:`generate_keypair` minted and something still
-# holds, by public key.  Only that function writes here, and it derived
-# ``public`` from ``private`` itself, so each entry's private key is the
-# discrete log of its public key: ``public^e == g^(private * e)``.
+# Seeded private keys and signing nonces are this many hkdf bytes.
+_SEEDED_EXPONENT_BYTES = 48
+# Every key pair :func:`generate_keypair` minted whose public key has
+# been read and which something still holds, by public key.  Only those
+# pairs write here, when they derive ``public`` from ``private``
+# themselves, so each entry's private key is the discrete log of its
+# public key: ``public^e == g^(private * e)``.
 _MINTED: weakref.WeakValueDictionary[int, "KeyPair"] = weakref.WeakValueDictionary()
 
 TAG_SIZE = 32
@@ -125,13 +129,15 @@ class SymmetricKey:
         return secure_hash(b"fp" + self.material)[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class KeyPair:
     """A Schnorr-style key pair over the published group.
 
     ``private`` is an exponent in ``[1, GROUP_ORDER)``; ``public`` is
-    ``g^private mod p``.  The public part doubles as the edgelet's
-    identity for secure operator assignment (the planner hashes it).
+    ``g^private mod p``.  The public part is the key's identity on the
+    wire: envelopes, signatures and attestation quotes name it.  A pair
+    built by hand holds both parts as given; :func:`generate_keypair`'s
+    pairs derive ``public`` on first read.
     """
 
     private: int
@@ -144,6 +150,33 @@ class KeyPair:
     def fingerprint(self) -> str:
         """Short hex identifier of the public key."""
         return secure_hash(self.public_bytes())[:16]
+
+    def __repr__(self) -> str:
+        # never the private exponent, and never a power just to print
+        if "public" not in self.__dict__:
+            return "KeyPair(public key not derived yet)"
+        return f"KeyPair(fingerprint={self.fingerprint()!r})"
+
+
+class _MintedKeyPair(KeyPair):
+    """A pair :func:`generate_keypair` minted: ``public`` is derived, and
+    the pair recorded in ``_MINTED``, the first time ``public`` is read.
+
+    A run that never seals, signs, agrees a key or attests computes no
+    group power for it.
+    """
+
+    def __init__(self, private: int) -> None:
+        object.__setattr__(self, "private", private)
+
+    # the dataclass field has no class attribute to shadow; the cached
+    # value lands in the instance ``__dict__``, which a frozen dataclass
+    # permits, and is read from there afterwards
+    @cached_property
+    def public(self) -> int:  # type: ignore[override]
+        public = _generator_power(self.private)
+        _MINTED[public] = self
+        return public
 
 
 def secure_hash(data: bytes) -> str:
@@ -228,6 +261,26 @@ def decrypt(key: SymmetricKey, blob: bytes, associated_data: bytes = b"") -> byt
     return _xor(ciphertext, stream)
 
 
+def _grow_rows(bits: int) -> list[list[int]]:
+    """``_GENERATOR_ROWS``, with enough rows for a ``bits``-bit exponent."""
+    rows = _GENERATOR_ROWS
+    while len(rows) * _WINDOW_BITS < bits:
+        # next row's base g^(2^(w*(i+1))) is the last row's top entry,
+        # g^((2^w - 1) * 2^(w*i)), times that row's base g^(2^(w*i))
+        base = rows[-1][-1] * rows[-1][1] % GROUP_PRIME if rows else GROUP_GENERATOR
+        row = [1, base]
+        for _ in range(_WINDOW_MASK - 1):
+            row.append(row[-1] * base % GROUP_PRIME)
+        rows.append(row)
+    return rows
+
+
+# Built once per process, at import: a process that forks workers builds
+# them before the fork, and the first seal or signature of a run does
+# not pay for them.
+_grow_rows(8 * _SEEDED_EXPONENT_BYTES)
+
+
 def _generator_power(exponent: int) -> int:
     """``g^exponent mod p`` for the fixed generator, by table lookup.
 
@@ -240,15 +293,7 @@ def _generator_power(exponent: int) -> int:
     """
     if exponent < 0:
         raise ValueError("negative exponent")
-    rows = _GENERATOR_ROWS
-    while len(rows) * _WINDOW_BITS < exponent.bit_length():
-        # next row's base g^(2^(w*(i+1))) is the last row's top entry,
-        # g^((2^w - 1) * 2^(w*i)), times that row's base g^(2^(w*i))
-        base = rows[-1][-1] * rows[-1][1] % GROUP_PRIME if rows else GROUP_GENERATOR
-        row = [1, base]
-        for _ in range(_WINDOW_MASK - 1):
-            row.append(row[-1] * base % GROUP_PRIME)
-        rows.append(row)
+    rows = _grow_rows(exponent.bit_length())
     result = 1
     index = 0
     while exponent:
@@ -261,22 +306,25 @@ def _generator_power(exponent: int) -> int:
 
 
 def generate_keypair(seed: bytes | None = None) -> KeyPair:
-    """Generate a key pair; a ``seed`` makes it deterministic (tests)."""
+    """Generate a key pair; a ``seed`` makes it deterministic (tests).
+
+    Only the private exponent is drawn here.  The public key
+    ``g^private`` is computed the first time it is read.
+    """
     if seed is None:
         private = secrets.randbelow(GROUP_ORDER - 1) + 1
     else:
-        private = int.from_bytes(hkdf(seed, b"edgelet-keygen", 48), "big") % (GROUP_ORDER - 1) + 1
-    keypair = KeyPair(private=private, public=_generator_power(private))
-    _MINTED[keypair.public] = keypair
-    return keypair
+        digest = hkdf(seed, b"edgelet-keygen", _SEEDED_EXPONENT_BYTES)
+        private = int.from_bytes(digest, "big") % (GROUP_ORDER - 1) + 1
+    return _MintedKeyPair(private)
 
 
 def _power(base: int, exponent: int) -> int:
     """``base^exponent mod p`` — the integer builtin ``pow`` returns.
 
-    When ``base`` is a public key :func:`generate_keypair` minted (and
-    its pair is still alive) its discrete log ``x`` is known, so
-    ``base^e == g^(x*e)`` goes through the fixed-base table.  The
+    When ``base`` is a public key :func:`generate_keypair` minted (read
+    at least once, and its pair still alive) its discrete log ``x`` is
+    known, so ``base^e == g^(x*e)`` goes through the fixed-base table.  The
     generator has order ``GROUP_ORDER``, so the product may be reduced
     modulo it; that is done only when the product is longer than the
     order, which keeps the table at its full-width ceiling without
@@ -319,7 +367,8 @@ def sign(keypair: KeyPair, message: bytes) -> tuple[int, int]:
     through nonce reuse.
     """
     nonce_seed = keypair.private.to_bytes(192, "big") + message
-    k = int.from_bytes(hkdf(nonce_seed, b"edgelet-sign-nonce", 48), "big") % (GROUP_ORDER - 1) + 1
+    nonce = hkdf(nonce_seed, b"edgelet-sign-nonce", _SEEDED_EXPONENT_BYTES)
+    k = int.from_bytes(nonce, "big") % (GROUP_ORDER - 1) + 1
     commitment = _generator_power(k)
     challenge = _schnorr_challenge(keypair.public, commitment, message)
     response = (k + challenge * keypair.private) % GROUP_ORDER

@@ -17,7 +17,7 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.primitives import sign, verify
+from repro.crypto.primitives import KeyPair, sign, verify
 from repro.devices.tee import TrustedExecutionEnvironment
 
 __all__ = ["Quote", "AttestationAuthority", "AttestationError"]
@@ -54,14 +54,28 @@ class AttestationAuthority:
     def __init__(self) -> None:
         self._trusted_measurements: set[str] = set()
         self._genuine_keys: set[int] = set()
+        # registered pairs whose public keys are not in _genuine_keys yet
+        self._unresolved: list[KeyPair] = []
 
     def trust_measurement(self, measurement: str) -> None:
         """Whitelist a code measurement (the genuine Edgelet runtime)."""
         self._trusted_measurements.add(measurement)
 
     def register_device(self, tee: TrustedExecutionEnvironment) -> None:
-        """Record a TEE's attestation key as genuine hardware."""
-        self._genuine_keys.add(tee.keypair.public)
+        """Record a TEE's attestation key as genuine hardware.
+
+        The key pair is recorded as it is now; its public key is read
+        only when a quote is first checked (:meth:`_is_genuine`), so a
+        run that never attests computes no key for it.
+        """
+        self._unresolved.append(tee.keypair)
+
+    def _is_genuine(self, public_key: int) -> bool:
+        """Whether ``public_key`` belongs to a registered TEE."""
+        if self._unresolved:
+            self._genuine_keys.update(pair.public for pair in self._unresolved)
+            self._unresolved.clear()
+        return public_key in self._genuine_keys
 
     def fresh_challenge(self) -> str:
         """Generate a verifier nonce."""
@@ -87,7 +101,7 @@ class AttestationAuthority:
         """
         if quote.challenge != expected_challenge:
             raise AttestationError("stale or mismatched challenge")
-        if quote.public_key not in self._genuine_keys:
+        if not self._is_genuine(quote.public_key):
             raise AttestationError("attestation key is not genuine hardware")
         if quote.measurement not in self._trusted_measurements:
             raise AttestationError(

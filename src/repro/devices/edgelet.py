@@ -58,7 +58,11 @@ class Edgelet:
 
     @property
     def fingerprint(self) -> str:
-        """Public-key fingerprint (used for hashing-based assignment)."""
+        """Public-key fingerprint, the name sealed envelopes address.
+
+        Reading it derives the public key.  Assignment hashes
+        :attr:`device_id` instead.
+        """
         return self.keyring.fingerprint
 
     def __repr__(self) -> str:

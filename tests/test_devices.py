@@ -75,6 +75,56 @@ class TestAttestation:
         with pytest.raises(AttestationError):
             authority.attest(tee)
 
+    def test_unregistered_key_refused_around_lazy_registration(self):
+        registered = self._tee(seed=b"registered")
+        stranger = self._tee(seed=b"stranger")  # genuine runtime, never registered
+        authority = AttestationAuthority()
+        authority.trust_measurement(registered.measurement)
+        authority.register_device(registered)
+        # the stranger's quote is the first checked: the recorded keys
+        # are resolved then, and its key is not among them
+        with pytest.raises(AttestationError, match="not genuine hardware"):
+            authority.attest(stranger)
+        assert authority.attest(registered)
+        with pytest.raises(AttestationError, match="not genuine hardware"):
+            authority.attest(stranger)
+
+    def test_registration_records_the_key_without_computing_it(self, monkeypatch):
+        from repro.crypto import primitives
+
+        calls = []
+        real = primitives._generator_power
+        monkeypatch.setattr(
+            primitives, "_generator_power", lambda e: calls.append(e) or real(e)
+        )
+        tee = self._tee(seed=b"swapped")
+        authority = AttestationAuthority()
+        authority.trust_measurement(tee.measurement)
+        authority.register_device(tee)
+        assert calls == []
+        # the key registered is the one the TEE held at registration
+        tee.keypair = primitives.generate_keypair(b"swapped-later")
+        with pytest.raises(AttestationError, match="not genuine hardware"):
+            authority.attest(tee)
+
+    def test_require_attestation_refuses_rogue_processors(self):
+        from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+        from repro.manager.scenario import Scenario, ScenarioConfig
+
+        scenario = Scenario(
+            ScenarioConfig(
+                n_contributors=6, n_processors=9, rows=generate_health_rows(12, seed=2),
+                schema=HEALTH_SCHEMA, device_mix=(1.0, 0.0, 0.0), seed=2,
+                rogue_processors=3, require_attestation=True,
+            )
+        )
+        rogues = scenario.processors[:3]
+        eligible = scenario.eligible_processor_ids()
+        assert eligible == [d.device_id for d in scenario.processors[3:]]
+        for rogue in rogues:
+            with pytest.raises(AttestationError, match="untrusted measurement"):
+                scenario.authority.attest(rogue.tee)
+
     def test_stale_challenge_rejected(self):
         tee = self._tee()
         authority = AttestationAuthority()
