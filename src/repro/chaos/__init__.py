@@ -3,8 +3,8 @@
 The verification muscle behind the paper's failure demonstrations:
 executable Resiliency / Validity / Crowd Liability invariants
 (:mod:`~repro.chaos.invariants`), deterministic seeded campaign sweeps
-(:mod:`~repro.chaos.campaign`), one ddmin shrinker over every scripted
-fault kind (:mod:`~repro.chaos.shrink`), replayable JSON repro
+(:mod:`~repro.chaos.campaign`), one ddmin shrinker over every plan
+atom kind (:mod:`~repro.chaos.shrink`), replayable JSON repro
 artifacts (:mod:`~repro.chaos.artifact`), chaos over concurrent
 multi-query workloads with per-query invariant verdicts
 (:mod:`~repro.chaos.workload`, home of the one per-unit judge), and
@@ -34,10 +34,7 @@ from repro.chaos.invariants import (
     Violation,
     check_all,
 )
-from repro.chaos.shrink import (
-    failure_plan_from_events,
-    shrink_failure_plan,
-)
+from repro.chaos.shrink import plan_only, shrink_failure_plan
 from repro.chaos.workload import (
     UnitOutcome,
     WorkloadChaosOutcome,
@@ -60,8 +57,8 @@ __all__ = [
     "Violation",
     "WorkloadChaosOutcome",
     "check_all",
-    "failure_plan_from_events",
     "parse_fault_mix",
+    "plan_only",
     "run_campaign",
     "run_single",
     "run_soak",

@@ -2,9 +2,9 @@
 
 An artifact freezes everything needed to reproduce one violation in a
 fresh process: the full :class:`~repro.chaos.campaign.RunSpec`
-(topology, seeds, scenario tag, fault specs, and — in ``scripted`` mode
-— the shrunk :class:`~repro.network.failures.FailurePlan`), plus what
-was violated.  The dataset is not embedded: it regenerates
+(topology, seeds, scenario tag and the shrunk
+:class:`~repro.network.failures.FailurePlan` as its only fault source),
+plus what was violated.  The dataset is not embedded: it regenerates
 deterministically from ``(topology.n_rows, seed)``.
 
 Workflow::
@@ -42,27 +42,20 @@ class ReproArtifact:
     Attributes:
         invariant: the violated invariant's name.
         detail: human-readable description captured at violation time.
-        mode: ``"scripted"`` (stochastic injectors off, shrunk
-            FailurePlan drives the failures) or ``"stochastic"`` (the
-            original seeded spec verbatim).
         spec: the run to execute.
         data: structured context from the original violation.
     """
 
     invariant: str
     detail: str
-    mode: str
     spec: Any  # RunSpec (import cycle: campaign imports shrink/faults)
     data: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_violation(
-        cls, violation: Violation, spec: Any, mode: str
-    ) -> "ReproArtifact":
+    def from_violation(cls, violation: Violation, spec: Any) -> "ReproArtifact":
         return cls(
             invariant=violation.invariant,
             detail=violation.detail,
-            mode=mode,
             spec=spec,
             data=violation.data,
         )
@@ -72,7 +65,6 @@ class ReproArtifact:
             "version": ARTIFACT_VERSION,
             "invariant": self.invariant,
             "detail": self.detail,
-            "mode": self.mode,
             "run": self.spec.to_dict(),
             "data": self.data,
         }
@@ -89,7 +81,9 @@ class ReproArtifact:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ReproArtifact":
         """Load an artifact; a missing or ill-typed field raises
-        ``ValueError`` naming it."""
+        ``ValueError`` naming it.  The ``mode`` key of artifacts written
+        when runs could also replay their seeded sources verbatim is
+        ignored: ``run`` says what executes."""
         from repro.chaos.campaign import RunSpec
 
         read = partial(read_field, data, owner="artifact")
@@ -102,7 +96,6 @@ class ReproArtifact:
         return cls(
             invariant=read("invariant", str),
             detail=read("detail", str, ""),
-            mode=read("mode", str, "scripted"),
             spec=read("run", RunSpec.from_dict),
             data=read("data", dict, {}),
         )

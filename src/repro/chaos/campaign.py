@@ -3,11 +3,11 @@
 A campaign sweeps (replica count x failure probability x fault mix x
 topology) over a fixed number of runs.  Every run is a pure function of
 its derived seed: device identities come from ``(scenario_tag, seed)``,
-the stochastic failure injector, the message-fault injector, and the
-network each own a seed-derived RNG, and the discrete-event kernel
-breaks ties deterministically.  Re-running a :class:`RunSpec` therefore
-reproduces a violation bit-for-bit — the property the shrinker and the
-JSON repro artifacts are built on.
+every fault source resolves into one plan from seed-derived RNGs before
+the run starts, and the discrete-event kernel breaks ties
+deterministically.  Re-running a :class:`RunSpec`, or the run with
+only the plan it installed, reproduces a violation bit-for-bit — the
+property the shrinker and the JSON repro artifacts are built on.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.chaos.invariants import (
     check_all,
     no_fault_observed,
 )
-from repro.chaos.shrink import observed_plan, shrink_failure_plan
+from repro.chaos.shrink import plan_only, shrink_failure_plan
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.resiliency import replicas_for, strategy_name
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
@@ -422,20 +422,18 @@ class CampaignResult:
 
 
 def _reproduces_with_plan(
-    spec: RunSpec, invariant: str
-) -> Any:
-    """Build the shrinker's predicate: does this failure plan alone
-    (stochastic injectors off) still trigger the same invariant?"""
+    spec: RunSpec, invariant: str, clean: bool
+) -> Callable[[FailurePlan], bool]:
+    """Build the shrinker's predicate: does this plan alone (see
+    :func:`~repro.chaos.shrink.plan_only`) still trigger the same
+    invariant in a run as ``clean`` as the original?  (A clean re-run
+    meets the exact bar, not the faulty run's one.)"""
 
     def predicate(plan: FailurePlan) -> bool:
-        candidate = dataclasses.replace(
-            spec,
-            failure_plan=plan if not plan.is_empty() else None,
-            crash_probability=0.0,
-            disconnect_probability=0.0,
+        outcome = run_single(dataclasses.replace(spec, **plan_only(plan)))
+        return outcome.clean == clean and any(
+            v.invariant == invariant for v in outcome.violations
         )
-        outcome = run_single(candidate)
-        return any(v.invariant == invariant for v in outcome.violations)
 
     return predicate
 
@@ -491,38 +489,17 @@ def _build_artifact(
     violation: Violation,
     artifact_cls: Any,
 ) -> Any:
-    """Shrink the failure schedule behind a violation to a minimal
-    scripted :class:`FailurePlan` when possible.
-
-    The scripted conversion replays recorded crash/disconnect events,
-    plus the plan the run installed, as one declarative plan with the
-    stochastic injector off; one ddmin pass shrinks every atom kind
-    within ``shrink_budget`` re-executions.  Event
-    interleaving at equal timestamps can differ from the original
-    injector-driven timeline, so the conversion is verification-driven:
-    it is kept only if the same invariant still fires.  Otherwise the
-    artifact falls back to "stochastic" mode — the original spec
-    verbatim, which is equally deterministic (same seed, same tag).
+    """The artifact of one violation: the run with only the plan it
+    installed, shrunk by one ddmin pass over every atom kind within
+    ``shrink_budget`` re-executions (unless ``config.shrink`` is off).
     """
-    if not config.shrink:
-        return artifact_cls.from_violation(violation, spec, mode="stochastic")
-    # the plan the run installed carries the atoms its outage_spec
-    # resolved to; pinning them means the spec must not resolve again
-    installed = outcome.result.failure_plan
-    base_spec = spec
-    if installed is not None and installed.has_outages():
-        base_spec = dataclasses.replace(spec, outage_spec=None)
-    full_plan = observed_plan(outcome.result.failure_events or [], installed)
-    predicate = _reproduces_with_plan(base_spec, violation.invariant)
-    if not predicate(full_plan):
-        return artifact_cls.from_violation(violation, spec, mode="stochastic")
-    shrunk = shrink_failure_plan(
-        full_plan, predicate, max_attempts=config.shrink_budget
+    plan = outcome.result.failure_plan
+    if config.shrink:
+        plan = shrink_failure_plan(
+            plan,
+            _reproduces_with_plan(spec, violation.invariant, outcome.clean),
+            max_attempts=config.shrink_budget,
+        )
+    return artifact_cls.from_violation(
+        violation, dataclasses.replace(spec, **plan_only(plan))
     )
-    scripted_spec = dataclasses.replace(
-        base_spec,
-        failure_plan=shrunk if not shrunk.is_empty() else None,
-        crash_probability=0.0,
-        disconnect_probability=0.0,
-    )
-    return artifact_cls.from_violation(violation, scripted_spec, mode="scripted")

@@ -1,9 +1,9 @@
 """Failure-schedule shrinking (delta debugging over FailurePlans).
 
 When a campaign run violates an invariant, the raw failure schedule is
-usually mostly noise: dozens of crashes, offline windows, partitions
-and gray windows of which only one or two actually matter.  The
-shrinker reduces the schedule to a locally minimal reproducing
+usually mostly noise: dozens of crashes, offline windows, partitions,
+gray windows and message-fault rules of which only one or two actually
+matter.  The shrinker reduces the schedule to a locally minimal reproducing
 :class:`~repro.network.failures.FailurePlan` by re-running the
 (deterministic) scenario against ever smaller candidate plans — first
 dropping large chunks (classic ddmin halving), then single atoms — and
@@ -12,67 +12,35 @@ keeping a candidate only when the *same* invariant still fires.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Any, Callable
 
-from repro.network.failures import Atom, FailureEvent, FailurePlan
+from repro.network.failures import Atom, FailurePlan
 
 __all__ = [
-    "failure_plan_from_events",
-    "observed_plan",
+    "plan_only",
     "shrink_failure_plan",
 ]
 
 
-def failure_plan_from_events(events: Iterable[FailureEvent]) -> FailurePlan:
-    """Convert a recorded failure-event log into a declarative plan.
+def plan_only(plan: FailurePlan) -> dict[str, Any]:
+    """The run options that make a run execute ``plan`` and nothing
+    else that is seeded: no failure slider, no outage spec, no
+    message-fault rules beyond the plan's own atoms.
 
-    Crashes keep their first firing time per device; disconnect /
-    reconnect pairs become explicit windows (an unmatched disconnect —
-    the run ended offline — closes just after the last event).  Events
-    after a device's crash are dropped: the device was already dead.
-    Topology events (partitions, gray windows) are not converted: the
-    plan that scheduled them carries them (see :func:`observed_plan`).
+    A run's installed plan (``ScenarioResult.failure_plan``, an
+    engine's ``installed_plan``) holds every atom those sources
+    resolved to, so the same run with these options replays it; every
+    shrinker candidate and every artifact is such a run.  Keys are
+    :class:`~repro.manager.scenario.ScenarioConfig` /
+    :class:`~repro.chaos.campaign.RunSpec` field names.
     """
-    crashes: dict[str, float] = {}
-    open_since: dict[str, float] = {}
-    windows: dict[str, list[tuple[float, float]]] = {}
-    horizon = 0.0
-    for event in sorted(events, key=lambda e: e.time):
-        horizon = max(horizon, event.time)
-        if event.kind == "crash":
-            crashes.setdefault(event.device_id, event.time)
-        elif event.kind == "disconnect":
-            if event.device_id not in crashes:
-                open_since.setdefault(event.device_id, event.time)
-        elif event.kind == "reconnect":
-            start = open_since.pop(event.device_id, None)
-            if start is not None and event.time > start:
-                windows.setdefault(event.device_id, []).append(
-                    (start, event.time)
-                )
-    for device, start in open_since.items():
-        windows.setdefault(device, []).append((start, horizon + 1.0))
-    plan = FailurePlan()
-    for device, at in crashes.items():
-        plan.crash(device, at)
-    for device, per_device in windows.items():
-        crash_at = crashes.get(device)
-        for start, end in per_device:
-            if crash_at is not None and start >= crash_at:
-                continue
-            plan.disconnect(device, start, end)
-    return plan
-
-
-def observed_plan(
-    events: Iterable[FailureEvent], plan: FailurePlan | None
-) -> FailurePlan:
-    """The schedule a run actually experienced: its observed crash /
-    disconnect events ∪ the plan it installed.  Idempotent for the
-    plan's own crashes and windows (they are in the event log too); the
-    plan contributes what the log cannot express — topology atoms."""
-    observed = failure_plan_from_events(events)
-    return observed if plan is None else observed.union(plan)
+    return {
+        "crash_probability": 0.0,
+        "disconnect_probability": 0.0,
+        "outage_spec": None,
+        "fault_specs": (),
+        "failure_plan": None if plan.is_empty() else plan,
+    }
 
 
 def shrink_failure_plan(
@@ -85,9 +53,10 @@ def shrink_failure_plan(
 
     The atoms are every kind the plan schedules — one crash, one
     disconnect window, one partition, one regional crash, one gray
-    window.  ``reproduces`` must be deterministic (re-running the
-    scenario from its seed) and must hold for ``plan`` itself — the
-    caller verifies that before shrinking.  ``max_attempts`` caps the
+    window, one message-fault rule.  ``reproduces`` must be
+    deterministic (re-running the scenario from its seed) and must hold
+    for ``plan`` itself — true by construction for a run's installed
+    plan under :func:`plan_only`.  ``max_attempts`` caps the
     number of re-executions, so shrinking cost is bounded even for
     large schedules; the result is then minimal only up to the budget.
     """

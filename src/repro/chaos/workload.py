@@ -11,8 +11,9 @@ One :func:`run_workload` call drives a
 sources and execution options its keywords forward to the engine's
 :class:`~repro.manager.scenario.ScenarioConfig` (scripted
 :class:`~repro.network.failures.FailurePlan` of any atom kind, seeded
-outage spec, stochastic crash/disconnect injector, message-fault
-injector, plain message loss; sealed channels, reliability's
+outage spec, failure-slider crash/disconnect probabilities,
+message-fault rules — all resolved into one plan before the first
+arrival — and plain message loss; sealed channels, reliability's
 detector), then :func:`judge` rebuilds a per-query
 :class:`~repro.chaos.invariants.RunRecord` for every completed query —
 exposure and liability measured on *that query's* plan, validity
@@ -24,9 +25,10 @@ judge of every multi-query run: :mod:`~repro.chaos.continuous` judges
 standing-query windows with them too.
 
 Everything stays a pure function of ``(spec, keywords)``: the same
-workload-chaos run reproduces bit-for-bit, which is what
-:func:`shrink_workload_plan` leans on to reduce a failing schedule to a
-minimal :class:`FailurePlan` by re-running the whole workload.
+workload-chaos run reproduces bit-for-bit, and so does the run with
+only the plan it installed — what :func:`shrink_workload_plan` leans on
+to reduce a failing schedule to a minimal :class:`FailurePlan` by
+re-running the whole workload.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.chaos.invariants import (
     check_all,
     no_fault_observed,
 )
-from repro.chaos.shrink import observed_plan, shrink_failure_plan
+from repro.chaos.shrink import plan_only, shrink_failure_plan
 from repro.network.failures import FailurePlan
 from repro.query.engine import CentralizedEngine
 from repro.query.relation import Relation
@@ -96,8 +98,9 @@ class WorkloadChaosOutcome:
 
     ``options`` holds every keyword the driver ran with, so
     ``run_workload(outcome.spec, **outcome.options)`` is the same run.
-    ``installed_plan`` is the one scripted plan the run installed: the
-    ``failure_plan`` option plus whatever ``outage_spec`` resolved to.
+    ``installed_plan`` is the one plan the run installed: the
+    ``failure_plan`` option plus every atom its seeded fault sources
+    resolved to.
     """
 
     spec: Any
@@ -278,34 +281,21 @@ def workload_failure_predicate(
     """Build the shrinker's predicate over whole-workload re-runs.
 
     A candidate plan reproduces when the workload — re-run with the
-    keywords ``outcome`` ran with, but *only* that scripted plan
-    (stochastic injectors off, so the shrunk artifact is
-    self-contained) — still satisfies ``failing``.  The default
-    criterion is "some query fails or some invariant fires".  When the
-    run's installed plan pinned the atoms its ``outage_spec`` resolved
-    to, the re-runs drop the spec: the candidate plan alone decides
-    which outages happen.
+    keywords ``outcome`` ran with, but with the candidate as its only
+    fault source (:func:`~repro.chaos.shrink.plan_only`, so the shrunk
+    plan is self-contained) — still satisfies ``failing``.  The default
+    criterion is "some query fails or some invariant fires".
     """
     if failing is None:
         failing = lambda rerun: (  # noqa: E731
             any(q.success is False for q in rerun.units)
             or bool(rerun.violations)
         )
-    options = {
-        **outcome.options,
-        "crash_probability": 0.0,
-        "disconnect_probability": 0.0,
-    }
-    installed = outcome.installed_plan
-    if installed is not None and installed.has_outages():
-        options["outage_spec"] = None
 
     def predicate(plan: FailurePlan) -> bool:
-        candidate = {
-            **options,
-            "failure_plan": plan if not plan.is_empty() else None,
-        }
-        return failing(run_workload(outcome.spec, **candidate))
+        return failing(
+            run_workload(outcome.spec, **{**outcome.options, **plan_only(plan)})
+        )
 
     return predicate
 
@@ -314,19 +304,12 @@ def shrink_workload_plan(
     outcome: WorkloadChaosOutcome,
     failing: Callable[[WorkloadChaosOutcome], bool] | None = None,
     max_attempts: int = 24,
-) -> FailurePlan | None:
-    """Reduce a failing workload's schedule to a minimal scripted plan.
-
-    Merges the observed crash/disconnect events with the plan the run
-    installed (scripted input plus resolved outages), verifies the
-    merged plan alone still makes the workload fail (``failing``, same
-    default as :func:`workload_failure_predicate`), then delta-debugs
-    it down.  Returns ``None`` when the scripted conversion does not
-    reproduce — the failure needed message-level faults or loss, which
-    a FailurePlan cannot express.
-    """
-    full_plan = observed_plan(outcome.failure_events, outcome.installed_plan)
-    predicate = workload_failure_predicate(outcome, failing)
-    if not predicate(full_plan):
-        return None
-    return shrink_failure_plan(full_plan, predicate, max_attempts=max_attempts)
+) -> FailurePlan:
+    """Reduce a failing workload's installed plan to a minimal one
+    that still makes the workload fail (``failing``, same default as
+    :func:`workload_failure_predicate`)."""
+    return shrink_failure_plan(
+        outcome.installed_plan,
+        workload_failure_predicate(outcome, failing),
+        max_attempts=max_attempts,
+    )

@@ -638,7 +638,6 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
         raise SystemExit(f"--replay: {exc}") from None
     print(f"replaying {args.replay}")
     print(f"  invariant: {artifact.invariant}")
-    print(f"  mode:      {artifact.mode}")
     print(f"  detail:    {artifact.detail}")
     telemetry = Telemetry()
     outcome = artifact.replay(telemetry=telemetry)
@@ -720,7 +719,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         for index, artifact in enumerate(result.artifacts):
             path = out_dir / f"repro-{artifact.invariant}-{index:03d}.json"
             artifact.save(path)
-            print(f"  artifact: {path} ({artifact.mode})")
+            print(f"  artifact: {path}")
     _emit_telemetry(args, telemetry)
     if result.ok:
         print("all invariants held")
@@ -777,10 +776,7 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
         print(f"  {query_id}: {violation.invariant} — {violation.detail}")
     if outcome.violations and not args.no_shrink:
         shrunk = shrink_workload_plan(outcome, max_attempts=args.shrink_budget)
-        if shrunk is None:
-            print("  shrink: schedule does not reproduce as a scripted plan")
-        else:
-            print(f"  shrink: minimal failing plan {shrunk.to_dict()}")
+        print(f"  shrink: minimal failing plan {shrunk.to_dict()}")
     _emit_telemetry(args, telemetry)
     if outcome.ok:
         print("all invariants held for every query")

@@ -30,7 +30,7 @@ from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import DeviceProfile, HOME_BOX, PC_SGX, SMARTPHONE
 from repro.devices.tee import SealedGlassObserver
 from repro.data.generators import distribute_rows_to_devices
-from repro.network.failures import FailureInjector
+from repro.network.failures import FailurePlan, MessageFault, build_crash_plan
 from repro.network.faults import MessageFaultInjector
 from repro.network.mobility import CaregiverRounds
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
@@ -65,7 +65,8 @@ class ScenarioConfig:
         rows: the synthetic dataset dealt out to contributors.
         schema: common schema of the shared database.
         rows_per_device: (min, max) owner records per device.
-        crash_probability: per-tick crash probability (failure slider).
+        crash_probability: per-tick crash probability (failure slider),
+            drawn into plan atoms at install (``seed + 1``).
         disconnect_probability: per-tick disconnection probability.
         disconnect_duration: offline window length in virtual seconds.
         message_loss: extra i.i.d. message-loss probability.
@@ -94,8 +95,9 @@ class ScenarioConfig:
             disconnect windows, partitions, regional crashes, gray
             windows — installed at query start (chaos replay path).
         fault_specs: optional tuple of
-            :class:`~repro.network.faults.FaultSpec` message-fault rules
-            installed on the network (seeded with ``seed + 3``).
+            :class:`~repro.network.faults.FaultSpec` message-fault rules,
+            one plan atom each spanning the whole run, rolled on every
+            send (seeded with ``seed + 3``).
         outage_spec: optional
             :class:`~repro.network.outages.OutageSpec`; when set, its
             topology atoms (partitions, correlated regional crashes,
@@ -180,8 +182,8 @@ class ScenarioConfig:
 
     @property
     def any_chaos(self) -> bool:
-        """Whether any fault source is configured: stochastic crashes or
-        disconnects, message loss, message-fault rules, a scripted plan
+        """Whether any fault source is configured: failure-slider crashes
+        or disconnects, message loss, message-fault rules, a scripted plan
         or a non-no-op outage spec (a run's *clean* verdict needs
         this to be false)."""
         return bool(
@@ -234,15 +236,15 @@ class ScenarioResult:
             :func:`repro.manager.verification.verify_against_centralized`.
         executor: the executor instance (chaos invariants inspect its
             combiner runtimes and takeover log post-run).
-        failure_events: what the scripted failure plan and the
-            stochastic injector logged, by time.
+        failure_events: what the installed failure plan logged, by
+            time.
         fault_injector: the message-fault injector, if one was
             installed (its decision log feeds the shrinker).
         transport: the reliability overlay, when the scenario enabled
             one (its receipts and stats feed tests and benches).
-        failure_plan: the one scripted plan installed — the
-            configured plan plus the atoms ``outage_spec`` resolved to,
-            if any (the shrinker pins it).
+        failure_plan: the one plan installed — the configured plan
+            plus the atoms every seeded fault source resolved to (the
+            shrinker pins it: the run replays from it alone).
     """
 
     report: ExecutionReport
@@ -309,8 +311,8 @@ class Scenario:
         self._build_swarm()
         self._deal_data()
         self.network = self._build_network()
-        # live event logs of the fault sources install_chaos installed
-        self._failure_logs: list[list[Any]] = []
+        # the live event log of the plan install_chaos applied
+        self._failure_log: list[Any] = []
 
     # -- construction ----------------------------------------------------------
 
@@ -664,17 +666,22 @@ class Scenario:
         self.record_query_metrics(report, result.executor.start_time)
         return report
 
-    def install_chaos(self, until: float) -> Any:
-        """Install every configured fault source, active up to ``until``.
+    def install_chaos(self, until: float) -> FailurePlan:
+        """Resolve every configured fault source into one plan and
+        install it, active up to ``until``.
 
         The only site that turns :attr:`config`'s ``caregiver_period``,
         ``fault_specs``, ``failure_plan`` / ``outage_spec`` and crash /
-        disconnect probabilities into
-        simulator events.  The one-shot path calls it per query, between
+        disconnect probabilities into simulator events: the outage spec
+        resolves over the processor pool (``seed + 5``), the failure
+        slider over the live processors from now (``seed + 1``), each
+        message-fault rule into one whole-run atom (rolled from
+        ``seed + 3``).  The one-shot path calls it per query, between
         :meth:`launch` and ``executor.start()``; an engine calls it once
         in ``run()``, before it schedules the first arrival.  Returns
-        the one scripted plan it applied (``None`` without one);
-        :meth:`failure_events` reads what the sources have logged.
+        the plan it applied: under
+        :func:`~repro.chaos.shrink.plan_only` it replays this run.
+        :meth:`failure_events` reads what it has logged.
         """
         config = self.config
         if config.caregiver_period is not None:
@@ -688,47 +695,40 @@ class Scenario:
             )
             schedule.install(self.simulator, self.network)
 
-        if config.fault_specs:
-            self.network.install_faults(
-                MessageFaultInjector(config.fault_specs, seed=config.seed + 3)
-            )
-
-        # each source returns a live log that fills as its scheduled
-        # events fire, so hold the references and merge only on demand
-        self._failure_logs = []
-        # an outage spec resolves over the processor pool with its own
-        # seed stream (seed + 5), so runs without one draw nothing from
-        # it; its atoms join the scripted plan and one apply installs both
         processor_ids = [d.device_id for d in self.processors]
-        plan = config.failure_plan
+        plan = config.failure_plan or FailurePlan()
         if config.outage_spec is not None and not config.outage_spec.is_noop():
-            resolved = build_outage_plan(
+            plan = plan.union(build_outage_plan(
                 config.outage_spec, processor_ids,
                 horizon=until, seed=config.seed + 5,
-            )
-            plan = resolved if plan is None else plan.union(resolved)
-        if plan is not None:
-            self._failure_logs.append(plan.apply(self.simulator, self.network))
-
+            ))
         if config.crash_probability > 0 or config.disconnect_probability > 0:
-            injector = FailureInjector(
-                self.simulator,
-                self.network,
-                device_ids=processor_ids,
+            plan = build_crash_plan(
+                plan,
+                [d for d in processor_ids if not self.network.is_dead(d)],
                 crash_probability=config.crash_probability,
                 disconnect_probability=config.disconnect_probability,
                 disconnect_duration=config.disconnect_duration,
+                start=self.simulator.now,
+                until=until,
                 seed=config.seed + 1,
             )
-            injector.start(until=until)
-            self._failure_logs.append(injector.events)
+        if config.fault_specs:
+            plan = plan.union(FailurePlan(
+                message_faults=[MessageFault(spec) for spec in config.fault_specs]
+            ))
+        if plan.message_faults:
+            self.network.install_faults(MessageFaultInjector(
+                plan.message_faults,
+                seed=config.seed + 3,
+                clock=lambda: self.simulator.now,
+            ))
+        self._failure_log = plan.apply(self.simulator, self.network)
         return plan
 
     def failure_events(self) -> list[Any]:
-        """What the installed fault sources logged so far, by time."""
-        events = [event for log in self._failure_logs for event in log]
-        events.sort(key=lambda event: event.time)
-        return events
+        """What the installed plan logged so far, by time."""
+        return sorted(self._failure_log, key=lambda event: event.time)
 
     def record_query_metrics(
         self, report: ExecutionReport, start_time: float

@@ -11,12 +11,13 @@ will, crashes, message loss.  This package provides:
   to whom, and with what link quality);
 * :mod:`repro.network.opnet` — the opportunistic network itself:
   store-and-forward delivery with latency/loss sampled per link;
-* :mod:`repro.network.failures` — the one scripted fault schedule,
-  :class:`FailurePlan` of five atom kinds under one epoch-fenced
+* :mod:`repro.network.failures` — the one fault schedule,
+  :class:`FailurePlan` of six atom kinds under one epoch-fenced
   ``apply`` (crashes, i.e. powering devices off at will; disconnect
-  windows; healing partitions; regional crashes; gray windows), and the
-  stochastic
-  crash/disconnect :class:`FailureInjector`;
+  windows; healing partitions; regional crashes; gray windows;
+  windowed message-fault rules), and ``build_crash_plan``, which draws
+  the failure slider's crashes and disconnect windows into plan atoms
+  before the run starts;
 * :mod:`repro.network.outages` — the seeded generator that resolves an
   :class:`~repro.network.outages.OutageSpec` into plan atoms;
 * :mod:`repro.network.faults` — per-send message rules (drop,
@@ -30,7 +31,7 @@ from repro.network.simulator import Event, Simulator
 from repro.network.messages import Message, MessageKind
 from repro.network.topology import ContactGraph, LinkQuality
 from repro.network.opnet import DeliveryReceipt, NetworkConfig, OpportunisticNetwork
-from repro.network.failures import FailureInjector, FailurePlan
+from repro.network.failures import FailurePlan
 from repro.network.mobility import CaregiverRounds, ContactSchedule, RandomWaypointContacts
 from repro.network.reliable import ReliableTransport, TransportReceipt
 
@@ -40,7 +41,6 @@ __all__ = [
     "ContactSchedule",
     "DeliveryReceipt",
     "Event",
-    "FailureInjector",
     "FailurePlan",
     "LinkQuality",
     "Message",

@@ -2,39 +2,46 @@
 
 The demonstration lets attendees "intentionally power off some concrete
 devices to generate a failure at will" and vary a global failure
-probability.  This module provides both:
+probability.  Both end up in :class:`FailurePlan`, the one declarative,
+serializable schedule of six atom kinds: device crashes, disconnect
+windows, healing network partitions, correlated regional crashes, gray
+windows and windowed message-fault rules.  Artifacts replay it
+byte-for-byte and ddmin shrinking works on its atoms.
 
-* :class:`FailurePlan` — the one declarative, serializable schedule of
-  scripted faults: device crashes, disconnect windows, healing network
-  partitions, correlated regional crashes and gray windows (artifacts
-  replay byte-for-byte and ddmin shrinking works on its atoms);
-* :class:`FailureInjector` — a stochastic process that crashes or
-  disconnects devices according to per-device probabilities, driven by
-  the simulator clock.
-
-Seeded topology outages (:mod:`repro.network.outages`) resolve into a
-:class:`FailurePlan` too, so every scripted fault has one ``apply``.
+Every seeded fault source resolves into plan atoms before ``t = 0`` of
+the run: :func:`build_crash_plan` draws the failure slider's crashes and
+disconnect windows, :func:`~repro.network.outages.build_outage_plan`
+the topology outages, and message-fault rules become
+:class:`MessageFault` atoms.  So a run applies one plan, once.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
+from repro.network.faults import FaultSpec
 from repro.network.opnet import OpportunisticNetwork
 from repro.network.simulator import Simulator
 
 __all__ = [
+    "CHECK_INTERVAL",
     "FailurePlan",
-    "FailureInjector",
     "FailureEvent",
     "GrayWindow",
+    "MessageFault",
     "Partition",
     "RegionalCrash",
+    "build_crash_plan",
     "read_field",
 ]
+
+#: virtual seconds between two draws of the failure slider
+CHECK_INTERVAL = 1.0
 
 _REQUIRED = object()
 
@@ -195,14 +202,47 @@ class GrayWindow:
         )
 
 
+@dataclass(frozen=True)
+class MessageFault:
+    """One message-fault rule, rolled on every send during
+    ``[start, end)`` (``end`` infinite: to the end of the run)."""
+
+    spec: FaultSpec
+    start: float = 0.0
+    end: float = math.inf
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.start < self.end:
+            raise ValueError("need 0 <= start < end")
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "spec": self.spec.to_dict(),
+            "start": self.start,
+            "end": None if self.end == math.inf else self.end,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "MessageFault":
+        read = partial(read_field, data, owner="message fault")
+        return cls(
+            spec=read("spec", FaultSpec.from_dict),
+            start=read("start", float, 0.0),
+            end=read(
+                "end", lambda end: math.inf if end is None else float(end), math.inf
+            ),
+        )
+
+
 # one schedulable unit: ("crash", device, at), ("disconnect", device,
-# start, end), or (kind, event) for "partition" / "region_crash" / "gray"
+# start, end), or (kind, event) for "partition" / "region_crash" /
+# "gray" / "message_fault"
 Atom = tuple
 
 
 @dataclass
 class FailurePlan:
-    """Declarative failure schedule of five atom kinds.
+    """Declarative failure schedule of six atom kinds.
 
     Fully resolved: every atom names concrete device ids, so a plan
     loaded from a JSON artifact replays without recomputing region
@@ -217,6 +257,8 @@ class FailurePlan:
         partitions: healing network cuts.
         regional_crashes: correlated crashes of a whole region.
         gray_windows: per-device slow-and-lossy (not dead) windows.
+        message_faults: windowed message-fault rules, rolled in list
+            order on every send (the order is part of the draw stream).
     """
 
     crashes: dict[str, float] = field(default_factory=dict)
@@ -224,6 +266,7 @@ class FailurePlan:
     partitions: list[Partition] = field(default_factory=list)
     regional_crashes: list[RegionalCrash] = field(default_factory=list)
     gray_windows: list[GrayWindow] = field(default_factory=list)
+    message_faults: list[MessageFault] = field(default_factory=list)
 
     def crash(self, device_id: str, at: float) -> "FailurePlan":
         """Schedule a permanent crash (fluent)."""
@@ -257,7 +300,8 @@ class FailurePlan:
         return bool(self.partitions or self.regional_crashes or self.gray_windows)
 
     def is_empty(self) -> bool:
-        return not (self.crashes or self.disconnections or self.has_outages())
+        return not (self.crashes or self.disconnections or self.has_outages()
+                    or self.message_faults)
 
     def partition_devices(self) -> set[str]:
         """Every device named by some partition island."""
@@ -284,12 +328,14 @@ class FailurePlan:
             partitions=self.partitions + other.partitions,
             regional_crashes=self.regional_crashes + other.regional_crashes,
             gray_windows=self.gray_windows + other.gray_windows,
+            message_faults=self.message_faults + other.message_faults,
         )
 
     def normalized(self) -> "FailurePlan":
         """Return an equivalent plan with each device's windows merged
         into a sorted, non-overlapping union and topology atoms in
-        deterministic order."""
+        deterministic order (message faults keep theirs: it is their
+        draw order)."""
         return FailurePlan(
             crashes=dict(self.crashes),
             disconnections={
@@ -306,6 +352,7 @@ class FailurePlan:
             gray_windows=sorted(
                 self.gray_windows, key=lambda g: (g.start, g.end, g.device_id)
             ),
+            message_faults=list(self.message_faults),
         )
 
     def validate(self) -> None:
@@ -345,6 +392,7 @@ class FailurePlan:
         atoms.extend(("partition", p) for p in plan.partitions)
         atoms.extend(("region_crash", c) for c in plan.regional_crashes)
         atoms.extend(("gray", g) for g in plan.gray_windows)
+        atoms.extend(("message_fault", m) for m in plan.message_faults)
         return atoms
 
     @classmethod
@@ -363,14 +411,17 @@ class FailurePlan:
                 plan.partitions.append(atom[1])
             elif kind == "region_crash":
                 plan.regional_crashes.append(atom[1])
-            else:
+            elif kind == "gray":
                 plan.gray_windows.append(atom[1])
+            else:
+                plan.message_faults.append(atom[1])
         return plan
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (stable key order for artifacts)."""
+        """JSON-serializable form (stable key order for artifacts; the
+        ``message_faults`` key only when the plan has some)."""
         plan = self.normalized()
-        return {
+        data = {
             "crashes": {d: self.crashes[d] for d in sorted(self.crashes)},
             "disconnections": {
                 d: [list(w) for w in self.disconnections[d]]
@@ -380,28 +431,39 @@ class FailurePlan:
             "regional_crashes": [c.to_dict() for c in plan.regional_crashes],
             "gray_windows": [g.to_dict() for g in plan.gray_windows],
         }
+        if self.message_faults:
+            data["message_faults"] = [m.to_dict() for m in self.message_faults]
+        return data
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FailurePlan":
+        """Load a plan; every atom goes through the same checks as one
+        built in code, and a bad one raises ``ValueError`` naming its
+        field."""
         read = partial(read_field, payload, owner="failure plan")
 
         def each(kind: type) -> Callable[[Any], list]:
             return lambda items: [kind.from_dict(item) for item in items]
 
-        return cls(
-            crashes=read("crashes", lambda c: {str(d): float(t) for d, t in c.items()}, {}),
-            disconnections=read(
-                "disconnections",
-                lambda disconnections: {
-                    str(d): [(float(s), float(e)) for s, e in windows]
-                    for d, windows in disconnections.items()
-                },
-                {},
-            ),
+        plan = cls(
             partitions=read("partitions", each(Partition), []),
             regional_crashes=read("regional_crashes", each(RegionalCrash), []),
             gray_windows=read("gray_windows", each(GrayWindow), []),
+            message_faults=read("message_faults", each(MessageFault), []),
         )
+        read("crashes", lambda crashes: [
+            plan.crash(str(d), float(t)) for d, t in crashes.items()
+        ], {})
+        read("disconnections", lambda disconnections: [
+            plan.disconnect(str(d), float(s), float(e))
+            for d, windows in disconnections.items()
+            for s, e in windows
+        ], {})
+        try:
+            plan.validate()
+        except ValueError as exc:
+            raise ValueError(f"failure plan: {exc}") from None
+        return plan
 
     def apply(self, simulator: Simulator, network: OpportunisticNetwork) -> list[FailureEvent]:
         """Install the schedule on the simulator.  Returns the shared,
@@ -410,7 +472,9 @@ class FailurePlan:
         Kinds are scheduled in a fixed order — crashes (insertion
         order), disconnect windows, partitions, regional crashes, gray
         windows — and the simulator breaks same-time ties by scheduling
-        order, so this order is part of every run's fingerprint.  Every
+        order, so this order is part of every run's fingerprint.
+        Message faults schedule nothing: ``Scenario.install_chaos``
+        hands them to the network's message-fault injector.  Every
         timer is fenced to the network epoch: after ``network.reset()``
         none of them fires.
         """
@@ -487,94 +551,66 @@ class FailurePlan:
         return log
 
 
-class FailureInjector:
-    """Stochastic crash/disconnect process over a set of devices.
+def build_crash_plan(
+    plan: FailurePlan,
+    device_ids: Sequence[str],
+    *,
+    crash_probability: float,
+    disconnect_probability: float,
+    disconnect_duration: float,
+    start: float,
+    until: float,
+    seed: int,
+) -> FailurePlan:
+    """``plan`` plus the crashes and disconnect windows the failure
+    slider draws over ``device_ids`` — a pure function of its arguments.
 
-    Each *check interval*, every managed device independently:
+    Draws fall every :data:`CHECK_INTERVAL` after ``start`` up to
+    ``until`` (the first one even past it), in ``device_ids`` order from
+    ``random.Random(seed)``.  At draw time ``t`` a device not yet dead
+    (by a crash or regional crash of ``plan`` at or before ``t``, or an
+    earlier draw) crashes with ``crash_probability``; if it does not,
+    and no window of ``plan`` or of its own draws covers ``t``, it goes
+    offline for ``disconnect_duration`` with ``disconnect_probability``.
 
-    * crashes permanently with probability ``crash_probability``;
-    * starts a disconnection window of ``disconnect_duration`` with
-      probability ``disconnect_probability`` (if currently online).
-
-    These two knobs correspond directly to the demonstration's "failure
-    probability value of the scenario" slider.
+    A drawn crash replaces a later scripted one and drops the scripted
+    windows opening at or after it; drawn windows join the device's
+    scripted ones (:meth:`FailurePlan.apply` installs their union).
     """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: OpportunisticNetwork,
-        device_ids: list[str],
-        crash_probability: float = 0.0,
-        disconnect_probability: float = 0.0,
-        disconnect_duration: float = 10.0,
-        check_interval: float = 1.0,
-        seed: int = 0,
-    ):
-        if not 0 <= crash_probability <= 1:
-            raise ValueError("crash_probability must be in [0, 1]")
-        if not 0 <= disconnect_probability <= 1:
-            raise ValueError("disconnect_probability must be in [0, 1]")
-        if disconnect_duration <= 0:
-            raise ValueError("disconnect_duration must be positive")
-        if check_interval <= 0:
-            raise ValueError("check_interval must be positive")
-        self.simulator = simulator
-        self.network = network
-        self.device_ids = list(device_ids)
-        self.crash_probability = crash_probability
-        self.disconnect_probability = disconnect_probability
-        self.disconnect_duration = disconnect_duration
-        self.check_interval = check_interval
-        self.events: list[FailureEvent] = []
-        self._rng = random.Random(seed)
-        self._cancel = None
-
-    def start(self, until: float | None = None) -> None:
-        """Begin injecting failures on the simulator clock."""
-        self._cancel = self.simulator.every(
-            self.check_interval, self._tick, "failure-injector", until=until
-        )
-
-    def stop(self) -> None:
-        """Stop injecting (already-scheduled reconnections still fire)."""
-        if self._cancel is not None:
-            self._cancel()
-            self._cancel = None
-
-    def _tick(self) -> None:
-        for device_id in self.device_ids:
-            if self.network.is_dead(device_id):
+    if not 0 <= crash_probability <= 1:
+        raise ValueError("crash_probability must be in [0, 1]")
+    if not 0 <= disconnect_probability <= 1:
+        raise ValueError("disconnect_probability must be in [0, 1]")
+    if disconnect_duration <= 0:
+        raise ValueError("disconnect_duration must be positive")
+    rng = random.Random(seed)
+    dead_at = dict(plan.crashes)
+    for event in plan.regional_crashes:
+        for device_id in event.devices:
+            dead_at[device_id] = min(event.at, dead_at.get(device_id, math.inf))
+    windows = {device_id: list(w) for device_id, w in plan.disconnections.items()}
+    crashed: dict[str, float] = {}
+    t = start
+    while True:
+        t += CHECK_INTERVAL
+        for device_id in device_ids:
+            if dead_at.get(device_id, math.inf) <= t:
                 continue
-            if self._rng.random() < self.crash_probability:
-                self.network.kill(device_id)
-                self.events.append(
-                    FailureEvent(self.simulator.now, device_id, "crash")
-                )
+            if rng.random() < crash_probability:
+                dead_at[device_id] = crashed[device_id] = t
                 continue
-            if (
-                self.network.is_online(device_id)
-                and self._rng.random() < self.disconnect_probability
-            ):
-                self.network.set_online(device_id, False)
-                self.events.append(
-                    FailureEvent(self.simulator.now, device_id, "disconnect")
+            if any(s <= t < e for s, e in windows.get(device_id, ())):
+                continue
+            if rng.random() < disconnect_probability:
+                windows.setdefault(device_id, []).append(
+                    (t, t + disconnect_duration)
                 )
-                self.simulator.schedule(
-                    self.disconnect_duration,
-                    self._make_reconnect(device_id),
-                    f"reconnect {device_id}",
-                )
-
-    def _make_reconnect(self, device_id: str):
-        def fire() -> None:
-            if not self.network.is_dead(device_id):
-                self.network.set_online(device_id, True)
-                self.events.append(
-                    FailureEvent(self.simulator.now, device_id, "reconnect")
-                )
-        return fire
-
-    def crashed_devices(self) -> list[str]:
-        """Devices that crashed so far (sorted)."""
-        return sorted({e.device_id for e in self.events if e.kind == "crash"})
+        if t + CHECK_INTERVAL > until:
+            break
+    for device_id, at in crashed.items():
+        windows[device_id] = [w for w in windows.get(device_id, ()) if w[0] < at]
+    return dataclasses.replace(
+        plan,
+        crashes={**plan.crashes, **crashed},
+        disconnections={d: sorted(w) for d, w in windows.items() if w},
+    )

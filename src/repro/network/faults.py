@@ -29,9 +29,10 @@ installed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from repro.crypto.envelope import Envelope
 from repro.network.messages import Message
@@ -268,17 +269,37 @@ def corrupt_payload(payload: Any, scale: float = 4.0) -> Any:
 class MessageFaultInjector:
     """Seeded message-fault oracle consulted by the network on send.
 
+    ``rules`` are :class:`FaultSpec` records (always active) or
+    :class:`~repro.network.failures.MessageFault` plan atoms (active
+    during ``[start, end)`` of ``clock``, time 0 without one); each send
+    rolls the active rules in order.
+
     Owns its own :class:`random.Random` so installing it never perturbs
     the network's loss/latency RNG stream — a campaign run with an
     all-zero fault mix is bit-for-bit identical to one with no injector
     at all.
     """
 
-    def __init__(self, specs: list[FaultSpec] | tuple[FaultSpec, ...], seed: int = 0):
-        self.specs: tuple[FaultSpec, ...] = tuple(specs)
+    def __init__(
+        self,
+        rules: Iterable[Any],
+        seed: int = 0,
+        clock: Callable[[], float] | None = None,
+    ):
+        self.rules: tuple[tuple[FaultSpec, float, float], ...] = tuple(
+            (rule, 0.0, math.inf)
+            if isinstance(rule, FaultSpec)
+            else (rule.spec, rule.start, rule.end)
+            for rule in rules
+        )
         self.seed = seed
+        self._clock = clock
         self._rng = random.Random(seed)
         self.decisions: list[FaultDecision] = []
+
+    def _active(self) -> list[FaultSpec]:
+        now = self._clock() if self._clock is not None else 0.0
+        return [spec for spec, start, end in self.rules if start <= now < end]
 
     def on_send(self, message: Message) -> FaultDecision:
         """Roll the fate of one message; faulty decisions are logged."""
@@ -288,7 +309,7 @@ class MessageFaultInjector:
         extra_delay = 0.0
         corrupt = False
         rolled = False
-        for spec in self.specs:
+        for spec in self._active():
             if not spec.matches(kind) or spec.is_noop():
                 continue
             rolled = True
@@ -315,9 +336,10 @@ class MessageFaultInjector:
         return decision
 
     def corrupt_payload(self, payload: Any) -> Any:
-        """Tamper a payload using the first matching corrupting spec's scale."""
+        """Tamper a payload using the first active corrupting rule's scale."""
         scale = next(
-            (s.corrupt_scale for s in self.specs if s.corrupt_probability > 0), 4.0
+            (s.corrupt_scale for s in self._active() if s.corrupt_probability > 0),
+            4.0,
         )
         return corrupt_payload(payload, scale)
 

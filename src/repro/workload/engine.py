@@ -131,9 +131,8 @@ class MultiQueryEngine:
         self.logical, _ = apply_rules(LogicalPlan.from_sql(spec.sql))
         self.group_by = self.logical.to_group_by()
         self.processor_pool = self.scenario.eligible_processor_ids()
-        # the one scripted plan install_chaos applied, kept for the
-        # shrinker: it carries the atoms an outage_spec resolved to,
-        # which the event log alone cannot express
+        # the one plan install_chaos applied, kept for the shrinker:
+        # every atom the run's seeded fault sources resolved to
         self.installed_plan = None
 
     @staticmethod

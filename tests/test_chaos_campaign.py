@@ -17,13 +17,12 @@ from repro.chaos import (
     CampaignConfig,
     ReproArtifact,
     RunSpec,
-    failure_plan_from_events,
     parse_fault_mix,
     run_campaign,
     run_single,
     shrink_failure_plan,
 )
-from repro.network.failures import FailureEvent, FailurePlan
+from repro.network.failures import FailurePlan
 from repro.telemetry import Telemetry
 
 
@@ -317,19 +316,6 @@ class TestShrinking:
         shrink_failure_plan(plan, reproduces, max_attempts=10)
         assert len(calls) <= 10
 
-    def test_events_to_plan_conversion(self):
-        events = [
-            FailureEvent(2.0, "a", "disconnect"),
-            FailureEvent(5.0, "a", "reconnect"),
-            FailureEvent(3.0, "b", "crash"),
-            FailureEvent(7.0, "c", "disconnect"),  # never reconnects
-        ]
-        plan = failure_plan_from_events(events)
-        assert plan.crashes == {"b": 3.0}
-        assert plan.disconnections["a"] == [(2.0, 5.0)]
-        # unmatched disconnect closes just past the horizon
-        assert plan.disconnections["c"] == [(7.0, 8.0)]
-
 
 class TestArtifacts:
     def test_round_trip_and_replay(self, tmp_path):
@@ -338,7 +324,6 @@ class TestArtifacts:
         artifact = ReproArtifact(
             invariant="validity",
             detail="synthetic",
-            mode="scripted",
             spec=spec,
             data={"k": 1},
         )
@@ -347,6 +332,14 @@ class TestArtifacts:
         assert loaded.to_dict() == artifact.to_dict()
         replayed = loaded.replay()
         assert _result_fingerprint(replayed) == _result_fingerprint(outcome)
+
+    @pytest.mark.parametrize("mode", ["scripted", "stochastic"])
+    def test_artifact_with_a_mode_key_loads(self, mode):
+        artifact = ReproArtifact(
+            invariant="validity", detail="", spec=RunSpec(seed=2, tag="old")
+        )
+        payload = {**artifact.to_dict(), "mode": mode}
+        assert ReproArtifact.from_dict(payload).to_dict() == artifact.to_dict()
 
     def test_version_gate(self, tmp_path):
         import pytest
@@ -371,12 +364,45 @@ class TestArtifacts:
                 {"reliability": True, "phase_deadline": -5.0},
                 "phase_deadline must be positive",
             ),
+            # accepted before the plan loader built its atoms through
+            # the checks a plan built in code gets: the device went
+            # offline at 5 and never came back
+            (
+                {"failure_plan": {"disconnections": {"d": [[5.0, 3.0]]}}},
+                "need 0 <= start < end",
+            ),
+            # a traceback from the simulator before the same change
+            (
+                {"failure_plan": {"crashes": {"d": -1.0}}},
+                "crash time must be non-negative",
+            ),
+            (
+                {"failure_plan": {"disconnections": {"d": [[-2.0, 3.0]]}}},
+                "need 0 <= start < end",
+            ),
+            (
+                {"failure_plan": {"message_faults": [
+                    {"spec": {"drop_probability": 0.5}, "start": 4.0, "end": 1.0}
+                ]}},
+                "need 0 <= start < end",
+            ),
+            (
+                {"failure_plan": {"message_faults": [
+                    {"spec": {"corrupt_probability": 2.0}}
+                ]}},
+                "corrupt_probability must be in",
+            ),
         ],
         ids=[
             "run-without-tag",
             "partition-without-end",
             "detector-without-reliability",
             "non-positive-phase-deadline",
+            "inverted-window",
+            "negative-crash-time",
+            "negative-window-start",
+            "inverted-message-fault-window",
+            "message-fault-probability-out-of-range",
         ],
     )
     def test_malformed_artifact_replay_exits_2_with_one_line(
@@ -385,7 +411,7 @@ class TestArtifacts:
         from repro.cli import main
 
         payload = ReproArtifact(
-            invariant="validity", detail="", mode="scripted",
+            invariant="validity", detail="",
             spec=RunSpec(seed=2, tag="bad"),
         ).to_dict()
         payload["run"].update(run_patch)
@@ -427,9 +453,17 @@ class TestAcceptanceCriterion:
 
         payload = json.loads(artifacts[0].read_text(encoding="utf-8"))
         assert payload["invariant"] == "validity"
-        assert payload["mode"] == "scripted"
-        # scripted mode: stochastic injectors are off in the replay spec
-        assert payload["run"]["crash_probability"] == 0.0
+        assert "mode" not in payload
+        # the shrunk plan is the replay's only fault source, and it
+        # keeps the corrupting rule as one of its atoms
+        run = payload["run"]
+        assert run["crash_probability"] == 0.0
+        assert run["disconnect_probability"] == 0.0
+        assert run["outage_spec"] is None
+        assert run["fault_specs"] == []
+        rules = run["failure_plan"]["message_faults"]
+        assert [rule["spec"]["kinds"] for rule in rules] == [["partial_result"]]
+        assert rules[0]["spec"]["corrupt_probability"] == 0.6
 
         # replay the artifact alone, through the CLI, twice: the same
         # violation fires deterministically both times

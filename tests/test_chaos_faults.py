@@ -129,6 +129,40 @@ class TestMessageFaultInjector:
         assert roll(5) == roll(5)
         assert roll(5) != roll(6)
 
+    def test_windowed_rules_roll_only_while_active(self):
+        from repro.network.failures import MessageFault
+
+        now = [0.0]
+        injector = MessageFaultInjector(
+            [
+                MessageFault(FaultSpec(drop_probability=1.0), start=2.0, end=4.0),
+                MessageFault(FaultSpec(corrupt_probability=1.0, corrupt_scale=3.0)),
+            ],
+            clock=lambda: now[0],
+        )
+        fates = []
+        for now[0] in (1.0, 2.0, 3.9, 4.0):
+            decision = injector.on_send(_message())
+            fates.append((decision.drop, decision.corrupt))
+        assert fates == [(False, True), (True, True), (True, True), (False, True)]
+        assert injector.corrupt_payload({"v": 2}) == {"v": 6}
+
+    def test_whole_run_atoms_draw_like_plain_specs(self):
+        from repro.network.failures import MessageFault
+
+        specs = parse_fault_mix("drop=0.3,duplicate=0.3;partition:delay=0.5")
+
+        def roll(rules, clock):
+            injector = MessageFaultInjector(rules, seed=9, clock=clock)
+            return [
+                injector.on_send(_message(kind))
+                for kind in [MessageKind.PARTITION, MessageKind.CONTROL] * 25
+            ]
+
+        assert roll([MessageFault(spec) for spec in specs], lambda: 17.5) == roll(
+            specs, None
+        )
+
 
 class TestCorruption:
     def test_dict_corruption_scales_data_not_structure(self):

@@ -169,7 +169,6 @@ class TestShrinking:
         assert sum(1 for q in outcome.units if q.success) == 2
 
         shrunk = shrink_workload_plan(outcome, max_attempts=24)
-        assert shrunk is not None
         assert _n_atoms(shrunk) < initial_atoms
         # the noise never survives shrinking
         assert not (set(shrunk.crashes) & set(noise_ids))
@@ -177,3 +176,22 @@ class TestShrinking:
         # and the minimal plan still sinks a query on a fresh replay
         predicate = workload_failure_predicate(outcome)
         assert predicate(shrunk)
+
+    def test_message_fault_violation_shrinks_to_its_rule(self):
+        # the corrupting rule is one atom of the installed plan, beside
+        # the slider's crashes: the minimal plan is that rule alone
+        spec = WorkloadSpec(
+            n_queries=2, arrival_process="uniform", arrival_rate=2.0,
+            max_concurrent=2, queue_capacity=2, seed=3,
+        )
+        rule = parse_fault_mix("partial_result:corrupt=0.6,corrupt_scale=50")
+        outcome = run_workload(spec, fault_specs=rule, crash_probability=0.002)
+        assert {v.invariant for _unit, v in outcome.violations} == {"validity"}
+        installed = outcome.installed_plan
+        assert installed.crashes
+        assert [m.spec for m in installed.message_faults] == list(rule)
+
+        shrunk = shrink_workload_plan(outcome, max_attempts=8)
+        assert [kind for kind, *_ in shrunk.atoms()] == ["message_fault"]
+        assert shrunk.message_faults == installed.message_faults
+        assert workload_failure_predicate(outcome)(shrunk)

@@ -138,7 +138,6 @@ class TestOutageSpecRuns:
 
         assert failing(outcome)
         shrunk = shrink_workload_plan(outcome, failing, max_attempts=12)
-        assert shrunk is not None
         assert guilty in {window.device_id for window in shrunk.gray_windows}
         assert len(shrunk.atoms()) < len(installed.atoms())
         replay = run_workload(spec, telemetry=Telemetry(), failure_plan=shrunk)

@@ -1,16 +1,26 @@
-"""Tests for fault injection (scripted plans and stochastic injector)."""
+"""Tests for fault injection: scripted plans and the failure slider
+resolved into plan atoms."""
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.network.failures import (
-    FailureInjector,
+    CHECK_INTERVAL,
+    FailureEvent,
     FailurePlan,
     GrayWindow,
+    MessageFault,
     Partition,
     RegionalCrash,
+    build_crash_plan,
 )
+from repro.network.faults import FaultSpec
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
@@ -179,6 +189,51 @@ class TestFailurePlan:
         with pytest.raises(ValueError):
             FailurePlan.from_atoms([("crash", "a", 1.0), ("disconnect", "a", 2.0, 3.0)])
 
+    def test_message_fault_atoms_keep_their_order(self):
+        spec = FaultSpec(kinds=("partial_result",), corrupt_probability=0.6)
+        rules = [
+            MessageFault(FaultSpec(drop_probability=0.1), start=5.0, end=9.0),
+            MessageFault(spec),
+        ]
+        plan = FailurePlan(message_faults=list(rules)).crash("a", 3.0)
+        assert not plan.is_empty() and not plan.has_outages()
+        atoms = plan.atoms()
+        assert atoms[1:] == [("message_fault", rule) for rule in rules]
+        assert FailurePlan.from_atoms(atoms[::-1]).message_faults == rules[::-1]
+        data = json.loads(json.dumps(plan.to_dict()))
+        assert data["message_faults"][1]["end"] is None
+        assert FailurePlan.from_dict(data).message_faults == rules
+        assert plan.union(FailurePlan(message_faults=[rules[0]])).message_faults == [
+            *rules, rules[0],
+        ]
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"disconnections": {"a": [[5.0, 3.0]]}}, "need 0 <= start < end"),
+            ({"disconnections": {"a": [[-1.0, 3.0]]}}, "need 0 <= start < end"),
+            ({"crashes": {"a": -2.0}}, "crash time must be non-negative"),
+            (
+                {"crashes": {"a": 2.0}, "disconnections": {"a": [[4.0, 6.0]]}},
+                "after it is dead",
+            ),
+            (
+                {"partitions": [
+                    {"start": 1.0, "end": 2.0, "islands": [["a"], ["a", "b"]]}
+                ]},
+                "two islands",
+            ),
+            (
+                {"message_faults": [{"spec": {}, "start": 3.0, "end": 3.0}]},
+                "need 0 <= start < end",
+            ),
+            ({"message_faults": [{"start": 0.0}]}, "'spec'"),
+        ],
+    )
+    def test_loader_checks_every_atom(self, payload, error):
+        with pytest.raises(ValueError, match=error):
+            FailurePlan.from_dict(payload)
+
     def test_json_keys_are_the_union_of_both_old_shapes(self):
         assert list(FailurePlan().to_dict()) == [
             "crashes", "disconnections",
@@ -202,107 +257,257 @@ class TestFailurePlan:
             FailurePlan.from_dict(payload)
 
 
+def _crash_plan(device_ids, plan=None, **options):
+    options = {
+        "crash_probability": 0.0,
+        "disconnect_probability": 0.0,
+        "disconnect_duration": 10.0,
+        "start": 0.0,
+        "until": 50.0,
+        "seed": 0,
+        **options,
+    }
+    return build_crash_plan(plan or FailurePlan(), device_ids, **options)
+
+
 class TestFailureInjector:
+    """The failure slider, which injects crashes and disconnects per
+    processor per tick, resolved into plan atoms by
+    ``build_crash_plan`` before the run."""
+
     def test_zero_probabilities_do_nothing(self):
-        sim, net = _net()
-        injector = FailureInjector(sim, net, ["a", "b"], 0.0, 0.0)
-        injector.start(until=50.0)
-        sim.run()
-        assert injector.events == []
+        assert _crash_plan(["a", "b"]).is_empty()
 
     def test_certain_crash_kills_everyone(self):
+        plan = _crash_plan(["a", "b"], crash_probability=1.0, start=3.0)
+        assert plan.crashes == {"a": 4.0, "b": 4.0}
         sim, net = _net()
-        injector = FailureInjector(sim, net, ["a", "b"], crash_probability=1.0)
-        injector.start(until=5.0)
-        sim.run_until(2.0)
+        sim.run_until(3.0)
+        plan.apply(sim, net)
+        sim.run_until(4.0)
         assert net.is_dead("a") and net.is_dead("b")
-        assert injector.crashed_devices() == ["a", "b"]
 
     def test_disconnect_then_reconnect(self):
-        sim, net = _net()
-        injector = FailureInjector(
-            sim, net, ["a"],
-            disconnect_probability=1.0, disconnect_duration=3.0,
+        plan = _crash_plan(
+            ["a"], disconnect_probability=1.0, disconnect_duration=3.0, until=1.0
         )
-        injector.start(until=1.0)
+        assert plan.disconnections == {"a": [(1.0, 4.0)]}
+        sim, net = _net()
+        log = plan.apply(sim, net)
         sim.run_until(1.5)
         assert not net.is_online("a")
         sim.run_until(10.0)
         assert net.is_online("a")
-        kinds = [e.kind for e in injector.events]
-        assert "disconnect" in kinds and "reconnect" in kinds
+        assert [(e.time, e.kind) for e in log] == [
+            (1.0, "disconnect"), (4.0, "reconnect"),
+        ]
 
     def test_crash_rate_statistics(self):
-        sim, net = _net()
         devices = [f"d{i}" for i in range(300)]
-        for device in devices:
-            net.attach(device, lambda m: None)
-        injector = FailureInjector(sim, net, devices, crash_probability=0.1, seed=7)
-        injector.start(until=1.0)
-        sim.run_until(1.5)
-        crashed = len(injector.crashed_devices())
-        assert 10 < crashed < 60  # ~30 expected
-
-    def test_stop_halts_injection(self):
-        sim, net = _net()
-        injector = FailureInjector(sim, net, ["a"], crash_probability=1.0)
-        injector.start()
-        injector.stop()
-        sim.run_until(10.0)
-        assert not net.is_dead("a")
+        plan = _crash_plan(devices, crash_probability=0.1, seed=7, until=1.0)
+        assert 10 < len(plan.crashes) < 60  # ~30 expected
 
     def test_parameter_validation(self):
-        sim, net = _net()
-        with pytest.raises(ValueError):
-            FailureInjector(sim, net, ["a"], crash_probability=1.5)
-        with pytest.raises(ValueError):
-            FailureInjector(sim, net, ["a"], disconnect_probability=-0.1)
-        with pytest.raises(ValueError):
-            FailureInjector(sim, net, ["a"], disconnect_duration=0.0)
-        with pytest.raises(ValueError):
-            FailureInjector(sim, net, ["a"], check_interval=0.0)
+        for options in (
+            {"crash_probability": 1.5},
+            {"disconnect_probability": -0.1},
+            {"disconnect_duration": 0.0},
+        ):
+            with pytest.raises(ValueError):
+                _crash_plan(["a"], **options)
 
     def test_dead_devices_not_reinjected(self):
-        sim, net = _net()
-        injector = FailureInjector(sim, net, ["a"], crash_probability=1.0)
-        injector.start(until=5.0)
-        sim.run()
-        crash_events = [e for e in injector.events if e.kind == "crash"]
-        assert len(crash_events) == 1
+        plan = _crash_plan(["a"], crash_probability=1.0, until=5.0)
+        assert plan.crashes == {"a": 1.0} and not plan.disconnections
+        # a device the plan already killed takes no draws: the other
+        # devices see the stream they would see without it
+        options = dict(crash_probability=0.3, disconnect_probability=0.3, seed=5)
+        scripted = FailurePlan().crash("a", 1.0)
+        with_dead = _crash_plan(["a", "b", "c"], scripted, **options)
+        without = _crash_plan(["b", "c"], **options)
+        assert with_dead.crashes == {"a": 1.0, **without.crashes}
+        assert with_dead.disconnections == without.disconnections
+
+    def test_offline_devices_take_no_disconnect_draw(self):
+        # a scripted window over the first two ticks: the device's
+        # disconnect draw is skipped there, its crash draw is not
+        scripted = FailurePlan().disconnect("a", 0.5, 2.5)
+        plan = _crash_plan(["a"], scripted, disconnect_probability=1.0, until=4.0)
+        assert plan.disconnections == {"a": [(0.5, 2.5), (3.0, 13.0)]}
+        # its own window covers the later ticks just the same
+        plan = _crash_plan(
+            ["a"], disconnect_probability=1.0, disconnect_duration=2.0, until=6.0
+        )
+        assert plan.disconnections == {"a": [(1.0, 3.0), (3.0, 5.0), (5.0, 7.0)]}
+
+    def test_drawn_atoms_join_the_scripted_ones(self):
+        scripted = (
+            FailurePlan()
+            .disconnect("a", 0.5, 1.5)
+            .disconnect("b", 0.2, 0.8)
+            .disconnect("b", 20.0, 30.0)
+            .crash("b", 40.0)
+        )
+        plan = _crash_plan(
+            ["a", "b"], scripted, crash_probability=1.0, start=1.0, until=1.0
+        )
+        # the earlier drawn crash replaces the scripted one, and drops
+        # the scripted window that would open after it
+        assert plan.crashes == {"b": 2.0, "a": 2.0}
+        assert plan.disconnections == {"a": [(0.5, 1.5)], "b": [(0.2, 0.8)]}
+        plan = _crash_plan(["b"], scripted, disconnect_probability=1.0, until=1.0)
+        # a drawn window survives beside the device's scripted ones
+        assert plan.disconnections["b"] == [(0.2, 0.8), (1.0, 11.0), (20.0, 30.0)]
+        assert scripted.disconnections["b"] == [(0.2, 0.8), (20.0, 30.0)]
+
+    def test_no_tick_after_until(self):
+        plan = _crash_plan(
+            ["a"], disconnect_probability=1.0, disconnect_duration=0.5,
+            start=0.5, until=3.9,
+        )
+        assert [s for s, _e in plan.disconnections["a"]] == [1.5, 2.5, 3.5]
+        # the first tick fires even past ``until``
+        plan = _crash_plan(["a"], crash_probability=1.0, start=2.0, until=1.0)
+        assert plan.crashes == {"a": 3.0}
 
 
 class TestInjectorDeterminism:
-    """Same seed ⇒ byte-identical event sequences — the contract the
-    chaos shrinker and repro artifacts depend on."""
+    """Same seed ⇒ byte-identical atoms — the contract the chaos
+    shrinker and repro artifacts depend on."""
 
     @staticmethod
     def _run_once(seed: int) -> bytes:
-        sim = Simulator()
-        topology = ContactGraph(
-            default_quality=LinkQuality(base_latency=0.1, latency_jitter=0.0)
-        )
-        net = OpportunisticNetwork(sim, topology, NetworkConfig(), seed=0)
         devices = [f"d{i}" for i in range(40)]
-        for device in devices:
-            net.attach(device, lambda m: None)
-        injector = FailureInjector(
-            sim, net, devices,
+        plan = _crash_plan(
+            devices,
             crash_probability=0.02,
             disconnect_probability=0.05,
             disconnect_duration=3.0,
+            until=30.0,
             seed=seed,
         )
-        injector.start(until=30.0)
-        sim.run()
-        return repr(
-            [(e.time, e.device_id, e.kind) for e in injector.events]
-        ).encode("utf-8")
+        return json.dumps(plan.to_dict()).encode("utf-8")
 
     def test_same_seed_byte_identical_event_sequences(self):
         first = self._run_once(seed=42)
-        second = self._run_once(seed=42)
-        assert first == second
-        assert first  # the schedule actually produced events
+        assert first == self._run_once(seed=42)
+        assert b'"crashes": {}' not in first  # the slider actually drew
 
     def test_different_seeds_diverge(self):
         assert self._run_once(seed=42) != self._run_once(seed=43)
+
+
+def _old_tick_loop(sim, net, device_ids, log, *, crash_probability,
+                   disconnect_probability, disconnect_duration, seed, until):
+    """The clock-driven slider the resolver replaced: draws on the
+    live network state every tick, appending to ``log``."""
+    rng = random.Random(seed)
+
+    def reconnect(device_id):
+        if not net.is_dead(device_id):
+            net.set_online(device_id, True)
+            log.append(FailureEvent(sim.now, device_id, "reconnect"))
+
+    def tick():
+        for device_id in device_ids:
+            if net.is_dead(device_id):
+                continue
+            if rng.random() < crash_probability:
+                net.kill(device_id)
+                log.append(FailureEvent(sim.now, device_id, "crash"))
+                continue
+            if net.is_online(device_id) and rng.random() < disconnect_probability:
+                net.set_online(device_id, False)
+                log.append(FailureEvent(sim.now, device_id, "disconnect"))
+                sim.schedule(disconnect_duration, lambda d=device_id: reconnect(d))
+
+    sim.every(CHECK_INTERVAL, tick, until=until)
+
+
+def _timeline(log):
+    """Each device's states over time, read from a log in firing
+    order: its first crash and its offline intervals (ended by the
+    crash; touching ones joined, empty ones dropped)."""
+    crashed, since, offline = {}, {}, {}
+    for event in log:
+        device = event.device_id
+        if device in crashed:
+            continue
+        if event.kind in ("crash", "reconnect") and device in since:
+            offline.setdefault(device, []).append((since.pop(device), event.time))
+        if event.kind == "crash":
+            crashed[device] = event.time
+        elif event.kind == "disconnect":
+            since.setdefault(device, event.time)
+    for device, start in since.items():
+        offline.setdefault(device, []).append((start, float("inf")))
+    joined = {}
+    for device, intervals in offline.items():
+        merged = []
+        for start, end in sorted(i for i in intervals if i[0] < i[1]):
+            if merged and start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        if merged:
+            joined[device] = merged
+    return crashed, joined
+
+
+_half = st.integers(0, 40).map(lambda k: k / 2)
+
+
+@st.composite
+def _slider_runs(draw):
+    devices = [f"d{i}" for i in range(draw(st.integers(1, 6)))]
+    start = draw(_half)
+    plan = FailurePlan()
+    # scripted windows open by the first tick: a scripted window opening
+    # inside a drawn one is where the models part by design (the plan
+    # installs their union; the old loop let either reconnect end both)
+    for device in draw(st.lists(st.sampled_from(devices), max_size=3, unique=True)):
+        opens = start + draw(st.sampled_from([0.0, 0.5, 1.0]))
+        plan.disconnect(device, opens, opens + 0.5 + draw(_half))
+    for device in draw(st.lists(st.sampled_from(devices), max_size=2, unique=True)):
+        at = start + draw(_half)
+        assume(all(s < at for s, _e in plan.disconnections.get(device, ())))
+        plan.crash(device, at)
+    if draw(st.booleans()):
+        members = draw(st.lists(st.sampled_from(devices), min_size=1, unique=True))
+        plan.regional_crashes.append(
+            RegionalCrash(at=start + draw(_half), region="r", devices=tuple(members))
+        )
+    options = dict(
+        crash_probability=draw(st.sampled_from([0.0, 0.05, 0.2, 1.0])),
+        disconnect_probability=draw(st.sampled_from([0.0, 0.1, 0.4, 1.0])),
+        disconnect_duration=draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])),
+        seed=draw(st.integers(0, 2**16)),
+        until=start + draw(_half),
+    )
+    return devices, start, plan, options
+
+
+class TestOneShotParity:
+    @settings(max_examples=80, deadline=None)
+    @given(_slider_runs())
+    def test_resolved_plan_replays_the_old_tick_loop(self, run):
+        devices, start, plan, options = run
+
+        def network():
+            sim = Simulator()
+            net = OpportunisticNetwork(sim, ContactGraph(), NetworkConfig(), seed=0)
+            for device in devices:
+                net.attach(device, lambda m: None)
+            sim.run_until(start)
+            return sim, net
+
+        sim, net = network()
+        old = plan.apply(sim, net)
+        _old_tick_loop(sim, net, devices, old, **options)
+        sim.run()
+
+        sim, net = network()
+        resolved = build_crash_plan(plan, devices, start=start, **options)
+        new = resolved.apply(sim, net)
+        sim.run()
+        assert _timeline(new) == _timeline(old)

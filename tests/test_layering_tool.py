@@ -32,14 +32,14 @@ def test_sole_caller_rule_on_a_two_file_fixture(tmp_path):
         "\n"
         "def launch(plan):\n"
         "    '''ExecutionCoordinator(plan) in a docstring: fine'''\n"
-        "    return runtime.ExecutionCoordinator(plan), FailureInjector(sim)\n"
+        "    return runtime.ExecutionCoordinator(plan), build_crash_plan(plan)\n"
     )
     violations = _tool().check(root)
     assert len(violations) == 2
     assert all(v.startswith("repro.workload.engine constructs ") for v in violations)
     assert f"{offender}:5" in violations[0]
     assert {v.split()[2] for v in violations} == {
-        "ExecutionCoordinator", "FailureInjector",
+        "ExecutionCoordinator", "build_crash_plan",
     }
 
 

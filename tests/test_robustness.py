@@ -360,7 +360,6 @@ class TestMixedKindShrink:
         artifact = _build_artifact(
             CampaignConfig(), spec, outcome, violation, ReproArtifact
         )
-        assert artifact.mode == "scripted"
         assert artifact.spec.failure_plan.to_dict() == FailurePlan(
             gray_windows=[guilty]
         ).to_dict()

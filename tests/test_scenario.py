@@ -188,6 +188,23 @@ class TestScenarioExecution:
         )
         assert result.report.success
 
+    def test_second_query_draws_over_the_live_processors_only(self):
+        # each query resolves the failure slider at its own install; a
+        # processor an earlier query's draws killed stays out of the pool
+        config = _config(crash_probability=0.02, seed=9)
+        scenario = Scenario(config)
+        options = dict(
+            privacy=PrivacyParameters(max_raw_per_edgelet=30),
+            resiliency=ResiliencyParameters(fault_rate=0.3, target_success=0.99),
+        )
+        spec = _aggregate_spec(config.rows)
+        first = scenario.run_query(spec, **options)
+        dead = {e.device_id for e in first.failure_events if e.kind == "crash"}
+        assert dead
+        second = scenario.run_query(replace(spec, query_id="second"), **options)
+        crashed = [e.device_id for e in second.failure_events if e.kind == "crash"]
+        assert crashed and not dead & set(crashed)
+
     def test_polling_scenario(self):
         rows = generate_polling_rows(100, seed=2)
         config = _config(rows=rows, schema=POLLING_SCHEMA)

@@ -93,8 +93,9 @@ SOLE_IMPORTER: dict[str, str] = {
 #: is wired by ``Scenario.launch`` and every fault source is installed
 #: by ``Scenario.install_chaos``; a second construction site is how
 #: the four hand-copied wirings drifted apart, so a new one fails CI.
-#: ``build_outage_plan`` resolves an outage spec: one call site pins
-#: its ``seed + 5`` stream.  Likewise every multi-query run — workload,
+#: ``build_outage_plan`` resolves an outage spec and ``build_crash_plan``
+#: the failure slider: one call site each pins their ``seed + 5`` and
+#: ``seed + 1`` streams.  Likewise every multi-query run — workload,
 #: standing query, serial replay — gets its mux, lease registry and
 #: admission controller from ``MultiQueryEngine`` in
 #: ``repro.workload.engine``, the one multi-query lifecycle.
@@ -105,7 +106,7 @@ SOLE_CALLER: dict[str, str] = {
             "ExecutionCoordinator",
             "ReliableTransport",
             "MessageFaultInjector",
-            "FailureInjector",
+            "build_crash_plan",
             "build_outage_plan",
         )
     },
