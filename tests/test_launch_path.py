@@ -100,22 +100,33 @@ class TestPinnedFingerprints:
             crash_probability=0.002,
             telemetry=Telemetry(),
         )
-        assert outcome.ok
+        # re-pinned when the failure slider began to resolve into plan
+        # atoms before the first arrival.  A workload attaches a
+        # processor when it first leases it, and the clock-driven draws
+        # skipped the disconnect draw of every processor not yet
+        # attached, so they followed lease history (digest
+        # 2695cfc35c372d07, crashes at 4, 9, 12, 19, 21, 30, 47, 55 s).
+        # Under the new draws q008 loses 1 of its 3 partitions: its tally
+        # is valid, yet the result is 0.786 from the whole-dataset
+        # oracle, past the fixed 0.75 bound.  The bound is uncalibrated
+        # (ROADMAP item 2, whose calibrated bound turns this back to ok).
+        assert [(unit, v.invariant) for unit, v in outcome.violations] == [
+            ("wl6-q008", "validity")
+        ]
+        q008 = next(r for r in outcome.result.records if r.unit_id == "wl6-q008")
+        tally = q008.report.tally
+        assert tally["valid"] and tally["lost"] == 1 <= tally["m"]
         fingerprints = outcome.result.fingerprints()
         assert len(fingerprints) == 10
-        # re-pinned when every reprovision trace line began to end
-        # "at generation N"; without that suffix the digest is the old
-        # 9b98215b494bf22d
-        assert _digest(fingerprints) == "2695cfc35c372d07"
+        assert _digest(fingerprints) == "4c409198efd74b54"
         assert _events(outcome.failure_events) == [
-            (4.0, "wl6-proc-00010", "crash"),
-            (9.0, "wl6-proc-00030", "crash"),
-            (12.0, "wl6-proc-00001", "crash"),
-            (19.0, "wl6-proc-00016", "crash"),
-            (21.0, "wl6-proc-00033", "crash"),
-            (30.0, "wl6-proc-00028", "crash"),
-            (47.0, "wl6-proc-00025", "crash"),
-            (55.0, "wl6-proc-00002", "crash"),
+            (2.0, "wl6-proc-00025", "crash"),
+            (9.0, "wl6-proc-00009", "crash"),
+            (17.0, "wl6-proc-00002", "crash"),
+            (25.0, "wl6-proc-00019", "crash"),
+            (41.0, "wl6-proc-00018", "crash"),
+            (48.0, "wl6-proc-00016", "crash"),
+            (58.0, "wl6-proc-00027", "crash"),
         ]
 
     def test_serial_replay_of_the_chaos_free_variant(self):
