@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.chaos.invariants import Violation
+from repro.errors import SpecError
 from repro.network.failures import read_field
 
 __all__ = ["ReproArtifact", "ARTIFACT_VERSION"]
@@ -81,7 +82,7 @@ class ReproArtifact:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ReproArtifact":
         """Load an artifact; a missing or ill-typed field raises
-        ``ValueError`` naming it.  The ``mode`` key of artifacts written
+        :class:`~repro.errors.SpecError` naming it.  The ``mode`` key of artifacts written
         when runs could also replay their seeded sources verbatim is
         ignored: ``run`` says what executes."""
         from repro.chaos.campaign import RunSpec
@@ -89,7 +90,7 @@ class ReproArtifact:
         read = partial(read_field, data, owner="artifact")
         version = read("version", lambda v: v, None)
         if version != ARTIFACT_VERSION:
-            raise ValueError(
+            raise SpecError(
                 f"unsupported artifact version {version!r} "
                 f"(this build reads version {ARTIFACT_VERSION})"
             )

@@ -28,7 +28,8 @@ from repro.chaos.shrink import plan_only, shrink_failure_plan
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.resiliency import replicas_for, strategy_name
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
-from repro.manager.scenario import check_recovery_options
+from repro.errors import SpecError
+from repro.manager.scenario import RunOptions
 from repro.network.failures import FailurePlan, read_field
 from repro.network.outages import OutageSpec
 from repro.plan.compile import OPTIMIZER_COST, OPTIMIZER_PINNED, compile_query
@@ -85,11 +86,13 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(RunOptions):
     """Fully deterministic description of one chaos run.
 
     Serializable; :func:`run_single` on an identical spec in any
-    process reproduces the identical execution.
+    process reproduces the identical execution.  The fault and
+    execution options are :class:`~repro.manager.scenario.RunOptions`
+    fields, checked on construction (so an artifact fails at load).
     """
 
     seed: int
@@ -98,13 +101,6 @@ class RunSpec:
     #: Overcollection)
     replicas: int = 0
     topology: TopologySpec = field(default_factory=TopologySpec)
-    crash_probability: float = 0.0
-    disconnect_probability: float = 0.0
-    disconnect_duration: float = 10.0
-    message_loss: float = 0.0
-    fault_specs: tuple[FaultSpec, ...] = ()
-    #: the scripted schedule — every atom kind, topology outages included
-    failure_plan: FailurePlan | None = None
     sql: str = DEFAULT_SQL
     # C defaults to twice the topology's dataset size: hash-imbalanced
     # partitions then never hit the C/n cap, so a *clean* run is exact
@@ -116,26 +112,13 @@ class RunSpec:
     target_success: float = 0.99
     collection_window: float = 20.0
     deadline: float = 70.0
-    secure_channels: bool = False
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5
-    reliability: bool = False
-    phase_deadline: float | None = None
     #: ``"pinned"`` replays the legacy hand-assembled physical
     #: parameters byte-for-byte; ``"cost"`` lets the
     #: :class:`~repro.plan.optimizer.PhysicalOptimizer` pick
     #: partitioning and replication over the run's substrate profile.
     optimizer: str = OPTIMIZER_PINNED
-    #: seeded topology-outage generator, resolved over the processor
-    #: pool at run time (a plan carrying topology atoms excludes it)
-    outage_spec: OutageSpec | None = None
-    #: φ-accrual adaptive failure detection (needs ``reliability``)
-    detector: bool = False
-
-    def __post_init__(self) -> None:
-        # fail where the spec is built (an artifact load, a campaign
-        # base), not midway through the run that uses it
-        check_recovery_options(vars(self))
 
     def to_dict(self) -> dict[str, Any]:
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -149,8 +132,9 @@ class RunSpec:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunSpec":
         """Load a spec: absent keys take the field default, keys of
-        removed fields are ignored, and a missing or ill-typed field
-        raises ``ValueError`` naming it."""
+        removed fields are ignored, and a missing, ill-typed or
+        out-of-range field raises :class:`~repro.errors.SpecError`
+        naming it."""
         read = partial(read_field, data, owner="run spec")
         # artifacts written before the replica count was the one
         # resiliency field spelled it as a strategy name + chain length
@@ -238,21 +222,11 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         rows=rows,
         schema=HEALTH_SCHEMA,
         device_mix=topology.device_mix,
-        crash_probability=spec.crash_probability,
-        disconnect_probability=spec.disconnect_probability,
-        disconnect_duration=spec.disconnect_duration,
-        message_loss=spec.message_loss,
         collection_window=spec.collection_window,
         deadline=spec.deadline,
-        secure_channels=spec.secure_channels,
         seed=spec.seed,
         scenario_tag=spec.tag,
-        failure_plan=spec.failure_plan,
-        fault_specs=spec.fault_specs or None,
-        reliability=spec.reliability,
-        phase_deadline=spec.phase_deadline,
-        outage_spec=spec.outage_spec,
-        detector=spec.detector,
+        **spec.run_options(),
     )
     scenario = Scenario(config, telemetry=telemetry)
     substrate = (
@@ -309,10 +283,11 @@ class CampaignConfig:
     seed ``base.seed + i * 100003`` and tag ``{base.tag}-{base.seed}-{i}``,
     so adding runs extends coverage without changing earlier runs.  The
     grid owns the four RunSpec fields it sweeps: a ``base`` that sets
-    one of them raises ``ValueError``.  So does a ``base`` with a
-    ``failure_plan``: a scripted plan names the devices of one run's
-    tag, so it belongs to a single run (replay, shrinking), never to
-    the whole sweep.
+    one of them raises :class:`~repro.errors.SpecError`.  So does a
+    ``base`` with a ``failure_plan`` (a scripted plan names the devices
+    of one run's tag, so it belongs to a single run — replay,
+    shrinking — never to the whole sweep), fewer than one run, or a
+    negative shrink budget.
     """
 
     base: RunSpec = field(default_factory=lambda: RunSpec(seed=0, tag="chaos"))
@@ -326,15 +301,19 @@ class CampaignConfig:
     shrink_budget: int = 24
 
     def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise SpecError("runs must be positive")
+        if self.shrink_budget < 0:
+            raise SpecError("shrink_budget must be non-negative")
         untouched = RunSpec(seed=self.base.seed, tag=self.base.tag)
         for name in _GRID_FIELDS:
             if getattr(self.base, name) != getattr(untouched, name):
-                raise ValueError(
+                raise SpecError(
                     f"base.{name} is swept by the campaign grid; "
                     "set it through the grid axis"
                 )
         if self.base.failure_plan is not None:
-            raise ValueError(
+            raise SpecError(
                 "base.failure_plan names one run's devices; scripted plans "
                 "are per-run (replay, shrinking), not a campaign template"
             )

@@ -60,8 +60,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.planner import PlanningError, PrivacyParameters, ResiliencyParameters
 from repro.core.resiliency import (
@@ -73,7 +74,8 @@ from repro.core.resiliency import (
 )
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.dashboard import render_plan, render_report
-from repro.manager.scenario import Scenario, ScenarioConfig
+from repro.errors import SpecError
+from repro.manager.scenario import RunOptions, Scenario, ScenarioConfig
 from repro.manager.verification import verify_against_centralized
 from repro.plan.builder import scan
 from repro.plan.compile import (
@@ -148,12 +150,57 @@ def _add_recovery_flags(parser: argparse.ArgumentParser) -> None:
                              "deadline; requires --reliability)")
 
 
+#: The flags ``workload`` and ``continuous`` share, in ``--help`` order.
+#: A flag whose dest names a field of the command's spec takes that
+#: field's default and sets it (:func:`_spec_fields`); ``{unit}`` is one
+#: execution of the command.
+_SHAPE_FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("--contributors", dict(type=int)),
+    ("--processors", dict(type=int)),
+    ("--cardinality", dict(type=int, dest="snapshot_cardinality",
+                           metavar="CARDINALITY")),
+    ("--max-raw", dict(type=int, dest="max_raw_per_edgelet", metavar="MAX_RAW")),
+    ("--sql", dict(default=DEFAULT_SQL)),
+    ("--collection-window", dict(type=float)),
+    ("--deadline", dict(type=float)),
+    ("--reliability", dict(action="store_true",
+                           help="per-{unit} reliable transport and recovery")),
+    ("--standbys", dict(type=int, default=0,
+                        help="extra devices leased per reliable {unit} "
+                             "(requires --reliability)")),
+    ("--seed", dict(type=int)),
+)
+
+
+def _add_shape_flags(
+    parser: argparse.ArgumentParser, spec_cls: type, unit: str,
+    before: dict[str, list[tuple[str, dict]]] | None = None, **defaults: int,
+) -> None:
+    """Declare :data:`_SHAPE_FLAGS` on one command (``defaults`` override
+    the spec's); ``before`` maps a shared flag to the command's own flags
+    declared just ahead of it."""
+    defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)} | defaults
+    for flag, options in _SHAPE_FLAGS:
+        for own_flag, own_options in (before or {}).get(flag, ()):
+            parser.add_argument(own_flag, **own_options)
+        dest = options.get("dest", flag[2:].replace("-", "_"))
+        options = {"default": defaults.get(dest), **options}
+        if "help" in options:
+            options["help"] = options["help"].format(unit=unit)
+        parser.add_argument(flag, **options)
+
+
+def _spec_fields(args: argparse.Namespace, spec_cls: type) -> dict[str, Any]:
+    """Every parsed value whose dest names a field of ``spec_cls``."""
+    fields = dataclasses.fields(spec_cls)
+    return {f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
-    # importing outages registers the topology-outage knobs, so the
-    # generated --fault-mix help always lists every known fault kind
-    import repro.network.outages  # noqa: F401
-    from repro.network.faults import fault_mix_help
+    from repro.continuous.spec import StandingQuerySpec
+    from repro.network.outages import fault_mix_help
+    from repro.workload.spec import WorkloadSpec
 
     mix_help = (
         "chaos mix, e.g. 'drop=0.05;partition=0.3,gray=0.2'; "
@@ -313,19 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="admission queue capacity (0 = shed at cap)")
     workload.add_argument("--backup-fraction", type=float, default=0.0,
                           help="fraction of queries using the backup strategy")
-    workload.add_argument("--contributors", type=int, default=30)
-    workload.add_argument("--processors", type=int, default=60)
-    workload.add_argument("--cardinality", type=int, default=48)
-    workload.add_argument("--max-raw", type=int, default=24)
-    workload.add_argument("--sql", default=DEFAULT_SQL)
-    workload.add_argument("--collection-window", type=float, default=5.0)
-    workload.add_argument("--deadline", type=float, default=12.0)
-    workload.add_argument("--reliability", action="store_true",
-                          help="per-query reliable transport and recovery")
-    workload.add_argument("--standbys", type=int, default=0,
-                          help="extra devices leased per reliable query "
-                               "(requires --reliability)")
-    workload.add_argument("--seed", type=int, default=0)
+    _add_shape_flags(workload, WorkloadSpec, "query", contributors=30,
+                     processors=60)
     workload.add_argument("--per-query", action="store_true",
                           help="print the per-query lifecycle table")
     workload.add_argument("--serial-check", action="store_true",
@@ -359,27 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--full-recollection", action="store_true",
                             help="disable incremental delta stamps; re-ship "
                                  "every contribution every window")
-    continuous.add_argument("--contributors", type=int, default=24)
-    continuous.add_argument("--processors", type=int, default=48)
-    continuous.add_argument("--cardinality", type=int, default=96)
-    continuous.add_argument("--max-raw", type=int, default=24)
-    continuous.add_argument("--strategy",
-                            choices=STRATEGIES,
-                            default="overcollection")
-    continuous.add_argument("--sql", default=DEFAULT_SQL)
-    continuous.add_argument("--collection-window", type=float, default=5.0)
-    continuous.add_argument("--deadline", type=float, default=12.0)
-    continuous.add_argument("--reliability", action="store_true",
-                            help="per-window reliable transport and recovery")
-    continuous.add_argument("--standbys", type=int, default=0,
-                            help="extra devices leased per reliable window "
-                                 "(requires --reliability)")
-    continuous.add_argument("--fault-mix", default=None, metavar="MIX",
-                            help=mix_help)
-    continuous.add_argument("--check-invariants", action="store_true",
-                            help="run the full invariant suite on every "
-                                 "window (soak mode)")
-    continuous.add_argument("--seed", type=int, default=0)
+    _add_shape_flags(
+        continuous, StandingQuerySpec, "window", contributors=24, processors=48,
+        before={
+            "--sql": [("--strategy", dict(choices=STRATEGIES,
+                                          default="overcollection"))],
+            "--seed": [
+                ("--fault-mix", dict(default=None, metavar="MIX", help=mix_help)),
+                ("--check-invariants", dict(
+                    action="store_true",
+                    help="run the full invariant suite on every window "
+                         "(soak mode)",
+                )),
+            ],
+        },
+    )
     continuous.add_argument("--per-window", action="store_true",
                             help="print the per-window lineage table")
     _add_telemetry_flags(continuous)
@@ -471,34 +501,30 @@ def _split_mix(raw: str | None):
     ``Scenario.install_chaos``, the same for every command.
     """
     if not raw:
-        return None, None
+        return (), None
     from repro.network.faults import parse_fault_mix
     from repro.network.outages import parse_outage_mix, split_chaos_mix
 
     try:
         message_part, outage_part = split_chaos_mix(raw)
-        fault_specs = parse_fault_mix(message_part) if message_part else None
+        fault_specs = parse_fault_mix(message_part) if message_part else ()
         outage_spec = parse_outage_mix(outage_part) if outage_part else None
     except ValueError as exc:
         raise SystemExit(f"--fault-mix: {exc}") from None
     return fault_specs, outage_spec
 
 
-def _recovery_options(args: argparse.Namespace) -> dict:
-    """The ``_add_recovery_flags`` values as ScenarioConfig keywords,
-    rejected up front (a usage error) when they would be inert."""
-    from repro.manager.scenario import check_recovery_options
-
-    options = dict(
-        reliability=args.reliability,
-        detector=args.detector,
-        phase_deadline=args.phase_deadline,
-    )
+def _run_options(args: argparse.Namespace) -> dict[str, Any]:
+    """Every flag whose dest names a :class:`RunOptions` field.  The
+    recovery flags are checked first, and an inert or non-positive one
+    prints the option block's message as the usage line (their wording
+    predates the ``{command}: `` prefix)."""
+    recovery = ("reliability", "detector", "phase_deadline")
     try:
-        check_recovery_options(options)
-    except ValueError as exc:
+        RunOptions(**{name: getattr(args, name) for name in recovery})
+    except SpecError as exc:
         raise SystemExit(str(exc)) from None
-    return options
+    return _spec_fields(args, RunOptions)
 
 
 def _standby_count(args: argparse.Namespace) -> int:
@@ -519,13 +545,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows=rows,
         schema=HEALTH_SCHEMA,
         device_mix=(1.0, 0.0, 0.0),
-        message_loss=args.message_loss,
-        crash_probability=args.crash_probability,
-        secure_channels=args.secure_channels,
         fault_specs=fault_specs,
         outage_spec=outage_spec,
         seed=args.seed,
-        **_recovery_options(args),
+        **_run_options(args),
     )
     telemetry = Telemetry()
     scenario = Scenario(config, telemetry=telemetry)
@@ -581,21 +604,13 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    substrate = SUBSTRATE_PROFILES[args.profile]
-    overrides = {}
-    if args.contributors is not None:
-        overrides["n_contributors"] = args.contributors
-    if args.processors is not None:
-        overrides["n_processors"] = args.processors
-    if overrides:
-        substrate = dataclasses.replace(substrate, **overrides)
+    sizes = (("n_contributors", args.contributors), ("n_processors", args.processors))
+    overrides = {name: value for name, value in sizes if value is not None}
     compiled = _compile_from_args(
         args,
         "cli-explain",
         optimizer=OPTIMIZER_PINNED if args.pinned else OPTIMIZER_COST,
-        substrate=substrate,
+        substrate=dataclasses.replace(SUBSTRATE_PROFILES[args.profile], **overrides),
     )
     print(compiled.explain.render())
     return 0
@@ -678,12 +693,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         base=RunSpec(
             seed=args.seed,
             tag="chaos",
-            disconnect_probability=args.disconnect_probability,
-            message_loss=args.message_loss,
             outage_spec=outage_spec,
             validity_tolerance=args.validity_tolerance,
             optimizer=args.optimizer,
-            **_recovery_options(args),
+            **_run_options(args),
         ),
         runs=args.runs,
         replicas=replicas,
@@ -733,7 +746,7 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
     from repro.workload import WorkloadSpec
 
     fault_specs, outage_spec = _split_mix(args.fault_mix)
-    options = _recovery_options(args)
+    options = _run_options(args)
     # the spec owns reliability: the engine refuses it as a keyword
     spec = WorkloadSpec(
         n_queries=args.workload,
@@ -750,8 +763,6 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
         n_contributors=args.contributors,
         n_processors=args.processors,
         crash_probability=max(args.failure_probability),
-        disconnect_probability=args.disconnect_probability,
-        message_loss=args.message_loss,
         fault_specs=fault_specs,
         outage_spec=outage_spec,
         **options,
@@ -803,16 +814,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         arrival_process=args.arrival,
         arrival_rate=args.rate,
         target_in_flight=args.in_flight,
-        max_concurrent=args.max_concurrent,
         queue_capacity=args.queue,
-        backup_fraction=args.backup_fraction,
-        seed=args.seed,
-        snapshot_cardinality=args.cardinality,
-        max_raw_per_edgelet=args.max_raw,
-        collection_window=args.collection_window,
-        deadline=args.deadline,
-        reliability=args.reliability,
-        sql=args.sql,
+        **_spec_fields(args, WorkloadSpec),
     )
     telemetry = Telemetry()
     engine = WorkloadEngine(
@@ -890,19 +893,10 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
 
     standby_count = _standby_count(args)
     spec = StandingQuerySpec(
-        cadence=args.cadence,
         max_windows=args.windows,
-        window=args.window,
-        window_length=args.window_length,
-        snapshot_cardinality=args.cardinality,
-        max_raw_per_edgelet=args.max_raw,
         replicas=replicas_for(args.strategy),
-        collection_window=args.collection_window,
-        deadline=args.deadline,
-        reliability=args.reliability,
         incremental=not args.full_recollection,
-        seed=args.seed,
-        sql=args.sql,
+        **_spec_fields(args, StandingQuerySpec),
     )
     churn = None
     if args.churn > 0 or args.data_change > 0 or args.arrival_rate:
@@ -1033,27 +1027,25 @@ _COMMANDS = {
     "advise": _cmd_advise,
 }
 
-#: Commands whose only inputs are planning parameters: a rejected one is
-#: a usage error, not a crash.
-_PLANNING_COMMANDS = frozenset({"plan", "explain", "resiliency", "advise"})
-
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code: 0 success, 1 a
+    failed query, invariant or replay check, 2 a usage error (a malformed
+    flag, a :class:`~repro.errors.SpecError` or a
+    :class:`~repro.core.planner.PlanningError`).  Any other exception is
+    a bug and propagates."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
-        # a command's usage error ("--flag: why"): one line on stderr
-        # and argparse's usage exit status, never a traceback
+        # a usage error the CLI words itself ("--flag: why"): one line
+        # on stderr and argparse's usage exit status, never a traceback
         if not isinstance(exc.code, str):
             raise
         print(exc.code, file=sys.stderr)
         return 2
-    except (ValueError, PlanningError) as exc:
-        if args.command not in _PLANNING_COMMANDS:
-            raise
+    except (SpecError, PlanningError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,7 @@ from repro.core.liability import LiabilityReport, measure_liability
 from repro.core.runtime import ContributionCache
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnModel, ChurnSpec, WindowChurn
+from repro.errors import SpecError
 from repro.manager.admission import ADMITTED
 from repro.workload.engine import COMPLETED, MultiQueryEngine, UnitRecord
 from repro.workload.fingerprint import window_fingerprint
@@ -165,13 +166,10 @@ class ContinuousEngine(MultiQueryEngine):
         standby_count: extra devices leased per reliable window as the
             recovery watchdog's re-recruitment pool.
         **scenario: any other :class:`~repro.manager.scenario.
-            ScenarioConfig` field, forwarded verbatim — fault sources
-            (installed once over the whole run, see
-            :mod:`repro.chaos.continuous`) and execution options
-            (``secure_channels``, ``detector``,
-            ``phase_deadline``).  The fields this engine derives from
-            ``spec`` (``reliability``, ``collection_window``,
-            ``deadline``, ``seed``, ``scenario_tag``) raise
+            ScenarioConfig` field, forwarded verbatim (the
+            :class:`~repro.manager.scenario.RunOptions`); a field derived
+            from ``spec`` (``reliability``, ``collection_window``,
+            ``deadline``, ``seed``, ``scenario_tag``) raises
             ``TypeError`` if passed again.
     """
 
@@ -187,7 +185,7 @@ class ContinuousEngine(MultiQueryEngine):
         **scenario: Any,
     ):
         if rows_per_contributor <= 0:
-            raise ValueError("rows_per_contributor must be positive")
+            raise SpecError("rows_per_contributor must be positive")
         rows = generate_health_rows(
             rows_per_contributor * n_contributors, seed=spec.seed
         )

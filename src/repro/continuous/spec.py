@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.errors import SpecError
 from repro.workload.spec import QueryShape
 
 __all__ = ["WINDOW_MODES", "StandingQuerySpec"]
@@ -79,23 +80,23 @@ class StandingQuerySpec(QueryShape):
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ValueError("name must be non-empty")
+            raise SpecError("name must be non-empty")
         if self.max_windows <= 0:
-            raise ValueError("max_windows must be positive")
+            raise SpecError("max_windows must be positive")
         if self.window not in WINDOW_MODES:
-            raise ValueError(f"window must be one of {WINDOW_MODES}")
+            raise SpecError(f"window must be one of {WINDOW_MODES}")
         if self.window_length is not None and self.window_length <= 0:
-            raise ValueError("window_length must be positive")
+            raise SpecError("window_length must be positive")
         if self.max_concurrent_windows <= 0:
-            raise ValueError("max_concurrent_windows must be positive")
+            raise SpecError("max_concurrent_windows must be positive")
         super().__post_init__()
         if self.cadence < self.collection_window:
-            raise ValueError(
+            raise SpecError(
                 "cadence must cover the collection window (a window's "
                 "data must stay frozen while it is being collected)"
             )
         if self.replicas < 0:
-            raise ValueError("replicas must be non-negative")
+            raise SpecError("replicas must be non-negative")
 
     @property
     def freshness_horizon(self) -> float:

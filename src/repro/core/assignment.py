@@ -29,11 +29,12 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.core.qep import OperatorRole, QueryExecutionPlan
+from repro.errors import ReproError
 
 __all__ = ["SecureAssignment", "assign_operators", "contributor_builder", "AssignmentError"]
 
 
-class AssignmentError(Exception):
+class AssignmentError(ReproError):
     """Raised when there are not enough distinct processors to assign."""
 
 

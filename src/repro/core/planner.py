@@ -31,6 +31,7 @@ from repro.core.assignment import contributor_builder
 from repro.core.overcollection import OvercollectionConfig
 from repro.core.qep import OperatorRole, QueryExecutionPlan
 from repro.core.resiliency import minimum_overcollection, strategy_name
+from repro.errors import ReproError, SpecError
 from repro.query.groupby import GroupByQuery
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-class PlanningError(Exception):
+class PlanningError(ReproError):
     """Raised when no plan can satisfy the requested parameters."""
 
 
@@ -81,20 +82,20 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("aggregate", "kmeans"):
-            raise ValueError(f"unknown query kind {self.kind!r}")
+            raise SpecError(f"unknown query kind {self.kind!r}")
         if self.snapshot_cardinality <= 0:
-            raise ValueError("snapshot_cardinality must be positive")
+            raise SpecError("snapshot_cardinality must be positive")
         if self.kind == "aggregate" and self.group_by is None:
-            raise ValueError("aggregate queries need a group_by")
+            raise SpecError("aggregate queries need a group_by")
         if self.placement_key is not None and not self.placement_key:
-            raise ValueError("placement_key must be non-empty when given")
+            raise SpecError("placement_key must be non-empty when given")
         if self.kind == "kmeans":
             if not self.feature_columns:
-                raise ValueError("kmeans queries need feature_columns")
+                raise SpecError("kmeans queries need feature_columns")
             if self.kmeans_k <= 0:
-                raise ValueError("kmeans_k must be positive")
+                raise SpecError("kmeans_k must be positive")
             if self.heartbeats <= 0:
-                raise ValueError("heartbeats must be positive")
+                raise SpecError("heartbeats must be positive")
 
     @property
     def effective_placement_key(self) -> str:
@@ -127,10 +128,10 @@ class PrivacyParameters:
 
     def __post_init__(self) -> None:
         if self.max_raw_per_edgelet <= 0:
-            raise ValueError("max_raw_per_edgelet must be positive")
+            raise SpecError("max_raw_per_edgelet must be positive")
         for a, b in self.separated_pairs:
             if a == b:
-                raise ValueError(f"cannot separate column {a!r} from itself")
+                raise SpecError(f"cannot separate column {a!r} from itself")
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,11 @@ class ResiliencyParameters:
 
     def __post_init__(self) -> None:
         if not 0 <= self.fault_rate < 1:
-            raise ValueError("fault_rate must be in [0, 1)")
+            raise SpecError("fault_rate must be in [0, 1)")
         if not 0 < self.target_success < 1:
-            raise ValueError("target_success must be in (0, 1)")
+            raise SpecError("target_success must be in (0, 1)")
         if self.replicas < 0:
-            raise ValueError("replicas must be non-negative")
+            raise SpecError("replicas must be non-negative")
 
 
 def greedy_coloring(

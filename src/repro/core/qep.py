@@ -15,12 +15,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import ReproError
+
 __all__ = [
     "OperatorRole", "Operator", "QueryExecutionPlan", "PlanStructureError", "rank_of",
 ]
 
 
-class PlanStructureError(Exception):
+class PlanStructureError(ReproError):
     """Raised when a plan violates structural invariants."""
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+from repro.errors import SpecError
+
 __all__ = [
     "STRATEGIES",
     "TAKEOVER_TIMEOUT",
@@ -57,9 +59,9 @@ def replicas_for(name: str, backup_replicas: int = 1) -> int:
     if name == "overcollection":
         return 0
     if name != "backup":
-        raise ValueError(f"unknown strategy {name!r}")
+        raise SpecError(f"unknown strategy {name!r}")
     if backup_replicas < 1:
-        raise ValueError(
+        raise SpecError(
             f"a backup plan needs at least one replica, got {backup_replicas}"
         )
     return backup_replicas
@@ -68,14 +70,14 @@ def replicas_for(name: str, backup_replicas: int = 1) -> int:
 def strategy_name(replicas: int) -> str:
     """The strategy name of a plan with ``replicas`` ranks per operator."""
     if replicas < 0:
-        raise ValueError("replicas must be non-negative")
+        raise SpecError("replicas must be non-negative")
     return "backup" if replicas else "overcollection"
 
 
 def worst_case_delay(replicas: int) -> float:
     """Latency Backup adds when all ``replicas`` ranks take over in turn."""
     if replicas < 0:
-        raise ValueError("replicas must be non-negative")
+        raise SpecError("replicas must be non-negative")
     return replicas * TAKEOVER_TIMEOUT
 
 
@@ -87,11 +89,11 @@ def query_success_probability(n: int, m: int, fault_rate: float) -> float:
     ``s = 1 - fault_rate``.
     """
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise SpecError("n must be positive")
     if m < 0:
-        raise ValueError("m must be non-negative")
+        raise SpecError("m must be non-negative")
     if not 0 <= fault_rate <= 1:
-        raise ValueError("fault_rate must be in [0, 1]")
+        raise SpecError("fault_rate must be in [0, 1]")
     survive = 1.0 - fault_rate
     total = n + m
     probability = 0.0
@@ -128,17 +130,17 @@ def minimum_overcollection(
     """Smallest ``m`` such that the query succeeds with probability at
     least ``target_success`` under the given fault rate.
 
-    Raises ``ValueError`` if no ``m <= max_m`` reaches the target (e.g.
+    Raises ``SpecError`` if no ``m <= max_m`` reaches the target (e.g.
     ``fault_rate`` so high the target is unreachable).
     """
     if not 0 < target_success < 1:
-        raise ValueError("target_success must be in (0, 1)")
+        raise SpecError("target_success must be in (0, 1)")
     if not 0 <= fault_rate < 1:
-        raise ValueError("fault_rate must be in [0, 1)")
+        raise SpecError("fault_rate must be in [0, 1)")
     for m in range(max_m + 1):
         if query_success_probability(n, m, fault_rate) >= target_success:
             return m
-    raise ValueError(
+    raise SpecError(
         f"no overcollection degree up to {max_m} reaches success "
         f"{target_success} with n={n}, fault_rate={fault_rate}"
     )
@@ -162,15 +164,15 @@ def effective_fault_rate(
     Q-RES experiment checks that plans built from it meet their target.
     """
     if ticks_to_deadline < 0:
-        raise ValueError("ticks_to_deadline must be non-negative")
+        raise SpecError("ticks_to_deadline must be non-negative")
     if not 0 <= reconnect_covers <= 1:
-        raise ValueError("reconnect_covers must be in [0, 1]")
+        raise SpecError("reconnect_covers must be in [0, 1]")
     for name, probability in (
         ("crash_probability_per_tick", crash_probability_per_tick),
         ("disconnect_probability_per_tick", disconnect_probability_per_tick),
     ):
         if not 0 <= probability <= 1:
-            raise ValueError(f"{name} must be in [0, 1]")
+            raise SpecError(f"{name} must be in [0, 1]")
     survive_crashes = (1.0 - crash_probability_per_tick) ** ticks_to_deadline
     harmful_disconnect = disconnect_probability_per_tick * (1.0 - reconnect_covers)
     survive_disconnects = (1.0 - harmful_disconnect) ** ticks_to_deadline

@@ -7,12 +7,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.query.groupby import GroupingSetsResult
 
 __all__ = ["ExecutionError", "ExecutionReport", "KMeansOutcome"]
 
 
-class ExecutionError(Exception):
+class ExecutionError(ReproError):
     """Raised on executor misconfiguration (not on runtime faults)."""
 
 

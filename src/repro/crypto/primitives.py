@@ -23,6 +23,8 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.errors import ReproError
+
 __all__ = [
     "AuthenticationError",
     "KeyPair",
@@ -86,7 +88,7 @@ NONCE_SIZE = 16
 _BLOCK = hashlib.sha256().digest_size
 
 
-class AuthenticationError(Exception):
+class AuthenticationError(ReproError):
     """Raised when a ciphertext, tag, or signature fails verification."""
 
 

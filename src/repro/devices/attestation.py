@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 from repro.crypto.primitives import KeyPair, sign, verify
 from repro.devices.tee import TrustedExecutionEnvironment
+from repro.errors import ReproError
 
 __all__ = ["Quote", "AttestationAuthority", "AttestationError"]
 
 
-class AttestationError(Exception):
+class AttestationError(ReproError):
     """Raised when a quote fails verification."""
 
 

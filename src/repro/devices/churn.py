@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.errors import SpecError
 from repro.network.mobility import ContactSchedule
 
 __all__ = ["ChurnSpec", "WindowChurn", "ChurnModel"]
@@ -74,17 +75,17 @@ class ChurnSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.departure_probability <= 1:
-            raise ValueError("departure_probability must be in [0, 1]")
+            raise SpecError("departure_probability must be in [0, 1]")
         if not 0 <= self.data_change_probability <= 1:
-            raise ValueError("data_change_probability must be in [0, 1]")
+            raise SpecError("data_change_probability must be in [0, 1]")
         for rate in (self.contributor_arrival_rate, self.processor_arrival_rate):
             if rate is not None and rate < 0:
-                raise ValueError("arrival rates must be non-negative")
+                raise SpecError("arrival rates must be non-negative")
         if self.mobility_mean_intercontact is not None:
             if self.mobility_mean_intercontact <= 0:
-                raise ValueError("mobility_mean_intercontact must be positive")
+                raise SpecError("mobility_mean_intercontact must be positive")
             if self.mobility_mean_duration <= 0:
-                raise ValueError("mobility_mean_duration must be positive")
+                raise SpecError("mobility_mean_duration must be positive")
 
     @property
     def any_churn(self) -> bool:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.errors import ReproError
+
 __all__ = ["LocalDatastore", "DatastoreFullError"]
 
 Row = dict[str, Any]
 
 
-class DatastoreFullError(Exception):
+class DatastoreFullError(ReproError):
     """Raised when inserting beyond the device's storage capacity."""
 
 

@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.primitives import KeyPair, SymmetricKey, generate_keypair, hkdf
+from repro.errors import ReproError
 
 __all__ = ["TEEKind", "TrustedExecutionEnvironment", "SealedGlassObserver", "TEEError"]
 
 
-class TEEError(Exception):
+class TEEError(ReproError):
     """Raised on TEE misuse (e.g. unsealing with a foreign blob)."""
 
 

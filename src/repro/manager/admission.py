@@ -29,6 +29,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Iterable
 
+from repro.errors import ReproError
+
 __all__ = [
     "ADMITTED",
     "QUEUED",
@@ -43,7 +45,7 @@ QUEUED = "queued"
 SHED = "shed"
 
 
-class LeaseError(RuntimeError):
+class LeaseError(ReproError):
     """A device was asked to hold two exclusive roles at once."""
 
 

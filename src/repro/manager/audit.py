@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.primitives import KeyPair, secure_hash, sign, verify
+from repro.errors import ReproError
 
 
 def _fingerprint_of_public(public_key: int) -> str:
@@ -35,7 +36,7 @@ __all__ = ["AuditRecord", "AuditLedger", "LedgerError"]
 GENESIS_DIGEST = "0" * 64
 
 
-class LedgerError(Exception):
+class LedgerError(ReproError):
     """Raised when appending to or verifying a ledger fails."""
 
 

@@ -30,11 +30,12 @@ from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import DeviceProfile, HOME_BOX, PC_SGX, SMARTPHONE
 from repro.devices.tee import SealedGlassObserver
 from repro.data.generators import distribute_rows_to_devices
+from repro.errors import SpecError
 from repro.network.failures import FailurePlan, MessageFault, build_crash_plan
-from repro.network.faults import MessageFaultInjector
+from repro.network.faults import FaultSpec, MessageFaultInjector
 from repro.network.mobility import CaregiverRounds
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
-from repro.network.outages import build_outage_plan
+from repro.network.outages import OutageSpec, build_outage_plan
 from repro.network.reliable import ReliableTransport
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph
@@ -45,17 +46,115 @@ from repro.query.relation import Relation
 from repro.query.schema import Schema
 
 __all__ = [
+    "RunOptions",
     "ScenarioConfig",
     "Scenario",
     "ScenarioResult",
-    "check_recovery_options",
+    "check_timing",
 ]
 
 _scenario_ids = itertools.count(1)
 
 
+@dataclass(frozen=True, kw_only=True)
+class RunOptions:
+    """The fault and execution options of one run, declared and checked
+    once: :class:`ScenarioConfig` and its serialisable mirror
+    :class:`~repro.chaos.campaign.RunSpec` inherit them, and a bad value
+    raises :class:`~repro.errors.SpecError` naming it.
+
+    Attributes:
+        crash_probability: per-tick crash probability (failure slider),
+            drawn into plan atoms at install (``seed + 1``).
+        disconnect_probability: per-tick disconnection probability.
+        disconnect_duration: offline window length in virtual seconds.
+        message_loss: extra i.i.d. message-loss probability.
+        fault_specs: :class:`~repro.network.faults.FaultSpec`
+            message-fault rules, one whole-run plan atom each, rolled on
+            every send (seeded with ``seed + 3``).
+        failure_plan: optional scripted
+            :class:`~repro.network.failures.FailurePlan`, installed at
+            query start (chaos replay path).
+        outage_spec: optional
+            :class:`~repro.network.outages.OutageSpec`; its topology
+            atoms (partitions, regional crashes, gray windows) are
+            resolved over the processor pool with ``seed + 5`` and
+            joined to ``failure_plan``, which then must not script
+            topology atoms itself.
+        secure_channels: seal payloads in authenticated envelopes.
+        reliability: wire the
+            :class:`~repro.network.reliable.ReliableTransport` overlay
+            (ACK/retransmission, jitter RNG from ``seed + 4``) plus the
+            query-level :class:`~repro.core.runtime.recovery.RecoveryRuntime`
+            (phase watchdogs, standby reprovisioning, degradation).
+        phase_deadline: computation-phase deadline offset of the recovery
+            layer (``None`` = 85% of the query deadline); positive, and
+            requires ``reliability``.
+        detector: feed transport delivery observations into a φ-accrual
+            failure detector, so the recovery watchdog reprovisions
+            *suspected* (partitioned/gray) Computers; requires
+            ``reliability``.
+    """
+
+    crash_probability: float = 0.0
+    disconnect_probability: float = 0.0
+    disconnect_duration: float = 10.0
+    message_loss: float = 0.0
+    fault_specs: tuple[FaultSpec, ...] = ()
+    failure_plan: FailurePlan | None = None
+    outage_spec: OutageSpec | None = None
+    secure_channels: bool = False
+    reliability: bool = False
+    phase_deadline: float | None = None
+    detector: bool = False
+
+    def __post_init__(self) -> None:
+        # detector and phase_deadline act through the recovery layer
+        # reliability wires: without it they would be silently inert
+        if self.phase_deadline is not None and self.phase_deadline <= 0:
+            raise SpecError("phase_deadline must be positive")
+        if not self.reliability:
+            if self.detector:
+                raise SpecError("detector requires reliability")
+            if self.phase_deadline is not None:
+                raise SpecError("phase_deadline requires reliability")
+        for name in ("crash_probability", "disconnect_probability", "message_loss"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise SpecError(f"{name} must be in [0, 1]")
+        if self.disconnect_duration <= 0:
+            raise SpecError("disconnect_duration must be positive")
+
+    @property
+    def any_chaos(self) -> bool:
+        """Whether any fault source is configured: failure-slider crashes
+        or disconnects, message loss, message-fault rules, a scripted plan
+        or a non-no-op outage spec (a run's *clean* verdict needs
+        this to be false)."""
+        return bool(
+            self.crash_probability > 0
+            or self.disconnect_probability > 0
+            or self.message_loss > 0
+            or self.fault_specs
+            or self.failure_plan is not None
+            or (self.outage_spec is not None and not self.outage_spec.is_noop())
+        )
+
+    def run_options(self) -> dict[str, Any]:
+        """This block's fields by name, as keywords for another subclass."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(RunOptions)}
+
+
+def check_timing(collection_window: float, deadline: float) -> None:
+    """Reject a non-positive collection window or deadline, and a
+    deadline that leaves no time after the collection phase."""
+    if collection_window <= 0 or deadline <= 0:
+        raise SpecError("collection_window and deadline must be positive")
+    if deadline <= collection_window:
+        raise SpecError("deadline must exceed the collection window")
+
+
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(RunOptions):
     """Declarative description of one demonstration scenario.
 
     Attributes:
@@ -65,14 +164,8 @@ class ScenarioConfig:
         rows: the synthetic dataset dealt out to contributors.
         schema: common schema of the shared database.
         rows_per_device: (min, max) owner records per device.
-        crash_probability: per-tick crash probability (failure slider),
-            drawn into plan atoms at install (``seed + 1``).
-        disconnect_probability: per-tick disconnection probability.
-        disconnect_duration: offline window length in virtual seconds.
-        message_loss: extra i.i.d. message-loss probability.
         collection_window: virtual seconds for the collection phase.
-        deadline: virtual query deadline.
-        secure_channels: seal payloads in authenticated envelopes.
+        deadline: virtual query deadline; exceeds ``collection_window``.
         compromised_processors: number of processing TEEs degraded to
             sealed-glass mode (privacy experiments).
         rogue_processors: number of processing devices running a
@@ -90,41 +183,10 @@ class ScenarioConfig:
             pure function of ``(scenario_tag, seed)``, so a chaos repro
             artifact replayed in a fresh process rebuilds the exact same
             swarm regardless of how many scenarios ran before it.
-        failure_plan: optional scripted
-            :class:`~repro.network.failures.FailurePlan` — crashes,
-            disconnect windows, partitions, regional crashes, gray
-            windows — installed at query start (chaos replay path).
-        fault_specs: optional tuple of
-            :class:`~repro.network.faults.FaultSpec` message-fault rules,
-            one plan atom each spanning the whole run, rolled on every
-            send (seeded with ``seed + 3``).
-        outage_spec: optional
-            :class:`~repro.network.outages.OutageSpec`; when set, its
-            topology atoms (partitions, correlated regional crashes,
-            gray failures) are resolved over the processor pool with
-            ``seed + 5`` and appended to ``failure_plan``.  A
-            ``failure_plan`` that carries topology atoms already
-            excludes a non-no-op spec.
-        detector: feed transport delivery observations into a φ-accrual
-            failure detector and let the recovery watchdog reprovision
-            *suspected* (partitioned/gray, nominally online) Computers;
-            requires ``reliability``.
-        reliability: wire the
-            :class:`~repro.network.reliable.ReliableTransport` overlay
-            (ACK/retransmission, adaptive timeouts, circuit breakers —
-            jitter RNG derived from ``seed + 4``) plus the query-level
-            :class:`~repro.core.runtime.recovery.RecoveryRuntime`
-            (phase watchdogs, standby reprovisioning, graceful
-            degradation).
-        phase_deadline: computation-phase deadline offset forwarded to
-            the recovery layer (``None`` = 85% of the query deadline);
-            positive, and requires ``reliability``.
 
+    The fault and execution options are :class:`RunOptions` fields.
     Every execution path — the one-shot path, both engines, the chaos
-    harnesses — builds one of these.  Its fault and execution options are
-    declared here and on :class:`~repro.chaos.campaign.RunSpec`, their
-    serialisable mirror for chaos artifacts, and nowhere else: the
-    engines forward them as keywords.
+    harnesses — builds one of these.
     """
 
     n_contributors: int
@@ -133,13 +195,8 @@ class ScenarioConfig:
     schema: Schema
     device_mix: tuple[float, float, float] = (0.3, 0.4, 0.3)
     rows_per_device: tuple[int, int] = (1, 3)
-    crash_probability: float = 0.0
-    disconnect_probability: float = 0.0
-    disconnect_duration: float = 10.0
-    message_loss: float = 0.0
     collection_window: float = 30.0
     deadline: float = 100.0
-    secure_channels: bool = False
     compromised_processors: int = 0
     rogue_processors: int = 0
     require_attestation: bool = False
@@ -147,75 +204,33 @@ class ScenarioConfig:
     caregiver_visit: float = 10.0
     seed: int = 0
     scenario_tag: str | None = None
-    failure_plan: Any = None
-    fault_specs: Any = None
-    reliability: bool = False
-    phase_deadline: float | None = None
-    outage_spec: Any = None
-    detector: bool = False
 
     def __post_init__(self) -> None:
-        check_recovery_options(vars(self))
+        super().__post_init__()
+        check_timing(self.collection_window, self.deadline)
         if self.failure_plan is not None and self.failure_plan.has_outages():
             if self.outage_spec is not None and not self.outage_spec.is_noop():
-                raise ValueError(
+                raise SpecError(
                     "failure_plan already scripts topology outages; "
                     "drop outage_spec or those atoms"
                 )
         if self.n_contributors <= 0:
-            raise ValueError("n_contributors must be positive")
+            raise SpecError("n_contributors must be positive")
         if self.n_processors <= 0:
-            raise ValueError("n_processors must be positive")
+            raise SpecError("n_processors must be positive")
         if len(self.device_mix) != 3 or sum(self.device_mix) <= 0:
-            raise ValueError("device_mix must be 3 non-negative weights")
+            raise SpecError("device_mix must be 3 non-negative weights")
         if self.compromised_processors < 0:
-            raise ValueError("compromised_processors must be non-negative")
+            raise SpecError("compromised_processors must be non-negative")
         if not 0 <= self.rogue_processors <= self.n_processors:
-            raise ValueError("rogue_processors must be within the processor pool")
+            raise SpecError("rogue_processors must be within the processor pool")
         if self.caregiver_period is not None:
             if self.caregiver_period <= 0:
-                raise ValueError("caregiver_period must be positive")
+                raise SpecError("caregiver_period must be positive")
             if not 0 < self.caregiver_visit <= self.caregiver_period:
-                raise ValueError(
+                raise SpecError(
                     "caregiver_visit must be in (0, caregiver_period]"
                 )
-
-    @property
-    def any_chaos(self) -> bool:
-        """Whether any fault source is configured: failure-slider crashes
-        or disconnects, message loss, message-fault rules, a scripted plan
-        or a non-no-op outage spec (a run's *clean* verdict needs
-        this to be false)."""
-        return bool(
-            self.crash_probability > 0
-            or self.disconnect_probability > 0
-            or self.message_loss > 0
-            or self.fault_specs
-            or self.failure_plan is not None
-            or (self.outage_spec is not None and not self.outage_spec.is_noop())
-        )
-
-
-def check_recovery_options(options: dict[str, Any]) -> None:
-    """Reject a non-positive ``phase_deadline``, and recovery options
-    that would be inert: ``detector`` and ``phase_deadline`` act through
-    the recovery layer ``reliability`` wires.
-
-    ``options`` maps :class:`ScenarioConfig` field names to values;
-    absent names take the field default.  Raises ``ValueError`` naming
-    the option.  :class:`ScenarioConfig` and
-    :class:`~repro.chaos.campaign.RunSpec` run it on every construction;
-    the CLI runs it on its flags before any scenario is built.
-    """
-    phase_deadline = options.get("phase_deadline")
-    if phase_deadline is not None and phase_deadline <= 0:
-        raise ValueError("phase_deadline must be positive")
-    if options.get("reliability"):
-        return
-    if options.get("detector"):
-        raise ValueError("detector requires reliability")
-    if options.get("phase_deadline") is not None:
-        raise ValueError("phase_deadline requires reliability")
 
 
 @dataclass

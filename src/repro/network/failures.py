@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
+from repro.errors import SpecError
 from repro.network.faults import FaultSpec
 from repro.network.opnet import OpportunisticNetwork
 from repro.network.simulator import Simulator
@@ -55,19 +56,20 @@ def read_field(
     owner: str,
 ) -> Any:
     """``convert(data[key])`` for a JSON loader: a missing or ill-typed
-    field raises ``ValueError`` naming it, never a bare ``KeyError``."""
+    field raises :class:`~repro.errors.SpecError` naming it, never a
+    bare ``KeyError``."""
     if not isinstance(data, dict):
-        raise ValueError(f"{owner} must be a JSON object, got {type(data).__name__}")
+        raise SpecError(f"{owner} must be a JSON object, got {type(data).__name__}")
     if key not in data:
         if default is _REQUIRED:
-            raise ValueError(f"{owner} is missing field {key!r}")
+            raise SpecError(f"{owner} is missing field {key!r}")
         return default
     try:
         return convert(data[key])
     except KeyError as exc:
-        raise ValueError(f"{owner} field {key!r} is missing field {exc}") from None
+        raise SpecError(f"{owner} field {key!r} is missing field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{owner} field {key!r}: {exc}") from None
+        raise SpecError(f"{owner} field {key!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
+            raise SpecError("need 0 <= start < end")
         islands = tuple(tuple(island) for island in self.islands)
         if not islands or any(not island for island in islands):
-            raise ValueError("partition needs non-empty islands")
+            raise SpecError("partition needs non-empty islands")
         object.__setattr__(self, "islands", islands)
 
     def to_dict(self) -> dict[str, Any]:
@@ -143,9 +145,9 @@ class RegionalCrash:
 
     def __post_init__(self) -> None:
         if self.at < 0:
-            raise ValueError("crash time must be non-negative")
+            raise SpecError("crash time must be non-negative")
         if not self.devices:
-            raise ValueError("regional crash needs at least one device")
+            raise SpecError("regional crash needs at least one device")
         object.__setattr__(self, "devices", tuple(self.devices))
 
     def to_dict(self) -> dict[str, Any]:
@@ -175,11 +177,11 @@ class GrayWindow:
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
+            raise SpecError("need 0 <= start < end")
         if self.latency_factor < 1.0:
-            raise ValueError("latency_factor must be >= 1")
+            raise SpecError("latency_factor must be >= 1")
         if not 0 <= self.extra_loss <= 1:
-            raise ValueError("extra_loss must be in [0, 1]")
+            raise SpecError("extra_loss must be in [0, 1]")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -213,7 +215,7 @@ class MessageFault:
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
+            raise SpecError("need 0 <= start < end")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -271,10 +273,10 @@ class FailurePlan:
     def crash(self, device_id: str, at: float) -> "FailurePlan":
         """Schedule a permanent crash (fluent)."""
         if at < 0:
-            raise ValueError("crash time must be non-negative")
+            raise SpecError("crash time must be non-negative")
         for start, _end in self.disconnections.get(device_id, ()):
             if start >= at:
-                raise ValueError(
+                raise SpecError(
                     f"device {device_id!r} has a disconnect window starting at "
                     f"{start} but would already be crashed at {at}"
                 )
@@ -284,10 +286,10 @@ class FailurePlan:
     def disconnect(self, device_id: str, start: float, end: float) -> "FailurePlan":
         """Schedule an offline window (fluent)."""
         if not 0 <= start < end:
-            raise ValueError("need 0 <= start < end")
+            raise SpecError("need 0 <= start < end")
         crash_at = self.crashes.get(device_id)
         if crash_at is not None and start >= crash_at:
-            raise ValueError(
+            raise SpecError(
                 f"device {device_id!r} crashes at {crash_at}; cannot schedule a "
                 f"disconnect starting at {start} after it is dead"
             )
@@ -356,7 +358,7 @@ class FailurePlan:
         )
 
     def validate(self) -> None:
-        """Raise ``ValueError`` if any disconnect starts at or after the
+        """Raise ``SpecError`` if any disconnect starts at or after the
         same device's crash time (the device would already be dead), or
         a device sits in two islands of one partition."""
         for device_id, windows in self.disconnections.items():
@@ -365,7 +367,7 @@ class FailurePlan:
                 continue
             for start, _end in windows:
                 if start >= crash_at:
-                    raise ValueError(
+                    raise SpecError(
                         f"device {device_id!r} crashes at {crash_at}; disconnect "
                         f"window starting at {start} can never take effect"
                     )
@@ -374,7 +376,7 @@ class FailurePlan:
             for island in partition.islands:
                 overlap = seen & set(island)
                 if overlap:
-                    raise ValueError(
+                    raise SpecError(
                         f"device(s) {sorted(overlap)} appear in two islands of "
                         f"the partition starting at {partition.start}"
                     )
@@ -397,7 +399,7 @@ class FailurePlan:
 
     @classmethod
     def from_atoms(cls, atoms: list[Atom]) -> "FailurePlan":
-        """Rebuild a plan from :meth:`atoms`; raises ``ValueError`` when
+        """Rebuild a plan from :meth:`atoms`; raises ``SpecError`` when
         a disconnect would start after its device's crash."""
         plan = cls()
         # crashes first so the disconnect-after-crash validation applies
@@ -438,7 +440,7 @@ class FailurePlan:
     @classmethod
     def from_dict(cls, payload: dict) -> "FailurePlan":
         """Load a plan; every atom goes through the same checks as one
-        built in code, and a bad one raises ``ValueError`` naming its
+        built in code, and a bad one raises ``SpecError`` naming its
         field."""
         read = partial(read_field, payload, owner="failure plan")
 
@@ -461,8 +463,8 @@ class FailurePlan:
         ], {})
         try:
             plan.validate()
-        except ValueError as exc:
-            raise ValueError(f"failure plan: {exc}") from None
+        except SpecError as exc:
+            raise SpecError(f"failure plan: {exc}") from None
         return plan
 
     def apply(self, simulator: Simulator, network: OpportunisticNetwork) -> list[FailureEvent]:
@@ -578,11 +580,11 @@ def build_crash_plan(
     scripted ones (:meth:`FailurePlan.apply` installs their union).
     """
     if not 0 <= crash_probability <= 1:
-        raise ValueError("crash_probability must be in [0, 1]")
+        raise SpecError("crash_probability must be in [0, 1]")
     if not 0 <= disconnect_probability <= 1:
-        raise ValueError("disconnect_probability must be in [0, 1]")
+        raise SpecError("disconnect_probability must be in [0, 1]")
     if disconnect_duration <= 0:
-        raise ValueError("disconnect_duration must be positive")
+        raise SpecError("disconnect_duration must be positive")
     rng = random.Random(seed)
     dead_at = dict(plan.crashes)
     for event in plan.regional_crashes:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.crypto.envelope import Envelope
+from repro.errors import SpecError
 from repro.network.messages import Message
 
 __all__ = [
@@ -43,10 +44,8 @@ __all__ = [
     "MessageFaultInjector",
     "corrupt_payload",
     "parse_fault_mix",
-    "FAULT_KNOBS",
-    "register_fault_knob",
-    "fault_mix_help",
-    "message_knobs",
+    "parse_knobs",
+    "MESSAGE_KNOBS",
 ]
 
 # payload keys that carry routing/protocol structure rather than data;
@@ -76,60 +75,18 @@ _STRUCTURAL_KEYS = frozenset(
 )
 
 
-# -- fault-knob registry ------------------------------------------------------
-#
-# Every fault kind the chaos CLI can express registers its knobs here,
-# keyed by the ``name=value`` token accepted in ``--fault-mix`` strings.
-# The CLI help text and the parser's "known knobs" set are both derived
-# from this registry, so a new fault family (e.g. the topology-level
-# outages in :mod:`repro.network.outages`) appears in ``--fault-mix
-# --help`` automatically the moment its module registers its knobs.
-
-#: knob name -> (scope, one-line description).  Scope ``"message"``
-#: knobs configure :class:`FaultSpec` rules rolled per send;
-#: ``"outage"`` knobs configure topology-level outage generation.
-FAULT_KNOBS: dict[str, tuple[str, str]] = {}
-
-
-def register_fault_knob(name: str, scope: str, description: str) -> None:
-    """Register one ``--fault-mix`` knob (idempotent per name)."""
-    if scope not in ("message", "outage"):
-        raise ValueError(f"unknown fault-knob scope {scope!r}")
-    FAULT_KNOBS[name] = (scope, description)
-
-
-def message_knobs() -> frozenset[str]:
-    """Knob names that configure per-message :class:`FaultSpec` rules."""
-    return frozenset(
-        name for name, (scope, _) in FAULT_KNOBS.items() if scope == "message"
-    )
-
-
-def fault_mix_help() -> str:
-    """Render the registry as CLI help text, grouped by scope."""
-    lines: list[str] = []
-    for scope, title in (("message", "message faults"), ("outage", "topology outages")):
-        knobs = [
-            (name, desc)
-            for name, (knob_scope, desc) in sorted(FAULT_KNOBS.items())
-            if knob_scope == scope
-        ]
-        if not knobs:
-            continue
-        lines.append(f"{title}: " + "; ".join(f"{n} ({d})" for n, d in knobs))
-    return " | ".join(lines)
-
-
-for _name, _desc in (
-    ("drop", "P(message vanishes before routing)"),
-    ("duplicate", "P(one extra copy is injected)"),
-    ("delay", "P(extra latency term)"),
-    ("delay_min", "min extra delay, seconds"),
-    ("delay_max", "max extra delay, seconds"),
-    ("corrupt", "P(payload tampered at the TEE boundary)"),
-    ("corrupt_scale", "factor applied to corrupted numeric leaves"),
-):
-    register_fault_knob(_name, "message", _desc)
+#: ``--fault-mix`` knob name -> one-line description, for the knobs
+#: that configure a per-message :class:`FaultSpec` rule (the outage
+#: knobs are :data:`repro.network.outages.OUTAGE_KNOBS`).
+MESSAGE_KNOBS: dict[str, str] = {
+    "drop": "P(message vanishes before routing)",
+    "duplicate": "P(one extra copy is injected)",
+    "delay": "P(extra latency term)",
+    "delay_min": "min extra delay, seconds",
+    "delay_max": "max extra delay, seconds",
+    "corrupt": "P(payload tampered at the TEE boundary)",
+    "corrupt_scale": "factor applied to corrupted numeric leaves",
+}
 
 
 @dataclass(frozen=True)
@@ -165,10 +122,10 @@ class FaultSpec:
         ):
             value = getattr(self, name)
             if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise SpecError(f"{name} must be in [0, 1], got {value}")
         low, high = self.delay_range
         if low < 0 or high < low:
-            raise ValueError(f"need 0 <= min <= max delay, got {self.delay_range}")
+            raise SpecError(f"need 0 <= min <= max delay, got {self.delay_range}")
         if self.kinds is not None:
             object.__setattr__(self, "kinds", tuple(self.kinds))
 
@@ -358,6 +315,27 @@ class MessageFaultInjector:
         return counts
 
 
+def parse_knobs(text: str, known: Iterable[str], label: str) -> dict[str, float]:
+    """Parse a ``name=value,…`` knob list; a malformed knob or a name
+    not in ``known`` raises :class:`~repro.errors.SpecError` naming it
+    as a ``label``."""
+    knobs: dict[str, float] = {}
+    for knob in text.split(","):
+        knob = knob.strip()
+        if not knob:
+            continue
+        if "=" not in knob:
+            raise SpecError(f"{label} {knob!r} is not name=value")
+        name, value = knob.split("=", 1)
+        knobs[name.strip()] = float(value)
+    unknown = set(knobs) - set(known)
+    if unknown:
+        raise SpecError(
+            f"unknown {label}(s) {sorted(unknown)}; expected {sorted(known)}"
+        )
+    return knobs
+
+
 def parse_fault_mix(text: str) -> tuple[FaultSpec, ...]:
     """Parse a CLI fault-mix string into fault specs.
 
@@ -384,21 +362,7 @@ def parse_fault_mix(text: str) -> tuple[FaultSpec, ...]:
         if ":" in chunk:
             kinds_part, chunk = chunk.split(":", 1)
             kinds = tuple(k.strip() for k in kinds_part.split("+") if k.strip())
-        knobs: dict[str, float] = {}
-        for knob in chunk.split(","):
-            knob = knob.strip()
-            if not knob:
-                continue
-            if "=" not in knob:
-                raise ValueError(f"fault-mix knob {knob!r} is not name=value")
-            name, value = knob.split("=", 1)
-            knobs[name.strip()] = float(value)
-        known = message_knobs()
-        unknown = set(knobs) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault-mix knob(s) {sorted(unknown)}; expected {sorted(known)}"
-            )
+        knobs = parse_knobs(chunk, MESSAGE_KNOBS, "fault-mix knob")
         specs.append(
             FaultSpec(
                 kinds=kinds,
@@ -414,5 +378,5 @@ def parse_fault_mix(text: str) -> tuple[FaultSpec, ...]:
             )
         )
     if not specs:
-        raise ValueError("empty fault mix")
+        raise SpecError("empty fault mix")
     return tuple(specs)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
+from repro.errors import SpecError
 from repro.network.failures import (
     FailurePlan,
     GrayWindow,
@@ -34,13 +35,15 @@ from repro.network.failures import (
     RegionalCrash,
     read_field,
 )
-from repro.network.faults import register_fault_knob
+from repro.network.faults import MESSAGE_KNOBS, parse_knobs
 
 __all__ = [
     "OutageSpec",
     "build_outage_plan",
     "assign_regions",
+    "fault_mix_help",
     "parse_outage_mix",
+    "OUTAGE_KNOBS",
 ]
 
 
@@ -72,7 +75,7 @@ class OutageSpec:
 
     def __post_init__(self) -> None:
         if self.regions < 1:
-            raise ValueError("regions must be >= 1")
+            raise SpecError("regions must be >= 1")
         for name in (
             "partition_probability",
             "region_crash_probability",
@@ -81,13 +84,13 @@ class OutageSpec:
         ):
             value = getattr(self, name)
             if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise SpecError(f"{name} must be in [0, 1], got {value}")
         if self.gray_latency_factor < 1.0:
-            raise ValueError("gray_latency_factor must be >= 1")
+            raise SpecError("gray_latency_factor must be >= 1")
         for name in ("partition_duration", "gray_duration"):
             low, high = getattr(self, name)
             if not 0 < low <= high:
-                raise ValueError(f"need 0 < min <= max for {name}")
+                raise SpecError(f"need 0 < min <= max for {name}")
         object.__setattr__(
             self, "partition_duration", tuple(self.partition_duration)
         )
@@ -138,7 +141,7 @@ def build_outage_plan(
     """Expand a spec into a concrete plan — a pure function of its
     arguments, so campaign runs replay from (spec, seed) alone."""
     if horizon <= 0:
-        raise ValueError("horizon must be positive")
+        raise SpecError("horizon must be positive")
     rng = random.Random(f"{seed}:outages")
     plan = FailurePlan()
     regions = assign_regions(device_ids, spec.regions)
@@ -180,7 +183,9 @@ def build_outage_plan(
 
 # -- CLI fault-mix integration ------------------------------------------------
 
-_OUTAGE_KNOBS = {
+#: ``--fault-mix`` knob name -> one-line description, for the knobs
+#: that configure an :class:`OutageSpec`.
+OUTAGE_KNOBS: dict[str, str] = {
     "regions": "number of AP/region groups (default 4)",
     "partition": "per-region P(partition cuts the region off for a while)",
     "partition_min": "min partition duration, seconds",
@@ -193,8 +198,16 @@ _OUTAGE_KNOBS = {
     "gray_max": "max gray-window duration, seconds",
 }
 
-for _name, _desc in _OUTAGE_KNOBS.items():
-    register_fault_knob(_name, "outage", _desc)
+
+def fault_mix_help() -> str:
+    """The ``--fault-mix`` knobs as CLI help text, grouped by scope."""
+    return " | ".join(
+        f"{title}: " + "; ".join(f"{n} ({d})" for n, d in sorted(knobs.items()))
+        for title, knobs in (
+            ("message faults", MESSAGE_KNOBS),
+            ("topology outages", OUTAGE_KNOBS),
+        )
+    )
 
 
 def parse_outage_mix(text: str) -> OutageSpec | None:
@@ -204,20 +217,7 @@ def parse_outage_mix(text: str) -> OutageSpec | None:
     topology-level, not per-message-kind).  Returns ``None`` for an
     empty string.
     """
-    knobs: dict[str, float] = {}
-    for knob in text.split(","):
-        knob = knob.strip()
-        if not knob:
-            continue
-        if "=" not in knob:
-            raise ValueError(f"outage knob {knob!r} is not name=value")
-        name, value = knob.split("=", 1)
-        name = name.strip()
-        if name not in _OUTAGE_KNOBS:
-            raise ValueError(
-                f"unknown outage knob {name!r}; expected {sorted(_OUTAGE_KNOBS)}"
-            )
-        knobs[name] = float(value)
+    knobs = parse_knobs(text, OUTAGE_KNOBS, "outage knob")
     if not knobs:
         return None
     return OutageSpec(
@@ -238,7 +238,7 @@ def parse_outage_mix(text: str) -> OutageSpec | None:
 def split_chaos_mix(text: str) -> tuple[str, str]:
     """Split a combined ``--fault-mix`` string into (message part,
     outage part) by classifying each ``;``-separated chunk's knobs
-    against the fault registry.  A chunk mixing both scopes is an
+    against :data:`OUTAGE_KNOBS`.  A chunk mixing both scopes is an
     error; kind-prefixed chunks are always message-scoped.
     """
     message_chunks: list[str] = []
@@ -253,13 +253,13 @@ def split_chaos_mix(text: str) -> tuple[str, str]:
             for knob in body.split(",")
             if knob.strip()
         }
-        outage_names = names & set(_OUTAGE_KNOBS)
+        outage_names = names & set(OUTAGE_KNOBS)
         if ":" in stripped or not outage_names:
             message_chunks.append(stripped)
         elif outage_names == names:
             outage_chunks.append(stripped)
         else:
-            raise ValueError(
+            raise SpecError(
                 f"fault-mix chunk {stripped!r} mixes message knobs "
                 f"{sorted(names - outage_names)} with outage knobs "
                 f"{sorted(outage_names)}; separate them with ';'"

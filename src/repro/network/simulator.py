@@ -23,10 +23,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.errors import ReproError
+
 __all__ = ["Event", "Simulator", "SimulationError"]
 
 
-class SimulationError(Exception):
+class SimulationError(ReproError):
     """Raised on kernel misuse (e.g. scheduling into the past)."""
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Union
 
+from repro.errors import ReproError
 from repro.query.aggregates import AggregateSpec
 from repro.query.expressions import Expression
 from repro.query.groupby import GroupByQuery
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-class LogicalPlanError(Exception):
+class LogicalPlanError(ReproError):
     """Raised when a logical plan is structurally invalid."""
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.resiliency import effective_fault_rate
 from repro.devices.profiles import HOME_BOX, PC_SGX, SMARTPHONE
+from repro.errors import SpecError
 
 __all__ = ["SubstrateProfile", "SUBSTRATE_PROFILES"]
 
@@ -63,17 +64,17 @@ class SubstrateProfile:
 
     def __post_init__(self) -> None:
         if self.n_contributors <= 0:
-            raise ValueError("n_contributors must be positive")
+            raise SpecError("n_contributors must be positive")
         if self.n_processors <= 0:
-            raise ValueError("n_processors must be positive")
+            raise SpecError("n_processors must be positive")
         if len(self.device_mix) != 3 or sum(self.device_mix) <= 0:
-            raise ValueError("device_mix must be 3 non-negative weights")
+            raise SpecError("device_mix must be 3 non-negative weights")
         for name in ("fault_rate", "message_loss", "crash_probability",
                      "disconnect_probability", "partition_rate",
                      "gray_rate"):
             value = getattr(self, name)
             if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
+                raise SpecError(f"{name} must be in [0, 1)")
 
     # -- derived telemetry ---------------------------------------------------
 

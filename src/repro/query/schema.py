@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable
 
+from repro.errors import ReproError
+
 __all__ = ["ColumnType", "Column", "Schema", "SchemaError"]
 
 
-class SchemaError(Exception):
+class SchemaError(ReproError):
     """Raised when a row or query does not fit the schema."""
 
 

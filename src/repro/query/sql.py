@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import ReproError
 from repro.query.aggregates import SUPPORTED_FUNCTIONS, AggregateSpec
 from repro.query.expressions import (
     AndExpr,
@@ -48,7 +49,7 @@ from repro.query.groupby import GroupByQuery
 __all__ = ["SQLSyntaxError", "ParsedQuery", "parse_query"]
 
 
-class SQLSyntaxError(Exception):
+class SQLSyntaxError(ReproError):
     """Raised on any parse failure, with position information."""
 
 

@@ -43,6 +43,7 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+from repro.errors import SpecError
 from repro.manager.admission import (
     ADMITTED,
     QUEUED,
@@ -98,8 +99,8 @@ class MultiQueryEngine:
         config: the one :class:`ScenarioConfig` (see :meth:`configure`).
         telemetry: recording target; defaults to the process instance.
         standby_count: extra devices leased per reliable unit as the
-            recovery watchdog's re-recruitment pool (0 when the spec is
-            not reliable).
+            recovery watchdog's re-recruitment pool (non-negative; 0
+            when the spec is not reliable).
         max_concurrent / queue_capacity: the admission bounds.
     """
 
@@ -112,6 +113,8 @@ class MultiQueryEngine:
         max_concurrent: int = 1,
         queue_capacity: int = 0,
     ):
+        if standby_count < 0:
+            raise SpecError("standby_count must be non-negative")
         if telemetry is None:
             from repro.telemetry import get_telemetry
 
@@ -369,12 +372,10 @@ class WorkloadEngine(MultiQueryEngine):
         standby_count: extra devices leased per reliable query as the
             recovery watchdog's re-recruitment pool.
         **scenario: any other :class:`ScenarioConfig` field, forwarded
-            verbatim — fault sources (installed once over the whole
-            workload, see :mod:`repro.chaos.workload`) and execution
-            options (``secure_channels``, ``detector``,
-            ``phase_deadline``).  The fields this engine derives from
-            ``spec`` (``reliability``, ``collection_window``,
-            ``deadline``, ``seed``) raise ``TypeError`` if passed again.
+            verbatim (the :class:`~repro.manager.scenario.RunOptions`);
+            a field derived from ``spec`` (``reliability``,
+            ``collection_window``, ``deadline``, ``seed``) raises
+            ``TypeError`` if passed again.
     """
 
     def __init__(

@@ -29,6 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.errors import SpecError
+from repro.manager.scenario import check_timing
+
 __all__ = ["ARRIVAL_PROCESSES", "QueryArrival", "QueryShape", "WorkloadSpec"]
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "closed")
@@ -66,10 +69,7 @@ class QueryShape:
     )
 
     def __post_init__(self) -> None:
-        if self.collection_window <= 0 or self.deadline <= 0:
-            raise ValueError("collection_window and deadline must be positive")
-        if self.deadline <= self.collection_window:
-            raise ValueError("deadline must exceed the collection window")
+        check_timing(self.collection_window, self.deadline)
 
 
 @dataclass(frozen=True)
@@ -123,21 +123,21 @@ class WorkloadSpec(QueryShape):
 
     def __post_init__(self) -> None:
         if self.n_queries <= 0:
-            raise ValueError("n_queries must be positive")
+            raise SpecError("n_queries must be positive")
         if self.arrival_process not in ARRIVAL_PROCESSES:
-            raise ValueError(
+            raise SpecError(
                 f"arrival_process must be one of {ARRIVAL_PROCESSES}"
             )
         if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
+            raise SpecError("arrival_rate must be positive")
         if self.target_in_flight <= 0:
-            raise ValueError("target_in_flight must be positive")
+            raise SpecError("target_in_flight must be positive")
         if self.max_concurrent <= 0:
-            raise ValueError("max_concurrent must be positive")
+            raise SpecError("max_concurrent must be positive")
         if self.queue_capacity < 0:
-            raise ValueError("queue_capacity must be non-negative")
+            raise SpecError("queue_capacity must be non-negative")
         if not 0 <= self.backup_fraction <= 1:
-            raise ValueError("backup_fraction must be in [0, 1]")
+            raise SpecError("backup_fraction must be in [0, 1]")
         super().__post_init__()
 
     def arrivals(self) -> list[QueryArrival]:

@@ -17,13 +17,13 @@ import pytest
 
 from repro.chaos.shrink import shrink_failure_plan
 from repro.network.failures import FailurePlan, GrayWindow, Partition, RegionalCrash
-from repro.network.faults import FAULT_KNOBS, fault_mix_help
 from repro.network.messages import Message, MessageKind
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.outages import (
     OutageSpec,
     assign_regions,
     build_outage_plan,
+    fault_mix_help,
     parse_outage_mix,
     split_chaos_mix,
 )
@@ -395,11 +395,15 @@ class TestShrink:
 
 class TestFaultMixRouting:
     def test_registry_lists_both_scopes(self):
-        assert FAULT_KNOBS["drop"][0] == "message"
-        assert FAULT_KNOBS["partition"][0] == "outage"
-        assert FAULT_KNOBS["gray"][0] == "outage"
+        # the help lists both knob tables; each knob routes to its scope
         help_text = fault_mix_help()
+        assert "message faults: " in help_text
+        assert "topology outages: " in help_text
         assert "partition" in help_text and "drop" in help_text
+        assert split_chaos_mix("drop=0.1") == ("drop=0.1", "")
+        assert split_chaos_mix("partition=0.3,gray=0.2") == (
+            "", "partition=0.3,gray=0.2"
+        )
 
     def test_parse_outage_mix_full_knob_set(self):
         spec = parse_outage_mix(
