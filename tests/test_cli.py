@@ -137,15 +137,45 @@ class TestCommands:
             ["resiliency", "--n", "0"],
             ["explain", "--max-raw", "0"],
             ["advise", "--distributive", "--fault-rate", "1.5"],
+            ["workload", "--deadline", "3"],
+            ["workload", "--queries", "0"],
+            ["workload", "--cardinality", "0"],
+            ["workload", "--reliability", "--standbys", "-1", "--queries", "2"],
+            ["continuous", "--cadence", "1"],
+            ["continuous", "--churn", "2"],
+            ["continuous", "--arrival-rate", "-1"],
+            ["run", "--contributors", "0"],
+            ["run", "--message-loss", "1.5"],
+            ["run", "--max-raw", "0"],
+            ["run", "--fault-rate", "1.5"],
+            ["kmeans", "--k", "0"],
+            ["kmeans", "--heartbeats", "0"],
+            ["chaos", "--workload", "0"],
+            ["chaos", "--runs", "0"],
+            ["chaos", "--runs", "-5"],
+            ["chaos", "--runs", "1", "--shrink-budget", "-1"],
         ],
         ids=" ".join,
     )
     def test_rejected_planning_parameter_exits_2(self, capsys, argv):
+        """Every command: a value the library rejects (a SpecError or a
+        PlanningError) is one ``{command}: why`` line and exit 2, with
+        nothing on stdout and no traceback."""
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{argv[0]}: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_bug_mid_run_still_propagates(self, monkeypatch):
+        # exit 2 is for rejected values only: a plain ValueError from
+        # inside a run is a bug and keeps its traceback
+        def broken(self, compiled, **kwargs):
+            raise ValueError("not a spec error")
+
+        monkeypatch.setattr(Scenario, "run_compiled", broken)
+        with pytest.raises(ValueError, match="not a spec error"):
+            main(["run", "--contributors", "20", "--processors", "10"])
 
     @pytest.mark.parametrize("strategy", ["backup", "both"])
     def test_zero_replica_backup_exits_2(self, capsys, strategy):

@@ -244,5 +244,33 @@ def test_only_the_resiliency_module_compares_strategy_names(tmp_path):
     ]
 
 
+def test_every_error_class_derives_from_the_root(tmp_path):
+    root = tmp_path / "src" / "repro"
+    files = {
+        "errors.py": (
+            "class ReproError(Exception): ...\n"
+            "class SpecError(ReproError, ValueError): ...\n"
+        ),
+        # through another error class, module-qualified: fine
+        "core/planner.py": (
+            "from repro import errors\n"
+            "class PlanningError(errors.ReproError): ...\n"
+            "class StrictPlanningError(PlanningError): ...\n"
+            "class Planner(RuntimeError): ...  # not an *Error: fine\n"
+        ),
+        # the declaration before the error root existed
+        "manager/admission.py": "class LeaseError(RuntimeError): ...\n",
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    violations = _tool().check(tmp_path / "src")
+    assert violations == [
+        "repro.manager.admission defines LeaseError outside the error root  "
+        f"({root / 'manager' / 'admission.py'}:1)  "
+        "[every *Error derives from ReproError]"
+    ]
+
+
 def test_the_shipped_tree_has_one_construction_site():
     assert _tool().check(REPO / "src") == []

@@ -21,7 +21,9 @@ an execution or inject faults may be *constructed*, and an outage spec
 resolved, in one module only (:data:`SOLE_CALLER`); that the
 execution runtime branches on an operator's rank, never on a strategy
 name (:data:`RANK_ONLY`); and that only :data:`SPELLING_OWNER` compares
-a value against a strategy name.
+a value against a strategy name.  Last, every class whose name ends in
+``Error`` must derive from :data:`ERROR_ROOT`, directly or through
+another error class (:func:`rootless_errors`).
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ STRATEGY_NAMES = ("backup", "overcollection")
 #: a second place that turns names back into ranks.
 SPELLING_OWNER = "repro.core.resiliency"
 
+#: The one error root: ``except ReproError`` catches whatever the
+#: library raises on purpose, so no ``*Error`` class may sit outside it.
+ERROR_ROOT = "ReproError"
+
 
 def module_name(path: Path, root: Path) -> str:
     relative = path.relative_to(root).with_suffix("")
@@ -248,6 +254,41 @@ def strategy_name_compares(tree: ast.AST) -> list[int]:
     return sorted(lines)
 
 
+def error_classes(tree: ast.AST) -> list[tuple[str, tuple[str, ...], int]]:
+    """``(name, base names, line)`` of every class named ``*Error``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Error"):
+            bases = tuple(
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))
+            )
+            found.append((node.name, bases, node.lineno))
+    return found
+
+
+def rootless_errors(errors: list[tuple[str, tuple[str, ...]]]) -> set[str]:
+    """The names among ``errors`` — ``(name, base names)`` pairs — that
+    do not reach :data:`ERROR_ROOT` through their bases."""
+    bases_of: dict[str, set[str]] = {}
+    for name, bases in errors:
+        bases_of.setdefault(name, set()).update(bases)
+
+    def rooted(name: str) -> bool:
+        pending, seen = [name], set()
+        while pending:
+            current = pending.pop()
+            if current == ERROR_ROOT:
+                return True
+            if current not in seen:
+                seen.add(current)
+                pending.extend(bases_of.get(current, ()))
+        return False
+
+    return {name for name in bases_of if name != ERROR_ROOT and not rooted(name)}
+
+
 def _numpy_confined(module: str) -> bool:
     """Whether this module is banned from importing numpy."""
     in_query = module == NUMPY_CONFINED_PREFIX or module.startswith(
@@ -261,6 +302,7 @@ def _numpy_confined(module: str) -> bool:
 
 def check(root: Path) -> list[str]:
     violations: list[str] = []
+    errors: list[tuple[str, Path, str, tuple[str, ...], int]] = []
     for path in sorted(root.rglob("*.py")):
         module = module_name(path, root)
         bans = tuple(
@@ -315,6 +357,17 @@ def check(root: Path) -> list[str]:
                     f"{module} compares a strategy name  ({path}:{line})  "
                     f"[only {SPELLING_OWNER} spells strategies]"
                 )
+        errors.extend(
+            (module, path, name, bases, line)
+            for name, bases, line in error_classes(tree)
+        )
+    rootless = rootless_errors([(name, bases) for _, _, name, bases, _ in errors])
+    for module, path, name, _bases, line in errors:
+        if name in rootless:
+            violations.append(
+                f"{module} defines {name} outside the error root  "
+                f"({path}:{line})  [every *Error derives from {ERROR_ROOT}]"
+            )
     return violations
 
 
@@ -344,7 +397,8 @@ def main() -> int:
         "repro.query.columnar within the query layer, no module imports "
         f"networkx, scipy stays confined to {CONFINED['scipy']}, "
         f"{RANK_ONLY} reads no strategy name, only "
-        f"{SPELLING_OWNER} compares strategy names, and only "
+        f"{SPELLING_OWNER} compares strategy names, every *Error derives "
+        f"from {ERROR_ROOT}, and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
             for module, names in callers.items()
