@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import SpecError
 from repro.query.aggregates import SUPPORTED_FUNCTIONS, AggregateSpec
 from repro.query.expressions import (
     AndExpr,
@@ -49,8 +49,9 @@ from repro.query.groupby import GroupByQuery
 __all__ = ["SQLSyntaxError", "ParsedQuery", "parse_query"]
 
 
-class SQLSyntaxError(ReproError):
-    """Raised on any parse failure, with position information."""
+class SQLSyntaxError(SpecError):
+    """Raised on any parse failure, with position information (a
+    malformed supplied value, so a :class:`~repro.errors.SpecError`)."""
 
 
 @dataclass(frozen=True)

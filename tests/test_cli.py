@@ -137,6 +137,7 @@ class TestCommands:
             ["resiliency", "--n", "0"],
             ["explain", "--max-raw", "0"],
             ["advise", "--distributive", "--fault-rate", "1.5"],
+            ["plan", "--sql", "SELEC count(*) FROM health"],
             ["workload", "--deadline", "3"],
             ["workload", "--queries", "0"],
             ["workload", "--cardinality", "0"],
