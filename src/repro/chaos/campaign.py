@@ -226,7 +226,7 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         deadline=spec.deadline,
         seed=spec.seed,
         scenario_tag=spec.tag,
-        **spec.run_options(),
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(RunOptions)},
     )
     scenario = Scenario(config, telemetry=telemetry)
     substrate = (
@@ -317,6 +317,8 @@ class CampaignConfig:
                 "base.failure_plan names one run's devices; scripted plans "
                 "are per-run (replay, shrinking), not a campaign template"
             )
+        for index in range(len(self.grid())):
+            self.spec_for(index)  # every axis value meets RunOptions' checks
 
     def grid(self) -> list[tuple[int, float, tuple[FaultSpec, ...], TopologySpec]]:
         cells = []

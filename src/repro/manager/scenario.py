@@ -139,10 +139,6 @@ class RunOptions:
             or (self.outage_spec is not None and not self.outage_spec.is_noop())
         )
 
-    def run_options(self) -> dict[str, Any]:
-        """This block's fields by name, as keywords for another subclass."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(RunOptions)}
-
 
 def check_timing(collection_window: float, deadline: float) -> None:
     """Reject a non-positive collection window or deadline, and a

@@ -145,13 +145,8 @@ class FaultSpec:
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible representation (artifact serialization)."""
         return {
-            "kinds": list(self.kinds) if self.kinds is not None else None,
-            "drop_probability": self.drop_probability,
-            "duplicate_probability": self.duplicate_probability,
-            "delay_probability": self.delay_probability,
-            "delay_range": list(self.delay_range),
-            "corrupt_probability": self.corrupt_probability,
-            "corrupt_scale": self.corrupt_scale,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in dataclasses.asdict(self).items()
         }
 
     @classmethod

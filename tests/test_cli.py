@@ -155,6 +155,7 @@ class TestCommands:
             ["chaos", "--runs", "0"],
             ["chaos", "--runs", "-5"],
             ["chaos", "--runs", "1", "--shrink-budget", "-1"],
+            ["chaos", "--runs", "1", "--failure-probability", "0,1.5"],
         ],
         ids=" ".join,
     )
