@@ -141,7 +141,7 @@ def build_outage_plan(
     """Expand a spec into a concrete plan — a pure function of its
     arguments, so campaign runs replay from (spec, seed) alone."""
     if horizon <= 0:
-        raise SpecError("horizon must be positive")
+        raise ValueError("horizon must be positive")
     rng = random.Random(f"{seed}:outages")
     plan = FailurePlan()
     regions = assign_regions(device_ids, spec.regions)
