@@ -82,9 +82,9 @@ class ReproArtifact:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ReproArtifact":
         """Load an artifact; a missing or ill-typed field raises
-        :class:`~repro.errors.SpecError` naming it.  The ``mode`` key of artifacts written
-        when runs could also replay their seeded sources verbatim is
-        ignored: ``run`` says what executes."""
+        :class:`~repro.errors.SpecError` naming it.  The ``mode`` key of
+        artifacts written when runs could also replay their seeded
+        sources verbatim is ignored: ``run`` says what executes."""
         from repro.chaos.campaign import RunSpec
 
         read = partial(read_field, data, owner="artifact")
