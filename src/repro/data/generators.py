@@ -8,6 +8,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.errors import SpecError
+
 __all__ = ["SeededMixture", "distribute_rows_to_devices"]
 
 
@@ -75,10 +77,10 @@ def distribute_rows_to_devices(
     reached its quota are appended round-robin.
     """
     if n_devices <= 0:
-        raise ValueError("n_devices must be positive")
+        raise SpecError("n_devices must be positive")
     low, high = rows_per_device
     if not 1 <= low <= high:
-        raise ValueError("need 1 <= low <= high for rows_per_device")
+        raise SpecError("need 1 <= low <= high for rows_per_device")
     rng = random.Random(seed)
     allocations: list[list[dict[str, Any]]] = [[] for _ in range(n_devices)]
     cursor = 0

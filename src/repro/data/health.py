@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 
 from repro.data.generators import SeededMixture
+from repro.errors import SpecError
 from repro.query.schema import Column, ColumnType, Schema
 
 __all__ = ["HEALTH_SCHEMA", "generate_health_rows", "health_feature_matrix", "HEALTH_MIXTURE"]
@@ -55,7 +56,7 @@ def generate_health_rows(count: int, seed: int = 0) -> list[dict[str, Any]]:
     K-Means + Group-By query has a real answer.
     """
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise SpecError("count must be non-negative")
     rng = np.random.default_rng(seed)
     points, components = HEALTH_MIXTURE.sample(count, rng)
     # One scalar draw at a time, in this order: a vectorised draw

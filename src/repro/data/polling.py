@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import SpecError
 from repro.query.schema import Column, ColumnType, Schema
 
 __all__ = ["POLLING_SCHEMA", "generate_polling_rows"]
@@ -43,7 +44,7 @@ _INTEREST_SPENDING_MEAN = {
 def generate_polling_rows(count: int, seed: int = 0) -> list[dict[str, Any]]:
     """Generate ``count`` synthetic attendee rows."""
     if count < 0:
-        raise ValueError("count must be non-negative")
+        raise SpecError("count must be non-negative")
     rng = np.random.default_rng(seed)
     rows: list[dict[str, Any]] = []
     for i in range(count):

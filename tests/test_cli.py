@@ -149,6 +149,7 @@ class TestCommands:
             ["run", "--message-loss", "1.5"],
             ["run", "--max-raw", "0"],
             ["run", "--fault-rate", "1.5"],
+            ["run", "--rows", "-1"],
             ["kmeans", "--k", "0"],
             ["kmeans", "--heartbeats", "0"],
             ["chaos", "--workload", "0"],
