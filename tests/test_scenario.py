@@ -11,6 +11,7 @@ from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameter
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.data.polling import POLLING_SCHEMA, generate_polling_rows
 from repro.devices.profiles import PC_SGX
+from repro.errors import SpecError
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.manager.trace import format_trace, phase_timeline
 from repro.manager.verification import verify_against_centralized
@@ -141,6 +142,15 @@ class TestScenarioConstruction:
             _config(device_mix=(0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             _config(compromised_processors=-1)
+        # checked where declared, before any swarm or network is built
+        for options in (
+            dict(message_loss=1.5),
+            dict(crash_probability=-0.1),
+            dict(disconnect_duration=0.0),
+            dict(collection_window=30.0, deadline=30.0),
+        ):
+            with pytest.raises(SpecError):
+                _config(**options)
 
 
 class TestScenarioExecution:
