@@ -179,11 +179,16 @@ def test_qscale_fixed_base_exponentiation(benchmark):
     )
 
 
-def _per_call(fn, args: list[tuple]) -> tuple[float, list]:
-    """Best-of-3 seconds per call of ``fn`` over ``args``, and its results."""
+def _per_call(fn, args: list[tuple], reset=None) -> tuple[float, list]:
+    """Best-of-3 seconds per call of ``fn`` over ``args``, and its results.
+
+    ``reset`` runs before each round, outside the clock.
+    """
     fn(*args[0])  # table rows built outside the clock
     best = math.inf
     for _ in range(3):
+        if reset is not None:
+            reset()
         started = time.perf_counter()
         results = [fn(*a) for a in args]
         best = min(best, (time.perf_counter() - started) / len(args))
@@ -191,54 +196,89 @@ def _per_call(fn, args: list[tuple]) -> tuple[float, list]:
 
 
 def test_qscale_known_log_route(benchmark, monkeypatch):
-    """Sealed channels: ``y^e`` for a minted ``y`` as ``g^(x*e)`` vs ``pow``."""
+    """Sealed channels: ``y^e`` for a minted ``y`` as ``g^(x*e)`` vs ``pow``,
+    and the powers a minted pair does not compute twice."""
     pairs = [primitives.generate_keypair(b"qscale-dh-%d" % i) for i in range(40)]
     message = b"sealed-envelope-bytes" * 16
     signed = [(kp.public, message, primitives.sign(kp, message)) for kp in pairs]
     forged = [(public, message + b"!", sig) for public, _, sig in signed[:10]]
-    dh_args = [(own, peer.public) for own, peer in zip(pairs, pairs[1:] + pairs[:1])]
+    ring = list(zip(pairs, pairs[1:] + pairs[:1]))
+    dh_args = [(own, peer.public) for own, peer in ring]
+    second_sides = [(peer, own.public) for own, peer in ring]
+
+    def forget(name):
+        for kp in pairs:
+            kp.__dict__.pop(name, None)
+
+    def first_sides_agreed():
+        forget("_agreed")
+        for args in dh_args:
+            primitives.diffie_hellman_shared(*args)
+
+    def commitments_recorded():
+        for kp in pairs:
+            primitives.sign(kp, message)
+
     calls = [
         ("peer^x (DH power)", 384, primitives._power,
-         [(peer, own.private) for own, peer in dh_args]),
+         [(peer, own.private) for own, peer in dh_args], None),
         ("diffie_hellman_shared", 384, primitives.diffie_hellman_shared,
-         dh_args),
+         dh_args, lambda: forget("_agreed")),
+        # the peer's side of each agreement above: no power
+        ("second side of an agreement", 384, primitives.diffie_hellman_shared,
+         second_sides, first_sides_agreed),
         # a minted key: one power, g^((s - x*c) mod q); an unminted one:
         # g^s by table and y^c by builtin pow
-        ("verify (g^(s - x*c))", 384, primitives.verify, signed + forged),
+        ("verify (g^(s - x*c))", 384, primitives.verify, signed + forged,
+         lambda: forget("_nonces")),
+        # the signer's own commitments, still recorded: no power; the
+        # forged ones first, as a failed check keeps the entry
+        ("verify, minted commitment", 384, primitives.verify, forged + signed,
+         commitments_recorded),
     ]
     rows = []
     speedups = {}
     results = {}
-    for name, bits, fn, args in calls:
-        route, results[name] = _per_call(fn, args)
-        # an empty registry sends every base to builtin ``pow``: the
-        # computation before the route existed
+    for name, bits, fn, args, reset in calls:
+        route, results[name] = _per_call(fn, args, reset)
+        # an empty registry sends every base to builtin ``pow``, and
+        # with the maps forgotten nothing is looked up: the computation
+        # before the route existed
+        forget("_agreed")
+        forget("_nonces")
         with monkeypatch.context() as patch:
             patch.setattr(primitives, "_MINTED", {})
-            builtin, expected = _per_call(fn, args)
+            builtin, expected = _per_call(fn, args, reset)
         assert results[name] == expected
         speedups[name] = builtin / route
         rows.append([
-            name, bits, f"{builtin * 1e6:.0f}", f"{route * 1e6:.0f}",
+            name, bits, f"{builtin * 1e6:.0f}", f"{route * 1e6:.1f}",
             f"{builtin / route:.1f}x",
         ])
     print_table(
         "Q-SCALE: sealed-channel powers for a minted key y = g^x, known-log "
-        "route (one fixed-base power) vs builtin pow",
+        "route (one fixed-base power, or none) vs builtin pow",
         ["call", "exponent bits", "pow (us)", "route (us)", "speed-up"],
         rows,
     )
     assert results["verify (g^(s - x*c))"] == (
         [True] * len(signed) + [False] * len(forged)
     )
+    assert results["verify, minted commitment"] == (
+        [False] * len(forged) + [True] * len(signed)
+    )
+    assert results["second side of an agreement"] == results["diffie_hellman_shared"]
     # the two powers sealed channels pay for: a drift below 2x means the
     # route no longer earns its place
     assert speedups["peer^x (DH power)"] >= 2.0
     assert speedups["verify (g^(s - x*c))"] >= 2.0
+    # a map lookup against a power
+    assert speedups["second side of an agreement"] >= 10.0
+    assert speedups["verify, minted commitment"] >= 10.0
 
     benchmark.pedantic(
         lambda: primitives.diffie_hellman_shared(*dh_args[0]),
-        rounds=20, iterations=1,
+        setup=lambda: forget("_agreed"), rounds=20, iterations=1,
     )
 
 

@@ -80,7 +80,7 @@ _SEEDED_EXPONENT_BYTES = 48
 # pairs write here, when they derive ``public`` from ``private``
 # themselves, so each entry's private key is the discrete log of its
 # public key: ``public^e == g^(private * e)``.
-_MINTED: weakref.WeakValueDictionary[int, "KeyPair"] = weakref.WeakValueDictionary()
+_MINTED: weakref.WeakValueDictionary[int, "_MintedKeyPair"] = weakref.WeakValueDictionary()
 
 TAG_SIZE = 32
 KEY_SIZE = 32
@@ -165,7 +165,8 @@ class _MintedKeyPair(KeyPair):
     the pair recorded in ``_MINTED``, the first time ``public`` is read.
 
     A run that never seals, signs, agrees a key or attests computes no
-    group power for it.
+    group power for it.  The two maps below are created on first use,
+    so such a run creates neither.
     """
 
     def __init__(self, private: int) -> None:
@@ -179,6 +180,16 @@ class _MintedKeyPair(KeyPair):
         public = _generator_power(self.private)
         _MINTED[public] = self
         return public
+
+    @cached_property
+    def _agreed(self) -> dict[int, int]:
+        """Peer public key -> the DH shared integer with that peer."""
+        return {}
+
+    @cached_property
+    def _nonces(self) -> dict[int, int]:
+        """Commitment ``g^k`` of a signature not yet verified -> ``k``."""
+        return {}
 
 
 def secure_hash(data: bytes) -> str:
@@ -347,10 +358,29 @@ def _power(base: int, exponent: int) -> int:
 
 
 def diffie_hellman_shared(own: KeyPair, peer_public: int) -> bytes:
-    """Compute the DH shared secret between ``own`` and a peer public key."""
+    """Compute the DH shared secret between ``own`` and a peer public key.
+
+    A pair :func:`generate_keypair` minted computes each agreement once.
+    It keeps the shared integer by peer key, and hands it to the peer's
+    minted pair under its own public key when that key is already
+    derived: ``peer^x == g^(x*y) == (g^x)^y``, so the peer's side of the
+    same agreement needs no power either.  Any other ``own`` computes
+    as before.  Host time only, like the known-log route of
+    :func:`_power`.
+    """
     if not 1 < peer_public < GROUP_PRIME - 1:
         raise ValueError("peer public key outside the group")
-    shared = _power(peer_public, own.private)
+    if not isinstance(own, _MintedKeyPair):
+        shared = _power(peer_public, own.private)
+    else:
+        shared = own._agreed.get(peer_public)
+        if shared is None:
+            shared = _power(peer_public, own.private)
+            own._agreed[peer_public] = shared
+            if "public" in own.__dict__:
+                peer = _MINTED.get(peer_public)
+                if peer is not None:
+                    peer._agreed[own.public] = shared
     return shared.to_bytes((GROUP_PRIME.bit_length() + 7) // 8, "big")
 
 
@@ -374,6 +404,8 @@ def sign(keypair: KeyPair, message: bytes) -> tuple[int, int]:
     commitment = _generator_power(k)
     challenge = _schnorr_challenge(keypair.public, commitment, message)
     response = (k + challenge * keypair.private) % GROUP_ORDER
+    if isinstance(keypair, _MintedKeyPair):
+        keypair._nonces[commitment] = k
     return commitment, response
 
 
@@ -387,7 +419,12 @@ def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
     ``g`` has order ``q`` and multiplying by ``g^(x*c)`` is a bijection
     mod ``p``.  For an honest signature ``s - x*c`` is the signer's
     nonce; a forged one is reduced mod ``q``, so the exponent is never
-    negative.  Host time only, like the known-log route of DH.
+    negative.  When the minted pair itself signed with commitment
+    ``R = g^k`` and that signature is not verified yet, ``k`` is known
+    too, and the check is ``k == (s - x*c) mod q`` with no power: both
+    sides lie in ``[0, q)``, where ``g^a == g^b`` only if ``a == b``.
+    The first such check that succeeds forgets ``k``.  Host time only,
+    like the known-log route of DH.
     """
     commitment, response = signature
     if not (1 < public < GROUP_PRIME - 1 and 0 < commitment < GROUP_PRIME and 0 <= response < GROUP_ORDER):
@@ -397,6 +434,12 @@ def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
     if minted is None:
         rhs = commitment * pow(public, challenge, GROUP_PRIME) % GROUP_PRIME
         return _generator_power(response) == rhs
-    return commitment == _generator_power(
-        (response - minted.private * challenge) % GROUP_ORDER
-    )
+    exponent = (response - minted.private * challenge) % GROUP_ORDER
+    nonces = minted.__dict__.get("_nonces", {})
+    nonce = nonces.get(commitment)
+    if nonce is None:
+        return commitment == _generator_power(exponent)
+    if nonce != exponent:
+        return False
+    del nonces[commitment]
+    return True

@@ -89,13 +89,16 @@ class Edgelet:
     def open_from(self, envelope: Envelope) -> Any:
         """Open an envelope addressed to this edgelet.
 
-        Raises :class:`AuthenticationError` on tampering or
-        misaddressing; the executor counts those as lost messages.
+        Raises :class:`AuthenticationError` on tampering, misaddressing
+        or a sender this edgelet never learned the key of; the executor
+        counts those as lost messages.
         """
         if envelope.recipient != self.fingerprint:
             raise AuthenticationError(
                 f"envelope for {envelope.recipient}, we are {self.fingerprint}"
             )
+        if not self.keyring.knows(envelope.sender):
+            raise AuthenticationError(f"envelope from unknown sender {envelope.sender}")
         session = self.keyring.session_key(envelope.sender)
         payload = open_envelope(envelope, session)
         # data decrypted inside the TEE becomes cleartext *inside* it —

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import collections
 import gc
 import hashlib
 import weakref
@@ -30,8 +31,10 @@ from repro.crypto.primitives import (
     verify,
 )
 from repro.chaos.campaign import RunSpec, run_single
-from repro.crypto import primitives
+from repro.crypto import envelope, primitives
 from repro.crypto.primitives import _WINDOW_BITS, _generator_power, _power
+from repro.devices import attestation
+from repro.manager import audit
 from repro.workload.fingerprint import report_fingerprint
 
 # (seed, public key, message, signature commitment, signature response),
@@ -445,6 +448,11 @@ class TestKnownLogRoute:
         assert len(primitives._GENERATOR_ROWS) <= ceiling
 
 
+def _run_devices(outcome) -> list:
+    """The key pairs of every device a ``run_single`` outcome ran on."""
+    return [d.keyring.keypair for d in outcome.result.executor.ctx.devices.values()]
+
+
 class TestSealedRunTakesTheRoute:
     # report fingerprint of this run, computed when DH and ``verify``
     # still used builtin ``pow``
@@ -452,40 +460,89 @@ class TestSealedRunTakesTheRoute:
         "1e539f6a922560140102e10dbf6a5d64f544d95f13e1e33dff068f7755ac66c7"
     )
 
-    def test_no_builtin_pow_on_a_minted_base(self, monkeypatch):
-        calls = _pow_spy(monkeypatch)
-        routed = []
-        looked_up = []
+    @pytest.fixture(scope="class")
+    def sealed(self):
+        """One sealed run with every power, registry lookup and
+        signature check recorded."""
+        spied = {"routed": [], "looked_up": [], "powers": [], "verdicts": []}
         real_power = primitives._power
+        real_generator_power = primitives._generator_power
 
         def power_spy(base, exponent):
-            routed.append(base in primitives._MINTED)
+            spied["routed"].append((base, exponent, base in primitives._MINTED))
             return real_power(base, exponent)
+
+        def generator_power_spy(exponent):
+            spied["powers"].append(exponent)
+            return real_generator_power(exponent)
 
         class LookupSpy(weakref.WeakValueDictionary):
             """The registry, recording whether each lookup found a pair."""
 
             def get(self, key, default=None):
                 found = super().get(key, default)
-                looked_up.append(found is not None)
+                spied["looked_up"].append(found is not None)
                 return found
 
-        monkeypatch.setattr(primitives, "_power", power_spy)
-        monkeypatch.setattr(
-            primitives, "_MINTED", LookupSpy(primitives._MINTED)
-        )
-        outcome = run_single(RunSpec(seed=17, tag="pin-sealed", secure_channels=True))
+        with pytest.MonkeyPatch.context() as patch:
+            spied["pow"] = _pow_spy(patch)
+
+            def verify_spy(public, message, signature):
+                before = len(spied["powers"]) + len(spied["pow"])
+                verdict = primitives.verify(public, message, signature)
+                spent = len(spied["powers"]) + len(spied["pow"]) - before
+                spied["verdicts"].append((verdict, spent))
+                return verdict
+
+            patch.setattr(primitives, "_power", power_spy)
+            patch.setattr(primitives, "_generator_power", generator_power_spy)
+            patch.setattr(primitives, "_MINTED", LookupSpy(primitives._MINTED))
+            for module in (envelope, attestation, audit):
+                patch.setattr(module, "verify", verify_spy)
+            spied["outcome"] = run_single(
+                RunSpec(seed=17, tag="pin-sealed", secure_channels=True)
+            )
+        return spied
+
+    def test_no_builtin_pow_on_a_minted_base(self, sealed):
+        outcome = sealed["outcome"]
         result = outcome.result
         assert outcome.ok
         assert report_fingerprint(
             result.report, base_time=result.executor.start_time
         ) == self.PINNED_FINGERPRINT
+        routed = [minted for _, _, minted in sealed["routed"]]
+        looked_up = sealed["looked_up"]
         # every DH and verify in the run had a minted base: one lookup
-        # per DH (inside ``_power``) and one per verify ...
+        # per DH power (inside ``_power``) and one per verify ...
         assert all(routed) and all(looked_up)
         assert len(looked_up) > 100 and len(looked_up) > len(routed) > 0
         # ... so builtin pow was never called with one
-        assert [call for call in calls if call[2]] == []
+        assert [call for call in sealed["pow"] if call[2]] == []
+
+    def test_each_device_pair_agrees_once(self, sealed):
+        public_of = {pair.private: pair.public for pair in _run_devices(sealed["outcome"])}
+        agreements = collections.Counter(
+            frozenset((base, public_of[exponent]))
+            for base, exponent, _ in sealed["routed"]
+        )
+        assert len(agreements) > 20
+        assert set(agreements.values()) == {1}
+
+    def test_no_honest_verification_computes_a_power(self, sealed):
+        verdicts = sealed["verdicts"]
+        assert len(verdicts) > 40
+        assert verdicts == [(True, 0)] * len(verdicts)
+
+    def test_a_plain_run_creates_no_map(self, sealed):
+        plain = run_single(RunSpec(seed=17, tag="pin-sealed"))
+        assert plain.ok
+        pairs = _run_devices(plain)
+        assert pairs and all(
+            not {"_agreed", "_nonces"} & vars(pair).keys() for pair in pairs
+        )
+        # the sealed run's pairs made theirs
+        assert any("_agreed" in vars(pair) for pair in _run_devices(sealed["outcome"]))
 
 
 class TestDiffieHellman:
@@ -615,3 +672,248 @@ class TestSignatures:
     def test_round_trip_property(self, message):
         keypair = generate_keypair(b"prop-signer")
         assert verify(keypair.public, message, sign(keypair, message))
+
+
+# -- each group power once: agreements and minted commitments -----------------
+
+# builtin-``pow`` references, cached: the parties below are rebuilt from
+# the same seeds for every example, so their powers repeat
+_REFERENCE_POWERS: dict[tuple[int, int], int] = {}
+_REFERENCE_VERDICTS: dict[tuple, bool] = {}
+
+
+def _reference_power(base: int, exponent: int) -> int:
+    key = (base, exponent)
+    if key not in _REFERENCE_POWERS:
+        _REFERENCE_POWERS[key] = pow(base, exponent, GROUP_PRIME)
+    return _REFERENCE_POWERS[key]
+
+
+def _cached_reference_verify(public: int, message: bytes, signature) -> bool:
+    key = (public, message, signature)
+    if key not in _REFERENCE_VERDICTS:
+        _REFERENCE_VERDICTS[key] = _reference_verify(public, message, signature)
+    return _REFERENCE_VERDICTS[key]
+
+
+def _fresh_parties() -> dict[str, KeyPair]:
+    """New pair objects (no map yet) over the same keys every time.
+
+    ``a`` and ``b`` are minted and read; ``unread`` is minted but its
+    public key is never read here; ``hand`` is hand-built and unminted;
+    ``impostor`` claims ``a``'s public key with another private key.
+    """
+    a = generate_keypair(b"once-a")
+    b = generate_keypair(b"once-b")
+    a.public, b.public  # derived, so recorded in the registry
+    return {
+        "a": a,
+        "b": b,
+        "unread": generate_keypair(b"once-unread"),
+        "hand": _UNMINTED_PAIR,
+        "impostor": KeyPair(a.private + 1, a.public),
+    }
+
+
+def _assert_maps_hold_true_values(parties: dict[str, KeyPair]) -> None:
+    """Every map entry is the value it stands for, and only minted pairs
+    hold maps."""
+    for name, pair in parties.items():
+        if name in ("hand", "impostor"):
+            assert set(vars(pair)) == {"private", "public"}
+            continue
+        for peer_public, shared in vars(pair).get("_agreed", {}).items():
+            assert shared == _reference_power(peer_public, pair.private)
+        for commitment, nonce in vars(pair).get("_nonces", {}).items():
+            assert commitment == _generator_power(nonce)
+    assert "public" not in vars(parties["unread"])
+
+
+def _count_powers(patch) -> list[str]:
+    """Record every group power ``primitives`` computes, by route."""
+    spent: list[str] = []
+    real = primitives._generator_power
+
+    def table(exponent):
+        spent.append("table")
+        return real(exponent)
+
+    def builtin(base, exponent, modulus):
+        spent.append("pow")
+        return builtins.pow(base, exponent, modulus)
+
+    patch.setattr(primitives, "_generator_power", table)
+    patch.setattr(primitives, "pow", builtin, raising=False)
+    return spent
+
+
+class TestEachAgreementOnce:
+    """A minted pair computes each DH agreement once, for both sides."""
+
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "unread", "hand", "impostor"]),
+                st.sampled_from(["a", "b", "hand"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example(calls=[("a", "b"), ("b", "a"), ("b", "b"), ("a", "b")])
+    @example(calls=[("impostor", "b"), ("b", "a"), ("hand", "a"), ("a", "hand")])
+    @settings(max_examples=40, deadline=None)
+    def test_every_secret_is_the_builtin_power(self, calls):
+        parties = _fresh_parties()
+        for own, peer in calls:
+            peer_public = parties[peer].public
+            expected = _reference_power(peer_public, parties[own].private)
+            assert diffie_hellman_shared(parties[own], peer_public) == (
+                expected.to_bytes(192, "big")
+            )
+            _assert_maps_hold_true_values(parties)
+
+    def test_a_pair_computes_its_power_once(self):
+        parties = _fresh_parties()
+        a, b = parties["a"], parties["b"]
+        with pytest.MonkeyPatch.context() as patch:
+            spent = _count_powers(patch)
+            agreed = [
+                diffie_hellman_shared(own, peer.public)
+                for own, peer in [(a, b), (b, a), (a, b), (b, a)]
+            ]
+        assert spent == ["table"]
+        assert len(set(agreed)) == 1
+
+    def test_an_unread_key_is_not_derived_for_the_peer(self):
+        parties = _fresh_parties()
+        unread, b = parties["unread"], parties["b"]
+        with pytest.MonkeyPatch.context() as patch:
+            spent = _count_powers(patch)
+            first = diffie_hellman_shared(unread, b.public)
+            assert spent == ["table"]  # the agreement, and no g^x
+            assert "public" not in vars(unread)
+            assert diffie_hellman_shared(unread, b.public) == first
+            assert spent == ["table"]
+            # b could not be told: it computes its side itself
+            assert diffie_hellman_shared(b, unread.public) == first
+        assert spent == ["table", "table", "table"]  # g^x, then b's side
+
+    def test_a_hand_built_own_computes_every_time(self):
+        parties = _fresh_parties()
+        with pytest.MonkeyPatch.context() as patch:
+            spent = _count_powers(patch)
+            for own in ("hand", "impostor", "hand", "impostor"):
+                diffie_hellman_shared(parties[own], parties["b"].public)
+        assert spent == ["table"] * 4  # b is minted: known-log route
+        assert "_agreed" not in vars(parties["b"])
+        _assert_maps_hold_true_values(parties)
+
+    def test_the_range_check_comes_before_the_map(self):
+        a = _fresh_parties()["a"]
+        for bad in (0, 1, GROUP_PRIME - 1, GROUP_PRIME):
+            a._agreed[bad] = 4
+            with pytest.raises(ValueError):
+                diffie_hellman_shared(a, bad)
+
+
+_SIGN_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "hand"]),
+        st.sampled_from([b"m0", b"m1"]),
+        st.one_of(
+            st.sampled_from(
+                ["sign", "verify", "tampered", "forged s", "s + q", "other signer"]
+            ),
+            st.tuples(
+                st.integers(min_value=1, max_value=GROUP_PRIME - 1),
+                st.integers(min_value=0, max_value=GROUP_ORDER - 1),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestKnownCommitments:
+    """``verify`` reads a minted commitment's log instead of a power."""
+
+    @given(ops=_SIGN_OPS)
+    @example(ops=[("a", b"m0", "verify"), ("a", b"m0", "verify")])
+    @example(ops=[("a", b"m0", "tampered"), ("a", b"m0", "forged s"),
+                  ("a", b"m0", "s + q"), ("a", b"m0", "verify")])
+    @example(ops=[("b", b"m1", "sign"), ("a", b"m1", "other signer"),
+                  ("hand", b"m1", "verify")])
+    @settings(max_examples=30, deadline=None)
+    def test_every_verdict_is_the_two_power_check(self, ops):
+        parties = _fresh_parties()
+        signatures: dict[tuple[str, bytes], tuple[int, int]] = {}
+        for signer, message, op in ops:
+            pair = parties[signer]
+            if op == "sign" or (signer, message) not in signatures:
+                signatures[signer, message] = sign(pair, message)
+            commitment, response = signatures[signer, message]
+            if op in ("sign", "verify"):
+                checked = (message, (commitment, response))
+            elif op == "tampered":
+                checked = (message + b"!", (commitment, response))
+            elif op == "forged s":
+                checked = (message, (commitment, (response + 1) % GROUP_ORDER))
+            elif op == "s + q":
+                checked = (message, (commitment, response + GROUP_ORDER))
+            elif op == "other signer":
+                other = parties["b" if signer == "a" else "a"]
+                checked = (message, sign(other, message))
+            else:
+                checked = (message, op)
+            recorded = checked[1][0] in vars(pair).get("_nonces", {})
+            with pytest.MonkeyPatch.context() as patch:
+                spent = _count_powers(patch)
+                verdict = verify(pair.public, *checked)
+            assert verdict == _cached_reference_verify(pair.public, *checked)
+            if op in ("sign", "verify"):
+                assert verdict
+            elif op in ("tampered", "forged s", "s + q", "other signer"):
+                assert not verdict
+            if recorded:
+                assert spent == []
+            _assert_maps_hold_true_values(parties)
+
+    def test_honest_verify_consumes_the_entry(self):
+        a = _fresh_parties()["a"]
+        signature = sign(a, b"m")
+        with pytest.MonkeyPatch.context() as patch:
+            spent = _count_powers(patch)
+            assert verify(a.public, b"m", signature)
+            assert spent == []
+            assert signature[0] not in a._nonces
+            # verified again after its entry was consumed: one power
+            assert verify(a.public, b"m", signature)
+        assert spent == ["table"]
+
+    def test_a_failed_verify_keeps_the_entry(self):
+        a = _fresh_parties()["a"]
+        commitment, response = sign(a, b"m")
+        with pytest.MonkeyPatch.context() as patch:
+            spent = _count_powers(patch)
+            assert not verify(a.public, b"m!", (commitment, response))
+            assert not verify(a.public, b"m", (commitment, (response + 1) % GROUP_ORDER))
+            assert not verify(a.public, b"m", (commitment, response + GROUP_ORDER))
+            assert a._nonces == {commitment: a._nonces[commitment]}
+            assert verify(a.public, b"m", (commitment, response))
+        assert spent == []
+
+    def test_hand_built_signers_record_nothing(self):
+        parties = _fresh_parties()
+        a = parties["a"]
+        sign(a, b"mine")
+        recorded = dict(a._nonces)
+        for name in ("hand", "impostor"):
+            signature = sign(parties[name], b"m")
+            with pytest.MonkeyPatch.context() as patch:
+                spent = _count_powers(patch)
+                assert verify(parties[name].public, b"m", signature) == (name == "hand")
+            assert spent  # computed, not looked up
+        assert a._nonces == recorded
+        _assert_maps_hold_true_values(parties)

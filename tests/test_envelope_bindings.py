@@ -11,9 +11,11 @@ import dataclasses
 
 import pytest
 
+from repro.chaos.campaign import RunSpec, run_single
 from repro.crypto.envelope import open_envelope, seal_envelope
 from repro.crypto.keys import KeyRing
 from repro.crypto.primitives import AuthenticationError
+from repro.network.messages import Message, MessageKind
 
 
 def _pair():
@@ -82,3 +84,34 @@ class TestHeaderBindings:
             [{"age": 70}],
         )
         assert open_envelope(envelope, session) == [{"age": 70}]
+
+
+class TestUnknownSender:
+    def test_sender_the_ring_never_learned_is_an_unauthenticated_drop(self):
+        # a sealed run's context and two of its devices
+        ctx = run_single(
+            RunSpec(seed=17, tag="unknown-sender", secure_channels=True)
+        ).result.executor.ctx
+        sender, recipient = list(ctx.devices.values())[:2]
+        sender.introduce(recipient)
+        envelope = sender.seal_for(recipient.fingerprint, "q", "contribution", [1])
+        forged = dataclasses.replace(envelope, sender="0123456789abcdef")
+        assert not recipient.keyring.knows(forged.sender)
+        with pytest.raises(AuthenticationError, match="unknown sender"):
+            recipient.open_from(forged)
+
+        def dropped() -> float:
+            return ctx.telemetry.metrics.value(
+                "executor.payloads_dropped",
+                query=ctx.plan.query_id, reason="unauthenticated",
+            )
+
+        before = dropped()
+        message = Message(
+            sender=sender.device_id, recipient=recipient.device_id,
+            kind=MessageKind.CONTRIBUTION, payload=forged,
+        )
+        assert ctx.unwrap(recipient, message) is None
+        assert dropped() == before + 1
+        # the honest envelope still opens
+        assert ctx.unwrap(recipient, dataclasses.replace(message, payload=envelope)) == [1]
