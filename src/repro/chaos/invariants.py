@@ -5,8 +5,10 @@ Resiliency, Validity, and Crowd Liability — and the execution machinery
 implicitly relies on two more mechanical ones (Combiner partial
 recording is dedup-idempotent; a backup chain never produces two
 takeovers at the same rank).  This module turns each claim into an
-executable check over a finished :class:`~repro.manager.scenario.
-ScenarioResult`, so a campaign can assert them after every seeded run.
+executable check over a concluded :class:`~repro.manager.scenario.
+ScenarioResult` — its report, plan and
+:class:`~repro.core.runtime.ExecutionEvidence`, the same on every path —
+so a campaign can assert them after every seeded run.
 
 The checks are deliberately *one-sided*: they only flag states the
 strategies promise can never happen, never mere degradation the fault
@@ -61,8 +63,9 @@ class RunRecord:
     """Everything the invariant checks need to know about one run.
 
     Attributes:
-        result: the finished scenario result (report, plan, executor,
-            failure/fault logs).
+        result: the concluded, judged scenario result: report, plan,
+            evidence, exposure, liability and the failure/fault logs
+            (:meth:`~repro.manager.scenario.ScenarioResult.judged`).
         reference: the fault-free centralized result of the same logical
             query over the full dataset, or ``None`` for non-aggregate
             runs.
@@ -81,6 +84,17 @@ class RunRecord:
     clean: bool = False
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5
+
+    @property
+    def report(self) -> Any:
+        """The run's sealed execution report."""
+        return self.result.report
+
+    @property
+    def evidence(self) -> Any:
+        """The run's :class:`~repro.core.runtime.ExecutionEvidence`
+        (``None`` when the run never concluded an execution)."""
+        return self.result.evidence
 
 
 def no_fault_observed(
@@ -128,7 +142,7 @@ def check_resiliency(record: RunRecord) -> Violation | None:
       and no message-level loss mechanism was active.
     """
     result = record.result
-    report = result.report
+    report = record.report
     if report.success and report.result is not None:
         return None
     if report.success and report.result is None and report.kmeans is None:
@@ -143,7 +157,7 @@ def check_resiliency(record: RunRecord) -> Violation | None:
             {"network": _network_losses(report)},
         )
 
-    executor = result.executor
+    evidence = record.evidence
     events = result.failure_events or []
     kinds = {event.kind for event in events}
     message_level_active = (
@@ -152,23 +166,23 @@ def check_resiliency(record: RunRecord) -> Violation | None:
         and bool(result.fault_injector.decisions)
         or "disconnect" in kinds
     )
-    if message_level_active or executor is None:
+    if message_level_active or evidence is None:
         return None  # loss/offline windows legitimately explain failure
 
     from repro.core.qep import OperatorRole
 
-    network = executor.network
+    network = evidence.network
     querier_ops = result.plan.operators(OperatorRole.QUERIER)
     querier_device = querier_ops[0].assigned_to if querier_ops else None
     if querier_device is None or network.is_dead(querier_device):
         return None
-    for name, runtime in getattr(executor, "_combiners", {}).items():
+    for name, state in evidence.combiners.items():
         combiner_op = result.plan.operator(name)
         if combiner_op.assigned_to is None:
             continue
         if not network.is_online(combiner_op.assigned_to):
             continue
-        tallies = runtime.group_tallies
+        tallies = state.group_tallies
         if tallies and all(t.received_count > 0 for t in tallies):
             worst = min(tallies, key=lambda t: t.received_count)
             if worst.lost_count <= worst.config.m:
@@ -176,7 +190,7 @@ def check_resiliency(record: RunRecord) -> Violation | None:
                     "resiliency",
                     f"damage within tolerance (lost {worst.lost_count} <= "
                     f"m={worst.config.m} at live {name}) but the query failed",
-                    {"combiner": name, "tally": runtime.tally_summary()},
+                    {"combiner": name, "tally": state.tally_summary()},
                 )
     return None
 
@@ -191,7 +205,7 @@ def check_validity(record: RunRecord) -> Violation | None:
     oracle than ``validity_tolerance`` means a wrong answer was
     delivered as if it were right.
     """
-    report = record.result.report
+    report = record.report
     if not report.success or report.result is None or record.reference is None:
         return None
     tally = getattr(report, "tally", None)
@@ -248,8 +262,8 @@ def check_crowd_liability(record: RunRecord) -> Violation | None:
             {"liability": liability.summary()},
         )
     cap_per_op = exposure.max_raw_tuples_per_edgelet
-    displaced = Counter(old for _t, _op, old, _new in result.report.reprovisions)
-    for device, tuples in (result.report.tuples_per_device or {}).items():
+    displaced = Counter(old for _t, _op, old, _new in record.report.reprovisions)
+    for device, tuples in (record.report.tuples_per_device or {}).items():
         ops = liability.operators_per_device.get(device, 0) + displaced[device]
         allowed = cap_per_op * max(ops, 0)
         if tuples > allowed:
@@ -267,24 +281,18 @@ def check_combiner_dedup(record: RunRecord) -> Violation | None:
     result — the idempotence Overcollection and Backup both lean on
     when markers are lost and duplicates reach the Combiner.
     """
-    executor = record.result.executor
-    if executor is None or getattr(executor, "kind", None) != "aggregate":
-        return None
-    if executor.query is None:
+    evidence = record.evidence
+    if evidence is None or evidence.kind != "aggregate" or evidence.query is None:
         return None
     from repro.core.runtime import CombinerState
 
-    indices = executor.aggregate_indices_per_group
-    for name, runtime in executor.combiners.items():
-        if not runtime.partials:
+    indices = evidence.aggregate_indices_per_group
+    for name, state in evidence.combiners.items():
+        if not state.partials:
             continue
-        once = CombinerState(
-            name, runtime.config, runtime.n_groups, executor.query
-        )
-        twice = CombinerState(
-            name, runtime.config, runtime.n_groups, executor.query
-        )
-        for (partition, group), partial in sorted(runtime.partials.items()):
+        once = CombinerState(name, state.config, state.n_groups, evidence.query)
+        twice = CombinerState(name, state.config, state.n_groups, evidence.query)
+        for (partition, group), partial in sorted(state.partials.items()):
             once.record_partial(partition, group, partial)
             twice.record_partial(partition, group, partial)
             twice.record_partial(partition, group, partial)
@@ -310,8 +318,8 @@ def check_combiner_dedup(record: RunRecord) -> Violation | None:
 def check_no_double_takeover(record: RunRecord) -> Violation | None:
     """A backup chain fires at most one takeover per (base, rank) — a
     duplicate means the same replica executed twice."""
-    executor = record.result.executor
-    log = getattr(executor, "takeover_log", None)
+    evidence = record.evidence
+    log = evidence.takeover_log if evidence is not None else None
     if not log:
         return None
     seen: set[tuple[str, int]] = set()
@@ -348,11 +356,10 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
     fan-out) and backup replicas firing at distinct ranks/generations
     are legitimate and never flagged.
     """
-    executor = record.result.executor
-    fire_log = getattr(executor, "fire_log", None)
-    arrival_log = getattr(executor, "arrival_log", None)
-    if not fire_log or arrival_log is None:
+    evidence = record.evidence
+    if evidence is None or not evidence.fire_log:
         return None
+    fire_log, arrival_log = evidence.fire_log, evidence.arrival_log
     firers: dict[tuple[Any, int], set[str]] = {}
     for _time, cell, device, generation in fire_log:
         firers.setdefault((cell, generation), set()).add(device)
@@ -379,8 +386,8 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
                     },
                 )
 
-    for name, state in getattr(executor, "combiners", {}).items():
-        accepted = getattr(state, "accepted_generations", {})
+    for name, state in evidence.combiners.items():
+        accepted = state.accepted_generations
         for (op_id, cell), by_generation in arrivals.items():
             if op_id != name:
                 continue

@@ -43,6 +43,7 @@ from repro.chaos.invariants import (
     no_fault_observed,
 )
 from repro.chaos.shrink import plan_only, shrink_failure_plan
+from repro.manager.scenario import ScenarioResult
 from repro.network.failures import FailurePlan
 from repro.query.engine import CentralizedEngine
 from repro.query.relation import Relation
@@ -141,8 +142,12 @@ def judge(
 
     ``units`` is ``(record, rows)`` per unit, in order: the unit's
     record and the dataset its validity oracle — the engine's
-    ``group_by`` on the centralized engine — runs over.  Returns the failure-event log, the run's
-    *clean* verdict and one :class:`UnitOutcome` per unit.
+    ``group_by`` on the centralized engine — runs over.  A completed
+    unit is judged from what it kept when it concluded — its report,
+    plan and :class:`~repro.core.runtime.ExecutionEvidence` — the same
+    input the one-shot campaign's checks read.  Returns the
+    failure-event log, the run's *clean* verdict and one
+    :class:`UnitOutcome` per unit.
 
     Clean is a *post hoc* verdict, like the campaign's: the shared
     opportunistic network is lossy by design and its stats are not per
@@ -168,9 +173,12 @@ def judge(
         if record.outcome == COMPLETED:
             oracle = CentralizedEngine()
             oracle.register("data", Relation(engine.scenario_config.schema, rows))
+            concluded = ScenarioResult(
+                report=record.report, plan=record.plan, evidence=record.evidence
+            )
             verdict.violations = check_all(
                 RunRecord(
-                    result=record.result.judged(failure_events, fault_injector),
+                    result=concluded.judged(failure_events, fault_injector),
                     reference=oracle.execute_logical("data", engine.group_by),
                     clean=clean,
                     validity_tolerance=validity_tolerance,

@@ -430,10 +430,11 @@ class ContinuousEngine(MultiQueryEngine):
         self.start(record)
 
     def _on_complete(self, record: WindowRecord) -> None:
-        self.conclude(record)
+        # the builders' rows are the execution's: read before it goes
         collected = sum(
             len(rows) for rows in record.result.executor.builder_rows.values()
         )
+        self.conclude(record)
         expected = len(record.rows)
         record.coverage = (
             min(1.0, collected / expected) if expected else 0.0

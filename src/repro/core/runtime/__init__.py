@@ -28,7 +28,12 @@ from repro.core.runtime.coordinator import ExecutionCoordinator
 from repro.core.runtime.incremental import STAMP_BYTES, ContributionCache
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryRuntime
-from repro.core.runtime.report import ExecutionError, ExecutionReport, KMeansOutcome
+from repro.core.runtime.report import (
+    ExecutionError,
+    ExecutionEvidence,
+    ExecutionReport,
+    KMeansOutcome,
+)
 from repro.core.runtime.strategy import StrategyRuntime
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "ExecutionContext",
     "ExecutionCoordinator",
     "ExecutionError",
+    "ExecutionEvidence",
     "ExecutionReport",
     "KMeansOutcome",
     "QuerierRuntime",

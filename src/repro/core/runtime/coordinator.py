@@ -23,7 +23,11 @@ from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.contributor import ContributorRuntime
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryRuntime
-from repro.core.runtime.report import ExecutionError, ExecutionReport
+from repro.core.runtime.report import (
+    ExecutionError,
+    ExecutionEvidence,
+    ExecutionReport,
+)
 from repro.core.runtime.strategy import StrategyRuntime
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge
@@ -131,7 +135,6 @@ class ExecutionCoordinator:
                 self.computer,
                 self.combiner,
                 standby_devices or [],
-                self.attach_device,
                 phase_deadline=phase_deadline,
                 detector=detector,
             )
@@ -220,6 +223,22 @@ class ExecutionCoordinator:
         """(time, cell, combiner op, sender, generation, disposition)
         per combiner-side partial arrival."""
         return self.ctx.arrival_log
+
+    def evidence(self) -> ExecutionEvidence:
+        """What the invariant checks read of this execution once it
+        concluded — built once, by :meth:`repro.manager.scenario.
+        Scenario.conclude`, on every path."""
+        return ExecutionEvidence(
+            kind=self.kind,
+            query=self.query,
+            start_time=self.start_time,
+            combiners=self.combiners,
+            aggregate_indices_per_group=self.aggregate_indices_per_group,
+            takeover_log=self.takeover_log,
+            fire_log=self.fire_log,
+            arrival_log=self.arrival_log,
+            network=self.network,
+        )
 
     # -- run -----------------------------------------------------------------
 
@@ -314,8 +333,7 @@ class ExecutionCoordinator:
                 self.attach_device(device)
 
     def attach_device(self, device: Edgelet) -> None:
-        """Attach one device's receive path (transport-aware); also the
-        hook the recovery watchdog uses to wire re-recruited standbys."""
+        """Attach one device's receive path (transport-aware)."""
         self.ctx.attach(device.device_id, self.make_handler(device))
 
     def make_handler(self, device: Edgelet):

@@ -19,12 +19,11 @@ finalize logic lives (:mod:`repro.core.runtime.combiner`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.runtime.builder import commit_snapshot, ship_partition
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.detector import PhiAccrualDetector
-from repro.devices.edgelet import Edgelet
 
 if TYPE_CHECKING:
     from repro.core.runtime.builder import BuilderRuntime
@@ -68,7 +67,6 @@ class RecoveryRuntime:
         computer: "ComputerRuntime",
         combiner: "CombinerRuntime",
         standby_ids: list[str],
-        attach_device: Callable[[Edgelet], None],
         phase_deadline: float | None = None,
         detector: bool = False,
     ):
@@ -77,8 +75,9 @@ class RecoveryRuntime:
         self.builder = builder
         self.computer = computer
         self.combiner = combiner
+        # the coordinator attaches every standby at start, so a
+        # re-recruited one already hears this query's traffic
         self.standbys = [d for d in standby_ids if d in ctx.devices]
-        self.attach_device = attach_device
         self.checks_run = 0
         metrics = ctx.telemetry.metrics
         query_id = ctx.plan.query_id
@@ -95,14 +94,15 @@ class RecoveryRuntime:
         self.detector: PhiAccrualDetector | None = None
         if detector:
             self.detector = PhiAccrualDetector()
-            ctx.transport.add_link_observer(self._on_link_event)
-
-    def _on_link_event(
-        self, sender: str, recipient: str, outcome: str, rtt: float | None
-    ) -> None:
-        self.detector.on_link_event(
-            sender, recipient, outcome, rtt, self.ctx.simulator.now
-        )
+            # the observer holds the detector and the clock, not this
+            # runtime: the transport it joins must not keep a concluded
+            # execution reachable
+            observe, clock = self.detector.on_link_event, ctx.simulator
+            ctx.transport.add_link_observer(
+                lambda sender, recipient, outcome, rtt: observe(
+                    sender, recipient, outcome, rtt, clock.now
+                )
+            )
 
     # -- scheduling ----------------------------------------------------------
 
@@ -272,7 +272,6 @@ class RecoveryRuntime:
             return
         old_id = operator.assigned_to
         operator.assigned_to = new_id
-        self.attach_device(ctx.devices[new_id])
         # the operator's first-wins guard must forget the dead device's
         # copy so the re-shipped partition actually executes
         self.computer.partitions_seen.discard(operator.op_id)

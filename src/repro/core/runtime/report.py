@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.query.groupby import GroupingSetsResult
+from repro.query.groupby import GroupByQuery, GroupingSetsResult
 
-__all__ = ["ExecutionError", "ExecutionReport", "KMeansOutcome"]
+if TYPE_CHECKING:
+    from repro.core.runtime.combiner import CombinerState
+
+__all__ = [
+    "ExecutionError",
+    "ExecutionEvidence",
+    "ExecutionReport",
+    "KMeansOutcome",
+]
 
 
 class ExecutionError(ReproError):
@@ -99,3 +107,43 @@ class ExecutionReport:
     validity_bound: float | None = None
     transport_stats: dict[str, float] = field(default_factory=dict)
     reprovisions: list[tuple[float, str, str, str]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class ExecutionEvidence:
+    """What one concluded execution leaves for the checks that judge it.
+
+    :meth:`~repro.core.runtime.coordinator.ExecutionCoordinator.evidence`
+    builds it when the execution is sealed, on every path.  It holds the
+    combiner states and the logs, never the runtimes, the context, the
+    builders' rows or the transport, so a multi-query engine keeps it
+    and lets the execution go.
+
+    Attributes:
+        kind: ``"aggregate"`` or ``"kmeans"``.
+        query: the executed group-by query (``None`` for k-means).
+        start_time: virtual time the execution started (the base of its
+            report fingerprint).
+        combiners: both combiner states (partials, tallies, config,
+            ``n_groups``, accepted generations), keyed
+            ``combiner``/``combiner-backup``.
+        aggregate_indices_per_group: vertical-partitioning aggregate
+            slices, one list per group.
+        takeover_log: ``(time, base op, rank)`` per replica takeover.
+        fire_log: ``(time, cell, device, generation)`` per partial-send
+            fire.
+        arrival_log: ``(time, cell, combiner op, sender, generation,
+            disposition)`` per combiner-side partial arrival.
+        network: the network the execution ran on (a shared swarm's
+            query-scoped endpoint), for end-of-run liveness reads.
+    """
+
+    kind: str
+    query: GroupByQuery | None
+    start_time: float
+    combiners: dict[str, "CombinerState"]
+    aggregate_indices_per_group: list[list[int]]
+    takeover_log: list[tuple[float, str, int]]
+    fire_log: list[tuple[float, tuple[int, int], str, int]]
+    arrival_log: list[tuple[float, tuple[int, int], str, str, int, str]]
+    network: Any

@@ -23,7 +23,11 @@ from repro.core.planner import (
 )
 from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.qep import OperatorRole, QueryExecutionPlan
-from repro.core.runtime import ExecutionCoordinator, ExecutionReport
+from repro.core.runtime import (
+    ExecutionCoordinator,
+    ExecutionEvidence,
+    ExecutionReport,
+)
 from repro.devices.attestation import AttestationAuthority, AttestationError
 from repro.devices.datastore import DatastoreFullError
 from repro.devices.edgelet import Edgelet
@@ -234,8 +238,15 @@ class ScenarioResult:
     """One execution, from :meth:`Scenario.launch` to its verdicts.
 
     ``launch`` fills ``report`` / ``plan`` / ``executor`` /
-    ``transport``; whoever judges the run adds the rest through
-    :meth:`judged` (:meth:`Scenario.run_compiled`, the chaos drivers).
+    ``transport``; :meth:`Scenario.conclude` adds ``evidence``; whoever
+    judges the run adds the rest through :meth:`judged`
+    (:meth:`Scenario.run_compiled`, the chaos drivers).
+
+    A concluded execution needs only ``report``, ``plan`` and
+    ``evidence``: they are all the invariant checks
+    (:func:`repro.chaos.invariants.check_all`) read.  A multi-query
+    engine keeps just those per unit and lets the rest go; the one-shot
+    path returns the whole result.
 
     Attributes:
         report: the executor's detailed report (the live object; final
@@ -245,8 +256,15 @@ class ScenarioResult:
         liability: crowd-liability distribution.
         verification: filled by
             :func:`repro.manager.verification.verify_against_centralized`.
-        executor: the executor instance (chaos invariants inspect its
-            combiner runtimes and takeover log post-run).
+        executor: the live
+            :class:`~repro.core.runtime.ExecutionCoordinator`, for
+            callers that inspect one run's runtimes (tests, benches); no
+            check reads it, and an engine's concluded unit does not
+            keep it.
+        evidence: the :class:`~repro.core.runtime.ExecutionEvidence`
+            :meth:`Scenario.conclude` took from the executor (combiner
+            states, takeover / fire / arrival logs, start time, the
+            network for liveness reads); ``None`` until then.
         failure_events: what the installed failure plan logged, by
             time.
         fault_injector: the message-fault injector, if one was
@@ -264,6 +282,7 @@ class ScenarioResult:
     liability: LiabilityReport | None = None
     verification: Any = None
     executor: Any = None
+    evidence: ExecutionEvidence | None = None
     failure_events: list[Any] = field(default_factory=list)
     fault_injector: Any = None
     transport: Any = None
@@ -275,9 +294,12 @@ class ScenarioResult:
         fault_injector: Any,
         separated_pairs: list[tuple[str, str]] | None = None,
     ) -> "ScenarioResult":
-        """A copy carrying what the invariant checks read: exposure and
-        liability measured on this plan, plus the substrate's failure
-        and message-fault logs (shared by every query of an engine)."""
+        """A copy carrying what the invariant checks read beside the
+        report, plan and evidence: exposure and liability measured on
+        this plan, plus the substrate's failure and message-fault logs
+        (shared by every query of an engine).  It reads only the
+        concluded fields, so a concluded unit and a one-shot result are
+        judged alike."""
         return dataclasses.replace(
             self,
             exposure=measure_exposure(self.plan, separated_pairs=separated_pairs),
@@ -670,11 +692,16 @@ class Scenario:
         )
 
     def conclude(self, result: ScenarioResult) -> ExecutionReport:
-        """Seal one launched execution once its horizon has passed."""
-        report = result.executor.finish()
+        """Seal one launched execution once its horizon has passed, and
+        take its :class:`~repro.core.runtime.ExecutionEvidence` into
+        ``result.evidence``: after this, ``report``, ``plan`` and
+        ``evidence`` are all any check needs of it."""
+        executor = result.executor
+        report = executor.finish()
         if result.transport is not None:
             result.transport.close()
-        self.record_query_metrics(report, result.executor.start_time)
+        self.record_query_metrics(report, executor.start_time)
+        result.evidence = executor.evidence()
         return report
 
     def install_chaos(self, until: float) -> FailurePlan:

@@ -13,8 +13,9 @@ AdmissionController` bounding concurrency, a
 device holds two exclusive data-processor roles at once, and the SQL
 parsed and rewritten once.  Each unit goes through one lifecycle —
 ``compile`` → ``launch`` (``build_qep`` → ``lease_plan`` →
-``Scenario.launch``) → ``start`` → ``conclude`` (``Scenario.conclude``
-→ ``mux.detach_query`` → ``registry.release``) — and every run ends in
+``Scenario.launch``) → ``start`` → ``conclude`` (``Scenario.conclude``,
+keep the report, plan and evidence, let the execution go →
+``mux.detach_query`` → ``registry.release``) — and every run ends in
 one tally, cumulative Crowd Liability included.  What an arrival does
 is the engine's own: a workload query queues past the admission cap
 and sheds past the queue.
@@ -84,10 +85,21 @@ class UnitRecord:
     finished_at: float | None = None
     leased: list[str] = field(default_factory=list)
     standbys: list[str] = field(default_factory=list)
-    report: Any = None
-    #: the launched execution
-    #: (:class:`~repro.manager.scenario.ScenarioResult`)
+    #: the launched execution while it is in flight
+    #: (:class:`~repro.manager.scenario.ScenarioResult`, live executor
+    #: and transport included); ``None`` once the unit concluded —
+    #: :meth:`MultiQueryEngine.conclude` keeps ``report``, ``plan`` and
+    #: ``evidence`` and lets the execution go
     result: Any = None
+    #: the sealed :class:`~repro.core.runtime.ExecutionReport`
+    report: Any = None
+    #: the executed plan, from launch on (the liability tally and the
+    #: chaos judge read it)
+    plan: Any = None
+    #: the :class:`~repro.core.runtime.ExecutionEvidence` the invariant
+    #: checks read (:func:`repro.chaos.workload.judge`), and the start
+    #: time the report fingerprint is based on
+    evidence: Any = None
     fingerprint: str | None = None
 
 
@@ -195,6 +207,7 @@ class MultiQueryEngine:
         if lease is None:
             return False
         record.leased, record.standbys = lease
+        record.plan = plan
         record.result = self.scenario.launch(
             plan,
             processor_ids=record.leased,
@@ -217,8 +230,17 @@ class MultiQueryEngine:
         )
 
     def conclude(self, record: Any) -> None:
-        """Seal a unit whose horizon has passed and free its devices."""
-        record.report = self.scenario.conclude(record.result)
+        """Seal a unit whose horizon has passed, keep its report and
+        evidence, let its execution go and free its devices.
+
+        The engine's heap then follows the units in flight, not the
+        units served: nothing else holds a concluded unit's executor,
+        so reference counting frees it here.
+        """
+        result = record.result
+        record.report = self.scenario.conclude(result)
+        record.evidence = result.evidence
+        record.result = None
         self.mux.detach_query(record.unit_id)
         self.registry.release(record.unit_id)
         record.finished_at = self.scenario.simulator.now
@@ -263,7 +285,7 @@ class MultiQueryEngine:
             completed=len(completed),
             succeeded=sum(1 for r in completed if r.report.success),
             degraded=sum(1 for r in completed if r.report.degraded),
-            liability=measure_liability(*(r.result.plan for r in completed)),
+            liability=measure_liability(*(r.plan for r in completed)),
         )
 
 
@@ -462,7 +484,7 @@ class WorkloadEngine(MultiQueryEngine):
     def _on_complete(self, record: QueryRecord) -> None:
         self.conclude(record)
         record.fingerprint = report_fingerprint(
-            record.report, base_time=record.result.executor.start_time
+            record.report, base_time=record.evidence.start_time
         )
         latency = record.latency
         if latency is not None:
@@ -560,6 +582,6 @@ def serial_fingerprints(
         scenario.simulator.run_until(solo.result.executor.start())
         replay.conclude(solo)
         fingerprints[solo.unit_id] = report_fingerprint(
-            solo.report, base_time=solo.result.executor.start_time
+            solo.report, base_time=solo.evidence.start_time
         )
     return fingerprints

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core.planner import (
 )
 from repro.core.runtime import detector
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+from repro.manager.scenario import Scenario
 from repro.network import reliable
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.simulator import Simulator
@@ -132,3 +135,39 @@ def tune_detector(monkeypatch):
     """Override :mod:`repro.core.runtime.detector` constants:
     ``tune_detector(HISTORY_WINDOW=4)``."""
     return _tuner(monkeypatch, detector)
+
+
+class LaunchedExecutions(list):
+    """One weak-reference pair per launch: the execution's
+    :class:`~repro.core.runtime.ExecutionCoordinator` and its
+    :class:`~repro.core.runtime.ExecutionContext` (which every role
+    runtime holds, so a live runtime keeps it reachable too)."""
+
+    def alive(self) -> int:
+        """How many of the referenced objects are still reachable."""
+        return sum(ref() is not None for pair in self for ref in pair)
+
+
+@pytest.fixture
+def launched_executors(monkeypatch):
+    """Records every execution :meth:`Scenario.launch` wires during the
+    test (:class:`LaunchedExecutions`), which runs with the cyclic
+    collector off: an object still reachable at a check is held by a
+    strong reference, not by a cycle the collector has yet to reach.
+    """
+    launched = LaunchedExecutions()
+    launch = Scenario.launch
+
+    def recording(self, plan, **kwargs):
+        result = launch(self, plan, **kwargs)
+        executor = result.executor
+        launched.append((weakref.ref(executor), weakref.ref(executor.ctx)))
+        return result
+
+    monkeypatch.setattr(Scenario, "launch", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        yield launched
+    finally:
+        gc.enable()

@@ -14,7 +14,9 @@ from repro.chaos.invariants import (
     check_validity,
     no_fault_observed,
 )
+from repro.core.overcollection import OvercollectionConfig
 from repro.core.resiliency import replicas_for
+from repro.core.runtime import CombinerState
 from repro.network.opnet import LOSS_COUNTERS, NetworkStats
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import (
@@ -39,7 +41,8 @@ def _record(
     result_rows=None,
     reference_rows=None,
     clean=False,
-    executor=None,
+    evidence=None,
+    plan=None,
     failure_events=(),
     fault_injector=None,
     network_stats=None,
@@ -59,10 +62,10 @@ def _record(
     )
     result = SimpleNamespace(
         report=report,
-        executor=executor,
+        evidence=evidence,
         failure_events=list(failure_events),
         fault_injector=fault_injector,
-        plan=None,
+        plan=plan,
         liability=liability,
         exposure=exposure,
     )
@@ -113,6 +116,59 @@ class TestResiliency:
         record = _record(success=True, result_rows=None, clean=False)
         violation = check_resiliency(record)
         assert violation is not None
+
+
+class TestResiliencyTolerance:
+    """A crash-only failure whose damage a live combiner shows to be
+    within the plan's tolerance is a violation; more damage, or any
+    message-level loss, explains the failure."""
+
+    CONFIG = OvercollectionConfig(n=3, m=2, snapshot_cardinality=60)
+    CRASH = SimpleNamespace(kind="crash", time=20.0)
+
+    @staticmethod
+    def _plan():
+        return SimpleNamespace(
+            operators=lambda role: [SimpleNamespace(assigned_to="querier-dev")],
+            operator=lambda name: SimpleNamespace(assigned_to=f"{name}-dev"),
+        )
+
+    def _evidence(self, received: int):
+        """Both combiners alive; ``received`` of the 5 partitions each."""
+        combiners = {}
+        for name in ("combiner", "combiner-backup"):
+            state = CombinerState(name, self.CONFIG, 1, QUERY)
+            for partition in range(received):
+                state.record_partial(partition, 0, object())
+            combiners[name] = state
+        network = SimpleNamespace(
+            is_dead=lambda device: False, is_online=lambda device: True
+        )
+        return SimpleNamespace(combiners=combiners, network=network)
+
+    def _failed(self, received: int, **overrides):
+        return _record(
+            success=False,
+            evidence=self._evidence(received),
+            plan=self._plan(),
+            failure_events=[self.CRASH],
+            **overrides,
+        )
+
+    def test_crash_only_failure_within_tolerance_is_a_violation(self):
+        violation = check_resiliency(self._failed(received=3))  # lost 2 <= m
+        assert violation is not None
+        assert violation.invariant == "resiliency"
+        assert "within tolerance" in violation.detail
+        assert violation.data["combiner"] == "combiner"
+        assert violation.data["tally"]["received"] == 3
+
+    def test_damage_past_tolerance_is_graceful(self):
+        assert check_resiliency(self._failed(received=2)) is None  # lost 3 > m
+
+    def test_message_level_loss_is_graceful(self):
+        record = self._failed(received=3, network_stats={"lost": 1})
+        assert check_resiliency(record) is None
 
 
 class TestValidity:
@@ -220,23 +276,23 @@ class TestCrowdLiability:
 
 class TestNoDoubleTakeover:
     def test_unique_takeovers_pass(self):
-        executor = SimpleNamespace(
+        evidence = SimpleNamespace(
             takeover_log=[(20.0, "builder[0]", 1), (25.0, "builder[1]", 1)]
         )
-        record = _record(result_rows=ROWS, executor=executor)
+        record = _record(result_rows=ROWS, evidence=evidence)
         assert check_no_double_takeover(record) is None
 
     def test_duplicate_rank_is_a_violation(self):
-        executor = SimpleNamespace(
+        evidence = SimpleNamespace(
             takeover_log=[(20.0, "builder[0]", 1), (21.0, "builder[0]", 1)]
         )
-        record = _record(result_rows=ROWS, executor=executor)
+        record = _record(result_rows=ROWS, evidence=evidence)
         violation = check_no_double_takeover(record)
         assert violation is not None
         assert violation.invariant == "no_double_takeover"
 
-    def test_no_executor_passes(self):
-        record = _record(result_rows=ROWS, executor=None)
+    def test_no_evidence_passes(self):
+        record = _record(result_rows=ROWS, evidence=None)
         assert check_no_double_takeover(record) is None
 
 

@@ -9,6 +9,8 @@ design makes zero-rate churn zero-observable).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.continuous import (
@@ -238,3 +240,45 @@ class TestAdmission:
         assert result.completed + result.skipped + result.empty == 8
         offered = engine.admission.arrivals
         assert engine.admission.completed + engine.admission.shed == offered
+
+
+def _digest(mapping: dict) -> str:
+    document = "\n".join(f"{k}:{v}" for k, v in sorted(mapping.items()))
+    return hashlib.sha256(document.encode()).hexdigest()[:16]
+
+
+class TestConcludedWindows:
+    """A concluded window keeps its report, plan, evidence and lineage,
+    and its execution is freed by reference counting alone once its
+    coverage is read.  What the run reports is unchanged (pinned)."""
+
+    def test_no_concluded_execution_stays_reachable(self, launched_executors):
+        spec = StandingQuerySpec(max_windows=6, seed=9, reliability=True)
+        _, result = _run(
+            spec,
+            ChurnSpec(
+                departure_probability=0.1, data_change_probability=0.2, seed=9
+            ),
+            standby_count=1,
+            detector=True,
+        )
+        assert result.completed == len(launched_executors) == 6
+        assert launched_executors.alive() == 0
+        assert all(
+            window.result is None and window.coverage is not None
+            for window in result.windows
+        )
+        liability = result.liability
+        assert (
+            len(liability.operators_per_device),
+            liability.gini_operators,
+            liability.max_share,
+            _digest(liability.operators_per_device),
+            _digest(result.fingerprints()),
+        ) == (
+            15,
+            0.17407407407407405,
+            0.08333333333333333,
+            "1bdb1b1f8915c496",
+            "c52867def7f4247f",
+        )

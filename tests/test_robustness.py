@@ -126,12 +126,12 @@ class TestFencedCombinerState:
 
 
 def _record(fire_log, arrival_log, events=(), combiners=None):
-    executor = SimpleNamespace(
+    evidence = SimpleNamespace(
         fire_log=list(fire_log),
         arrival_log=list(arrival_log),
         combiners=combiners or {},
     )
-    result = SimpleNamespace(executor=executor, failure_events=list(events))
+    result = SimpleNamespace(evidence=evidence, failure_events=list(events))
     return RunRecord(result=result)
 
 
@@ -323,7 +323,7 @@ class TestMixedKindShrink:
             # the test's own invariant: the gray window alone makes the
             # detector evict the zombie (fencing leaves the shipped
             # invariants nothing to flag)
-            reprovisions = record.result.report.reprovisions
+            reprovisions = record.report.reprovisions
             if victim_id in [old for _t, _op, old, _new in reprovisions]:
                 return Violation("zombie_evicted", f"{victim_id} evicted")
             return None

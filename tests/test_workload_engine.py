@@ -10,6 +10,8 @@ Crowd Liability over the whole set of queries.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.liability import measure_liability
@@ -245,7 +247,7 @@ def _roles(record) -> dict[str, str]:
     """Data-processor operator -> the device it ran on."""
     return {
         op.op_id: op.assigned_to
-        for op in record.result.plan.operators()
+        for op in record.plan.operators()
         if op.role.is_data_processor
     }
 
@@ -273,7 +275,7 @@ class TestCumulativeLiability:
         assert summary["liability_participants"] > 10
         assert summary["liability_max_share"] < 0.2
         assert result.liability == measure_liability(
-            *(record.result.plan for record in result.records)
+            *(record.plan for record in result.records)
         )
 
     def test_empty_run_carries_no_liability(self):
@@ -281,3 +283,59 @@ class TestCumulativeLiability:
         assert liability.operators_per_device == {}
         assert liability.gini_operators == 0.0
         assert liability.max_share == 0.0
+
+
+def _digest(mapping: dict) -> str:
+    document = "\n".join(f"{k}:{v}" for k, v in sorted(mapping.items()))
+    return hashlib.sha256(document.encode()).hexdigest()[:16]
+
+
+class TestConcludedUnits:
+    """A concluded query keeps its report, plan and evidence, and its
+    execution is freed by reference counting alone when it concludes:
+    the engine's heap follows the queries in flight, not the queries
+    served.  What the run reports is unchanged (pinned values)."""
+
+    # (liability participants, gini, max share, operators digest,
+    #  fingerprints digest), per leg
+    PINS = {
+        "plain": (32, 0.0, 0.03125, "22a8bef011547dfd", "0b92414f4bda0022"),
+        "reliable": (32, 0.0, 0.03125, "96063d9023b9d65e", "484119b8ce40d27b"),
+    }
+
+    @pytest.mark.parametrize("leg", ["plain", "reliable"])
+    def test_no_concluded_execution_stays_reachable(
+        self, leg, launched_executors
+    ):
+        reliable = leg == "reliable"
+        spec = WorkloadSpec(
+            n_queries=8, arrival_process="closed", target_in_flight=4,
+            max_concurrent=4, queue_capacity=0, seed=13,
+            snapshot_cardinality=60, max_raw_per_edgelet=30,
+            collection_window=15.0, deadline=50.0, reliability=reliable,
+        )
+        engine, result = _run(
+            spec, n_contributors=40, n_processors=60,
+            rows=generate_health_rows(80, seed=13),
+            **(dict(standby_count=1, detector=True) if reliable else {}),
+        )
+        assert result.completed == len(launched_executors) == 8
+        assert launched_executors.alive() == 0
+        assert all(
+            record.result is None and record.evidence is not None
+            for record in result.records
+        )
+        liability = result.liability
+        assert (
+            len(liability.operators_per_device),
+            liability.gini_operators,
+            liability.max_share,
+            _digest(liability.operators_per_device),
+            _digest(result.fingerprints()),
+        ) == self.PINS[leg]
+
+        launched_executors.clear()
+        solo = serial_fingerprints(engine, result)
+        assert len(launched_executors) == 8
+        assert launched_executors.alive() == 0
+        assert solo == result.fingerprints()
