@@ -27,6 +27,8 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.resiliency import TAKEOVER_TIMEOUT, worst_case_delay
+from repro.core.runtime.events import EventKind, of_kind
+from repro.core.runtime.strategy import base_op_id
 from repro.manager.scenario import Scenario
 from repro.query.sql import parse_query
 
@@ -177,9 +179,17 @@ def _run_backup_execution(kills: int, replicas: int = 1, seed: int = 3):
 def _freezes(report, base: str | None = None) -> list[tuple[float, str]]:
     """(time, op id) of every snapshot freeze, optionally of one base."""
     return [
-        (t, text.split(" ")[0]) for t, text in report.trace
-        if "snapshot frozen" in text
-        and (base is None or text.split(" ")[0].split(".b")[0] == base)
+        (event.time, event.op)
+        for event in of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
+        if base is None or base_op_id(event.op) == base
+    ]
+
+
+def _takeovers(executor) -> list[tuple[str, int]]:
+    """(base op, rank) of every replica takeover."""
+    return [
+        (event.fields["base"], event.fields["rank"])
+        for event in of_kind(executor.report.events, EventKind.TAKEOVER)
     ]
 
 
@@ -190,7 +200,7 @@ def test_qgen_backup_takeover_chain(benchmark):
     for kills in (0, 1, 2):
         report, executor = _run_backup_execution(kills, replicas=2)
         [(freeze_at, shipped_by)] = _freezes(report, "builder[0]")
-        promotions = [r for _, base, r in executor.takeover_log if base == "builder[0]"]
+        promotions = [r for base, r in _takeovers(executor) if base == "builder[0]"]
         rows.append(
             [kills, report.success, shipped_by,
              ", ".join(map(str, promotions)) or "-",
@@ -221,7 +231,7 @@ def test_qgen_backup_runtime_takeover_latency(benchmark):
     for kills in (0, 1):
         report, executor = _run_backup_execution(kills)
         freeze = max((t for t, _ in _freezes(report)), default=0.0)
-        measured.append((report.success, len(executor.takeover_log), freeze))
+        measured.append((report.success, len(_takeovers(executor)), freeze))
     (ok_clean, takeovers_clean, freeze_clean), (ok_kill, takeovers_kill, freeze_kill) = measured
     print_table(
         "Q-GEN: Backup executor runtime takeover "

@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _scenarios import aggregate_spec, fast_scenario_config, run_once
 from _tables import print_table
 
+from repro.core.runtime.events import EventKind, of_kind
 from repro.network.failures import FailurePlan, Partition
 from repro.telemetry import Telemetry
 
@@ -77,15 +78,15 @@ def _probe_victim() -> tuple[str, int]:
 def _full_tally_time(executor, n_cells: int) -> float:
     """Virtual time the last distinct cell's partial first arrived.
 
-    Read off the combiner arrival evidence log; ``inf`` when some cell
-    never arrived (the combiner then degrades or extrapolates at the
-    deadline, which is exactly the cost being measured).
+    Read off the combiners' ``PARTIAL_ARRIVED`` events; ``inf`` when
+    some cell never arrived (the combiner then degrades or extrapolates
+    at the deadline, which is exactly the cost being measured).
     """
     seen: set[tuple[int, int]] = set()
-    for time, cell, _op, _sender, _gen, _disposition in executor.arrival_log:
-        seen.add(cell)
+    for event in of_kind(executor.report.events, EventKind.PARTIAL_ARRIVED):
+        seen.add(event.fields["cell"])
         if len(seen) >= n_cells:
-            return time
+            return event.time
     return float("inf")
 
 

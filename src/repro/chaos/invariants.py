@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.runtime.events import EventKind, of_kind
 from repro.core.validity import compare_results
 from repro.network.opnet import LOSS_COUNTERS
 
@@ -319,9 +320,12 @@ def check_no_double_takeover(record: RunRecord) -> Violation | None:
     """A backup chain fires at most one takeover per (base, rank) — a
     duplicate means the same replica executed twice."""
     evidence = record.evidence
-    log = evidence.takeover_log if evidence is not None else None
-    if not log:
+    if evidence is None:
         return None
+    log = [
+        (event.time, event.fields["base"], event.fields["rank"])
+        for event in of_kind(evidence.events, EventKind.TAKEOVER)
+    ]
     seen: set[tuple[str, int]] = set()
     for _time, base, rank in log:
         if (base, rank) in seen:
@@ -339,10 +343,10 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
     both owners' partials reaching a combiner (split-brain-safe
     takeover).
 
-    Evidence comes from the runtime's always-on logs: ``fire_log``
-    records every partial-send fire ``(time, cell, device,
-    generation)``; ``arrival_log`` records every combiner-side arrival
-    with its acceptance disposition.  Two violation modes:
+    Evidence comes from the execution's events: a ``PARTIAL_SENT``
+    per partial-send fire (cell, device, generation) and a
+    ``PARTIAL_ARRIVED`` per combiner-side arrival (cell, sender,
+    generation, acceptance disposition).  Two violation modes:
 
     * two *distinct* devices fired the same cell at the *same*
       generation and both their partials arrived at one combiner — the
@@ -357,17 +361,23 @@ def check_no_split_brain(record: RunRecord) -> Violation | None:
     are legitimate and never flagged.
     """
     evidence = record.evidence
-    if evidence is None or not evidence.fire_log:
+    if evidence is None:
         return None
-    fire_log, arrival_log = evidence.fire_log, evidence.arrival_log
+    fired = of_kind(evidence.events, EventKind.PARTIAL_SENT)
+    if not fired:
+        return None
     firers: dict[tuple[Any, int], set[str]] = {}
-    for _time, cell, device, generation in fire_log:
-        firers.setdefault((cell, generation), set()).add(device)
+    for event in fired:
+        fields = event.fields
+        firers.setdefault((fields["cell"], fields["generation"]), set()).add(
+            fields["device"]
+        )
     arrivals: dict[tuple[str, Any], dict[int, set[str]]] = {}
-    for _time, cell, op_id, sender, generation, _disposition in arrival_log:
-        arrivals.setdefault((op_id, cell), {}).setdefault(
-            generation, set()
-        ).add(sender)
+    for event in of_kind(evidence.events, EventKind.PARTIAL_ARRIVED):
+        fields = event.fields
+        arrivals.setdefault((event.op, fields["cell"]), {}).setdefault(
+            fields["generation"], set()
+        ).add(fields["sender"])
 
     for (op_id, cell), by_generation in sorted(arrivals.items()):
         for generation, senders in sorted(by_generation.items()):

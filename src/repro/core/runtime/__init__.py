@@ -7,6 +7,7 @@ resiliency runtime that runs every plan by its rank structure:
 module                    owns
 ========================  ==============================================
 :mod:`.context`           shared clock/network/plan state and services
+:mod:`.events`            the typed record of every execution step
 :mod:`.contributor`       jittered contribution scheduling
 :mod:`.builder`           snapshot intake, freeze, commit, ship
 :mod:`.computer`          aggregate folding and K-Means heartbeats

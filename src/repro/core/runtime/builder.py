@@ -1,7 +1,7 @@
 """Snapshot Builder runtime: contribution intake, freeze, commit, ship.
 
-Every builder operator deduplicates retransmitted contributions with a
-Bloom filter, caps its partition at ``C / n`` tuples, commits to the
+Every builder operator deduplicates retransmitted contributions by
+their ids, caps its partition at ``C / n`` tuples, commits to the
 frozen snapshot with a Merkle root, and ships column-group projections
 to the Computers.  Every rank collects the same contributions into its
 own bucket; :class:`repro.core.runtime.strategy.StrategyRuntime`
@@ -16,6 +16,7 @@ from typing import Any, Callable, Iterable
 
 from repro.core.qep import Operator, OperatorRole, rank_of
 from repro.core.runtime.context import ExecutionContext
+from repro.core.runtime.events import EventKind
 from repro.crypto.merkle import MerkleTree
 from repro.devices.edgelet import Edgelet
 from repro.network.messages import MessageKind
@@ -172,7 +173,7 @@ class BuilderRuntime:
         """
         ctx = self.ctx
         if ctx.network.is_dead(device.device_id):
-            ctx.trace(f"{builder.op_id} dead at end of collection")
+            ctx.emit(EventKind.BUILDER_DEAD, builder.op_id)
             return
         frozen = self.freeze(builder, device)
         if frozen is None:
@@ -198,12 +199,12 @@ class BuilderRuntime:
         if len(rows) > cap:
             rows = rows[:cap]
         if not rows:
-            ctx.trace(f"{builder.op_id} collected no rows")
+            ctx.emit(EventKind.NO_ROWS, builder.op_id)
             return None
         commitment = commit_snapshot(rows)
-        ctx.trace(
-            f"{builder.op_id} snapshot frozen: {len(rows)} rows, "
-            f"merkle={commitment[:12]}…"
+        ctx.emit(
+            EventKind.SNAPSHOT_FROZEN, builder.op_id,
+            rows=len(rows), commitment=commitment,
         )
         ctx.mark_collection_end()
         ctx.m_snapshots.inc()
@@ -233,7 +234,7 @@ class BuilderRuntime:
 
         def fire() -> None:
             if not ctx.network.is_online(device.device_id):
-                ctx.trace(f"{builder.op_id} offline, partition not shipped")
+                ctx.emit(EventKind.PARTITION_UNSHIPPED, builder.op_id)
                 return
             self.ship(builder, device, rows, commitment)
             on_sent()

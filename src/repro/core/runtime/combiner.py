@@ -17,6 +17,7 @@ from repro.core.overcollection import OvercollectionConfig, PartitionTally
 from repro.core.qep import OperatorRole
 from repro.core.validity import coverage_confidence, partial_validity_bound
 from repro.core.runtime.context import ExecutionContext
+from repro.core.runtime.events import EventKind
 from repro.core.runtime.report import ExecutionError, KMeansOutcome
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, merge_knowledge
@@ -274,7 +275,7 @@ class CombinerRuntime:
         """Record one inbound partial (aggregate or cluster-stats).
 
         ``sender`` is the originating device of the message (threaded
-        from dispatch); it feeds the arrival evidence log that the
+        from dispatch); it feeds the ``PARTIAL_ARRIVED`` event that the
         ``no-split-brain`` chaos invariant audits.
         """
         op_id = payload.get("op_id", "")
@@ -292,16 +293,10 @@ class CombinerRuntime:
             partial,
             generation=generation,
         )
-        cell = (payload["partition_index"], payload["group_index"])
-        self.ctx.arrival_log.append(
-            (
-                self.ctx.simulator.now,
-                cell,
-                op_id,
-                sender or "?",
-                generation,
-                disposition,
-            )
+        self.ctx.emit(
+            EventKind.PARTIAL_ARRIVED, op_id,
+            cell=(payload["partition_index"], payload["group_index"]),
+            sender=sender or "?", generation=generation, disposition=disposition,
         )
         self.ctx.m_partials.inc()
 
@@ -325,7 +320,7 @@ class CombinerRuntime:
             combiner_op = ctx.plan.operator(name)
             device = ctx.device_of(combiner_op)
             if not ctx.network.is_online(device.device_id):
-                ctx.trace(f"{name} offline at deadline")
+                ctx.emit(EventKind.COMBINER_OFFLINE, name)
                 continue
             state = self.states[name]
             # graceful degradation rides with the recovery layer
@@ -353,14 +348,13 @@ class CombinerRuntime:
                                 state.config.total_partitions,
                             ),
                         }
-                        ctx.trace(
-                            f"{name}: quorum unreachable, emitting degraded "
-                            f"partial result "
-                            f"({coverage['groups_covered']}/"
-                            f"{coverage['groups_total']} groups covered)"
+                        ctx.emit(
+                            EventKind.DEGRADED, name,
+                            covered=coverage["groups_covered"],
+                            total=coverage["groups_total"],
                         )
                 if result is None:
-                    ctx.trace(f"{name}: no partitions received, cannot finalize")
+                    ctx.emit(EventKind.NO_PARTITIONS, name)
                     continue
                 payload: dict[str, Any] = {
                     "__aggregate__": True,
@@ -373,7 +367,7 @@ class CombinerRuntime:
                 with ctx.prof_combine:
                     outcome = state.finalize_kmeans()
                 if outcome is None:
-                    ctx.trace(f"{name}: no knowledges received, cannot finalize")
+                    ctx.emit(EventKind.NO_KNOWLEDGES, name)
                     continue
                 if ctx.stats_query is not None and name == "combiner":
                     # launch the Group-By-on-clusters round: ship the
@@ -424,7 +418,7 @@ class CombinerRuntime:
                 device, querier_device, MessageKind.FINAL_RESULT, payload,
                 size_hint=1024,
             )
-            ctx.trace(f"{name} sent final result to querier")
+            ctx.emit(EventKind.FINAL_SENT, name)
 
     def finalize_stats(self) -> None:
         """Combiners merge the per-cluster statistics and ship them."""
@@ -455,4 +449,4 @@ class CombinerRuntime:
                 },
                 size_hint=1024,
             )
-            ctx.trace(f"{name} sent cluster statistics to querier")
+            ctx.emit(EventKind.STATS_SENT, name)

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.qep import Operator, OperatorRole, rank_of
 from repro.core.runtime.combiner import COMBINER_NAMES
 from repro.core.runtime.context import ExecutionContext
+from repro.core.runtime.events import EventKind
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, KMeansComputerState
 from repro.network.messages import MessageKind
@@ -125,12 +126,12 @@ class ComputerRuntime:
         def fire() -> None:
             ctx.mark_computation_start()
             if not ctx.network.is_online(device.device_id):
-                ctx.trace(f"{computer.op_id} offline, partial lost")
+                ctx.emit(EventKind.PARTIAL_LOST, computer.op_id)
                 return
-            ctx.trace(f"{computer.op_id} partial result computed and sent")
-            cell = (payload["partition_index"], payload.get("group_index", 0))
-            ctx.fire_log.append(
-                (ctx.simulator.now, cell, device.device_id, generation)
+            ctx.emit(
+                EventKind.PARTIAL_SENT, computer.op_id,
+                cell=(payload["partition_index"], payload.get("group_index", 0)),
+                device=device.device_id, generation=generation,
             )
             self.ship_to_combiners(device, MessageKind.PARTIAL_RESULT, payload)
             on_sent()
@@ -160,7 +161,7 @@ class ComputerRuntime:
         ]
         points = [f for f in features if f is not None]
         if not points:
-            ctx.trace(f"{computer.op_id} received no usable feature rows")
+            ctx.emit(EventKind.NO_FEATURE_ROWS, computer.op_id)
             return
         partition_index = computer.params["partition_index"]
         self.kmeans_states[partition_index] = KMeansComputerState(
@@ -170,9 +171,7 @@ class ComputerRuntime:
         )
         if ctx.stats_query is not None:
             self.kmeans_rows[partition_index] = rows
-        ctx.trace(
-            f"{computer.op_id} initialized K-Means on {len(points)} points"
-        )
+        ctx.emit(EventKind.KMEANS_INIT, computer.op_id, points=len(points))
         ctx.mark_computation_start()
 
     def schedule_heartbeats(self) -> None:

@@ -2,8 +2,9 @@
 
 The :class:`ExecutionContext` owns everything every role runtime needs
 but no role owns alone: the clock, the network, the device map, the
-validated plan configuration, the report under construction, sealed
-transport, audit, phase accounting, and the telemetry instruments.
+validated plan configuration, the report under construction and its
+event list, sealed transport, audit, phase accounting, and the
+telemetry instruments.
 Role runtimes (:mod:`repro.core.runtime.contributor` …) hold only their
 own operator state and reach everything else through this object.
 """
@@ -14,7 +15,8 @@ import random
 from typing import Any
 
 from repro.core.overcollection import OvercollectionConfig
-from repro.core.qep import Operator, OperatorRole, QueryExecutionPlan
+from repro.core.qep import Operator, QueryExecutionPlan
+from repro.core.runtime.events import Event, EventKind
 from repro.core.runtime.report import ExecutionError, ExecutionReport
 from repro.crypto.primitives import AuthenticationError
 from repro.devices.edgelet import Edgelet
@@ -22,7 +24,6 @@ from repro.network.messages import Message, MessageKind
 from repro.network.opnet import OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.query.groupby import GroupByQuery
-from repro.query.sketches import BloomFilter
 
 __all__ = ["ExecutionContext"]
 
@@ -73,12 +74,6 @@ class ExecutionContext:
         # monotonically.  The current generation per cell; absent means
         # generation 0 (the original provisioning)
         self.generations: dict[tuple[int, int], int] = {}
-        # evidence logs for the no-split-brain invariant: every partial
-        # *fired* toward a combiner (time, cell, device, generation) and
-        # every partial *arriving* at a combiner
-        # (time, cell, combiner_op, device, generation, disposition)
-        self.fire_log: list[tuple[float, tuple[int, int], str, int]] = []
-        self.arrival_log: list[tuple[float, tuple[int, int], str, str, int, str]] = []
         self.devices = devices
         self.plan = plan
         # All phase boundaries are relative to the execution's start
@@ -91,7 +86,7 @@ class ExecutionContext:
         self.secure_channels = secure_channels
         self.contribution_copies = contribution_copies
         self.audit_ledger = audit_ledger
-        self._contribution_filters: dict[Any, Any] = {}
+        self._contribution_ids: dict[Any, set[Any]] = {}
         self.rng = random.Random(seed)
         self.report = ExecutionReport(query_id=plan.query_id)
 
@@ -118,14 +113,9 @@ class ExecutionContext:
         self._m_dropped_payloads: dict[str, Any] = {}
         self._m_role_dispatches: dict[str, Any] = {}
 
-        # Phase spans: the structured execution timeline.  The
-        # collection span closes at the first frozen snapshot and the
-        # computation span opens at the first partial/K-Means init,
-        # mirroring exactly what the legacy substring heuristics mined
-        # from the text trace.  Spans left open (a phase that never
-        # happened) render as ``None`` boundaries.
-        from repro.telemetry import NullTracer
-
+        # Phase spans for the telemetry export: the collection span
+        # closes at the first frozen snapshot and the computation span
+        # opens at the first partial/K-Means init.
         tracer = telemetry.tracer
         self.span_execution = tracer.start(
             "execution",
@@ -138,13 +128,6 @@ class ExecutionContext:
         )
         self.span_computation: Any = None
         self.span_combination: Any = None
-        # A no-op tracer hands out one shared inert span; publishing it
-        # would poison phase_timeline, which then rightly falls back to
-        # the legacy text-trace scan.
-        self.record_phase_spans = not isinstance(tracer, NullTracer)
-        if self.record_phase_spans:
-            self.report.phase_spans["execution"] = self.span_execution
-            self.report.phase_spans["collection"] = self.span_collection
 
         metadata = plan.metadata
         self.kind: str = metadata["kind"]
@@ -186,9 +169,10 @@ class ExecutionContext:
                 f"operator {operator.op_id} assigned to unknown device {device_id}"
             ) from None
 
-    def trace(self, message: str) -> None:
-        """Append one human-readable event to the report's text trace."""
-        self.report.trace.append((self.simulator.now, message))
+    def emit(self, kind: EventKind, op: str | None = None, **fields: Any) -> None:
+        """Record one execution step, now, in the report's event list
+        (:mod:`repro.core.runtime.events`)."""
+        self.report.events.append(Event(self.simulator.now, kind, op, fields))
 
     def count_tuples(self, device_id: str, count: int) -> None:
         """Attribute ``count`` raw tuples to a processing device."""
@@ -250,8 +234,6 @@ class ExecutionContext:
             self.span_computation = self.telemetry.tracer.start(
                 "phase:computation", at=now, parent=self.span_execution
             )
-            if self.record_phase_spans:
-                self.report.phase_spans["computation"] = self.span_computation
             self.telemetry.tracer.mark(
                 f"exec.{self.plan.query_id}.computation_start", at=now
             )
@@ -265,8 +247,6 @@ class ExecutionContext:
             self.span_combination = self.telemetry.tracer.start(
                 "phase:combination", at=now, parent=self.span_execution
             )
-            if self.record_phase_spans:
-                self.report.phase_spans["combination"] = self.span_combination
 
     # -- sealed transport ----------------------------------------------------
 
@@ -325,8 +305,9 @@ class ExecutionContext:
         try:
             return device.open_from(message.payload)
         except AuthenticationError:
-            self.trace(
-                f"{device.device_id} dropped unauthenticated {message.kind.value}"
+            self.emit(
+                EventKind.PAYLOAD_REJECTED,
+                device=device.device_id, message=message.kind.value,
             )
             self.count_dropped_payload("unauthenticated")
             return None
@@ -358,21 +339,13 @@ class ExecutionContext:
     def is_duplicate_contribution(
         self, dedup_key: Any, payload: dict[str, Any]
     ) -> bool:
-        """Bloom-filter dedup of retransmitted contributions.
-
-        One filter per receiving operator; constant memory, so it also
-        fits a RAM-starved home box.  False positives (rare at the
-        configured error rate) drop a legitimate contribution — the
-        snapshot stays representative, only marginally smaller.
-        """
+        """Exact dedup of retransmitted contributions: one set of seen
+        contribution ids per receiving operator, so a retransmission is
+        always dropped and a distinct contribution never is."""
         contribution_id = payload.get("contribution_id")
         if contribution_id is None:
             return False
-        bloom = self._contribution_filters.get(dedup_key)
-        if bloom is None:
-            capacity = max(
-                64, 2 * len(self.plan.operators(OperatorRole.DATA_CONTRIBUTOR))
-            )
-            bloom = BloomFilter(capacity=capacity, error_rate=0.001)
-            self._contribution_filters[dedup_key] = bloom
-        return not bloom.add_if_new(contribution_id)
+        seen = self._contribution_ids.setdefault(dedup_key, set())
+        duplicate = contribution_id in seen
+        seen.add(contribution_id)
+        return duplicate

@@ -54,7 +54,7 @@ class ExecutionCoordinator:
             the same code paths (fast, for large-scale benches).
         contribution_copies: how many times each contributor transmits
             its contribution (staggered retransmissions improve delivery
-            on lossy links; builders deduplicate with a Bloom filter so
+            on lossy links; builders deduplicate by contribution id so
             duplicates never skew the snapshot).
         audit_ledger: optional
             :class:`repro.manager.audit.AuditLedger`; when provided,
@@ -206,24 +206,6 @@ class ExecutionCoordinator:
         """Rank-0 builders' collected rows, keyed by partition index."""
         return self.builder.rows_by_partition
 
-    @property
-    def takeover_log(self) -> list[tuple[float, str, int]]:
-        """(time, base op, rank) per replica takeover; empty without one."""
-        return self.strategy.takeover_log
-
-    @property
-    def fire_log(self) -> list[tuple[float, tuple[int, int], str, int]]:
-        """(time, cell, device, generation) per partial-send fire."""
-        return self.ctx.fire_log
-
-    @property
-    def arrival_log(
-        self,
-    ) -> list[tuple[float, tuple[int, int], str, str, int, str]]:
-        """(time, cell, combiner op, sender, generation, disposition)
-        per combiner-side partial arrival."""
-        return self.ctx.arrival_log
-
     def evidence(self) -> ExecutionEvidence:
         """What the invariant checks read of this execution once it
         concluded — built once, by :meth:`repro.manager.scenario.
@@ -234,9 +216,7 @@ class ExecutionCoordinator:
             start_time=self.start_time,
             combiners=self.combiners,
             aggregate_indices_per_group=self.aggregate_indices_per_group,
-            takeover_log=self.takeover_log,
-            fire_log=self.fire_log,
-            arrival_log=self.arrival_log,
+            events=self.report.events,
             network=self.network,
         )
 

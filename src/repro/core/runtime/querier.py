@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.qep import OperatorRole
 from repro.core.runtime.context import ExecutionContext
+from repro.core.runtime.events import EventKind
 from repro.core.runtime.report import KMeansOutcome
 from repro.devices.edgelet import Edgelet
 from repro.query.groupby import GroupingSetsResult
@@ -69,9 +70,7 @@ class QuerierRuntime:
                 knowledges_merged=payload["knowledges_merged"],
             )
         ctx.audit(device, "querier", "deliver", 0)
-        ctx.trace(
-            f"querier received final result from {ctx.report.delivered_by}"
-        )
+        ctx.emit(EventKind.DELIVERED, "querier", by=ctx.report.delivered_by)
 
     def on_cluster_stats_result(self, payload: dict[str, Any]) -> None:
         """Attach the Group-By-on-clusters result to the K-Means outcome."""
@@ -88,4 +87,4 @@ class QuerierRuntime:
         ctx.report.kmeans = dataclasses.replace(
             ctx.report.kmeans, cluster_stats=stats
         )
-        ctx.trace("querier received cluster statistics")
+        ctx.emit(EventKind.STATS_DELIVERED, "querier")

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.runtime.builder import commit_snapshot, ship_partition
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.detector import PhiAccrualDetector
+from repro.core.runtime.events import EventKind, of_kind
 
 if TYPE_CHECKING:
     from repro.core.runtime.builder import BuilderRuntime
@@ -220,20 +221,19 @@ class RecoveryRuntime:
                 # confidence (partitioned away or gray): treat as gone
                 reachable = False
                 self._m_suspicions.inc()
-                ctx.trace(
-                    f"detector: {device_id} suspected "
-                    f"(suspicion over threshold), cell {cell} missing"
+                ctx.emit(
+                    EventKind.SUSPECTED, operator.op_id, device=device_id, cell=cell
                 )
             if reachable:
                 continue  # reachable: maybe just slow, leave it be
             self._m_fired.inc()
-            ctx.trace(
-                f"watchdog: {operator.op_id} unreachable on {device_id}, "
-                f"cell {cell} missing"
+            ctx.emit(
+                EventKind.WATCHDOG_FIRED, operator.op_id, device=device_id, cell=cell
             )
             if (
                 ctx.kind == "aggregate"
-                and len(ctx.report.reprovisions) < MAX_REPROVISIONS
+                and len(of_kind(ctx.report.events, EventKind.REPROVISIONED))
+                < MAX_REPROVISIONS
             ):
                 self.reprovision(operator, cell)
 
@@ -254,30 +254,27 @@ class RecoveryRuntime:
         builder_op = self.builder.builder_by_partition.get(partition_index)
         rows = self.builder.rows_by_partition.get(partition_index)
         if builder_op is None or not rows:
-            ctx.trace(
-                f"watchdog: no retained partition {partition_index}, "
-                f"cannot reprovision {operator.op_id}"
+            ctx.emit(
+                EventKind.NO_RETAINED_PARTITION, operator.op_id,
+                partition=partition_index,
             )
             return
         builder_device = ctx.device_of(builder_op)
         if not ctx.network.is_online(builder_device.device_id):
-            ctx.trace(
-                f"watchdog: builder for partition {partition_index} "
-                f"unreachable, cannot reprovision {operator.op_id}"
+            ctx.emit(
+                EventKind.BUILDER_UNREACHABLE, operator.op_id,
+                partition=partition_index,
             )
             return
         new_id = self._next_standby()
         if new_id is None:
-            ctx.trace(f"watchdog: no standby left for {operator.op_id}")
+            ctx.emit(EventKind.NO_STANDBY, operator.op_id)
             return
         old_id = operator.assigned_to
         operator.assigned_to = new_id
         # the operator's first-wins guard must forget the dead device's
         # copy so the re-shipped partition actually executes
         self.computer.partitions_seen.discard(operator.op_id)
-        ctx.report.reprovisions.append(
-            (ctx.simulator.now, operator.op_id, old_id or "?", new_id)
-        )
         self._m_reprovisions.inc()
         if self.detector is not None and old_id:
             # the displaced device's history must not poison a later
@@ -292,12 +289,16 @@ class RecoveryRuntime:
         # reprovisioning of the cell
         generation = 1 + max(
             [ctx.generations.get(cell, 0), ctx.plan.replicas]
-            + [gen for _t, fired, _d, gen in ctx.fire_log if fired == cell]
+            + [
+                event.fields["generation"]
+                for event in of_kind(ctx.report.events, EventKind.PARTIAL_SENT)
+                if event.fields["cell"] == cell
+            ]
         )
         ctx.generations[cell] = generation
-        ctx.trace(
-            f"watchdog: reprovisioned {operator.op_id} "
-            f"from {old_id} to standby {new_id} at generation {generation}"
+        ctx.emit(
+            EventKind.REPROVISIONED, operator.op_id,
+            old=old_id, new=new_id, generation=generation,
         )
         ship_partition(
             ctx,

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.runtime.events import Event, EventKind, of_kind
 from repro.errors import ReproError
 from repro.query.groupby import GroupByQuery, GroupingSetsResult
 
@@ -59,18 +60,14 @@ class ExecutionReport:
         completion_time: virtual time of result delivery.
         network_stats: counters from the opportunistic network.
         tuples_per_device: raw tuples handled per processing device.
-        trace: time-ordered human-readable event log (a rendered view;
-            the telemetry spans are the structured source of truth).
+        events: every recorded execution step, in order
+            (:mod:`repro.core.runtime.events`).
         heartbeats_run: heartbeats executed (kmeans only).
         convergence_trace: per-heartbeat mean centroid shift across the
             live Computers (kmeans only) — the "follow the execution in
             real time" signal the demo GUI plots.
         telemetry: the :class:`repro.telemetry.Telemetry` this execution
             recorded into.
-        phase_spans: this execution's phase spans, keyed by phase name
-            (``execution``/``collection``/``computation``/
-            ``combination``); consumed by
-            :func:`repro.manager.trace.phase_timeline`.
         degraded: the delivered result is *partial* — a combiner could
             not reach quorum for every vertical group by the deadline
             and emitted what it had, explicitly labelled (graceful
@@ -83,8 +80,6 @@ class ExecutionReport:
             result, from :func:`repro.core.validity.partial_validity_bound`.
         transport_stats: counters from the reliability layer, when one
             was wired (retransmissions, ACKs, duplicate suppression...).
-        reprovisions: ``(time, op_id, old_device, new_device)`` per
-            watchdog-triggered participant reprovisioning.
     """
 
     query_id: str
@@ -97,16 +92,30 @@ class ExecutionReport:
     completion_time: float | None = None
     network_stats: dict[str, float] = field(default_factory=dict)
     tuples_per_device: dict[str, int] = field(default_factory=dict)
-    trace: list[tuple[float, str]] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
     heartbeats_run: int = 0
     convergence_trace: list[tuple[int, float]] = field(default_factory=list)
     telemetry: Any = None
-    phase_spans: dict[str, Any] = field(default_factory=dict)
     degraded: bool = False
     coverage: dict[str, Any] = field(default_factory=dict)
     validity_bound: float | None = None
     transport_stats: dict[str, float] = field(default_factory=dict)
-    reprovisions: list[tuple[float, str, str, str]] = field(default_factory=list)
+
+    @property
+    def trace(self) -> list[tuple[float, str]]:
+        """``(time, line)`` per event with a trace line, in order: the
+        step-by-step text trace, rendered from :attr:`events`."""
+        rendered = ((event.time, event.render()) for event in self.events)
+        return [(time, line) for time, line in rendered if line is not None]
+
+    @property
+    def reprovisions(self) -> list[tuple[float, str, str, str]]:
+        """``(time, op_id, old_device, new_device)`` per
+        watchdog-triggered participant reprovisioning."""
+        return [
+            (event.time, event.op, event.fields["old"] or "?", event.fields["new"])
+            for event in of_kind(self.events, EventKind.REPROVISIONED)
+        ]
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class ExecutionEvidence:
 
     :meth:`~repro.core.runtime.coordinator.ExecutionCoordinator.evidence`
     builds it when the execution is sealed, on every path.  It holds the
-    combiner states and the logs, never the runtimes, the context, the
+    combiner states and the events, never the runtimes, the context, the
     builders' rows or the transport, so a multi-query engine keeps it
     and lets the execution go.
 
@@ -129,11 +138,8 @@ class ExecutionEvidence:
             ``combiner``/``combiner-backup``.
         aggregate_indices_per_group: vertical-partitioning aggregate
             slices, one list per group.
-        takeover_log: ``(time, base op, rank)`` per replica takeover.
-        fire_log: ``(time, cell, device, generation)`` per partial-send
-            fire.
-        arrival_log: ``(time, cell, combiner op, sender, generation,
-            disposition)`` per combiner-side partial arrival.
+        events: the execution's event list (the report's own), which
+            the takeover and split-brain checks read by kind.
         network: the network the execution ran on (a shared swarm's
             query-scoped endpoint), for end-of-run liveness reads.
     """
@@ -143,7 +149,5 @@ class ExecutionEvidence:
     start_time: float
     combiners: dict[str, "CombinerState"]
     aggregate_indices_per_group: list[list[int]]
-    takeover_log: list[tuple[float, str, int]]
-    fire_log: list[tuple[float, tuple[int, int], str, int]]
-    arrival_log: list[tuple[float, tuple[int, int], str, str, int, str]]
+    events: list[Event]
     network: Any

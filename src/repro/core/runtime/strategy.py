@@ -33,6 +33,7 @@ from repro.core.resiliency import TAKEOVER_TIMEOUT
 from repro.core.runtime.builder import BuilderRuntime
 from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
+from repro.core.runtime.events import EventKind
 from repro.core.runtime.report import ExecutionError
 from repro.devices.edgelet import Edgelet
 from repro.network.messages import MessageKind
@@ -69,8 +70,6 @@ class StrategyRuntime:
         self.ctx = ctx
         self.builder = builder
         self.computer = computer
-        # (time, base op, rank) per replica takeover: the promotion record
-        self.takeover_log: list[tuple[float, str, int]] = []
         # every rank of every builder and computer, by base op id
         self.ranks_by_base: dict[str, list[Operator]] = {}
         for operator in ctx.plan.operators():
@@ -116,8 +115,9 @@ class StrategyRuntime:
             device = ctx.device_of(operator)
             if device.device_id in self.shipped_heard.get(base, ()):
                 return  # a lower rank already shipped; stand down
-            self.takeover_log.append((ctx.simulator.now, base, rank_of(operator)))
-            ctx.trace(f"{operator.op_id} takes over {base}")
+            ctx.emit(
+                EventKind.TAKEOVER, operator.op_id, base=base, rank=rank_of(operator)
+            )
             ctx.telemetry.metrics.counter(
                 "exec.backup_takeovers", query=ctx.plan.query_id
             ).inc()

@@ -263,7 +263,7 @@ class ScenarioResult:
             keep it.
         evidence: the :class:`~repro.core.runtime.ExecutionEvidence`
             :meth:`Scenario.conclude` took from the executor (combiner
-            states, takeover / fire / arrival logs, start time, the
+            states, the execution's events, start time, the
             network for liveness reads); ``None`` until then.
         failure_events: what the installed failure plan logged, by
             time.

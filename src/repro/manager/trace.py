@@ -8,16 +8,18 @@ information as text: a time-ordered event log and a phase timeline.
 from __future__ import annotations
 
 from repro.core.runtime import ExecutionReport
+from repro.core.runtime.events import EventKind
 
 __all__ = ["format_trace", "phase_timeline"]
 
 
 def format_trace(report: ExecutionReport, limit: int | None = None) -> str:
     """Render the executor's event log as aligned text lines."""
-    events = report.trace if limit is None else report.trace[:limit]
+    trace = report.trace
+    events = trace if limit is None else trace[:limit]
     lines = [f"t={time:10.3f}  {message}" for time, message in events]
-    if limit is not None and len(report.trace) > limit:
-        lines.append(f"... {len(report.trace) - limit} more events")
+    if limit is not None and len(trace) > limit:
+        lines.append(f"... {len(trace) - limit} more events")
     return "\n".join(lines)
 
 
@@ -25,35 +27,20 @@ def phase_timeline(report: ExecutionReport) -> dict[str, float | None]:
     """Extract phase boundary times from an execution report.
 
     Returns the first snapshot-freeze time (collection → computation),
-    the first partial/knowledge-related event, and completion.
-
-    The boundaries come from the executor's structured telemetry phase
-    spans (``report.phase_spans``): the collection span closes at the
-    first frozen snapshot and the computation span opens at the first
-    partial result or K-Means initialization.  Reports produced without
-    telemetry (hand-built, or deserialized from old runs) fall back to
-    the legacy substring scan of the text trace.
+    the first partial result sent or lost or K-Means initialization,
+    and completion; a phase that never happened is ``None``.
     """
-    spans = getattr(report, "phase_spans", None)
-    if spans:
-        collection = spans.get("collection")
-        computation = spans.get("computation")
-        return {
-            "collection_end": None if collection is None else collection.end,
-            "computation_start": None if computation is None else computation.start,
-            "completion": report.completion_time,
-        }
-    collection_end = None
-    computation_start = None
-    for time, message in report.trace:
-        if collection_end is None and "snapshot frozen" in message:
-            collection_end = time
-        if computation_start is None and (
-            "initialized K-Means" in message or "partial" in message
-        ):
-            computation_start = time
     return {
-        "collection_end": collection_end,
-        "computation_start": computation_start,
+        "collection_end": _first(report, EventKind.SNAPSHOT_FROZEN),
+        "computation_start": _first(
+            report,
+            EventKind.PARTIAL_SENT, EventKind.PARTIAL_LOST, EventKind.KMEANS_INIT,
+        ),
         "completion": report.completion_time,
     }
+
+
+def _first(report: ExecutionReport, *kinds: EventKind) -> float | None:
+    return next(
+        (event.time for event in report.events if event.kind in kinds), None
+    )

@@ -43,7 +43,7 @@ from repro.query.aggregates import (
     finalize_state,
 )
 from repro.query.groupby import GroupByQuery, GroupingSetsResult, evaluate_group_by
-from repro.query.sketches import BloomFilter, HyperLogLog
+from repro.query.sketches import HyperLogLog
 from repro.query.sql import SQLSyntaxError, parse_query
 from repro.query.engine import CentralizedEngine
 
@@ -51,7 +51,6 @@ __all__ = [
     "AggregateSpec",
     "AggregateState",
     "AndExpr",
-    "BloomFilter",
     "CentralizedEngine",
     "Column",
     "ColumnRef",

@@ -1,4 +1,4 @@
-"""Mergeable sketches: HyperLogLog and Bloom filters.
+"""Mergeable sketches: HyperLogLog.
 
 Overcollection requires *distributive* operators with constant-size
 mergeable state.  COUNT DISTINCT is not distributive over exact sets,
@@ -7,11 +7,6 @@ commutative, and idempotent — duplicates across partitions cost
 nothing).  This is how the Edgelet engine supports
 ``distinct(patient_id)``-style statistics without ever moving raw
 identifiers past a Computer.
-
-The Bloom filter serves the transport layer: Snapshot Builders running
-on RAM-starved home boxes (an STM32F417 has 192 KiB) deduplicate
-retransmitted contributions in constant memory instead of keeping exact
-sets of contribution ids.
 """
 
 from __future__ import annotations
@@ -20,12 +15,13 @@ import hashlib
 import math
 from typing import Any, Iterable
 
-__all__ = ["HyperLogLog", "BloomFilter"]
+__all__ = ["HyperLogLog"]
 
 
-def _hash64(value: Any, salt: str = "") -> int:
-    """Stable 64-bit hash of any repr-able value."""
-    payload = f"{salt}|{value!r}".encode("utf-8")
+def _hash64(value: Any) -> int:
+    """Stable 64-bit hash of any repr-able value (SHA-256 over ``|``
+    and its repr, the input every pinned sketch was built from)."""
+    payload = f"|{value!r}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
@@ -116,71 +112,3 @@ class HyperLogLog:
     def from_dict(cls, data: dict[str, Any]) -> "HyperLogLog":
         """Inverse of :meth:`to_dict`."""
         return cls(precision=data["precision"], registers=data["registers"])
-
-
-class BloomFilter:
-    """A classic Bloom filter with double hashing.
-
-    ``capacity`` is the expected number of inserted items and
-    ``error_rate`` the acceptable false-positive probability at that
-    capacity; bit count and hash count are derived optimally.
-    """
-
-    __slots__ = ("n_bits", "n_hashes", "_bits", "inserted")
-
-    def __init__(self, capacity: int = 1000, error_rate: float = 0.01):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 < error_rate < 1:
-            raise ValueError("error_rate must be in (0, 1)")
-        n_bits = math.ceil(-capacity * math.log(error_rate) / (math.log(2) ** 2))
-        self.n_bits = max(8, n_bits)
-        self.n_hashes = max(1, round(self.n_bits / capacity * math.log(2)))
-        self._bits = bytearray((self.n_bits + 7) // 8)
-        self.inserted = 0
-
-    def _positions(self, value: Any) -> list[int]:
-        """Double hashing: position ``i`` is ``(h1 + i * h2) % n_bits``,
-        computed by stepping modulo ``n_bits`` so the operands stay small."""
-        n_bits = self.n_bits
-        position = _hash64(value, salt="bloom-1") % n_bits
-        step = (_hash64(value, salt="bloom-2") | 1) % n_bits
-        positions = []
-        for _ in range(self.n_hashes):
-            positions.append(position)
-            position = (position + step) % n_bits
-        return positions
-
-    def add(self, value: Any) -> None:
-        """Insert a value."""
-        for position in self._positions(value):
-            self._bits[position // 8] |= 1 << (position % 8)
-        self.inserted += 1
-
-    def __contains__(self, value: Any) -> bool:
-        return all(
-            self._bits[position // 8] & (1 << (position % 8))
-            for position in self._positions(value)
-        )
-
-    def add_if_new(self, value: Any) -> bool:
-        """Insert and report whether the value was (probably) new.
-
-        Returns ``False`` when the value was probably seen before (or on
-        a false positive); ``True`` when it is definitely new.  Same
-        bits, count and verdict as ``in`` followed by :meth:`add`, with
-        the value hashed once.
-        """
-        positions = self._positions(value)
-        bits = self._bits
-        if all(bits[position // 8] & (1 << (position % 8)) for position in positions):
-            return False
-        for position in positions:
-            bits[position // 8] |= 1 << (position % 8)
-        self.inserted += 1
-        return True
-
-    def fill_ratio(self) -> float:
-        """Fraction of set bits (saturation indicator)."""
-        set_bits = sum(bin(byte).count("1") for byte in self._bits)
-        return set_bits / self.n_bits

@@ -7,7 +7,7 @@ facade:
   gauges, and fixed-bucket histograms with bounded label dimensions;
 * **spans** (:mod:`repro.telemetry.spans`) — scenario → phase →
   operator span tracing on the *simulated* clock, plus first-occurrence
-  marks (the structured replacement for substring-mined trace logs);
+  marks;
 * **profiler** (:mod:`repro.telemetry.profiler`) — ``perf_counter``
   wall-clock sections, separating simulator overhead from modeled time.
 

@@ -13,8 +13,7 @@ both styles:
 
 The tracer also records point-in-time *marks* (first-occurrence named
 timestamps, e.g. ``computation_start``) and *events* (repeatable
-annotations).  Marks are the structured replacement for the substring
-heuristics that used to mine the human-readable trace log.
+annotations) for the telemetry export.
 """
 
 from __future__ import annotations

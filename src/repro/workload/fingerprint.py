@@ -9,9 +9,8 @@ directly comparable across the two settings:
   a solo replay starts at 0) — so every timestamp is shifted by the
   execution's start time before hashing;
 * shared-substrate statistics differ (``network_stats`` aggregates
-  *every* query's traffic on the shared network; ``phase_spans`` and
-  ``telemetry`` reference process-global objects) — so they are
-  excluded.
+  *every* query's traffic on the shared network; ``telemetry``
+  references a process-global object) — so they are excluded.
 
 Everything else — the result rows, the tally, who delivered, when
 (relative), which devices handled how many tuples, the full text trace,

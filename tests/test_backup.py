@@ -4,7 +4,7 @@ A chain is one base operator (``builder[0]``, ``computer[0,g0]``) at
 ranks ``0..replicas``; the primary runs the same path as an
 Overcollection primary and each replica takes over
 ``rank * TAKEOVER_TIMEOUT`` later unless a lower rank already shipped.
-``takeover_log`` is the promotion record.
+Its ``TAKEOVER`` events are the promotion record.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.qep import rank_of
 from repro.core.resiliency import TAKEOVER_TIMEOUT, worst_case_delay
 from repro.core.runtime import ExecutionCoordinator, commit_snapshot
+from repro.core.runtime.events import EventKind, of_kind
+from repro.core.runtime.strategy import base_op_id
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.network.failures import FailurePlan
@@ -21,6 +23,7 @@ from repro.network.messages import MessageKind
 from repro.plan.compile import OPTIMIZER_COST, compile_query
 from repro.plan.substrate import SUBSTRATE_PROFILES
 
+from tests.evidence_logs import takeovers
 from tests.test_backup_execution import _backup_plan, _swarm
 
 COLLECT = 15.0
@@ -44,8 +47,8 @@ def _run(replicas: int = 2, kill_ranks: tuple[int, ...] = (), kill_at: float = 1
 def _frozen_by(report, base: str) -> list[str]:
     """Op ids that froze a snapshot of ``base``, in order."""
     return [
-        text.split(" ")[0] for _, text in report.trace
-        if text.startswith(base) and "snapshot frozen" in text
+        event.op for event in of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
+        if base_op_id(event.op) == base
     ]
 
 
@@ -53,7 +56,7 @@ class TestBackupChain:
     def test_primary_active_initially(self):
         executor, report = _run()
         assert report.success
-        assert executor.takeover_log == []
+        assert takeovers(executor.evidence()) == []
         assert _frozen_by(report, "builder[0]") == ["builder[0]"]
 
     def test_rank_bounds_checked(self):
@@ -69,7 +72,7 @@ class TestBackupChain:
             assert report.success
             assert _frozen_by(report, "builder[0]") == [f"builder[0].b{active}"]
             ranks = [
-                rank for _, base, rank in executor.takeover_log
+                rank for _, base, rank in takeovers(executor.evidence())
                 if base == "builder[0]"
             ]
             assert ranks == list(range(1, active + 1))
@@ -77,7 +80,7 @@ class TestBackupChain:
     def test_promotion_records(self):
         executor, _ = _run(replicas=1, kill_ranks=(0,))
         records = [
-            record for record in executor.takeover_log
+            record for record in takeovers(executor.evidence())
             if record[1] == "builder[0]"
         ]
         assert records == [(COLLECT + TAKEOVER_TIMEOUT, "builder[0]", 1)]
@@ -97,8 +100,9 @@ class TestBackupChain:
         assert report.success
         expected = commit_snapshot(executor.builder.buckets["builder[0]"])
         frozen = [
-            text for _, text in report.trace
-            if text.startswith("builder[0].b1 snapshot frozen")
+            event.render()
+            for event in of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
+            if event.op == "builder[0].b1"
         ]
         assert frozen == [
             f"builder[0].b1 snapshot frozen: "
@@ -109,14 +113,13 @@ class TestBackupChain:
         executor, report = _run(kill_ranks=(0, 1, 2))
         assert _frozen_by(report, "builder[0]") == []
         ranks = [
-            rank for _, base, rank in executor.takeover_log
+            rank for _, base, rank in takeovers(executor.evidence())
             if base == "builder[0]"
         ]
         assert ranks == [1, 2]
         dead = [
-            text for _, text in report.trace
-            if text.startswith("builder[0]")
-            and text.endswith("dead at end of collection")
+            event.op for event in of_kind(report.events, EventKind.BUILDER_DEAD)
+            if base_op_id(event.op) == "builder[0]"
         ]
         assert len(dead) == 3
 
@@ -144,8 +147,9 @@ def _ship_schedule(resiliency: ResiliencyParameters) -> dict[int, tuple]:
     schedule = {}
     for partition_index, builder in executor.builder.builder_by_partition.items():
         [frozen_at] = [
-            t for t, text in report.trace
-            if text.startswith(f"{builder.op_id} snapshot frozen")
+            event.time
+            for event in of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
+            if event.op == builder.op_id
         ]
         rows = executor.builder_rows[partition_index]
         latency = executor.ctx.device_of(builder).compute_latency(float(len(rows)))
@@ -196,7 +200,7 @@ class TestPriceIsWhatRuns:
         victim = _launch().plan.operator("builder[0]").assigned_to
         executor = _launch(FailurePlan().crash(victim, 1.0)).executor
         [(at, rank)] = [
-            (at, rank) for at, base, rank in executor.takeover_log
+            (at, rank) for at, base, rank in takeovers(executor.evidence())
             if base == "builder[0]"
         ]
         assert rank == 1

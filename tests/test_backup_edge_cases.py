@@ -22,6 +22,7 @@ from repro.data.health import HEALTH_SCHEMA
 from repro.query.engine import CentralizedEngine
 from repro.query.relation import Relation
 
+from tests.evidence_logs import takeovers
 from tests.test_backup_execution import _backup_plan, _swarm
 
 
@@ -68,11 +69,11 @@ class TestAllMarkersLost:
         assert net.faults.decisions, "no CONTROL marker was even sent"
         # with no markers heard, every rank-1 replica believes its
         # primary silent and takes over
-        fired = {base for _, base, _ in executor.takeover_log}
+        fired = {base for _, base, _ in takeovers(executor.evidence())}
         assert fired == set(executor.strategy.ranks_by_base)
         # no (base, rank) pair fired twice
         per_pair = Counter(
-            (base, rank) for _, base, rank in executor.takeover_log
+            (base, rank) for _, base, rank in takeovers(executor.evidence())
         )
         assert all(count == 1 for count in per_pair.values())
         # duplicated partitions / partials were all deduplicated
@@ -100,14 +101,14 @@ class TestReplicaCrashMidTakeover:
         report = executor.run()
         assert report.success
         ranks = {
-            rank for _, base, rank in executor.takeover_log
+            rank for _, base, rank in takeovers(executor.evidence())
             if base == "builder[0]"
         }
         # rank 1 logged its (doomed) takeover, rank 2 completed the job;
         # each at most once
         assert 2 in ranks
         per_pair = Counter(
-            (base, rank) for _, base, rank in executor.takeover_log
+            (base, rank) for _, base, rank in takeovers(executor.evidence())
         )
         assert all(count == 1 for count in per_pair.values())
         assert compare_results(
@@ -142,7 +143,7 @@ class TestResetFencesTakeoverTimers:
         epoch_before = sim.epoch
         sim.reset()
         assert sim.epoch == epoch_before + 1
-        assert executor.takeover_log == []
+        assert takeovers(executor.evidence()) == []
         fresh_epoch = sim.epoch
 
         def rearm():
@@ -152,7 +153,7 @@ class TestResetFencesTakeoverTimers:
 
         sim.schedule(1.0, rearm)
         sim.run_until(30.0)
-        assert executor.takeover_log == []
+        assert takeovers(executor.evidence()) == []
         assert sim.epoch == fresh_epoch
 
     def test_fence_allows_timers_of_current_epoch(self):
@@ -168,5 +169,5 @@ class TestResetFencesTakeoverTimers:
         # sanity: without a reset the same timers do fire
         assert report.success
         assert any(
-            base == "builder[0]" for _, base, _ in executor.takeover_log
+            base == "builder[0]" for _, base, _ in takeovers(executor.evidence())
         )

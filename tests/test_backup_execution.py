@@ -17,6 +17,7 @@ from repro.core.runtime import (
     ExecutionCoordinator,
     ExecutionError,
 )
+from repro.core.runtime.events import EventKind, of_kind
 from repro.core.validity import compare_results
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
@@ -28,6 +29,7 @@ from repro.query.aggregates import AggregateSpec
 from repro.query.engine import CentralizedEngine
 from repro.query.groupby import GroupByQuery
 from repro.query.relation import Relation
+from tests.evidence_logs import takeovers
 
 
 def _swarm(n_contributors=20, n_processors=25):
@@ -91,7 +93,7 @@ class TestBackupExecutor:
         )
         report = executor.run()
         assert report.success
-        assert executor.takeover_log == []
+        assert takeovers(executor.evidence()) == []
 
         engine = CentralizedEngine()
         engine.register("data", Relation(HEALTH_SCHEMA, rows))
@@ -109,7 +111,7 @@ class TestBackupExecutor:
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
         assert report.success
-        takeover_bases = {base for _, base, _ in executor.takeover_log}
+        takeover_bases = {base for _, base, _ in takeovers(executor.evidence())}
         assert "builder[0]" in takeover_bases
         # the replica held the same contributions: result still exact
         engine = CentralizedEngine()
@@ -128,7 +130,7 @@ class TestBackupExecutor:
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
         assert report.success
-        takeover_bases = {base for _, base, _ in executor.takeover_log}
+        takeover_bases = {base for _, base, _ in takeovers(executor.evidence())}
         assert "computer[0,g0]" in takeover_bases
 
     def test_two_replicas_survive_double_failure(self):
@@ -144,7 +146,10 @@ class TestBackupExecutor:
         sim.schedule(1.0, lambda: net.kill(first_replica))
         report = executor.run()
         assert report.success
-        ranks = {rank for _, base, rank in executor.takeover_log if base == "builder[0]"}
+        ranks = {
+            rank for _, base, rank in takeovers(executor.evidence())
+            if base == "builder[0]"
+        }
         assert 2 in ranks  # the second replica fired
 
     def test_takeover_adds_latency(self):
@@ -169,7 +174,9 @@ class TestBackupExecutor:
         # slot; the final delivery is deadline-driven so completion times
         # match, but the replica's snapshot freeze appears that much
         # after collection end
-        freeze_times = [t for t, m in slow.trace if "snapshot frozen" in m]
+        freeze_times = [
+            event.time for event in of_kind(slow.events, EventKind.SNAPSHOT_FROZEN)
+        ]
         assert max(freeze_times) >= min(freeze_times) + TAKEOVER_TIMEOUT
 
     def test_kmeans_plan_with_replicas_is_refused(self):

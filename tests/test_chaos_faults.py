@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core.runtime.events import EventKind, of_kind
 from repro.network.faults import (
     FaultSpec,
     MessageFaultInjector,
@@ -367,7 +368,7 @@ class TestCorruptionDropTelemetry:
         assert dropped > 0
         # the receiving TEEs logged the rejection, and no Computer ever
         # saw a clean partition, so the query cannot have succeeded
-        assert any("dropped unauthenticated" in line for _, line in report.trace)
+        assert of_kind(report.events, EventKind.PAYLOAD_REJECTED)
         assert not report.success
 
     def test_clean_run_counts_zero_drops(self):

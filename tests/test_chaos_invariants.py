@@ -17,6 +17,7 @@ from repro.chaos.invariants import (
 from repro.core.overcollection import OvercollectionConfig
 from repro.core.resiliency import replicas_for
 from repro.core.runtime import CombinerState
+from repro.core.runtime.events import Event, EventKind
 from repro.network.opnet import LOSS_COUNTERS, NetworkStats
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import (
@@ -274,22 +275,29 @@ class TestCrowdLiability:
         assert "d1" in violation.detail
 
 
+def _takeovers(*records):
+    """Evidence holding one ``TAKEOVER`` per ``(time, base, rank)``."""
+    return SimpleNamespace(events=[
+        Event(time, EventKind.TAKEOVER, f"{base}.b{rank}", {"base": base, "rank": rank})
+        for time, base, rank in records
+    ])
+
+
 class TestNoDoubleTakeover:
     def test_unique_takeovers_pass(self):
-        evidence = SimpleNamespace(
-            takeover_log=[(20.0, "builder[0]", 1), (25.0, "builder[1]", 1)]
-        )
+        evidence = _takeovers((20.0, "builder[0]", 1), (25.0, "builder[1]", 1))
         record = _record(result_rows=ROWS, evidence=evidence)
         assert check_no_double_takeover(record) is None
 
     def test_duplicate_rank_is_a_violation(self):
-        evidence = SimpleNamespace(
-            takeover_log=[(20.0, "builder[0]", 1), (21.0, "builder[0]", 1)]
-        )
+        evidence = _takeovers((20.0, "builder[0]", 1), (21.0, "builder[0]", 1))
         record = _record(result_rows=ROWS, evidence=evidence)
         violation = check_no_double_takeover(record)
         assert violation is not None
         assert violation.invariant == "no_double_takeover"
+        assert violation.data == {
+            "takeover_log": [[20.0, "builder[0]", 1], [21.0, "builder[0]", 1]]
+        }
 
     def test_no_evidence_passes(self):
         record = _record(result_rows=ROWS, evidence=None)

@@ -13,6 +13,7 @@ from repro.core.planner import (
 )
 from repro.core.qep import OperatorRole
 from repro.core.runtime import ExecutionCoordinator
+from repro.core.runtime.events import EventKind, of_kind
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -193,8 +194,7 @@ class TestDeliveryEdgeCases:
         ).run()
         assert report.success
         # both combiner and backup fired, but exactly one delivery won
-        deliveries = [m for _, m in report.trace if "querier received" in m]
-        assert len(deliveries) == 1
+        assert len(of_kind(report.events, EventKind.DELIVERED)) == 1
 
 
 class TestVerticalPartitionExecution:

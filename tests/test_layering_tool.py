@@ -272,5 +272,30 @@ def test_every_error_class_derives_from_the_root(tmp_path):
     ]
 
 
+def test_only_the_events_module_words_an_execution_step(tmp_path):
+    root = tmp_path / "src" / "repro"
+    files = {
+        "core/runtime/events.py": "trace.append((t, f'{op} frozen'))\n",
+        "core/runtime/builder.py": (
+            "ctx.emit(EventKind.NO_ROWS, builder.op_id)  # fine\n"
+            "ctx.emit(EventKind.NO_ROWS, f'{builder.op_id}')\n"
+            "ctx.emit(EventKind.SNAPSHOT_FROZEN, op, rows=f'{n} rows')\n"
+            "self.report.trace.append((now, 'frozen'))\n"
+            "report.trace.extend(lines)\n"
+            "trace.append(line)  # a local list, not a trace attribute: fine\n"
+        ),
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    violations = _tool().check(tmp_path / "src")
+    path = root / "core" / "runtime" / "builder.py"
+    assert violations == [
+        f"repro.core.runtime.builder words an execution step  ({path}:{line})  "
+        "[only repro.core.runtime.events turns events into prose]"
+        for line in (2, 3, 4, 5)
+    ]
+
+
 def test_the_shipped_tree_has_one_construction_site():
     assert _tool().check(REPO / "src") == []

@@ -15,6 +15,7 @@ from repro.network.reliable import ReliableTransport
 from repro.plan.compile import compile_query
 from repro.query.sql import parse_query
 from repro.telemetry import Telemetry
+from tests.evidence_logs import arrivals, fires
 
 ROWS = generate_health_rows(60, seed=5)
 SQL = "SELECT count(*), avg(age), avg(bmi) FROM health GROUP BY region"
@@ -206,13 +207,13 @@ class TestReprovisioning:
         cell, generation = (6, 0), replicas + 1
         assert result.executor.ctx.generations == {cell: generation}
         assert (cell, standby, generation) in {
-            (c, dev, gen) for _t, c, dev, gen in result.executor.fire_log
+            (c, dev, gen) for _t, c, dev, gen in fires(result.evidence)
         }
         assert any(
             c == cell and sender == standby and gen == generation
             and disposition in ("accepted", "replaced")
             for _t, c, _op, sender, gen, disposition
-            in result.executor.arrival_log
+            in arrivals(result.evidence)
         )
 
 

@@ -38,10 +38,12 @@ from repro.core.planner import (
     ResiliencyParameters,
 )
 from repro.core.resiliency import replicas_for, strategy_name
+from repro.core.runtime.events import EventKind, of_kind
 from repro.query.sql import parse_query
 from repro.telemetry import Telemetry
 from repro.workload import WorkloadEngine, WorkloadSpec
 from repro.workload.fingerprint import report_fingerprint
+from tests.evidence_logs import takeovers
 
 SQL = (
     "SELECT count(*), avg(age), sum(bmi), max(glucose) FROM health "
@@ -135,7 +137,7 @@ class TestBackupExecutionPins:
             "aa1253fd5bb3f4c39fcf4c37fad38bc503d7aee760ea3d40f566ff36d80c6156"
         )
         assert [
-            (base, rank) for _, base, rank in outcome.result.executor.takeover_log
+            (base, rank) for _, base, rank in takeovers(outcome.result.evidence)
         ] == [("builder[1]", 1), ("computer[6,g0]", 1)]
 
     def test_reliable_crashing_run_reprovisions_starved_replica_cells(self):
@@ -150,12 +152,8 @@ class TestBackupExecutionPins:
         assert _fingerprint(result) == (
             "19bc6ae935579c214d374b5a23bbefa9b88e6c7279a47116b130e119c6608747"
         )
-        assert len(result.executor.takeover_log) == 2
-        starved = [
-            text for _, text in result.report.trace
-            if "no retained partition" in text
-        ]
-        assert len(starved) == 0
+        assert len(takeovers(result.evidence)) == 2
+        assert not of_kind(result.report.events, EventKind.NO_RETAINED_PARTITION)
         assert [
             (op, new) for _, op, _old, new in result.report.reprovisions
         ] == [

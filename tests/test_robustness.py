@@ -27,6 +27,7 @@ from repro.chaos.campaign import CampaignConfig, RunSpec, run_campaign, run_sing
 from repro.chaos.invariants import RunRecord, check_no_split_brain
 from repro.core.overcollection import OvercollectionConfig
 from repro.core.runtime.combiner import CombinerState
+from repro.core.runtime.events import Event, EventKind
 from repro.network.failures import (
     FailurePlan,
     GrayWindow,
@@ -35,6 +36,7 @@ from repro.network.failures import (
 )
 from repro.network.outages import OutageSpec
 from repro.telemetry import Telemetry
+from tests.evidence_logs import arrivals, fires
 
 BASE = dict(seed=13, tag="robust", reliability=True)
 
@@ -51,7 +53,7 @@ def _probe_victim():
     reserved = {ctx.device_of(ctx.plan.operator("combiner")).device_id}
     for op in executor.builder.builder_by_partition.values():
         reserved.add(ctx.device_of(op).device_id)
-    fired = {device for _t, _cell, device, _gen in executor.fire_log}
+    fired = {device for _t, _cell, device, _gen in fires(executor.evidence())}
     for op in sorted(executor.computer.computers, key=lambda o: o.op_id):
         device = op.assigned_to
         if device and device not in reserved and device in fired:
@@ -126,10 +128,22 @@ class TestFencedCombinerState:
 
 
 def _record(fire_log, arrival_log, events=(), combiners=None):
+    """A run record whose evidence holds one ``PARTIAL_SENT`` per
+    ``fire_log`` tuple and one ``PARTIAL_ARRIVED`` per ``arrival_log``
+    tuple (the shapes of :mod:`tests.evidence_logs`)."""
+    fired = [
+        Event(time, EventKind.PARTIAL_SENT, "computer",
+              {"cell": cell, "device": device, "generation": generation})
+        for time, cell, device, generation in fire_log
+    ]
+    arrived = [
+        Event(time, EventKind.PARTIAL_ARRIVED, op_id,
+              {"cell": cell, "sender": sender, "generation": generation,
+               "disposition": disposition})
+        for time, cell, op_id, sender, generation, disposition in arrival_log
+    ]
     evidence = SimpleNamespace(
-        fire_log=list(fire_log),
-        arrival_log=list(arrival_log),
-        combiners=combiners or {},
+        events=fired + arrived, combiners=combiners or {}
     )
     result = SimpleNamespace(evidence=evidence, failure_events=list(events))
     return RunRecord(result=result)
@@ -229,11 +243,11 @@ class TestDetectorDrivenRecovery:
         # the takeover fired under a fencing token and its partial landed
         executor = outcome.result.executor
         generations = {
-            gen for _t, c, _dev, gen in executor.fire_log if c == cell
+            gen for _t, c, _dev, gen in fires(executor.evidence()) if c == cell
         }
         assert max(generations) >= 1
         arrived = {
-            c for _t, c, _op, _s, _g, disp in executor.arrival_log
+            c for _t, c, _op, _s, _g, disp in arrivals(executor.evidence())
             if disp in ("accepted", "replaced")
         }
         assert cell in arrived
@@ -293,7 +307,7 @@ class TestSplitBrainNegative:
         # zombie's generation-0 stragglers were fenced out
         dispositions = [
             (gen, disp)
-            for _t, c, _op, sender, gen, disp in executor.arrival_log
+            for _t, c, _op, sender, gen, disp in arrivals(executor.evidence())
             if c == cell and sender == victim_id
         ]
         assert dispositions and all(

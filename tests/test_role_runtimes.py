@@ -30,6 +30,7 @@ from repro.core.runtime import (
     QuerierRuntime,
     StrategyRuntime,
 )
+from repro.core.runtime.events import EventKind, of_kind
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
@@ -175,7 +176,10 @@ class TestBuilderRuntime:
         assert ctx.report.tuples_per_device[device.device_id] == 2
 
         runtime.run(builder, device, on_sent=lambda: None)
-        assert any("snapshot frozen" in line for _, line in ctx.report.trace)
+        assert [
+            event.op
+            for event in of_kind(ctx.report.events, EventKind.SNAPSHOT_FROZEN)
+        ] == [builder.op_id]
         ctx.simulator.run()
         partitions = [
             message for _, message in captured
@@ -199,6 +203,21 @@ class TestBuilderRuntime:
         runtime.on_contribution(device, payload)  # retransmission
         assert len(runtime.rows_by_partition[partition_index]) == 2
         assert ctx.m_contributions.value == 1.0
+
+    def test_distinct_contribution_is_never_taken_for_a_retransmission(self):
+        # after these 64 ids, a Bloom filter sized for them at a 0.1%
+        # error rate reported contribution-x1282 as seen and dropped it
+        ctx, _ = _harness()
+        seen = [{"contribution_id": f"contribution-{i}"} for i in range(64)]
+        assert not any(
+            ctx.is_duplicate_contribution("builder[0]", payload) for payload in seen
+        )
+        assert not ctx.is_duplicate_contribution(
+            "builder[0]", {"contribution_id": "contribution-x1282"}
+        )
+        assert all(
+            ctx.is_duplicate_contribution("builder[0]", payload) for payload in seen
+        )
 
     def test_late_contribution_after_freeze_is_ignored(self):
         ctx, _ = _harness()

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameters
+from repro.core.runtime.events import EventKind, of_kind
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.data.polling import POLLING_SCHEMA, generate_polling_rows
 from repro.devices.profiles import PC_SGX
@@ -256,16 +257,24 @@ class TestTraceRendering:
         config = _config(n_contributors=10, rows=generate_health_rows(20, seed=5))
         scenario = Scenario(config)
         result = scenario.run_query(_aggregate_spec(config.rows))
-        text = format_trace(result.report)
-        assert "snapshot frozen" in text
-        assert "final result" in text
+        report = result.report
+        assert of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
+        assert of_kind(report.events, EventKind.FINAL_SENT)
+        assert format_trace(report).splitlines() == [
+            f"t={event.time:10.3f}  {event.render()}"
+            for event in report.events
+            if event.kind is not EventKind.PARTIAL_ARRIVED
+        ]
 
     def test_format_trace_limit(self):
         config = _config(n_contributors=10, rows=generate_health_rows(20, seed=5))
         scenario = Scenario(config)
         result = scenario.run_query(_aggregate_spec(config.rows))
-        limited = format_trace(result.report, limit=1)
-        assert "more events" in limited
+        report = result.report
+        (time, line), *rest = report.trace
+        assert format_trace(report, limit=1).splitlines() == [
+            f"t={time:10.3f}  {line}", f"... {len(rest)} more events",
+        ]
 
     def test_phase_timeline(self):
         config = _config(n_contributors=10, rows=generate_health_rows(20, seed=5))

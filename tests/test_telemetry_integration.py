@@ -1,6 +1,6 @@
 """End-to-end telemetry: a full scenario run must populate the metric,
-span, and profiler planes, and the structured phase boundaries must
-agree with the legacy text-trace heuristics they replace."""
+span, and profiler planes, and the phase spans it exports must agree
+with the phase boundaries the execution's events give."""
 
 from __future__ import annotations
 
@@ -47,20 +47,12 @@ def _run_scenario(telemetry: Telemetry, strategy: str = "overcollection"):
     return scenario, result
 
 
-def _legacy_timeline(report):
-    """The pre-telemetry substring heuristics, reimplemented verbatim."""
-    collection_end = None
-    computation_start = None
-    for time, message in report.trace:
-        if collection_end is None and "snapshot frozen" in message:
-            collection_end = time
-        if computation_start is None and (
-            "initialized K-Means" in message or "partial" in message
-        ):
-            computation_start = time
+def _span_timeline(telemetry, report):
+    """The phase boundaries one execution's telemetry spans recorded."""
+    computation = telemetry.tracer.first("phase:computation")
     return {
-        "collection_end": collection_end,
-        "computation_start": computation_start,
+        "collection_end": telemetry.tracer.first("phase:collection").end,
+        "computation_start": None if computation is None else computation.start,
         "completion": report.completion_time,
     }
 
@@ -106,10 +98,10 @@ class TestMetricsPlane:
 
 class TestTracePlane:
     def test_structured_timeline_matches_legacy_heuristics(self, scenario_run):
-        _, _, result = scenario_run
+        # the event-derived timeline and the exported spans agree
+        telemetry, _, result = scenario_run
         report = result.report
-        assert report.phase_spans
-        assert phase_timeline(report) == _legacy_timeline(report)
+        assert phase_timeline(report) == _span_timeline(telemetry, report)
 
     def test_span_nesting_scenario_to_phase(self, scenario_run):
         telemetry, _, _ = scenario_run
@@ -126,7 +118,9 @@ class TestTracePlane:
         telemetry = Telemetry()
         _, result = _run_scenario(telemetry, strategy="backup")
         assert result.report.success
-        assert phase_timeline(result.report) == _legacy_timeline(result.report)
+        assert phase_timeline(result.report) == _span_timeline(
+            telemetry, result.report
+        )
 
 
 class TestProfilerPlane:

@@ -20,10 +20,11 @@ The same pass enforces the single launch path: the classes that wire
 an execution or inject faults may be *constructed*, and an outage spec
 resolved, in one module only (:data:`SOLE_CALLER`); that the
 execution runtime branches on an operator's rank, never on a strategy
-name (:data:`RANK_ONLY`); and that only :data:`SPELLING_OWNER` compares
-a value against a strategy name.  Last, every class whose name ends in
-``Error`` must derive from :data:`ERROR_ROOT`, directly or through
-another error class (:func:`rootless_errors`).
+name (:data:`RANK_ONLY`); that only :data:`SPELLING_OWNER` compares
+a value against a strategy name; and that only :data:`PROSE_OWNER`
+words an execution step (:func:`prose_decisions`).  Last, every class
+whose name ends in ``Error`` must derive from :data:`ERROR_ROOT`,
+directly or through another error class (:func:`rootless_errors`).
 """
 
 from __future__ import annotations
@@ -149,6 +150,12 @@ STRATEGY_NAMES = ("backup", "overcollection")
 #: a second place that turns names back into ranks.
 SPELLING_OWNER = "repro.core.resiliency"
 
+#: An execution step is recorded as an event kind plus fields and
+#: worded by its kind's template in this module only: elsewhere nothing
+#: appends to a ``trace`` and no f-string is passed to ``emit``, so the
+#: trace stays a rendering and no reader has prose to parse.
+PROSE_OWNER = "repro.core.runtime.events"
+
 #: The one error root: ``except ReproError`` catches whatever the
 #: library raises on purpose, so no ``*Error`` class may sit outside it.
 ERROR_ROOT = "ReproError"
@@ -251,6 +258,32 @@ def strategy_name_compares(tree: ast.AST) -> list[int]:
                 for element in elements
             ):
                 lines.add(node.lineno)
+    return sorted(lines)
+
+
+def prose_decisions(tree: ast.AST) -> list[int]:
+    """Lines of every ``<x>.trace.append/extend/insert(...)`` call and
+    of every ``emit(...)`` call given an f-string argument."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name, owner = func.attr, func.value
+        else:
+            name, owner = getattr(func, "id", None), None
+        if (
+            name in ("append", "extend", "insert")
+            and isinstance(owner, ast.Attribute)
+            and owner.attr == "trace"
+        ):
+            lines.add(node.lineno)
+        elif name == "emit" and any(
+            isinstance(arg, ast.JoinedStr)
+            for arg in (*node.args, *(keyword.value for keyword in node.keywords))
+        ):
+            lines.add(node.lineno)
     return sorted(lines)
 
 
@@ -357,6 +390,12 @@ def check(root: Path) -> list[str]:
                     f"{module} compares a strategy name  ({path}:{line})  "
                     f"[only {SPELLING_OWNER} spells strategies]"
                 )
+        if module != PROSE_OWNER:
+            for line in prose_decisions(tree):
+                violations.append(
+                    f"{module} words an execution step  ({path}:{line})  "
+                    f"[only {PROSE_OWNER} turns events into prose]"
+                )
         errors.extend(
             (module, path, name, bases, line)
             for name, bases, line in error_classes(tree)
@@ -397,8 +436,9 @@ def main() -> int:
         "repro.query.columnar within the query layer, no module imports "
         f"networkx, scipy stays confined to {CONFINED['scipy']}, "
         f"{RANK_ONLY} reads no strategy name, only "
-        f"{SPELLING_OWNER} compares strategy names, every *Error derives "
-        f"from {ERROR_ROOT}, and only "
+        f"{SPELLING_OWNER} compares strategy names, only {PROSE_OWNER} "
+        f"words execution steps, every *Error derives from {ERROR_ROOT}, "
+        "and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
             for module, names in callers.items()
