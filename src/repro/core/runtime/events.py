@@ -15,7 +15,7 @@ reader                     reads
 ``ExecutionReport.trace``  every kind with a template, rendered
 ``.reprovisions``          ``REPROVISIONED``
 recovery watchdog          ``PARTIAL_SENT`` (generations fired per
-                           cell), ``REPROVISIONED`` (the cap)
+                           cell), ``.reprovisions`` (the cap)
 ``phase_timeline``         the first ``SNAPSHOT_FROZEN``; the first
                            ``PARTIAL_SENT`` / ``PARTIAL_LOST`` /
                            ``KMEANS_INIT``

@@ -232,8 +232,7 @@ class RecoveryRuntime:
             )
             if (
                 ctx.kind == "aggregate"
-                and len(of_kind(ctx.report.events, EventKind.REPROVISIONED))
-                < MAX_REPROVISIONS
+                and len(ctx.report.reprovisions) < MAX_REPROVISIONS
             ):
                 self.reprovision(operator, cell)
 
