@@ -12,7 +12,6 @@ also holds the simulator itself to linear host time: bringing a swarm up
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
@@ -29,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _scenarios import aggregate_spec, fast_scenario_config, run_once
 from _tables import print_table
 
-from repro.core.runtime.builder import commit_snapshot
 from repro.crypto import primitives
 from repro.data.health import HEALTH_MIXTURE, HEALTH_SCHEMA, generate_health_rows
 from repro.query.schema import Schema, SchemaError
@@ -328,24 +326,6 @@ def _reference_validate(schema: Schema, row: dict) -> None:
             )
 
 
-def _reference_commit(rows: list[dict]) -> str:
-    """``commit_snapshot``: one ``repr(sorted(...))`` per leaf, two hash
-    helper calls per node."""
-    def leaf(data: bytes) -> bytes:
-        return hashlib.sha256(b"\x00" + data).digest()
-
-    def node(left: bytes, right: bytes) -> bytes:
-        return hashlib.sha256(b"\x01" + left + right).digest()
-
-    level = [leaf(repr(sorted(row.items())).encode("utf-8")) for row in rows]
-    while len(level) > 1:
-        nxt = [node(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0].hex()
-
-
 def _best_of_3(fn):
     best, result = math.inf, None
     for _ in range(3):
@@ -364,9 +344,9 @@ def _refusals(validate, schema: Schema, bad_rows: list[dict]) -> list[str]:
     return messages
 
 
-def test_qscale_per_row_data_path(benchmark):
-    """40,000 rows (the ``data_heavy`` dataset) generated, validated and
-    committed: reference route vs the library, same outputs."""
+def test_qscale_per_row_data_path():
+    """40,000 rows (the ``data_heavy`` dataset) generated and validated:
+    reference route vs the library, same outputs."""
     count, seed = 40_000, 5
     reference_s, expected = _best_of_3(lambda: _reference_health_rows(count, seed))
     library_s, rows = _best_of_3(lambda: generate_health_rows(count, seed))
@@ -387,13 +367,6 @@ def test_qscale_per_row_data_path(benchmark):
     )
     table.append(["validate (deal + oracle -> deal)", reference_s, library_s])
 
-    columns = ["age", "bmi", "region", "sex"]  # what data_heavy collects
-    projected = [{column: row[column] for column in columns} for row in rows]
-    reference_s, expected_root = _best_of_3(lambda: _reference_commit(projected))
-    library_s, root = _best_of_3(lambda: commit_snapshot(projected))
-    assert root == expected_root
-    table.append(["commit_snapshot (4 columns)", reference_s, library_s])
-
     print_table(
         "Q-SCALE: per-row data path over 40,000 rows (data_heavy dataset, "
         "seed 5), reference route vs library, best of 3, same outputs",
@@ -403,5 +376,3 @@ def test_qscale_per_row_data_path(benchmark):
             for step, ref, lib in table
         ],
     )
-
-    benchmark.pedantic(lambda: commit_snapshot(projected), rounds=3, iterations=1)

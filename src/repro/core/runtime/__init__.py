@@ -9,7 +9,7 @@ module                    owns
 :mod:`.context`           shared clock/network/plan state and services
 :mod:`.events`            the typed record of every execution step
 :mod:`.contributor`       jittered contribution scheduling
-:mod:`.builder`           snapshot intake, freeze, commit, ship
+:mod:`.builder`           snapshot intake, freeze, ship
 :mod:`.computer`          aggregate folding and K-Means heartbeats
 :mod:`.combiner`          partial/knowledge merge algebra and finalize
 :mod:`.querier`           final-result dedup and report assembly
@@ -20,7 +20,7 @@ module                    owns
 ========================  ==============================================
 """
 
-from repro.core.runtime.builder import BuilderRuntime, commit_snapshot, ship_partition
+from repro.core.runtime.builder import BuilderRuntime, ship_partition
 from repro.core.runtime.combiner import CombinerRuntime, CombinerState, stitch_groups
 from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
@@ -54,7 +54,6 @@ __all__ = [
     "RecoveryRuntime",
     "STAMP_BYTES",
     "StrategyRuntime",
-    "commit_snapshot",
     "ship_partition",
     "stitch_groups",
 ]

@@ -14,6 +14,7 @@ reader                     reads
 =========================  ============================================
 ``ExecutionReport.trace``  every kind with a template, rendered
 ``.reprovisions``          ``REPROVISIONED``
+``report_fingerprint``     every event, as its record, never rendered
 recovery watchdog          ``PARTIAL_SENT`` (generations fired per
                            cell), ``.reprovisions`` (the cap)
 ``phase_timeline``         the first ``SNAPSHOT_FROZEN``; the first
@@ -40,10 +41,10 @@ class EventKind(Enum):
     name one of its fields.  A kind valued ``None`` leaves no trace
     line."""
 
-    # snapshot builders — SNAPSHOT_FROZEN fields: rows, commitment
+    # snapshot builders — SNAPSHOT_FROZEN fields: rows
     BUILDER_DEAD = "{op} dead at end of collection"
     NO_ROWS = "{op} collected no rows"
-    SNAPSHOT_FROZEN = "{op} snapshot frozen: {rows} rows, merkle={commitment:.12}…"
+    SNAPSHOT_FROZEN = "{op} snapshot frozen: {rows} rows"
     PARTITION_UNSHIPPED = "{op} offline, partition not shipped"
     # computers — PARTIAL_SENT fields: cell, device, generation;
     # KMEANS_INIT fields: points

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.runtime.builder import commit_snapshot, ship_partition
+from repro.core.runtime.builder import ship_partition
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.detector import PhiAccrualDetector
 from repro.core.runtime.events import EventKind, of_kind
@@ -79,6 +79,9 @@ class RecoveryRuntime:
         # the coordinator attaches every standby at start, so a
         # re-recruited one already hears this query's traffic
         self.standbys = [d for d in standby_ids if d in ctx.devices]
+        # cells whose partition has no retained rows: every check runs
+        # after collection ends, so no later pass can recover them
+        self.unrecoverable: set[tuple[int, int]] = set()
         self.checks_run = 0
         metrics = ctx.telemetry.metrics
         query_id = ctx.plan.query_id
@@ -208,7 +211,7 @@ class RecoveryRuntime:
                 operator.params["partition_index"],
                 operator.params.get("group_index", 0),
             )
-            if cell in received:
+            if cell in received or cell in self.unrecoverable:
                 continue
             device_id = operator.assigned_to
             if device_id is None:
@@ -253,6 +256,7 @@ class RecoveryRuntime:
         builder_op = self.builder.builder_by_partition.get(partition_index)
         rows = self.builder.rows_by_partition.get(partition_index)
         if builder_op is None or not rows:
+            self.unrecoverable.add(cell)
             ctx.emit(
                 EventKind.NO_RETAINED_PARTITION, operator.op_id,
                 partition=partition_index,
@@ -300,11 +304,6 @@ class RecoveryRuntime:
             old=old_id, new=new_id, generation=generation,
         )
         ship_partition(
-            ctx,
-            builder_device,
-            partition_index,
-            rows,
-            commit_snapshot(rows),
-            [operator],
+            ctx, builder_device, partition_index, rows, [operator],
             generation=generation,
         )

@@ -4,8 +4,7 @@ The Edgelet demonstration runs real cryptography inside TEEs (SGX
 enclaves, TPM-sealed keys).  This package provides deterministic,
 pure-Python equivalents built on :mod:`hashlib` and :mod:`hmac` so that
 every code path of the protocol — authenticated message envelopes,
-attestation quotes, partition commitments — is exercised without
-external dependencies.
+attestation quotes — is exercised without external dependencies.
 
 .. warning::
    These primitives are for **simulation and testing only**.  The stream
@@ -30,7 +29,6 @@ from repro.crypto.primitives import (
     verify,
 )
 from repro.crypto.envelope import Envelope, open_envelope, seal_envelope
-from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.crypto.keys import KeyRing
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "Envelope",
     "KeyPair",
     "KeyRing",
-    "MerkleTree",
     "SymmetricKey",
     "decrypt",
     "derive_key",
@@ -52,5 +49,4 @@ __all__ = [
     "secure_hash",
     "sign",
     "verify",
-    "verify_inclusion",
 ]

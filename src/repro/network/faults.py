@@ -57,7 +57,6 @@ _STRUCTURAL_KEYS = frozenset(
         "partition_index",
         "group_index",
         "contribution_id",
-        "commitment",
         "n_sets",
         "n_aggs",
         "__aggregate__",

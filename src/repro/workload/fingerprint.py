@@ -13,10 +13,12 @@ directly comparable across the two settings:
   references a process-global object) — so they are excluded.
 
 Everything else — the result rows, the tally, who delivered, when
-(relative), which devices handled how many tuples, the full text trace,
-degradation labels, reprovisioning history — is canonicalized into a
-JSON document with sorted keys and hashed.  Two reports with the same
-fingerprint describe the same execution.
+(relative), which devices handled how many tuples, every recorded
+execution step, degradation labels — is canonicalized into a JSON
+document with sorted keys and hashed.  Steps are hashed as their typed
+records (time, kind, operator, fields), never as the trace prose they
+render to, so rewording a trace line moves no fingerprint.  Two reports
+with the same fingerprint describe the same execution.
 """
 
 from __future__ import annotations
@@ -109,15 +111,15 @@ def canonical_report(report: Any, base_time: float = 0.0) -> dict[str, Any]:
         "kmeans": _canon_kmeans(report.kmeans),
         "tally": _canon(report.tally),
         "tuples_per_device": _canon(report.tuples_per_device),
-        "trace": [[_shift(t, base_time), text] for t, text in report.trace],
+        "events": [
+            [_shift(event.time, base_time), event.kind.name, event.op,
+             _canon(event.fields)]
+            for event in report.events
+        ],
         "heartbeats_run": report.heartbeats_run,
         "convergence_trace": _canon(report.convergence_trace),
         "coverage": _canon(report.coverage),
         "validity_bound": report.validity_bound,
-        "reprovisions": [
-            [_shift(t, base_time), op, old, new]
-            for t, op, old, new in report.reprovisions
-        ],
     }
 
 

@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.qep import rank_of
 from repro.core.resiliency import TAKEOVER_TIMEOUT, worst_case_delay
-from repro.core.runtime import ExecutionCoordinator, commit_snapshot
+from repro.core.runtime import ExecutionCoordinator
 from repro.core.runtime.events import EventKind, of_kind
 from repro.core.runtime.strategy import base_op_id
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
@@ -98,16 +98,14 @@ class TestBackupChain:
         # the primary dies once collection is over, holding every row
         executor, report = _run(replicas=1, kill_ranks=(0,), kill_at=COLLECT - 0.1)
         assert report.success
-        expected = commit_snapshot(executor.builder.buckets["builder[0]"])
+        buckets = executor.builder.buckets
+        assert buckets["builder[0].b1"] == buckets["builder[0]"]
         frozen = [
-            event.render()
+            event.fields["rows"]
             for event in of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
             if event.op == "builder[0].b1"
         ]
-        assert frozen == [
-            f"builder[0].b1 snapshot frozen: "
-            f"{len(executor.builder_rows[0])} rows, merkle={expected[:12]}…"
-        ]
+        assert frozen == [len(executor.builder_rows[0])]
 
     def test_failure_after_exhaustion_stays_none(self):
         executor, report = _run(kill_ranks=(0, 1, 2))

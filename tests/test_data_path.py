@@ -1,12 +1,11 @@
-"""The per-row data path keeps its outputs: rows, Merkle roots, oracle.
+"""The per-row data path keeps its outputs: rows and oracle answers.
 
-Generating the dataset, dealing it out (validated once, at the deal),
-building the centralized oracle and committing frozen partitions each
-do their work once per row.  The literals below were computed with the
-previous implementation of each step (``np.clip`` draws, a validation
-at the deal *and* in the oracle's ``Relation``, one
-``repr(sorted(row.items()))`` per Merkle leaf), so a change that alters
-any generated row, root value or oracle answer fails here.
+Generating the dataset, dealing it out (validated once, at the deal)
+and building the centralized oracle each do their work once per row.
+The literals below were computed with the previous implementation of
+each step (``np.clip`` draws, a validation at the deal *and* in the
+oracle's ``Relation``), so a change that alters any generated row or
+oracle answer fails here.
 """
 
 from __future__ import annotations
@@ -14,12 +13,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.planner import QuerySpec
-from repro.core.runtime.builder import commit_snapshot
-from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.datastore import DatastoreFullError
 from repro.manager.scenario import Scenario, ScenarioConfig
@@ -51,13 +46,6 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def _reference_root(rows) -> str:
-    """The Merkle commitment as it was first defined, one repr per row."""
-    return MerkleTree(
-        [repr(sorted(row.items())).encode("utf-8") for row in rows]
-    ).root_hex()
-
-
 def _spec(sql: str, cardinality: int) -> QuerySpec:
     return QuerySpec(
         query_id="scenario-q", kind="aggregate",
@@ -77,82 +65,6 @@ class TestGeneratedRows:
             assert type(row["bmi"]) is float
             assert 18 <= row["age"] <= 103
             assert 0 <= row["dependency_level"] <= 5
-
-
-# -- Merkle leaves -----------------------------------------------------------
-
-_KEYS = st.sampled_from(
-    ["age", "bmi", "region", "sex", "%s", "100%", "%%r", "it's", 'say "hi"',
-     "zipcodé", "ключ", "a", "b"]
-)
-_VALUES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.sampled_from([2**70, -(2**70), 0, -0.0, 0.0, float("nan"),
-                     float("inf"), float("-inf")]),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=8),
-    st.tuples(st.integers(), st.text(max_size=3)),
-    st.tuples(st.none()),
-)
-
-
-@st.composite
-def _partitions(draw):
-    """Rows mostly sharing one column set, with strays anywhere —
-    including a first row unlike the rest."""
-    columns = draw(st.lists(_KEYS, unique=True, max_size=5))
-    rows = []
-    for _ in range(draw(st.integers(min_value=1, max_value=12))):
-        if draw(st.booleans()):
-            keys = draw(st.permutations(columns))
-        else:
-            keys = draw(st.lists(_KEYS, unique=True, max_size=4))
-        rows.append({key: draw(_VALUES) for key in keys})
-    return rows
-
-
-class TestCommitSnapshot:
-    @given(_partitions())
-    @settings(max_examples=300, deadline=None)
-    def test_root_equals_one_repr_per_row(self, rows):
-        assert commit_snapshot(rows) == _reference_root(rows)
-
-    @pytest.mark.parametrize("rows", [
-        [{}],
-        [{"a": (1, 2)}],
-        [{"a": (None,)}, {"a": ()}, {"a": 1}],
-        [{"%s": "%s", "%": "%%"}, {"%": 1, "%s": 2}],
-        [{"b": 1}, {"a": 1, "b": 2}, {"b": 2, "a": 3}, {}],
-        [{"x": -0.0, "y": float("nan")}, {"y": float("inf"), "x": 2**70}],
-        [{"ключ": "é'\"", "bmi": True}],
-    ])
-    def test_edge_rows(self, rows):
-        assert commit_snapshot(rows) == _reference_root(rows)
-
-    def test_data_heavy_partition_roots_are_pinned(self):
-        columns = _spec(HEAVY_SQL, 80_000).collected_columns()
-        assert columns == ["age", "bmi", "region", "sex"]
-        projected = [
-            {column: row.get(column) for column in columns}
-            for row in generate_health_rows(40_000, seed=5)
-        ]
-        assert commit_snapshot(projected[0::8]) == (
-            "a059a9a2711981fbb42cbffa8e396e9cb5c8b5d3c1d84d2f8866839f5869fcbc"
-        )
-        assert commit_snapshot(projected[7::8]) == (
-            "9d5ef4b22d3b42ee9025455d1d8b0cfbe1ee6bd7cbbff60ace6266deef63b31c"
-        )
-
-    @pytest.mark.parametrize("size", range(1, 34))
-    def test_every_leaf_proves_and_verifies(self, size):
-        leaves = [b"leaf-%d" % i for i in range(size)]
-        tree = MerkleTree(leaves)
-        for index, leaf in enumerate(leaves):
-            proof = tree.prove(index)
-            assert verify_inclusion(tree.root, leaf, proof)
-            assert not verify_inclusion(tree.root, leaf + b"!", proof)
 
 
 # -- the deal and the oracle -------------------------------------------------

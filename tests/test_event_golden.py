@@ -27,6 +27,7 @@ import pytest
 from repro.chaos.campaign import RunSpec, TopologySpec, run_single
 from repro.core.planner import PrivacyParameters, QuerySpec, ResiliencyParameters
 from repro.core.resiliency import replicas_for
+from repro.core.runtime.events import EventKind, of_kind
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.scenario import Scenario, ScenarioConfig
 from repro.manager.trace import phase_timeline
@@ -145,6 +146,19 @@ def test_renderings_match_golden(name, golden):
 
 def test_untraced_run_renders_like_the_traced_one(golden):
     assert golden["plain-untraced"] == golden["plain"]
+
+
+def test_an_unrecoverable_cell_is_given_up_once():
+    # every watchdog pass runs after collection ends, so a partition
+    # with no retained rows stays unrecoverable: one check says so
+    events = RUNS["reliable-disconnects"]().report.events
+    given_up = [
+        event.op for event in of_kind(events, EventKind.NO_RETAINED_PARTITION)
+    ]
+    assert given_up
+    assert len(given_up) == len(set(given_up))
+    fired = [event.op for event in of_kind(events, EventKind.WATCHDOG_FIRED)]
+    assert all(fired.count(op) == 1 for op in given_up)
 
 
 if __name__ == "__main__":

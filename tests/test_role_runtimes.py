@@ -29,6 +29,7 @@ from repro.core.runtime import (
     ExecutionContext,
     QuerierRuntime,
     StrategyRuntime,
+    ship_partition,
 )
 from repro.core.runtime.events import EventKind, of_kind
 from repro.data.health import generate_health_rows
@@ -192,6 +193,40 @@ class TestBuilderRuntime:
             for message in partitions
         )
 
+    def test_partition_payload_is_routing_and_rows_only(self):
+        ctx, captured = _harness()
+        runtime = BuilderRuntime(ctx)
+        runtime.index()
+        partition_index = min(runtime.builder_by_partition)
+        builder = runtime.builder_by_partition[partition_index]
+        device = ctx.device_of(builder)
+        runtime.on_contribution(
+            device, self._contribution(ctx, partition_index, _sample_rows())
+        )
+
+        def shipped():
+            ctx.simulator.run()
+            payloads = [
+                message.payload for _, message in captured
+                if message.kind is MessageKind.PARTITION
+            ]
+            captured.clear()
+            return payloads
+
+        keys = {"op_id", "partition_index", "group_index", "rows"}
+        runtime.run(builder, device, on_sent=lambda: None)
+        frozen = shipped()
+        assert frozen
+        assert all(set(payload) == keys for payload in frozen)
+        # a reprovisioning re-ship also carries its fencing token
+        consumer = ctx.plan.consumers_of(builder.op_id)[0]
+        ship_partition(
+            ctx, device, partition_index, _sample_rows(), [consumer], generation=3
+        )
+        (reshipped,) = shipped()
+        assert set(reshipped) == keys | {"generation"}
+        assert reshipped["generation"] == 3
+
     def test_duplicate_contribution_dropped_by_bloom(self):
         ctx, _ = _harness()
         runtime = BuilderRuntime(ctx)
@@ -260,7 +295,6 @@ class TestComputerRuntime:
             "op_id": f"computer[{partition_index},g0]",
             "partition_index": partition_index,
             "group_index": 0,
-            "commitment": "feedface",
             "rows": rows,
         }
 
