@@ -168,7 +168,7 @@ class TestRunDeterminism:
         # computed by replaying this payload with the two plans kept apart
         assert report_fingerprint(
             result.report, base_time=result.executor.start_time
-        ) == "aea9af2dcc23304d4b635080c502559f8e022ca7b3750457667b2996d1163710"
+        ) == "0cbe5b6da9fd83815292b45527fff26179d832d1ea66b5b8d568677300c48e4c"
         assert sorted(
             (e.time, e.device_id, e.kind) for e in result.failure_events
         ) == [

@@ -280,5 +280,5 @@ class TestConcludedWindows:
             0.17407407407407405,
             0.08333333333333333,
             "1bdb1b1f8915c496",
-            "c52867def7f4247f",
+            "80c0a2e64a780225",
         )

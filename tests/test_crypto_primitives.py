@@ -457,7 +457,7 @@ class TestSealedRunTakesTheRoute:
     # report fingerprint of this run, computed when DH and ``verify``
     # still used builtin ``pow``
     PINNED_FINGERPRINT = (
-        "1e539f6a922560140102e10dbf6a5d64f544d95f13e1e33dff068f7755ac66c7"
+        "6a7bdb64123d3d931e9972db1be6b86e3b8c2a4a377c27ee0d167515bc0a7838"
     )
 
     @pytest.fixture(scope="class")

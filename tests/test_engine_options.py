@@ -369,4 +369,4 @@ class TestStrategySpelledSpecs:
         # computed from the strategy-spelled RunSpec before the change
         assert report_fingerprint(
             result.report, base_time=result.executor.start_time
-        ) == "6661348174701bd9137c7ae770ef22a959be26d7f3291bdee8c5166e5137e237"
+        ) == "d1b32c3197fbbd4683b126ff558624d3202098bf5f97984357a0670bbd3127bf"

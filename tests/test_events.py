@@ -47,9 +47,7 @@ def _report(*events: Event) -> ExecutionReport:
     return report
 
 
-FROZEN = Event(
-    20.0, EventKind.SNAPSHOT_FROZEN, "builder[0]", {"rows": 3, "commitment": "ab" * 32}
-)
+FROZEN = Event(20.0, EventKind.SNAPSHOT_FROZEN, "builder[0]", {"rows": 3})
 ARRIVED = Event(
     20.5, EventKind.PARTIAL_ARRIVED, "combiner",
     {"cell": (0, 0), "sender": "p-1", "generation": 0, "disposition": "accepted"},
@@ -65,7 +63,7 @@ class TestRenderings:
         report = _report(FROZEN, ARRIVED, REPROVISIONED)
         assert ARRIVED.render() is None
         assert report.trace == [
-            (20.0, "builder[0] snapshot frozen: 3 rows, merkle=abababababab…"),
+            (20.0, "builder[0] snapshot frozen: 3 rows"),
             (
                 31.0,
                 "watchdog: reprovisioned computer[1,g0] from None to standby p-2 "

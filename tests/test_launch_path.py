@@ -75,7 +75,7 @@ class TestPinnedFingerprints:
         assert outcome.ok
         assert report_fingerprint(
             result.report, base_time=result.executor.start_time
-        ) == "cac0930363ac0844f45ff2e762d1c46691255b5cf331c72c36f3a5af21802d9a"
+        ) == "39a0612b970a9ed7e66e4b361932e7976d3adf3fda0de31ccafd978b691a9882"
         assert len(result.failure_events) == 24
         assert _events_digest(result.failure_events) == "924062c0f73c04e0"
         assert _events(result.failure_events)[0] == (
@@ -118,7 +118,7 @@ class TestPinnedFingerprints:
         assert tally["valid"] and tally["lost"] == 1 <= tally["m"]
         fingerprints = outcome.result.fingerprints()
         assert len(fingerprints) == 10
-        assert _digest(fingerprints) == "4c409198efd74b54"
+        assert _digest(fingerprints) == "538201375fee3529"
         assert _events(outcome.failure_events) == [
             (2.0, "wl6-proc-00025", "crash"),
             (9.0, "wl6-proc-00009", "crash"),
@@ -141,7 +141,7 @@ class TestPinnedFingerprints:
         solo = serial_fingerprints(engine, result)
         assert solo == result.fingerprints()
         assert len(solo) == 10
-        assert _digest(solo) == "4141262ec063f8de"
+        assert _digest(solo) == "416dcc0fb70f5dd6"
 
     def test_churning_incremental_reliable_standing_query_with_outages(self):
         spec = StandingQuerySpec(
@@ -180,7 +180,7 @@ class TestPinnedFingerprints:
         assert outcome.ok
         fingerprints = outcome.result.fingerprints()
         assert len(fingerprints) == 8
-        assert _digest(fingerprints) == "d878b2ae593bf41a"
+        assert _digest(fingerprints) == "b878a0a1c6468d48"
         assert outcome.result.summary()["incremental_stamped"] == 103
         assert _events(outcome.failure_events) == [
             (40.0, "pin11-proc-00003", "partition_start"),

@@ -134,7 +134,7 @@ class TestBackupExecutionPins:
         )
         assert outcome.ok
         assert _fingerprint(outcome.result) == (
-            "aa1253fd5bb3f4c39fcf4c37fad38bc503d7aee760ea3d40f566ff36d80c6156"
+            "f7adca1aee83d45c9872806507b69a4a3b0ff6b608bb01e4f513ec508361eb49"
         )
         assert [
             (base, rank) for _, base, rank in takeovers(outcome.result.evidence)
@@ -150,7 +150,7 @@ class TestBackupExecutionPins:
         result = outcome.result
         assert outcome.ok and result.report.success
         assert _fingerprint(result) == (
-            "19bc6ae935579c214d374b5a23bbefa9b88e6c7279a47116b130e119c6608747"
+            "337e1389906ecb4efbbb712fed5f9b596b55c74b6e3588641cc9674485f447fa"
         )
         assert len(takeovers(result.evidence)) == 2
         assert not of_kind(result.report.events, EventKind.NO_RETAINED_PARTITION)
@@ -181,4 +181,4 @@ class TestBackupExecutionPins:
         fingerprints = engine.run().fingerprints()
         assert len(fingerprints) == 8
         document = "\n".join(f"{k}:{v}" for k, v in sorted(fingerprints.items()))
-        assert hashlib.sha256(document.encode()).hexdigest()[:16] == "0c38b379665eec23"
+        assert hashlib.sha256(document.encode()).hexdigest()[:16] == "d0e5421c4346f197"

@@ -299,8 +299,8 @@ class TestConcludedUnits:
     # (liability participants, gini, max share, operators digest,
     #  fingerprints digest), per leg
     PINS = {
-        "plain": (32, 0.0, 0.03125, "22a8bef011547dfd", "0b92414f4bda0022"),
-        "reliable": (32, 0.0, 0.03125, "96063d9023b9d65e", "484119b8ce40d27b"),
+        "plain": (32, 0.0, 0.03125, "22a8bef011547dfd", "3b5ba11d36cf0bdd"),
+        "reliable": (32, 0.0, 0.03125, "96063d9023b9d65e", "13f097d72cf5a3ff"),
     }
 
     @pytest.mark.parametrize("leg", ["plain", "reliable"])
