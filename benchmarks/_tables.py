@@ -49,7 +49,9 @@ def print_telemetry_table(title: str, telemetry: Any, max_rows: int = 12) -> Non
     the event loop and hot operators) — keeping virtual time and real
     time visibly separate.
     """
-    counters = sorted(telemetry.metrics.counters(), key=lambda c: -c.value)
+    counters = sorted(
+        telemetry.metrics.counters(), key=lambda c: (-c.value, c.name, c.labels)
+    )
     if counters:
         print_table(
             f"{title}: top counters",
@@ -59,9 +61,10 @@ def print_telemetry_table(title: str, telemetry: Any, max_rows: int = 12) -> Non
                 for counter in counters[:max_rows]
             ],
         )
-    phase_spans = [
-        span for span in telemetry.tracer.spans if span.name.startswith("phase:")
-    ]
+    phase_spans = sorted(
+        (span for span in telemetry.tracer.spans if span.name.startswith("phase:")),
+        key=lambda span: span.start,
+    )
     if phase_spans:
         print_table(
             f"{title}: phase spans (virtual time)",

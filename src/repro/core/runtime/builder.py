@@ -156,8 +156,6 @@ class BuilderRuntime:
             ctx.emit(EventKind.NO_ROWS, builder.op_id)
             return None
         ctx.emit(EventKind.SNAPSHOT_FROZEN, builder.op_id, rows=len(rows))
-        ctx.mark_collection_end()
-        ctx.m_snapshots.inc()
         ctx.audit(device, builder.op_id, "snapshot", len(rows))
         return rows
 

@@ -298,7 +298,6 @@ class CombinerRuntime:
             cell=(payload["partition_index"], payload["group_index"]),
             sender=sender or "?", generation=generation, disposition=disposition,
         )
-        self.ctx.m_partials.inc()
 
     def on_knowledge(self, device: Edgelet, payload: dict[str, Any]) -> None:
         """Record one inbound Computer knowledge (kmeans kind)."""
@@ -315,7 +314,6 @@ class CombinerRuntime:
     def finalize(self) -> None:
         """Deadline: both combiners merge and ship the final result."""
         ctx = self.ctx
-        ctx.mark_combination_start()
         for name in COMBINER_NAMES:
             combiner_op = ctx.plan.operator(name)
             device = ctx.device_of(combiner_op)

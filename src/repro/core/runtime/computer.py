@@ -124,7 +124,6 @@ class ComputerRuntime:
         ctx = self.ctx
 
         def fire() -> None:
-            ctx.mark_computation_start()
             if not ctx.network.is_online(device.device_id):
                 ctx.emit(EventKind.PARTIAL_LOST, computer.op_id)
                 return
@@ -172,7 +171,6 @@ class ComputerRuntime:
         if ctx.stats_query is not None:
             self.kmeans_rows[partition_index] = rows
         ctx.emit(EventKind.KMEANS_INIT, computer.op_id, points=len(points))
-        ctx.mark_computation_start()
 
     def schedule_heartbeats(self) -> None:
         """Arm the shared heartbeat cadence over the computation window."""
@@ -198,7 +196,6 @@ class ComputerRuntime:
 
         def fire() -> None:
             ctx.report.heartbeats_run += 1
-            ctx.m_heartbeats.inc()
             beat = ctx.report.heartbeats_run
             ctx.telemetry.tracer.event(
                 "heartbeat", at=ctx.simulator.now,

@@ -3,8 +3,9 @@
 The :class:`ExecutionContext` owns everything every role runtime needs
 but no role owns alone: the clock, the network, the device map, the
 validated plan configuration, the report under construction and its
-event list, sealed transport, audit, phase accounting, and the
-telemetry instruments.
+event list, sealed transport, audit, and the live telemetry
+instruments (the phase spans and step counters are published from the
+events when the execution concludes).
 Role runtimes (:mod:`repro.core.runtime.contributor` …) hold only their
 own operator state and reach everything else through this object.
 """
@@ -100,34 +101,14 @@ class ExecutionContext:
             "exec.contributions_accepted", query=query_id
         )
         self.m_tuples = metrics.counter("exec.tuples_collected", query=query_id)
-        self.m_snapshots = metrics.counter("exec.snapshots_frozen", query=query_id)
-        self.m_partials = metrics.counter("exec.partials_recorded", query=query_id)
         self.m_knowledges = metrics.counter(
             "exec.knowledges_recorded", query=query_id
         )
-        self.m_heartbeats = metrics.counter("exec.heartbeats_run", query=query_id)
-        self.m_finals = metrics.counter("exec.final_results", query=query_id)
         self.prof_aggregate = telemetry.profiler.section("operator.aggregate")
         self.prof_heartbeat = telemetry.profiler.section("operator.kmeans_heartbeat")
         self.prof_combine = telemetry.profiler.section("operator.combine")
         self._m_dropped_payloads: dict[str, Any] = {}
         self._m_role_dispatches: dict[str, Any] = {}
-
-        # Phase spans for the telemetry export: the collection span
-        # closes at the first frozen snapshot and the computation span
-        # opens at the first partial/K-Means init.
-        tracer = telemetry.tracer
-        self.span_execution = tracer.start(
-            "execution",
-            at=self.start_time,
-            query_id=query_id,
-            kind=plan.metadata["kind"],
-        )
-        self.span_collection = tracer.start(
-            "phase:collection", at=self.start_time, parent=self.span_execution
-        )
-        self.span_computation: Any = None
-        self.span_combination: Any = None
 
         metadata = plan.metadata
         self.kind: str = metadata["kind"]
@@ -216,38 +197,6 @@ class ExecutionContext:
             self._m_role_dispatches[role] = counter
         counter.inc()
 
-    # -- phase accounting ----------------------------------------------------
-
-    def mark_collection_end(self) -> None:
-        """First snapshot froze: the collection phase is over."""
-        if self.span_collection.end is None:
-            now = self.simulator.now
-            self.span_collection.finish(at=now)
-            self.telemetry.tracer.mark(
-                f"exec.{self.plan.query_id}.collection_end", at=now
-            )
-
-    def mark_computation_start(self) -> None:
-        """First partial/K-Means init: the computation phase began."""
-        if self.span_computation is None:
-            now = self.simulator.now
-            self.span_computation = self.telemetry.tracer.start(
-                "phase:computation", at=now, parent=self.span_execution
-            )
-            self.telemetry.tracer.mark(
-                f"exec.{self.plan.query_id}.computation_start", at=now
-            )
-
-    def mark_combination_start(self) -> None:
-        """The combiner deadline fired: the combination phase began."""
-        if self.span_combination is None:
-            now = self.simulator.now
-            if self.span_computation is not None:
-                self.span_computation.finish(at=now)
-            self.span_combination = self.telemetry.tracer.start(
-                "phase:combination", at=now, parent=self.span_execution
-            )
-
     # -- sealed transport ----------------------------------------------------
 
     def ship(
@@ -293,9 +242,9 @@ class ExecutionContext:
     def unwrap(self, device: Edgelet, message: Message) -> Any | None:
         """Open a received payload; ``None`` means drop it (tampered).
 
-        Dropped payloads are counted in the ``executor.payloads_dropped``
-        counter (labelled by reason) so corruption campaigns can assert
-        the TEE boundary actually rejected the tampered envelopes.
+        A dropped payload is a ``PAYLOAD_REJECTED`` event, so corruption
+        campaigns can assert the TEE boundary actually rejected the
+        tampered envelopes.
         """
         if not self.secure_channels:
             payload = message.payload
@@ -309,7 +258,6 @@ class ExecutionContext:
                 EventKind.PAYLOAD_REJECTED,
                 device=device.device_id, message=message.kind.value,
             )
-            self.count_dropped_payload("unauthenticated")
             return None
 
     def resolve_contribution(

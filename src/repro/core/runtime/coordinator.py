@@ -3,8 +3,9 @@
 :class:`ExecutionCoordinator` owns only the cross-cutting concerns of
 one query execution: handler attachment, sealed-payload unwrapping,
 message routing to the role runtimes, the phase timers (end of
-collection, combiner deadline, cluster-stats deadline), and the run
-horizon.  Everything role-specific lives in the runtimes
+collection, combiner deadline, cluster-stats deadline), the run
+horizon, and publishing the execution's telemetry from its events when
+it concludes.  Everything role-specific lives in the runtimes
 (:mod:`repro.core.runtime.contributor` … :mod:`.querier`), and which
 rank runs when lives in the one
 :class:`repro.core.runtime.strategy.StrategyRuntime` it builds from the
@@ -13,6 +14,7 @@ plan.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 from repro.core.qep import OperatorRole, QueryExecutionPlan
@@ -21,12 +23,14 @@ from repro.core.runtime.combiner import CombinerRuntime, CombinerState
 from repro.core.runtime.computer import ComputerRuntime
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.contributor import ContributorRuntime
+from repro.core.runtime.events import EventKind
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryRuntime
 from repro.core.runtime.report import (
     ExecutionError,
     ExecutionEvidence,
     ExecutionReport,
+    phase_timeline,
 )
 from repro.core.runtime.strategy import StrategyRuntime
 from repro.devices.edgelet import Edgelet
@@ -269,10 +273,74 @@ class ExecutionCoordinator:
             ctx.report.network_stats = network_stats.as_dict()
         if ctx.transport is not None:
             ctx.report.transport_stats = ctx.transport.stats.as_dict()
-        if ctx.span_combination is not None:
-            ctx.span_combination.finish(at=ctx.simulator.now)
-        ctx.span_execution.finish(at=ctx.simulator.now)
+        self.publish_telemetry()
         return ctx.report
+
+    def publish_telemetry(self) -> None:
+        """Publish the execution's phase spans, marks and step counters.
+
+        Every value is read off what the run recorded (its events, its
+        heartbeat and watchdog tallies) once, here: the only place the
+        runtime writes to the tracer.  The collection phase ends at the
+        first frozen snapshot, computation runs from the first partial
+        or K-Means init to the combiner deadline, and combination from
+        the deadline to delivery (or to now).
+        """
+        ctx = self.ctx
+        report, query_id, now = ctx.report, ctx.plan.query_id, ctx.simulator.now
+        tracer, metrics = ctx.telemetry.tracer, ctx.telemetry.metrics
+        timeline = phase_timeline(report)
+        execution = tracer.start(
+            "execution", at=ctx.start_time, query_id=query_id, kind=ctx.kind
+        )
+        collection = tracer.start(
+            "phase:collection", at=ctx.start_time, parent=execution
+        )
+        if timeline["collection_end"] is not None:
+            collection.finish(at=timeline["collection_end"])
+        combining = now >= ctx.deadline_at
+        computation_start = timeline["computation_start"]
+        if computation_start is not None:
+            computation = tracer.start(
+                "phase:computation", at=computation_start, parent=execution
+            )
+            if combining and computation_start <= ctx.deadline_at:
+                computation.finish(at=ctx.deadline_at)
+        if combining:
+            completion = timeline["completion"]
+            tracer.start(
+                "phase:combination", at=ctx.deadline_at, parent=execution
+            ).finish(at=now if completion is None else completion)
+        execution.finish(at=now)
+        for name, time in timeline.items():
+            if time is not None:
+                tracer.mark(f"exec.{query_id}.{name}", at=time)
+
+        counts = Counter(event.kind for event in report.events)
+
+        def publish(name: str, value: int, **labels: str) -> None:
+            metrics.counter(name, query=query_id, **labels).inc(value)
+
+        publish("exec.snapshots_frozen", counts[EventKind.SNAPSHOT_FROZEN])
+        publish("exec.partials_recorded", counts[EventKind.PARTIAL_ARRIVED])
+        publish("exec.heartbeats_run", report.heartbeats_run)
+        publish("exec.final_results", counts[EventKind.DELIVERED])
+        if self.recovery is not None:
+            publish("exec.watchdog_checks", self.recovery.checks_run)
+            publish(
+                "exec.watchdog_fired", counts[EventKind.WATCHDOG_FIRED],
+                phase="computation",
+            )
+            publish("exec.reprovisions", counts[EventKind.REPROVISIONED])
+            publish("exec.detector_suspicions", counts[EventKind.SUSPECTED])
+        # these two exist only once their step happened
+        if counts[EventKind.TAKEOVER]:
+            publish("exec.backup_takeovers", counts[EventKind.TAKEOVER])
+        if counts[EventKind.PAYLOAD_REJECTED]:
+            publish(
+                "executor.payloads_dropped", counts[EventKind.PAYLOAD_REJECTED],
+                reason="unauthenticated",
+            )
 
     def result_slack(self) -> float:
         """Extra virtual time for the final-result message to land."""

@@ -45,12 +45,6 @@ class QuerierRuntime:
         ctx.report.success = True
         ctx.report.delivered_by = payload.get("combiner")
         ctx.report.completion_time = ctx.simulator.now
-        ctx.m_finals.inc()
-        if ctx.span_combination is not None:
-            ctx.span_combination.finish(at=ctx.simulator.now)
-        ctx.telemetry.tracer.mark(
-            f"exec.{ctx.plan.query_id}.completion", at=ctx.simulator.now
-        )
         ctx.report.tally = payload.get("tally", {})
         ctx.report.received_partitions = ctx.report.tally.get("received", 0)
         if payload.get("degraded"):

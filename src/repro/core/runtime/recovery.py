@@ -83,18 +83,6 @@ class RecoveryRuntime:
         # after collection ends, so no later pass can recover them
         self.unrecoverable: set[tuple[int, int]] = set()
         self.checks_run = 0
-        metrics = ctx.telemetry.metrics
-        query_id = ctx.plan.query_id
-        self._m_checks = metrics.counter("exec.watchdog_checks", query=query_id)
-        self._m_fired = metrics.counter(
-            "exec.watchdog_fired", query=query_id, phase="computation"
-        )
-        self._m_reprovisions = metrics.counter(
-            "exec.reprovisions", query=query_id
-        )
-        self._m_suspicions = metrics.counter(
-            "exec.detector_suspicions", query=query_id
-        )
         self.detector: PhiAccrualDetector | None = None
         if detector:
             self.detector = PhiAccrualDetector()
@@ -204,7 +192,6 @@ class RecoveryRuntime:
         if ctx.report.success:
             return
         self.checks_run += 1
-        self._m_checks.inc()
         received = self._received_cells()
         for operator in list(self.computer.computers):
             cell = (
@@ -223,13 +210,11 @@ class RecoveryRuntime:
                 # nominally online but the accrual detector has lost
                 # confidence (partitioned away or gray): treat as gone
                 reachable = False
-                self._m_suspicions.inc()
                 ctx.emit(
                     EventKind.SUSPECTED, operator.op_id, device=device_id, cell=cell
                 )
             if reachable:
                 continue  # reachable: maybe just slow, leave it be
-            self._m_fired.inc()
             ctx.emit(
                 EventKind.WATCHDOG_FIRED, operator.op_id, device=device_id, cell=cell
             )
@@ -278,7 +263,6 @@ class RecoveryRuntime:
         # the operator's first-wins guard must forget the dead device's
         # copy so the re-shipped partition actually executes
         self.computer.partitions_seen.discard(operator.op_id)
-        self._m_reprovisions.inc()
         if self.detector is not None and old_id:
             # the displaced device's history must not poison a later
             # suspicion check should the id be re-recruited

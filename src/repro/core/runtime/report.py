@@ -19,6 +19,7 @@ __all__ = [
     "ExecutionEvidence",
     "ExecutionReport",
     "KMeansOutcome",
+    "phase_timeline",
 ]
 
 
@@ -151,3 +152,26 @@ class ExecutionEvidence:
     aggregate_indices_per_group: list[list[int]]
     events: list[Event]
     network: Any
+
+
+def phase_timeline(report: ExecutionReport) -> dict[str, float | None]:
+    """Extract phase boundary times from an execution report.
+
+    Returns the first snapshot-freeze time (collection → computation),
+    the first partial result sent or lost or K-Means initialization,
+    and completion; a phase that never happened is ``None``.
+    """
+    return {
+        "collection_end": _first(report, EventKind.SNAPSHOT_FROZEN),
+        "computation_start": _first(
+            report,
+            EventKind.PARTIAL_SENT, EventKind.PARTIAL_LOST, EventKind.KMEANS_INIT,
+        ),
+        "completion": report.completion_time,
+    }
+
+
+def _first(report: ExecutionReport, *kinds: EventKind) -> float | None:
+    return next(
+        (event.time for event in report.events if event.kind in kinds), None
+    )

@@ -118,9 +118,6 @@ class StrategyRuntime:
             ctx.emit(
                 EventKind.TAKEOVER, operator.op_id, base=base, rank=rank_of(operator)
             )
-            ctx.telemetry.metrics.counter(
-                "exec.backup_takeovers", query=ctx.plan.query_id
-            ).inc()
             run(operator, device, lambda: self._announce_shipped(operator, device))
         return fire
 

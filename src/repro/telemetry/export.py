@@ -111,17 +111,15 @@ def render_summary(
 ) -> str:
     """Human-readable scoreboard of one run's telemetry.
 
-    Shows the top counters/gauges, the phase spans, and the profiler
-    table; when ``simulated_time`` is given (or derivable from the root
-    execution span) the header separates modeled virtual time from the
-    wall-clock the event loop actually burned.
+    Shows the top counters/gauges, the phase spans in start order, and
+    the profiler table; when ``simulated_time`` is given (or derivable
+    from the earliest execution span) the header separates modeled
+    virtual time from the wall-clock the event loop actually burned.
     """
     lines = ["telemetry summary"]
+    spans = sorted(telemetry.tracer.spans, key=lambda s: s.start)
     if simulated_time is None:
-        root = next(
-            (s for s in telemetry.tracer.spans if s.name.startswith("execution")),
-            None,
-        )
+        root = next((s for s in spans if s.name.startswith("execution")), None)
         if root is not None and root.duration is not None:
             simulated_time = root.duration
     loop_wall = telemetry.profiler.total("sim.event_loop")
@@ -155,7 +153,7 @@ def render_summary(
                 f"    {_flat_name(gauge.name, gauge.labels):<48} "
                 f"{gauge.value:>8g} / {gauge.max_value:g}"
             )
-    phases = [s for s in telemetry.tracer.spans if s.name.startswith("phase:")]
+    phases = [s for s in spans if s.name.startswith("phase:")]
     if phases:
         lines.append("  phases:")
         for span in phases:

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.chaos.campaign import RunSpec, run_single
+from repro.core.runtime.events import EventKind, of_kind
 from repro.crypto.envelope import open_envelope, seal_envelope
 from repro.crypto.keys import KeyRing
 from repro.crypto.primitives import AuthenticationError
@@ -100,11 +101,10 @@ class TestUnknownSender:
         with pytest.raises(AuthenticationError, match="unknown sender"):
             recipient.open_from(forged)
 
-        def dropped() -> float:
-            return ctx.telemetry.metrics.value(
-                "executor.payloads_dropped",
-                query=ctx.plan.query_id, reason="unauthenticated",
-            )
+        def dropped() -> int:
+            # the drops the executor.payloads_dropped{unauthenticated}
+            # counter publishes when an execution concludes
+            return len(of_kind(ctx.report.events, EventKind.PAYLOAD_REJECTED))
 
         before = dropped()
         message = Message(

@@ -447,7 +447,8 @@ class TestQuerierRuntime:
         )
         runtime.on_final_result(querier_device, self._final_payload(ctx))
         assert ctx.report.delivered_by == "combiner-backup"  # first wins
-        assert ctx.m_finals.value == 1.0
+        # one delivery recorded: the exec.final_results count it publishes
+        assert len(of_kind(ctx.report.events, EventKind.DELIVERED)) == 1
 
     def test_stats_before_kmeans_outcome_is_ignored(self):
         ctx, _ = _harness()
