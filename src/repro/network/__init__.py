@@ -30,7 +30,7 @@ will, crashes, message loss.  This package provides:
 from repro.network.simulator import Event, Simulator
 from repro.network.messages import Message, MessageKind
 from repro.network.topology import ContactGraph, LinkQuality
-from repro.network.opnet import DeliveryReceipt, NetworkConfig, OpportunisticNetwork
+from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.failures import FailurePlan
 from repro.network.mobility import CaregiverRounds, ContactSchedule, RandomWaypointContacts
 from repro.network.reliable import ReliableTransport, TransportReceipt
@@ -39,7 +39,6 @@ __all__ = [
     "CaregiverRounds",
     "ContactGraph",
     "ContactSchedule",
-    "DeliveryReceipt",
     "Event",
     "FailurePlan",
     "LinkQuality",

@@ -22,7 +22,7 @@ from repro.network.messages import Message, MessageKind
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
 
-__all__ = ["NetworkConfig", "DeliveryReceipt", "OpportunisticNetwork"]
+__all__ = ["NetworkConfig", "OpportunisticNetwork"]
 
 Handler = Callable[[Message], None]
 
@@ -57,16 +57,6 @@ class NetworkConfig:
             raise ValueError("buffer_timeout must be non-negative")
 
 
-@dataclass
-class DeliveryReceipt:
-    """Outcome record for one send attempt (for traces and stats)."""
-
-    message_id: int
-    outcome: str  # "delivered", "lost", "dropped_timeout", "no_route",
-    #               "dead", "departed", "dropped_fault", "partitioned"
-    latency: float | None = None
-
-
 #: The :class:`NetworkStats` counters that mean a message was lost or
 #: tampered with on the way — a run is *clean* only if none of them
 #: moved.  A counter that cannot fire in a given mode simply reads 0.
@@ -83,6 +73,27 @@ LOSS_COUNTERS = (
     "fault_duplicated",
     "fault_delayed",
 )
+
+#: Each counted outcome: its :class:`NetworkStats` field and the
+#: ``net.*`` counter that mirrors it across every network of the run.
+#: :meth:`OpportunisticNetwork._count` writes both, and is the only
+#: writer of these fields.
+OUTCOME_COUNTERS = {
+    "delivered": "net.messages_delivered",
+    "lost": "net.messages_lost",
+    "dropped_timeout": "net.messages_dropped_timeout",
+    "no_route": "net.messages_no_route",
+    "to_dead_device": "net.messages_to_dead_device",
+    "departed": "net.messages_to_departed_device",
+    "partitioned": "net.messages_partitioned",
+    "gray_lost": "net.messages_gray_lost",
+    "bytes_sent": "net.bytes_sent",
+    "bytes_delivered": "net.bytes_delivered",
+    "fault_dropped": "net.fault_dropped",
+    "fault_duplicated": "net.fault_duplicated",
+    "fault_delayed": "net.fault_delayed",
+    "fault_corrupted": "net.fault_corrupted",
+}
 
 
 class NetworkStats:
@@ -171,9 +182,6 @@ class OpportunisticNetwork:
         # may resurrect its handler or its draws
         self._departed: set[str] = set()
         self._inboxes: dict[str, list[tuple[float, Message]]] = {}
-        # (message_id, outcome, latency): tuples of atoms, which the
-        # collector stops tracking; ``receipts`` builds the records
-        self._receipts: list[tuple[Any, ...]] = []
         # topology-level outage state (repro.network.outages).  Each
         # active partition is a tuple of islands (frozensets of device
         # ids); devices absent from every island sit on the implicit
@@ -195,22 +203,12 @@ class OpportunisticNetwork:
         self.telemetry = telemetry
         metrics = telemetry.metrics
         self._m_sent_by_kind: dict[str, Any] = {}
-        self._m_delivered = metrics.counter("net.messages_delivered")
-        self._m_lost = metrics.counter("net.messages_lost")
-        self._m_dropped = metrics.counter("net.messages_dropped_timeout")
-        self._m_no_route = metrics.counter("net.messages_no_route")
-        self._m_dead = metrics.counter("net.messages_to_dead_device")
-        self._m_departed = metrics.counter("net.messages_to_departed_device")
-        self._m_partitioned = metrics.counter("net.messages_partitioned")
-        self._m_gray_lost = metrics.counter("net.messages_gray_lost")
-        self._m_bytes_sent = metrics.counter("net.bytes_sent")
-        self._m_bytes_delivered = metrics.counter("net.bytes_delivered")
+        self._m_outcomes = {
+            outcome: metrics.counter(name)
+            for outcome, name in OUTCOME_COUNTERS.items()
+        }
         self._g_buffered = metrics.gauge("net.store_and_forward_occupancy")
         self._h_latency = metrics.histogram("net.delivery_latency")
-        self._m_fault_dropped = metrics.counter("net.fault_dropped")
-        self._m_fault_duplicated = metrics.counter("net.fault_duplicated")
-        self._m_fault_delayed = metrics.counter("net.fault_delayed")
-        self._m_fault_corrupted = metrics.counter("net.fault_corrupted")
 
     # -- device lifecycle -------------------------------------------------
 
@@ -267,11 +265,8 @@ class OpportunisticNetwork:
         self._handlers.pop(device_id, None)
         dropped = self._inboxes.pop(device_id, [])
         self._inboxes[device_id] = []
-        for _, message in dropped:
-            self.stats.departed += 1
-            self._m_departed.inc()
-            self._g_buffered.dec()
-            self._receipts.append((message.message_id, "departed", None))
+        self._count("departed", len(dropped))
+        self._g_buffered.dec(len(dropped))
         # notify observers (e.g. ReliableTransport) so in-flight
         # transfers to the departed peer fail immediately instead of
         # retransmitting until the budget drains.  Deliberately NOT
@@ -297,11 +292,8 @@ class OpportunisticNetwork:
         self._online[device_id] = False
         dropped = self._inboxes.pop(device_id, [])
         self._inboxes[device_id] = []
-        for _, message in dropped:
-            self.stats.to_dead_device += 1
-            self._m_dead.inc()
-            self._g_buffered.dec()
-            self._receipts.append((message.message_id, "dead", None))
+        self._count("to_dead_device", len(dropped))
+        self._g_buffered.dec(len(dropped))
 
     # -- topology outages ---------------------------------------------------
 
@@ -388,7 +380,7 @@ class OpportunisticNetwork:
         network never leaks buffered store-and-forward messages into the
         next run.  Topology, attached handlers, and any installed fault
         injector survive; dynamic state (online/dead flags, inboxes,
-        receipts, stats, the RNG, and the message-id stream) restarts so
+        stats, the RNG, and the message-id stream) restarts so
         a post-reset run is byte-identical to one on a fresh network.
         """
         self._epoch += 1
@@ -397,7 +389,6 @@ class OpportunisticNetwork:
         self._query_rngs.clear()
         self._message_ids = itertools.count(1)
         self._dead.clear()
-        self._receipts.clear()
         self._partitions.clear()
         self._gray.clear()
         self._gray_rng = None
@@ -422,7 +413,7 @@ class OpportunisticNetwork:
             message.message_id = next(self._message_ids)
         message.sent_at = self.simulator.now
         self.stats.sent += 1
-        self.stats.bytes_sent += message.size_bytes
+        self._count("bytes_sent", message.size_bytes)
         self.stats.bytes_by_sender[message.sender] = (
             self.stats.bytes_by_sender.get(message.sender, 0) + message.size_bytes
         )
@@ -434,22 +425,15 @@ class OpportunisticNetwork:
                 self.telemetry.metrics.counter("net.messages_sent", kind=kind)
             )
         sent_counter.inc()
-        self._m_bytes_sent.inc(message.size_bytes)
 
         if message.recipient in self._departed:
-            self.stats.departed += 1
-            self._m_departed.inc()
-            self._receipts.append((message.message_id, "departed", None))
+            self._count("departed")
             return
         if message.recipient in self._dead:
-            self.stats.to_dead_device += 1
-            self._m_dead.inc()
-            self._receipts.append((message.message_id, "dead", None))
+            self._count("to_dead_device")
             return
         if self._partitions and self.partition_blocks(message.sender, message.recipient):
-            self.stats.partitioned += 1
-            self._m_partitioned.inc()
-            self._receipts.append((message.message_id, "partitioned", None))
+            self._count("partitioned")
             return
 
         copies = 1
@@ -457,20 +441,15 @@ class OpportunisticNetwork:
         if self.faults is not None:
             decision = self.faults.on_send(message)
             if decision.drop:
-                self.stats.fault_dropped += 1
-                self._m_fault_dropped.inc()
-                self._receipts.append((message.message_id, "dropped_fault", None))
+                self._count("fault_dropped")
                 return
             if decision.corrupt:
                 message.payload = self.faults.corrupt_payload(message.payload)
-                self.stats.fault_corrupted += 1
-                self._m_fault_corrupted.inc()
+                self._count("fault_corrupted")
             if decision.copies > 1:
-                self.stats.fault_duplicated += decision.copies - 1
-                self._m_fault_duplicated.inc(decision.copies - 1)
+                self._count("fault_duplicated", decision.copies - 1)
             if decision.extra_delay > 0:
-                self.stats.fault_delayed += 1
-                self._m_fault_delayed.inc()
+                self._count("fault_delayed")
             copies = decision.copies
             extra_delay = decision.extra_delay
 
@@ -489,30 +468,28 @@ class OpportunisticNetwork:
         # draws the single-copy path always made (stream-compatible)
         for _ in range(copies):
             if rng.random() < self.config.global_loss_probability:
-                self._record_loss(message)
+                self._count("lost")
                 continue
 
             quality, hops = self._route(message.sender, message.recipient)
             if quality is None:
-                self.stats.no_route += 1
-                self._m_no_route.inc()
-                self._receipts.append((message.message_id, "no_route", None))
+                self._count("no_route")
                 continue
 
             # one loss trial per hop
             lost = False
             for _ in range(hops):
                 if rng.random() < quality.loss_probability:
-                    self._record_loss(message)
+                    self._count("lost")
                     lost = True
                     break
             if lost:
                 continue
 
             if gray_loss > 0 and self._gray_trial() < gray_loss:
-                self.stats.gray_lost += 1
-                self._m_gray_lost.inc()
-                self._record_loss(message)
+                # a gray loss is a loss too
+                self._count("gray_lost")
+                self._count("lost")
                 continue
 
             latency = extra_delay + gray_factor * sum(
@@ -592,23 +569,20 @@ class OpportunisticNetwork:
             return self.config.default_quality, 1
         return None, 0
 
-    def _record_loss(self, message: Message) -> None:
-        self.stats.lost += 1
-        self._m_lost.inc()
-        self._receipts.append((message.message_id, "lost", None))
+    def _count(self, outcome: str, amount: int = 1) -> None:
+        """Add ``amount`` to one outcome's stats field and its counter."""
+        stats = self.stats
+        setattr(stats, outcome, getattr(stats, outcome) + amount)
+        self._m_outcomes[outcome].inc(amount)
 
     def _arrive(self, message: Message) -> None:
         """A message physically reaches its destination's radio."""
         recipient = message.recipient
         if recipient in self._departed:
-            self.stats.departed += 1
-            self._m_departed.inc()
-            self._receipts.append((message.message_id, "departed", None))
+            self._count("departed")
             return
         if recipient in self._dead:
-            self.stats.to_dead_device += 1
-            self._m_dead.inc()
-            self._receipts.append((message.message_id, "dead", None))
+            self._count("to_dead_device")
             return
         if self.is_online(recipient):
             self._deliver(message)
@@ -633,10 +607,8 @@ class OpportunisticNetwork:
         for i, (_, buffered) in enumerate(inbox):
             if buffered.message_id == message.message_id:
                 del inbox[i]
-                self.stats.dropped_timeout += 1
-                self._m_dropped.inc()
+                self._count("dropped_timeout")
                 self._g_buffered.dec()
-                self._receipts.append((message.message_id, "dropped_timeout", None))
                 return
 
     def _flush_inbox(self, device_id: str) -> None:
@@ -648,10 +620,8 @@ class OpportunisticNetwork:
 
     def _deliver(self, message: Message) -> None:
         message.delivered_at = self.simulator.now
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += message.size_bytes
-        self._m_delivered.inc()
-        self._m_bytes_delivered.inc(message.size_bytes)
+        self._count("delivered")
+        self._count("bytes_delivered", message.size_bytes)
         in_flight = message.in_flight_time
         if in_flight is not None:
             self._h_latency.observe(in_flight)
@@ -659,17 +629,11 @@ class OpportunisticNetwork:
             self.stats.bytes_by_recipient.get(message.recipient, 0)
             + message.size_bytes
         )
-        self._receipts.append((message.message_id, "delivered", in_flight))
         handler = self._handlers.get(message.recipient)
         if handler is not None:
             handler(message)
 
     # -- observability --------------------------------------------------------
-
-    @property
-    def receipts(self) -> list[DeliveryReceipt]:
-        """All delivery receipts recorded so far."""
-        return [DeliveryReceipt(*receipt) for receipt in self._receipts]
 
     def buffered_count(self, device_id: str) -> int:
         """Messages currently buffered for an offline device."""

@@ -176,6 +176,19 @@ class TransportReceipt:
     rtt: float | None = None
 
 
+#: The :class:`TransportStats` fields mirrored by a ``reliable.*``
+#: counter across every transport of the run;
+#: :meth:`ReliableTransport._count` writes both.
+STATS_COUNTERS = {
+    "retransmissions": "reliable.retransmissions",
+    "transfers_acked": "reliable.transfers_acked",
+    "transfers_failed": "reliable.transfers_failed",
+    "acks_sent": "reliable.acks_sent",
+    "duplicates_suppressed": "reliable.duplicates_suppressed",
+    "circuit_fast_fails": "reliable.circuit_fast_fails",
+}
+
+
 class TransportStats:
     """Aggregate counters maintained by the reliability layer."""
 
@@ -262,12 +275,9 @@ class ReliableTransport:
             telemetry = network.telemetry
         self.telemetry = telemetry
         metrics = telemetry.metrics
-        self._m_retransmissions = metrics.counter("reliable.retransmissions")
-        self._m_acked = metrics.counter("reliable.transfers_acked")
-        self._m_failed = metrics.counter("reliable.transfers_failed")
-        self._m_acks_sent = metrics.counter("reliable.acks_sent")
-        self._m_duplicates = metrics.counter("reliable.duplicates_suppressed")
-        self._m_circuit = metrics.counter("reliable.circuit_fast_fails")
+        self._m_stats = {
+            field: metrics.counter(name) for field, name in STATS_COUNTERS.items()
+        }
         self._h_rtt = metrics.histogram("reliable.rtt")
 
     # -- public API (opnet-compatible) --------------------------------------
@@ -431,8 +441,7 @@ class ReliableTransport:
             self._send_ack(device_id, message.sender, transfer_id, message)
             seen = self._seen.setdefault(device_id, set())
             if transfer_id in seen:
-                self.stats.duplicates_suppressed += 1
-                self._m_duplicates.inc()
+                self._count("duplicates_suppressed")
                 return
             seen.add(transfer_id)
             handler(message)
@@ -448,8 +457,7 @@ class ReliableTransport:
     ) -> None:
         # ACKs carry only the transfer id — no application data leaves
         # the sealed payload path through them
-        self.stats.acks_sent += 1
-        self._m_acks_sent.inc()
+        self._count("acks_sent")
         ack = Message(
             sender=device_id,
             recipient=peer,
@@ -486,8 +494,7 @@ class ReliableTransport:
             self._estimator(link).observe(rtt)
             self.stats.rtt_samples += 1
             self._h_rtt.observe(rtt)
-        self.stats.transfers_acked += 1
-        self._m_acked.inc()
+        self._count("transfers_acked")
         self._finish(pending, "acked", rtt=rtt)
 
     def _transmit(self, pending: _Pending) -> None:
@@ -541,8 +548,7 @@ class ReliableTransport:
             self._fail(pending, "peer_dead")
             return
         if not breaker.allows(now):
-            self.stats.circuit_fast_fails += 1
-            self._m_circuit.inc()
+            self._count("circuit_fast_fails")
             self._fail(pending, "circuit_open")
             return
         if self._budget_left <= 0:
@@ -550,14 +556,17 @@ class ReliableTransport:
             return
         self._budget_left -= 1
         pending.retransmitted = True
-        self.stats.retransmissions += 1
-        self._m_retransmissions.inc()
+        self._count("retransmissions")
         self._transmit(pending)
+
+    def _count(self, field: str) -> None:
+        """Bump one mirrored stats field and its counter."""
+        setattr(self.stats, field, getattr(self.stats, field) + 1)
+        self._m_stats[field].inc()
 
     def _fail(self, pending: _Pending, outcome: str) -> None:
         pending.done = True
-        self.stats.transfers_failed += 1
-        self._m_failed.inc()
+        self._count("transfers_failed")
         self._finish(pending, outcome)
 
     def _finish(

@@ -93,9 +93,9 @@ class TestReceipts:
         dead = Message(sender="a", recipient="b", kind=MessageKind.CONTROL, payload=None)
         network.send(dead)
         simulator.run()
-        outcomes = {r.message_id: r.outcome for r in network.receipts}
-        assert outcomes[delivered.message_id] == "delivered"
-        assert outcomes[dead.message_id] == "dead"
+        assert delivered.delivered_at is not None
+        assert dead.delivered_at is None
+        assert (network.stats.delivered, network.stats.to_dead_device) == (1, 1)
 
     def test_delivered_receipt_carries_latency(self):
         simulator = Simulator()
@@ -107,9 +107,11 @@ class TestReceipts:
         )
         network.attach("a", lambda m: None)
         network.attach("b", lambda m: None)
-        network.send(Message(sender="a", recipient="b", kind=MessageKind.CONTROL,
-                             payload=None, size_bytes=100))
+        message = Message(sender="a", recipient="b", kind=MessageKind.CONTROL,
+                          payload=None, size_bytes=100)
+        network.send(message)
         simulator.run()
-        receipt = network.receipts[0]
-        assert receipt.outcome == "delivered"
-        assert receipt.latency == pytest.approx(0.2 + 100 / 125_000.0)
+        assert network.stats.delivered == 1
+        assert message.in_flight_time == pytest.approx(0.2 + 100 / 125_000.0)
+        latency = network.telemetry.metrics.histogram("net.delivery_latency")
+        assert latency.count >= 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.network.messages import Message, MessageKind
-from repro.network.opnet import NetworkConfig, OpportunisticNetwork
+from repro.network.opnet import NetworkConfig, NetworkStats, OpportunisticNetwork
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
 
@@ -107,9 +107,7 @@ class TestDelivery:
         sim.run()
         assert received == []
         assert net.stats.no_route == 1
-        assert [(r.message_id, r.outcome) for r in net.receipts] == [
-            (message.message_id, "no_route")
-        ]
+        assert net.stats.sent == 1 and net.stats.delivered == 0
 
 
 class TestLoss:
@@ -264,18 +262,18 @@ class TestStoreAndForwardEdgeCases:
     def test_simultaneous_expiry_receipts_in_send_order(self):
         sim, topo, net = _network(buffer_timeout=5.0)
         topo.add_link("a", "b")
+        received = []
         net.attach("a", lambda m: None)
-        net.attach("b", lambda m: None)
+        net.attach("b", received.append)
         net.set_online("b", False)
-        first = _msg("a", "b", payload="first")
-        second = _msg("a", "b", payload="second")
-        net.send(first)
-        net.send(second)
-        sim.run()
-        expired = [r for r in net.receipts if r.outcome == "dropped_timeout"]
-        assert [r.message_id for r in expired] == [
-            first.message_id, second.message_id
-        ]
+        net.send(_msg("a", "b", payload="first"))
+        net.send(_msg("a", "b", payload="second"))
+        sim.run_until(2.0)  # both arrived and wait in b's inbox
+        assert net.buffered_count("b") == 2
+        assert sim.step()  # the earlier of the two simultaneous expiries
+        assert net.stats.dropped_timeout == 1
+        net.set_online("b", True)
+        assert [m.payload for m in received] == ["second"]
 
     def test_partitioned_topology_has_no_route_even_with_relay(self):
         sim, topo, net = _network(allow_relay=True)
@@ -304,8 +302,7 @@ class TestReset:
         epoch = net.epoch
         net.reset()
         assert net.epoch == epoch + 1
-        assert net.stats.sent == 0
-        assert net.receipts == []
+        assert net.stats.as_dict() == NetworkStats().as_dict()
         assert net.buffered_count("b") == 0
         assert net.is_online("a") and net.is_online("b")
         assert not net.is_dead("a")
@@ -320,20 +317,27 @@ class TestReset:
         net.reset()  # before delivery: the epoch fence voids the event
         sim.run()
         assert received == []
-        assert net.receipts == []
+        assert net.stats.delivered == 0
 
     def test_reset_restores_the_loss_stream(self):
+        received = []
+
         def campaign(net, sim):
+            received.clear()
             for i in range(50):
                 net.send(_msg("a", "b", payload=i))
             sim.run()
-            return [(r.message_id, r.outcome) for r in net.receipts]
+            return (
+                [(m.message_id, m.payload) for m in received],
+                net.stats.as_dict(),
+            )
 
         sim, topo, net = _network(loss=0.4)
         topo.add_link("a", "b")
         net.attach("a", lambda m: None)
-        net.attach("b", lambda m: None)
+        net.attach("b", received.append)
         first = campaign(net, sim)
+        assert 0 < first[1]["lost"] < 50
         sim.reset()
         net.reset()
         assert campaign(net, sim) == first

@@ -1,10 +1,12 @@
-"""Delivery and transport receipts: the records callers read.
+"""Transport receipts: the records callers read.
 
-Both layers keep a receipt per message (opnet) or per acknowledged
-transfer (transport) for the whole run, as plain tuples the collector
-stops tracking; the ``receipts`` properties build the records on read.
-These tests pin what a reader sees — records, order, field names — on
-one seeded lossy run, so the storage behind them can change freely.
+The reliable transport keeps a receipt per acknowledged transfer for as
+long as the transport lives, as plain tuples the collector stops
+tracking; the ``receipts`` property builds the records on read.  These
+tests pin what a reader sees — records, order, field names — on one
+seeded lossy run, so the storage behind them can change freely.  The
+opportunistic network keeps no per-message receipt: its per-outcome
+totals are ``NetworkStats``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 import repro.network
 from repro.network import reliable
 from repro.network.messages import Message, MessageKind
-from repro.network.opnet import DeliveryReceipt, NetworkConfig, OpportunisticNetwork
+from repro.network.opnet import NetworkConfig, NetworkStats, OpportunisticNetwork
 from repro.network.reliable import ReliableTransport, TransportReceipt
 from repro.network.simulator import Simulator
 from repro.network.topology import ContactGraph, LinkQuality
@@ -72,30 +74,15 @@ def _digest(records) -> str:
 
 class TestRecords:
     def test_field_names(self):
-        assert [f.name for f in dataclasses.fields(DeliveryReceipt)] == [
-            "message_id", "outcome", "latency",
-        ]
         assert [f.name for f in dataclasses.fields(TransportReceipt)] == [
             "transfer_id", "kind", "sender", "recipient", "outcome",
             "attempts", "rtt",
         ]
 
     def test_records_exported_from_the_network_package(self):
-        assert repro.network.DeliveryReceipt is DeliveryReceipt
         assert repro.network.TransportReceipt is TransportReceipt
-        assert {"DeliveryReceipt", "TransportReceipt"} <= set(
-            repro.network.__all__
-        )
-
-    def test_network_receipts_are_pinned(self):
-        network, _ = _lossy_run()
-        receipts = network.receipts
-        assert all(type(r) is DeliveryReceipt for r in receipts)
-        assert Counter(r.outcome for r in receipts) == {
-            "delivered": 17, "lost": 10, "no_route": 10,
-            "dropped_timeout": 7, "dead": 5,
-        }
-        assert _digest(receipts) == "2273db42646057aa"
+        assert "TransportReceipt" in repro.network.__all__
+        assert "DeliveryReceipt" not in repro.network.__all__
 
     def test_transport_receipts_are_pinned(self):
         _, transport = _lossy_run()
@@ -108,27 +95,34 @@ class TestRecords:
 
     def test_same_seed_same_records(self):
         first, second = _lossy_run(), _lossy_run()
-        assert first[0].receipts == second[0].receipts
+        stats = first[0].stats
+        assert stats.as_dict() == second[0].stats.as_dict()
+        # every send ends in exactly one counted outcome
+        assert (
+            stats.sent, stats.delivered, stats.lost, stats.no_route,
+            stats.dropped_timeout, stats.to_dead_device,
+        ) == (49, 17, 10, 10, 7, 5)
         assert first[1].receipts == second[1].receipts
 
     def test_each_read_builds_fresh_records(self):
-        network, _ = _lossy_run()
-        network.receipts[0].outcome = "tampered"
-        assert network.receipts[0].outcome != "tampered"
+        _, transport = _lossy_run()
+        first = transport.receipts[0]
+        assert transport.receipts[0] == first
+        assert transport.receipts[0] is not first
 
     def test_stored_receipts_leave_the_collectors_view(self):
-        network, transport = _lossy_run()
+        _, transport = _lossy_run()
         gc.collect()
-        stored = [*network._receipts, *transport._receipts]
+        stored = transport._receipts
         assert stored and not any(gc.is_tracked(entry) for entry in stored)
 
     def test_reset_clears_both(self):
         network, transport = _lossy_run()
-        assert network.receipts and transport.receipts
+        assert network.stats.sent and transport.receipts
         network.simulator.reset()
         network.reset()
         transport.reset()
-        assert network.receipts == []
+        assert network.stats.as_dict() == NetworkStats().as_dict()
         assert transport.receipts == []
 
 
