@@ -299,3 +299,46 @@ def test_only_the_events_module_words_an_execution_step(tmp_path):
 
 def test_the_shipped_tree_has_one_construction_site():
     assert _tool().check(REPO / "src") == []
+
+
+def test_only_the_publisher_writes_spans_and_marks(tmp_path):
+    root = tmp_path / "src" / "repro"
+    files = {
+        "core/runtime/coordinator.py": (
+            "class ExecutionCoordinator:\n"
+            "    def publish_telemetry(self):\n"
+            "        tracer = self.ctx.telemetry.tracer\n"
+            "        span = tracer.start('execution', at=0.0)  # fine\n"
+            "        def mark(name):\n"
+            "            tracer.mark(name, at=1.0)  # nested in it: fine\n"
+            "    def finish(self):\n"
+            "        self.ctx.telemetry.tracer.start('phase:combination')\n"
+        ),
+        "core/runtime/context.py": (
+            "tracer = telemetry.tracer\n"
+            "span = tracer.start('phase:collection', at=0.0)\n"
+            "def mark_collection_end(self):\n"
+            "    self.telemetry.tracer.mark('collection_end', at=3.0)\n"
+            "    self.span.finish(at=3.0)  # fine: not a tracer write\n"
+        ),
+        "core/runtime/computer.py": (
+            "ctx.telemetry.tracer.event('heartbeat', at=1.0)  # fine\n"
+            "clock.start()  # fine: not a tracer\n"
+        ),
+        # outside the runtime: fine
+        "manager/scenario.py": "span = self.telemetry.tracer.start('scenario')\n",
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    violations = _tool().check(tmp_path / "src")
+    rule = (
+        "[only repro.core.runtime.coordinator.publish_telemetry "
+        "publishes spans and marks]"
+    )
+    assert violations == [
+        f"repro.core.runtime.{module} writes to the tracer  "
+        f"({root / 'core' / 'runtime' / (module + '.py')}:{line})  {rule}"
+        for module, line in (("context", 2), ("context", 4), ("coordinator", 8))
+    ]
+

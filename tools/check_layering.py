@@ -21,8 +21,10 @@ an execution or inject faults may be *constructed*, and an outage spec
 resolved, in one module only (:data:`SOLE_CALLER`); that the
 execution runtime branches on an operator's rank, never on a strategy
 name (:data:`RANK_ONLY`); that only :data:`SPELLING_OWNER` compares
-a value against a strategy name; and that only :data:`PROSE_OWNER`
-words an execution step (:func:`prose_decisions`).  Last, every class
+a value against a strategy name; that only :data:`PROSE_OWNER`
+words an execution step (:func:`prose_decisions`); and that under
+:data:`TELEMETRY_SCOPE` only :data:`PUBLISHER` opens a span or sets a
+mark (:func:`tracer_writes`).  Last, every class
 whose name ends in ``Error`` must derive from :data:`ERROR_ROOT`,
 directly or through another error class (:func:`rootless_errors`).
 """
@@ -156,6 +158,13 @@ SPELLING_OWNER = "repro.core.resiliency"
 #: trace stays a rendering and no reader has prose to parse.
 PROSE_OWNER = "repro.core.runtime.events"
 
+#: An execution's phase spans and marks are published from its events,
+#: once, by this function when it concludes: under the runtime, a
+#: ``tracer.start`` or ``tracer.mark`` anywhere else would be a second,
+#: hand-kept record of a step the events already hold.
+TELEMETRY_SCOPE = "repro.core.runtime"
+PUBLISHER = ("repro.core.runtime.coordinator", "publish_telemetry")
+
 #: The one error root: ``except ReproError`` catches whatever the
 #: library raises on purpose, so no ``*Error`` class may sit outside it.
 ERROR_ROOT = "ReproError"
@@ -287,6 +296,28 @@ def prose_decisions(tree: ast.AST) -> list[int]:
     return sorted(lines)
 
 
+def tracer_writes(tree: ast.AST) -> list[tuple[int, tuple[str, ...]]]:
+    """``(line, enclosing function names)`` of every
+    ``tracer.start/mark(...)`` or ``<x>.tracer.start/mark(...)`` call."""
+    found: list[tuple[int, tuple[str, ...]]] = []
+
+    def visit(node: ast.AST, functions: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = (*functions, node.name)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if node.func.attr in ("start", "mark") and (
+                (isinstance(owner, ast.Name) and owner.id == "tracer")
+                or (isinstance(owner, ast.Attribute) and owner.attr == "tracer")
+            ):
+                found.append((node.lineno, functions))
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(tree, ())
+    return sorted(found)
+
+
 def error_classes(tree: ast.AST) -> list[tuple[str, tuple[str, ...], int]]:
     """``(name, base names, line)`` of every class named ``*Error``."""
     found = []
@@ -396,6 +427,14 @@ def check(root: Path) -> list[str]:
                     f"{module} words an execution step  ({path}:{line})  "
                     f"[only {PROSE_OWNER} turns events into prose]"
                 )
+        if module == TELEMETRY_SCOPE or module.startswith(TELEMETRY_SCOPE + "."):
+            owner, publisher = PUBLISHER
+            for line, functions in tracer_writes(tree):
+                if module != owner or publisher not in functions:
+                    violations.append(
+                        f"{module} writes to the tracer  ({path}:{line})  "
+                        f"[only {owner}.{publisher} publishes spans and marks]"
+                    )
         errors.extend(
             (module, path, name, bases, line)
             for name, bases, line in error_classes(tree)
@@ -437,7 +476,9 @@ def main() -> int:
         f"networkx, scipy stays confined to {CONFINED['scipy']}, "
         f"{RANK_ONLY} reads no strategy name, only "
         f"{SPELLING_OWNER} compares strategy names, only {PROSE_OWNER} "
-        f"words execution steps, every *Error derives from {ERROR_ROOT}, "
+        f"words execution steps, only {'.'.join(PUBLISHER)} writes spans "
+        f"and marks under {TELEMETRY_SCOPE}, every *Error derives from "
+        f"{ERROR_ROOT}, "
         "and only "
         + ", only ".join(
             f"{module} constructs / calls {' / '.join(names)}"
