@@ -79,8 +79,9 @@ class RecoveryRuntime:
         # the coordinator attaches every standby at start, so a
         # re-recruited one already hears this query's traffic
         self.standbys = [d for d in standby_ids if d in ctx.devices]
-        # cells whose partition has no retained rows: every check runs
-        # after collection ends, so no later pass can recover them
+        # cells whose partition has no retained rows, or that found the
+        # standby pool empty: every check runs after collection ends and
+        # standbys are only ever taken, so no later pass can recover them
         self.unrecoverable: set[tuple[int, int]] = set()
         self.checks_run = 0
         self.detector: PhiAccrualDetector | None = None
@@ -256,6 +257,7 @@ class RecoveryRuntime:
             return
         new_id = self._next_standby()
         if new_id is None:
+            self.unrecoverable.add(cell)
             ctx.emit(EventKind.NO_STANDBY, operator.op_id)
             return
         old_id = operator.assigned_to

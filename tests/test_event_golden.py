@@ -149,16 +149,26 @@ def test_untraced_run_renders_like_the_traced_one(golden):
 
 
 def test_an_unrecoverable_cell_is_given_up_once():
-    # every watchdog pass runs after collection ends, so a partition
-    # with no retained rows stays unrecoverable: one check says so
+    # every watchdog pass runs after collection ends and standbys are
+    # only ever taken, so a partition with no retained rows, or a cell
+    # that found the standby pool empty, stays unrecoverable: one check
+    # says so, and the watchdog does not fire for the cell again
     events = RUNS["reliable-disconnects"]().report.events
-    given_up = [
-        event.op for event in of_kind(events, EventKind.NO_RETAINED_PARTITION)
-    ]
-    assert given_up
-    assert len(given_up) == len(set(given_up))
-    fired = [event.op for event in of_kind(events, EventKind.WATCHDOG_FIRED)]
-    assert all(fired.count(op) == 1 for op in given_up)
+    for refusal in (EventKind.NO_RETAINED_PARTITION, EventKind.NO_STANDBY):
+        refused = [
+            (index, event.op)
+            for index, event in enumerate(events)
+            if event.kind is refusal
+        ]
+        given_up = [op for _, op in refused]
+        assert given_up, refusal
+        assert len(given_up) == len(set(given_up)), refusal
+        assert not [
+            later
+            for index, op in refused
+            for later in of_kind(events[index + 1:], EventKind.WATCHDOG_FIRED)
+            if later.op == op
+        ], refusal
 
 
 if __name__ == "__main__":
