@@ -20,6 +20,12 @@ recovery watchdog          ``PARTIAL_SENT`` (generations fired per
 ``phase_timeline``         the first ``SNAPSHOT_FROZEN``; the first
                            ``PARTIAL_SENT`` / ``PARTIAL_LOST`` /
                            ``KMEANS_INIT``
+telemetry publication      ``phase_timeline`` (spans and marks); the
+                           counts of ``SNAPSHOT_FROZEN``,
+                           ``PARTIAL_ARRIVED``, ``DELIVERED``,
+                           ``REPROVISIONED``, ``WATCHDOG_FIRED``,
+                           ``SUSPECTED``, ``TAKEOVER``,
+                           ``PAYLOAD_REJECTED`` (counters)
 no-double-takeover check   ``TAKEOVER``
 no-split-brain check       ``PARTIAL_SENT``, ``PARTIAL_ARRIVED``
 =========================  ============================================

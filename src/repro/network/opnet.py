@@ -74,8 +74,9 @@ LOSS_COUNTERS = (
     "fault_delayed",
 )
 
-#: Each counted outcome: its :class:`NetworkStats` field and the
-#: ``net.*`` counter that mirrors it across every network of the run.
+#: Each message outcome and byte total the network counts: its
+#: :class:`NetworkStats` field and the ``net.*`` counter that mirrors it
+#: across every network of the run.
 #: :meth:`OpportunisticNetwork._count` writes both, and is the only
 #: writer of these fields.
 OUTCOME_COUNTERS = {
