@@ -6,7 +6,7 @@ implicitly relies on two more mechanical ones (Combiner partial
 recording is dedup-idempotent; a backup chain never produces two
 takeovers at the same rank).  This module turns each claim into an
 executable check over a concluded :class:`~repro.manager.scenario.
-ScenarioResult` — its report, plan and
+ScenarioResult` — its report and
 :class:`~repro.core.runtime.ExecutionEvidence`, the same on every path —
 so a campaign can assert them after every seeded run.
 
@@ -64,7 +64,7 @@ class RunRecord:
     """Everything the invariant checks need to know about one run.
 
     Attributes:
-        result: the concluded, judged scenario result: report, plan,
+        result: the concluded, judged scenario result: report,
             evidence, exposure, liability and the failure/fault logs
             (:meth:`~repro.manager.scenario.ScenarioResult.judged`).
         reference: the fault-free centralized result of the same logical
@@ -170,18 +170,12 @@ def check_resiliency(record: RunRecord) -> Violation | None:
     if message_level_active or evidence is None:
         return None  # loss/offline windows legitimately explain failure
 
-    from repro.core.qep import OperatorRole
-
     network = evidence.network
-    querier_ops = result.plan.operators(OperatorRole.QUERIER)
-    querier_device = querier_ops[0].assigned_to if querier_ops else None
-    if querier_device is None or network.is_dead(querier_device):
+    if evidence.querier is None or network.is_dead(evidence.querier):
         return None
     for name, state in evidence.combiners.items():
-        combiner_op = result.plan.operator(name)
-        if combiner_op.assigned_to is None:
-            continue
-        if not network.is_online(combiner_op.assigned_to):
+        device = evidence.processors.get(name)
+        if device is None or not network.is_online(device):
             continue
         tallies = state.group_tallies
         if tallies and all(t.received_count > 0 for t in tallies):

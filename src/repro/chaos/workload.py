@@ -16,7 +16,7 @@ message-fault rules — all resolved into one plan before the first
 arrival — and plain message loss; sealed channels, reliability's
 detector), then :func:`judge` rebuilds a per-query
 :class:`~repro.chaos.invariants.RunRecord` for every completed query —
-exposure and liability measured on *that query's* plan, validity
+exposure and liability measured from *that query's* evidence, validity
 compared against the centralized oracle over the shared dataset — and
 runs the full invariant suite on each.  The workload-level conservation
 identity (``shed + completed == arrivals``) is checked as a sixth
@@ -143,9 +143,9 @@ def judge(
     ``units`` is ``(record, rows)`` per unit, in order: the unit's
     record and the dataset its validity oracle — the engine's
     ``group_by`` on the centralized engine — runs over.  A completed
-    unit is judged from what it kept when it concluded — its report,
-    plan and :class:`~repro.core.runtime.ExecutionEvidence` — the same
-    input the one-shot campaign's checks read.  Returns the
+    unit is judged from what it kept when it concluded — its report and
+    :class:`~repro.core.runtime.ExecutionEvidence` — the same input the
+    one-shot campaign's checks read.  Returns the
     failure-event log, the run's *clean* verdict and one
     :class:`UnitOutcome` per unit.
 
@@ -174,7 +174,7 @@ def judge(
             oracle = CentralizedEngine()
             oracle.register("data", Relation(engine.scenario_config.schema, rows))
             concluded = ScenarioResult(
-                report=record.report, plan=record.plan, evidence=record.evidence
+                report=record.report, evidence=record.evidence
             )
             verdict.violations = check_all(
                 RunRecord(

@@ -93,7 +93,7 @@ class ContinuousResult:
     """Outcome of one standing-query run.
 
     ``liability`` is the cumulative Crowd Liability over every completed
-    window's plan.
+    window's operator assignment.
     """
 
     spec: StandingQuerySpec

@@ -11,11 +11,18 @@ raw tuples handled) each participant carried, and how even the spread is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
-from repro.core.qep import OperatorRole, QueryExecutionPlan
+from repro.core.qep import QueryExecutionPlan
 
-__all__ = ["LiabilityReport", "gini_coefficient", "measure_liability"]
+__all__ = [
+    "LiabilityReport",
+    "count_operators",
+    "gini_coefficient",
+    "liability_report",
+    "measure_liability",
+    "processor_assignment",
+]
 
 
 def gini_coefficient(values: Iterable[float]) -> float:
@@ -68,6 +75,50 @@ class LiabilityReport:
         }
 
 
+def processor_assignment(plan: QueryExecutionPlan) -> dict[str, str | None]:
+    """Every data-processor operator of ``plan`` (builders, computers,
+    both combiners), by op id, mapped to the device it is assigned to
+    (``None`` while unassigned), in plan order."""
+    return {
+        operator.op_id: operator.assigned_to
+        for operator in plan.operators()
+        if operator.role.is_data_processor
+    }
+
+
+def count_operators(
+    assignment: Mapping[str, str | None], counts: dict[str, int]
+) -> dict[str, int]:
+    """Add one operator per entry of ``assignment`` (a
+    :func:`processor_assignment`) to the per-device ``counts``, in
+    place, and return ``counts``.  An unassigned operator raises
+    ``ValueError``."""
+    for op_id, device in assignment.items():
+        if device is None:
+            raise ValueError(f"operator {op_id} is not assigned")
+        counts[device] = counts.get(device, 0) + 1
+    return counts
+
+
+def liability_report(
+    operators_per_device: Mapping[str, int],
+    tuples_per_device: dict[str, int] | None = None,
+) -> LiabilityReport:
+    """The distribution of per-device operator counts — one plan's, or
+    a set of queries' summed — as a :class:`LiabilityReport` (the
+    counts are copied)."""
+    total = sum(operators_per_device.values())
+    max_share = (
+        max(operators_per_device.values()) / total if total else 0.0
+    )
+    return LiabilityReport(
+        operators_per_device=dict(operators_per_device),
+        tuples_per_device=dict(tuples_per_device) if tuples_per_device else None,
+        gini_operators=gini_coefficient(operators_per_device.values()),
+        max_share=max_share,
+    )
+
+
 def measure_liability(
     *plans: QueryExecutionPlan,
     tuples_per_device: dict[str, int] | None = None,
@@ -79,21 +130,7 @@ def measure_liability(
     data-processor operator); unassigned plans raise ``ValueError``.
     No plan at all is the empty, perfectly even distribution.
     """
-    operators_per_device: dict[str, int] = {}
-    for operator in (op for plan in plans for op in plan.operators()):
-        if not operator.role.is_data_processor:
-            continue
-        if operator.assigned_to is None:
-            raise ValueError(f"operator {operator.op_id} is not assigned")
-        device = operator.assigned_to
-        operators_per_device[device] = operators_per_device.get(device, 0) + 1
-    total = sum(operators_per_device.values())
-    max_share = (
-        max(operators_per_device.values()) / total if total else 0.0
-    )
-    return LiabilityReport(
-        operators_per_device=operators_per_device,
-        tuples_per_device=dict(tuples_per_device) if tuples_per_device else None,
-        gini_operators=gini_coefficient(operators_per_device.values()),
-        max_share=max_share,
-    )
+    counts: dict[str, int] = {}
+    for plan in plans:
+        count_operators(processor_assignment(plan), counts)
+    return liability_report(counts, tuples_per_device)

@@ -25,7 +25,9 @@ from typing import Any
 from repro.core.qep import OperatorRole, QueryExecutionPlan
 from repro.devices.tee import SealedGlassObserver
 
-__all__ = ["ExposureReport", "measure_exposure", "observed_exposure"]
+__all__ = [
+    "ExposureFacts", "ExposureReport", "measure_exposure", "observed_exposure",
+]
 
 
 @dataclass(frozen=True)
@@ -66,58 +68,96 @@ def _normalize_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+@dataclass(frozen=True)
+class ExposureFacts:
+    """What :func:`measure_exposure` reads of a plan, taken from it once.
+
+    A concluded execution's evidence keeps these facts instead of its
+    plan, so its exposure is measured after the plan is gone.
+
+    Attributes:
+        n: the overcollection's partition count.
+        snapshot_cardinality: the snapshot cardinality ``C``.
+        has_builders: whether the plan has Snapshot Builders.
+        column_groups: the Computers' distinct column groups, in plan
+            order.
+        collected_columns: the columns the builders collect.
+    """
+
+    n: int
+    snapshot_cardinality: int
+    has_builders: bool
+    column_groups: tuple[tuple[str, ...], ...]
+    collected_columns: tuple[str, ...]
+
+    @classmethod
+    def of(cls, plan: QueryExecutionPlan) -> "ExposureFacts":
+        """Read the plan metadata written by the planner: the
+        overcollection config (for per-partition cardinality) and each
+        Computer's ``column_group`` parameter (for co-residence)."""
+        overcollection = plan.metadata.get("overcollection")
+        if overcollection is None:
+            raise ValueError("plan metadata lacks 'overcollection'")
+        column_groups: dict[tuple[str, ...], None] = {}
+        for computer in plan.operators(OperatorRole.COMPUTER):
+            group = tuple(computer.params.get("column_group", ()))
+            if group:
+                column_groups[group] = None
+        return cls(
+            n=overcollection["n"],
+            snapshot_cardinality=overcollection["snapshot_cardinality"],
+            has_builders=bool(plan.operators(OperatorRole.SNAPSHOT_BUILDER)),
+            column_groups=tuple(column_groups),
+            collected_columns=tuple(
+                plan.metadata.get("collected_columns", ())
+            ),
+        )
+
+    def measure(
+        self, separated_pairs: list[tuple[str, str]] | None = None
+    ) -> ExposureReport:
+        """The exposure bounds these facts imply (see
+        :func:`measure_exposure`)."""
+        cardinality = self.snapshot_cardinality
+        per_partition = -(-cardinality // self.n)  # ceil division
+        # Snapshot builders see a whole partition across all columns;
+        # with vertical partitioning, computers see one column group of
+        # it.  The worst single-TEE raw exposure is therefore the
+        # builder's.
+        max_tuples = per_partition if self.has_builders else cardinality
+
+        co_exposed: set[tuple[str, str]] = set()
+        for group in self.column_groups:
+            for a, b in combinations(sorted(set(group)), 2):
+                co_exposed.add(_normalize_pair(a, b))
+        # The snapshot builder itself co-exposes whatever columns it
+        # collects.
+        for a, b in combinations(sorted(set(self.collected_columns)), 2):
+            co_exposed.add(_normalize_pair(a, b))
+
+        separated = frozenset(
+            _normalize_pair(a, b) for a, b in (separated_pairs or [])
+        )
+        return ExposureReport(
+            max_raw_tuples_per_edgelet=max_tuples,
+            exposure_fraction=max_tuples / cardinality if cardinality else 0.0,
+            column_groups=self.column_groups,
+            co_exposed_pairs=frozenset(co_exposed),
+            separated_pairs=separated,
+            separation_respected=not (separated & co_exposed),
+        )
+
+
 def measure_exposure(
     plan: QueryExecutionPlan,
     separated_pairs: list[tuple[str, str]] | None = None,
 ) -> ExposureReport:
     """Compute the exposure bounds of a plan.
 
-    Reads the plan metadata written by the planner: the overcollection
-    config (for per-partition cardinality) and each Computer's
-    ``column_group`` parameter (for co-residence).
+    Reads the plan metadata written by the planner
+    (:meth:`ExposureFacts.of`).
     """
-    overcollection = plan.metadata.get("overcollection")
-    if overcollection is None:
-        raise ValueError("plan metadata lacks 'overcollection'")
-    n = overcollection["n"]
-    cardinality = overcollection["snapshot_cardinality"]
-    per_partition = -(-cardinality // n)  # ceil division
-
-    # Snapshot builders see a whole partition across all columns; with
-    # vertical partitioning, computers see one column group of it.  The
-    # worst single-TEE raw exposure is therefore the builder's.
-    builders = plan.operators(OperatorRole.SNAPSHOT_BUILDER)
-    max_tuples = per_partition if builders else cardinality
-
-    column_groups: list[tuple[str, ...]] = []
-    seen_groups: set[tuple[str, ...]] = set()
-    for computer in plan.operators(OperatorRole.COMPUTER):
-        group = tuple(computer.params.get("column_group", ()))
-        if group and group not in seen_groups:
-            seen_groups.add(group)
-            column_groups.append(group)
-
-    co_exposed: set[tuple[str, str]] = set()
-    for group in column_groups:
-        for a, b in combinations(sorted(set(group)), 2):
-            co_exposed.add(_normalize_pair(a, b))
-    # The snapshot builder itself co-exposes whatever columns it collects.
-    builder_columns = plan.metadata.get("collected_columns", [])
-    for a, b in combinations(sorted(set(builder_columns)), 2):
-        co_exposed.add(_normalize_pair(a, b))
-
-    separated = frozenset(
-        _normalize_pair(a, b) for a, b in (separated_pairs or [])
-    )
-    respected = not (separated & co_exposed)
-    return ExposureReport(
-        max_raw_tuples_per_edgelet=max_tuples,
-        exposure_fraction=max_tuples / cardinality if cardinality else 0.0,
-        column_groups=tuple(column_groups),
-        co_exposed_pairs=frozenset(co_exposed),
-        separated_pairs=separated,
-        separation_respected=respected,
-    )
+    return ExposureFacts.of(plan).measure(separated_pairs)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
+from repro.core.liability import processor_assignment
+from repro.core.privacy import ExposureFacts
 from repro.core.qep import OperatorRole, QueryExecutionPlan
 from repro.core.runtime.builder import BuilderRuntime
 from repro.core.runtime.combiner import CombinerRuntime, CombinerState
@@ -213,13 +215,19 @@ class ExecutionCoordinator:
     def evidence(self) -> ExecutionEvidence:
         """What the invariant checks read of this execution once it
         concluded — built once, by :meth:`repro.manager.scenario.
-        Scenario.conclude`, on every path."""
+        Scenario.conclude`, on every path.  What they read of the plan
+        is taken from it here, so the evidence outlives the plan."""
+        plan = self.plan
+        queriers = plan.operators(OperatorRole.QUERIER)
         return ExecutionEvidence(
             kind=self.kind,
             query=self.query,
             start_time=self.start_time,
             combiners=self.combiners,
             aggregate_indices_per_group=self.aggregate_indices_per_group,
+            processors=processor_assignment(plan),
+            querier=queriers[0].assigned_to if queriers else None,
+            exposure=ExposureFacts.of(plan),
             events=self.report.events,
             network=self.network,
         )

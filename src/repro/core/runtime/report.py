@@ -12,6 +12,7 @@ from repro.errors import ReproError
 from repro.query.groupby import GroupByQuery, GroupingSetsResult
 
 if TYPE_CHECKING:
+    from repro.core.privacy import ExposureFacts
     from repro.core.runtime.combiner import CombinerState
 
 __all__ = [
@@ -125,9 +126,10 @@ class ExecutionEvidence:
 
     :meth:`~repro.core.runtime.coordinator.ExecutionCoordinator.evidence`
     builds it when the execution is sealed, on every path.  It holds the
-    combiner states and the events, never the runtimes, the context, the
-    builders' rows or the transport, so a multi-query engine keeps it
-    and lets the execution go.
+    combiner states, the events and the few facts the checks read of the
+    plan, never the plan, the runtimes, the context, the builders' rows
+    or the transport, so a multi-query engine keeps it and lets the
+    execution and its plan go.
 
     Attributes:
         kind: ``"aggregate"`` or ``"kmeans"``.
@@ -139,6 +141,15 @@ class ExecutionEvidence:
             ``combiner``/``combiner-backup``.
         aggregate_indices_per_group: vertical-partitioning aggregate
             slices, one list per group.
+        processors: every data-processor operator (builders, computers,
+            both combiners), by op id, mapped to its device — the
+            liability tally's input
+            (:func:`~repro.core.liability.processor_assignment`).
+        querier: the querier operator's device (``None`` when the plan
+            has none).  With ``processors`` it is the device of every
+            non-contributor operator.
+        exposure: what the exposure bounds are measured from
+            (:class:`~repro.core.privacy.ExposureFacts`).
         events: the execution's event list (the report's own), which
             the takeover and split-brain checks read by kind.
         network: the network the execution ran on (a shared swarm's
@@ -150,6 +161,9 @@ class ExecutionEvidence:
     start_time: float
     combiners: dict[str, "CombinerState"]
     aggregate_indices_per_group: list[list[int]]
+    processors: dict[str, str | None]
+    querier: str | None
+    exposure: "ExposureFacts"
     events: list[Event]
     network: Any
 

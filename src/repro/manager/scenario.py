@@ -15,13 +15,17 @@ from functools import cached_property
 from typing import Any
 
 from repro.core.assignment import assign_operators
-from repro.core.liability import LiabilityReport, measure_liability
+from repro.core.liability import (
+    LiabilityReport,
+    count_operators,
+    liability_report,
+)
 from repro.core.planner import (
     PrivacyParameters,
     QuerySpec,
     ResiliencyParameters,
 )
-from repro.core.privacy import ExposureReport, measure_exposure
+from repro.core.privacy import ExposureReport
 from repro.core.qep import OperatorRole, QueryExecutionPlan
 from repro.core.runtime import (
     ExecutionCoordinator,
@@ -242,16 +246,17 @@ class ScenarioResult:
     judges the run adds the rest through :meth:`judged`
     (:meth:`Scenario.run_compiled`, the chaos drivers).
 
-    A concluded execution needs only ``report``, ``plan`` and
-    ``evidence``: they are all the invariant checks
-    (:func:`repro.chaos.invariants.check_all`) read.  A multi-query
-    engine keeps just those per unit and lets the rest go; the one-shot
-    path returns the whole result.
+    A concluded execution needs only ``report`` and ``evidence``: they
+    are all the invariant checks (:func:`repro.chaos.invariants.
+    check_all`) and :meth:`judged` read.  A multi-query engine keeps
+    just those per unit and lets the rest go, plan included; the
+    one-shot path returns the whole result, whose plan the CLI renders.
 
     Attributes:
         report: the executor's detailed report (the live object; final
             once :meth:`Scenario.conclude` sealed it).
-        plan: the executed plan.
+        plan: the executed plan (``None`` for a concluded engine unit
+            being judged).
         exposure: plan-level privacy exposure bounds.
         liability: crowd-liability distribution.
         verification: filled by
@@ -264,6 +269,7 @@ class ScenarioResult:
         evidence: the :class:`~repro.core.runtime.ExecutionEvidence`
             :meth:`Scenario.conclude` took from the executor (combiner
             states, the execution's events, start time, the
+            operator → device map and exposure facts of the plan, the
             network for liveness reads); ``None`` until then.
         failure_events: what the installed failure plan logged, by
             time.
@@ -277,7 +283,7 @@ class ScenarioResult:
     """
 
     report: ExecutionReport
-    plan: QueryExecutionPlan
+    plan: QueryExecutionPlan | None = None
     exposure: ExposureReport | None = None
     liability: LiabilityReport | None = None
     verification: Any = None
@@ -295,16 +301,18 @@ class ScenarioResult:
         separated_pairs: list[tuple[str, str]] | None = None,
     ) -> "ScenarioResult":
         """A copy carrying what the invariant checks read beside the
-        report, plan and evidence: exposure and liability measured on
-        this plan, plus the substrate's failure and message-fault logs
-        (shared by every query of an engine).  It reads only the
-        concluded fields, so a concluded unit and a one-shot result are
-        judged alike."""
+        report and evidence: exposure and liability measured from the
+        plan facts the evidence kept, plus the substrate's failure and
+        message-fault logs (shared by every query of an engine).  It
+        reads only the concluded fields, never the plan, so a concluded
+        unit and a one-shot result are judged alike."""
+        evidence = self.evidence
         return dataclasses.replace(
             self,
-            exposure=measure_exposure(self.plan, separated_pairs=separated_pairs),
-            liability=measure_liability(
-                self.plan, tuples_per_device=self.report.tuples_per_device
+            exposure=evidence.exposure.measure(separated_pairs),
+            liability=liability_report(
+                count_operators(evidence.processors, {}),
+                tuples_per_device=self.report.tuples_per_device,
             ),
             failure_events=failure_events,
             fault_injector=fault_injector,
@@ -694,8 +702,8 @@ class Scenario:
     def conclude(self, result: ScenarioResult) -> ExecutionReport:
         """Seal one launched execution once its horizon has passed, and
         take its :class:`~repro.core.runtime.ExecutionEvidence` into
-        ``result.evidence``: after this, ``report``, ``plan`` and
-        ``evidence`` are all any check needs of it."""
+        ``result.evidence``: after this, ``report`` and ``evidence`` are
+        all any check needs of it."""
         executor = result.executor
         report = executor.finish()
         if result.transport is not None:

@@ -109,7 +109,7 @@ class AggregateSpec:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregateState:
     """Constant-size mergeable partial state.
 
@@ -117,7 +117,9 @@ class AggregateState:
     ``(count, total, total_sq, minimum, maximum)`` plus optional
     HyperLogLog ``registers`` for ``distinct``; finalization picks the
     pieces each function needs.  NULL inputs are skipped, matching SQL
-    semantics (except ``count(*)`` which counts every row).
+    semantics (except ``count(*)`` which counts every row).  Slotted:
+    a run holds one per group and aggregate in every partial in flight
+    and in every combiner state a concluded unit keeps.
     """
 
     count: int = 0
@@ -173,6 +175,19 @@ class AggregateState:
         index = min(max(index, 0), n_buckets - 1)  # clamp out-of-range
         self.buckets[index] += 1
         self.count += 1
+
+    def copy(self) -> "AggregateState":
+        """A shallow copy: the scalars are the copy's own, ``registers``
+        and ``buckets`` stay shared with this state."""
+        return AggregateState(
+            self.count,
+            self.total,
+            self.total_sq,
+            self.minimum,
+            self.maximum,
+            self.registers,
+            self.buckets,
+        )
 
     def merge(self, other: "AggregateState") -> "AggregateState":
         """Combine two partial states (associative, commutative)."""

@@ -282,9 +282,7 @@ def merge_partials(query: GroupByQuery, partials: Iterable[PartialGroups]) -> Pa
                 if bucket is None:
                     # a shallow copy: registers / buckets stay shared, as
                     # they were through to_dict / from_dict
-                    merged.groups[set_index][key] = [
-                        AggregateState(**vars(s)) for s in states
-                    ]
+                    merged.groups[set_index][key] = [s.copy() for s in states]
                 else:
                     merged.groups[set_index][key] = [
                         merge_states([a, b]) for a, b in zip(bucket, states)

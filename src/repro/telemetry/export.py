@@ -113,15 +113,21 @@ def render_summary(
 
     Shows the top counters/gauges, the phase spans in start order, and
     the profiler table; when ``simulated_time`` is given (or derivable
-    from the earliest execution span) the header separates modeled
-    virtual time from the wall-clock the event loop actually burned.
+    from the execution spans: the earliest start to the latest end, so
+    a multi-query run counts every execution) the header separates
+    modeled virtual time from the wall-clock the event loop actually
+    burned.
     """
     lines = ["telemetry summary"]
     spans = sorted(telemetry.tracer.spans, key=lambda s: s.start)
     if simulated_time is None:
-        root = next((s for s in spans if s.name.startswith("execution")), None)
-        if root is not None and root.duration is not None:
-            simulated_time = root.duration
+        executions = [
+            s for s in spans
+            if s.name.startswith("execution") and s.end is not None
+        ]
+        if executions:
+            last_end = max(s.end for s in executions)
+            simulated_time = last_end - executions[0].start
     loop_wall = telemetry.profiler.total("sim.event_loop")
     if simulated_time is not None:
         lines.append(

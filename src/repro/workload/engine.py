@@ -14,7 +14,8 @@ device holds two exclusive data-processor roles at once, and the SQL
 parsed and rewritten once.  Each unit goes through one lifecycle —
 ``compile`` → ``launch`` (``build_qep`` → ``lease_plan`` →
 ``Scenario.launch``) → ``start`` → ``conclude`` (``Scenario.conclude``,
-keep the report, plan and evidence, let the execution go →
+keep the report and evidence, add the unit's operators to the running
+per-device liability count, let the execution and its plan go →
 ``mux.detach_query`` → ``registry.release``) — and every run ends in
 one tally, cumulative Crowd Liability included.  What an arrival does
 is the engine's own: a workload query queues past the admission cap
@@ -38,7 +39,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.liability import LiabilityReport, measure_liability
+from repro.core.liability import (
+    LiabilityReport,
+    count_operators,
+    liability_report,
+    measure_liability,
+)
 from repro.core.planner import (
     PrivacyParameters,
     ResiliencyParameters,
@@ -77,6 +83,11 @@ class UnitRecord:
     """What :class:`MultiQueryEngine` records of one unit — a workload
     query or a standing-query window — from launch to conclusion.
 
+    It keeps no plan: an in-flight unit's plan is ``result.plan``, and a
+    concluded unit keeps only what its readers take from the plan — the
+    evidence's operator → device map and exposure facts, and its
+    operators in the engine's running liability count.
+
     A subclass names the unit through a ``unit_id`` property.
     """
 
@@ -86,19 +97,16 @@ class UnitRecord:
     leased: list[str] = field(default_factory=list)
     standbys: list[str] = field(default_factory=list)
     #: the launched execution while it is in flight
-    #: (:class:`~repro.manager.scenario.ScenarioResult`, live executor
-    #: and transport included); ``None`` once the unit concluded —
-    #: :meth:`MultiQueryEngine.conclude` keeps ``report``, ``plan`` and
-    #: ``evidence`` and lets the execution go
+    #: (:class:`~repro.manager.scenario.ScenarioResult`: its plan, live
+    #: executor and transport); ``None`` once the unit concluded —
+    #: :meth:`MultiQueryEngine.conclude` keeps ``report`` and
+    #: ``evidence`` and lets the execution and its plan go
     result: Any = None
     #: the sealed :class:`~repro.core.runtime.ExecutionReport`
     report: Any = None
-    #: the executed plan, from launch on (the liability tally and the
-    #: chaos judge read it)
-    plan: Any = None
     #: the :class:`~repro.core.runtime.ExecutionEvidence` the invariant
-    #: checks read (:func:`repro.chaos.workload.judge`), and the start
-    #: time the report fingerprint is based on
+    #: checks read (:func:`repro.chaos.workload.judge`): what they read
+    #: of the plan, and the start time the report fingerprint is based on
     evidence: Any = None
     fingerprint: str | None = None
 
@@ -149,6 +157,9 @@ class MultiQueryEngine:
         # the one plan install_chaos applied, kept for the shrinker:
         # every atom the run's seeded fault sources resolved to
         self.installed_plan = None
+        # data-processor operators per device over every concluded unit:
+        # the run's cumulative Crowd Liability, counted at conclusion
+        self.operators_per_device: dict[str, int] = {}
 
     @staticmethod
     def configure(spec: QueryShape, **fields: Any) -> ScenarioConfig:
@@ -207,7 +218,6 @@ class MultiQueryEngine:
         if lease is None:
             return False
         record.leased, record.standbys = lease
-        record.plan = plan
         record.result = self.scenario.launch(
             plan,
             processor_ids=record.leased,
@@ -231,15 +241,17 @@ class MultiQueryEngine:
 
     def conclude(self, record: Any) -> None:
         """Seal a unit whose horizon has passed, keep its report and
-        evidence, let its execution go and free its devices.
+        evidence, count its operators into the run's liability, let its
+        execution go and free its devices.
 
         The engine's heap then follows the units in flight, not the
-        units served: nothing else holds a concluded unit's executor,
-        so reference counting frees it here.
+        units served: nothing else holds a concluded unit's executor or
+        plan, so reference counting frees them here.
         """
         result = record.result
         record.report = self.scenario.conclude(result)
         record.evidence = result.evidence
+        count_operators(record.evidence.processors, self.operators_per_device)
         record.result = None
         self.mux.detach_query(record.unit_id)
         self.registry.release(record.unit_id)
@@ -274,7 +286,8 @@ class MultiQueryEngine:
         """The result fields every run reports, once every unit reached
         one of its ``terminal`` states: elapsed virtual time, completed /
         succeeded / degraded counts, and the cumulative Crowd Liability
-        of every completed plan — the paper's liability is a property of
+        of every completed unit, from the per-device operator counts
+        :meth:`conclude` summed — the paper's liability is a property of
         a *set* of queries."""
         stuck = [r.unit_id for r in records if r.outcome not in terminal]
         if stuck:
@@ -285,7 +298,7 @@ class MultiQueryEngine:
             completed=len(completed),
             succeeded=sum(1 for r in completed if r.report.success),
             degraded=sum(1 for r in completed if r.report.degraded),
-            liability=measure_liability(*(r.plan for r in completed)),
+            liability=liability_report(self.operators_per_device),
         )
 
 
@@ -332,7 +345,7 @@ class WorkloadResult:
     """Outcome of one workload run.
 
     ``liability`` is the cumulative Crowd Liability over every completed
-    query's plan.
+    query's operator assignment.
     """
 
     spec: WorkloadSpec

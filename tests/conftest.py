@@ -138,14 +138,32 @@ def tune_detector(monkeypatch):
 
 
 class LaunchedExecutions(list):
-    """One weak-reference pair per launch: the execution's
-    :class:`~repro.core.runtime.ExecutionCoordinator` and its
+    """One weak-reference triple per launch: the execution's
+    :class:`~repro.core.runtime.ExecutionCoordinator`, its
     :class:`~repro.core.runtime.ExecutionContext` (which every role
-    runtime holds, so a live runtime keeps it reachable too)."""
+    runtime holds, so a live runtime keeps it reachable too) and the
+    :class:`~repro.core.qep.QueryExecutionPlan` it executed."""
 
     def alive(self) -> int:
         """How many of the referenced objects are still reachable."""
-        return sum(ref() is not None for pair in self for ref in pair)
+        return sum(ref() is not None for triple in self for ref in triple)
+
+    def plans_alive(self) -> int:
+        """How many of the launched plans are still reachable."""
+        return sum(plan() is not None for _executor, _ctx, plan in self)
+
+
+def _record_launches(monkeypatch, keep) -> None:
+    """Wrap :meth:`Scenario.launch` so ``keep(plan, result)`` sees every
+    execution it wires."""
+    launch = Scenario.launch
+
+    def recording(self, plan, **kwargs):
+        result = launch(self, plan, **kwargs)
+        keep(plan, result)
+        return result
+
+    monkeypatch.setattr(Scenario, "launch", recording)
 
 
 @pytest.fixture
@@ -156,18 +174,27 @@ def launched_executors(monkeypatch):
     strong reference, not by a cycle the collector has yet to reach.
     """
     launched = LaunchedExecutions()
-    launch = Scenario.launch
 
-    def recording(self, plan, **kwargs):
-        result = launch(self, plan, **kwargs)
+    def keep(plan, result):
         executor = result.executor
-        launched.append((weakref.ref(executor), weakref.ref(executor.ctx)))
-        return result
+        launched.append(
+            (weakref.ref(executor), weakref.ref(executor.ctx), weakref.ref(plan))
+        )
 
-    monkeypatch.setattr(Scenario, "launch", recording)
+    _record_launches(monkeypatch, keep)
     gc.collect()
     gc.disable()
     try:
         yield launched
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def launched_plans(monkeypatch) -> list:
+    """Every plan :meth:`Scenario.launch` wires during the test, in
+    launch order, held strongly — for a test that re-measures what an
+    engine measured before it let the plans go."""
+    plans: list = []
+    _record_launches(monkeypatch, lambda plan, _result: plans.append(plan))
+    return plans

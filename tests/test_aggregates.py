@@ -88,6 +88,19 @@ class TestMerging:
         right = make_state(spec, [{"v": 3}])
         assert finalize_state(spec, merge_states([left, right])) == 3
 
+    def test_copy_owns_its_scalars_and_shares_its_sketches(self):
+        state = make_state(AggregateSpec("distinct", "v"), [{"v": 1}])
+        state.update(4.0)
+        copy = state.copy()
+        assert copy == state and copy is not state
+        assert copy.registers is state.registers
+        copy.update(9.0)
+        assert (state.count, state.total, state.maximum) == (2, 4.0, 4.0)
+        assert (copy.count, copy.total, copy.maximum) == (3, 13.0, 9.0)
+
+    def test_state_is_slotted(self):
+        assert not hasattr(AggregateState(), "__dict__")
+
     def test_serialization_round_trip(self):
         spec = AggregateSpec("var", "v")
         state = make_state(spec, [{"v": 1.5}, {"v": 2.5}])

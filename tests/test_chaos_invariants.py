@@ -43,7 +43,6 @@ def _record(
     reference_rows=None,
     clean=False,
     evidence=None,
-    plan=None,
     failure_events=(),
     fault_injector=None,
     network_stats=None,
@@ -66,7 +65,6 @@ def _record(
         evidence=evidence,
         failure_events=list(failure_events),
         fault_injector=fault_injector,
-        plan=plan,
         liability=liability,
         exposure=exposure,
     )
@@ -127,13 +125,6 @@ class TestResiliencyTolerance:
     CONFIG = OvercollectionConfig(n=3, m=2, snapshot_cardinality=60)
     CRASH = SimpleNamespace(kind="crash", time=20.0)
 
-    @staticmethod
-    def _plan():
-        return SimpleNamespace(
-            operators=lambda role: [SimpleNamespace(assigned_to="querier-dev")],
-            operator=lambda name: SimpleNamespace(assigned_to=f"{name}-dev"),
-        )
-
     def _evidence(self, received: int):
         """Both combiners alive; ``received`` of the 5 partitions each."""
         combiners = {}
@@ -145,13 +136,17 @@ class TestResiliencyTolerance:
         network = SimpleNamespace(
             is_dead=lambda device: False, is_online=lambda device: True
         )
-        return SimpleNamespace(combiners=combiners, network=network)
+        return SimpleNamespace(
+            combiners=combiners,
+            network=network,
+            processors={name: f"{name}-dev" for name in combiners},
+            querier="querier-dev",
+        )
 
     def _failed(self, received: int, **overrides):
         return _record(
             success=False,
             evidence=self._evidence(received),
-            plan=self._plan(),
             failure_events=[self.CRASH],
             **overrides,
         )
@@ -170,6 +165,20 @@ class TestResiliencyTolerance:
     def test_message_level_loss_is_graceful(self):
         record = self._failed(received=3, network_stats={"lost": 1})
         assert check_resiliency(record) is None
+
+    def test_devices_are_read_from_the_evidence(self):
+        # the querier's and each combiner's device come from the
+        # evidence's operator -> device map: a dead querier explains the
+        # failure, and so does a combiner whose device is offline
+        record = self._failed(received=3)
+        network = record.evidence.network
+        network.is_dead = lambda device: device == "querier-dev"
+        assert check_resiliency(record) is None
+        network.is_dead = lambda device: False
+        network.is_online = lambda device: device != "combiner-dev"
+        violation = check_resiliency(record)
+        assert violation is not None
+        assert violation.data["combiner"] == "combiner-backup"
 
 
 class TestValidity:

@@ -248,9 +248,9 @@ def _digest(mapping: dict) -> str:
 
 
 class TestConcludedWindows:
-    """A concluded window keeps its report, plan, evidence and lineage,
-    and its execution is freed by reference counting alone once its
-    coverage is read.  What the run reports is unchanged (pinned)."""
+    """A concluded window keeps its report, evidence and lineage, and
+    its execution and plan are freed by reference counting alone once
+    its coverage is read.  What the run reports is unchanged (pinned)."""
 
     def test_no_concluded_execution_stays_reachable(self, launched_executors):
         spec = StandingQuerySpec(max_windows=6, seed=9, reliability=True)
@@ -263,6 +263,7 @@ class TestConcludedWindows:
             detector=True,
         )
         assert result.completed == len(launched_executors) == 6
+        assert launched_executors.plans_alive() == 0
         assert launched_executors.alive() == 0
         assert all(
             window.result is None and window.coverage is not None

@@ -103,6 +103,20 @@ class TestPartialMerging:
         centralized = _evaluate(QUERY, ROWS)
         assert distributed.all_rows() == centralized.all_rows()
 
+    def test_merged_copy_does_not_alias_the_partial(self):
+        # the first partial to reach a group is copied, not adopted:
+        # folding into the merged state leaves the partial as it was
+        partial = evaluate_group_by(QUERY, ROWS)
+        before = partial.to_dict()
+        merged = merge_partials(QUERY, [partial])
+        for set_index, groups in enumerate(merged.groups):
+            for key, states in groups.items():
+                originals = partial.groups[set_index][key]
+                for state, original in zip(states, originals):
+                    assert state == original and state is not original
+                    state.update(1000.0)
+        assert partial.to_dict() == before
+
     def test_partial_serialization_round_trip(self):
         partial = evaluate_group_by(QUERY, ROWS)
         rebuilt = PartialGroups.from_dict(partial.to_dict())

@@ -334,3 +334,15 @@ class TestExport:
         assert "phase:collection" in summary
         assert "simulated" in summary
         assert "profiler" in summary
+
+    def test_render_summary_spans_every_execution(self):
+        # a multi-query run: simulated time runs from the earliest
+        # execution start to the latest execution end
+        telemetry = Telemetry()
+        telemetry.tracer.start("execution", at=1.0, query_id="a").finish(at=6.0)
+        telemetry.tracer.start("execution", at=2.0, query_id="b").finish(at=36.0)
+        telemetry.tracer.start("execution", at=3.0, query_id="c").finish(at=8.0)
+        summary = render_summary(telemetry)
+        assert "time: 35.0s simulated" in summary
+        one = render_summary(self._sample_telemetry())
+        assert "time: 9.0s simulated" in one

@@ -244,12 +244,9 @@ def _survey(n_queries: int, in_flight: int, n_processors: int = 40):
 
 
 def _roles(record) -> dict[str, str]:
-    """Data-processor operator -> the device it ran on."""
-    return {
-        op.op_id: op.assigned_to
-        for op in record.plan.operators()
-        if op.role.is_data_processor
-    }
+    """Data-processor operator -> the device it ran on, as the concluded
+    unit's evidence kept it."""
+    return dict(record.evidence.processors)
 
 
 class TestCumulativeLiability:
@@ -268,15 +265,15 @@ class TestCumulativeLiability:
         roles = [_roles(record) for record in result.records]
         assert roles[0] != roles[1] or roles[1] != roles[2]
 
-    def test_cumulative_liability_spreads(self):
+    def test_cumulative_liability_spreads(self, launched_plans):
         result = _survey(n_queries=4, in_flight=4, n_processors=60)
         # over 4 queries, many distinct devices carry the processing
         summary = result.summary()
         assert summary["liability_participants"] > 10
         assert summary["liability_max_share"] < 0.2
-        assert result.liability == measure_liability(
-            *(record.plan for record in result.records)
-        )
+        # the counts summed at conclusion are the plans' own
+        assert len(launched_plans) == result.completed == 4
+        assert result.liability == measure_liability(*launched_plans)
 
     def test_empty_run_carries_no_liability(self):
         liability = measure_liability()
@@ -291,10 +288,10 @@ def _digest(mapping: dict) -> str:
 
 
 class TestConcludedUnits:
-    """A concluded query keeps its report, plan and evidence, and its
-    execution is freed by reference counting alone when it concludes:
-    the engine's heap follows the queries in flight, not the queries
-    served.  What the run reports is unchanged (pinned values)."""
+    """A concluded query keeps its report and evidence, and its
+    execution and plan are freed by reference counting alone when it
+    concludes: the engine's heap follows the queries in flight, not the
+    queries served.  What the run reports is unchanged (pinned values)."""
 
     # (liability participants, gini, max share, operators digest,
     #  fingerprints digest), per leg
@@ -320,6 +317,7 @@ class TestConcludedUnits:
             **(dict(standby_count=1, detector=True) if reliable else {}),
         )
         assert result.completed == len(launched_executors) == 8
+        assert launched_executors.plans_alive() == 0
         assert launched_executors.alive() == 0
         assert all(
             record.result is None and record.evidence is not None
@@ -337,5 +335,6 @@ class TestConcludedUnits:
         launched_executors.clear()
         solo = serial_fingerprints(engine, result)
         assert len(launched_executors) == 8
+        assert launched_executors.plans_alive() == 0
         assert launched_executors.alive() == 0
         assert solo == result.fingerprints()
