@@ -62,8 +62,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.chaos.campaign import CampaignConfig, RunSpec, TopologySpec
+from repro.continuous.spec import WINDOW_MODES, StandingQuerySpec
 from repro.core.planner import PlanningError, PrivacyParameters, ResiliencyParameters
 from repro.core.resiliency import (
     STRATEGIES,
@@ -73,10 +75,12 @@ from repro.core.resiliency import (
     strategy_name,
 )
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
+from repro.devices.churn import ChurnSpec
 from repro.manager.dashboard import render_plan, render_report
 from repro.errors import SpecError
 from repro.manager.scenario import RunOptions, Scenario, ScenarioConfig
 from repro.manager.verification import verify_against_centralized
+from repro.network.outages import fault_mix_help
 from repro.plan.builder import scan
 from repro.plan.compile import (
     OPTIMIZER_COST,
@@ -87,6 +91,7 @@ from repro.plan.compile import (
 from repro.plan.substrate import SUBSTRATE_PROFILES, SubstrateProfile
 from repro.query.relation import Relation
 from repro.telemetry import Telemetry, render_summary, write_jsonl
+from repro.workload.spec import ARRIVAL_PROCESSES, WorkloadSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -125,306 +130,320 @@ def _parse_probabilities(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the telemetry JSONL export to PATH")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="print the telemetry summary table")
+#: spec field annotation -> the argparse ``type`` of a flag that sets it
+#: (a ``str`` field keeps the string as parsed, a ``bool`` one is a switch)
+_TYPES: dict[str, Any] = {"int": int, "float": float, "float | None": float}
+
+#: spec field -> the spec module's constant naming its legal values
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "arrival_process": ARRIVAL_PROCESSES,
+    "window": WINDOW_MODES,
+    "optimizer": (OPTIMIZER_PINNED, OPTIMIZER_COST),
+}
 
 
-def _add_recovery_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--reliability", action="store_true",
-                        help="enable ACK/retransmission transport and "
-                             "query-level recovery (watchdogs, reprovisioning, "
-                             "graceful degradation)")
-    parser.add_argument("--detector", action="store_true",
-                        help="adaptive φ-accrual failure detection: suspect "
-                             "partitioned/gray devices from per-link delivery "
-                             "history instead of waiting out the fixed "
-                             "watchdog (requires --reliability)")
-    parser.add_argument("--phase-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="computation-phase deadline for the recovery "
-                             "watchdog (defaults to 85%% of the query "
-                             "deadline; requires --reliability)")
+class _Flag:
+    """One row of a command's flag table.
+
+    A row with ``specs`` sets ``field`` (by default the flag's dest) of
+    each of them or of a subclass: the first one's field annotation,
+    default and choice set give the flag's type, default and choices.
+    ``options`` are argparse keywords laid over those: help text, a
+    display metavar, a parser function, or a default that differs from
+    the spec's on purpose.  A ``convert`` row parses a value of its own
+    (its ``options`` say which) and maps it onto the field when a spec
+    is built.  A row without ``specs`` is a flag the command reads itself.
+    """
+
+    def __init__(
+        self,
+        spelling: str,
+        specs: type | tuple[type, ...] = (),
+        field: str | None = None,
+        *,
+        convert: Callable[[Any], Any] | None = None,
+        **options: Any,
+    ) -> None:
+        self.spelling, self.convert, self.options = spelling, convert, options
+        self.specs = specs if isinstance(specs, tuple) else (specs,)
+        self.dest = options.get("dest", spelling[2:].replace("-", "_"))
+        self.field = field or (self.dest if self.specs else None)
+
+    def declare(self, parser: argparse.ArgumentParser) -> None:
+        derived: dict[str, Any] = {}
+        if self.specs and self.convert is None:
+            fields = {f.name: f for f in dataclasses.fields(self.specs[0])}
+            spec_field = fields[self.field]
+            if spec_field.default is not dataclasses.MISSING:
+                derived["default"] = spec_field.default
+            if spec_field.type == "bool":
+                derived["action"] = "store_true"
+            elif spec_field.type in _TYPES:
+                derived["type"] = _TYPES[spec_field.type]
+            if self.field in _CHOICES:
+                derived["choices"] = _CHOICES[self.field]
+        parser.add_argument(self.spelling, **(derived | self.options))
+
+    def value(self, args: argparse.Namespace) -> Any:
+        value = getattr(args, self.dest)
+        return value if self.convert is None else self.convert(value)
 
 
-#: The flags ``workload`` and ``continuous`` share, in ``--help`` order.
-#: A flag whose dest names a field of the command's spec takes that
-#: field's default and sets it (:func:`_spec_fields`); ``{unit}`` is one
-#: execution of the command.
-_SHAPE_FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("--contributors", dict(type=int)),
-    ("--processors", dict(type=int)),
-    ("--cardinality", dict(type=int, dest="snapshot_cardinality",
-                           metavar="CARDINALITY")),
-    ("--max-raw", dict(type=int, dest="max_raw_per_edgelet", metavar="MAX_RAW")),
-    ("--sql", dict(default=DEFAULT_SQL)),
-    ("--collection-window", dict(type=float)),
-    ("--deadline", dict(type=float)),
-    ("--reliability", dict(action="store_true",
-                           help="per-{unit} reliable transport and recovery")),
-    ("--standbys", dict(type=int, default=0,
-                        help="extra devices leased per reliable {unit} "
-                             "(requires --reliability)")),
-    ("--seed", dict(type=int)),
+class _Command(NamedTuple):
+    help: str
+    flags: tuple[_Flag, ...]
+
+
+_MIX = _Flag(
+    "--fault-mix", default=None, metavar="MIX",
+    help="chaos mix, e.g. 'drop=0.05;partition=0.3,gray=0.2'; "
+         "';'-chunks are routed by knob scope — " + fault_mix_help(),
+)
+#: ``--strategy`` spells a plan's replica count
+_STRATEGY: dict[str, Any] = dict(
+    convert=replicas_for, choices=STRATEGIES, default="overcollection"
+)
+_RECOVERY = (
+    _Flag("--reliability", RunOptions,
+          help="enable ACK/retransmission transport and query-level recovery "
+               "(watchdogs, reprovisioning, graceful degradation)"),
+    _Flag("--detector", RunOptions,
+          help="adaptive φ-accrual failure detection: suspect partitioned/gray "
+               "devices from per-link delivery history instead of waiting out "
+               "the fixed watchdog (requires --reliability)"),
+    _Flag("--phase-deadline", RunOptions, metavar="SECONDS",
+          help="computation-phase deadline for the recovery watchdog (defaults "
+               "to 85%% of the query deadline; requires --reliability)"),
+)
+_TELEMETRY = (
+    _Flag("--metrics-out", metavar="PATH", default=None,
+          help="write the telemetry JSONL export to PATH"),
+    _Flag("--telemetry", action="store_true", help="print the telemetry summary table"),
 )
 
+#: Every command's flags in ``--help`` order.  The swarm sizes differ
+#: on purpose: each command is sized to what it runs.
+_FLAGS: dict[str, _Command] = {
+    "plan": _Command("build and display a QEP (demo Part 1)", (
+        _Flag("--sql", default=DEFAULT_SQL, help="aggregate SQL query"),
+        _Flag("--cardinality", type=int, default=2000,
+              help="target snapshot cardinality C"),
+        _Flag("--max-raw", PrivacyParameters, "max_raw_per_edgelet", default=500,
+              help="max raw tuples per edgelet (horizontal knob)"),
+        _Flag("--separate", PrivacyParameters, "separated_pairs", type=_parse_pairs,
+              help="attribute pairs to separate, e.g. 'age,bmi;age,zipcode'"),
+        _Flag("--fault-rate", ResiliencyParameters, default=0.1,
+              help="presumed partition fault rate"),
+        _Flag("--target-success", ResiliencyParameters),
+        _Flag("--strategy", ResiliencyParameters, "replicas", **_STRATEGY),
+        _Flag("--contributors", type=int, default=20),
+    )),
+    "run": _Command("execute a query on a synthetic swarm", (
+        _Flag("--sql", default=DEFAULT_SQL),
+        _Flag("--contributors", ScenarioConfig, "n_contributors", default=200),
+        _Flag("--processors", ScenarioConfig, "n_processors", default=40),
+        _Flag("--rows", type=int, default=400, help="synthetic dataset size"),
+        _Flag("--cardinality", type=int, default=300),
+        _Flag("--max-raw", PrivacyParameters, "max_raw_per_edgelet", default=100),
+        _Flag("--fault-rate", ResiliencyParameters, default=0.1),
+        _Flag("--message-loss", RunOptions),
+        _Flag("--crash-probability", RunOptions),
+        _Flag("--secure-channels", RunOptions),
+        *_RECOVERY,
+        _MIX,
+        _Flag("--strategy", ResiliencyParameters, "replicas", **_STRATEGY),
+        _Flag("--seed", ScenarioConfig),
+        _Flag("--show-plan", action="store_true"),
+        *_TELEMETRY,
+    )),
+    "kmeans": _Command("execute the distributed K-Means query", (
+        _Flag("--contributors", ScenarioConfig, "n_contributors", default=150),
+        _Flag("--processors", ScenarioConfig, "n_processors", default=40),
+        _Flag("--rows", type=int, default=300),
+        _Flag("--cardinality", type=int, default=250),
+        _Flag("--k", type=int, default=3),
+        _Flag("--heartbeats", type=int, default=5),
+        _Flag("--max-raw", PrivacyParameters, "max_raw_per_edgelet", default=80),
+        _Flag("--fault-rate", ResiliencyParameters, default=0.15),
+        _Flag("--seed", ScenarioConfig),
+        *_TELEMETRY,
+    )),
+    "explain": _Command("show the optimizer's candidate table for a query", (
+        _Flag("--sql", default=DEFAULT_SQL, help="aggregate SQL query"),
+        _Flag("--cardinality", type=int, default=300,
+              help="target snapshot cardinality C"),
+        _Flag("--max-raw", PrivacyParameters, "max_raw_per_edgelet", default=100,
+              help="max raw tuples per edgelet (enumeration cap)"),
+        _Flag("--separate", PrivacyParameters, "separated_pairs", type=_parse_pairs,
+              help="attribute pairs to separate"),
+        _Flag("--fault-rate", ResiliencyParameters, default=0.1,
+              help="presumed fault rate (pinned mode only; cost mode derives it "
+                   "from the substrate profile)"),
+        _Flag("--target-success", ResiliencyParameters),
+        _Flag("--strategy", ResiliencyParameters, "replicas", **_STRATEGY,
+              help="baseline strategy (pinned mode honours it; cost mode treats "
+                   "it as one candidate)"),
+        _Flag("--profile", choices=tuple(sorted(SUBSTRATE_PROFILES)),
+              default="residential", help="substrate profile to optimize over"),
+        _Flag("--contributors", SubstrateProfile, "n_contributors", default=None,
+              help="override the profile's contributor count"),
+        _Flag("--processors", SubstrateProfile, "n_processors", default=None,
+              help="override the profile's processor count"),
+        _Flag("--pinned", action="store_true",
+              help="score the caller-pinned plan instead of running the "
+                   "cost-based optimizer"),
+    )),
+    "resiliency": _Command("overcollection table for a fault-rate sweep", (
+        _Flag("--n", type=int, default=10, help="horizontal partitioning degree"),
+        _Flag("--target-success", ResiliencyParameters),
+    )),
+    "chaos": _Command("seeded chaos campaign with invariant checking", (
+        _Flag("--seed", (WorkloadSpec, RunSpec),
+              help="campaign seed; run i uses seed + i*100003"),
+        _Flag("--runs", CampaignConfig),
+        _Flag("--strategy", choices=(*STRATEGIES, "both"), default="both"),
+        _MIX,
+        _Flag("--failure-probability", CampaignConfig, "crash_probabilities",
+              type=_parse_probabilities, metavar="P[,P...]",
+              help="per-device per-tick crash probabilities to sweep"),
+        _Flag("--disconnect-probability", RunOptions),
+        _Flag("--message-loss", RunOptions,
+              help="per-message network loss probability"),
+        *_RECOVERY,
+        _Flag("--contributors", TopologySpec, "n_contributors"),
+        _Flag("--processors", TopologySpec, "n_processors"),
+        _Flag("--rows", TopologySpec, "n_rows"),
+        _Flag("--backup-replicas", type=int, default=1),
+        _Flag("--optimizer", RunSpec,
+              help="'pinned' replays the legacy hand-assembled physical "
+                   "parameters; 'cost' lets the cost-based optimizer choose per run"),
+        _Flag("--validity-tolerance", RunSpec,
+              help="max relative error tolerated on shared cells for runs that "
+                   "experienced faults (calibrate to the plan's m/n "
+                   "extrapolation bound)"),
+        _Flag("--repro-out", metavar="DIR", default=None,
+              help="write one JSON repro artifact per violation"),
+        _Flag("--no-shrink", action="store_true",
+              help="skip failure-schedule shrinking on violation"),
+        _Flag("--shrink-budget", CampaignConfig,
+              help="max scenario re-executions per shrink"),
+        _Flag("--workload", WorkloadSpec, "n_queries", default=None, metavar="N",
+              help="chaos a concurrent N-query workload instead of sweeping "
+                   "single-query runs: faults hit the shared swarm while N "
+                   "queries are in flight, and every invariant is checked per query"),
+        _Flag("--workload-max-concurrent", WorkloadSpec, "max_concurrent",
+              metavar="K", help="admission cap of the chaos workload"),
+        _Flag("--replay", metavar="PATH", default=None,
+              help="replay one repro artifact instead of sweeping"),
+        *_TELEMETRY,
+    )),
+    "workload": _Command(
+        "run a deterministic multi-query workload over one shared swarm", (
+        _Flag("--queries", WorkloadSpec, "n_queries", default=10,
+              help="number of query arrivals"),
+        _Flag("--arrival", WorkloadSpec, "arrival_process", help="arrival process"),
+        _Flag("--rate", WorkloadSpec, "arrival_rate",
+              help="open-loop arrival rate (queries per second)"),
+        _Flag("--in-flight", WorkloadSpec, "target_in_flight",
+              help="closed-loop target concurrency"),
+        _Flag("--max-concurrent", WorkloadSpec,
+              help="admission cap on concurrent executions"),
+        _Flag("--queue", WorkloadSpec, "queue_capacity",
+              help="admission queue capacity (0 = shed at cap)"),
+        _Flag("--backup-fraction", WorkloadSpec,
+              help="fraction of queries using the backup strategy"),
+        _Flag("--contributors", type=int, default=30),
+        _Flag("--processors", type=int, default=60),
+        _Flag("--cardinality", WorkloadSpec, dest="snapshot_cardinality",
+              metavar="CARDINALITY"),
+        _Flag("--max-raw", WorkloadSpec, dest="max_raw_per_edgelet", metavar="MAX_RAW"),
+        _Flag("--sql", WorkloadSpec, default=DEFAULT_SQL),
+        _Flag("--collection-window", WorkloadSpec),
+        _Flag("--deadline", WorkloadSpec),
+        _Flag("--reliability", WorkloadSpec,
+              help="per-query reliable transport and recovery"),
+        _Flag("--standbys", type=int, default=0,
+              help="extra devices leased per reliable query (requires --reliability)"),
+        _Flag("--seed", WorkloadSpec),
+        _Flag("--per-query", action="store_true",
+              help="print the per-query lifecycle table"),
+        _Flag("--serial-check", action="store_true",
+              help="replay every completed query alone and verify byte-identical "
+                   "report fingerprints"),
+        *_TELEMETRY,
+    )),
+    "continuous": _Command("run a standing query over a churning device population", (
+        _Flag("--windows", StandingQuerySpec, "max_windows",
+              help="window horizon (fires this many windows)"),
+        _Flag("--cadence", StandingQuerySpec,
+              help="virtual seconds between window fires"),
+        _Flag("--window", StandingQuerySpec, help="window mode"),
+        _Flag("--window-length", StandingQuerySpec,
+              help="sliding-window freshness horizon (defaults to the cadence)"),
+        _Flag("--churn", ChurnSpec, "departure_probability", metavar="P",
+              help="per-window departure probability per device"),
+        _Flag("--arrival-rate", ChurnSpec, "contributor_arrival_rate",
+              help="contributor arrivals per window "
+                   "(default: stationary — matches departures)"),
+        _Flag("--data-change", ChurnSpec, "data_change_probability", metavar="P",
+              help="per-window data-refresh probability per contributor"),
+        _Flag("--full-recollection", action="store_true",
+              help="disable incremental delta stamps; re-ship every "
+                   "contribution every window"),
+        _Flag("--contributors", type=int, default=24),
+        _Flag("--processors", type=int, default=48),
+        _Flag("--cardinality", StandingQuerySpec, dest="snapshot_cardinality",
+              metavar="CARDINALITY"),
+        _Flag("--max-raw", StandingQuerySpec, dest="max_raw_per_edgelet",
+              metavar="MAX_RAW"),
+        _Flag("--strategy", StandingQuerySpec, "replicas", **_STRATEGY),
+        _Flag("--sql", StandingQuerySpec, default=DEFAULT_SQL),
+        _Flag("--collection-window", StandingQuerySpec),
+        _Flag("--deadline", StandingQuerySpec),
+        _Flag("--reliability", StandingQuerySpec,
+              help="per-window reliable transport and recovery"),
+        _Flag("--standbys", type=int, default=0,
+              help="extra devices leased per reliable window (requires --reliability)"),
+        _MIX,
+        _Flag("--check-invariants", action="store_true",
+              help="run the full invariant suite on every window (soak mode)"),
+        _Flag("--seed", (StandingQuerySpec, ChurnSpec)),
+        _Flag("--per-window", action="store_true",
+              help="print the per-window lineage table"),
+        *_TELEMETRY,
+    )),
+    "advise": _Command("recommend a resiliency strategy for a query", (
+        _Flag("--distributive", action="store_true",
+              help="the processing merges from partial states"),
+        _Flag("--iterative", action="store_true",
+              help="the algorithm iterates (K-Means style)"),
+        _Flag("--exact", action="store_true", help="an exact result is required"),
+        _Flag("--n", type=int, default=10),
+        _Flag("--fault-rate", type=float, default=0.1),
+    )),
+}
 
-def _add_shape_flags(
-    parser: argparse.ArgumentParser, spec_cls: type, unit: str,
-    before: dict[str, list[tuple[str, dict]]] | None = None, **defaults: int,
-) -> None:
-    """Declare :data:`_SHAPE_FLAGS` on one command (``defaults`` override
-    the spec's); ``before`` maps a shared flag to the command's own flags
-    declared just ahead of it."""
-    defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)} | defaults
-    for flag, options in _SHAPE_FLAGS:
-        for own_flag, own_options in (before or {}).get(flag, ()):
-            parser.add_argument(own_flag, **own_options)
-        dest = options.get("dest", flag[2:].replace("-", "_"))
-        options = {"default": defaults.get(dest), **options}
-        if "help" in options:
-            options["help"] = options["help"].format(unit=unit)
-        parser.add_argument(flag, **options)
 
-
-def _spec_fields(args: argparse.Namespace, spec_cls: type) -> dict[str, Any]:
-    """Every parsed value whose dest names a field of ``spec_cls``."""
-    fields = dataclasses.fields(spec_cls)
-    return {f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)}
+def _fields(args: argparse.Namespace, spec: type) -> dict[str, Any]:
+    """The value of every flag of ``args.command`` that sets a field of
+    ``spec`` (or of one of its bases)."""
+    return {
+        flag.field: flag.value(args)
+        for flag in _FLAGS[args.command].flags
+        if any(target in spec.__mro__ for target in flag.specs)
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
-    from repro.continuous.spec import StandingQuerySpec
-    from repro.network.outages import fault_mix_help
-    from repro.workload.spec import WorkloadSpec
-
-    mix_help = (
-        "chaos mix, e.g. 'drop=0.05;partition=0.3,gray=0.2'; "
-        "';'-chunks are routed by knob scope — " + fault_mix_help()
-    )
     parser = argparse.ArgumentParser(
         prog="repro", description="Edgelet computing reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    plan = sub.add_parser("plan", help="build and display a QEP (demo Part 1)")
-    plan.add_argument("--sql", default=DEFAULT_SQL, help="aggregate SQL query")
-    plan.add_argument("--cardinality", type=int, default=2000,
-                      help="target snapshot cardinality C")
-    plan.add_argument("--max-raw", type=int, default=500,
-                      help="max raw tuples per edgelet (horizontal knob)")
-    plan.add_argument("--separate", type=_parse_pairs, default=(),
-                      help="attribute pairs to separate, e.g. 'age,bmi;age,zipcode'")
-    plan.add_argument("--fault-rate", type=float, default=0.1,
-                      help="presumed partition fault rate")
-    plan.add_argument("--target-success", type=float, default=0.99)
-    plan.add_argument("--strategy", choices=STRATEGIES,
-                      default="overcollection")
-    plan.add_argument("--contributors", type=int, default=20)
-
-    run = sub.add_parser("run", help="execute a query on a synthetic swarm")
-    run.add_argument("--sql", default=DEFAULT_SQL)
-    run.add_argument("--contributors", type=int, default=200)
-    run.add_argument("--processors", type=int, default=40)
-    run.add_argument("--rows", type=int, default=400, help="synthetic dataset size")
-    run.add_argument("--cardinality", type=int, default=300)
-    run.add_argument("--max-raw", type=int, default=100)
-    run.add_argument("--fault-rate", type=float, default=0.1)
-    run.add_argument("--message-loss", type=float, default=0.0)
-    run.add_argument("--crash-probability", type=float, default=0.0)
-    run.add_argument("--secure-channels", action="store_true")
-    _add_recovery_flags(run)
-    run.add_argument("--fault-mix", default=None, metavar="MIX", help=mix_help)
-    run.add_argument("--strategy", choices=STRATEGIES,
-                     default="overcollection")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--show-plan", action="store_true")
-    _add_telemetry_flags(run)
-
-    kmeans = sub.add_parser("kmeans", help="execute the distributed K-Means query")
-    kmeans.add_argument("--contributors", type=int, default=150)
-    kmeans.add_argument("--processors", type=int, default=40)
-    kmeans.add_argument("--rows", type=int, default=300)
-    kmeans.add_argument("--cardinality", type=int, default=250)
-    kmeans.add_argument("--k", type=int, default=3)
-    kmeans.add_argument("--heartbeats", type=int, default=5)
-    kmeans.add_argument("--max-raw", type=int, default=80)
-    kmeans.add_argument("--fault-rate", type=float, default=0.15)
-    kmeans.add_argument("--seed", type=int, default=0)
-    _add_telemetry_flags(kmeans)
-
-    explain = sub.add_parser(
-        "explain",
-        help="show the optimizer's candidate table for a query",
-    )
-    explain.add_argument("--sql", default=DEFAULT_SQL, help="aggregate SQL query")
-    explain.add_argument("--cardinality", type=int, default=300,
-                         help="target snapshot cardinality C")
-    explain.add_argument("--max-raw", type=int, default=100,
-                         help="max raw tuples per edgelet (enumeration cap)")
-    explain.add_argument("--separate", type=_parse_pairs, default=(),
-                         help="attribute pairs to separate")
-    explain.add_argument("--fault-rate", type=float, default=0.1,
-                         help="presumed fault rate (pinned mode only; cost "
-                              "mode derives it from the substrate profile)")
-    explain.add_argument("--target-success", type=float, default=0.99)
-    explain.add_argument("--strategy", choices=STRATEGIES,
-                         default="overcollection",
-                         help="baseline strategy (pinned mode honours it; "
-                              "cost mode treats it as one candidate)")
-    explain.add_argument("--profile", choices=tuple(sorted(SUBSTRATE_PROFILES)),
-                         default="residential",
-                         help="substrate profile to optimize over")
-    explain.add_argument("--contributors", type=int, default=None,
-                         help="override the profile's contributor count")
-    explain.add_argument("--processors", type=int, default=None,
-                         help="override the profile's processor count")
-    explain.add_argument("--pinned", action="store_true",
-                         help="score the caller-pinned plan instead of "
-                              "running the cost-based optimizer")
-
-    resiliency = sub.add_parser(
-        "resiliency", help="overcollection table for a fault-rate sweep"
-    )
-    resiliency.add_argument("--n", type=int, default=10,
-                            help="horizontal partitioning degree")
-    resiliency.add_argument("--target-success", type=float, default=0.99)
-
-    chaos = sub.add_parser(
-        "chaos", help="seeded chaos campaign with invariant checking"
-    )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="campaign seed; run i uses seed + i*100003")
-    chaos.add_argument("--runs", type=int, default=25)
-    chaos.add_argument("--strategy",
-                       choices=(*STRATEGIES, "both"),
-                       default="both")
-    chaos.add_argument("--fault-mix", default=None, metavar="MIX", help=mix_help)
-    chaos.add_argument("--failure-probability", type=_parse_probabilities,
-                       default=(0.0, 0.002), metavar="P[,P...]",
-                       help="per-device per-tick crash probabilities to sweep")
-    chaos.add_argument("--disconnect-probability", type=float, default=0.0)
-    chaos.add_argument("--message-loss", type=float, default=0.0,
-                       help="per-message network loss probability")
-    _add_recovery_flags(chaos)
-    chaos.add_argument("--contributors", type=int, default=24)
-    chaos.add_argument("--processors", type=int, default=20)
-    chaos.add_argument("--rows", type=int, default=48)
-    chaos.add_argument("--backup-replicas", type=int, default=1)
-    chaos.add_argument("--optimizer", choices=("pinned", "cost"),
-                       default="pinned",
-                       help="'pinned' replays the legacy hand-assembled "
-                            "physical parameters; 'cost' lets the "
-                            "cost-based optimizer choose per run")
-    chaos.add_argument("--validity-tolerance", type=float, default=0.75,
-                       help="max relative error tolerated on shared cells "
-                            "for runs that experienced faults (calibrate to "
-                            "the plan's m/n extrapolation bound)")
-    chaos.add_argument("--repro-out", metavar="DIR", default=None,
-                       help="write one JSON repro artifact per violation")
-    chaos.add_argument("--no-shrink", action="store_true",
-                       help="skip failure-schedule shrinking on violation")
-    chaos.add_argument("--shrink-budget", type=int, default=24,
-                       help="max scenario re-executions per shrink")
-    chaos.add_argument("--workload", type=int, default=None, metavar="N",
-                       help="chaos a concurrent N-query workload instead of "
-                            "sweeping single-query runs: faults hit the "
-                            "shared swarm while N queries are in flight, "
-                            "and every invariant is checked per query")
-    chaos.add_argument("--workload-max-concurrent", type=int, default=8,
-                       metavar="K",
-                       help="admission cap of the chaos workload")
-    chaos.add_argument("--replay", metavar="PATH", default=None,
-                       help="replay one repro artifact instead of sweeping")
-    _add_telemetry_flags(chaos)
-
-    workload = sub.add_parser(
-        "workload",
-        help="run a deterministic multi-query workload over one shared swarm",
-    )
-    workload.add_argument("--queries", type=int, default=10,
-                          help="number of query arrivals")
-    workload.add_argument("--arrival", choices=("poisson", "uniform", "closed"),
-                          default="poisson", help="arrival process")
-    workload.add_argument("--rate", type=float, default=2.0,
-                          help="open-loop arrival rate (queries per second)")
-    workload.add_argument("--in-flight", type=int, default=4,
-                          help="closed-loop target concurrency")
-    workload.add_argument("--max-concurrent", type=int, default=8,
-                          help="admission cap on concurrent executions")
-    workload.add_argument("--queue", type=int, default=16,
-                          help="admission queue capacity (0 = shed at cap)")
-    workload.add_argument("--backup-fraction", type=float, default=0.0,
-                          help="fraction of queries using the backup strategy")
-    _add_shape_flags(workload, WorkloadSpec, "query", contributors=30,
-                     processors=60)
-    workload.add_argument("--per-query", action="store_true",
-                          help="print the per-query lifecycle table")
-    workload.add_argument("--serial-check", action="store_true",
-                          help="replay every completed query alone and "
-                               "verify byte-identical report fingerprints")
-    _add_telemetry_flags(workload)
-
-    continuous = sub.add_parser(
-        "continuous",
-        help="run a standing query over a churning device population",
-    )
-    continuous.add_argument("--windows", type=int, default=10,
-                            help="window horizon (fires this many windows)")
-    continuous.add_argument("--cadence", type=float, default=20.0,
-                            help="virtual seconds between window fires")
-    continuous.add_argument("--window", choices=("tumbling", "sliding"),
-                            default="tumbling", help="window mode")
-    continuous.add_argument("--window-length", type=float, default=None,
-                            help="sliding-window freshness horizon "
-                                 "(defaults to the cadence)")
-    continuous.add_argument("--churn", type=float, default=0.0,
-                            metavar="P",
-                            help="per-window departure probability per device")
-    continuous.add_argument("--arrival-rate", type=float, default=None,
-                            help="contributor arrivals per window "
-                                 "(default: stationary — matches departures)")
-    continuous.add_argument("--data-change", type=float, default=0.0,
-                            metavar="P",
-                            help="per-window data-refresh probability "
-                                 "per contributor")
-    continuous.add_argument("--full-recollection", action="store_true",
-                            help="disable incremental delta stamps; re-ship "
-                                 "every contribution every window")
-    _add_shape_flags(
-        continuous, StandingQuerySpec, "window", contributors=24, processors=48,
-        before={
-            "--sql": [("--strategy", dict(choices=STRATEGIES,
-                                          default="overcollection"))],
-            "--seed": [
-                ("--fault-mix", dict(default=None, metavar="MIX", help=mix_help)),
-                ("--check-invariants", dict(
-                    action="store_true",
-                    help="run the full invariant suite on every window "
-                         "(soak mode)",
-                )),
-            ],
-        },
-    )
-    continuous.add_argument("--per-window", action="store_true",
-                            help="print the per-window lineage table")
-    _add_telemetry_flags(continuous)
-
-    advise = sub.add_parser(
-        "advise", help="recommend a resiliency strategy for a query"
-    )
-    advise.add_argument("--distributive", action="store_true",
-                        help="the processing merges from partial states")
-    advise.add_argument("--iterative", action="store_true",
-                        help="the algorithm iterates (K-Means style)")
-    advise.add_argument("--exact", action="store_true",
-                        help="an exact result is required")
-    advise.add_argument("--n", type=int, default=10)
-    advise.add_argument("--fault-rate", type=float, default=0.1)
-
+    for name, command in _FLAGS.items():
+        declared = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            flag.declare(declared)
     return parser
 
 
@@ -442,15 +461,8 @@ def _compile_from_args(
     knobs a subcommand does not expose fall back to the library
     defaults.
     """
-    privacy = PrivacyParameters(
-        max_raw_per_edgelet=args.max_raw,
-        separated_pairs=getattr(args, "separate", ()),
-    )
-    resiliency = ResiliencyParameters(
-        fault_rate=args.fault_rate,
-        target_success=getattr(args, "target_success", 0.99),
-        replicas=replicas_for(getattr(args, "strategy", "overcollection")),
-    )
+    privacy = PrivacyParameters(**_fields(args, PrivacyParameters))
+    resiliency = ResiliencyParameters(**_fields(args, ResiliencyParameters))
     if kind == "kmeans":
         source = scan("health").cluster(
             k=args.k,
@@ -513,17 +525,16 @@ def _split_mix(raw: str | None):
     return fault_specs, outage_spec
 
 
-def _run_options(args: argparse.Namespace) -> dict[str, Any]:
-    """Every flag whose dest names a :class:`RunOptions` field.  The
-    recovery flags are checked first, and an inert or non-positive one
-    prints the option block's message as the usage line (their wording
-    predates the ``{command}: `` prefix)."""
+def _check_recovery(args: argparse.Namespace) -> None:
+    """Check the recovery flags before any other :class:`RunOptions`
+    field: an inert or non-positive one prints the option block's message
+    as the usage line (their wording predates the ``{command}: ``
+    prefix)."""
     recovery = ("reliability", "detector", "phase_deadline")
     try:
         RunOptions(**{name: getattr(args, name) for name in recovery})
     except SpecError as exc:
         raise SystemExit(str(exc)) from None
-    return _spec_fields(args, RunOptions)
 
 
 def _standby_count(args: argparse.Namespace) -> int:
@@ -543,12 +554,10 @@ def _run_one_shot(
     :class:`ScenarioConfig` fields."""
     scenario = Scenario(
         ScenarioConfig(
-            n_contributors=args.contributors,
-            n_processors=args.processors,
+            **_fields(args, ScenarioConfig),
             rows=generate_health_rows(args.rows, seed=args.seed),
             schema=HEALTH_SCHEMA,
             device_mix=(1.0, 0.0, 0.0),
-            seed=args.seed,
             **options,
         ),
         telemetry=Telemetry(),
@@ -559,9 +568,9 @@ def _run_one_shot(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     fault_specs, outage_spec = _split_mix(args.fault_mix)
+    _check_recovery(args)
     scenario, compiled, result = _run_one_shot(
-        args, "cli-run", fault_specs=fault_specs, outage_spec=outage_spec,
-        **_run_options(args),
+        args, "cli-run", fault_specs=fault_specs, outage_spec=outage_spec
     )
     if args.show_plan:
         print(render_plan(result.plan))
@@ -603,7 +612,7 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    sizes = (("n_contributors", args.contributors), ("n_processors", args.processors))
+    sizes = _fields(args, SubstrateProfile).items()
     overrides = {name: value for name, value in sizes if value is not None}
     compiled = _compile_from_args(
         args,
@@ -668,12 +677,7 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.chaos import (
-        CampaignConfig,
-        RunSpec,
-        TopologySpec,
-        run_campaign,
-    )
+    from repro.chaos import run_campaign
 
     if args.replay:
         return _cmd_chaos_replay(args)
@@ -688,28 +692,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"--backup-replicas: {exc}") from None
     fault_mix, outage_spec = _split_mix(args.fault_mix)
+    _check_recovery(args)
     config = CampaignConfig(
-        base=RunSpec(
-            seed=args.seed,
-            tag="chaos",
-            outage_spec=outage_spec,
-            validity_tolerance=args.validity_tolerance,
-            optimizer=args.optimizer,
-            **_run_options(args),
-        ),
-        runs=args.runs,
+        base=RunSpec(**_fields(args, RunSpec), tag="chaos", outage_spec=outage_spec),
         replicas=replicas,
-        crash_probabilities=args.failure_probability,
         fault_mixes=(fault_mix or (),),
-        topologies=(
-            TopologySpec(
-                n_contributors=args.contributors,
-                n_processors=args.processors,
-                n_rows=args.rows,
-            ),
-        ),
+        topologies=(TopologySpec(**_fields(args, TopologySpec)),),
         shrink=not args.no_shrink,
-        shrink_budget=args.shrink_budget,
+        **_fields(args, CampaignConfig),
     )
     telemetry = Telemetry()
     result = run_campaign(config, telemetry=telemetry)
@@ -742,16 +732,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_chaos_workload(args: argparse.Namespace) -> int:
     from repro.chaos import run_workload, shrink_workload_plan
-    from repro.workload import WorkloadSpec
 
     fault_specs, outage_spec = _split_mix(args.fault_mix)
-    options = _run_options(args)
+    _check_recovery(args)
+    options = _fields(args, RunOptions)
     # the spec owns reliability: the engine refuses it as a keyword
     spec = WorkloadSpec(
-        n_queries=args.workload,
-        max_concurrent=args.workload_max_concurrent,
+        **_fields(args, WorkloadSpec),
         queue_capacity=2 * args.workload_max_concurrent,
-        seed=args.seed,
         reliability=options.pop("reliability"),
     )
     telemetry = Telemetry()
@@ -805,17 +793,10 @@ def _print_liability(liability) -> None:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro.workload import WorkloadEngine, WorkloadSpec, serial_fingerprints
+    from repro.workload import WorkloadEngine, serial_fingerprints
 
     standby_count = _standby_count(args)
-    spec = WorkloadSpec(
-        n_queries=args.queries,
-        arrival_process=args.arrival,
-        arrival_rate=args.rate,
-        target_in_flight=args.in_flight,
-        queue_capacity=args.queue,
-        **_spec_fields(args, WorkloadSpec),
-    )
+    spec = WorkloadSpec(**_fields(args, WorkloadSpec))
     telemetry = Telemetry()
     engine = WorkloadEngine(
         spec,
@@ -887,28 +868,15 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_continuous(args: argparse.Namespace) -> int:
-    from repro.continuous import StandingQuerySpec
-    from repro.devices.churn import ChurnSpec
-
     standby_count = _standby_count(args)
     spec = StandingQuerySpec(
-        max_windows=args.windows,
-        replicas=replicas_for(args.strategy),
-        incremental=not args.full_recollection,
-        **_spec_fields(args, StandingQuerySpec),
+        **_fields(args, StandingQuerySpec), incremental=not args.full_recollection
     )
-    churn = None
-    if args.churn > 0 or args.data_change > 0 or args.arrival_rate:
-        churn = ChurnSpec(
-            departure_probability=args.churn,
-            contributor_arrival_rate=args.arrival_rate,
-            data_change_probability=args.data_change,
-            seed=args.seed,
-        )
+    churn = ChurnSpec(**_fields(args, ChurnSpec))
     fault_specs, outage_spec = _split_mix(args.fault_mix)
     telemetry = Telemetry()
     engine_options = dict(
-        churn=churn,
+        churn=churn if churn.any_churn else None,
         n_contributors=args.contributors,
         n_processors=args.processors,
         telemetry=telemetry,
@@ -1014,7 +982,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
+_HANDLERS = {
     "plan": _cmd_plan,
     "run": _cmd_run,
     "kmeans": _cmd_kmeans,
@@ -1036,7 +1004,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         # a usage error the CLI words itself ("--flag: why"): one line
         # on stderr and argparse's usage exit status, never a traceback

@@ -781,11 +781,11 @@ class Scenario:
     ) -> None:
         """Count one finished query under ``scenario.*``.
 
-        Each counter exists twice: the historical unlabelled aggregate,
-        and a sibling labelled by ``query`` — without the label,
-        concurrent workloads collapse every query into one number and
-        per-query outcomes become unrecoverable (the single-query
-        assumption this PR's audit flushed out).
+        Each counter exists twice: the unlabelled aggregate, and a
+        sibling labelled by ``query``.  Many queries share one scenario
+        (a workload, a standing query's windows), and the aggregate
+        alone would fold them into one number: the label keeps each
+        query's outcome and latency recoverable.
         """
         metrics = self.telemetry.metrics
         query_id = report.query_id

@@ -94,10 +94,6 @@ class QueryMux:
         for routes in self._routes.values():
             routes.pop(query_id, None)
 
-    def routes_for(self, device_id: str) -> dict[str, Handler]:
-        """The live routing table of one device (read-only view)."""
-        return dict(self._routes.get(device_id, {}))
-
     # -- dispatch -----------------------------------------------------------
 
     def _make_radio(self, device_id: str) -> Handler:

@@ -129,16 +129,6 @@ class SubstrateProfile:
             + box * HOME_BOX.compute_rate
         ) / total
 
-    def mean_availability(self) -> float:
-        """Mix-weighted mean device availability."""
-        pc, phone, box = self.device_mix
-        total = pc + phone + box
-        return (
-            pc * PC_SGX.availability
-            + phone * SMARTPHONE.availability
-            + box * HOME_BOX.availability
-        ) / total
-
     def summary(self) -> str:
         return (
             f"{self.name}: {self.n_contributors} contributors, "
