@@ -10,12 +10,14 @@ boxes that are online only during periodic caregiver visits, a crew of
 well-connected caregiver devices acting as Data Processors, and a
 health statistic query that completes despite 75%-offline contributors
 thanks to store-and-forward delivery and the Overcollection margin.
-It also writes the signed crowd-liability audit ledger and verifies it.
+It ends with the Crowd Liability report: how evenly the processing
+and the raw tuples spread over the participating devices.
 
 Run with:  python examples/domycile_rounds.py
 """
 
 from repro.core.assignment import assign_operators
+from repro.core.liability import measure_liability
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -27,7 +29,6 @@ from repro.core.runtime import ExecutionCoordinator
 from repro.data import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import HOME_BOX, PC_SGX
-from repro.manager.audit import AuditLedger
 from repro.manager.dashboard import render_report
 from repro.network.mobility import CaregiverRounds
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
@@ -91,24 +92,23 @@ def main() -> None:
     print(f"Plan: n={meta['n']} m={meta['m']} "
           f"(presumed fault rate 0.40, target 99%)")
 
-    ledger = AuditLedger()
     executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=400.0, deadline=550.0, secure_channels=False,
-        contribution_copies=2, audit_ledger=ledger,
+        contribution_copies=2,
     )
     schedule.install(simulator, network)
     report = executor.run()
 
     print()
     print(render_report(report))
-    ledger.verify()
-    tallies = ledger.liability_by_device(verify_first=False)
-    print(f"\nAudit ledger: {len(ledger)} signed records over "
-          f"{len(tallies)} participants — chain verified")
-    heaviest = max(tallies.values(), key=lambda t: t["tuples"])
-    print(f"Heaviest participant handled {heaviest['tuples']} raw tuples "
-          f"(plan bound {plan.metadata['overcollection']['snapshot_cardinality'] // meta['n']})")
+    liability = measure_liability(plan, tuples_per_device=report.tuples_per_device)
+    print(f"\nCrowd liability: {len(liability.operators_per_device)} participants, "
+          f"gini={liability.gini_operators:.3f}, "
+          f"max share={liability.max_share:.2%}")
+    heaviest = max(liability.tuples_per_device.values())
+    print(f"Heaviest participant handled {heaviest} raw tuples "
+          f"(plan bound {meta['snapshot_cardinality'] // meta['n']})")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from repro.chaos.invariants import (
     RunRecord,
     Violation,
     check_all,
+    check_validity_tolerance,
     no_fault_observed,
 )
 from repro.chaos.shrink import plan_only, shrink_failure_plan
@@ -119,6 +120,15 @@ class RunSpec(RunOptions):
     #: :class:`~repro.plan.optimizer.PhysicalOptimizer` pick
     #: partitioning and replication over the run's substrate profile.
     optimizer: str = OPTIMIZER_PINNED
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.optimizer not in (OPTIMIZER_PINNED, OPTIMIZER_COST):
+            raise SpecError(
+                f"optimizer must be {OPTIMIZER_PINNED!r} or {OPTIMIZER_COST!r}, "
+                f"got {self.optimizer!r}"
+            )
+        check_validity_tolerance(self.validity_tolerance)
 
     def to_dict(self) -> dict[str, Any]:
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

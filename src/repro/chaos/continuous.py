@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.invariants import Violation
+from repro.chaos.invariants import Violation, check_validity_tolerance
 from repro.chaos.workload import UnitOutcome, WorkloadChaosOutcome, judge
 from repro.continuous.engine import ContinuousEngine, ContinuousResult
 from repro.continuous.spec import StandingQuerySpec
@@ -86,6 +86,7 @@ def run_soak(
     (``WindowRecord.rows``), since under churn there is no single
     dataset to compare against.
     """
+    check_validity_tolerance(validity_tolerance)
     options = dict(
         validity_tolerance=validity_tolerance,
         liability_max_share=liability_max_share,

@@ -19,12 +19,14 @@ approximation bound, is a violation.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.runtime.events import EventKind, of_kind
 from repro.core.validity import compare_results
+from repro.errors import SpecError
 from repro.network.opnet import LOSS_COUNTERS
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "check_no_double_takeover",
     "check_no_split_brain",
     "check_all",
+    "check_validity_tolerance",
     "INVARIANTS",
 ]
 
@@ -45,6 +48,16 @@ __all__ = [
 # different order than one centralized pass, so bit-equality is not the
 # meaningful criterion (mirrors ValidityReport.exact_match)
 EXACT_TOLERANCE = 1e-9
+
+
+def check_validity_tolerance(tolerance: float) -> None:
+    """Reject a negative or non-finite validity bound: no relative
+    error could pass a negative one, and none could fail an infinite
+    one (NaN compares false both ways)."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise SpecError(
+            f"validity_tolerance must be finite and non-negative, got {tolerance}"
+        )
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from repro.chaos.invariants import (
     RunRecord,
     Violation,
     check_all,
+    check_validity_tolerance,
     no_fault_observed,
 )
 from repro.chaos.shrink import plan_only, shrink_failure_plan
@@ -211,6 +212,7 @@ def run_workload(
     the *exact* clean-run bar.  Every query's validity oracle runs over
     the whole shared dataset.
     """
+    check_validity_tolerance(validity_tolerance)
     options = dict(
         validity_tolerance=validity_tolerance,
         liability_max_share=liability_max_share,

@@ -187,13 +187,6 @@ class QueryExecutionPlan:
 
     # -- structural metrics (Figure 2/3 observables) -----------------------------
 
-    def role_counts(self) -> dict[str, int]:
-        """Operator count per role (keys are role values)."""
-        counts: dict[str, int] = {}
-        for operator in self.operators():
-            counts[operator.role.value] = counts.get(operator.role.value, 0) + 1
-        return counts
-
     def fan_in(self, op_id: str) -> int:
         """Number of producers of an operator."""
         self.operator(op_id)

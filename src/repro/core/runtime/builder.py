@@ -130,7 +130,7 @@ class BuilderRuntime:
         if ctx.network.is_dead(device.device_id):
             ctx.emit(EventKind.BUILDER_DEAD, builder.op_id)
             return
-        rows = self.freeze(builder, device)
+        rows = self.freeze(builder)
         if rows is None:
             return
         latency = device.compute_latency(float(len(rows)))
@@ -140,10 +140,8 @@ class BuilderRuntime:
             "ship partition",
         )
 
-    def freeze(
-        self, builder: Operator, device: Edgelet
-    ) -> list[dict[str, Any]] | None:
-        """Cap and audit one builder's bucket.
+    def freeze(self, builder: Operator) -> list[dict[str, Any]] | None:
+        """Cap one builder's bucket and record its frozen size.
 
         Returns the frozen rows, or ``None`` when nothing was collected.
         """
@@ -156,7 +154,6 @@ class BuilderRuntime:
             ctx.emit(EventKind.NO_ROWS, builder.op_id)
             return None
         ctx.emit(EventKind.SNAPSHOT_FROZEN, builder.op_id, rows=len(rows))
-        ctx.audit(device, builder.op_id, "snapshot", len(rows))
         return rows
 
     def ship(

@@ -409,7 +409,6 @@ class CombinerRuntime:
                             received, state.config.total_partitions
                         ),
                     )
-            ctx.audit(device, name, "combine", 0)
             querier_op = ctx.plan.operators(OperatorRole.QUERIER)[0]
             querier_device = ctx.device_of(querier_op)
             ctx.ship(

@@ -102,7 +102,6 @@ class ComputerRuntime:
         )
         with ctx.prof_aggregate:
             partial = fold_partition(sub_query, rows)
-        ctx.audit(device, computer.op_id, "partial", len(rows))
         latency = device.compute_latency(float(len(rows)))
         payload = {
             "__aggregate__": True,
@@ -278,7 +277,6 @@ class ComputerRuntime:
             distances = np.sum((centroids - point) ** 2, axis=1)
             labeled.append(dict(row, cluster=int(np.argmin(distances))))
         partial = fold_partition(ctx.stats_query, labeled)
-        ctx.audit(device, computer.op_id, "cluster_stats", len(labeled))
         latency = device.compute_latency(float(max(len(labeled), 1)))
 
         def send() -> None:

@@ -3,7 +3,7 @@
 The :class:`ExecutionContext` owns everything every role runtime needs
 but no role owns alone: the clock, the network, the device map, the
 validated plan configuration, the report under construction and its
-event list, sealed transport, audit, and the live telemetry
+event list, sealed transport, and the live telemetry
 instruments (the phase spans and step counters are published from the
 events when the execution concludes).
 Role runtimes (:mod:`repro.core.runtime.contributor` …) hold only their
@@ -47,7 +47,6 @@ class ExecutionContext:
         deadline: float = 100.0,
         secure_channels: bool = True,
         contribution_copies: int = 1,
-        audit_ledger: Any = None,
         telemetry: Any = None,
         seed: int = 0,
         transport: Any = None,
@@ -86,7 +85,6 @@ class ExecutionContext:
         self.deadline_at = self.start_time + deadline
         self.secure_channels = secure_channels
         self.contribution_copies = contribution_copies
-        self.audit_ledger = audit_ledger
         self._contribution_ids: dict[Any, set[Any]] = {}
         self.rng = random.Random(seed)
         self.report = ExecutionReport(query_id=plan.query_id)
@@ -159,19 +157,6 @@ class ExecutionContext:
         """Attribute ``count`` raw tuples to a processing device."""
         tallies = self.report.tuples_per_device
         tallies[device_id] = tallies.get(device_id, 0) + count
-
-    def audit(self, device: Edgelet, op_id: str, action: str, tuple_count: int) -> None:
-        """Append a signed record to the audit ledger, if one is wired."""
-        if self.audit_ledger is None:
-            return
-        self.audit_ledger.append(
-            device.keyring.keypair,
-            self.plan.query_id,
-            op_id,
-            action,
-            tuple_count,
-            self.simulator.now,
-        )
 
     def count_dropped_payload(self, reason: str) -> None:
         """Count one silently dropped inbound payload, by reason."""

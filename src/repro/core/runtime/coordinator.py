@@ -62,10 +62,6 @@ class ExecutionCoordinator:
             its contribution (staggered retransmissions improve delivery
             on lossy links; builders deduplicate by contribution id so
             duplicates never skew the snapshot).
-        audit_ledger: optional
-            :class:`repro.manager.audit.AuditLedger`; when provided,
-            every processing step appends a signed, hash-chained record
-            (the evidence backing the Crowd Liability property).
         telemetry: the :class:`repro.telemetry.Telemetry` to record
             phase spans, counters, and profiles into; defaults to the
             simulator's instance.
@@ -100,7 +96,6 @@ class ExecutionCoordinator:
         deadline: float = 100.0,
         secure_channels: bool = True,
         contribution_copies: int = 1,
-        audit_ledger: Any = None,
         telemetry: Any = None,
         seed: int = 0,
         *,
@@ -119,7 +114,6 @@ class ExecutionCoordinator:
             deadline=deadline,
             secure_channels=secure_channels,
             contribution_copies=contribution_copies,
-            audit_ledger=audit_ledger,
             telemetry=telemetry,
             seed=seed,
             transport=transport,
@@ -433,7 +427,7 @@ class ExecutionCoordinator:
             self._route_knowledge(device, payload)
         elif kind == MessageKind.FINAL_RESULT:
             ctx.count_role_dispatch("querier")
-            self.querier.on_final_result(device, payload)
+            self.querier.on_final_result(payload)
         elif kind == MessageKind.CONTROL:
             ctx.count_role_dispatch("strategy")
             self.strategy.on_control(device, payload)

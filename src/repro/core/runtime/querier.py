@@ -17,7 +17,6 @@ from repro.core.qep import OperatorRole
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.events import EventKind
 from repro.core.runtime.report import KMeansOutcome
-from repro.devices.edgelet import Edgelet
 from repro.query.groupby import GroupingSetsResult
 
 __all__ = ["QuerierRuntime"]
@@ -33,7 +32,7 @@ class QuerierRuntime:
         self.final_delivered = False
         self.stats_delivered = False
 
-    def on_final_result(self, device: Edgelet, payload: dict[str, Any]) -> None:
+    def on_final_result(self, payload: dict[str, Any]) -> None:
         """Accept a combiner's final result (first one wins)."""
         ctx = self.ctx
         if "stats_rows" in payload:
@@ -63,7 +62,6 @@ class QuerierRuntime:
                 weights=np.asarray(payload["weights"], dtype=float),
                 knowledges_merged=payload["knowledges_merged"],
             )
-        ctx.audit(device, "querier", "deliver", 0)
         ctx.emit(EventKind.DELIVERED, "querier", by=ctx.report.delivered_by)
 
     def on_cluster_stats_result(self, payload: dict[str, Any]) -> None:

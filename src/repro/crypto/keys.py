@@ -75,7 +75,3 @@ class KeyRing:
         key = derive_key(shared, f"edgelet-session:{pair}")
         self._sessions[peer_fingerprint] = key
         return key
-
-    def forget_sessions(self) -> None:
-        """Drop all cached session keys (e.g. after a reboot)."""
-        self._sessions.clear()

@@ -13,15 +13,12 @@ edgelets".  Here everything is simulated; the manager
   (:mod:`repro.manager.verification`).
 """
 
-from repro.manager.audit import AuditLedger, AuditRecord
 from repro.manager.dashboard import render_plan, render_report, render_telemetry
 from repro.manager.scenario import Scenario, ScenarioConfig, ScenarioResult
 from repro.manager.trace import format_trace, phase_timeline
 from repro.manager.verification import verify_against_centralized, VerificationOutcome
 
 __all__ = [
-    "AuditLedger",
-    "AuditRecord",
     "Scenario",
     "ScenarioConfig",
     "ScenarioResult",

@@ -305,15 +305,6 @@ class FailurePlan:
         return not (self.crashes or self.disconnections or self.has_outages()
                     or self.message_faults)
 
-    def partition_devices(self) -> set[str]:
-        """Every device named by some partition island."""
-        return {
-            device
-            for partition in self.partitions
-            for island in partition.islands
-            for device in island
-        }
-
     def union(self, other: "FailurePlan") -> "FailurePlan":
         """This plan plus ``other``: ``other``'s crash time and
         disconnect windows fill in only devices this plan leaves

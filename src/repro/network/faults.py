@@ -294,20 +294,6 @@ class MessageFaultInjector:
         )
         return corrupt_payload(payload, scale)
 
-    def fault_counts(self) -> dict[str, int]:
-        """Tally of injected faults by category (for summaries)."""
-        counts = {"dropped": 0, "duplicated": 0, "delayed": 0, "corrupted": 0}
-        for decision in self.decisions:
-            if decision.drop:
-                counts["dropped"] += 1
-            if decision.copies > 1:
-                counts["duplicated"] += decision.copies - 1
-            if decision.extra_delay > 0:
-                counts["delayed"] += 1
-            if decision.corrupt:
-                counts["corrupted"] += 1
-        return counts
-
 
 def parse_knobs(text: str, known: Iterable[str], label: str) -> dict[str, float]:
     """Parse a ``name=value,…`` knob list; a malformed knob or a name

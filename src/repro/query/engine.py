@@ -9,8 +9,6 @@ with no partitioning and no failures.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 from repro.query.groupby import (
     GroupByQuery,
     GroupingSetsResult,
@@ -18,7 +16,6 @@ from repro.query.groupby import (
     finalize_partials,
 )
 from repro.query.relation import Relation
-from repro.query.schema import Schema
 from repro.query.sql import parse_query
 
 __all__ = ["CentralizedEngine"]
@@ -33,12 +30,6 @@ class CentralizedEngine:
     def register(self, name: str, relation: Relation) -> None:
         """Register (or replace) a named table."""
         self._tables[name] = relation
-
-    def create_table(self, name: str, schema: Schema, rows: Iterable[dict[str, Any]] = ()) -> Relation:
-        """Create and register an empty (or seeded) table."""
-        relation = Relation(schema, rows)
-        self._tables[name] = relation
-        return relation
 
     def table(self, name: str) -> Relation:
         """Look up a registered table."""

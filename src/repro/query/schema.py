@@ -141,14 +141,6 @@ class Schema:
     def has_column(self, name: str) -> bool:
         return name in self._by_name
 
-    def quasi_identifiers(self) -> list[str]:
-        """Names of all quasi-identifier columns."""
-        return [c.name for c in self.columns if c.quasi_identifier]
-
-    def sensitive_columns(self) -> list[str]:
-        """Names of all sensitive columns."""
-        return [c.name for c in self.columns if c.sensitive]
-
     def validate_row(self, row: dict[str, Any]) -> None:
         """Raise :class:`SchemaError` if the row violates the schema.
 

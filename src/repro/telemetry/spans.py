@@ -182,20 +182,6 @@ class Tracer:
                 return span
         return None
 
-    def children_of(self, parent: Span) -> list[Span]:
-        return [span for span in self.spans if span.parent_id == parent.span_id]
-
-    def finish_open(self, at: float | None = None) -> int:
-        """Close every still-open span (end-of-run cleanup).  Returns
-        the number of spans closed."""
-        time = self._clock() if at is None else at
-        closed = 0
-        for span in self.spans:
-            if span.end is None:
-                span.finish(at=time)
-                closed += 1
-        return closed
-
     def reset(self) -> None:
         self._stack.clear()
         self.spans.clear()

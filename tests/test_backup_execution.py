@@ -179,6 +179,47 @@ class TestBackupExecutor:
         ]
         assert max(freeze_times) >= min(freeze_times) + TAKEOVER_TIMEOUT
 
+    def test_replica_answers_for_the_dead_primary_partition(self):
+        """Who processed what, read from the events and the per-device
+        tally of a run whose ``builder[0]`` dies."""
+        sim, net, devices, contribs, procs, querier, rows = _swarm()
+        plan, _ = _backup_plan(contribs, procs, querier, rows)
+        victim = plan.operator("builder[0]").assigned_to
+        executor = ExecutionCoordinator(
+            sim, net, devices, plan,
+            collection_window=15.0, deadline=80.0, secure_channels=False,
+        )
+        sim.schedule(1.0, lambda: net.kill(victim))
+        report = executor.run()
+        assert report.success
+        frozen = {
+            event.op: event.fields["rows"]
+            for event in of_kind(report.events, EventKind.SNAPSHOT_FROZEN)
+        }
+        # the replica that took over the dead primary's partition is the
+        # one that answers for it; every row is accounted for exactly once
+        assert set(frozen) == {"builder[0].b1", "builder[1]"}
+        buckets = executor.builder.buckets
+        assert frozen == {op_id: len(buckets[op_id]) for op_id in frozen}
+        assert sum(frozen.values()) == len(rows)
+        # each device is charged the contributions its builders took in
+        # plus its computers' partition rows, and nothing else: a
+        # combiner or the querier handles no raw tuple
+        partition_rows = {0: frozen["builder[0].b1"], 1: frozen["builder[1]"]}
+        charged: dict[str, int] = {}
+        for builder in plan.operators(OperatorRole.SNAPSHOT_BUILDER):
+            device = builder.assigned_to
+            charged[device] = charged.get(device, 0) + len(buckets[builder.op_id])
+        for computer in plan.operators(OperatorRole.COMPUTER):
+            device = computer.assigned_to
+            charged[device] = (
+                charged.get(device, 0)
+                + partition_rows[computer.params["partition_index"]]
+            )
+        tallies = report.tuples_per_device
+        assert tallies == {device: n for device, n in charged.items() if n}
+        assert querier.device_id not in tallies
+
     def test_kmeans_plan_with_replicas_is_refused(self):
         sim, net, devices, contribs, procs, querier, rows = _swarm(
             n_contributors=5, n_processors=10,

@@ -392,6 +392,8 @@ class TestArtifacts:
                 ]}},
                 "corrupt_probability must be in",
             ),
+            ({"optimizer": "bogus"}, "optimizer must be 'pinned' or 'cost'"),
+            ({"validity_tolerance": -1}, "validity_tolerance must be finite"),
         ],
         ids=[
             "run-without-tag",
@@ -403,6 +405,8 @@ class TestArtifacts:
             "negative-window-start",
             "inverted-message-fault-window",
             "message-fault-probability-out-of-range",
+            "unknown-optimizer",
+            "negative-validity-tolerance",
         ],
     )
     def test_malformed_artifact_replay_exits_2_with_one_line(

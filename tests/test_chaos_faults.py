@@ -88,7 +88,6 @@ class TestMessageFaultInjector:
         injector = MessageFaultInjector((FaultSpec(drop_probability=1.0),))
         decision = injector.on_send(_message())
         assert decision.drop
-        assert injector.fault_counts().get("dropped") == 1
 
     def test_kind_scoping(self):
         injector = MessageFaultInjector(

@@ -407,6 +407,19 @@ class TestWorkloadCommand:
         assert captured.err == "phase_deadline must be positive\n"
 
     @pytest.mark.parametrize(
+        "command", [["chaos", "--runs", "1"], ["chaos", "--workload", "4"]]
+    )
+    def test_negative_validity_tolerance_exits_2(self, capsys, command):
+        # no relative error passes a negative bound: refused before any
+        # run, not reported as a violation of every run
+        assert main([*command, "--validity-tolerance", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "chaos: validity_tolerance must be finite and non-negative, got -1.0\n"
+        )
+
+    @pytest.mark.parametrize(
         "command",
         [["workload", "--queries", "2"], ["continuous", "--windows", "2"]],
     )

@@ -67,12 +67,6 @@ class TestKeyRing:
         a.learn_public(b.fingerprint, b.keypair.public)
         assert a.knows(b.fingerprint)
 
-    def test_forget_sessions_rederives_identically(self):
-        a, b = _introduced_pair()
-        before = a.session_key(b.fingerprint).material
-        a.forget_sessions()
-        assert a.session_key(b.fingerprint).material == before
-
     def test_public_of_round_trip(self):
         a, b = _introduced_pair()
         assert a.public_of(b.fingerprint) == b.keypair.public

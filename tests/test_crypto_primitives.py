@@ -34,7 +34,6 @@ from repro.chaos.campaign import RunSpec, run_single
 from repro.crypto import envelope, primitives
 from repro.crypto.primitives import _WINDOW_BITS, _generator_power, _power
 from repro.devices import attestation
-from repro.manager import audit
 from repro.workload.fingerprint import report_fingerprint
 
 # (seed, public key, message, signature commitment, signature response),
@@ -497,7 +496,7 @@ class TestSealedRunTakesTheRoute:
             patch.setattr(primitives, "_power", power_spy)
             patch.setattr(primitives, "_generator_power", generator_power_spy)
             patch.setattr(primitives, "_MINTED", LookupSpy(primitives._MINTED))
-            for module in (envelope, attestation, audit):
+            for module in (envelope, attestation):
                 patch.setattr(module, "verify", verify_spy)
             spied["outcome"] = run_single(
                 RunSpec(seed=17, tag="pin-sealed", secure_channels=True)

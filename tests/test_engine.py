@@ -28,12 +28,6 @@ class TestEngine:
         with pytest.raises(KeyError):
             engine.execute_sql("SELECT count(*) FROM missing")
 
-    def test_create_table(self):
-        engine = CentralizedEngine()
-        relation = engine.create_table("t", HEALTH_SCHEMA)
-        assert len(relation) == 0
-        assert engine.table("t") is relation
-
     def test_sql_count(self, health_rows):
         engine = _engine(health_rows)
         result = engine.execute_sql("SELECT count(*) FROM health")

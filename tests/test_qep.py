@@ -178,11 +178,6 @@ class TestQueries:
         assert [op.op_id for op in plan.operators()] == ["0", *expected]
         assert plan.operators(OperatorRole.ACTIVE_BACKUP) == []
 
-    def test_role_counts(self):
-        counts = _minimal_plan().role_counts()
-        assert counts["data_contributor"] == 1
-        assert counts["querier"] == 1
-
     def test_data_processor_classification(self):
         assert OperatorRole.SNAPSHOT_BUILDER.is_data_processor
         assert OperatorRole.COMPUTER.is_data_processor

@@ -428,8 +428,7 @@ class TestQuerierRuntime:
     def test_happy_path_fills_the_report(self):
         ctx, _ = _harness()
         runtime = QuerierRuntime(ctx)
-        querier = ctx.plan.operators(OperatorRole.QUERIER)[0]
-        runtime.on_final_result(ctx.device_of(querier), self._final_payload(ctx))
+        runtime.on_final_result(self._final_payload(ctx))
         assert ctx.report.success
         assert ctx.report.delivered_by == "combiner"
         assert ctx.report.completion_time == ctx.simulator.now
@@ -440,12 +439,9 @@ class TestQuerierRuntime:
     def test_out_of_order_backup_duplicate_is_deduped(self):
         ctx, _ = _harness()
         runtime = QuerierRuntime(ctx)
-        querier_device = ctx.device_of(ctx.plan.operators(OperatorRole.QUERIER)[0])
         # the backup's result overtook the primary's in transit
-        runtime.on_final_result(
-            querier_device, self._final_payload(ctx, combiner="combiner-backup")
-        )
-        runtime.on_final_result(querier_device, self._final_payload(ctx))
+        runtime.on_final_result(self._final_payload(ctx, combiner="combiner-backup"))
+        runtime.on_final_result(self._final_payload(ctx))
         assert ctx.report.delivered_by == "combiner-backup"  # first wins
         # one delivery recorded: the exec.final_results count it publishes
         assert len(of_kind(ctx.report.events, EventKind.DELIVERED)) == 1
@@ -453,10 +449,7 @@ class TestQuerierRuntime:
     def test_stats_before_kmeans_outcome_is_ignored(self):
         ctx, _ = _harness()
         runtime = QuerierRuntime(ctx)
-        querier_device = ctx.device_of(ctx.plan.operators(OperatorRole.QUERIER)[0])
         # an aggregate run has no kmeans outcome to attach stats to
-        runtime.on_final_result(
-            querier_device, {"combiner": "combiner", "stats_rows": [[]]}
-        )
+        runtime.on_final_result({"combiner": "combiner", "stats_rows": [[]]})
         assert not runtime.stats_delivered
         assert not ctx.report.success

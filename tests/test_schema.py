@@ -56,11 +56,6 @@ class TestSchema:
     def test_column_names_ordered(self):
         assert _schema().column_names == ["age", "name", "bmi", "active"]
 
-    def test_privacy_annotations(self):
-        schema = _schema()
-        assert schema.quasi_identifiers() == ["age"]
-        assert schema.sensitive_columns() == ["bmi"]
-
     def test_validate_row_accepts_valid(self):
         _schema().validate_row({"age": 30, "name": "x", "bmi": 21.5, "active": True})
 

@@ -145,7 +145,6 @@ class TestSpans:
         root = tracer.start("execution", at=0.0)
         child = tracer.start("phase:collection", at=0.0, parent=root)
         assert child.parent_id == root.span_id
-        assert tracer.children_of(root) == [child]
 
     def test_lexical_nesting_sets_parent(self):
         tracer = Tracer()
@@ -183,12 +182,6 @@ class TestSpans:
         tracer.event("heartbeat", at=2.0, beat=2)
         assert [e.time for e in tracer.events] == [1.0, 2.0]
 
-    def test_finish_open_closes_dangling_spans(self):
-        tracer = Tracer()
-        tracer.start("a", at=0.0)
-        tracer.start("b", at=1.0).finish(at=2.0)
-        assert tracer.finish_open(at=10.0) == 1
-        assert all(span.end is not None for span in tracer.spans)
 
 
 class TestProfiler:
