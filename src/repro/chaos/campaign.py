@@ -22,6 +22,7 @@ from repro.chaos.invariants import (
     RunRecord,
     Violation,
     check_all,
+    check_liability_max_share,
     check_validity_tolerance,
     no_fault_observed,
 )
@@ -129,6 +130,7 @@ class RunSpec(RunOptions):
                 f"got {self.optimizer!r}"
             )
         check_validity_tolerance(self.validity_tolerance)
+        check_liability_max_share(self.liability_max_share)
 
     def to_dict(self) -> dict[str, Any]:
         data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

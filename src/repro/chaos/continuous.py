@@ -33,7 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.invariants import Violation, check_validity_tolerance
+from repro.chaos.invariants import (
+    Violation,
+    check_liability_max_share,
+    check_validity_tolerance,
+)
 from repro.chaos.workload import UnitOutcome, WorkloadChaosOutcome, judge
 from repro.continuous.engine import ContinuousEngine, ContinuousResult
 from repro.continuous.spec import StandingQuerySpec
@@ -87,6 +91,7 @@ def run_soak(
     dataset to compare against.
     """
     check_validity_tolerance(validity_tolerance)
+    check_liability_max_share(liability_max_share)
     options = dict(
         validity_tolerance=validity_tolerance,
         liability_max_share=liability_max_share,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.runtime.events import EventKind, of_kind
-from repro.core.validity import compare_results
+from repro.core.validity import EXACT_TOLERANCE, compare_results
 from repro.errors import SpecError
 from repro.network.opnet import LOSS_COUNTERS
 
@@ -41,14 +41,9 @@ __all__ = [
     "check_no_split_brain",
     "check_all",
     "check_validity_tolerance",
+    "check_liability_max_share",
     "INVARIANTS",
 ]
-
-# float slack for "exact" comparisons: partial states merge in a
-# different order than one centralized pass, so bit-equality is not the
-# meaningful criterion (mirrors ValidityReport.exact_match)
-EXACT_TOLERANCE = 1e-9
-
 
 def check_validity_tolerance(tolerance: float) -> None:
     """Reject a negative or non-finite validity bound: no relative
@@ -58,6 +53,15 @@ def check_validity_tolerance(tolerance: float) -> None:
         raise SpecError(
             f"validity_tolerance must be finite and non-negative, got {tolerance}"
         )
+
+
+def check_liability_max_share(share: float) -> None:
+    """Reject a liability cap outside (0, 1]: a device's operator share
+    is a fraction of the plan's operators, and
+    :meth:`~repro.core.liability.LiabilityReport.is_crowd_liable` takes
+    no other cap (NaN fails the range test too)."""
+    if not 0 < share <= 1:
+        raise SpecError(f"liability_max_share must be in (0, 1], got {share}")
 
 
 @dataclass(frozen=True)
@@ -288,38 +292,18 @@ def check_combiner_dedup(record: RunRecord) -> Violation | None:
     """Recording every received partial twice must not change the final
     result — the idempotence Overcollection and Backup both lean on
     when markers are lost and duplicates reach the Combiner.
+
+    Each combiner was judged when its evidence was built
+    (:meth:`~repro.core.runtime.combiner.CombinerState.judge_dedup`);
+    this returns the first stored breach.
     """
     evidence = record.evidence
-    if evidence is None or evidence.kind != "aggregate" or evidence.query is None:
+    if evidence is None:
         return None
-    from repro.core.runtime import CombinerState
-
-    indices = evidence.aggregate_indices_per_group
-    for name, state in evidence.combiners.items():
-        if not state.partials:
-            continue
-        once = CombinerState(name, state.config, state.n_groups, evidence.query)
-        twice = CombinerState(name, state.config, state.n_groups, evidence.query)
-        for (partition, group), partial in sorted(state.partials.items()):
-            once.record_partial(partition, group, partial)
-            twice.record_partial(partition, group, partial)
-            twice.record_partial(partition, group, partial)
-        result_once = once.finalize_aggregate(indices)
-        result_twice = twice.finalize_aggregate(indices)
-        if (result_once is None) != (result_twice is None):
-            return Violation(
-                "combiner_dedup",
-                f"{name}: duplicate recording changed finalizability",
-            )
-        if result_once is None:
-            continue
-        comparison = compare_results(result_once, result_twice)
-        if not comparison.is_valid(EXACT_TOLERANCE):
-            return Violation(
-                "combiner_dedup",
-                f"{name}: duplicate partial recording changed the result",
-                {"comparison": comparison.summary()},
-            )
+    for combiner in evidence.combiners.values():
+        if combiner.dedup_fault is not None:
+            detail, data = combiner.dedup_fault
+            return Violation("combiner_dedup", detail, data)
     return None
 
 

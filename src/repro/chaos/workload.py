@@ -40,6 +40,7 @@ from repro.chaos.invariants import (
     RunRecord,
     Violation,
     check_all,
+    check_liability_max_share,
     check_validity_tolerance,
     no_fault_observed,
 )
@@ -213,6 +214,7 @@ def run_workload(
     the whole shared dataset.
     """
     check_validity_tolerance(validity_tolerance)
+    check_liability_max_share(liability_max_share)
     options = dict(
         validity_tolerance=validity_tolerance,
         liability_max_share=liability_max_share,

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
-__all__ = ["OvercollectionConfig", "PartitionTally"]
+__all__ = ["OvercollectionConfig", "PartitionTally", "worst_group_summary"]
 
 
 @dataclass(frozen=True)
@@ -131,3 +131,12 @@ class PartitionTally:
             "complete": self.is_complete(),
             "valid": self.is_valid(),
         }
+
+
+def worst_group_summary(tallies: Sequence[PartitionTally]) -> dict[str, Any]:
+    """The summary of the group that received fewest partitions (the
+    binding constraint), plus every group's received count."""
+    summaries = [tally.summary() for tally in tallies]
+    worst = min(summaries, key=lambda s: s["received"])
+    worst["per_group_received"] = [s["received"] for s in summaries]
+    return worst

@@ -30,6 +30,7 @@ from repro.core.runtime.incremental import STAMP_BYTES, ContributionCache
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryRuntime
 from repro.core.runtime.report import (
+    CombinerRecord,
     ExecutionError,
     ExecutionEvidence,
     ExecutionReport,
@@ -39,6 +40,7 @@ from repro.core.runtime.strategy import StrategyRuntime
 
 __all__ = [
     "BuilderRuntime",
+    "CombinerRecord",
     "CombinerRuntime",
     "CombinerState",
     "ComputerRuntime",

@@ -13,12 +13,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.overcollection import OvercollectionConfig, PartitionTally
+from repro.core.overcollection import (
+    OvercollectionConfig,
+    PartitionTally,
+    worst_group_summary,
+)
 from repro.core.qep import OperatorRole
-from repro.core.validity import coverage_confidence, partial_validity_bound
+from repro.core.validity import (
+    EXACT_TOLERANCE,
+    compare_results,
+    coverage_confidence,
+    partial_validity_bound,
+)
 from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.events import EventKind
-from repro.core.runtime.report import ExecutionError, KMeansOutcome
+from repro.core.runtime.report import CombinerRecord, ExecutionError, KMeansOutcome
 from repro.devices.edgelet import Edgelet
 from repro.ml.distributed_kmeans import CentroidKnowledge, merge_knowledge
 from repro.network.messages import MessageKind
@@ -92,10 +101,77 @@ class CombinerState:
 
     def tally_summary(self) -> dict[str, Any]:
         """Worst-group tally summary (the binding constraint)."""
-        summaries = [tally.summary() for tally in self.group_tallies]
-        worst = min(summaries, key=lambda s: s["received"])
-        worst["per_group_received"] = [s["received"] for s in summaries]
-        return worst
+        return worst_group_summary(self.group_tallies)
+
+    def conclude(self, aggregate_indices_per_group: list[list[int]]) -> CombinerRecord:
+        """What a concluded execution keeps of this combiner: the facts
+        the checks read and the dedup verdict, judged here.  The live
+        state, partials included, stays only if that verdict is a
+        breach."""
+        fault = self.judge_dedup(aggregate_indices_per_group)
+        return CombinerRecord(
+            config=self.config,
+            n_groups=self.n_groups,
+            group_tallies=self.group_tallies,
+            accepted_generations=self.accepted_generations,
+            dedup_fault=fault,
+            state=self if fault is not None else None,
+        )
+
+    def judge_dedup(
+        self, aggregate_indices_per_group: list[list[int]]
+    ) -> tuple[str, dict[str, Any]] | None:
+        """Whether recording every held partial twice changes the final
+        result — the idempotence Overcollection and Backup both lean on
+        when markers are lost and duplicates reach the Combiner.
+
+        Replays the partials, in key order, into a state that records
+        each once and one that records each twice.  If the two states
+        are equal — the same partial objects under the same keys in the
+        same order, the same generations, the same received partitions
+        per group — they finalize to the same result, because
+        :meth:`finalize_aggregate` reads nothing else beside the query,
+        config and indices they share; only states that differ are
+        finalized and compared.  Returns ``(detail, data)`` of a breach,
+        or ``None``.
+        """
+        if self.query is None or not self.partials:
+            return None
+        once = CombinerState(self.name, self.config, self.n_groups, self.query)
+        twice = CombinerState(self.name, self.config, self.n_groups, self.query)
+        for (partition, group), partial in sorted(self.partials.items()):
+            once.record_partial(partition, group, partial)
+            twice.record_partial(partition, group, partial)
+            twice.record_partial(partition, group, partial)
+        if once._same_state(twice):
+            return None
+        result_once = once.finalize_aggregate(aggregate_indices_per_group)
+        result_twice = twice.finalize_aggregate(aggregate_indices_per_group)
+        if (result_once is None) != (result_twice is None):
+            return f"{self.name}: duplicate recording changed finalizability", {}
+        if result_once is None:
+            return None
+        comparison = compare_results(result_once, result_twice)
+        if not comparison.is_valid(EXACT_TOLERANCE):
+            return (
+                f"{self.name}: duplicate partial recording changed the result",
+                {"comparison": comparison.summary()},
+            )
+        return None
+
+    def _same_state(self, other: "CombinerState") -> bool:
+        """Everything :meth:`finalize_aggregate` reads of a state, and
+        the accepted generations, are equal in ``other``."""
+        return (
+            list(self.partials) == list(other.partials)
+            and all(
+                partial is other.partials[key]
+                for key, partial in self.partials.items()
+            )
+            and self.accepted_generations == other.accepted_generations
+            and [t.received for t in self.group_tallies]
+            == [t.received for t in other.group_tallies]
+        )
 
     def finalize_aggregate(
         self, aggregate_indices_per_group: list[list[int]]

@@ -210,15 +210,19 @@ class ExecutionCoordinator:
         """What the invariant checks read of this execution once it
         concluded — built once, by :meth:`repro.manager.scenario.
         Scenario.conclude`, on every path.  What they read of the plan
-        is taken from it here, so the evidence outlives the plan."""
+        is taken from it here, and each combiner's dedup verdict is
+        judged here (:meth:`CombinerState.conclude`), so the evidence
+        outlives the plan and keeps no unflagged partial state."""
         plan = self.plan
         queriers = plan.operators(OperatorRole.QUERIER)
+        indices = self.aggregate_indices_per_group
         return ExecutionEvidence(
             kind=self.kind,
-            query=self.query,
             start_time=self.start_time,
-            combiners=self.combiners,
-            aggregate_indices_per_group=self.aggregate_indices_per_group,
+            combiners={
+                name: state.conclude(indices)
+                for name, state in self.combiners.items()
+            },
             processors=processor_assignment(plan),
             querier=queriers[0].assigned_to if queriers else None,
             exposure=ExposureFacts.of(plan),

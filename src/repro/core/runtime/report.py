@@ -7,15 +7,21 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.overcollection import (
+    OvercollectionConfig,
+    PartitionTally,
+    worst_group_summary,
+)
 from repro.core.runtime.events import Event, EventKind, of_kind
 from repro.errors import ReproError
-from repro.query.groupby import GroupByQuery, GroupingSetsResult
+from repro.query.groupby import GroupingSetsResult
 
 if TYPE_CHECKING:
     from repro.core.privacy import ExposureFacts
     from repro.core.runtime.combiner import CombinerState
 
 __all__ = [
+    "CombinerRecord",
     "ExecutionError",
     "ExecutionEvidence",
     "ExecutionReport",
@@ -121,26 +127,59 @@ class ExecutionReport:
 
 
 @dataclass(frozen=True)
+class CombinerRecord:
+    """What a concluded execution keeps of one combiner.
+
+    Built by :meth:`~repro.core.runtime.combiner.CombinerState.conclude`.
+    The live state holds every partial it accepted, and only the dedup
+    check reads them; that check is judged once, when the record is
+    built, so the record keeps its verdict instead of the partials.
+
+    Attributes:
+        config: the combiner's overcollection parameters.
+        n_groups: vertical groups.
+        group_tallies: one partition tally per vertical group (the
+            resiliency check, :meth:`tally_summary`).
+        accepted_generations: the generation whose partial holds each
+            cell (the split-brain check).
+        dedup_fault: ``(detail, data)`` when recording every partial
+            twice changed the result, else ``None``.
+        state: the live state, partials included, kept only when
+            ``dedup_fault`` is set, so the breach stays explainable.
+    """
+
+    config: OvercollectionConfig
+    n_groups: int
+    group_tallies: list[PartitionTally]
+    accepted_generations: dict[tuple[int, int], int]
+    dedup_fault: tuple[str, dict[str, Any]] | None = None
+    state: "CombinerState | None" = None
+
+    def tally_summary(self) -> dict[str, Any]:
+        """Worst-group tally summary (the binding constraint)."""
+        return worst_group_summary(self.group_tallies)
+
+
+@dataclass(frozen=True)
 class ExecutionEvidence:
     """What one concluded execution leaves for the checks that judge it.
 
     :meth:`~repro.core.runtime.coordinator.ExecutionCoordinator.evidence`
-    builds it when the execution is sealed, on every path.  It holds the
-    combiner states, the events and the few facts the checks read of the
-    plan, never the plan, the runtimes, the context, the builders' rows
-    or the transport, so a multi-query engine keeps it and lets the
-    execution and its plan go.
+    builds it when the execution is sealed, on every path.  It holds one
+    :class:`CombinerRecord` per combiner, the events and the few facts
+    the checks read of the plan, never the plan, the runtimes, the
+    context, the builders' rows, the transport or an unflagged
+    combiner's partial states, so a multi-query engine keeps it and lets
+    the execution and its plan go.
 
     Attributes:
         kind: ``"aggregate"`` or ``"kmeans"``.
-        query: the executed group-by query (``None`` for k-means).
         start_time: virtual time the execution started (the base of its
             report fingerprint).
-        combiners: both combiner states (partials, tallies, config,
-            ``n_groups``, accepted generations), keyed
+        combiners: one :class:`CombinerRecord` per combiner (tallies,
+            config, ``n_groups``, accepted generations and the dedup
+            verdict, judged when the evidence was built), keyed
             ``combiner``/``combiner-backup``.
-        aggregate_indices_per_group: vertical-partitioning aggregate
-            slices, one list per group.
         processors: every data-processor operator (builders, computers,
             both combiners), by op id, mapped to its device — the
             liability tally's input
@@ -157,10 +196,8 @@ class ExecutionEvidence:
     """
 
     kind: str
-    query: GroupByQuery | None
     start_time: float
-    combiners: dict[str, "CombinerState"]
-    aggregate_indices_per_group: list[list[int]]
+    combiners: dict[str, CombinerRecord]
     processors: dict[str, str | None]
     querier: str | None
     exposure: "ExposureFacts"

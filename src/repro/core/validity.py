@@ -18,7 +18,13 @@ from typing import Any
 
 from repro.query.groupby import GroupingSetsResult
 
+# float slack for "exact" comparisons: partial states merge in a
+# different order than one centralized pass, so bit-equality is not the
+# meaningful criterion (mirrors ValidityReport.exact_match)
+EXACT_TOLERANCE = 1e-9
+
 __all__ = [
+    "EXACT_TOLERANCE",
     "ValidityReport",
     "compare_results",
     "coverage_confidence",

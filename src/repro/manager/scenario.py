@@ -268,7 +268,8 @@ class ScenarioResult:
             keep it.
         evidence: the :class:`~repro.core.runtime.ExecutionEvidence`
             :meth:`Scenario.conclude` took from the executor (combiner
-            states, the execution's events, start time, the
+            records with their dedup verdicts, the execution's events,
+            start time, the
             operator → device map and exposure facts of the plan, the
             network for liveness reads); ``None`` until then.
         failure_events: what the installed failure plan logged, by

@@ -86,7 +86,9 @@ class UnitRecord:
     It keeps no plan: an in-flight unit's plan is ``result.plan``, and a
     concluded unit keeps only what its readers take from the plan — the
     evidence's operator → device map and exposure facts, and its
-    operators in the engine's running liability count.
+    operators in the engine's running liability count.  Nor does it keep
+    its combiners' partial states, unless the dedup check, judged when
+    the evidence was built, flagged them.
 
     A subclass names the unit through a ``unit_id`` property.
     """
@@ -245,8 +247,10 @@ class MultiQueryEngine:
         execution go and free its devices.
 
         The engine's heap then follows the units in flight, not the
-        units served: nothing else holds a concluded unit's executor or
-        plan, so reference counting frees them here.
+        units served: nothing else holds a concluded unit's executor,
+        plan or unflagged partial states (the evidence keeps each
+        combiner's dedup verdict instead), so reference counting frees
+        them here.
         """
         result = record.result
         record.report = self.scenario.conclude(result)

@@ -394,6 +394,9 @@ class TestArtifacts:
             ),
             ({"optimizer": "bogus"}, "optimizer must be 'pinned' or 'cost'"),
             ({"validity_tolerance": -1}, "validity_tolerance must be finite"),
+            # a traceback from core/liability.py after the whole run
+            # before the same change
+            ({"liability_max_share": 0}, "liability_max_share must be in (0, 1]"),
         ],
         ids=[
             "run-without-tag",
@@ -407,6 +410,7 @@ class TestArtifacts:
             "message-fault-probability-out-of-range",
             "unknown-optimizer",
             "negative-validity-tolerance",
+            "zero-liability-max-share",
         ],
     )
     def test_malformed_artifact_replay_exits_2_with_one_line(

@@ -9,6 +9,7 @@ import pytest
 from repro.chaos.invariants import (
     RunRecord,
     check_crowd_liability,
+    check_liability_max_share,
     check_no_double_takeover,
     check_resiliency,
     check_validity,
@@ -18,6 +19,7 @@ from repro.core.overcollection import OvercollectionConfig
 from repro.core.resiliency import replicas_for
 from repro.core.runtime import CombinerState
 from repro.core.runtime.events import Event, EventKind
+from repro.errors import SpecError
 from repro.network.opnet import LOSS_COUNTERS, NetworkStats
 from repro.query.aggregates import AggregateSpec
 from repro.query.groupby import (
@@ -282,6 +284,42 @@ class TestCrowdLiability:
         violation = check_crowd_liability(over)
         assert violation is not None
         assert "d1" in violation.detail
+
+
+class TestLiabilityMaxShare:
+    """The cap is a share of the plan's operators, so it must lie in
+    (0, 1]; every entry point refuses another before it runs anything."""
+
+    BAD = [0, -0.5, 1.5, float("nan")]
+
+    @pytest.mark.parametrize("share", [0.01, 0.5, 1])
+    def test_a_share_in_range_passes(self, share):
+        check_liability_max_share(share)
+
+    @pytest.mark.parametrize("share", BAD)
+    def test_a_share_out_of_range_is_a_spec_error(self, share):
+        from repro.chaos.campaign import RunSpec
+
+        with pytest.raises(SpecError, match=r"liability_max_share must be in \(0, 1\]"):
+            check_liability_max_share(share)
+        with pytest.raises(SpecError, match="liability_max_share"):
+            RunSpec(seed=0, tag="bad", liability_max_share=share)
+
+    @pytest.mark.parametrize("share", BAD)
+    def test_workload_and_soak_refuse_it_before_running(self, monkeypatch, share):
+        from repro.chaos import continuous, run_soak, run_workload, workload
+        from repro.continuous import StandingQuerySpec
+        from repro.workload import WorkloadSpec
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(workload, "WorkloadEngine", no_engine)
+        monkeypatch.setattr(continuous, "ContinuousEngine", no_engine)
+        with pytest.raises(SpecError, match="liability_max_share"):
+            run_workload(WorkloadSpec(n_queries=1), liability_max_share=share)
+        with pytest.raises(SpecError, match="liability_max_share"):
+            run_soak(StandingQuerySpec(), liability_max_share=share)
 
 
 def _takeovers(*records):

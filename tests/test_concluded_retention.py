@@ -4,12 +4,15 @@ A closed-loop workload keeps four queries in flight whatever its length,
 so the heap two runs of different lengths leave behind differs only by
 what each concluded query keeps: its record, report and evidence.  The
 plan is not among them (``TestConcludedUnits`` asserts that with weak
-references); this test bounds the bytes that do stay.
+references), and neither are the combiners' partial states
+(``tests/test_concluded_dedup.py`` walks the references); this test
+bounds the bytes that do stay.
 
 Measured with ``tracemalloc`` on Python 3.11 (seed 13, 30 contributors,
-60 processors): ≈29.6 KB per concluded query, against ≈65.9 KB while
-every concluded query kept its whole plan.  The bound sits between the
-two with room on both sides.
+60 processors): ≈15.4 KB per concluded query, against ≈30.8 KB while
+every concluded query kept its combiners' partial states and ≈65.9 KB
+while it kept its whole plan.  The bound sits between the first two
+with room on both sides.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.telemetry import null_telemetry
 from repro.workload import WorkloadEngine, WorkloadSpec
 
 #: bytes one concluded query may keep (see the module docstring)
-KEPT_PER_UNIT_BOUND = 45_000
+KEPT_PER_UNIT_BOUND = 22_000
 
 
 def _kept_after(n_queries: int) -> int:
