@@ -30,6 +30,13 @@ from _tables import print_table
 
 from repro.crypto import primitives
 from repro.data.health import HEALTH_MIXTURE, HEALTH_SCHEMA, generate_health_rows
+from repro.query.expressions import (
+    COMPARATORS,
+    AndExpr,
+    ColumnRef,
+    CompareExpr,
+    Literal,
+)
 from repro.query.schema import Schema, SchemaError
 
 
@@ -326,6 +333,21 @@ def _reference_validate(schema: Schema, row: dict) -> None:
             )
 
 
+def _reference_where(expr, row):
+    """``Expression.evaluate`` walking the WHERE tree for every row."""
+    if isinstance(expr, ColumnRef):
+        return row.get(expr.name)
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, AndExpr):
+        return all(_reference_where(operand, row) for operand in expr.operands)
+    left = _reference_where(expr.left, row)
+    right = _reference_where(expr.right, row)
+    if left is None or right is None:
+        return False
+    return COMPARATORS[expr.comparator](left, right)
+
+
 def _best_of_3(fn):
     best, result = math.inf, None
     for _ in range(3):
@@ -345,8 +367,8 @@ def _refusals(validate, schema: Schema, bad_rows: list[dict]) -> list[str]:
 
 
 def test_qscale_per_row_data_path():
-    """40,000 rows (the ``data_heavy`` dataset) generated and validated:
-    reference route vs the library, same outputs."""
+    """40,000 rows (the ``data_heavy`` dataset) generated, validated and
+    filtered: reference route vs the library, same outputs."""
     count, seed = 40_000, 5
     reference_s, expected = _best_of_3(lambda: _reference_health_rows(count, seed))
     library_s, rows = _best_of_3(lambda: generate_health_rows(count, seed))
@@ -366,6 +388,18 @@ def test_qscale_per_row_data_path():
         _reference_validate, HEALTH_SCHEMA, bad_rows
     )
     table.append(["validate (deal + oracle -> deal)", reference_s, library_s])
+
+    # data_heavy's WHERE, as each contributor filters its rows
+    where = AndExpr((
+        CompareExpr(">", ColumnRef("age"), Literal(40)),
+        CompareExpr("<", ColumnRef("bmi"), Literal(35)),
+    ))
+    reference_s, expected = _best_of_3(
+        lambda: [row for row in rows if _reference_where(where, row)]
+    )
+    library_s, kept = _best_of_3(lambda: list(filter(where.evaluator, rows)))
+    assert kept == expected
+    table.append(["WHERE (tree walk -> one closure)", reference_s, library_s])
 
     print_table(
         "Q-SCALE: per-row data path over 40,000 rows (data_heavy dataset, "

@@ -418,9 +418,7 @@ class ContinuousEngine(MultiQueryEngine):
         # the window's contributors will actually read at fire time —
         # under the same predicate, so coverage counts collectable rows
         where = self.group_by.where
-        predicate = (
-            (lambda row: where.evaluate(row)) if where is not None else None
-        )
+        predicate = where.evaluator if where is not None else None
         record.rows = [
             dict(row)
             for device_id in record.eligible

@@ -32,14 +32,22 @@ def ship_partition(
 ) -> None:
     """Project the partition per consumer column group and send it.
 
-    ``generation`` is the fencing token stamped on a reprovisioning
-    re-ship; like every payload's, it rides only when nonzero.
+    Contributors project their rows to ``ctx.collected_columns``, so a
+    group that is the whole collected set ships the frozen rows as they
+    are, in a new list; only a real vertical split copies each row into
+    its group.  ``generation`` is the fencing token stamped on a
+    reprovisioning re-ship; like every payload's, it rides only when
+    nonzero.
     """
+    collected = ctx.collected_columns
     for consumer in consumers:
-        group = consumer.params.get("column_group") or ctx.collected_columns
-        projected = [
-            {column: row.get(column) for column in group} for row in rows
-        ]
+        group = consumer.params.get("column_group") or collected
+        if list(group) == collected:
+            projected = list(rows)
+        else:
+            projected = [
+                {column: row.get(column) for column in group} for row in rows
+            ]
         target = ctx.device_of(consumer)
         payload = {
             "op_id": consumer.op_id,

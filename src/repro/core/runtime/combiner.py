@@ -291,6 +291,11 @@ def stitch_groups(
     apply_having: bool = True,
 ) -> GroupingSetsResult:
     """Assemble per-vertical-group results into one result row set."""
+    having = (
+        query.having.evaluator
+        if apply_having and query.having is not None
+        else None
+    )
     stitched_sets: list[tuple[dict[str, Any], ...]] = []
     for set_index, grouping_set in enumerate(query.grouping_sets):
         merged_rows: dict[str, dict[str, Any]] = {}
@@ -310,11 +315,7 @@ def stitch_groups(
         # HAVING applies here: only now are all of a row's aggregates
         # (possibly spread over vertical groups) present
         ordered = tuple(
-            row
-            for row in candidates
-            if not apply_having
-            or query.having is None
-            or query.having.evaluate(row)
+            row for row in candidates if having is None or having(row)
         )
         stitched_sets.append(ordered)
     return GroupingSetsResult(query, tuple(stitched_sets))

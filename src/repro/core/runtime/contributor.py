@@ -31,8 +31,7 @@ class ContributorRuntime:
         contributors = ctx.plan.operators(OperatorRole.DATA_CONTRIBUTOR)
         predicate = None
         if ctx.query is not None and ctx.query.where is not None:
-            where = ctx.query.where
-            predicate = lambda row: where.evaluate(row)
+            predicate = ctx.query.where.evaluator
         for leaf in contributors:
             device = ctx.devices.get(leaf.params["device"])
             if device is None:

@@ -99,7 +99,10 @@ def _relative_error(expected: Any, actual: Any) -> float:
 
     Histogram outputs are lists of bucket counts; their error is the
     total-variation-style relative deviation (sum of absolute bucket
-    differences over the expected total).
+    differences over the expected total).  NaN matches NaN (error 0);
+    any other mismatch involving NaN or an infinity has error ``inf``.
+    So no error is ever NaN: a NaN would make ``max`` over the cells
+    depend on their order.
     """
     if expected is None and actual is None:
         return 0.0
@@ -121,6 +124,9 @@ def _relative_error(expected: Any, actual: Any) -> float:
     actual_f = float(actual)
     if expected_f == actual_f:
         return 0.0
+    if not (math.isfinite(expected_f) and math.isfinite(actual_f)):
+        # an infinite expected value would divide inf by inf
+        return 0.0 if math.isnan(expected_f) and math.isnan(actual_f) else math.inf
     denominator = max(abs(expected_f), 1e-12)
     return abs(actual_f - expected_f) / denominator
 

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import SpecError
 
-__all__ = ["SeededMixture", "distribute_rows_to_devices"]
+__all__ = ["SeededMixture", "distribute_rows_to_devices", "integer_draws"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,71 @@ class SeededMixture:
         noise = rng.standard_normal((count, self.dimension))
         points = means[components] + noise * stds[components]
         return points, components
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+@contextmanager
+def integer_draws(rng: np.random.Generator) -> Iterator[Callable[[int], int]]:
+    """Yield ``draw(n)``, equal to ``int(rng.integers(n))`` but cheaper.
+
+    A scalar ``rng.integers`` call spends most of its time in numpy's
+    argument handling.  ``draw`` runs numpy's own algorithm on
+    ``rng.bit_generator.random_raw()`` outputs instead, so it consumes
+    the bit stream exactly as ``rng.integers(n)`` would:
+
+    * a bound ``n <= 2**32`` is drawn with Lemire's bounded method over
+      32-bit draws, rejecting while ``leftover < 2**32 % n``;
+    * a 32-bit draw is the low half of a fresh 64-bit output, and the
+      next one is its high half, buffered in the bit generator's
+      ``has_uint32`` / ``uinteger`` state.  The buffer is read on entry
+      and written back on exit; inside the block it lives here;
+    * ``n == 1`` draws nothing.
+
+    Calls that take whole 64-bit outputs (``rng.normal``, ``rng.random``)
+    never touch that buffer, so they may be interleaved with ``draw``
+    inside the block.  ``rng.integers`` and ``rng.bit_generator.state``
+    must not be used there: they would not see the buffered half.  The
+    layout is ``PCG64``'s (``np.random.default_rng``); any other bit
+    generator is refused.
+    """
+    bit_generator = rng.bit_generator
+    raw = bit_generator.random_raw
+    state = bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise ValueError(f"integer_draws needs PCG64, got {state['bit_generator']}")
+    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
+
+    def next32() -> int:
+        nonlocal has_uint32, uinteger
+        if has_uint32:
+            has_uint32 = 0
+            return uinteger
+        word = raw()
+        has_uint32, uinteger = 1, word >> 32
+        return word & _MASK32
+
+    def draw(n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"bound must be in [1, 2**32], got {n}")
+        scaled = next32() * n
+        leftover = scaled & _MASK32
+        if leftover < n:  # n bounds the threshold: skip the modulo
+            threshold = (1 << 32) % n
+            while leftover < threshold:
+                scaled = next32() * n
+                leftover = scaled & _MASK32
+        return scaled >> 32
+
+    try:
+        yield draw
+    finally:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+        bit_generator.state = state
 
 
 def distribute_rows_to_devices(

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.data.generators import SeededMixture
+from repro.data.generators import SeededMixture, integer_draws
 from repro.errors import SpecError
 from repro.query.schema import Column, ColumnType, Schema
 
@@ -61,28 +61,29 @@ def generate_health_rows(count: int, seed: int = 0) -> list[dict[str, Any]]:
     points, components = HEALTH_MIXTURE.sample(count, rng)
     # One scalar draw at a time, in this order: a vectorised draw
     # consumes the bit stream differently and would change every row.
-    normal, integers = rng.normal, rng.integers
+    normal = rng.normal
     rows: list[dict[str, Any]] = []
-    for i, (component, (bmi, systolic_bp, glucose)) in enumerate(
-        zip(components.tolist(), points.tolist())
-    ):
-        age = int(min(max(normal(74, 12), 18), 103))
-        dependency = min(
-            max(component + int(integers(0, 2)) + (1 if age > 85 else 0), 0), 5
-        )
-        rows.append(
-            {
-                "patient_id": i + 1,
-                "age": age,
-                "sex": _SEXES[int(integers(len(_SEXES)))],
-                "zipcode": f"78{int(integers(0, 1000)):03d}",
-                "region": _REGIONS[int(integers(len(_REGIONS)))],
-                "bmi": round(bmi, 2),
-                "systolic_bp": round(systolic_bp, 1),
-                "glucose": round(glucose, 3),
-                "dependency_level": dependency,
-            }
-        )
+    with integer_draws(rng) as draw:
+        for i, (component, (bmi, systolic_bp, glucose)) in enumerate(
+            zip(components.tolist(), points.tolist())
+        ):
+            age = int(min(max(normal(74, 12), 18), 103))
+            dependency = min(
+                max(component + draw(2) + (1 if age > 85 else 0), 0), 5
+            )
+            rows.append(
+                {
+                    "patient_id": i + 1,
+                    "age": age,
+                    "sex": _SEXES[draw(len(_SEXES))],
+                    "zipcode": f"78{draw(1000):03d}",
+                    "region": _REGIONS[draw(len(_REGIONS))],
+                    "bmi": round(bmi, 2),
+                    "systolic_bp": round(systolic_bp, 1),
+                    "glucose": round(glucose, 3),
+                    "dependency_level": dependency,
+                }
+            )
     return rows
 
 

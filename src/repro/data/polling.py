@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.data.generators import integer_draws
 from repro.errors import SpecError
 from repro.query.schema import Column, ColumnType, Schema
 
@@ -47,17 +48,22 @@ def generate_polling_rows(count: int, seed: int = 0) -> list[dict[str, Any]]:
         raise SpecError("count must be non-negative")
     rng = np.random.default_rng(seed)
     rows: list[dict[str, Any]] = []
-    for i in range(count):
-        interest = _INTERESTS[int(rng.integers(len(_INTERESTS)))]
-        spending_mean = _INTEREST_SPENDING_MEAN[interest]
-        rows.append(
-            {
-                "attendee_id": i + 1,
-                "age": int(np.clip(rng.normal(36, 11), 18, 90)),
-                "nationality": _NATIONALITIES[int(rng.integers(len(_NATIONALITIES)))],
-                "interest": interest,
-                "satisfaction": round(float(np.clip(rng.normal(3.8, 0.8), 1.0, 5.0)), 2),
-                "spending": round(float(max(rng.normal(spending_mean, 12.0), 0.0)), 2),
-            }
-        )
+    with integer_draws(rng) as draw:
+        for i in range(count):
+            interest = _INTERESTS[draw(len(_INTERESTS))]
+            spending_mean = _INTEREST_SPENDING_MEAN[interest]
+            rows.append(
+                {
+                    "attendee_id": i + 1,
+                    "age": int(np.clip(rng.normal(36, 11), 18, 90)),
+                    "nationality": _NATIONALITIES[draw(len(_NATIONALITIES))],
+                    "interest": interest,
+                    "satisfaction": round(
+                        float(np.clip(rng.normal(3.8, 0.8), 1.0, 5.0)), 2
+                    ),
+                    "spending": round(
+                        float(max(rng.normal(spending_mean, 12.0), 0.0)), 2
+                    ),
+                }
+            )
     return rows

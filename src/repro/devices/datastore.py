@@ -72,11 +72,10 @@ class LocalDatastore:
         """Return matching rows, optionally projected to ``columns``.
 
         Missing columns are projected as ``None`` so that heterogeneous
-        owner records still conform to the common schema.
+        owner records still conform to the common schema.  One pass:
+        each row is tested, then copied or projected, as it is read.
         """
-        matched = (
-            row for row in self._rows if predicate is None or predicate(row)
-        )
+        matched = self._rows if predicate is None else filter(predicate, self._rows)
         if columns is None:
             return [dict(row) for row in matched]
         return [{column: row.get(column) for column in columns} for row in matched]

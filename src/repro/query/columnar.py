@@ -47,6 +47,7 @@ from repro.query.aggregates import (
     AggregateState,
 )
 from repro.query.expressions import (
+    COMPARATORS,
     AndExpr,
     ColumnRef,
     CompareExpr,
@@ -82,15 +83,6 @@ _NP_COMPARATORS = {
     "<=": np.less_equal,
     ">": np.greater,
     ">=": np.greater_equal,
-}
-
-_PY_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
 }
 
 
@@ -224,9 +216,10 @@ def _numeric_literal_safe(value: Any) -> bool:
 
 def _rowwise_mask(expr: Expression, batch: ColumnBatch) -> np.ndarray:
     """Fallback: evaluate the expression row by row (exact by definition)."""
-    rows = batch.to_rows()
     return np.fromiter(
-        (bool(expr.evaluate(row)) for row in rows), dtype=bool, count=batch.length
+        map(bool, map(expr.evaluator, batch.to_rows())),
+        dtype=bool,
+        count=batch.length,
     )
 
 
@@ -239,7 +232,7 @@ def _compare_mask(expr: CompareExpr, batch: ColumnBatch) -> np.ndarray:
     if left_lit and right_lit:
         if left_value is None or right_value is None:
             return np.zeros(batch.length, dtype=bool)
-        result = bool(_PY_COMPARATORS[comparator](left_value, right_value))
+        result = bool(COMPARATORS[comparator](left_value, right_value))
         return np.full(batch.length, result, dtype=bool)
 
     if isinstance(left, ColumnRef) and right_lit:
@@ -269,7 +262,7 @@ def _column_vs_scalar(
                 op(float(scalar), view) if reversed_operands else op(view, float(scalar))
             )
         return mask & valid
-    compare = _PY_COMPARATORS[comparator]
+    compare = COMPARATORS[comparator]
     block = batch.column(name)
     out = np.zeros(batch.length, dtype=bool)
     for index in np.flatnonzero(valid):
@@ -289,7 +282,7 @@ def _column_vs_column(
         with np.errstate(invalid="ignore"):
             mask = op(batch.numeric(left), batch.numeric(right))
         return mask & valid
-    compare = _PY_COMPARATORS[comparator]
+    compare = COMPARATORS[comparator]
     left_block = batch.column(left)
     right_block = batch.column(right)
     out = np.zeros(batch.length, dtype=bool)

@@ -5,12 +5,19 @@ must round-trip through JSON.  The expression tree supports column
 references, literals, the six comparisons, IN-lists, and boolean
 combinators — enough for the demonstration queries (``age > 65``,
 ``region IN (...)`` and the like).
+
+Each node compiles once into a closure over its children's closures
+(:attr:`Expression.evaluator`); :meth:`Expression.evaluate` calls it, so
+a node's semantics are written once.  Row loops fetch the closure once
+and call it per row instead of walking the tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import operator
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Any, Callable
 
 __all__ = [
     "Expression",
@@ -21,18 +28,20 @@ __all__ = [
     "AndExpr",
     "OrExpr",
     "NotExpr",
+    "COMPARATORS",
     "expression_from_dict",
 ]
 
 Row = dict[str, Any]
 
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+#: Comparator symbol -> the Python operator it applies.
+COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -41,7 +50,23 @@ class Expression:
 
     def evaluate(self, row: Row) -> Any:
         """Evaluate against one row."""
+        return self.evaluator(row)
+
+    @cached_property
+    def evaluator(self) -> Callable[[Row], Any]:
+        """The expression as one closure ``row -> value``, built once.
+
+        Cached on the instance but not a field, so equality, hashing,
+        ``repr`` and :meth:`to_dict` never see it.
+        """
+        return self._compile()
+
+    def _compile(self) -> Callable[[Row], Any]:
         raise NotImplementedError
+
+    def __getstate__(self) -> dict[str, Any]:
+        # pickle the fields only, not the compiled closure
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible representation."""
@@ -58,8 +83,8 @@ class ColumnRef(Expression):
 
     name: str
 
-    def evaluate(self, row: Row) -> Any:
-        return row.get(self.name)
+    def _compile(self) -> Callable[[Row], Any]:
+        return operator.methodcaller("get", self.name)
 
     def to_dict(self) -> dict[str, Any]:
         return {"op": "column", "name": self.name}
@@ -74,8 +99,9 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, row: Row) -> Any:
-        return self.value
+    def _compile(self) -> Callable[[Row], Any]:
+        value = self.value
+        return lambda row: value
 
     def to_dict(self) -> dict[str, Any]:
         return {"op": "literal", "value": self.value}
@@ -93,15 +119,32 @@ class CompareExpr(Expression):
     right: Expression
 
     def __post_init__(self) -> None:
-        if self.comparator not in _COMPARATORS:
+        if self.comparator not in COMPARATORS:
             raise ValueError(f"unknown comparator {self.comparator!r}")
 
-    def evaluate(self, row: Row) -> bool:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return False
-        return _COMPARATORS[self.comparator](left, right)
+    def _compile(self) -> Callable[[Row], Any]:
+        compare = COMPARATORS[self.comparator]
+        if (
+            isinstance(self.left, ColumnRef)
+            and isinstance(self.right, Literal)
+            and self.right.value is not None
+        ):
+            # the common shape, ``column op literal``: one lookup, one call
+            name, value = self.left.name, self.right.value
+
+            def column_vs_literal(row: Row) -> Any:
+                cell = row.get(name)
+                return cell is not None and compare(cell, value)
+            return column_vs_literal
+        left, right = self.left.evaluator, self.right.evaluator
+
+        def comparison(row: Row) -> Any:
+            left_value = left(row)
+            right_value = right(row)
+            if left_value is None or right_value is None:
+                return False
+            return compare(left_value, right_value)
+        return comparison
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -122,11 +165,13 @@ class InExpr(Expression):
     operand: Expression
     choices: tuple[Any, ...]
 
-    def evaluate(self, row: Row) -> bool:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return False
-        return value in self.choices
+    def _compile(self) -> Callable[[Row], bool]:
+        operand, choices = self.operand.evaluator, self.choices
+
+        def membership(row: Row) -> bool:
+            value = operand(row)
+            return value is not None and value in choices
+        return membership
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -145,8 +190,15 @@ class AndExpr(Expression):
 
     operands: tuple[Expression, ...]
 
-    def evaluate(self, row: Row) -> bool:
-        return all(operand.evaluate(row) for operand in self.operands)
+    def _compile(self) -> Callable[[Row], bool]:
+        operands = tuple(operand.evaluator for operand in self.operands)
+
+        def conjunction(row: Row) -> bool:
+            for operand in operands:  # short-circuits in operand order
+                if not operand(row):
+                    return False
+            return True
+        return conjunction
 
     def to_dict(self) -> dict[str, Any]:
         return {"op": "and", "operands": [o.to_dict() for o in self.operands]}
@@ -164,8 +216,15 @@ class OrExpr(Expression):
 
     operands: tuple[Expression, ...]
 
-    def evaluate(self, row: Row) -> bool:
-        return any(operand.evaluate(row) for operand in self.operands)
+    def _compile(self) -> Callable[[Row], bool]:
+        operands = tuple(operand.evaluator for operand in self.operands)
+
+        def disjunction(row: Row) -> bool:
+            for operand in operands:  # short-circuits in operand order
+                if operand(row):
+                    return True
+            return False
+        return disjunction
 
     def to_dict(self) -> dict[str, Any]:
         return {"op": "or", "operands": [o.to_dict() for o in self.operands]}
@@ -183,8 +242,9 @@ class NotExpr(Expression):
 
     operand: Expression
 
-    def evaluate(self, row: Row) -> bool:
-        return not self.operand.evaluate(row)
+    def _compile(self) -> Callable[[Row], bool]:
+        operand = self.operand.evaluator
+        return lambda row: not operand(row)
 
     def to_dict(self) -> dict[str, Any]:
         return {"op": "not", "operand": self.operand.to_dict()}

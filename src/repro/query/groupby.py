@@ -249,12 +249,12 @@ def evaluate_group_by(query: GroupByQuery, rows: Iterable[Row]) -> PartialGroups
     encoded afresh for every row.
     """
     partial = PartialGroups(n_sets=len(query.grouping_sets), n_aggs=len(query.aggregates))
-    where = query.where
+    where = query.where.evaluator if query.where is not None else None
     aggregates = query.aggregates
     per_set = list(zip(query.grouping_sets, partial.groups))
     keys: dict[tuple[Any, ...], str] = {}
     for row in rows:
-        if where is not None and not where.evaluate(row):
+        if where is not None and not where(row):
             continue
         for grouping_set, groups in per_set:
             values = tuple(map(row.get, grouping_set))
@@ -297,6 +297,7 @@ def finalize_partials(query: GroupByQuery, merged: PartialGroups) -> GroupingSet
     rows — exactly what the Computing Combiner does in a distributed
     execution.
     """
+    having = query.having.evaluator if query.having is not None else None
     per_set_rows: list[tuple[Row, ...]] = []
     for set_index, grouping_set in enumerate(query.grouping_sets):
         rows: list[Row] = []
@@ -306,7 +307,7 @@ def finalize_partials(query: GroupByQuery, merged: PartialGroups) -> GroupingSet
             states = merged.groups[set_index][key]
             for spec, state in zip(query.aggregates, states):
                 row[spec.output_name] = finalize_state(spec, state)
-            if query.having is None or query.having.evaluate(row):
+            if having is None or having(row):
                 rows.append(row)
         per_set_rows.append(tuple(rows))
     return GroupingSetsResult(query, tuple(per_set_rows))

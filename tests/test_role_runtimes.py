@@ -35,6 +35,7 @@ from repro.core.runtime.events import EventKind, of_kind
 from repro.data.health import generate_health_rows
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import PC_SGX
+from repro.network.faults import FaultSpec, MessageFaultInjector
 from repro.network.messages import MessageKind
 from repro.network.opnet import NetworkConfig, OpportunisticNetwork
 from repro.network.simulator import Simulator
@@ -48,7 +49,7 @@ from repro.query.groupby import GroupByQuery, evaluate_group_by
 _QUERY_IDS = itertools.count()
 
 
-def _harness(n_contributors=8, n_processors=10):
+def _harness(n_contributors=8, n_processors=10, query=None, separated_pairs=()):
     """A swarm + plan + bare ExecutionContext, and a message capture.
 
     Returns ``(ctx, captured)`` where ``captured`` accumulates every
@@ -79,16 +80,19 @@ def _harness(n_contributors=8, n_processors=10):
     for device_id in devices:
         topology.add_device(device_id)
 
-    query = GroupByQuery(
-        grouping_sets=((), ),
-        aggregates=(AggregateSpec("count"), AggregateSpec("avg", "age")),
-    )
+    if query is None:
+        query = GroupByQuery(
+            grouping_sets=((), ),
+            aggregates=(AggregateSpec("count"), AggregateSpec("avg", "age")),
+        )
     spec = QuerySpec(
         query_id=f"role-runtime-{next(_QUERY_IDS)}", kind="aggregate",
         snapshot_cardinality=2 * len(rows), group_by=query,
     )
     planner = EdgeletPlanner(
-        privacy=PrivacyParameters(max_raw_per_edgelet=len(rows) + 1),
+        privacy=PrivacyParameters(
+            max_raw_per_edgelet=len(rows) + 1, separated_pairs=separated_pairs
+        ),
         resiliency=ResiliencyParameters(fault_rate=0.1),
     )
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
@@ -282,6 +286,81 @@ class TestBuilderRuntime:
             device, self._contribution(ctx, partition_index, flood, "flood-1")
         )
         assert len(runtime.rows_by_partition[partition_index]) == cap
+
+    # -- what a frozen partition ships -------------------------------------
+
+    def _ship_frozen(self, ctx, captured, rows):
+        """Collect ``rows`` as one contribution, freeze, ship; returns the
+        bucket and the PARTITION payloads delivered."""
+        runtime = BuilderRuntime(ctx)
+        runtime.index()
+        partition_index = min(runtime.builder_by_partition)
+        builder = runtime.builder_by_partition[partition_index]
+        device = ctx.device_of(builder)
+        runtime.on_contribution(
+            device, self._contribution(ctx, partition_index, rows)
+        )
+        runtime.run(builder, device, on_sent=lambda: None)
+        ctx.simulator.run()
+        payloads = [
+            message.payload for _, message in captured
+            if message.kind is MessageKind.PARTITION
+        ]
+        assert payloads
+        return runtime.rows_by_partition[partition_index], payloads
+
+    def test_a_whole_set_group_ships_the_frozen_rows_in_a_new_list(self):
+        ctx, captured = _harness()
+        assert ctx.column_groups == [ctx.collected_columns] == [["age"]]
+        # projected to the collected columns, as a contributor ships them
+        bucket, payloads = self._ship_frozen(
+            ctx, captured, [{"age": 30.0}, {"age": 50.0}]
+        )
+        for payload in payloads:
+            assert payload["rows"] is not bucket
+            assert len(payload["rows"]) == len(bucket) == 2
+            assert all(
+                shipped is frozen
+                for shipped, frozen in zip(payload["rows"], bucket)
+            )
+
+    def test_a_vertical_split_projects_each_group(self):
+        query = GroupByQuery(
+            grouping_sets=((), ),
+            aggregates=(AggregateSpec("avg", "age"), AggregateSpec("avg", "bmi")),
+        )
+        ctx, captured = _harness(query=query, separated_pairs=(("age", "bmi"),))
+        assert ctx.collected_columns == ["age", "bmi"]
+        assert ctx.column_groups == [["age"], ["bmi"]]
+        rows = [{"age": 30.0, "bmi": 21.5}, {"age": 50.0, "bmi": 27.0}]
+        bucket, payloads = self._ship_frozen(ctx, captured, rows)
+        assert {payload["group_index"] for payload in payloads} == {0, 1}
+        for payload in payloads:
+            group = ctx.column_groups[payload["group_index"]]
+            assert payload["rows"] == [
+                {column: row[column] for column in group} for row in rows
+            ]
+            assert not any(
+                shipped is frozen
+                for shipped, frozen in zip(payload["rows"], bucket)
+            )
+
+    def test_plain_mode_corruption_leaves_the_frozen_rows_unchanged(self):
+        ctx, captured = _harness()
+        assert not ctx.secure_channels
+        ctx.network.install_faults(
+            MessageFaultInjector(
+                (FaultSpec(kinds=("partition",), corrupt_probability=1.0),)
+            )
+        )
+        rows = [{"age": 30.0}, {"age": 50.0}]
+        bucket, payloads = self._ship_frozen(ctx, captured, rows)
+        # the receivers got tampered copies; the builder kept its rows
+        assert all(
+            payload["rows"] == [{"age": 120.0}, {"age": 200.0}]
+            for payload in payloads
+        )
+        assert bucket == [{"age": 30.0}, {"age": 50.0}]
 
 
 def _on_partition(ctx, runtime, device, payload):

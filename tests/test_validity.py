@@ -75,6 +75,35 @@ class TestCompareResults:
         report = compare_results(with_values, with_nulls)
         assert report.max_relative_error == float("inf")
 
+    @pytest.mark.parametrize("nan_group", [1, 2])
+    def test_a_nan_result_compared_with_itself_is_exact(self, nan_group):
+        # the NaN cell is compared first for one of the two groups,
+        # whatever order hashing gives the keys; neither may change the
+        # verdict
+        query = GroupByQuery(
+            grouping_sets=(("g",),), aggregates=(AggregateSpec("avg", "x"),)
+        )
+        rows = [
+            {"g": g, "x": float("nan") if g == nan_group else 1.0} for g in (1, 2)
+        ]
+        report = compare_results(_result(rows, query), _result(rows, query))
+        assert report.exact_match
+        assert report.is_valid()
+        assert report.max_relative_error == report.mean_relative_error == 0.0
+
+    @pytest.mark.parametrize("odd", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_or_infinity_against_a_number_is_invalid(self, odd):
+        query = GroupByQuery(
+            grouping_sets=((),), aggregates=(AggregateSpec("avg", "x"),)
+        )
+        with_odd = _result([{"x": odd}], query)
+        with_one = _result([{"x": 1.0}], query)
+        for expected, actual in ((with_odd, with_one), (with_one, with_odd)):
+            report = compare_results(expected, actual)
+            assert report.max_relative_error == float("inf")
+            assert not report.exact_match
+            assert not report.is_valid(tolerance=1.0)
+
     def test_mismatched_queries_rejected(self):
         other_query = GroupByQuery(
             grouping_sets=(("region",),), aggregates=(AggregateSpec("count"),)
